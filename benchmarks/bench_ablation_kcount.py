@@ -11,8 +11,9 @@ declaration-counting makes K2-C2PL ASL-like and stronger.
 
 import pytest
 
-from repro import SimulationParameters, run_simulation
+from repro import SimulationParameters
 from repro.core.schedulers import KConflictC2PL, KWTPGScheduler
+from repro.machine import Cluster
 from repro.workloads import pattern1, pattern1_catalog
 
 from conftest import BENCH_CLOCKS, BENCH_SEED, print_series
@@ -27,8 +28,9 @@ def run_mode(factory, mode):
     params = SimulationParameters(scheduler="C2PL", arrival_rate_tps=RATE,
                                   sim_clocks=BENCH_CLOCKS, seed=BENCH_SEED,
                                   num_partitions=16)
-    return run_simulation(params, pattern1(), catalog=pattern1_catalog(),
-                          scheduler=factory(mode)).metrics
+    cluster = Cluster(params, pattern1(), catalog=pattern1_catalog(),
+                      scheduler_factory=lambda: factory(mode))
+    return cluster.run().metrics
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -1,6 +1,8 @@
 """Control-plane benchmark: decision throughput and recovery time.
 
-Two series, written to ``BENCH_control.json``:
+Two series.  Under pytest the smoke asserts and prints them;
+``PYTHONPATH=src python benchmarks/bench_control_plane.py`` also writes
+them to ``BENCH_control.json``:
 
 * **Decision throughput vs CN count** (1/2/4/8).  The workload is
   deliberately *control-bound*: one-object read steps (data nodes are
@@ -76,15 +78,15 @@ def decisions(metrics) -> float:
     return stats["admissions"] + stats["grants"] + stats["commits"]
 
 
-def test_decision_throughput_vs_cn_count(benchmark):
-    def sweep():
-        return [run_simulation(
-            control_bound_params(SWEEP_SCHEDULER, SWEEP_RATE, n,
-                                 SWEEP_CLOCKS),
-            control_bound_workload).metrics
-            for n in CN_COUNTS]
+def decision_sweep():
+    """One control-bound run per CN count; their metrics, in order."""
+    return [run_simulation(
+        control_bound_params(SWEEP_SCHEDULER, SWEEP_RATE, n, SWEEP_CLOCKS),
+        control_bound_workload).metrics
+        for n in CN_COUNTS]
 
-    points = benchmark.pedantic(sweep, rounds=1, iterations=1)
+
+def check_decision_sweep(points):
     for n, metrics in zip(CN_COUNTS, points):
         _results[("sweep", n)] = metrics
         assert metrics.commits > 0
@@ -95,6 +97,11 @@ def test_decision_throughput_vs_cn_count(benchmark):
                   for n in CN_COUNTS]
     assert per_kclock[0] < per_kclock[1] < per_kclock[2], (
         f"decision throughput not monotone 1->4 CNs: {per_kclock}")
+
+
+def test_decision_throughput_vs_cn_count(benchmark):
+    points = benchmark.pedantic(decision_sweep, rounds=1, iterations=1)
+    check_decision_sweep(points)
     _maybe_report()
 
 
@@ -106,29 +113,35 @@ def _safe_cut(records, k):
     return k
 
 
-def test_recovery_time_vs_log_size(benchmark):
+def recovery_log():
+    """A long 2-CN run's shard-0 log and a matching scheduler factory."""
     params = control_bound_params(RECOVERY_SCHEDULER, RECOVERY_RATE, 2,
                                   LOG_CLOCKS)
     cluster = Cluster(params, control_bound_workload)
     cluster.run()
-    assert cluster.control_plane is not None
-    shard = cluster.control_plane.shards[0]
-    assert len(shard.log) >= LOG_SIZES[-1], (
-        f"log too small for the sweep: {len(shard.log)} records")
+    log = cluster.control_plane.shards[0].log
+    assert log is not None
+    assert len(log) >= LOG_SIZES[-1], (
+        f"log too small for the sweep: {len(log)} records")
 
     def factory():
         return make_scheduler(params.scheduler, **params.scheduler_kwargs())
 
-    def replay_sweep():
-        series = []
-        for size in LOG_SIZES:
-            upto = _safe_cut(shard.log.records, size)
-            begin = time.perf_counter()
-            _, replayed = shard.log.replay(factory, upto=upto)
-            series.append((replayed, time.perf_counter() - begin))
-        return series
+    return log, factory
 
-    series = benchmark.pedantic(replay_sweep, rounds=1, iterations=1)
+
+def replay_sweep(log, factory):
+    """Wall-clock replay of growing log prefixes: (records, seconds)."""
+    series = []
+    for size in LOG_SIZES:
+        upto = _safe_cut(log.records, size)
+        begin = time.perf_counter()
+        _, replayed = log.replay(factory, upto=upto)
+        series.append((replayed, time.perf_counter() - begin))
+    return series
+
+
+def check_replay_sweep(series):
     for (replayed, seconds), size in zip(series, LOG_SIZES):
         assert replayed >= size
         assert seconds > 0.0
@@ -136,14 +149,26 @@ def test_recovery_time_vs_log_size(benchmark):
     # apart (16x) that wall-clock ordering is stable.
     assert series[-1][1] > series[0][1], f"replay time not growing: {series}"
     _results["recovery"] = series
+
+
+def test_recovery_time_vs_log_size(benchmark):
+    log, factory = recovery_log()
+    series = benchmark.pedantic(replay_sweep, args=(log, factory),
+                                rounds=1, iterations=1)
+    check_replay_sweep(series)
     _maybe_report()
 
 
+def _per_kclock():
+    return {n: decisions(_results[("sweep", n)]) / SWEEP_CLOCKS * 1000.0
+            for n in CN_COUNTS}
+
+
 def _maybe_report():
+    """Print both series once both have run."""
     if "recovery" not in _results or ("sweep", CN_COUNTS[-1]) not in _results:
         return
-    per_kclock = {n: decisions(_results[("sweep", n)]) / SWEEP_CLOCKS * 1000.0
-                  for n in CN_COUNTS}
+    per_kclock = _per_kclock()
     print_series(
         f"Decision throughput (decisions/1000 clocks) vs CN count "
         f"({SWEEP_SCHEDULER}, control-bound, lambda={SWEEP_RATE})",
@@ -155,6 +180,14 @@ def _maybe_report():
         "Dependency-log replay wall-clock (ms) vs log size (records)",
         "records", [r for r, _ in recovery],
         {"replay ms": [round(s * 1000.0, 2) for _, s in recovery]})
+
+
+def write_grid():
+    """Run both series and write them to ``BENCH_control.json``."""
+    check_decision_sweep(decision_sweep())
+    check_replay_sweep(replay_sweep(*recovery_log()))
+    _maybe_report()
+    per_kclock = _per_kclock()
     payload = {
         "sweep_scheduler": SWEEP_SCHEDULER,
         "recovery_scheduler": RECOVERY_SCHEDULER,
@@ -170,8 +203,12 @@ def _maybe_report():
             for n in CN_COUNTS],
         "recovery": [
             {"records": records, "replay_seconds": seconds}
-            for records, seconds in recovery],
+            for records, seconds in _results["recovery"]],
     }
     out = Path(__file__).resolve().parent.parent / "BENCH_control.json"
     out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out}")
+
+
+if __name__ == "__main__":
+    write_grid()

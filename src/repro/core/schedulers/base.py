@@ -6,7 +6,7 @@ costs it reports to the control node.  Nothing here knows about simulated
 time except through the ``now`` arguments, which exist for the
 control-saving rule of Section 3.4.
 
-Lifecycle, as driven by :mod:`repro.machine.control_node`:
+Lifecycle, as driven by the control plane (:mod:`repro.machine.shard`):
 
 1. ``admit(txn, now)`` — declare all locks; scheduler-specific admission
    constraints (chain-form, K-conflict, ASL preclaiming) may reject, in

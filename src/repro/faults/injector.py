@@ -131,9 +131,8 @@ class FaultInjector:
                         plane: "ControlPlane") -> None:
         """Spawn the plan's control-node crash/recovery processes.
 
-        Called only when the run uses the sharded control plane; a plan
-        whose ``control_crashes`` target shards beyond the plane's size
-        silently skips them (mirroring data-node crash handling).
+        A plan whose ``control_crashes`` target shards beyond the plane's
+        size silently skips them (mirroring data-node crash handling).
         """
         for crash in self.plan.control_crashes:
             if crash.cn < plane.num_shards:

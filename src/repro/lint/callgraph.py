@@ -6,8 +6,8 @@ builds a whole-program call graph from the already-parsed
 :class:`~repro.lint.model.FileContext` set:
 
 * **functions** are indexed by :data:`FunctionId` — ``(logical path,
-  qualified name)``, e.g. ``("repro/machine/control_node.py",
-  "ControlNode.transaction_process")``.  Every ``def`` in the tree is
+  qualified name)``, e.g. ``("repro/machine/shard.py",
+  "ControlPlane.transaction_process")``.  Every ``def`` in the tree is
   indexed, including nested ones (qualname ``outer.<locals>.inner``),
   so a summary exists for every body that can contain a ``yield``.
 * **resolution** is deliberately name-based and conservative:

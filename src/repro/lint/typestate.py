@@ -76,8 +76,8 @@ existing machinery:
 
 The four shipped rules and their scopes:
 
-* **RL013** — BAT lifecycle (``core/schedulers/``,
-  ``machine/control_node.py``, ``faults/``): no commit after a doom or
+* **RL013** — BAT lifecycle (``core/schedulers/``, ``machine/shard.py``,
+  ``machine/control_log.py``, ``faults/``): no commit after a doom or
   abort, no double abort, no lock grant to a transaction that is not
   admitted-and-waiting, restart only from aborted.
 * **RL014** — engine Event/Condition lifecycle (``engine/``): an event
@@ -679,7 +679,7 @@ def _t(**transitions: Sequence[str]) -> Dict[str, FrozenSet[str]]:
 
 
 #: RL013 — the BAT lifecycle of the paper's §3 walked by
-#: ``ControlNode.transaction_process``.  ``admit`` is nondeterministic
+#: ``ControlPlane.transaction_process``.  ``admit`` is nondeterministic
 #: (the scheduler may reject); the binding ``start_time`` write the CN
 #: performs only after an accepted admission collapses it to *active*.
 BAT_PROTOCOL = ProtocolSpec(
@@ -835,7 +835,6 @@ class BatLifecycleRule(TypestateRule):
 
     def applies_to(self, ctx: FileContext) -> bool:
         return (ctx.in_dir("core/schedulers") or ctx.in_dir("faults")
-                or ctx.is_module("repro/machine/control_node.py")
                 or ctx.is_module("repro/machine/shard.py")
                 or ctx.is_module("repro/machine/control_log.py"))
 

@@ -4,12 +4,9 @@
 it parameters and a workload generator, get back a
 :class:`SimulationResult` with the paper's metrics.
 
-With ``num_control_nodes == 1`` and no planned control-node crashes the
-machine is exactly the paper's: one centralized
-:class:`~repro.machine.control_node.ControlNode` — the legacy code path,
-untouched, so single-CN runs stay bit-identical with earlier versions.
-Otherwise the cluster assembles a sharded
-:class:`~repro.machine.shard.ControlPlane`.
+The control side is always a :class:`~repro.machine.shard.ControlPlane`
+of ``num_control_nodes`` shards.  With one shard the machine is exactly
+the paper's: one centralized control node.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from repro.core.schedulers.base import Scheduler
 from repro.core.transaction import TransactionRuntime, TransactionSpec
 from repro.engine import Environment, Event, RandomStreams
 from repro.faults import FaultInjector, FaultPlan
-from repro.machine.control_node import ControlNode
 from repro.machine.data_node import DataNode
 from repro.machine.partition import Catalog
 from repro.machine.shard import ControlPlane
@@ -39,16 +35,16 @@ WorkloadFn = Callable[[int, RandomStreams], TransactionSpec]
 class SimulationResult:
     """Everything a run produced: metrics plus optional history/trace.
 
-    ``scheduler`` is the centralized scheduler for single-CN runs; for
-    sharded runs it is shard 0's scheduler (or None while that shard is
-    down) and ``control_plane`` carries the full per-shard state.
+    ``scheduler`` is shard 0's scheduler — the centralized scheduler of
+    a single-CN run — or None while that shard is down;
+    ``control_plane`` carries the full per-shard state.
     """
 
     metrics: RunMetrics
     history: Optional[History]
     scheduler: Optional[Scheduler]
+    control_plane: ControlPlane
     tracer: Optional[Tracer] = None
-    control_plane: Optional[ControlPlane] = None
 
     @property
     def throughput_tps(self) -> float:
@@ -65,8 +61,8 @@ class SimulationResult:
           recorded (note: NODC legitimately fails this — it is the
           no-concurrency-control upper bound);
         * trace lifecycle well-formedness, when a tracer was attached;
-        * lock-table/WTPG consistency of the scheduler's final state —
-          for sharded runs, of every shard still (or back) alive.
+        * lock-table/WTPG consistency of the final state of every shard
+          still (or back) alive.
         """
         if self.history is not None:
             self.history.check_lock_exclusion()
@@ -74,16 +70,10 @@ class SimulationResult:
         if self.tracer is not None:
             from repro.machine.trace import validate_trace
             validate_trace(self.tracer)
-        schedulers = []
-        if self.control_plane is not None:
-            schedulers = [shard.scheduler
-                          for shard in self.control_plane.shards
-                          if shard.scheduler is not None]
-        elif self.scheduler is not None:
-            schedulers = [self.scheduler]
-        for scheduler in schedulers:
-            table = getattr(scheduler, "table", None)
-            wtpg = getattr(scheduler, "wtpg", None)
+        for shard in self.control_plane.shards:
+            # A shard down at the end of the run has no state to check.
+            table = getattr(shard.scheduler, "table", None)
+            wtpg = getattr(shard.scheduler, "wtpg", None)
             if table is not None and wtpg is not None:
                 from repro.core.invariants import check_consistency
                 check_consistency(table, wtpg)
@@ -94,7 +84,6 @@ class Cluster:
 
     def __init__(self, params: SimulationParameters, workload: WorkloadFn,
                  catalog: Optional[Catalog] = None,
-                 scheduler: Optional[Scheduler] = None,
                  record_history: bool = False,
                  tracer: Optional["Tracer"] = None,
                  fault_plan: Optional[FaultPlan] = None,
@@ -115,8 +104,6 @@ class Cluster:
         self.history = History() if record_history else None
         self.data_nodes = [
             DataNode(self.env, node_id, params.obj_time,
-                     on_objects=self._on_objects,
-                     on_objects_batch=self._on_objects_batch,
                      mode=params.node_mode)
             for node_id in range(params.num_nodes)]
         if tracer is not None and params.trace_sample_rate < 1.0:
@@ -129,56 +116,23 @@ class Cluster:
         self.injector = (FaultInjector(fault_plan, self.streams)
                          if fault_plan is not None and not fault_plan.empty()
                          else None)
-        # Single-CN fault-free-of-CN-crashes runs take the legacy
-        # centralized path verbatim: same objects, same event order,
-        # bit-identical metrics and traces.
-        sharded = params.num_control_nodes > 1 or (
-            fault_plan is not None and bool(fault_plan.control_crashes))
-        self.control_node: Optional[ControlNode] = None
-        self.control_plane: Optional[ControlPlane] = None
-        if sharded:
-            self.scheduler: Optional[Scheduler] = None
-            self.control_plane = ControlPlane(
-                self.env, params, scheduler_factory,  # repro-lint: disable=RL009 -- __init__ runs before the event loop starts (no concurrency yet), and the factory is a constructor closure, not shared mutable state: each recovery call builds a fresh scheduler
-                self.catalog,
-                self.data_nodes, self.metrics, history=self.history,
-                tracer=tracer, injector=self.injector)
-            self._scheduler_name = self.control_plane.shards[0].live.name
-        else:
-            self.scheduler = scheduler or scheduler_factory()
-            self.control_node = ControlNode(
-                self.env, params, self.scheduler, self.catalog,
-                self.data_nodes, self.metrics, history=self.history,
-                tracer=tracer, injector=self.injector)
-            self._scheduler_name = self.scheduler.name
+        self.control_plane = ControlPlane(
+            self.env, params, self.scheduler_factory, self.catalog,
+            self.data_nodes, self.metrics, history=self.history,
+            tracer=tracer, injector=self.injector)
+        # Weight-adjustment messages go straight to the plane, which
+        # routes them to the shard owning the executing step.
+        for node in self.data_nodes:
+            node.on_objects = self.control_plane.note_objects
+            node.on_objects_batch = self.control_plane.note_objects_batch
+        self._scheduler_name = self.control_plane.shards[0].live.name
         self._spawned = 0
-
-    def _on_objects(self, txn: TransactionRuntime, objects: float) -> None:
-        """A data node finished ``objects`` of a step: weight-adjust."""
-        if self.control_plane is not None:
-            self.control_plane.note_objects(txn, objects)
-        else:
-            assert self.scheduler is not None
-            self.scheduler.object_processed(txn, objects)
-
-    def _on_objects_batch(self, txn: TransactionRuntime,
-                          full_quanta: int) -> None:
-        """Coalesced weight adjustment for a batched run of whole quanta."""
-        if self.control_plane is not None:
-            self.control_plane.note_objects_batch(txn, full_quanta)
-        else:
-            assert self.scheduler is not None
-            self.scheduler.object_processed_batch(txn, full_quanta)
 
     def _arrival_process(self) -> Generator[Event, Any, None]:
         """Poisson arrivals; each arrival spawns a transaction process."""
         env = self.env
         mean = self.params.mean_interarrival_clocks
-        if self.control_plane is not None:
-            coordinator = self.control_plane.transaction_process
-        else:
-            assert self.control_node is not None
-            coordinator = self.control_node.transaction_process
+        coordinator = self.control_plane.transaction_process
         while True:
             yield env.timeout(self.streams.exponential("arrivals", mean))
             self._spawned += 1
@@ -190,16 +144,17 @@ class Cluster:
             env.process(coordinator(txn))
 
     def _scheduler_stats(self) -> Dict[str, float]:
-        """Observational counters: per-shard sums for sharded runs."""
-        if self.control_plane is None:
-            assert self.scheduler is not None
-            return self.scheduler.stats.as_dict()
+        """Observational counters, summed over shards.
+
+        Sums start from int ``0`` so every counter keeps its
+        :class:`~repro.core.schedulers.base.SchedulerStats` type.
+        """
         totals: Dict[str, float] = {}
         for shard in self.control_plane.shards:
             if shard.scheduler is None:
                 continue  # a shard down at end of run lost its counters
             for key, value in shard.scheduler.stats.as_dict().items():
-                totals[key] = totals.get(key, 0.0) + value
+                totals[key] = totals.get(key, 0) + value
         return totals
 
     def run(self) -> SimulationResult:
@@ -207,23 +162,15 @@ class Cluster:
         if self.injector is not None:
             self.injector.install(self.env, self.data_nodes, self.catalog,
                                   metrics=self.metrics, tracer=self.tracer)
-            if self.control_plane is not None:
-                self.injector.install_control(self.env, self.control_plane)
+            self.injector.install_control(self.env, self.control_plane)
         self.env.process(self._arrival_process())
         self.env.run(until=self.params.sim_clocks)
         elapsed = self.params.sim_clocks
         dn_utilization = (sum(dn.utilization(elapsed)
                               for dn in self.data_nodes)
                           / len(self.data_nodes))
-        if self.control_plane is not None:
-            cn_utilizations = self.control_plane.utilizations(elapsed)
-            cn_utilization = sum(cn_utilizations) / len(cn_utilizations)
-            scheduler = self.control_plane.shards[0].scheduler
-        else:
-            assert self.control_node is not None
-            cn_utilizations = None
-            cn_utilization = self.control_node.utilization(elapsed)
-            scheduler = self.scheduler
+        cn_utilizations = self.control_plane.utilizations(elapsed)
+        cn_utilization = sum(cn_utilizations) / len(cn_utilizations)
         metrics = self.metrics.summarise(
             scheduler=self._scheduler_name,
             arrival_rate_tps=self.params.arrival_rate_tps,
@@ -234,18 +181,17 @@ class Cluster:
             scheduler_stats=self._scheduler_stats(),
             cn_utilizations=cn_utilizations,
         )
+        plane = self.control_plane
         return SimulationResult(metrics=metrics, history=self.history,
-                                scheduler=scheduler,
-                                tracer=self.tracer,
-                                control_plane=self.control_plane)
+                                scheduler=plane.shards[0].scheduler,
+                                control_plane=plane, tracer=self.tracer)
 
 
 def run_simulation(params: SimulationParameters, workload: WorkloadFn,
                    catalog: Optional[Catalog] = None,
-                   scheduler: Optional[Scheduler] = None,
                    record_history: bool = False,
                    fault_plan: Optional[FaultPlan] = None) -> SimulationResult:
     """Build a cluster and run one simulation — the one-call entry point."""
-    cluster = Cluster(params, workload, catalog=catalog, scheduler=scheduler,
+    cluster = Cluster(params, workload, catalog=catalog,
                       record_history=record_history, fault_plan=fault_plan)
     return cluster.run()

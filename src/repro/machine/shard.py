@@ -1,30 +1,55 @@
-"""The sharded control plane: multiple CNs, 2PC, crash recovery.
+"""The control plane: admission, locking, dispatch, 2PC and recovery.
 
-With ``num_control_nodes > 1`` the single centralized CN of
-:mod:`repro.machine.control_node` is replaced by a *control plane* of
+The paper's machine has one control node (CN) that owns the lock table
+and WTPG and coordinates every BAT's lifecycle as the two-phase-commit
+coordinator.  Here that CN is the one-shard case of a *control plane* of
 :class:`ControlShard` s.  Each shard owns the lock table + WTPG slice for
 a partition range — partition ``p`` is controlled by CN ``p mod
 num_control_nodes``, the same modulo placement the data layer uses for
-partitions over data nodes — plus its own FIFO CPU and an append-only
+partitions over data nodes — plus its own FIFO CPU and, when recovery
+can need one, an append-only
 :class:`~repro.machine.control_log.DependencyLog`.
 
-A BAT whose steps touch several shards is coordinated by
+Every BAT runs as one engine process,
 :meth:`ControlPlane.transaction_process`:
 
-* **admission** runs independently on every participant shard against a
-  shard-local *sub-declaration* (the subsequence of steps on that
-  shard's partitions); the global verdict is the conjunction
+* **admission** costs what the scheduler reports; a rejected BAT
+  (ASL preclaim failure, chain-form or K-conflict violation) is
+  re-submitted after the fixed retry delay, and the 2PC start
+  coordination (``startuptime``) is paid once, on its home CN, when it
+  is admitted.  With several shards, admission runs independently on
+  every participant shard against a shard-local *sub-declaration* (the
+  subsequence of steps on that shard's partitions); the global verdict
+  is the conjunction
   (:func:`~repro.core.schedulers.base.merge_admission_responses`), each
   shard's admission cost is spent on its *own* CPU in parallel, and a
   globally rejected BAT rolls its local admissions back;
 * **lock requests** route to the shard owning the step's partition and
-  are costed on that shard's CPU; per-object weight-adjustment messages
-  go to the same shard;
+  are costed on that shard's CPU (``ddtime`` / ``chaintime`` /
+  ``kwtpgtime``); BLOCK/DELAY responses are re-submitted after the
+  retry delay; a granted step ships the BAT to the data node holding
+  the partition, whose per-object weight-adjustment messages go to the
+  same shard;
 * **commitment** of a cross-shard BAT is a two-phase commit among its
   participant CNs: a prepare round and a commit round, each costing
   ``committime`` on every participant's CPU in parallel.  A single-shard
-  BAT commits exactly like the centralized machine (one ``committime``
-  on its home CN, no 2PC rounds).
+  BAT commits like the paper's centralized machine: one ``committime``
+  on its home CN, no 2PC rounds.
+
+A one-shard plane *is* the paper's centralized CN: its scheduler sees
+the global runtime (no projection), and its admission cost is charged
+inline on the one CPU.  Each CN's CPU is a single FIFO server, so heavy
+control traffic queues — the paper deliberately overstates control cost
+relative to ``ObjTime`` to show the schedulers survive it.
+
+Aborts — deadlock victims (2PL/WAIT-DIE) and injected faults
+(:mod:`repro.faults`) — funnel into one restart path: the schedulers
+release the victim's locks and WTPG node, the metrics record the abort
+by cause, and the BAT is re-submitted from admission under the
+configured retry policy.  When the fault plan enables cascades, the
+victim's direct precedence successors are doomed too
+(:meth:`ControlPlane.request_abort`), each of which repeats the same
+path when its process next runs.
 
 Crash/recovery (:class:`~repro.faults.plan.ControlCrash`): a crashed
 shard loses its volatile scheduler state.  BATs *homed* on it (home =
@@ -56,22 +81,47 @@ from repro.errors import FaultError, SchedulerError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import RetryPolicy
 from repro.machine.control_log import DependencyLog
-from repro.machine.control_node import _LEGACY_CAUSE, declustered_shares
 from repro.machine.data_node import DataNode
 from repro.machine.partition import Catalog
 from repro.machine.trace import EventType, Tracer
 from repro.metrics.collector import MetricsCollector
 
+# The abort cause of the pre-fault machine; traces keep their legacy
+# shape for it (no explicit cause key) so fault-free runs stay
+# bit-identical with historical traces.
+_LEGACY_CAUSE = "deadlock"
+
+
+def declustered_shares(cost: float, n: int) -> List[float]:
+    """Split ``cost`` into ``n`` near-equal shares summing to exactly ``cost``.
+
+    Telescoping prefix differences: share ``i`` is ``cost*(i+1)/n -
+    cost*i/n``, with the last share computed as ``cost - prefix``
+    directly, so the shares sum to ``cost`` *exactly* (the intermediate
+    bounds cancel pairwise) while each stays within a few ulps of the
+    ideal ``cost / n``.  Plain ``cost / n`` copies do not conserve: ``n``
+    repetitions of the rounded quotient drift from the dispatched total,
+    so the per-node object counts stop adding up to the step cost.
+    """
+    shares: List[float] = []
+    prev = 0.0
+    for i in range(1, n):
+        bound = cost * i / n
+        shares.append(bound - prev)
+        prev = bound
+    shares.append(cost - prev)
+    return shares
+
 
 class ControlShard:
-    """One control node of the sharded plane: CPU, scheduler, log."""
+    """One control node of the plane: CPU, scheduler, optional log."""
 
     def __init__(self, shard_id: int, env: Environment,
-                 scheduler: Scheduler) -> None:
+                 scheduler: Scheduler, logged: bool) -> None:
         self.shard_id = shard_id
         self.env = env
         self.scheduler: Optional[Scheduler] = scheduler
-        self.log = DependencyLog(shard_id)
+        self.log = DependencyLog(shard_id) if logged else None
         self.cpu = Resource(env, capacity=1)
         self.crashed = False
         self.crashed_at = 0.0
@@ -108,7 +158,7 @@ class ControlShard:
 
 
 class ControlPlane:
-    """Shard map plus the cross-shard transaction coordinator."""
+    """Shard map plus the transaction coordinator of every BAT."""
 
     def __init__(self, env: Environment, params: SimulationParameters,
                  scheduler_factory: Callable[[], Scheduler],
@@ -126,11 +176,20 @@ class ControlPlane:
         self.history = history
         self.tracer = tracer
         self.injector = injector
-        self.shards = [ControlShard(sid, env, scheduler_factory())
+        plan = injector.plan if injector is not None else None
+        # Logging follows the inputs: a dependency log is kept only where
+        # recovery or the replay differentials can read it — on every
+        # shard of a multi-shard plane, and whenever the fault plan
+        # schedules a CN crash.
+        logged = params.num_control_nodes > 1 or (
+            plan is not None and bool(plan.control_crashes))
+        self.shards = [ControlShard(sid, env, scheduler_factory(), logged)
                        for sid in range(params.num_control_nodes)]
+        # The one shard of the paper's centralized CN, or None.
+        self._only = self.shards[0] if len(self.shards) == 1 else None
         self.active_transactions = 0
         # Grant bookkeeping for history validation: tid -> list of
-        # (partition, mode, grant time); mirrors ControlNode.
+        # (partition, mode, grant time).
         self._grants: Dict[int, List[Tuple[int, LockMode, float]]] = {}
         # Fault bookkeeping: admitted-but-uncommitted tids, tids doomed
         # with their condemning cause, and each tid's home shard (set at
@@ -138,7 +197,6 @@ class ControlPlane:
         self._running: Set[int] = set()
         self._doomed: Dict[int, str] = {}
         self._home: Dict[int, int] = {}
-        plan = injector.plan if injector is not None else None
         self._cascade = plan.cascade if plan is not None else False
         if plan is not None and plan.retry is not None:
             self.retry_policy = plan.retry
@@ -169,7 +227,9 @@ class ControlPlane:
         global step ``i``, and ``sub_specs[sid]`` is the order-preserving
         subsequence of steps on shard ``sid``'s partitions.  Shard-local
         step indices are exactly each sub-runtime's own ``current_step``,
-        advanced in lockstep with the global one.
+        advanced in lockstep with the global one.  Only multi-shard
+        planes project; a one-shard plane's scheduler sees the global
+        declaration itself.
         """
         route: List[int] = []
         steps_by_shard: Dict[int, List[Step]] = {}
@@ -184,7 +244,15 @@ class ControlPlane:
     # -- fault plumbing --------------------------------------------------------
 
     def request_abort(self, tid: int, cause: str) -> bool:
-        """Doom a running transaction (cascade abort); see ControlNode."""
+        """Doom a running transaction (cascade abort).
+
+        The victim's resident bulk work is cancelled immediately; its
+        coordinator process observes the doom at its next decision point
+        and runs the shared abort/restart path.  Returns False when the
+        transaction is not currently running (already committed, already
+        doomed, or between attempts) — such cascades are void and counted
+        in :attr:`~repro.metrics.collector.RunMetrics.void_cascades`.
+        """
         if tid not in self._running or tid in self._doomed:
             self.metrics.record_void_cascade()
             return False
@@ -233,6 +301,8 @@ class ControlPlane:
         shard = self.shards[sid]
         if not shard.crashed:
             raise SchedulerError(f"CN {sid} is not crashed")
+        if shard.log is None:
+            raise SchedulerError(f"CN {sid} keeps no dependency log")
         scheduler, replayed = shard.log.replay(self.scheduler_factory)
         shard.scheduler = scheduler
         shard.crashed = False
@@ -264,55 +334,82 @@ class ControlPlane:
         replayed WTPG keeps the conservative declared weight), but the
         transaction's own progress bookkeeping still happens.
         """
-        shard = self.shards[self.shard_of(txn.step().partition)]
-        if shard.crashed or shard.scheduler is None:
+        shard = self._only
+        if shard is None:
+            shard = self.shards[self.shard_of(txn.step().partition)]
+        scheduler = shard.scheduler
+        if scheduler is None:
             txn.note_object_processed(objects)
             return
-        shard.scheduler.object_processed(txn, objects)
+        scheduler.object_processed(txn, objects)
 
     def note_objects_batch(self, txn: TransactionRuntime,
                            full_quanta: int) -> None:
         """Coalesced whole-object messages; see :meth:`note_objects`."""
-        shard = self.shards[self.shard_of(txn.step().partition)]
-        if shard.crashed or shard.scheduler is None:
+        shard = self._only
+        if shard is None:
+            shard = self.shards[self.shard_of(txn.step().partition)]
+        scheduler = shard.scheduler
+        if scheduler is None:
             txn.note_objects_batch(full_quanta)
             return
-        shard.scheduler.object_processed_batch(txn, full_quanta)
+        scheduler.object_processed_batch(txn, full_quanta)
 
     # -- transaction lifecycle -------------------------------------------------
 
+    def _participants(self, txn: TransactionRuntime,
+                      sub_specs: Optional[Dict[int, TransactionSpec]],
+                      ) -> Dict[int, TransactionRuntime]:
+        """Each participant shard's view of ``txn`` for one attempt.
+
+        Fresh per-shard sub-runtimes every attempt, so shard-local step
+        progress restarts from zero exactly like the global runtime; a
+        one-shard plane (``sub_specs`` None) hands its scheduler the
+        global runtime itself.
+        """
+        if sub_specs is None:
+            return {0: txn}
+        return {sid: TransactionRuntime(sub_specs[sid],
+                                        arrival_time=txn.arrival_time)
+                for sid in sorted(sub_specs)}
+
     def transaction_process(self, txn: TransactionRuntime,
                             ) -> Generator[Event, Any, None]:
-        """The full life of one BAT under the sharded control plane.
+        """The full life of one BAT; run as an engine process.
 
-        Mirrors :meth:`ControlNode.transaction_process` step for step —
-        same trace shapes, same metric hooks, same restart path — with
-        every scheduler consultation routed to the owning shard and
-        cross-shard commitment run as 2PC among the participants.
+        The outer loop exists for restarts: 2PL deadlock victims and
+        fault-aborted transactions re-enter from admission with all
+        their previous work wasted.  The paper's own schedulers never
+        abort by choice, but injected faults can abort any of them.
+        Every scheduler consultation is routed to the owning shard, and
+        cross-shard commitment runs as 2PC among the participants.
         """
         env = self.env
         params = self.params
         tid = txn.tid
-        route, sub_specs = self._project(txn.spec)
-        sids = sorted(sub_specs)
-        home = route[0]
+        only = self._only
+        route: Optional[List[int]] = None
+        sub_specs: Optional[Dict[int, TransactionSpec]] = None
+        if only is None:
+            route, sub_specs = self._project(txn.spec)
+            sids = sorted(sub_specs)
+            home = route[0]
+        else:
+            sids = [0]
+            home = 0
         self._home[tid] = home
         self._trace(EventType.ARRIVAL, txn)
         restarting = False
 
         while True:  # one iteration per execution attempt
-            # Fresh per-shard sub-runtimes each attempt: shard-local step
-            # progress restarts from zero exactly like the global runtime.
-            sub_rts = {sid: TransactionRuntime(sub_specs[sid],
-                                               arrival_time=txn.arrival_time)
-                       for sid in sids}
+            sub_rts = self._participants(txn, sub_specs)
 
-            # Admission: every participant shard must admit.  The
-            # per-shard decisions are taken atomically (no yields between
-            # them); the costs are then spent on the shards' CPUs in
-            # parallel.  Log records are appended at decision time, before
-            # any CPU yield, so a shard crashing mid-window has already
-            # made its admission durable.
+            # Admission: every participant shard must admit.  Each
+            # attempt costs only the admission test; startuptime (the
+            # 2PC start coordination) is spent once when the BAT starts.
+            # Log records are appended at decision time, before any CPU
+            # yield, so a shard crashing mid-window has already made its
+            # admission durable.
             while True:
                 down = [sid for sid in sids if self.shards[sid].crashed]
                 if down:
@@ -320,14 +417,25 @@ class ControlPlane:
                     # touching (or charging) anybody, retry later.
                     response = AdmissionResponse(
                         False, reason=f"CN {down[0]} down")
+                elif only is not None:
+                    # The centralized CN: one decision, charged inline
+                    # on its CPU.
+                    response = only.live.admit(txn, env.now)
+                    if response.admitted and only.log is not None:
+                        only.log.append_admit(txn.spec, env.now)
+                    yield from only.cpu_work(response.cpu_cost)
                 else:
+                    # The per-shard decisions are taken atomically (no
+                    # yields between them); the costs are then spent on
+                    # the shards' CPUs in parallel.
                     responses = {}
                     for sid in sids:
-                        responses[sid] = self.shards[sid].live.admit(
-                            sub_rts[sid], env.now)
-                        if responses[sid].admitted:
-                            self.shards[sid].log.append_admit(
-                                sub_rts[sid].spec, env.now)
+                        shard = self.shards[sid]
+                        responses[sid] = shard.live.admit(sub_rts[sid],
+                                                          env.now)
+                        if responses[sid].admitted and shard.log is not None:
+                            shard.log.append_admit(sub_rts[sid].spec,
+                                                   env.now)
                     response = merge_admission_responses(
                         [responses[sid] for sid in sids])
                     costed = [
@@ -346,19 +454,19 @@ class ControlPlane:
                             if shard.scheduler is not None:
                                 shard.scheduler.abort_transaction(
                                     sub_rts[sid], env.now)
-                            shard.log.append_abort(tid, env.now)
-                if response.admitted:  # repro-lint: disable=RL009 -- each shard's admission decision is made atomically inside admit() and is binding; the CPU yield models the cost of computing it, not a revalidation window
+                            if shard.log is not None:
+                                shard.log.append_abort(tid, env.now)
+                if response.admitted:
                     break
                 self._trace(EventType.ADMISSION_REJECTED, txn,
                             reason=response.reason)
-                txn.reset_for_retry()  # repro-lint: disable=RL013 -- an admission-rejected BAT never started: this re-arms the attempt counter for resubmission; "restart only from aborted" governs BATs that actually ran
+                txn.reset_for_retry()
                 yield env.timeout(params.retry_delay)
-                sub_rts = {sid: TransactionRuntime(
-                    sub_specs[sid], arrival_time=txn.arrival_time)
-                    for sid in sids}
-            # Admitted on every shard: a cascade doom must be able to
-            # land from this instant on — before the startup CPU window
-            # below (same fix as the centralized CN).
+                sub_rts = self._participants(txn, sub_specs)
+            # Admitted on every shard: the schedulers now hold state for
+            # this tid, so a cascade doom must be able to land from this
+            # instant on — before the startup CPU window below, during
+            # which a doomed predecessor's abort may already fan out to us.
             self._running.add(tid)
             yield from self.shards[home].cpu_work(params.startup_time)
             txn.start_time = env.now
@@ -379,7 +487,7 @@ class ControlPlane:
                 if cause is not None:
                     aborted, abort_cause = True, cause
                     break
-                sid = route[txn.current_step]
+                sid = route[txn.current_step] if route is not None else 0
                 sub = sub_rts[sid]
                 granted = False
                 while True:
@@ -397,7 +505,7 @@ class ControlPlane:
                             break
                         continue
                     response = shard.scheduler.request_lock(sub, env.now)
-                    if response.granted:
+                    if shard.log is not None and response.granted:
                         # Log the grant (and the precedence edges it
                         # resolved) at decision time, before the CPU
                         # yield below.
@@ -436,6 +544,9 @@ class ControlPlane:
                 partition = self.catalog.partition(step.partition)
                 try:
                     if partition.declustered and len(self.data_nodes) > 1:
+                        # Intra-transaction parallelism: the bulk operation
+                        # runs on every node at once, in near-equal shares
+                        # that sum to exactly step.cost.
                         shares = declustered_shares(step.cost,
                                                     len(self.data_nodes))
                         self._trace(EventType.STEP_DISPATCHED, txn,
@@ -456,10 +567,14 @@ class ControlPlane:
                     break
                 self._trace(EventType.STEP_COMPLETED, txn,
                             step=txn.current_step)
-                sub.advance_step()
+                if sub is not txn:
+                    sub.advance_step()
                 txn.advance_step()
 
             if not aborted:
+                # An injection point equal to the step count means
+                # "between the last step and the commit"; a doom arriving
+                # during the final step lands here too.
                 if (planned_abort is not None
                         and planned_abort >= len(txn.spec.steps)):
                     aborted, abort_cause = True, "injected"
@@ -502,8 +617,10 @@ class ControlPlane:
                     # Apply + log the commit atomically (no yields): a
                     # crash can never observe a half-committed BAT.
                     for sid in sids:
-                        self.shards[sid].live.commit(sub_rts[sid], env.now)
-                        self.shards[sid].log.append_commit(tid, env.now)
+                        shard = self.shards[sid]
+                        shard.live.commit(sub_rts[sid], env.now)
+                        if shard.log is not None:
+                            shard.log.append_commit(tid, env.now)
                     break
 
             if aborted:
@@ -517,7 +634,8 @@ class ControlPlane:
                     if shard.scheduler is not None:
                         successors.update(shard.scheduler.abort_transaction(
                             sub_rts[sid], env.now))
-                    shard.log.append_abort(tid, env.now)
+                    if shard.log is not None:
+                        shard.log.append_abort(tid, env.now)
                 self._running.discard(tid)
                 self._doomed.pop(tid, None)
                 for node in self.data_nodes:
@@ -536,7 +654,7 @@ class ControlPlane:
                 self.active_transactions -= 1
                 if self.history is not None:
                     self._grants.pop(tid, None)
-                txn.reset_for_retry()  # repro-lint: disable=RL013 -- the schedulers saw the per-shard sub-runtimes abort (abort_transaction above); the global runtime is the coordinator's aggregate view, re-armed exactly once per aborted attempt
+                txn.reset_for_retry()  # repro-lint: disable=RL013 -- abort_transaction above aborted every participant's runtime (the global one on a one-shard plane, the per-shard sub-runtimes otherwise); the global runtime is re-armed exactly once per aborted attempt
                 if self._cascade and successors:
                     for successor in sorted(successors):
                         self.request_abort(successor, "cascade")
@@ -547,6 +665,10 @@ class ControlPlane:
             txn.commit_time = env.now
             self.active_transactions -= 1
             self._running.discard(tid)
+            # A doom that lands during the commit CPU window loses the
+            # race (commit wins), but its _doomed entry must not outlive
+            # the transaction: it would accumulate forever in
+            # cascade-heavy faulty runs.
             self._doomed.pop(tid, None)
             self._home.pop(tid, None)
             if self.history is not None:
@@ -554,7 +676,7 @@ class ControlPlane:
                     self.history.record(tid, partition, mode,
                                         granted_at, env.now)
             self._trace(EventType.COMMITTED, txn,
-                        response_time=txn.response_time())  # repro-lint: disable=RL013 -- commit() was applied to the per-shard sub-runtimes; the global runtime reaches this line only after every participant shard committed
+                        response_time=txn.response_time())  # repro-lint: disable=RL013 -- commit() was applied to every participant's runtime (the global one on a one-shard plane, the per-shard sub-runtimes otherwise); this line runs only after every participant shard committed
             self.metrics.record_commit(txn, env.now)
             return
 

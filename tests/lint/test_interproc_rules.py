@@ -394,19 +394,18 @@ def _without_suppressions(path):
     return re.sub(r"#\s*repro-lint:[^\n]*", "", source)
 
 
-def test_rl009_teeth_on_real_control_node():
-    source = _without_suppressions(
-        REPO / "src/repro/machine/control_node.py")
+def test_rl009_teeth_on_real_control_plane():
+    source = _without_suppressions(REPO / "src/repro/machine/shard.py")
     runner = LintRunner()
     violations = runner.check_source(
-        source, display="<broken control_node>",
-        logical="repro/machine/control_node.py")
+        source, display="<broken shard>",
+        logical="repro/machine/shard.py")
     rl009 = [v for v in violations if v.rule_id == "RL009"]
-    # The admission and lock-grant responses are both held across the
-    # CPU-cost yield; with the justified suppressions stripped, the rule
-    # must find exactly those two snapshots.
-    assert len(rl009) == 2
-    assert all("response" in v.message for v in rl009)
+    # The lock-grant response is held across the CPU-cost yield; with
+    # its justified suppression stripped, the rule must find exactly
+    # that snapshot.
+    assert len(rl009) == 1
+    assert "response" in rl009[0].message
 
 
 def test_rl009_teeth_on_real_data_node():

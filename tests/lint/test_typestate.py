@@ -439,18 +439,19 @@ def _without_suppressions(path):
     return re.sub(r"#\s*repro-lint:[^\n]*", "", source)
 
 
-def test_rl013_teeth_on_real_control_node():
-    source = _without_suppressions(
-        REPO / "src/repro/machine/control_node.py")
+def test_rl013_teeth_on_real_control_plane():
+    source = _without_suppressions(REPO / "src/repro/machine/shard.py")
     violations = LintRunner().check_source(
-        source, display="<broken control_node>",
-        logical="repro/machine/control_node.py")
+        source, display="<broken shard>",
+        logical="repro/machine/shard.py")
     rl013 = of_rule(violations, "RL013")
-    # The admission-rejection retry re-arms a BAT that never ran; with
-    # its justified suppression stripped, the "restart only from
-    # aborted" transition must flag exactly that call.
-    assert len(rl013) == 1
+    # The coordinator aborts and commits each participant's runtime,
+    # which the analysis cannot tie to the global one; with the two
+    # justified suppressions stripped, the restart after an abort and
+    # the committed-only response_time() read must flag exactly.
+    assert len(rl013) == 2
     assert "reset_for_retry" in rl013[0].message
+    assert "response_time" in rl013[1].message
 
 
 def test_rl014_teeth_on_real_engine_core():

@@ -4,7 +4,9 @@ import pytest
 
 from repro import SimulationParameters, run_simulation
 from repro.core import Step, TransactionSpec
+from repro.core.schedulers import SchedulerStats
 from repro.errors import SerializationViolationError
+from repro.faults import ControlCrash, FaultPlan
 from repro.machine import Catalog, Cluster
 from repro.workloads import (pattern1, pattern1_catalog, pattern2,
                              pattern2_catalog)
@@ -111,6 +113,21 @@ class TestAccounting:
         assert stats["commits"] == result.metrics.commits
         assert stats["optimizations"] > 0
 
+    @pytest.mark.parametrize("control_nodes", [1, 2])
+    def test_scheduler_stats_keep_their_counter_types(self, control_nodes):
+        """Per-shard sums start from int 0: an int counter reports 595,
+        never 595.0, however many control nodes contributed to it."""
+        params = SimulationParameters(scheduler="K2",
+                                      num_control_nodes=control_nodes,
+                                      **FAST)
+        result = run_simulation(params, pattern1(), catalog=pattern1_catalog())
+        stats = result.metrics.scheduler_stats
+        declared = SchedulerStats().as_dict()
+        assert list(stats) == list(declared)
+        for key, value in stats.items():
+            assert type(value) is type(declared[key]), key
+        assert stats["admissions"] > 0
+
     def test_cn_utilization_positive_and_bounded(self):
         params = SimulationParameters(scheduler="C2PL", **FAST)
         result = run_simulation(params, pattern1(), catalog=pattern1_catalog())
@@ -124,3 +141,25 @@ class TestAccounting:
         cold = run_simulation(params.with_overrides(warmup_clocks=0.0),
                               pattern1(), catalog=pattern1_catalog())
         assert warm.metrics.commits < cold.metrics.commits
+
+
+class TestDependencyLogging:
+    @pytest.mark.parametrize("control_nodes,cn_crash,logged", [
+        (1, False, False),   # the paper's machine: nothing reads a log
+        (1, True, True),     # a planned CN crash replays one
+        (2, False, True),    # replay differentials read every shard's
+    ])
+    def test_logs_follow_the_inputs(self, control_nodes, cn_crash, logged):
+        params = SimulationParameters(scheduler="K2",
+                                      num_control_nodes=control_nodes,
+                                      **FAST)
+        plan = (FaultPlan(control_crashes=(
+                    ControlCrash(0, 40_000.0, recover_at=50_000.0),))
+                if cn_crash else None)
+        result = run_simulation(params, pattern1(),
+                                catalog=pattern1_catalog(), fault_plan=plan)
+        logs = [shard.log for shard in result.control_plane.shards]
+        assert all((log is not None) == logged for log in logs)
+        if logged:
+            assert all(len(log) > 0 for log in logs)
+        assert result.metrics.cn_recoveries == (1 if cn_crash else 0)

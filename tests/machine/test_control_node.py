@@ -1,4 +1,8 @@
-"""Focused tests of the control node: CPU costing and queueing."""
+"""Focused tests of the control node: CPU costing and queueing.
+
+The paper's centralized control node is the one-shard control plane;
+its one CPU is ``plane.shards[0].cpu``.
+"""
 
 import pytest
 
@@ -7,7 +11,8 @@ from repro.core import Step, TransactionRuntime, TransactionSpec
 from repro.core.history import History
 from repro.core.schedulers import make_scheduler
 from repro.engine import Environment
-from repro.machine import Catalog, ControlNode, DataNode
+from repro.errors import SchedulerError
+from repro.machine import Catalog, ControlPlane, DataNode
 from repro.metrics import MetricsCollector
 
 
@@ -18,10 +23,12 @@ def build(scheduler_name="C2PL", **param_overrides):
     catalog = Catalog.uniform(8, 5.0, params.num_nodes)
     nodes = [DataNode(env, i, params.obj_time)
              for i in range(params.num_nodes)]
-    scheduler = make_scheduler(scheduler_name, **params.scheduler_kwargs())
     metrics = MetricsCollector()
-    cn = ControlNode(env, params, scheduler, catalog, nodes, metrics,
-                     history=History())
+    cn = ControlPlane(env, params,
+                      lambda: make_scheduler(scheduler_name,
+                                             **params.scheduler_kwargs()),
+                      catalog, nodes, metrics, history=History())
+    assert cn.num_shards == 1
     return env, cn, metrics
 
 
@@ -85,9 +92,10 @@ class TestCpuQueueing:
         t = txn(1, [Step.read(0, 1)])
         env.process(cn.transaction_process(t))
         env.run()
-        busy = cn.cpu.busy_time()
+        cpu = cn.shards[0].cpu
+        busy = cpu.busy_time()
         assert busy == pytest.approx(50 + 100 + 25 + 200)
-        assert cn.utilization(env.now) == pytest.approx(busy / env.now)
+        assert cn.utilizations(env.now) == [pytest.approx(busy / env.now)]
 
     def test_zero_cost_work_skips_cpu(self):
         env, cn, _ = build(startup_time=0, admission_time=0,
@@ -95,7 +103,7 @@ class TestCpuQueueing:
         t = txn(1, [Step.read(0, 1)])
         env.process(cn.transaction_process(t))
         env.run()
-        assert cn.cpu.busy_time() == 0.0
+        assert cn.shards[0].cpu.busy_time() == 0.0
         assert env.now == 1000  # pure data-node time
 
 
@@ -201,3 +209,15 @@ class TestRetrySemantics:
         env.run()
         assert t2.attempts > 0  # had to re-submit while T1 held the lock
         assert t2.commit_time > t1.commit_time
+
+
+class TestRecovery:
+    def test_unlogged_cn_cannot_replay(self):
+        """Without a planned CN crash the single CN keeps no dependency
+        log, so a crash of it cannot be recovered — recovery says so
+        with a typed error instead of failing on the missing log."""
+        env, cn, _ = build()
+        assert cn.shards[0].log is None
+        cn.crash_shard(0)
+        with pytest.raises(SchedulerError, match="no dependency log"):
+            cn.recover_shard(0)

@@ -13,7 +13,7 @@ import pytest
 from repro import Catalog, SimulationParameters, run_simulation
 from repro.core import Step, TransactionSpec
 from repro.machine.cluster import Cluster
-from repro.machine.control_node import declustered_shares
+from repro.machine.shard import declustered_shares
 from repro.workloads import pattern1
 
 

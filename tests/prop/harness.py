@@ -108,14 +108,10 @@ def assert_invariants(result: SimulationResult, name: str) -> None:
     result.history.check_serializable()
     # 2. Trace lifecycle well-formedness (per execution attempt).
     validate_trace(result.tracer)
-    # 3. Final WTPG is acyclic and consistent with the lock table —
-    #    for sharded runs, of every shard still (or back) alive.
-    if result.control_plane is not None:
-        schedulers = [shard.scheduler
-                      for shard in result.control_plane.shards
-                      if shard.scheduler is not None]
-    else:
-        schedulers = [result.scheduler]
+    # 3. Final WTPG is acyclic and consistent with the lock table, on
+    #    every shard still (or back) alive.
+    schedulers = [shard.scheduler for shard in result.control_plane.shards
+                  if shard.scheduler is not None]
     for scheduler in schedulers:
         inner = getattr(scheduler, "_inner", scheduler)
         wtpg = getattr(inner, "wtpg", None)

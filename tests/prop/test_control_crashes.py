@@ -61,10 +61,8 @@ def replay_vs_live(params, fault_plan=None):
                        f"{params.num_control_nodes}")
     workload = gen.make_workload(rng)
     result = run_simulation(params, workload, fault_plan=fault_plan)
-    plane = result.control_plane
-    assert plane is not None
     compared = 0
-    for shard in plane.shards:
+    for shard in result.control_plane.shards:
         if shard.scheduler is None:
             continue  # down at end of run: nothing live to compare
         assert len(shard.log) > 0, f"CN {shard.shard_id}: empty log"

@@ -63,14 +63,10 @@ def test_sampled_tracer_sees_identical_streams_across_modes(scheduler):
 
     def sampled_trace(mode):
         from repro.machine.cluster import Cluster
-        from repro.core.schedulers import make_scheduler
         run_params = params.with_overrides(node_mode=mode,
                                            trace_sample_rate=0.5)
         tracer = Tracer()
-        scheduler_obj = make_scheduler(run_params.scheduler,
-                                       **run_params.scheduler_kwargs())
-        Cluster(run_params, workload, scheduler=scheduler_obj,
-                tracer=tracer).run()
+        Cluster(run_params, workload, tracer=tracer).run()
         return "\n".join(e.to_json() for e in tracer.events)
 
     assert sampled_trace("batched") == sampled_trace("reference")
