@@ -1,13 +1,15 @@
-"""Engine speed benchmark: batched vs reference node mode at scale.
+"""Engine speed benchmark: batched vs reference data-node loop at scale.
 
 The scale workload is ``bulk_scan`` on 64 nodes — full-partition scans
 of 512 objects at light load, the paper's overnight bulk-batch window —
-where the batched data-node loop coalesces whole scans into single
-timeouts.  Two claims are checked:
+where the data node's pre-played windows coalesce whole scans into
+single timeouts.  ``"batched"`` is :class:`repro.machine.DataNode`;
+``"reference"`` is the literal per-quantum loop of the test oracle
+:class:`tests.oracles.ReferenceDataNode`.  Two claims are checked:
 
-* **equivalence** — both modes must produce the *identical* metrics
+* **equivalence** — both loops must produce the *identical* metrics
   dict (the batched loop is an optimisation, not an approximation);
-* **speed** — end-to-end sim-throughput of the batched mode must beat
+* **speed** — end-to-end sim-throughput of the batched loop must beat
   the reference per-quantum loop (>= 5x on the headline 10^5-txn rows).
 
 The pytest entries are a cheap smoke (a few hundred transactions) so
@@ -20,7 +22,9 @@ root comes from the full 10^4-10^6 grid, regenerated with::
 """
 
 import json
+import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,12 @@ import pytest
 from repro.config import SimulationParameters
 from repro.machine import run_simulation
 from repro.workloads import bulk_scan, bulk_scan_catalog
+
+ROOT = Path(__file__).resolve().parent.parent
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT))  # the oracle lives in tests/
+
+from tests.oracles import reference_data_nodes  # noqa: E402
 
 NUM_NODES = 64
 #: Light load: ~0.03% per-node utilization, so scans run alone between
@@ -44,7 +54,7 @@ SMOKE_TXNS = 200
 #: The committed grid: (scheduler, expected txns, modes to run).  The
 #: 10^6 row runs batched-only — the reference loop would take ~45
 #: minutes to simulate half a billion quanta one heap event at a time,
-#: which is precisely the point of the batched mode.
+#: which is precisely the point of the batched loop.
 FULL_GRID = (
     ("CHAIN", 10_000, ("batched", "reference")),
     ("K2", 10_000, ("batched", "reference")),
@@ -59,22 +69,23 @@ HEADLINE = (("CHAIN", 100_000), ("K2", 100_000))
 HEADLINE_SPEEDUP = 5.0
 
 
-def scale_params(scheduler, txns, mode):
+def scale_params(scheduler, txns):
     return SimulationParameters(
         scheduler=scheduler, arrival_rate_tps=ARRIVAL_TPS,
         sim_clocks=txns * 1000.0 / ARRIVAL_TPS, seed=SEED,
-        num_nodes=NUM_NODES, num_partitions=NUM_NODES, obj_time=OBJ_TIME,
-        node_mode=mode)
+        num_nodes=NUM_NODES, num_partitions=NUM_NODES, obj_time=OBJ_TIME)
 
 
 def run_scale_point(scheduler, txns, mode):
     """One timed scale run; returns (wall seconds, metrics)."""
-    params = scale_params(scheduler, txns, mode)
+    params = scale_params(scheduler, txns)
     workload = bulk_scan(num_partitions=NUM_NODES)
     catalog = bulk_scan_catalog(num_partitions=NUM_NODES,
                                 num_nodes=NUM_NODES)
+    loop = reference_data_nodes() if mode == "reference" else nullcontext()
     start = time.perf_counter()
-    result = run_simulation(params, workload, catalog=catalog)
+    with loop:
+        result = run_simulation(params, workload, catalog=catalog)
     return time.perf_counter() - start, result.metrics
 
 
@@ -152,7 +163,7 @@ def run_full_grid(grid=FULL_GRID):
 
 def write_full_grid():
     payload = run_full_grid()
-    out = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+    out = ROOT / "BENCH_engine.json"
     out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out}")
     return payload

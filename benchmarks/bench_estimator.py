@@ -3,8 +3,9 @@
 The K-WTPG scheduler evaluates E(q) for the requester and every rival in
 C(q) on each non-blocked lock request, so estimator latency is the
 dominant control cost at high conflict rates.  These benchmarks compare
-the copy-free overlay evaluator against the legacy deep-copy reference
-path on the same graphs and candidate sets; the acceptance bar for the
+the copy-free overlay evaluator against the deep-copy test oracle
+(:func:`tests.oracles.estimate_reference`) on the same graphs and
+candidate sets; the acceptance bar for the
 rewrite is >= 5x at n = 256 (see BENCH_wtpg.json at the repo root).
 """
 
@@ -13,6 +14,7 @@ import pytest
 from bench_wtpg import build_graph
 
 from repro.core.estimator import ContentionBatch, estimate_contention
+from tests.oracles import estimate_reference
 
 SIZES = [16, 64, 256]
 
@@ -42,8 +44,7 @@ def test_bench_estimator_overlay(benchmark, n):
 def test_bench_estimator_reference(benchmark, n):
     g = build_graph(n)
     tid, implied = candidate(g)
-    value = benchmark(
-        lambda: estimate_contention(g, tid, implied, reference=True))
+    value = benchmark(lambda: estimate_reference(g, tid, implied))
     assert value >= 0
 
 
@@ -67,8 +68,8 @@ def test_bench_estimator_batch_decision(benchmark, n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_modes_agree_on_bench_graphs(benchmark, n):
-    """Sanity inside the bench suite: both modes agree on these graphs."""
+    """Sanity inside the bench suite: overlay and oracle agree here."""
     g = build_graph(n)
     tid, implied = candidate(g)
     overlay = benchmark(lambda: estimate_contention(g, tid, implied))
-    assert overlay == estimate_contention(g, tid, implied, reference=True)
+    assert overlay == estimate_reference(g, tid, implied)

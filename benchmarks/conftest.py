@@ -9,10 +9,18 @@ fidelity numbers live in EXPERIMENTS.md (generated with the paper's
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.config import SimulationParameters
 from repro.machine import run_simulation
+
+# The equivalence benchmarks import the test oracles from tests/oracles/.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 # Scaled horizon: ~8x shorter than the paper; fast but still contended.
 BENCH_CLOCKS = 250_000.0

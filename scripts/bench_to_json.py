@@ -3,10 +3,11 @@
 
 Timings use ``time.perf_counter`` over repeated calls (best of several
 rounds, so OS noise inflates nothing).  The "before" column is the legacy
-copy-based path, which is kept in-tree as the estimator's reference mode
-and as ``WTPG.copy()`` + full-Kahn probes; the "after" column is the
-overlay/incremental path the schedulers now use.  The headline acceptance
-number is the n=256 estimator speedup (must be >= 5x).
+copy-based path, which is kept as the estimator's test oracle
+(``tests/oracles/estimator.py``) and as ``WTPG.copy()`` + full-Kahn
+probes; the "after" column is the overlay/incremental path the
+schedulers now use.  The headline acceptance number is the n=256
+estimator speedup (must be >= 5x).
 
 Run:  PYTHONPATH=src python scripts/bench_to_json.py
 """
@@ -19,10 +20,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
+sys.path.insert(0, str(ROOT))  # the estimator oracle lives in tests/
 
 from bench_wtpg import build_graph  # noqa: E402
 from bench_estimator import candidate  # noqa: E402
 from repro.core.estimator import estimate_contention  # noqa: E402
+from tests.oracles import estimate_reference  # noqa: E402
 
 SIZES = (16, 64, 256)
 ROUNDS = 5
@@ -80,8 +83,7 @@ def bench_estimator(n):
     g = build_graph(n)
     tid, implied = candidate(g)
     overlay = measure(lambda: estimate_contention(g, tid, implied))
-    reference = measure(
-        lambda: estimate_contention(g, tid, implied, reference=True))
+    reference = measure(lambda: estimate_reference(g, tid, implied))
     return {
         "overlay_s": overlay,
         "reference_s": reference,

@@ -9,7 +9,7 @@ shows up as a changed profile rather than a vague slowdown.
 Run::
 
     PYTHONPATH=src python scripts/profile_engine.py
-    PYTHONPATH=src python scripts/profile_engine.py --mode reference \\
+    PYTHONPATH=src python scripts/profile_engine.py \\
         --scheduler CHAIN --txns 2000 --sort cumulative
     PYTHONPATH=src python scripts/profile_engine.py --dump engine.prof
 
@@ -35,22 +35,19 @@ OBJ_TIME = 20.0
 SEED = 404
 
 
-def scale_params(scheduler: str, txns: int, mode: str,
+def scale_params(scheduler: str, txns: int,
                  num_nodes: int = NUM_NODES) -> SimulationParameters:
     """The scale-run configuration: ``txns`` expected arrivals."""
     return SimulationParameters(
         scheduler=scheduler, arrival_rate_tps=ARRIVAL_TPS,
         sim_clocks=txns * 1000.0 / ARRIVAL_TPS, seed=SEED,
-        num_nodes=num_nodes, num_partitions=num_nodes, obj_time=OBJ_TIME,
-        node_mode=mode)
+        num_nodes=num_nodes, num_partitions=num_nodes, obj_time=OBJ_TIME)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scheduler", default="K2",
                         choices=("CHAIN", "K2", "C2PL", "2PL"))
-    parser.add_argument("--mode", default="batched",
-                        choices=("batched", "reference"))
     parser.add_argument("--txns", type=int, default=1000,
                         help="expected transaction count (default 1000)")
     parser.add_argument("--nodes", type=int, default=NUM_NODES)
@@ -62,7 +59,7 @@ def main() -> int:
                         help="also write the raw profile for snakeviz etc.")
     args = parser.parse_args()
 
-    params = scale_params(args.scheduler, args.txns, args.mode, args.nodes)
+    params = scale_params(args.scheduler, args.txns, args.nodes)
     workload = bulk_scan(num_partitions=args.nodes)
     catalog = bulk_scan_catalog(num_partitions=args.nodes,
                                 num_nodes=args.nodes)
@@ -76,8 +73,7 @@ def main() -> int:
 
     metrics = result.metrics
     quanta = metrics.weight_messages
-    print(f"scheduler={args.scheduler} mode={args.mode} "
-          f"nodes={args.nodes} seed={SEED}")
+    print(f"scheduler={args.scheduler} nodes={args.nodes} seed={SEED}")
     print(f"commits={metrics.commits} quanta={quanta} "
           f"wall={wall:.2f}s "
           f"({quanta / wall:,.0f} quanta/s, "

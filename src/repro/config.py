@@ -21,9 +21,13 @@ benchmarks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict
+from typing import Any, Dict
 
 from repro.errors import ConfigurationError
+
+
+#: Field annotation -> Python type, for type-checking parameter JSON.
+_JSON_TYPES: Dict[str, type] = {"int": int, "float": float, "str": str}
 
 
 @dataclass(frozen=True)
@@ -100,17 +104,7 @@ class SimulationParameters:
     k_conflicts: int = 2
     """K of the K-conflict constraint (paper evaluates K = 2)."""
 
-    estimator_mode: str = "overlay"
-    """K-WTPG E(q) evaluation: 'overlay' (copy-free, fast) or 'reference'
-    (legacy deep-copy, kept for differential testing)."""
-
-    # -- engine ----------------------------------------------------------------
-    node_mode: str = "batched"
-    """Data-node server loop: 'batched' (arithmetic quantum batching, one
-    engine timeout per uninterrupted window) or 'reference' (one timeout
-    per object quantum).  Bit-identical results; 'reference' is kept for
-    differential testing."""
-
+    # -- observability -------------------------------------------------------
     trace_sample_rate: float = 1.0
     """Fraction of transactions whose lifecycle events an attached Tracer
     records (deterministic per-tid choice; machine-level events are always
@@ -147,12 +141,6 @@ class SimulationParameters:
             raise ConfigurationError("retry_backoff_cap must be non-negative")
         if self.k_conflicts < 0:
             raise ConfigurationError("k_conflicts must be non-negative")
-        if self.estimator_mode not in ("overlay", "reference"):
-            raise ConfigurationError(
-                "estimator_mode must be 'overlay' or 'reference'")
-        if self.node_mode not in ("batched", "reference"):
-            raise ConfigurationError(
-                "node_mode must be 'batched' or 'reference'")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ConfigurationError(
                 "trace_sample_rate must lie in [0, 1]")
@@ -186,12 +174,23 @@ class SimulationParameters:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ConfigurationError("parameter JSON must be an object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        declared = {f.name: f.type for f in fields(cls)}
+        unknown = set(raw) - set(declared)
         if unknown:
             raise ConfigurationError(
                 f"unknown parameter fields: {sorted(unknown)}")
-        return cls(**raw)
+        values: Dict[str, Any] = {}
+        for name, value in raw.items():
+            kind = _JSON_TYPES[str(declared[name])]
+            # bool is an int subclass; JSON true/false is never a number
+            # here.  An int is accepted where the field is a float.
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigurationError(
+                    f"parameter {name!r} must be {kind.__name__}, got "
+                    f"{type(value).__name__} {value!r}")
+            values[name] = kind(value)
+        return cls(**values)
 
     def scheduler_kwargs(self) -> Dict[str, object]:
         """Constructor kwargs for the configured scheduler."""
@@ -202,8 +201,7 @@ class SimulationParameters:
         if name in ("K2", "KWTPG"):
             kwargs = {"kwtpgtime": self.kwtpg_time,
                       "keeptime": self.keep_time,
-                      "admission_time": self.admission_time,
-                      "estimator_mode": self.estimator_mode}
+                      "admission_time": self.admission_time}
             if name == "KWTPG":
                 kwargs["k"] = self.k_conflicts
             return kwargs

@@ -17,17 +17,15 @@ schedule *if the lock request q were granted now*:
 The K-WTPG scheduler grants q only when ``E(q)`` is smallest among the
 conflicting declarations ``C(q)``.
 
-Two evaluation modes produce identical values (proved value-identical on
-randomized graphs by ``tests/core/test_estimator_equivalence.py``):
-
-* **overlay** (default) — copy-free.  The hypothetical resolutions are an
-  in-memory delta over the *live* graph; cycle checks are per-new-edge
-  reachability probes (like :meth:`WTPG.creates_cycle_from`) instead of
-  full topological sorts, and the critical path is one memoized DFS over
-  the combined precedence relation.  O(V + E) per candidate with tiny
-  constants, no allocation of graph objects.
-* **reference** — the paper-literal implementation on a deep copy of the
-  graph, kept for differential testing (``reference=True``).
+The evaluation is copy-free: the hypothetical resolutions are an
+in-memory delta over the *live* graph; cycle checks are per-new-edge
+reachability probes (like :meth:`WTPG.creates_cycle_from`) instead of
+full topological sorts, and the critical path is one memoized DFS over
+the combined precedence relation.  O(V + E) per candidate with tiny
+constants, no allocation of graph objects.  It is value-identical to the
+paper-literal evaluation on a deep copy of the graph, which is kept as a
+test oracle (``tests/oracles/estimator.py``) and compared on randomized
+graphs by ``tests/core/test_estimator_equivalence.py``.
 
 :class:`ContentionBatch` shares the overlay base across the many
 candidates one scheduling decision evaluates (the request plus every
@@ -56,8 +54,7 @@ _Adj = Dict[int, Set[int]]
 
 
 def estimate_contention(wtpg: WTPG, tid: int,
-                        implied_resolutions: Sequence[Resolution],
-                        reference: bool = False) -> float:
+                        implied_resolutions: Sequence[Resolution]) -> float:
     """``E(q)`` for a request by ``tid`` implying the given resolutions.
 
     ``implied_resolutions`` are the ``(predecessor, successor)`` pairs that
@@ -65,13 +62,8 @@ def estimate_contention(wtpg: WTPG, tid: int,
     conflicting declaration must now wait for ``tid`` to commit).  The
     input graph is never modified.
 
-    ``reference=True`` selects the legacy copy-based evaluation (slow;
-    for differential testing); the default overlay mode is copy-free.
-
     Returns :data:`INFINITE_CONTENTION` when q would cause a deadlock.
     """
-    if reference:
-        return _estimate_reference(wtpg, tid, implied_resolutions)
     return ContentionBatch(wtpg).estimate(tid, implied_resolutions)
 
 
@@ -268,43 +260,3 @@ def _combined_closure(base: _Adj, extra: _Adj, start: int) -> Set[int]:
     seen.discard(start)
     return seen
 
-
-def _estimate_reference(wtpg: WTPG, tid: int,
-                        implied_resolutions: Sequence[Resolution]) -> float:
-    """The legacy copy-based evaluation (kept for differential testing)."""
-    if tid not in wtpg:
-        raise WTPGError(f"T{tid} is not in the WTPG")
-
-    graph = wtpg.copy()
-    for predecessor, successor in implied_resolutions:
-        pair = graph.pair(predecessor, successor)
-        if pair is None:
-            raise WTPGError(
-                f"implied resolution T{predecessor}->T{successor} has no "
-                "conflicting-edge — declarations and graph are out of sync")
-        if pair.resolved and pair.resolved_to != successor:
-            return INFINITE_CONTENTION  # would flip a fixed order: deadlock
-        graph.resolve(predecessor, successor)
-
-    if graph.has_precedence_cycle():
-        return INFINITE_CONTENTION
-
-    before = graph.ancestors(tid)
-    after = graph.descendants(tid)
-    if before & after:
-        return INFINITE_CONTENTION  # cycle through T
-
-    # Step 2: resolve conflicting-edges crossing before(T) -> after(T).
-    for edge in graph.unresolved_pairs():
-        if edge.a in before and edge.b in after:
-            graph.resolve(edge.a, edge.b)
-        elif edge.b in before and edge.a in after:
-            graph.resolve(edge.b, edge.a)
-
-    if graph.has_precedence_cycle():
-        # Transitively forced resolutions closed a cycle: deadlock.
-        return INFINITE_CONTENTION
-
-    # Step 3: remaining conflicting-edges are deleted — the critical-path
-    # routine ignores unresolved pairs, which is exactly that deletion.
-    return graph.critical_path_length()

@@ -26,11 +26,10 @@ keeptime window without any invalidating event (e.g. a rival's pending
 declaration is consumed by an already-held re-access, which creates no
 precedence edge).
 
-``estimator_mode`` selects the E(q) evaluation strategy: ``"overlay"``
-(default — copy-free delta view over the live WTPG, one shared
-:class:`~repro.core.estimator.ContentionBatch` per decision) or
-``"reference"`` (the legacy deep-copy evaluation, kept for differential
-testing).  Both produce identical values.
+Each grant decision builds one
+:class:`~repro.core.estimator.ContentionBatch` — a copy-free delta view
+over the live WTPG — and evaluates the request and every rival through
+it.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core import builder
-from repro.core.estimator import (INFINITE_CONTENTION, ContentionBatch,
-                                  estimate_contention)
+from repro.core.estimator import INFINITE_CONTENTION, ContentionBatch
 from repro.core.locks import Declaration
 from repro.core.schedulers.base import (ControlSaver, Decision, LockResponse,
                                         WTPGScheduler)
@@ -56,20 +54,14 @@ class KWTPGScheduler(WTPGScheduler):
     def __init__(self, k: int = 2, kwtpgtime: float = 10.0,
                  keeptime: float = 5000.0,
                  admission_time: float = 5.0,
-                 k_count_mode: str = "transactions",
-                 estimator_mode: str = "overlay") -> None:
+                 k_count_mode: str = "transactions") -> None:
         if k < 0:
             raise ValueError(f"K must be non-negative, got {k}")
-        if estimator_mode not in ("overlay", "reference"):
-            raise ValueError(
-                f"estimator_mode must be 'overlay' or 'reference', "
-                f"got {estimator_mode!r}")
         super().__init__()
         self.k = k
         self.kwtpgtime = kwtpgtime
         self.admission_time = admission_time
         self.k_count_mode = k_count_mode
-        self.estimator_mode = estimator_mode
         self._saver = ControlSaver(keeptime)
         # Cache of E values keyed by (tid, step_index, implied resolutions).
         self._e_cache: Dict[_EKey, float] = {}
@@ -119,8 +111,7 @@ class KWTPGScheduler(WTPGScheduler):
         # One overlay base shared by the request and every rival candidate
         # this decision evaluates: the base-graph acyclicity verdict and
         # the live graph's memoized closures are established once.
-        batch = (ContentionBatch(self.wtpg)
-                 if self.estimator_mode == "overlay" else None)
+        batch = ContentionBatch(self.wtpg)
 
         e_q, extra = self._estimate(txn.tid, txn.current_step, implied, now,
                                     batch)
@@ -195,8 +186,7 @@ class KWTPGScheduler(WTPGScheduler):
 
     def _estimate(self, tid: int, step_index: int,
                   implied: Sequence[Tuple[int, int]], now: float,
-                  batch: Optional[ContentionBatch] = None,
-                  ) -> Tuple[float, float]:
+                  batch: ContentionBatch) -> Tuple[float, float]:
         """E value for a (tid, step) with given implications, plus CPU cost."""
         key = (tid, step_index, tuple(implied))
         if not self._saver.stale(now) and key in self._e_cache:
@@ -205,18 +195,13 @@ class KWTPGScheduler(WTPGScheduler):
             # A fresh computation round starts: drop every stale value.
             self._e_cache.clear()
             self._saver.mark_computed(now)
-        if batch is not None:
-            value = batch.estimate(tid, implied)
-        else:
-            value = estimate_contention(
-                self.wtpg, tid, implied,
-                reference=self.estimator_mode == "reference")
+        value = batch.estimate(tid, implied)
         self._e_cache[key] = value
         self.stats.estimator_calls += 1
         return value, self.kwtpgtime
 
     def _estimate_declaration(self, decl: Declaration, now: float,
-                              batch: Optional[ContentionBatch] = None,
+                              batch: ContentionBatch,
                               ) -> Tuple[float, float]:
         """E for a rival pending declaration, granted hypothetically now."""
         implied = builder.implied_resolutions(

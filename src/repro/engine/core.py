@@ -406,9 +406,9 @@ class Environment:
         Equivalent to ``timeout(when - now)`` except that the firing
         instant is exactly ``when``: the ``now + (when - now)`` float
         round-trip of a relative delay is not guaranteed to reproduce
-        ``when`` bit-for-bit.  The batched data-node loop relies on this
-        to land its coalesced quantum boundary on the identical instant
-        the reference per-quantum loop would have reached additively.
+        ``when`` bit-for-bit.  The data-node loop relies on this to land
+        its coalesced quantum boundary on the identical instant the
+        literal per-quantum loop would have reached additively.
 
         ``affect`` (only meaningful with affect tracking enabled)
         declares the event *inert*: its own firing cannot influence any
@@ -517,9 +517,9 @@ class Environment:
     def enable_affect_tracking(self) -> None:
         """Start classifying events as inert/non-inert (idempotent).
 
-        Called by batched data nodes at construction; until then the
-        tracking heaps stay empty and scheduling pays only a dead
-        branch, so reference-mode and pure-engine runs are unaffected.
+        Called by data nodes at construction; until then the tracking
+        heaps stay empty and scheduling pays only a dead branch, so
+        pure-engine runs are unaffected.
         Every event already scheduled is conservatively non-inert.
         """
         if self._track:

@@ -10,13 +10,13 @@ critical-path floats are never compared with ``==`` in scheduler code.
 This package turns those conventions into machine-checked rules so a
 regression is caught at lint time instead of as a silently wrong
 schedule.  Single-pass AST matchers handle the per-node contracts; the
-*path* contracts (RL002, RL006–RL008) run on an intraprocedural CFG
+*path* contracts (RL002, RL006–RL007) run on an intraprocedural CFG
 (:mod:`repro.lint.cfg`) with a worklist fixpoint solver
-(:mod:`repro.lint.dataflow`); the *atomicity* contracts (RL009–RL012)
-additionally consult a whole-program call graph
-(:mod:`repro.lint.callgraph`) and bottom-up function summaries
-(:mod:`repro.lint.summaries`), so a yield point hidden behind a helper
-call is still a yield point.
+(:mod:`repro.lint.dataflow`); the *interprocedural* contracts
+(RL009–RL012: yield-point atomicity and stream escape) additionally
+consult a whole-program call graph (:mod:`repro.lint.callgraph`) and
+bottom-up function summaries (:mod:`repro.lint.summaries`), so a yield
+point or an RNG stream hidden behind a helper call is still seen.
 
 Usage::
 
@@ -44,16 +44,16 @@ RL006     lock lifecycle: a resource (register/request) released on some
           paths must be released on every path to a function exit
 RL007     guarded caches: memoized fields are read only behind their
           generation-guard check (the static face of invariant 7's reads)
-RL008     stream escape: RNG streams stay in named locals / stream-named
-          attributes outside engine/ and faults/
 RL009     stale snapshot: a machine/ local holding shared simulation
           state is not read again after a yield point (direct or via a
           may-yield callee) without re-reading or a generation guard
 RL010     unbumped across yield: a watched-container mutation (direct or
           through a callee that may leave it unbumped) must bump the
           generation before the next yield point
-RL011     interprocedural stream escape: RL008's sinks, reached through
-          calls — stream-returning callees and escaping parameters
+RL011     stream escape: RNG streams — made locally, received in a
+          stream-named parameter or returned by a callee — stay in named
+          locals / stream-named attributes outside engine/ and faults/,
+          and are not handed to a callee's escaping parameter
 RL012     synchronous schedulers: nothing in core/schedulers/ yields or
           (transitively) calls a function that may yield
 RL000     lint hygiene: unparseable files and suppression comments

@@ -1,6 +1,6 @@
 """Intraprocedural control-flow graphs over ``ast`` function bodies.
 
-The CFG is the substrate the flow-sensitive rules (RL002, RL006–RL008)
+The CFG is the substrate the flow-sensitive rules (RL002, RL006–RL007)
 run on: one :class:`CFGNode` per simple statement or compound-statement
 header, a distinguished ``entry``, a ``exit`` for normal completion
 (every ``return`` and the fall-off-the-end path) and a ``raise`` exit

@@ -23,7 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Project-specific static analysis for the WTPG core "
-                    "(rules RL001-RL016; see docs/lint.md).")
+                    "(rules RL001-RL016 except RL008, which RL011 "
+                    "absorbed; see docs/lint.md).")
     parser.add_argument(
         "paths", nargs="*", default=["src"], metavar="PATH",
         help="files or directories to lint (default: src)")
@@ -48,10 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ignore", metavar="RULES", default=None,
         help="comma-separated rule ids to skip")
-    parser.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
-        help="lint with N worker processes; output is identical to a "
-             "serial run regardless of scheduling (default: 1)")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit")
@@ -146,10 +143,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if ignored is None:
             return 2
         rules = [rule for rule in rules if rule.rule_id not in ignored]
-    if args.jobs < 1:
-        print(f"repro-lint: --jobs must be >= 1 (got {args.jobs})",
-              file=sys.stderr)
-        return 2
 
     if args.sarif not in (None, "-") and Path(args.sarif).suffix not in (
             ".sarif", ".json"):
@@ -181,7 +174,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   "tree", file=sys.stderr)
             return 2
 
-    violations, runner = lint_paths(paths, rules, jobs=args.jobs)
+    violations, runner = lint_paths(paths, rules)
 
     elided = 0
     if changed is not None:

@@ -10,12 +10,6 @@ relations memoise into), then the rules run file by file — plain
 :class:`ProjectRule` subclasses also receive the project.  Single-file
 entry points (``check_source``) build a one-file project, so fixture
 tests exercise the whole-program rules without touching disk.
-
-``--jobs N`` parallelism lives here too: each worker process parses the
-full entry set once (the project must be whole-program in every
-worker), then lints only the files assigned to it; results are stitched
-back together in entry order so output is deterministic regardless of
-scheduling.
 """
 
 from __future__ import annotations
@@ -160,64 +154,12 @@ class LintRunner:
         return self.check_sources(read_entries(paths))
 
 
-# ---------------------------------------------------------------------------
-# Parallel mode
-# ---------------------------------------------------------------------------
-#
-# Workers are handed the full entry list once (at pool start) and build
-# their own project from it — the call graph is whole-program, so there
-# is no per-file shortcut.  Tasks are entry *indices*; ``Pool.map``
-# returns chunks in index order, which makes the concatenated output
-# identical to the serial run.
-
-_WORKER: Optional[Tuple[LintRunner, List[Optional[FileContext]],
-                        List[List[Violation]], Project]] = None
-
-
-def _worker_init(entries: Sequence[SourceEntry],
-                 rule_ids: Optional[Sequence[str]]) -> None:
-    global _WORKER
-    rules = [rule for rule in all_rules()
-             if rule_ids is None or rule.rule_id in rule_ids]
-    runner = LintRunner(rules)
-    contexts: List[Optional[FileContext]] = []
-    parse_failures: List[List[Violation]] = []
-    for entry in entries:
-        ctx, errors = _parse_entry(entry)
-        contexts.append(ctx)
-        parse_failures.append(errors)
-    project = Project([ctx for ctx in contexts if ctx is not None])
-    _WORKER = (runner, contexts, parse_failures, project)
-
-
-def _worker_check(index: int) -> List[Violation]:
-    assert _WORKER is not None, "worker used before initialisation"
-    runner, contexts, parse_failures, project = _WORKER
-    ctx = contexts[index]
-    if ctx is None:
-        return parse_failures[index]
-    return runner.check_context(ctx, project)
-
-
 def lint_paths(paths: Sequence[Path],
                rules: Optional[Sequence[Rule]] = None,
-               jobs: int = 1,
                ) -> Tuple[List[Violation], LintRunner]:
     """Convenience wrapper: lint paths, return (violations, runner)."""
     runner = LintRunner(rules)
-    entries = read_entries(paths)
-    if jobs <= 1 or len(entries) < 2:
-        return runner.check_sources(entries), runner
-    import multiprocessing
-
-    rule_ids = [rule.rule_id for rule in runner.rules]
-    with multiprocessing.Pool(
-            processes=min(jobs, len(entries)),
-            initializer=_worker_init,
-            initargs=(entries, rule_ids)) as pool:
-        chunks = pool.map(_worker_check, range(len(entries)))
-    runner.files_checked += len(entries)
-    return [violation for chunk in chunks for violation in chunk], runner
+    return runner.check_sources(read_entries(paths)), runner
 
 
 def render_text(violations: Sequence[Violation], files_checked: int) -> str:

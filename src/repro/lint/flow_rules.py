@@ -1,10 +1,10 @@
-"""The flow-sensitive rules RL006–RL012, built on cfg + dataflow.
+"""The flow-sensitive rules RL006–RL007 and RL009–RL012, on cfg + dataflow.
 
 Where RL001–RL005 are single-pass AST matchers, these rules state *path*
 properties: every rule builds the CFG of each function in scope
 (:func:`repro.lint.cfg.build_cfg`), runs a forward may-analysis to a
 fixpoint (:func:`repro.lint.dataflow.solve_forward`) and reports on what
-survives to an exit.  RL006–RL008 are intraprocedural; RL009–RL012 are
+survives to an exit.  RL006–RL007 are intraprocedural; RL009–RL012 are
 :class:`~repro.lint.model.ProjectRule` subclasses consuming the
 whole-program call graph and function summaries through the
 :class:`~repro.lint.project.Project` the engine hands them.
@@ -28,7 +28,9 @@ from repro.lint.model import (FileContext, ProjectRule, Rule, Violation,
                               register_rule)
 from repro.lint.project import Project
 from repro.lint.rules import WATCHED_ATTRS, _is_bump, _statement_mutations
-from repro.lint.summaries import (SummaryTable, bind_args, stmt_has_yield,
+from repro.lint.summaries import (_STREAM_TOKEN, SummaryTable,
+                                  _is_stream_call, _stream_param_names,
+                                  bind_args, stmt_has_yield,
                                   watched_mutations)
 
 _LATTICE = UnionLattice()
@@ -392,174 +394,6 @@ class UnguardedCacheReadRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RL008 — RNG streams must not escape their named-local discipline
-# ---------------------------------------------------------------------------
-
-_STREAMY = "stream"
-
-
-def _is_stream_call(node: ast.AST) -> bool:
-    """Syntactically a stream-producing expression: ``*.stream(...)`` or
-    a ``RandomStreams(...)`` construction."""
-    if not isinstance(node, ast.Call):
-        return False
-    if isinstance(node.func, ast.Attribute) and node.func.attr == "stream":
-        return True
-    func_name = (node.func.id if isinstance(node.func, ast.Name)
-                 else node.func.attr if isinstance(node.func, ast.Attribute)
-                 else "")
-    return func_name == "RandomStreams"
-
-
-def _tainted_param_names(fn: FunctionNode) -> Set[str]:
-    names: Set[str] = set()
-    args = fn.args
-    for arg in (list(args.posonlyargs) + list(args.args)
-                + list(args.kwonlyargs)):
-        lowered = arg.arg.lower()
-        if lowered == _STREAMY or lowered.endswith("_" + _STREAMY):
-            names.add(arg.arg)
-    return names
-
-
-def _value_tainted(node: Optional[ast.AST],
-                   tainted: FrozenSet[object]) -> bool:
-    if node is None:
-        return False
-    if _is_stream_call(node):
-        return True
-    if isinstance(node, ast.Name) and node.id in tainted:
-        return True
-    return False
-
-
-@register_rule
-class StreamEscapeRule(Rule):
-    """RL008: RNG streams stay in named locals / stream-named attributes.
-
-    PR 3's bit-identical fault replay rests on the named-stream
-    determinism contract: every ``random.Random`` lives in
-    :class:`repro.engine.rng.RandomStreams` under a stable name, and
-    consumers hold it only transiently.  A stream smuggled into module
-    scope or an innocuously named attribute outside ``engine/`` +
-    ``faults/`` becomes ambient randomness the replay machinery cannot
-    see.  The rule tracks stream values through local assignments
-    (may-analysis over the CFG) and flags: binding one at module scope,
-    storing one in an attribute or attribute-rooted container whose name
-    does not contain "stream", binding one to a ``global``, and
-    returning one from a public function.
-    """
-
-    rule_id = "RL008"
-    summary = ("RandomStreams streams must not escape to module scope or "
-               "non-stream-named attributes outside engine/ and faults/")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return not ctx.in_dir("engine") and not ctx.in_dir("faults")
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        yield from self._check_module_scope(ctx)
-        for fn in _functions_in_class(ctx.tree):
-            yield from self._check_function(ctx, fn)
-
-    def _check_module_scope(self, ctx: FileContext) -> Iterator[Violation]:
-        stmts: List[ast.stmt] = list(ctx.tree.body)
-        for node in ctx.tree.body:
-            if isinstance(node, ast.ClassDef):
-                stmts.extend(item for item in node.body
-                             if isinstance(item, (ast.Assign, ast.AnnAssign)))
-        for stmt in stmts:
-            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                continue
-            value = stmt.value
-            if value is not None and _is_stream_call(value):
-                yield self.violation(
-                    ctx, stmt,
-                    "RNG stream bound at module/class scope: streams are "
-                    "per-run state owned by RandomStreams — create them "
-                    "inside the consuming function")
-
-    def _check_function(self, ctx: FileContext,
-                        fn: FunctionNode) -> Iterator[Violation]:
-        global_names: Set[str] = set()
-        for stmt in fn.body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Global):
-                    global_names.update(node.names)
-
-        def transfer(node: CFGNode,
-                     tainted: FrozenSet[object]) -> FrozenSet[object]:
-            stmt = node.stmt
-            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                return tainted
-            targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                       else [stmt.target])
-            is_stream = _value_tainted(stmt.value, tainted)
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    if is_stream:
-                        tainted = tainted | {target.id}
-                    else:
-                        tainted = tainted - {target.id}
-            return tainted
-
-        entry = frozenset(_tainted_param_names(fn))
-        cfg = build_cfg(fn)
-        result = solve_forward(cfg, _LATTICE, transfer, entry)
-        public = not fn.name.startswith("_")
-        for node in cfg.stmt_nodes():
-            stmt = node.stmt
-            if stmt is None or not isinstance(stmt, ast.stmt):
-                continue
-            tainted = result.entering(node)
-            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                if not _value_tainted(stmt.value, tainted):
-                    continue
-                targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                           else [stmt.target])
-                for target in targets:
-                    yield from self._check_binding(ctx, fn, target,
-                                                   global_names)
-            elif isinstance(stmt, ast.Return) and public:
-                if _value_tainted(stmt.value, tainted):
-                    yield self.violation(
-                        ctx, stmt,
-                        f"public function {fn.name} returns an RNG stream: "
-                        "streams escape the named-stream discipline through "
-                        "public APIs — draw values here or make the helper "
-                        "private")
-
-    def _check_binding(self, ctx: FileContext, fn: FunctionNode,
-                       target: ast.AST,
-                       global_names: Set[str]) -> Iterator[Violation]:
-        if isinstance(target, ast.Name) and target.id in global_names:
-            yield self.violation(
-                ctx, target,
-                f"RNG stream assigned to global {target.id!r}: module-scope "
-                "streams are invisible to the replay machinery — keep them "
-                "local to the consuming function")
-        elif isinstance(target, ast.Attribute):
-            if _STREAMY not in target.attr.lower():
-                yield self.violation(
-                    ctx, target,
-                    f"RNG stream stored in attribute {target.attr!r}: use a "
-                    "name containing 'stream' so the determinism contract "
-                    "stays auditable, or draw values instead of caching "
-                    "the stream")
-        elif isinstance(target, ast.Subscript):
-            root = target.value
-            while isinstance(root, ast.Subscript):
-                root = root.value
-            if (isinstance(root, ast.Attribute)
-                    and _STREAMY not in root.attr.lower()):
-                yield self.violation(
-                    ctx, target,
-                    f"RNG stream stored in container {root.attr!r}: use a "
-                    "name containing 'stream' so the determinism contract "
-                    "stays auditable")
-
-
-# ---------------------------------------------------------------------------
 # RL009–RL012 — interprocedural yield-point atomicity rules
 # ---------------------------------------------------------------------------
 #
@@ -874,28 +708,31 @@ class UnbumpedAcrossYieldRule(ProjectRule):
 
 
 @register_rule
-class InterprocStreamEscapeRule(ProjectRule):
-    """RL011: RNG-stream escape tracked across call boundaries.
+class EscapingStreamRule(ProjectRule):
+    """RL011: RNG streams stay in named locals / stream-named attributes.
 
-    The interprocedural supersession of RL008 (which remains the
-    intraprocedural fallback): using the function summaries, a call into
-    a *returns-stream* function taints its result, and a tainted value
-    handed to a parameter the callee's summary marks as *escaping*
-    (stored into a non-stream attribute, global, or passed on to another
-    escaping parameter) is reported at the call site.  To avoid
-    double-reporting, sinks RL008 already sees — stores and returns of
-    locally produced streams — are flagged here only when the taint
-    arrived through a call; argument-escape findings are new and
-    reported for every provenance.
+    Bit-identical fault replay (:mod:`repro.faults`) rests on the
+    named-stream determinism contract: every ``random.Random`` lives in
+    :class:`repro.engine.rng.RandomStreams` under a stable name, and
+    consumers hold it only transiently.  A stream smuggled into module
+    scope or an innocuously named attribute outside ``engine/`` +
+    ``faults/`` becomes ambient randomness the replay machinery cannot
+    see.  Stream values are tracked through local assignments
+    (may-analysis over the CFG) from three sources: a ``*.stream()`` or
+    ``RandomStreams()`` expression, a stream-named parameter, and a call
+    into a function whose summary says it *returns a stream*.  The rule
+    flags binding one at module or class scope, storing one in an
+    attribute or attribute-rooted container whose name does not contain
+    "stream", binding one to a ``global``, returning one from a public
+    function, and handing one to a parameter the callee's summary marks
+    as *escaping* (stored into a non-stream attribute or global, or
+    passed on to another escaping parameter).
     """
 
     rule_id = "RL011"
-    summary = ("streams obtained or forwarded through calls must not "
-               "escape to non-stream attributes, globals or public "
-               "returns")
-
-    _INTRA = "<intra>"
-    _INTER = "<inter>"
+    summary = ("RNG streams — local or obtained through calls — must not "
+               "escape to module scope, non-stream attributes, globals or "
+               "public returns outside engine/ and faults/")
 
     def applies_to(self, ctx: FileContext) -> bool:
         return not ctx.in_dir("engine") and not ctx.in_dir("faults")
@@ -911,11 +748,24 @@ class InterprocStreamEscapeRule(ProjectRule):
 
     def _check_module_scope(self, ctx: FileContext,
                             project: Project) -> Iterator[Violation]:
-        for stmt in ctx.tree.body:
+        # (statement, at module scope?) — class bodies get the direct
+        # check only.
+        stmts: List[Tuple[ast.stmt, bool]] = [
+            (stmt, True) for stmt in ctx.tree.body]
+        for node in ctx.tree.body:
+            if isinstance(node, ast.ClassDef):
+                stmts.extend((item, False) for item in node.body)
+        for stmt, at_module in stmts:
             if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 continue
             value = stmt.value
-            if (isinstance(value, ast.Call)
+            if value is not None and _is_stream_call(value):
+                yield self.violation(
+                    ctx, stmt,
+                    "RNG stream bound at module/class scope: streams are "
+                    "per-run state owned by RandomStreams — create them "
+                    "inside the consuming function")
+            elif (at_module and isinstance(value, ast.Call)
                     and isinstance(value.func, ast.Name)):
                 callee = project.callgraph.resolve_bare_name(
                     ctx.logical, value.func.id)
@@ -938,71 +788,61 @@ class InterprocStreamEscapeRule(ProjectRule):
                 if isinstance(node, ast.Global):
                     global_names.update(node.names)
 
-        def local_marks(name: str,
-                        facts: FrozenSet[object]) -> Set[str]:
-            return {fact[1] for fact in facts
-                    if isinstance(fact, tuple) and fact[0] == name}
-
-        def value_marks(expr: Optional[ast.AST],
-                        facts: FrozenSet[object]) -> Set[str]:
+        def tainted(expr: Optional[ast.AST],
+                    names: FrozenSet[object]) -> bool:
             if expr is None:
-                return set()
+                return False
             if _is_stream_call(expr):
-                return {self._INTRA}
+                return True
             if isinstance(expr, ast.Name):
-                return local_marks(expr.id, facts)
+                return expr.id in names
             if isinstance(expr, ast.Call):
                 for site in table.node_calls(fid, expr):
                     if (site.call is expr and site.callee is not None
                             and table.summary(site.callee).returns_stream):
-                        return {self._INTER}
-            return set()
+                        return True
+            return False
 
         def transfer(node: CFGNode,
-                     facts: FrozenSet[object]) -> FrozenSet[object]:
+                     names: FrozenSet[object]) -> FrozenSet[object]:
             stmt = node.stmt
             if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                return facts
-            marks = value_marks(stmt.value, facts)
+                return names
+            is_stream = tainted(stmt.value, names)
             targets = (stmt.targets if isinstance(stmt, ast.Assign)
                        else [stmt.target])
             for target in targets:
                 if isinstance(target, ast.Name):
-                    facts = frozenset(
-                        fact for fact in facts
-                        if not (isinstance(fact, tuple)
-                                and fact[0] == target.id))
-                    facts = facts | frozenset(
-                        (target.id, mark) for mark in marks)
-            return facts
+                    if is_stream:
+                        names = names | {target.id}
+                    else:
+                        names = names - {target.id}
+            return names
 
-        entry = frozenset((name, self._INTRA)
-                          for name in _tainted_param_names(decl.node))
+        entry = frozenset(_stream_param_names(decl.node))
         result = solve_forward(cfg, _LATTICE, transfer, entry)
         public = not decl.name.startswith("_")
         for node in cfg.stmt_nodes():
             stmt = node.stmt
             if stmt is None or not isinstance(stmt, ast.stmt):
                 continue
-            facts = result.entering(node)
+            names = result.entering(node)
             if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                marks = value_marks(stmt.value, facts)
-                if self._INTER in marks:
+                if tainted(stmt.value, names):
                     targets = (stmt.targets if isinstance(stmt, ast.Assign)
                                else [stmt.target])
                     for target in targets:
-                        yield from self._check_binding(ctx, decl, target,
+                        yield from self._check_binding(ctx, target,
                                                        global_names)
             elif isinstance(stmt, ast.Return) and public:
-                if self._INTER in value_marks(stmt.value, facts):
+                if tainted(stmt.value, names):
                     yield self.violation(
                         ctx, stmt,
-                        f"public function {decl.name} returns a stream "
-                        "obtained through a call: streams escape the "
-                        "named-stream discipline through public APIs — "
-                        "draw values here or make the helper private")
-            # Tainted argument to a callee with escaping parameters —
-            # new ground RL008 cannot see, reported for any provenance.
+                        f"public function {decl.name} returns an RNG "
+                        "stream: streams escape the named-stream "
+                        "discipline through public APIs — draw values "
+                        "here or make the helper private")
+            # Tainted argument to a callee with escaping parameters.
             for site in table.node_calls(fid, stmt):
                 if site.callee is None:
                     continue
@@ -1015,7 +855,7 @@ class InterprocStreamEscapeRule(ProjectRule):
                 for param, arg in bind_args(callee_decl, site.call):
                     if param not in callee_summary.escaping_params:
                         continue
-                    if value_marks(arg, facts):
+                    if tainted(arg, names):
                         yield Violation(
                             self.rule_id, ctx.display, site.line,
                             site.col,
@@ -1025,34 +865,33 @@ class InterprocStreamEscapeRule(ProjectRule):
                             "hand-off): pass drawn values instead, or "
                             "store the stream under a 'stream' name")
 
-    def _check_binding(self, ctx: FileContext, decl: FunctionDecl,
-                       target: ast.AST,
+    def _check_binding(self, ctx: FileContext, target: ast.AST,
                        global_names: Set[str]) -> Iterator[Violation]:
         if isinstance(target, ast.Name) and target.id in global_names:
             yield self.violation(
                 ctx, target,
-                f"stream obtained through a call assigned to global "
-                f"{target.id!r}: module-scope streams are invisible to "
-                "the replay machinery — keep them local")
+                f"RNG stream assigned to global {target.id!r}: "
+                "module-scope streams are invisible to the replay "
+                "machinery — keep them local to the consuming function")
         elif isinstance(target, ast.Attribute):
-            if _STREAMY not in target.attr.lower():
+            if _STREAM_TOKEN not in target.attr.lower():
                 yield self.violation(
                     ctx, target,
-                    f"stream obtained through a call stored in attribute "
-                    f"{target.attr!r}: use a name containing 'stream' so "
-                    "the determinism contract stays auditable, or draw "
-                    "values instead of caching the stream")
+                    f"RNG stream stored in attribute {target.attr!r}: use "
+                    "a name containing 'stream' so the determinism "
+                    "contract stays auditable, or draw values instead of "
+                    "caching the stream")
         elif isinstance(target, ast.Subscript):
             root = target.value
             while isinstance(root, ast.Subscript):
                 root = root.value
             if (isinstance(root, ast.Attribute)
-                    and _STREAMY not in root.attr.lower()):
+                    and _STREAM_TOKEN not in root.attr.lower()):
                 yield self.violation(
                     ctx, target,
-                    f"stream obtained through a call stored in container "
-                    f"{root.attr!r}: use a name containing 'stream' so "
-                    "the determinism contract stays auditable")
+                    f"RNG stream stored in container {root.attr!r}: use "
+                    "a name containing 'stream' so the determinism "
+                    "contract stays auditable")
 
 
 @register_rule

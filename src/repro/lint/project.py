@@ -33,7 +33,7 @@ class Project:
         #: rule-specific for :class:`SummaryTable` (the typestate layer
         #: caches per-``(spec, function, param)`` transition relations
         #: here).  Keyed by arbitrary hashable tuples; lives exactly as
-        #: long as the project, so parallel workers each fill their own.
+        #: long as the project.
         self.analysis_cache: Dict[Hashable, object] = {}
 
     def functions_of(self, logical: str) -> List[FunctionDecl]:

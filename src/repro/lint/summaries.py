@@ -26,7 +26,7 @@ interprocedural rules consume:
     ``must_bump`` callee) — the kill event of RL010's analysis.
 
 ``returns_stream`` / ``escaping_params``
-    The RNG-taint lift of RL008: whether the function may return a
+    The RNG-taint facts of RL011: whether the function may return a
     live ``RandomStreams`` stream, and which of its parameters — if
     bound to a stream by the caller — end up stored in a non-stream
     attribute/global or handed on to another escaping parameter.

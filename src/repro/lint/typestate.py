@@ -2,7 +2,7 @@
 
 The fourth analysis layer.  The first three answer progressively wider
 questions — syntactic shape (RL001–RL005), intraprocedural order
-(RL006–RL008), interprocedural reachability (RL009–RL012) — but none of
+(RL006–RL007), interprocedural reachability (RL009–RL012) — but none of
 them states the thing the paper's correctness argument is actually made
 of: *object lifecycles*.  A BAT is admitted, started, granted locks,
 committed or aborted, and restarted only from aborted; an engine event

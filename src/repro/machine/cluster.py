@@ -102,10 +102,8 @@ class Cluster:
         self.scheduler_factory = scheduler_factory
         self.metrics = MetricsCollector(warmup_clocks=params.warmup_clocks)
         self.history = History() if record_history else None
-        self.data_nodes = [
-            DataNode(self.env, node_id, params.obj_time,
-                     mode=params.node_mode)
-            for node_id in range(params.num_nodes)]
+        self.data_nodes = [DataNode(self.env, node_id, params.obj_time)
+                           for node_id in range(params.num_nodes)]
         if tracer is not None and params.trace_sample_rate < 1.0:
             tracer.sample_rate = params.trace_sample_rate
         self.tracer = tracer

@@ -12,19 +12,17 @@ The simple single-server model is the paper's own justification: a bulk
 operation runs as a processor-disk pipeline and is I/O-bound, so one
 object at a time per node captures the resource contention that matters.
 
-Two bit-identical server loops implement the model:
-
-* ``mode="reference"`` — the literal loop: one engine timeout per object
-  quantum.  At 10^5-10^6 bulk transactions that is tens of millions of
-  Python-level heap events.
-* ``mode="batched"`` (default) — between scheduler events the round-robin
-  interleaving is fully determined, so quanta whose end lies strictly
-  before the next pending engine event are *pre-played* arithmetically
-  and only one timeout per window is yielded (see :meth:`_run_batched`
-  for the equivalence argument).  Statistics, message counts, weight
-  adjustments and all event orderings are bit-identical to the
-  reference loop; ``tests/machine/test_node_equivalence.py`` proves it
-  under every scheduler and fault plan.
+The literal model yields one engine timeout per object quantum; at
+10^5-10^6 bulk transactions that is tens of millions of Python-level
+heap events.  The server loop instead exploits that, between scheduler
+events, the round-robin interleaving is fully determined: quanta whose
+end lies strictly before the next pending engine event are *pre-played*
+arithmetically and only one timeout per window is yielded (see the
+equivalence argument above :meth:`DataNode._run`).  Statistics, message
+counts, weight adjustments and all event orderings are bit-identical to
+the literal loop, which lives on as a test oracle
+(``tests/oracles/data_node.py``); ``tests/machine/test_node_equivalence.py``
+proves the identity under every scheduler and fault plan.
 
 Fault support (:mod:`repro.faults`): a node can :meth:`crash` — every
 resident step fails with :class:`~repro.errors.FaultError` and new
@@ -61,9 +59,6 @@ _BOUND_CAP = 4096
 ObjectCallback = Callable[[TransactionRuntime, float], None]
 BatchCallback = Callable[[TransactionRuntime, int], None]
 
-NODE_MODES = ("batched", "reference")
-
-
 @register_hot_class
 class _WorkItem:
     """One step of one transaction being bulk-processed at this node."""
@@ -94,19 +89,14 @@ class DataNode:
 
     def __init__(self, env: Environment, node_id: int, obj_time: float,
                  on_objects: Optional[ObjectCallback] = None,
-                 on_objects_batch: Optional[BatchCallback] = None,
-                 mode: str = "batched") -> None:
+                 on_objects_batch: Optional[BatchCallback] = None) -> None:
         if obj_time <= 0:
             raise ValueError(f"obj_time must be positive, got {obj_time}")
-        if mode not in NODE_MODES:
-            raise ValueError(f"node mode must be one of {NODE_MODES}, "
-                             f"got {mode!r}")
         self.env = env
         self.node_id = node_id
         # Coerced so the integral-exactness fast paths can use
         # float.is_integer (callers may pass an int).
         self.obj_time = float(obj_time)
-        self.mode = mode
         self.on_objects = on_objects or (lambda txn, n: None)
         # The coalesced form of ``k`` whole-object callbacks.  The
         # fallback loop is always bit-identical; the cluster wires this
@@ -121,13 +111,11 @@ class DataNode:
         self._wakeup: Optional[Event] = None
         self._recovered: Optional[Event] = None
         self._slow_factors: List[SlowdownToken] = []
-        if mode == "batched":
-            # Per-node horizons: the batched loop classifies its yielded
-            # quantum events as inert/non-inert so concurrent nodes can
-            # pre-play across each other's internal boundaries.
-            env.enable_affect_tracking()
-        self._process = env.process(
-            self._run_batched() if mode == "batched" else self._run())
+        # Per-node horizons: the server loop classifies its yielded
+        # quantum events as inert/non-inert so concurrent nodes can
+        # pre-play across each other's internal boundaries.
+        env.enable_affect_tracking()
+        self._process = env.process(self._run())
 
     def _loop_on_objects(self, txn: TransactionRuntime,
                          full_quanta: int) -> None:
@@ -246,46 +234,7 @@ class DataNode:
             service *= token.factor
         return service
 
-    # -- the reference server loop ---------------------------------------------
-
-    def _run(self) -> Generator[Event, Any, None]:
-        """One engine timeout per object quantum — the literal model."""
-        while True:
-            if self.crashed:
-                self._recovered = self.env.event()
-                yield self._recovered
-                self._recovered = None
-                continue
-            if not self._queue:
-                self._wakeup = self.env.event()
-                yield self._wakeup
-                self._wakeup = None
-                continue
-            item = self._queue.popleft()
-            self._current = item
-            quantum = min(1.0, item.remaining)
-            service = self._service_time(quantum)
-            # sort_rank pins exact-time ties between different nodes'
-            # quanta to node order — the same arithmetic-only key the
-            # batched loop uses — so tie resolution is mode-invariant.
-            yield self.env.timeout_until(self.env.now + service,
-                                         sort_rank=self.node_id + 1)
-            self._current = None
-            self.busy_time += service
-            # Killed mid-quantum: the device time is spent, the result
-            # is discarded (no message, no progress).
-            if item.cancelled:  # repro-lint: disable=RL009 -- _WorkItem is node-private (only this loop mutates its fields) and this read IS the post-yield cancellation re-check; cancel() only sets the flag tested here
-                continue
-            self.objects_processed += quantum
-            self.messages_sent += 1  # weight-adjustment message to the CN
-            self.on_objects(item.txn, quantum)
-            item.remaining -= quantum
-            if item.remaining > _EPSILON:
-                self._queue.append(item)  # round-robin: go to the back
-            else:
-                item.done.succeed()
-
-    # -- the batched server loop -----------------------------------------------
+    # -- the server loop ------------------------------------------------------
     #
     # Equivalence argument (each decision point at time t0, with
     # horizon = env.affecting_horizon(): the earliest pending
@@ -298,7 +247,7 @@ class DataNode:
     #   not complete their item are pre-played: nothing that could reach
     #   this node fires inside that span, so accounting them early is
     #   unobservable; the boundary times are accumulated with the
-    #   identical float additions the reference timeouts would have
+    #   identical float additions the literal per-quantum timeouts would have
     #   produced.
     # * The first quantum that completes an item or whose end reaches
     #   the horizon is *yielded* as one timeout at its absolute end time
@@ -306,7 +255,7 @@ class DataNode:
     #   Completions must be yielded because ``done.succeed()`` wakes the
     #   control node; horizon-crossing quanta must be yielded because a
     #   foreign event may cancel/crash mid-quantum, which the resume
-    #   handles exactly as the reference loop does.
+    #   handles exactly as the literal loop does.
     # * A yielded *non-completing* quantum is declared inert, carrying
     #   an ``affect`` bound from :meth:`_completion_bound`: a mirror
     #   replay (same float ops the real loop will execute) of this
@@ -327,22 +276,22 @@ class DataNode:
     #   independent accumulators yields bit-identical final values.  No
     #   control decision can observe an intermediate ordering: decision
     #   points live on non-inert events, outside every window.
-    # * Same-time tie order is *mode-invariant by construction*: both
+    # * Same-time tie order is *loop-invariant by construction*: both
     #   loops order their quantum events by (when, sort_time, sort_rank)
     #   where sort_time is the quantum's start boundary and sort_rank
     #   the node id.  All three are pure arithmetic — identical float
-    #   chains in both modes — and a node has at most one pending event,
+    #   chains in both loops — and a node has at most one pending event,
     #   so a comparison involving a node event never falls through to
     #   the engine's schedule-order counter (the one quantity that *does*
-    #   differ between modes: a batched window draws its yielded event
-    #   at the window start, the reference loop at the quantum start).
+    #   differ between the loops: a pre-played window draws its yielded event
+    #   at the window start, the literal loop at the quantum start).
     #   Exact-time ties — common, not exotic: two equal-size steps
     #   granted at one control instant onto nodes with the same obj_time
     #   produce fully aligned boundary chains — therefore resolve
-    #   identically in both modes.
+    #   identically in both loops.
     # * When the horizon equals t0 (another event is pending in this
     #   very instant — e.g. a completion cascade that may submit here),
-    #   no pre-play happens and the loop degrades to the reference
+    #   no pre-play happens and the loop degrades to the literal
     #   single-quantum behaviour.
     #
     # The pre-play accounting coalesces the per-object callback chain
@@ -350,7 +299,7 @@ class DataNode:
     # exact for whole quanta; fractional quanta always terminate an item
     # and therefore always travel the yielded path.
 
-    def _run_batched(self) -> Generator[Event, Any, None]:
+    def _run(self) -> Generator[Event, Any, None]:
         env = self.env
         while True:
             if self.crashed:
@@ -372,7 +321,7 @@ class DataNode:
                     item, t = self._preplay_single(item, t, horizon)
                 else:
                     item, t = self._preplay_rr(item, t, horizon)
-            # The yielded quantum: bit-identical to one reference
+            # The yielded quantum: bit-identical to one literal
             # iteration (same service value, same absolute end instant,
             # same cancellation check at resume).  Non-completing quanta
             # are inert: their resumption is invisible to every other
@@ -437,7 +386,7 @@ class DataNode:
 
         Counts the run of whole, non-completing quanta ending strictly
         before ``horizon``, then accounts them in one go.  The boundary
-        times and the remaining-object countdown replay the reference
+        times and the remaining-object countdown replay the literal
         loop's float additions one by one (additions may round at
         exponent crossings, so they cannot be coalesced); the *integer*
         aggregate updates use a single arithmetic step only where that
@@ -447,7 +396,7 @@ class DataNode:
         rem = item.remaining
         n = 0
         # A quantum is pre-playable iff it is whole and leaves work
-        # behind (rem - 1.0 > eps, i.e. the reference loop would have
+        # behind (rem - 1.0 > eps, i.e. the literal loop would have
         # re-queued the item) and its end stays below the horizon.
         while rem - 1.0 > _EPSILON:
             e = t + svc
@@ -480,7 +429,7 @@ class DataNode:
                     horizon: float) -> Tuple[_WorkItem, float]:
         """General pre-play: several residents and/or slowdown factors.
 
-        Replays the reference round-robin quantum by quantum (service
+        Replays the literal round-robin quantum by quantum (service
         recomputed per quantum, per-object callback per quantum) but
         without engine timeouts.  Stops at the first quantum that either
         completes its item or reaches the horizon; that quantum is

@@ -1,10 +1,11 @@
-"""Differential test: overlay E(q) == legacy copy-based E(q).
+"""Differential test: overlay E(q) == the copy-based oracle's E(q).
 
 The overlay estimator (copy-free delta view, reachability probes, DFS
 longest path) must be *value-identical* — the same floats, the same
-``INFINITE_CONTENTION`` verdicts — to the reference implementation that
-deep-copies the graph and runs full topological sorts, on randomized
-WTPGs and implied-resolution sets.
+``INFINITE_CONTENTION`` verdicts — to the reference implementation
+(:func:`tests.oracles.estimate_reference`) that deep-copies the graph
+and runs full topological sorts, on randomized WTPGs and
+implied-resolution sets.
 
 Deliberately uses a plain seeded ``random.Random`` (not hypothesis) so
 the case count is explicit and the corpus is fixed: 600 generated
@@ -18,6 +19,7 @@ import pytest
 from repro.core import WTPG
 from repro.core.estimator import (INFINITE_CONTENTION, ContentionBatch,
                                   estimate_contention)
+from tests.oracles import estimate_reference
 
 SEED = 20260806
 NUM_CASES = 600
@@ -71,7 +73,7 @@ def test_overlay_equals_reference_on_random_graphs():
         g, tid, implied = random_scenario(rng)
         snapshot = repr(g)
         overlay = estimate_contention(g, tid, implied)
-        reference = estimate_contention(g, tid, implied, reference=True)
+        reference = estimate_reference(g, tid, implied)
         assert overlay == reference, (
             f"case {case}: overlay={overlay} reference={reference} "
             f"tid={tid} implied={implied} graph={snapshot}")
@@ -100,8 +102,8 @@ def test_batch_equals_reference_across_shared_base():
                        if g.pair(p, s) is not None]
             candidates.append((tid, implied))
         for tid, implied in candidates:
-            assert batch.estimate(tid, implied) == estimate_contention(
-                g, tid, implied, reference=True), f"case {case}"
+            assert batch.estimate(tid, implied) == estimate_reference(
+                g, tid, implied), f"case {case}"
 
 
 def test_overlay_equals_reference_after_live_mutations():
@@ -123,14 +125,17 @@ def test_overlay_equals_reference_after_live_mutations():
         implied = [(p, s) for p, s in implied
                    if p in g and s in g and g.pair(p, s) is not None]
         overlay = estimate_contention(g, tid, implied)
-        reference = estimate_contention(g, tid, implied, reference=True)
+        reference = estimate_reference(g, tid, implied)
         assert overlay == reference, f"case {case}"
         assert not g.cache_violations(), f"case {case}"
 
 
 @pytest.mark.parametrize("mode_kwargs", [{}, {"reference": True}])
 def test_modes_agree_on_the_paper_example(mode_kwargs):
-    """Figure 4: E(q) = 10, E(q') = 1 in both modes."""
+    """Figure 4: E(q) = 10, E(q') = 1 from the overlay (``{}``) and from
+    the oracle (``{"reference": True}``)."""
+    estimate = (estimate_reference if mode_kwargs.get("reference")
+                else estimate_contention)
     g = WTPG()
     for tid in (4, 5, 6):
         g.add_transaction(tid, 0)
@@ -143,5 +148,5 @@ def test_modes_agree_on_the_paper_example(mode_kwargs):
     e56 = g.ensure_pair(5, 6)
     e56.raise_weight_to(6, 1)
     e56.raise_weight_to(5, 1)
-    assert estimate_contention(g, 5, [(5, 6)], **mode_kwargs) == 10
-    assert estimate_contention(g, 6, [(6, 5)], **mode_kwargs) == 1
+    assert estimate(g, 5, [(5, 6)]) == 10
+    assert estimate(g, 6, [(6, 5)]) == 1

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import Step, TransactionRuntime, TransactionSpec
+from repro.core.estimator import ContentionBatch
 from repro.core.schedulers import Decision, KWTPGScheduler
+from tests.oracles import estimate_reference
 
 
 def rt(tid, steps):
@@ -299,6 +301,12 @@ class TestWeightsDriveDecisions:
         assert r2.decision in (Decision.DELAY, Decision.BLOCK)
 
 
+def estimate_t2(sched, implied, now):
+    """T2's step-0 E value through the scheduler's cache, evaluated the
+    way one grant decision does it (one batch over the live WTPG)."""
+    return sched._estimate(2, 0, implied, now, ContentionBatch(sched.wtpg))
+
+
 class TestECacheKeyedByImpliedSet:
     """Regression: the E-cache used to be keyed by (tid, step_index) only.
 
@@ -313,7 +321,6 @@ class TestECacheKeyedByImpliedSet:
 
     def test_same_request_different_implied_sets_not_conflated(self):
         from repro.core import builder
-        from repro.core.estimator import estimate_contention
         from repro.core.transaction import LockMode
 
         sched = KWTPGScheduler(k=3, keeptime=50_000)
@@ -326,18 +333,17 @@ class TestECacheKeyedByImpliedSet:
         full = builder.implied_resolutions(
             sched.table, sched.wtpg, 2, 0, LockMode.EXCLUSIVE)
         assert full == ((2, 1), (2, 4))
-        e_full, cost_full = sched._estimate(2, 0, full, now=1)
+        e_full, cost_full = estimate_t2(sched, full, now=1)
         assert cost_full > 0
-        assert e_full == estimate_contention(
-            sched.wtpg, 2, full, reference=True)
+        assert e_full == estimate_reference(sched.wtpg, 2, full)
 
         # T1's second r-P0 declaration is consumed by its re-access while
         # its first grant still holds the lock: no new precedence edge, no
         # commit, no admission — the ControlSaver stays warm.  In that
         # state the same (tid=2, step=0) request implies only (2, 4).
         reduced = ((2, 4),)
-        truth = estimate_contention(sched.wtpg, 2, reduced, reference=True)
-        e_reduced, _ = sched._estimate(2, 0, reduced, now=2)
+        truth = estimate_reference(sched.wtpg, 2, reduced)
+        e_reduced, _ = estimate_t2(sched, reduced, now=2)
         assert e_reduced == truth
         assert e_full != truth  # the stale value the old key would return
 
@@ -346,7 +352,6 @@ class TestECacheKeyedByImpliedSet:
         the ControlSaver cache stays warm — the exact state in which the
         old (tid, step_index) key served a stale E value."""
         from repro.core import builder
-        from repro.core.estimator import estimate_contention
         from repro.core.transaction import LockMode
 
         sched = KWTPGScheduler(k=3, keeptime=50_000)
@@ -362,7 +367,7 @@ class TestECacheKeyedByImpliedSet:
             sched.table, sched.wtpg, 2, 0, LockMode.EXCLUSIVE)
         assert mid == ((2, 1), (2, 4))  # T1's step-1 decl is still pending
         # ...and T2's request is estimated, warming the cache.
-        e_mid, _ = sched._estimate(2, 0, mid, now=2)
+        e_mid, _ = estimate_t2(sched, mid, now=2)
         assert not sched._saver.stale(3)
         # T1 finishes step 0 and re-accesses P0 at step 1: the re-access
         # consumes its second declaration with NO invalidation event.
@@ -374,7 +379,7 @@ class TestECacheKeyedByImpliedSet:
         after = builder.implied_resolutions(
             sched.table, sched.wtpg, 2, 0, LockMode.EXCLUSIVE)
         assert after == ((2, 4),)  # the implied set shrank silently
-        truth = estimate_contention(sched.wtpg, 2, after, reference=True)
-        e_after, _ = sched._estimate(2, 0, after, now=4)
+        truth = estimate_reference(sched.wtpg, 2, after)
+        e_after, _ = estimate_t2(sched, after, now=4)
         assert e_after == truth
         assert e_mid != e_after  # the old key would have served e_mid

@@ -1,6 +1,6 @@
 """CLI tests for the PR 9 flags: ``--explain`` and ``--changed-only``.
 
-The older flags (--json, --select, --jobs, baselines, SARIF) are covered
+The older flags (--json, --select, baselines, SARIF) are covered
 in test_engine.py, test_baseline.py and test_sarif.py; this file holds
 only the rule-explanation and git-scoped-reporting surface.
 """

@@ -1,4 +1,4 @@
-"""Fixture tests for the flow-sensitive rules RL006–RL008.
+"""Fixture tests for the flow-sensitive rules RL006, RL007 and RL011.
 
 Same pattern as test_rules.py: in-memory sources impersonate production
 modules through ``logical`` so each rule's applicability and verdict are
@@ -200,7 +200,11 @@ def test_rl007_estimator_family_guards():
     assert lint(good, "repro/core/estimator.py") == []
 
 
-# -- RL008: RNG stream escape --------------------------------------------------
+# -- RNG stream escape (RL011) ------------------------------------------------
+#
+# These fixtures were written for RL008, the intraprocedural stream-escape
+# rule RL011 absorbed; they keep their names, and every finding they
+# pinned must come from RL011 on the same line.
 
 def test_rl008_flags_a_stream_cached_in_an_innocuous_attribute():
     source = """\
@@ -209,7 +213,7 @@ def test_rl008_flags_a_stream_cached_in_an_innocuous_attribute():
                 self._rng = streams.stream("arrivals")
     """
     violations = lint(source, "repro/core/example.py")
-    assert rule_ids(violations) == ["RL008"]
+    assert rule_ids(violations) == ["RL011"]
     assert "'_rng'" in violations[0].message
 
 
@@ -229,7 +233,7 @@ def test_rl008_flags_module_scope_streams():
         STREAMS = RandomStreams(42)
     """
     violations = lint(source, "repro/workloads/example.py")
-    assert rule_ids(violations) == ["RL008"]
+    assert rule_ids(violations) == ["RL011"]
     assert violations[0].line == 3
 
 
@@ -240,7 +244,7 @@ def test_rl008_taint_propagates_through_locals_to_a_public_return():
             return s
     """
     violations = lint(source, "repro/core/example.py")
-    assert rule_ids(violations) == ["RL008"]
+    assert rule_ids(violations) == ["RL011"]
     assert "public function make" in violations[0].message
 
 
@@ -270,7 +274,7 @@ def test_rl008_stream_named_parameters_are_tainted():
                 self.rng = stream
     """
     violations = lint(source, "repro/machine/example.py")
-    assert rule_ids(violations) == ["RL008"]
+    assert rule_ids(violations) == ["RL011"]
 
 
 def test_rl008_container_store_needs_a_stream_named_root():
@@ -284,7 +288,7 @@ def test_rl008_container_store_needs_a_stream_named_root():
             def reg(self, streams):
                 self._streams_by_name["x"] = streams.stream("x")
     """
-    assert rule_ids(lint(bad, "repro/core/example.py")) == ["RL008"]
+    assert rule_ids(lint(bad, "repro/core/example.py")) == ["RL011"]
     assert lint(good, "repro/core/example.py") == []
 
 

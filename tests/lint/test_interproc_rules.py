@@ -249,43 +249,49 @@ RL011_GOOD_STREAM_NAMED = """\
 def test_rl011_flags_store_of_call_returned_stream():
     violations = lint(RL011_BAD_RETURNED_STREAM_STORED,
                       "repro/core/model.py")
-    # `make` also trips RL008's public-return check — the intra fallback.
-    assert "RL011" in rule_ids(violations)
-    rl011 = [v for v in violations if v.rule_id == "RL011"]
-    assert len(rl011) == 1 and "'noise'" in rl011[0].message
+    # `make` itself also returns a stream from a public function.
+    assert rule_ids(violations) == ["RL011", "RL011"]
+    assert "public function make" in violations[0].message
+    assert violations[1].line == 7 and "'noise'" in violations[1].message
 
 
 def test_rl011_flags_argument_to_escaping_param():
     violations = lint(RL011_BAD_ESCAPING_PARAM, "repro/core/model.py")
-    # RL008 (intra fallback) flags the store inside stash itself; RL011
-    # adds the call-site hand-off the intraprocedural rule cannot see.
-    assert rule_ids(violations) == ["RL008", "RL011"]
-    rl011 = violations[1]
-    assert "'value_stream'" in rl011.message
-    assert "stash" in rl011.message
+    # The store inside stash itself, then the call-site hand-off.
+    assert rule_ids(violations) == ["RL011", "RL011"]
+    assert violations[0].line == 2 and "'noise'" in violations[0].message
+    hand_off = violations[1]
+    assert "'value_stream'" in hand_off.message
+    assert "stash" in hand_off.message
 
 
 def test_rl011_flags_module_scope_stream_binding():
     violations = lint(RL011_BAD_MODULE_SCOPE, "repro/core/model.py")
-    # RL008 flags the public return intra-procedurally; RL011 adds the
-    # module-scope binding it cannot see.
-    assert rule_ids(violations) == ["RL008", "RL011"]
+    # The public return inside make, then the module-scope binding.
+    assert rule_ids(violations) == ["RL011", "RL011"]
+    assert violations[0].line == 2
     assert violations[1].line == 4
 
 
 def test_rl011_does_not_duplicate_rl008_findings():
+    """A locally made stream stored in a plain attribute — once RL008's
+    case — is reported exactly once, with a provenance-neutral message."""
     source = """\
         class Model:
             def setup(self, streams):
                 self.noise = streams.stream("x")
     """
     violations = lint(source, "repro/core/model.py")
-    assert rule_ids(violations) == ["RL008"]
+    assert rule_ids(violations) == ["RL011"]
+    assert violations[0].line == 3
+    assert "through a call" not in violations[0].message
 
 
 def test_rl011_clean_when_stream_named():
     violations = lint(RL011_GOOD_STREAM_NAMED, "repro/core/model.py")
-    assert "RL011" not in rule_ids(violations)
+    # Only make's public return is reported; the store into the
+    # stream-named attribute is clean.
+    assert [(v.rule_id, v.line) for v in violations] == [("RL011", 2)]
 
 
 def test_rl011_silent_in_engine_and_faults():
@@ -415,9 +421,9 @@ def test_rl009_teeth_on_real_data_node():
         source, display="<broken data_node>",
         logical="repro/machine/data_node.py")
     rl009 = [v for v in violations if v.rule_id == "RL009"]
-    # Both service loops (reference and batched) hold the popped work
-    # item across the quantum yield.
-    assert len(rl009) == 2
+    # The server loop holds the popped work item across the quantum
+    # yield.
+    assert len(rl009) == 1
     assert all("item" in v.message for v in rl009)
 
 

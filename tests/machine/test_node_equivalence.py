@@ -1,24 +1,28 @@
-"""Batched-vs-reference data-node equivalence: byte-identical runs.
+"""Pre-playing vs literal data-node loop: byte-identical runs.
 
-The batched loop (``node_mode="batched"``) must be indistinguishable from
-the literal one-timeout-per-quantum loop across every observable surface:
+:class:`repro.machine.DataNode` (pre-played quantum windows) must be
+indistinguishable from the literal one-timeout-per-quantum loop
+(:class:`tests.oracles.ReferenceDataNode`) across every observable surface:
 trace streams, run metrics, per-node counters, scheduler stats — under
 every scheduler and under fault plans, and without float drift over a
 million quanta.
 """
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
 from repro.config import SimulationParameters
 from repro.core import Step, TransactionRuntime, TransactionSpec
 from repro.engine import Environment
+from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, NodeCrash, PartitionSlowdown, RetryPolicy
 from repro.machine import DataNode
 from repro.machine.cluster import Cluster
 from repro.machine.trace import Tracer
 from repro.workloads import pattern1, pattern1_catalog
+from tests.oracles import ReferenceDataNode, reference_data_nodes
 
 SCHEDULERS = ["CHAIN", "K2", "C2PL", "2PL"]
 
@@ -29,12 +33,15 @@ FAULT_PLAN = FaultPlan(
     retry=RetryPolicy(kind="exponential", delay=200.0, cap=5_000.0))
 
 
-def run_fingerprint(scheduler, node_mode, fault_plan=None):
+def run_fingerprint(scheduler, loop, fault_plan=None):
     params = SimulationParameters(scheduler=scheduler, arrival_rate_tps=0.6,
                                   sim_clocks=60_000, seed=11,
-                                  num_partitions=16, node_mode=node_mode)
-    cluster = Cluster(params, pattern1(), catalog=pattern1_catalog(),
-                      tracer=Tracer(), fault_plan=fault_plan)
+                                  num_partitions=16)
+    oracle = (reference_data_nodes() if loop == "reference"
+              else nullcontext())
+    with oracle:
+        cluster = Cluster(params, pattern1(), catalog=pattern1_catalog(),
+                          tracer=Tracer(), fault_plan=fault_plan)
     result = cluster.run()
     trace_bytes = "\n".join(e.to_json() for e in result.tracer.events)
     metrics_bytes = json.dumps(result.metrics.as_dict(), sort_keys=True)
@@ -65,6 +72,9 @@ class TestClusterEquivalence:
 # -- raw-node scenarios -------------------------------------------------------
 
 
+NODE_CLASSES = {"batched": DataNode, "reference": ReferenceDataNode}
+
+
 def rt(tid, cost=10.0):
     return TransactionRuntime(TransactionSpec(tid, [Step.read(0, cost)]))
 
@@ -73,8 +83,9 @@ def drive(mode, scenario):
     """Run ``scenario(env, node, log)`` and fingerprint everything."""
     log = []
     env = Environment()
-    node = DataNode(env, 0, obj_time=1000.0, mode=mode,
-                    on_objects=lambda txn, q: log.append((txn.tid, q)))
+    node = NODE_CLASSES[mode](
+        env, 0, obj_time=1000.0,
+        on_objects=lambda txn, q: log.append((txn.tid, q)))
     completions = scenario(env, node, log)
     return (log, node.busy_time, node.objects_processed, node.messages_sent,
             [(e.triggered, e.ok if e.triggered else None,
@@ -171,10 +182,11 @@ def test_million_quanta_no_float_drift():
     def run(mode):
         env = Environment()
         totals = [0.0, 0]
-        node = DataNode(env, 0, obj_time=1000.0, mode=mode,
-                        on_objects=lambda txn, q: [
-                            totals.__setitem__(0, totals[0] + q),
-                            totals.__setitem__(1, totals[1] + 1)])
+        node = NODE_CLASSES[mode](
+            env, 0, obj_time=1000.0,
+            on_objects=lambda txn, q: [
+                totals.__setitem__(0, totals[0] + q),
+                totals.__setitem__(1, totals[1] + 1)])
         done = node.submit(rt(1, cost=objects), objects)
         env.run(until=done)
         return (env.now, node.busy_time, node.objects_processed,
@@ -246,6 +258,10 @@ def test_slowdown_tokens_distinguish_equal_factors():
 
 
 def test_invalid_node_mode_rejected():
+    """The node-mode option is gone: a data node has one server loop and
+    a parameter file that still selects a mode is refused."""
     env = Environment()
-    with pytest.raises(ValueError):
-        DataNode(env, 0, obj_time=1000.0, mode="warp")
+    with pytest.raises(TypeError):
+        DataNode(env, 0, obj_time=1000.0, mode="reference")
+    with pytest.raises(ConfigurationError, match="unknown parameter"):
+        SimulationParameters.from_json('{"node_mode": "reference"}')

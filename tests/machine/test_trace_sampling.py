@@ -96,13 +96,10 @@ def test_invalid_rates_rejected():
     from repro.errors import ConfigurationError
     with pytest.raises(ConfigurationError):
         SimulationParameters(trace_sample_rate=2.0)
-    with pytest.raises(ConfigurationError):
-        SimulationParameters(node_mode="warp")
 
 
 def test_params_round_trip_with_new_fields():
-    params = SimulationParameters(node_mode="reference",
-                                  trace_sample_rate=0.25)
+    params = SimulationParameters(trace_sample_rate=0.25)
     clone = SimulationParameters.from_json(params.to_json())
     assert clone == params
-    assert json.loads(params.to_json())["node_mode"] == "reference"
+    assert json.loads(params.to_json())["trace_sample_rate"] == 0.25

@@ -1,0 +1,28 @@
+"""Test oracles: paper-literal implementations the runtime is checked against.
+
+The simulator ships one implementation per job.  Where that
+implementation is an optimisation — the data node's pre-played quantum
+windows, the copy-free E(q) overlay — the literal version it must equal
+lives here, outside ``src/``:
+
+* :mod:`tests.oracles.data_node` — the one-timeout-per-quantum node loop
+  (:class:`ReferenceDataNode`, :func:`reference_data_nodes`);
+* :mod:`tests.oracles.estimator` — E(q) on a deep copy of the WTPG
+  (:func:`estimate_reference`, :class:`ReferenceBatch`,
+  :func:`reference_estimator`).
+
+The context managers swap an oracle into a whole simulation run, so an
+equivalence test compares two runs of the same public entry points.
+"""
+
+from tests.oracles.data_node import ReferenceDataNode, reference_data_nodes
+from tests.oracles.estimator import (ReferenceBatch, estimate_reference,
+                                     reference_estimator)
+
+__all__ = [
+    "ReferenceBatch",
+    "ReferenceDataNode",
+    "estimate_reference",
+    "reference_data_nodes",
+    "reference_estimator",
+]

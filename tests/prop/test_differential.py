@@ -4,7 +4,8 @@
   critical-path length the paper's appendix O(N^2) DP predicts, on 200
   random chain-form instances admitted through the real scheduler;
 * the copy-free overlay E(q) estimator must stay value-identical to the
-  legacy deep-copy reference on graphs that lost nodes to aborts.
+  deep-copy oracle (``tests.oracles.estimate_reference``) on graphs
+  that lost nodes to aborts.
 """
 
 import random
@@ -17,6 +18,7 @@ from repro.core.estimator import estimate_contention
 from repro.core.schedulers import make_scheduler
 from repro.core.transaction import Step, TransactionRuntime, TransactionSpec
 from repro.engine.rng import derive_seed
+from tests.oracles import estimate_reference
 from tests.prop.gen import MASTER_SEED
 
 NUM_CHAIN_CASES = 200
@@ -136,8 +138,7 @@ class TestOverlayEqualsReferenceAfterAborts:
                                    if rng.random() < 0.7
                                    else (requester, other))
             overlay = estimate_contention(g, requester, implied)
-            reference = estimate_contention(g, requester, implied,
-                                            reference=True)
+            reference = estimate_reference(g, requester, implied)
             assert overlay == reference, (
                 f"case {case}: overlay={overlay} reference={reference} "
                 f"victims={victims} requester={requester} "
@@ -170,5 +171,5 @@ class TestOverlayEqualsReferenceAfterAborts:
                 if txn in victims or txn.tid not in g:
                     continue
                 assert estimate_contention(g, txn.tid, []) == \
-                    estimate_contention(g, txn.tid, [], reference=True), (
+                    estimate_reference(g, txn.tid, []), (
                         f"case {case}: T{txn.tid}")

@@ -1,28 +1,37 @@
-"""Property-based batched-vs-reference node equivalence.
+"""Property-based pre-playing vs literal data-node equivalence.
 
 The hand-picked scenarios in ``tests/machine/test_node_equivalence.py``
 probe known-dangerous corners; this module closes the gap with generated
 cases: random workloads, random fault plans, every scheduler, each run
-twice — once with ``node_mode="batched"``, once with ``"reference"`` —
-and the two runs must be byte-identical on every observable surface
-(trace stream, metrics dict, per-node counters, invariant-check counts).
+twice — once with :class:`repro.machine.DataNode`, once with the literal
+loop of :func:`tests.oracles.reference_data_nodes` — and the two runs
+must be byte-identical on every observable surface (trace stream,
+metrics dict, per-node counters, invariant-check counts).
 Any divergence replays from the case name alone via ``REPRO_PROP_SEED``.
 """
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
 from repro.machine.trace import Tracer
 from tests.prop.gen import case_rng, make_fault_plan, make_params, make_workload
+from tests.oracles import reference_data_nodes
 from tests.prop.harness import assert_invariants, run_case
 
 SCHEDULERS = ("CHAIN", "K2", "C2PL", "2PL")
 CASES_PER_SCHEDULER = 4
 
 
-def fingerprint(params, workload, fault_plan):
-    result, scheduler = run_case(params, workload, fault_plan)
+def node_loop(mode):
+    """``"batched"``: the runtime node; ``"reference"``: the oracle."""
+    return reference_data_nodes() if mode == "reference" else nullcontext()
+
+
+def fingerprint(mode, params, workload, fault_plan):
+    with node_loop(mode):
+        result, scheduler = run_case(params, workload, fault_plan)
     trace = "\n".join(e.to_json() for e in result.tracer.events)
     metrics = json.dumps(result.metrics.as_dict(), sort_keys=True)
     return result, scheduler, trace, metrics
@@ -37,10 +46,8 @@ def test_generated_runs_are_mode_identical(scheduler, index):
     workload = make_workload(rng)
     fault_plan = make_fault_plan(rng)
 
-    batched = fingerprint(params.with_overrides(node_mode="batched"),
-                          workload, fault_plan)
-    reference = fingerprint(params.with_overrides(node_mode="reference"),
-                            workload, fault_plan)
+    batched = fingerprint("batched", params, workload, fault_plan)
+    reference = fingerprint("reference", params, workload, fault_plan)
 
     assert batched[2] == reference[2], f"{name}: trace streams diverged"
     assert batched[3] == reference[3], f"{name}: metrics diverged"
@@ -63,10 +70,11 @@ def test_sampled_tracer_sees_identical_streams_across_modes(scheduler):
 
     def sampled_trace(mode):
         from repro.machine.cluster import Cluster
-        run_params = params.with_overrides(node_mode=mode,
-                                           trace_sample_rate=0.5)
+        run_params = params.with_overrides(trace_sample_rate=0.5)
         tracer = Tracer()
-        Cluster(run_params, workload, tracer=tracer).run()
+        with node_loop(mode):
+            cluster = Cluster(run_params, workload, tracer=tracer)
+        cluster.run()
         return "\n".join(e.to_json() for e in tracer.events)
 
     assert sampled_trace("batched") == sampled_trace("reference")

@@ -36,3 +36,36 @@ def test_validation_applies_on_load():
         '"num_nodes": 8', '"num_nodes": 0')
     with pytest.raises(ConfigurationError):
         SimulationParameters.from_json(bad)
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"sim_clocks": "100"}', "sim_clocks"),
+    ('{"num_nodes": "4"}', "num_nodes"),
+    ('{"seed": "7"}', "seed"),
+    ('{"scheduler": 5}', "scheduler"),
+    ('{"seed": true}', "seed"),
+    ('{"obj_time": false}', "obj_time"),
+    ('{"num_nodes": 4.0}', "num_nodes"),
+    ('{"retry_policy": null}', "retry_policy"),
+])
+def test_wrongly_typed_field_names_the_field(text, field):
+    with pytest.raises(ConfigurationError, match=repr(field)):
+        SimulationParameters.from_json(text)
+
+
+def test_int_accepted_where_the_field_is_a_float():
+    params = SimulationParameters.from_json(
+        '{"sim_clocks": 100000, "arrival_rate_tps": 1}')
+    assert params.sim_clocks == 100_000.0
+    assert isinstance(params.sim_clocks, float)
+    assert params == SimulationParameters.from_json(params.to_json())
+
+
+@pytest.mark.parametrize("retired", ["node_mode", "estimator_mode"])
+def test_retired_mode_fields_are_unknown(retired):
+    """Parameter files that still select a data-node or estimator mode
+    predate the single runtime path and are refused, not ignored."""
+    text = SimulationParameters().to_json()[:-1] + f', "{retired}": "x"}}'
+    with pytest.raises(ConfigurationError,
+                       match=rf"unknown parameter fields: \['{retired}'\]"):
+        SimulationParameters.from_json(text)
