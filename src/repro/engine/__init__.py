@@ -13,7 +13,7 @@ derives independent named substreams from a single integer seed.
 Public surface::
 
     from repro.engine import Environment, Event, Timeout, Process
-    from repro.engine import Resource, PriorityResource, Store
+    from repro.engine import Resource
     from repro.engine import RandomStreams
 
     env = Environment()
@@ -26,19 +26,16 @@ Public surface::
     env.run(until=100)
 """
 
-from repro.engine.core import Environment, Event, Process, Timeout, AnyOf, AllOf
-from repro.engine.resources import PriorityResource, Resource, Store
+from repro.engine.core import Environment, Event, Process, Timeout, AllOf
+from repro.engine.resources import Resource
 from repro.engine.rng import RandomStreams
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Resource",
-    "Store",
     "Timeout",
 ]

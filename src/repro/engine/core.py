@@ -289,7 +289,7 @@ class Interrupt(Exception):
 class Condition(Event):
     """An event that triggers based on a set of sub-events.
 
-    Used through :class:`AnyOf` / :class:`AllOf`.  The value is a dict
+    Used through :class:`AllOf`.  The value is a dict
     mapping each *triggered* sub-event to its value at trigger time.
     """
 
@@ -333,16 +333,6 @@ class Condition(Event):
         self._done += 1
         if self._evaluate(len(self._events), self._done):
             self.succeed(self._collect())
-
-
-@register_hot_class
-class AnyOf(Condition):
-    """Triggers as soon as any sub-event triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, events, lambda total, done: done >= 1)
 
 
 @register_hot_class
@@ -461,10 +451,6 @@ class Environment:
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start ``generator`` as a process; returns its process event."""
         return Process(self, generator)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when the first of ``events`` fires."""
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all of ``events`` have fired."""

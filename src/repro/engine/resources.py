@@ -1,14 +1,7 @@
 """Shared resources for the discrete-event engine.
 
-The simulator models two kinds of servers:
-
-* :class:`Resource` — a counted resource with FIFO queueing (used for the
-  control node's CPU, which serialises concurrency-control work).
-* :class:`PriorityResource` — same, but requests carry a priority and lower
-  values are served first (ties broken FIFO).
-* :class:`Store` — an unbounded message queue between processes (used for
-  the per-object weight-adjustment messages from data nodes to the control
-  node).
+:class:`Resource` is a counted resource with FIFO queueing (used for the
+control node's CPU, which serialises concurrency-control work).
 
 The usage protocol mirrors SimPy::
 
@@ -19,17 +12,15 @@ The usage protocol mirrors SimPy::
     finally:
         cpu.release(req)
 
-Cancelling a queued request is *lazy* in both resource flavours: the
-request is flagged and the wake-up loop discards it when it surfaces, so a
-cancellation costs O(1) instead of an O(n) scan of the wait queue.
+Cancelling a queued request is *lazy*: the request is flagged and the
+wake-up loop discards it when it surfaces, so a cancellation costs O(1)
+instead of an O(n) scan of the wait queue.
 """
 
 from __future__ import annotations
 
-import heapq
-from itertools import count
-from typing import Any, Deque, List, Optional, Tuple
 from collections import deque
+from typing import Deque
 
 from repro.engine.core import Environment, Event, register_hot_class
 from repro.errors import EngineStateError
@@ -135,89 +126,3 @@ class Resource:
                 continue
             self._in_use += 1
             req.succeed()
-
-
-@register_hot_class
-class PriorityRequest(Request):
-    """A claim on a :class:`PriorityResource` carrying a priority key."""
-
-    __slots__ = ("priority",)
-
-    def __init__(self, resource: "PriorityResource", priority: float) -> None:
-        super().__init__(resource)
-        self.priority = priority
-
-
-@register_hot_class
-class PriorityResource(Resource):
-    """A counted resource serving lower-priority-value requests first."""
-
-    __slots__ = ("_heap", "_ticket")
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._heap: List[Tuple[float, int, PriorityRequest]] = []
-        self._ticket = count()
-
-    @property
-    def queue_length(self) -> int:
-        return sum(1 for _, _, req in self._heap if not req.triggered)
-
-    def request(self, priority: float = 0) -> PriorityRequest:  # type: ignore[override]
-        req = PriorityRequest(self, priority)
-        if self._in_use < self.capacity:
-            self._account()
-            self._in_use += 1
-            req.succeed()
-        else:
-            heapq.heappush(self._heap, (priority, next(self._ticket), req))
-        return req
-
-    def cancel(self, request: Request) -> None:
-        if request.triggered:
-            raise EngineStateError("cannot cancel a granted request")
-        # Lazy deletion: mark and skip at wake time.
-        request._cancelled = True
-
-    def _wake_next(self) -> None:
-        while self._heap and self._in_use < self.capacity:
-            _, _, req = heapq.heappop(self._heap)
-            if req._cancelled:
-                continue
-            self._in_use += 1
-            req.succeed()
-
-
-@register_hot_class
-class Store:
-    """An unbounded FIFO channel of items between processes."""
-
-    __slots__ = ("env", "_items", "_getters")
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit an item, waking one waiting getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that fires with the next item (immediately if available)."""
-        event = Event(self.env)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def peek(self) -> Optional[Any]:
-        """The next item without removing it, or None when empty."""
-        return self._items[0] if self._items else None

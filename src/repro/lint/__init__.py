@@ -10,11 +10,11 @@ critical-path floats are never compared with ``==`` in scheduler code.
 This package turns those conventions into machine-checked rules so a
 regression is caught at lint time instead of as a silently wrong
 schedule.  Single-pass AST matchers handle the per-node contracts; the
-*path* contracts (RL002, RL006–RL007) run on an intraprocedural CFG
+*path* contracts (RL006–RL007) run on an intraprocedural CFG
 (:mod:`repro.lint.cfg`) with a worklist fixpoint solver
 (:mod:`repro.lint.dataflow`); the *interprocedural* contracts
-(RL009–RL012: yield-point atomicity and stream escape) additionally
-consult a whole-program call graph (:mod:`repro.lint.callgraph`) and
+(RL009–RL012: yield-point atomicity, generation bumps and stream
+escape) additionally consult a whole-program call graph (:mod:`repro.lint.callgraph`) and
 bottom-up function summaries (:mod:`repro.lint.summaries`), so a yield
 point or an RNG stream hidden behind a helper call is still seen.
 
@@ -32,8 +32,6 @@ Rules (see ``docs/lint.md`` for the full catalogue and rationale):
 ========  ==============================================================
 RL001     determinism: no ambient randomness/clocks outside engine/rng.py;
           no iteration over unordered set expressions in core/ and engine/
-RL002     cache coherence: WTPG methods that mutate graph containers must
-          bump the generation counter on every path (static invariant 7)
 RL003     encapsulation: no ``wtpg._*`` access outside core/wtpg.py
           (explicit friend-module allowlist for the estimator overlay)
 RL004     float equality: no ``==``/``!=`` on critical-path/weight floats
@@ -47,9 +45,10 @@ RL007     guarded caches: memoized fields are read only behind their
 RL009     stale snapshot: a machine/ local holding shared simulation
           state is not read again after a yield point (direct or via a
           may-yield callee) without re-reading or a generation guard
-RL010     unbumped across yield: a watched-container mutation (direct or
-          through a callee that may leave it unbumped) must bump the
-          generation before the next yield point
+RL010     cache coherence (static invariant 7): a watched-container
+          mutation (direct or through a callee that may leave it
+          unbumped) must bump the generation before the next yield
+          point, and WTPG methods must bump on every path to an exit
 RL011     stream escape: RNG streams — made locally, received in a
           stream-named parameter or returned by a callee — stay in named
           locals / stream-named attributes outside engine/ and faults/,

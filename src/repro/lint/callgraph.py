@@ -8,8 +8,9 @@ builds a whole-program call graph from the already-parsed
 * **functions** are indexed by :data:`FunctionId` — ``(logical path,
   qualified name)``, e.g. ``("repro/machine/shard.py",
   "ControlPlane.transaction_process")``.  Every ``def`` in the tree is
-  indexed, including nested ones (qualname ``outer.<locals>.inner``),
-  so a summary exists for every body that can contain a ``yield``.
+  indexed, including nested ones (qualname ``outer.<locals>.inner``)
+  and redefinitions (``name#<line>``), so every body has one CFG and
+  one summary.
 * **resolution** is deliberately name-based and conservative:
 
   - ``name(...)`` resolves through, in order: a local single-assignment
@@ -296,6 +297,11 @@ def _index_module(cg: CallGraph, logical: str,
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{qual}{stmt.name}"
                 fid = (logical, qualname)
+                if fid in cg.functions:
+                    # A redefinition (a property setter, a guarded
+                    # alternative) keeps its own summary and CFG; names
+                    # still resolve to the first definition.
+                    fid = (logical, f"{qualname}#{stmt.lineno}")
                 decl = FunctionDecl(fid, stmt, class_name,
                                     _own_yield(stmt))
                 cg.functions[fid] = decl
@@ -307,7 +313,7 @@ def _index_module(cg: CallGraph, logical: str,
                     owner = index.classes.get(class_name)
                     if owner is not None and qual == f"{class_name}.":
                         owner.methods.setdefault(stmt.name, fid)
-                walk_body(stmt.body, f"{qualname}.<locals>.", None)
+                walk_body(stmt.body, f"{fid[1]}.<locals>.", None)
             elif isinstance(stmt, ast.ClassDef):
                 if qual == "":
                     decl_cls = ClassDecl(logical, stmt.name)
@@ -328,10 +334,14 @@ def _index_module(cg: CallGraph, logical: str,
                     for alias in stmt.names:
                         bound = alias.asname or alias.name
                         index.imports[bound] = (stmt.module, alias.name)
-            elif isinstance(stmt, (ast.If, ast.Try)):
-                # TYPE_CHECKING imports / guarded defs still bind names.
+            else:
+                # Defs and imports under a compound statement (a
+                # TYPE_CHECKING guard, try/except, a loop, a with) still
+                # bind names.
                 for inner in ast.iter_child_nodes(stmt):
-                    if isinstance(inner, ast.stmt):
+                    if isinstance(inner, ast.ExceptHandler):
+                        walk_body(inner.body, qual, class_name)
+                    elif isinstance(inner, ast.stmt):
                         walk_body([inner], qual, class_name)
 
     walk_body(tree.body, "", None)

@@ -1,10 +1,11 @@
 """Intraprocedural control-flow graphs over ``ast`` function bodies.
 
-The CFG is the substrate the flow-sensitive rules (RL002, RL006–RL007)
-run on: one :class:`CFGNode` per simple statement or compound-statement
-header, a distinguished ``entry``, a ``exit`` for normal completion
-(every ``return`` and the fall-off-the-end path) and a ``raise`` exit
-for exceptional completion.
+The CFG is the substrate every flow-sensitive rule runs on: one
+:class:`CFGNode` per simple statement or compound-statement header, a
+distinguished ``entry``, a ``exit`` for normal completion (every
+``return`` and the fall-off-the-end path) and a ``raise`` exit for
+exceptional completion.  Each function's CFG is built once, by
+:class:`repro.lint.summaries.SummaryTable`, and shared by every rule.
 
 Supported control flow and the modelling decisions behind it:
 

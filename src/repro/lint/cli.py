@@ -23,8 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Project-specific static analysis for the WTPG core "
-                    "(rules RL001-RL016 except RL008, which RL011 "
-                    "absorbed; see docs/lint.md).")
+                    "(rules RL001-RL016 except RL002 and RL008, which "
+                    "RL010 and RL011 absorbed; see docs/lint.md).")
     parser.add_argument(
         "paths", nargs="*", default=["src"], metavar="PATH",
         help="files or directories to lint (default: src)")

@@ -2,17 +2,14 @@
 
 The solver is deliberately tiny and generic: a forward dataflow problem
 is a :class:`Lattice` (bottom + join), a transfer function mapping
-``(node, in_value) -> out_value``, and an entry value.  Rules bring
-their own lattices; this module ships the two everyone needs —
-:class:`UnionLattice` (may-analysis over ``frozenset`` facts) and
-:class:`IntersectionLattice` (must-analysis) — plus a small "resource"
-facts layer that turns method-call patterns into gen/kill sets, which is
-how RL006 (lock lifecycle) and the migrated RL002 (generation bumps)
-describe their problems.
+``(node, in_value) -> out_value``, and an entry value.  Every rule runs
+a may-analysis over :class:`UnionLattice` (``frozenset`` facts); a
+small "resource" facts layer turns method-call patterns into gen/kill
+sets, which is how RL006 (lock lifecycle) describes its problem.
 
 Termination: the solver requires a monotone transfer function over a
-finite-height lattice (true for both shipped lattices: facts are drawn
-from the finitely many acquire sites of one function).  A hard iteration
+finite-height lattice (true here: facts are drawn from the finitely
+many sites of one function).  A hard iteration
 cap turns an accidental non-monotone transfer into a loud
 :class:`FixpointError` instead of a hang.
 """
@@ -53,26 +50,6 @@ class UnionLattice(Lattice[FrozenSet[object]]):
     def join(self, left: FrozenSet[object],
              right: FrozenSet[object]) -> FrozenSet[object]:
         return left | right
-
-
-#: Sentinel for the intersection lattice's bottom: "no path reaches this
-#: point yet", which must be the identity of intersection.
-TOP = "<top>"
-
-
-class IntersectionLattice(Lattice[object]):
-    """Must-analysis: a fact holds only if it holds on *every* path."""
-
-    def bottom(self) -> object:
-        return TOP
-
-    def join(self, left: object, right: object) -> object:
-        if left is TOP:
-            return right
-        if right is TOP:
-            return left
-        assert isinstance(left, frozenset) and isinstance(right, frozenset)
-        return left & right
 
 
 Transfer = Callable[[CFGNode, T], T]

@@ -1,13 +1,13 @@
 """The flow-sensitive rules RL006–RL007 and RL009–RL012, on cfg + dataflow.
 
-Where RL001–RL005 are single-pass AST matchers, these rules state *path*
-properties: every rule builds the CFG of each function in scope
-(:func:`repro.lint.cfg.build_cfg`), runs a forward may-analysis to a
-fixpoint (:func:`repro.lint.dataflow.solve_forward`) and reports on what
-survives to an exit.  RL006–RL007 are intraprocedural; RL009–RL012 are
-:class:`~repro.lint.model.ProjectRule` subclasses consuming the
-whole-program call graph and function summaries through the
-:class:`~repro.lint.project.Project` the engine hands them.
+Where RL001 and RL003–RL005 are single-pass AST matchers, these rules
+state *path* properties: each runs a forward may-analysis
+(:func:`repro.lint.dataflow.solve_forward`) over the CFG of each
+function in scope and reports on what survives to an exit.  They are
+:class:`~repro.lint.model.ProjectRule` subclasses: the CFGs are the ones
+:class:`~repro.lint.summaries.SummaryTable` built once per function, and
+RL006–RL007 use nothing else of the project, while RL009–RL012 also
+consume the whole-program call graph and function summaries.
 ``docs/lint.md`` has the full catalogue entry, threat model and known
 over/under-approximations of each rule.
 """
@@ -20,18 +20,19 @@ from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
 from repro.lint.callgraph import FunctionDecl, FunctionId
-from repro.lint.cfg import CFG, CFGNode, FunctionNode, build_cfg, header_exprs
-from repro.lint.dataflow import (ResourceFact, ResourceSpec, UnionLattice,
-                                 method_name_of, resource_gen_kill,
-                                 resource_transfer, solve_forward)
-from repro.lint.model import (FileContext, ProjectRule, Rule, Violation,
+from repro.lint.cfg import CFG, CFGNode, header_exprs
+from repro.lint.dataflow import (DataflowResult, ResourceFact, ResourceSpec,
+                                 UnionLattice, method_name_of,
+                                 resource_gen_kill, resource_transfer,
+                                 solve_forward)
+from repro.lint.model import (FileContext, ProjectRule, Violation,
                               register_rule)
 from repro.lint.project import Project
-from repro.lint.rules import WATCHED_ATTRS, _is_bump, _statement_mutations
-from repro.lint.summaries import (_STREAM_TOKEN, SummaryTable,
-                                  _is_stream_call, _stream_param_names,
-                                  bind_args, stmt_has_yield,
-                                  watched_mutations)
+from repro.lint.summaries import (_STREAM_TOKEN, WATCHED_ATTRS, OpenMutation,
+                                  SummaryTable, _is_stream_call,
+                                  _stream_param_names, bind_args,
+                                  is_bump_stmt, stmt_has_yield,
+                                  unbumped_transfer, watched_mutations)
 
 _LATTICE = UnionLattice()
 
@@ -42,22 +43,6 @@ _INPLACE_METHODS = frozenset({
     "add", "append", "clear", "discard", "extend", "insert", "pop",
     "popitem", "remove", "setdefault", "update",
 })
-
-
-def _functions_in_class(tree: ast.Module,
-                        class_name: Optional[str] = None,
-                        ) -> Iterator[FunctionNode]:
-    """Direct methods of one class, or every function in the module."""
-    if class_name is None:
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node
-        return
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield item
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +67,7 @@ RL006_SPECS: Tuple[ResourceSpec, ...] = (
 
 
 @register_rule
-class LockLifecycleRule(Rule):
+class LockLifecycleRule(ProjectRule):
     """RL006: a resource released on some paths must be released on all.
 
     In ``core/schedulers/``, ``core/locks.py`` and ``machine/``, a
@@ -108,17 +93,20 @@ class LockLifecycleRule(Rule):
                 or ctx.is_module("repro/core/locks.py")
                 or ctx.in_dir("machine"))
 
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for fn in _functions_in_class(ctx.tree):
-            yield from self._check_function(ctx, fn)
+    def check_project(self, ctx: FileContext,
+                      project: Project) -> Iterator[Violation]:
+        for decl in project.functions_of(ctx.logical):
+            cfg = project.summaries.cfg(decl.fid)
+            if cfg is not None:
+                yield from self._check_function(ctx, decl, cfg)
 
-    def _check_function(self, ctx: FileContext,
-                        fn: FunctionNode) -> Iterator[Violation]:
+    def _check_function(self, ctx: FileContext, decl: FunctionDecl,
+                        cfg: CFG) -> Iterator[Violation]:
         # Inconsistency gate: only resource kinds this function releases
         # somewhere can leak; acquire-only functions persist by design.
         released: Set[str] = set()
         acquired = False
-        for stmt in ast.walk(fn):
+        for stmt in ast.walk(decl.node):
             if not isinstance(stmt, ast.stmt):
                 continue
             gens, kills = resource_gen_kill(stmt, RL006_SPECS)
@@ -126,7 +114,6 @@ class LockLifecycleRule(Rule):
             acquired = acquired or bool(gens)
         if not acquired or not released:
             return
-        cfg = build_cfg(fn)
         result = solve_forward(cfg, _LATTICE,
                                resource_transfer(RL006_SPECS), frozenset())
         leaked = (result.entering(cfg.exit)
@@ -145,7 +132,7 @@ class LockLifecycleRule(Rule):
             names = "/".join(sorted(spec.release))
             yield Violation(
                 self.rule_id, ctx.display, fact.line, fact.col,
-                f"{fact.call}() in {fn.name} is released on some paths "
+                f"{fact.call}() in {decl.name} is released on some paths "
                 f"but can reach a function exit still held: call "
                 f"{names} on every path (including exception edges), "
                 "or keep ownership past the function on all paths")
@@ -259,7 +246,7 @@ def _family_guards(stmt: ast.AST,
                    families: Sequence[CacheFamily]) -> Set[str]:
     """Names of the families a statement's guard events certify."""
     guarded: Set[str] = set()
-    if isinstance(stmt, ast.stmt) and _is_bump(stmt):
+    if is_bump_stmt(stmt):
         return guarded  # a generation bump invalidates, never certifies
     for root in header_exprs(stmt):
         for node in ast.walk(root):
@@ -293,14 +280,13 @@ def _stored_fields(stmt: ast.AST,
 
 
 def _dirties(stmt: ast.AST) -> bool:
-    """Does the statement invalidate derived state (mutation or bump)?"""
-    if not isinstance(stmt, ast.stmt):
-        return False
-    return bool(_statement_mutations(stmt)) or _is_bump(stmt)
+    """Does the node invalidate derived state (own mutation or bump)?"""
+    return (any(m.on_self for m in watched_mutations(stmt))
+            or is_bump_stmt(stmt))
 
 
 @register_rule
-class UnguardedCacheReadRule(Rule):
+class UnguardedCacheReadRule(ProjectRule):
     """RL007: memoized fields are read only behind their generation guard.
 
     Invariant 7's runtime check (:meth:`WTPG.cache_violations`) can only
@@ -324,15 +310,17 @@ class UnguardedCacheReadRule(Rule):
     def applies_to(self, ctx: FileContext) -> bool:
         return ctx.logical in RL007_FAMILIES
 
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
+    def check_project(self, ctx: FileContext,
+                      project: Project) -> Iterator[Violation]:
         families = RL007_FAMILIES[ctx.logical]
         exempt = RL007_EXEMPT_METHODS.get(ctx.logical, frozenset())
-        for fn in _functions_in_class(ctx.tree):
-            if fn.name in exempt:
-                continue
-            yield from self._check_function(ctx, fn, families)
+        for decl in project.functions_of(ctx.logical):
+            cfg = project.summaries.cfg(decl.fid)
+            if cfg is not None and decl.name not in exempt:
+                yield from self._check_function(ctx, decl.name, cfg,
+                                                families)
 
-    def _check_function(self, ctx: FileContext, fn: FunctionNode,
+    def _check_function(self, ctx: FileContext, name: str, cfg: CFG,
                         families: Sequence[CacheFamily],
                         ) -> Iterator[Violation]:
         by_name = {family.name: family for family in families}
@@ -355,7 +343,6 @@ class UnguardedCacheReadRule(Rule):
                 dirty = dirty - frozenset(stored)
             return dirty
 
-        cfg = build_cfg(fn)
         result = solve_forward(cfg, _LATTICE, transfer, all_fields)
         reported: Set[Tuple[int, int, str]] = set()
         for node in cfg.stmt_nodes():
@@ -387,7 +374,7 @@ class UnguardedCacheReadRule(Rule):
                         self.rule_id, ctx.display, sub.lineno,
                         sub.col_offset,
                         f"read of {sub.attr} ({family.name} memo) in "
-                        f"{fn.name} on a path with no generation-guard "
+                        f"{name} on a path with no generation-guard "
                         "check since the last mutation: check the guard "
                         "(or refresh the memo) before reading — "
                         "invariant 7")
@@ -626,22 +613,40 @@ class StaleSnapshotRule(ProjectRule):
 
 @register_rule
 class UnbumpedAcrossYieldRule(ProjectRule):
-    """RL010: watched-state mutation must be bump-closed before a yield.
+    """RL010: watched-state mutations must be closed by a generation bump.
 
-    The interprocedural lift of RL002/invariant 7: in ``core/`` and
-    ``machine/``, a function containing yield points must not let a
-    mutation of the watched graph containers
-    (:data:`~repro.lint.rules.WATCHED_ATTRS`) — performed directly or
-    through a call whose summary says *may-leave-unbumped* — reach a
-    yield point before a generation bump.  At the switch, every other
-    coroutine sees generation counters that still vouch for the
-    pre-mutation structure.  Reported at the mutation (or call) site;
-    calls to *must-bump* callees close the window like a direct bump.
+    The static counterpart of runtime invariant 7
+    (:meth:`repro.core.wtpg.WTPG.cache_violations`): the incremental
+    topological order, closure memos and critical-path dist cache may
+    trust their generation guards only because every mutation of the
+    graph-defining containers (:data:`~repro.lint.summaries.WATCHED_ATTRS`)
+    is followed by a bump.  One may-analysis of open mutations
+    (:func:`~repro.lint.summaries.unbumped_transfer`) serves two checks:
+
+    * **yield points** — in ``core/`` and ``machine/``, a mutation,
+      direct or through a call whose summary says *may-leave-unbumped*,
+      must not reach a yield point before a bump: at the switch every
+      other coroutine sees counters that still vouch for the
+      pre-mutation structure.  Reported at the mutation (or call) site.
+    * **the WTPG's own methods** — in ``core/wtpg.py``, a ``self.<watched>``
+      mutation of a ``WTPG`` method (``__init__`` builds rather than
+      mutates) must not reach a ``return`` (reported there) or the
+      normal exit (reported at the mutation).  Only ``self``-rooted
+      mutations count: ``copy()`` fills a fresh clone, whose caches are
+      empty.  Paths into the ``raise`` exit are exempt — an exception
+      mid-mutation is already a hard failure.
+
+    Calls to *must-bump* callees close the window like a direct bump.
     """
 
     rule_id = "RL010"
-    summary = ("watched-container mutations (direct or via calls) must "
-               "be generation-bumped before the next yield point")
+    summary = ("watched-container mutations (direct or via calls) must be "
+               "generation-bumped before the next yield point, and WTPG "
+               "methods must bump on every path to a return or exit")
+
+    #: ``__init__`` creates the containers, so there is no pre-existing
+    #: derived state to guard.
+    EXEMPT_METHODS = frozenset({"__init__"})
 
     def applies_to(self, ctx: FileContext) -> bool:
         return ctx.in_dir("core") or ctx.in_dir("machine")
@@ -649,62 +654,87 @@ class UnbumpedAcrossYieldRule(ProjectRule):
     def check_project(self, ctx: FileContext,
                       project: Project) -> Iterator[Violation]:
         table = project.summaries
+        in_wtpg = ctx.is_module("repro/core/wtpg.py")
         for decl in project.functions_of(ctx.logical):
-            if not _function_has_yield_point(table, decl):
-                continue
+            at_exits = (in_wtpg and decl.class_name == "WTPG"
+                        and decl.name not in self.EXEMPT_METHODS)
+            at_yields = _function_has_yield_point(table, decl)
             cfg = table.cfg(decl.fid)
-            if cfg is not None:
-                yield from self._check_function(ctx, decl, cfg, table)
+            if cfg is None or not (at_exits or at_yields):
+                continue
+            result = solve_forward(cfg, _LATTICE,
+                                   unbumped_transfer(table, decl.fid),
+                                   frozenset())
+            if at_yields:
+                yield from self._check_yields(ctx, decl, cfg, table, result)
+            if at_exits:
+                yield from self._check_exits(ctx, decl, cfg, table, result)
 
-    def _check_function(self, ctx: FileContext, decl: FunctionDecl,
-                        cfg: CFG, table: SummaryTable,
-                        ) -> Iterator[Violation]:
-        fid = decl.fid
-
-        def open_mutations(stmt: ast.AST) -> List[Tuple[int, int, str]]:
-            gens = list(watched_mutations(stmt))
-            for site in table.node_calls(fid, stmt):
-                if (site.callee is not None
-                        and table.summary(site.callee).may_leave_unbumped):
-                    gens.append((site.line, site.col,
-                                 f"{site.callee[1]}()"))
-            return gens
-
-        def transfer(node: CFGNode,
-                     facts: FrozenSet[object]) -> FrozenSet[object]:
-            stmt = node.stmt
-            if stmt is None or not isinstance(stmt, ast.stmt):
-                return facts
-            if table.bumps_here(fid, stmt):
-                facts = frozenset()
-            gens = open_mutations(stmt)
-            return facts | frozenset(gens) if gens else facts
-
-        result = solve_forward(cfg, _LATTICE, transfer, frozenset())
+    def _check_yields(self, ctx: FileContext, decl: FunctionDecl,
+                      cfg: CFG, table: SummaryTable,
+                      result: DataflowResult[FrozenSet[object]],
+                      ) -> Iterator[Violation]:
         reported: Set[Tuple[int, int, str]] = set()
         for node in cfg.stmt_nodes():
             stmt = node.stmt
             if stmt is None or not isinstance(stmt, ast.stmt):
                 continue
-            if not _node_is_yield_point(table, fid, stmt):
+            if not _node_is_yield_point(table, decl.fid, stmt):
                 continue
-            facts = result.entering(node)
-            if table.bumps_here(fid, stmt):
+            if table.bumps_here(decl.fid, stmt):
                 continue  # bump-and-yield in one statement: closed
-            for fact in sorted(fact for fact in facts
-                               if isinstance(fact, tuple)):
-                line, col, what = fact
-                if (line, col, what) in reported:
+            for fact in _open(result.entering(node)):
+                key = (fact.line, fact.col, fact.what)
+                if key in reported:
                     continue
-                reported.add((line, col, what))
+                reported.add(key)
                 yield Violation(
-                    self.rule_id, ctx.display, line, col,
-                    f"mutation of watched state ({what}) in {decl.name} "
-                    f"reaches the yield point at line {stmt.lineno} "
-                    "without a generation bump: other coroutines resume "
-                    "against counters that still vouch for the old "
-                    "structure — bump (or call an invalidation helper) "
-                    "before yielding")
+                    self.rule_id, ctx.display, fact.line, fact.col,
+                    f"mutation of watched state ({fact.what}) in "
+                    f"{decl.name} reaches the yield point at line "
+                    f"{stmt.lineno} without a generation bump: other "
+                    "coroutines resume against counters that still vouch "
+                    "for the old structure — bump (or call an "
+                    "invalidation helper) before yielding")
+
+    def _check_exits(self, ctx: FileContext, decl: FunctionDecl,
+                     cfg: CFG, table: SummaryTable,
+                     result: DataflowResult[FrozenSet[object]],
+                     ) -> Iterator[Violation]:
+        # Return statements inside a finally body are duplicated across
+        # the CFG's continuation copies; dedup on (return site, fact).
+        reported: Set[Tuple[int, int, OpenMutation]] = set()
+        for node in cfg.stmt_nodes():
+            stmt = node.stmt
+            if (not isinstance(stmt, ast.Return)
+                    or table.bumps_here(decl.fid, stmt)):
+                continue
+            for fact in _open(result.entering(node), on_self=True):
+                key = (stmt.lineno, stmt.col_offset, fact)
+                if key in reported:
+                    continue
+                reported.add(key)
+                yield self.violation(
+                    ctx, stmt,
+                    f"WTPG.{decl.name} returns after mutating "
+                    f"self.{fact.what} without bumping the generation "
+                    "counter")
+        for fact in _open(result.entering(cfg.exit), on_self=True):
+            yield Violation(
+                self.rule_id, ctx.display, fact.line, fact.col,
+                f"WTPG.{decl.name} mutates self.{fact.what} on a path "
+                "that never bumps the generation counter "
+                "(self._generation / self._structure_gen or an "
+                "invalidation helper)")
+
+
+def _open(facts: FrozenSet[object],
+          on_self: bool = False) -> List[OpenMutation]:
+    """Sorted open mutations; with ``on_self``, only ``self``-rooted ones
+    not already reported at a ``return``."""
+    return sorted(fact for fact in facts
+                  if isinstance(fact, OpenMutation)
+                  and (not on_self or (fact.on_self and not fact.returned)))
 
 
 @register_rule

@@ -1,19 +1,17 @@
-"""The project-specific rules RL001–RL005.
+"""The single-pass AST rules RL001 and RL003–RL005.
 
 Each rule encodes a contract the runtime invariant suite or reviewer
 discipline used to carry alone; ``docs/lint.md`` ties every rule to the
-paper / PR-1 design decision it protects.
+paper / PR-1 design decision it protects.  (RL002, the WTPG
+generation-bump check, is part of RL010 in :mod:`repro.lint.flow_rules`.)
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional
 
-from repro.lint.cfg import CFGNode, build_cfg
-from repro.lint.dataflow import UnionLattice, solve_forward
 from repro.lint.model import (FileContext, Rule, Violation, dotted_name,
                               register_rule)
 
@@ -152,188 +150,6 @@ class DeterminismRule(Rule):
                         ctx, comp.iter,
                         "comprehension over an unordered set expression "
                         "feeds an order-sensitive consumer: wrap in sorted()")
-
-
-# ---------------------------------------------------------------------------
-# RL002 — generation-counter coherence (static invariant 7)
-# ---------------------------------------------------------------------------
-
-#: The graph-defining containers of WTPG.  Anything else (``_cp_dist``,
-#: ``_topo_order``, the closure caches…) is *derived* state guarded by
-#: the generations these mutations must bump.
-WATCHED_ATTRS = frozenset({
-    "_source", "_sink", "_pairs", "_neighbors", "_succ", "_pred",
-    "_unresolved",
-})
-
-#: Statements that count as invalidation: bumping a generation counter or
-#: calling a helper that does.
-BUMP_ATTRS = frozenset({"_generation", "_structure_gen"})
-INVALIDATION_HELPERS = frozenset({"_note_edge_weight", "_invalidate_caches"})
-
-_MUTATOR_METHODS = frozenset({
-    "add", "discard", "remove", "pop", "popitem", "clear", "update",
-    "setdefault", "append", "extend", "insert",
-})
-
-
-def _watched_root(node: ast.AST) -> Optional[str]:
-    """The watched ``self.X`` a subscript/attribute chain is rooted at."""
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    if (isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-            and node.attr in WATCHED_ATTRS):
-        return node.attr
-    return None
-
-
-def _statement_mutations(stmt: ast.stmt) -> List[Tuple[ast.stmt, str]]:
-    """Watched-container mutations performed directly by one statement."""
-    found: List[Tuple[ast.stmt, str]] = []
-    if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                   else [stmt.target])
-        for target in targets:
-            if isinstance(target, ast.Subscript):
-                attr = _watched_root(target)
-                if attr:
-                    found.append((stmt, attr))
-            elif isinstance(target, ast.Attribute):
-                attr = _watched_root(target)
-                if attr:
-                    found.append((stmt, attr))
-    elif isinstance(stmt, ast.Delete):
-        for target in stmt.targets:
-            attr = _watched_root(target)
-            if attr:
-                found.append((stmt, attr))
-    elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        func = stmt.value.func
-        if isinstance(func, ast.Attribute) and func.attr in _MUTATOR_METHODS:
-            attr = _watched_root(func.value)
-            if attr:
-                found.append((stmt, attr))
-    return found
-
-
-def _is_bump(stmt: ast.stmt) -> bool:
-    if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-        targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                   else [stmt.target])
-        for target in targets:
-            if (isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    and target.attr in BUMP_ATTRS):
-                return True
-    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        func = stmt.value.func
-        if (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "self"
-                and func.attr in INVALIDATION_HELPERS):
-            return True
-    return False
-
-
-@dataclass(frozen=True)
-class _MutFact:
-    """One un-bumped mutation of a watched container, keyed by its site."""
-
-    line: int
-    col: int
-    attr: str
-
-
-@register_rule
-class CacheCoherenceRule(Rule):
-    """RL002: WTPG mutations must bump a generation counter on every path.
-
-    This is the static counterpart of runtime invariant 7
-    (:meth:`repro.core.wtpg.WTPG.cache_violations`): the incremental
-    topological order, closure memos and critical-path dist cache are
-    only allowed to trust their generation guards because *every*
-    mutation of the graph-defining containers bumps ``_generation`` /
-    ``_structure_gen`` (directly or via an invalidation helper).  The
-    rule runs a may-analysis over each method's CFG
-    (:mod:`repro.lint.cfg` + :mod:`repro.lint.dataflow`): the facts are
-    open mutations, a bump statement kills them all, and a fact entering
-    a ``return`` node or the normal function exit is a violation.
-    (Paths into the ``raise`` exit are exempt — an exception
-    mid-mutation is already a hard failure.)
-    """
-
-    rule_id = "RL002"
-    summary = ("WTPG methods mutating graph containers must bump the "
-               "generation counter on every path")
-
-    #: Methods that build rather than mutate: ``__init__`` creates the
-    #: containers, so there is no pre-existing derived state to guard.
-    EXEMPT_METHODS = frozenset({"__init__"})
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.is_module("repro/core/wtpg.py")
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef) or node.name != "WTPG":
-                continue
-            for item in node.body:
-                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and item.name not in self.EXEMPT_METHODS):
-                    yield from self._check_method(ctx, item)
-
-    @staticmethod
-    def _transfer(node: CFGNode,
-                  facts: FrozenSet[object]) -> FrozenSet[object]:
-        stmt = node.stmt
-        if stmt is None or not isinstance(stmt, ast.stmt):
-            return facts
-        if _is_bump(stmt):
-            return frozenset()
-        if isinstance(stmt, ast.Return):
-            # Facts entering a return are reported there; clearing them
-            # keeps an inlined ``finally`` on the return path from
-            # re-reporting the same mutation at the function exit.
-            return frozenset()
-        new = [_MutFact(site.lineno, site.col_offset, attr)
-               for site, attr in _statement_mutations(stmt)]
-        return facts | frozenset(new) if new else facts
-
-    def _check_method(self, ctx: FileContext,
-                      func: ast.FunctionDef) -> Iterator[Violation]:
-        cfg = build_cfg(func)
-        result = solve_forward(cfg, UnionLattice(), self._transfer,
-                               frozenset())
-        # Return statements inside a finally body are duplicated across
-        # the CFG's continuation copies; dedup on (return site, fact).
-        reported: Set[Tuple[int, int, _MutFact]] = set()
-        for node in cfg.stmt_nodes():
-            if not isinstance(node.stmt, ast.Return):
-                continue
-            for fact in sorted(result.entering(node),
-                               key=lambda f: (f.line, f.col, f.attr)):
-                assert isinstance(fact, _MutFact)
-                key = (node.stmt.lineno, node.stmt.col_offset, fact)
-                if key in reported:
-                    continue
-                reported.add(key)
-                yield self.violation(
-                    ctx, node.stmt,
-                    f"WTPG.{func.name} returns after mutating "
-                    f"self.{fact.attr} without bumping the generation "
-                    "counter")
-        for fact in sorted(result.entering(cfg.exit),
-                           key=lambda f: (f.line, f.col, f.attr)):
-            assert isinstance(fact, _MutFact)
-            yield Violation(
-                self.rule_id, ctx.display, fact.line, fact.col,
-                f"WTPG.{func.name} mutates self.{fact.attr} on a path that "
-                "never bumps the generation counter "
-                "(self._generation / self._structure_gen or an "
-                "invalidation helper)")
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,14 @@ interprocedural rules consume:
     reaching from ``core/schedulers/``.
 
 ``mutates_watched``
-    The watched graph-defining containers of RL002
-    (:data:`repro.lint.rules.WATCHED_ATTRS`) this function may mutate,
-    directly or through a callee.
+    The watched graph-defining WTPG containers (:data:`WATCHED_ATTRS`)
+    this function may mutate, directly or through a callee.
 
 ``may_leave_unbumped``
     Some path through the function performs a watched mutation and
-    reaches a ``return``/the exit without a generation bump — the
-    interprocedural lift of RL002's per-method fact, used by RL010 to
-    treat such a *call* as an open mutation at the call site.
+    reaches a ``return``/the exit without a generation bump
+    (:func:`unbumped_transfer`), used by RL010 to treat such a *call*
+    as an open mutation at the call site.
 
 ``must_bump``
     Every path from entry to the normal exit passes a generation bump
@@ -46,14 +45,14 @@ limit.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.lint.callgraph import (CallGraph, CallSite, FunctionDecl,
                                   FunctionId)
 from repro.lint.cfg import CFG, CFGNode, build_cfg, header_exprs
-from repro.lint.dataflow import FixpointError, UnionLattice, solve_forward
-from repro.lint.rules import BUMP_ATTRS, INVALIDATION_HELPERS, WATCHED_ATTRS
+from repro.lint.dataflow import (FixpointError, Transfer, UnionLattice,
+                                 solve_forward)
 
 _LATTICE = UnionLattice()
 
@@ -95,13 +94,30 @@ def _param_names(fn: ast.AST) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Watched-state mutations and generation bumps, receiver-generalised
+# Watched-state mutations and generation bumps (static invariant 7)
 # ---------------------------------------------------------------------------
 #
-# RL002's helpers only recognise ``self.X`` roots (they police the WTPG
-# class itself).  The interprocedural rules watch the same containers
-# through *any* receiver — ``wtpg._pairs[k] = v`` in a machine-layer
-# helper is the same incoherence hazard.
+# The incremental topological order, closure memos and critical-path
+# dist cache of :class:`repro.core.wtpg.WTPG` may trust their generation
+# guards only because every mutation of the graph-defining containers
+# bumps ``_generation`` / ``_structure_gen`` (directly or through an
+# invalidation helper) — the static counterpart of
+# :meth:`~repro.core.wtpg.WTPG.cache_violations`.  The containers are
+# recognised through any receiver: ``wtpg._pairs[k] = v`` in a
+# machine-layer helper is the same incoherence hazard as ``self._pairs``.
+
+#: The graph-defining containers of WTPG.  Anything else (``_cp_dist``,
+#: ``_topo_order``, the closure caches…) is *derived* state guarded by
+#: the generations these mutations must bump.
+WATCHED_ATTRS = frozenset({
+    "_source", "_sink", "_pairs", "_neighbors", "_succ", "_pred",
+    "_unresolved",
+})
+
+#: Statements that count as invalidation: bumping a generation counter or
+#: calling a helper that does.
+BUMP_ATTRS = frozenset({"_generation", "_structure_gen"})
+INVALIDATION_HELPERS = frozenset({"_note_edge_weight", "_invalidate_caches"})
 
 _MUTATOR_METHODS = frozenset({
     "add", "discard", "remove", "pop", "popitem", "clear", "update",
@@ -109,39 +125,59 @@ _MUTATOR_METHODS = frozenset({
 })
 
 
-def _watched_attr_of(node: ast.AST) -> Optional[str]:
-    """The watched attr a target chain is rooted at, any receiver."""
+@dataclass(frozen=True, order=True)
+class OpenMutation:
+    """One watched-state mutation no generation bump has closed yet.
+
+    ``what`` is the watched attribute, or ``"<callee>()"`` for a call
+    whose summary is *may-leave-unbumped*.  ``on_self`` marks a direct
+    ``self.<watched>`` mutation — the WTPG's own write barrier, as
+    opposed to filling some other graph (``WTPG.copy`` fills a fresh
+    clone).  ``returned`` marks a fact that has passed a ``return``,
+    where RL010 already reported it.
+    """
+
+    line: int
+    col: int
+    what: str
+    on_self: bool = False
+    returned: bool = False
+
+
+def _watched_target(node: ast.AST) -> Optional[Tuple[str, bool]]:
+    """(watched attr, rooted at ``self``?) of a target chain, any receiver."""
     while isinstance(node, ast.Subscript):
         node = node.value
     if isinstance(node, ast.Attribute) and node.attr in WATCHED_ATTRS:
-        return node.attr
+        on_self = (isinstance(node.value, ast.Name)
+                   and node.value.id == "self")
+        return node.attr, on_self
     return None
 
 
-def watched_mutations(stmt: ast.AST) -> List[Tuple[int, int, str]]:
-    """``(line, col, attr)`` of watched-container mutations in one node."""
-    found: List[Tuple[int, int, str]] = []
+def watched_mutations(stmt: ast.AST) -> List[OpenMutation]:
+    """Watched-container mutations evaluated by one CFG node."""
+    found: List[OpenMutation] = []
+
+    def note(site: Union[ast.stmt, ast.expr], target: ast.AST) -> None:
+        watched = _watched_target(target)
+        if watched is not None:
+            found.append(OpenMutation(site.lineno, site.col_offset,
+                                      watched[0], watched[1]))
+
     for root in header_exprs(stmt):
         for node in ast.walk(root):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    attr = _watched_attr_of(target)
-                    if attr is not None:
-                        found.append((node.lineno, node.col_offset, attr))
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target]):
+                    note(node, target)
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
-                    attr = _watched_attr_of(target)
-                    if attr is not None:
-                        found.append((node.lineno, node.col_offset, attr))
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (isinstance(func, ast.Attribute)
-                        and func.attr in _MUTATOR_METHODS):
-                    attr = _watched_attr_of(func.value)
-                    if attr is not None:
-                        found.append((node.lineno, node.col_offset, attr))
+                    note(node, target)
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _MUTATOR_METHODS):
+                note(node, node.func.value)
     return found
 
 
@@ -270,8 +306,7 @@ class SummaryTable:
         mutates: Set[str] = set()
         for stmt in ast.walk(decl.node):
             if isinstance(stmt, ast.stmt):
-                for _, _, attr in watched_mutations(stmt):
-                    mutates.add(attr)
+                mutates.update(m.what for m in watched_mutations(stmt))
         for site in sites:
             if site.callee is not None:
                 mutates.update(self.summary(site.callee).mutates_watched)
@@ -350,24 +385,8 @@ class SummaryTable:
     def _may_leave_unbumped(self, fid: FunctionId, decl: FunctionDecl,
                             cfg: CFG) -> bool:
         """Some path mutates watched state and exits without a bump."""
-
-        def transfer(node: CFGNode,
-                     value: FrozenSet[object]) -> FrozenSet[object]:
-            stmt = node.stmt
-            if stmt is None or not isinstance(stmt, ast.stmt):
-                return value
-            if self.bumps_here(fid, stmt):
-                value = frozenset()
-            gens: List[object] = [
-                (line, col, attr)
-                for line, col, attr in watched_mutations(stmt)]
-            for site in self.node_calls(fid, stmt):
-                if (site.callee is not None
-                        and self.summary(site.callee).may_leave_unbumped):
-                    gens.append((site.line, site.col, "<call>"))
-            return value | frozenset(gens) if gens else value
-
-        result = solve_forward(cfg, _LATTICE, transfer, frozenset())
+        result = solve_forward(cfg, _LATTICE, unbumped_transfer(self, fid),
+                               frozenset())
         if result.entering(cfg.exit):
             return True
         return any(isinstance(node.stmt, ast.Return)
@@ -492,6 +511,39 @@ class SummaryTable:
             if isinstance(root, ast.Attribute):
                 return _STREAM_TOKEN not in root.attr.lower()
         return False
+
+
+def unbumped_transfer(table: SummaryTable,
+                      fid: FunctionId) -> Transfer[FrozenSet[object]]:
+    """The open-mutation may-analysis of one function (invariant 7).
+
+    Facts are :class:`OpenMutation` s.  A generation bump — direct,
+    through an invalidation helper, or a call to a *must-bump* callee —
+    kills every open fact; a watched mutation, or a call into a
+    *may-leave-unbumped* callee, opens one.  A ``return`` marks the facts
+    entering it ``returned`` (RL010 reports them at the return), so an
+    inlined ``finally`` on the return path does not report them again at
+    the exit.  This one transfer serves the ``may_leave_unbumped``
+    summary and both RL010 checks.
+    """
+    def transfer(node: CFGNode,
+                 facts: FrozenSet[object]) -> FrozenSet[object]:
+        stmt = node.stmt
+        if stmt is None or not isinstance(stmt, ast.stmt):
+            return facts
+        if table.bumps_here(fid, stmt):
+            facts = frozenset()
+        if isinstance(stmt, ast.Return):
+            facts = frozenset(replace(fact, returned=True) for fact in facts
+                              if isinstance(fact, OpenMutation))
+        gens = watched_mutations(stmt)
+        for site in table.node_calls(fid, stmt):
+            if (site.callee is not None
+                    and table.summary(site.callee).may_leave_unbumped):
+                gens.append(OpenMutation(site.line, site.col,
+                                         f"{site.callee[1]}()"))
+        return facts | frozenset(gens) if gens else facts
+    return transfer
 
 
 def bind_args(decl: FunctionDecl,

@@ -89,7 +89,7 @@ The four shipped rules and their scopes:
   ``core/builder.py``): no edge operations or estimator reads against
   an excised node.  The *excise implies generation bump* half of the
   contract is deliberately not restated here: ``remove_transaction``
-  mutates watched containers, so RL002/RL010 already enforce the bump;
+  mutates watched containers, so RL010 already enforces the bump;
   RL015 adds only the node-order half.
 * **RL016** — checkpoint/sweep-task lifecycle
   (``experiments/parallel.py``): a loaded checkpoint's results are
@@ -723,8 +723,7 @@ EVENT_PROTOCOL = ProtocolSpec(
     states=("pending", "triggered", "defused"),
     error_state="corrupt",
     creators=(Creator("Event", "pending"), Creator("Condition", "pending"),
-              Creator("AnyOf", "pending"), Creator("AllOf", "pending"),
-              Creator("Timeout", "pending")),
+              Creator("AllOf", "pending"), Creator("Timeout", "pending")),
     operations=(
         Operation(CALL, "succeed", _t(pending=("triggered",)),
                   introduces=True,
@@ -786,7 +785,7 @@ WTPG_NODE_PROTOCOL = ProtocolSpec(
     on_escape="ignore",
     description="created -> linked/read -> excised; no edge operation "
                 "or estimator read after excision (the excision bump "
-                "itself is RL002/RL010's contract)",
+                "itself is RL010's contract)",
 )
 
 #: RL016 — checkpoint results: loaded, validated, merged exactly once.

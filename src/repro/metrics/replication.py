@@ -9,7 +9,7 @@ interval per metric — the standard independent-replications method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.config import SimulationParameters
 from repro.errors import ExperimentError
@@ -62,69 +62,27 @@ class ReplicationResult:
                              "dn_utilization", "cn_utilization")}
 
 
-def _replication_worker(job: Tuple[SimulationParameters,
-                                   Callable[[], object],
-                                   Callable[[], object], int]) -> RunMetrics:
-    """One seeded run (top-level so it pickles for pool workers)."""
-    # Imported here to keep repro.metrics import-independent of the
-    # machine layer (which itself imports repro.metrics.collector).
-    from repro.machine.cluster import run_simulation
-
-    params, workload_factory, catalog_factory, seed = job
-    result = run_simulation(params.with_overrides(seed=seed),
-                            workload_factory(),
-                            catalog=catalog_factory())
-    return result.metrics
-
-
-def _replicate_parallel(jobs: List[Tuple[SimulationParameters,
-                                         Callable[[], object],
-                                         Callable[[], object], int]],
-                        max_workers: int) -> Optional[List[RunMetrics]]:
-    """Fan seeded runs over a process pool; None = use the serial path.
-
-    Factories must pickle for the pool (module-level callables such as
-    ``pattern1`` do; ad-hoc lambdas don't) — probed up front so the
-    caller can degrade to in-process execution, which produces identical
-    results: each run is an isolated simulation keyed by its seed.
-    """
-    import pickle
-
-    try:
-        pickle.dumps(jobs[0])
-    except Exception:
-        return None
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_replication_worker, jobs))
-    except (OSError, ValueError, ImportError):
-        return None
-
-
 def replicate(params: SimulationParameters,
               workload_factory: Callable[[], object],
               catalog_factory: Callable[[], object],
               seeds: Sequence[int] = (1, 2, 3, 4, 5),
-              max_workers: int = 1,
               ) -> ReplicationResult:
-    """Run the same point under each seed.
+    """Run the same point under each seed, in-process and in seed order.
 
     Factories (not instances) are taken so every replication gets fresh
-    workload/catalog state; the seed is the only thing that varies.
-    ``max_workers > 1`` fans the seeds over a process pool — results are
-    bit-identical to the serial path (runs are independent and keyed by
-    seed alone) and come back in seed order.  Unpicklable factories or a
-    restricted platform silently fall back to in-process execution.
+    workload/catalog state; the seed is the only thing that varies.  To
+    fan replications over processes, sweep them with
+    :func:`repro.experiments.parallel.run_sweep` instead.
     """
     if len(seeds) < 2:
         raise ExperimentError("replication needs at least two seeds")
     if len(set(seeds)) != len(seeds):
         raise ExperimentError("seeds must be distinct")
-    jobs = [(params, workload_factory, catalog_factory, seed)
-            for seed in seeds]
-    if max_workers > 1:
-        runs = _replicate_parallel(jobs, max_workers)
-        if runs is not None:
-            return ReplicationResult(runs)
-    return ReplicationResult([_replication_worker(job) for job in jobs])
+    # Imported here to keep repro.metrics import-independent of the
+    # machine layer (which itself imports repro.metrics.collector).
+    from repro.machine.cluster import run_simulation
+
+    return ReplicationResult([
+        run_simulation(params.with_overrides(seed=seed), workload_factory(),
+                       catalog=catalog_factory()).metrics
+        for seed in seeds])

@@ -273,21 +273,6 @@ def test_yield_already_processed_event_resumes_immediately():
     assert log == [(5, "early")]
 
 
-def test_any_of_fires_on_first():
-    env = Environment()
-    results = []
-
-    def proc(env):
-        fast = env.timeout(3, value="fast")
-        slow = env.timeout(9, value="slow")
-        fired = yield env.any_of([fast, slow])
-        results.append((env.now, list(fired.values())))
-
-    env.process(proc(env))
-    env.run()
-    assert results == [(3, ["fast"])]
-
-
 def test_all_of_waits_for_everything():
     env = Environment()
     results = []
@@ -316,15 +301,15 @@ def test_empty_condition_fires_immediately():
     assert results == [{}]
 
 
-def test_any_of_fails_when_a_sub_event_fails():
+def test_all_of_fails_when_a_sub_event_fails():
     env = Environment()
     caught = []
 
     def proc(env, gate):
         try:
-            yield env.any_of([gate, env.timeout(50)])
+            yield env.all_of([gate, env.timeout(50)])
         except RuntimeError as exc:
-            caught.append(str(exc))
+            caught.append((env.now, str(exc)))
 
     gate = env.event()
 
@@ -335,7 +320,7 @@ def test_any_of_fails_when_a_sub_event_fails():
     env.process(proc(env, gate))
     env.process(failer(env))
     env.run()
-    assert caught == ["sub-event exploded"]
+    assert caught == [(5, "sub-event exploded")]
 
 
 def test_all_of_with_pre_processed_events():

@@ -1,8 +1,8 @@
-"""Unit tests for engine resources: Resource, PriorityResource, Store."""
+"""Unit tests for the engine's FIFO Resource."""
 
 import pytest
 
-from repro.engine import Environment, PriorityResource, Resource, Store
+from repro.engine import Environment, Resource
 from repro.errors import EngineStateError
 
 
@@ -104,135 +104,3 @@ def test_busy_time_integrates_utilization():
     env.process(worker(env, res))
     env.run(until=100)
     assert res.busy_time() == pytest.approx(30)
-
-
-def test_priority_resource_serves_lowest_priority_first():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def worker(env, res, name, priority):
-        req = res.request(priority=priority)
-        yield req
-        order.append(name)
-        yield env.timeout(1)
-        res.release(req)
-
-    def spawn(env):
-        # Occupy the server, then queue three requests with priorities.
-        req = res.request()
-        yield env.timeout(0)
-        env.process(worker(env, res, "low", 5))
-        env.process(worker(env, res, "high", 1))
-        env.process(worker(env, res, "mid", 3))
-        yield env.timeout(10)
-        res.release(req)
-
-    env.process(spawn(env))
-    env.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_priority_resource_fifo_within_same_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def worker(env, res, name):
-        req = res.request(priority=2)
-        yield req
-        order.append(name)
-        yield env.timeout(1)
-        res.release(req)
-
-    def spawn(env):
-        req = res.request()
-        yield env.timeout(0)
-        for name in ("first", "second", "third"):
-            env.process(worker(env, res, name))
-        yield env.timeout(5)
-        res.release(req)
-
-    env.process(spawn(env))
-    env.run()
-    assert order == ["first", "second", "third"]
-
-
-def test_priority_cancel_is_lazy_but_effective():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    head = res.request()
-    queued = res.request(priority=0)
-    res.cancel(queued)
-    res.release(head)
-    assert not queued.triggered
-    assert res.in_use == 0
-
-
-def test_store_put_then_get():
-    env = Environment()
-    store = Store(env)
-    store.put("x")
-    got = store.get()
-    assert got.triggered and got.value == "x"
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def consumer(env, store):
-        item = yield store.get()
-        received.append((env.now, item))
-
-    def producer(env, store):
-        yield env.timeout(8)
-        store.put("msg")
-
-    env.process(consumer(env, store))
-    env.process(producer(env, store))
-    env.run()
-    assert received == [(8, "msg")]
-
-
-def test_store_preserves_fifo():
-    env = Environment()
-    store = Store(env)
-    for i in range(5):
-        store.put(i)
-    assert [store.get().value for _ in range(5)] == [0, 1, 2, 3, 4]
-
-
-def test_store_multiple_waiting_getters_served_in_order():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def consumer(env, store, name):
-        item = yield store.get()
-        received.append((name, item))
-
-    env.process(consumer(env, store, "a"))
-    env.process(consumer(env, store, "b"))
-
-    def producer(env, store):
-        yield env.timeout(1)
-        store.put(1)
-        store.put(2)
-
-    env.process(producer(env, store))
-    env.run()
-    assert received == [("a", 1), ("b", 2)]
-
-
-def test_store_len_and_peek():
-    env = Environment()
-    store = Store(env)
-    assert len(store) == 0
-    assert store.peek() is None
-    store.put("head")
-    store.put("tail")
-    assert len(store) == 2
-    assert store.peek() == "head"
-    assert len(store) == 2

@@ -37,6 +37,40 @@ def test_module_name_of_maps_init_to_package():
     assert module_name_of("repro/engine/__init__.py") == "repro.engine"
 
 
+def test_every_def_is_indexed_once():
+    """Redefinitions and defs under loops, ``with`` and ``except`` get
+    their own declaration, so the flow rules see every body."""
+    source = """\
+        class Tracer:
+            @property
+            def rate(self):
+                return self._rate
+
+            @rate.setter
+            def rate(self, value):
+                self._rate = value
+
+            def use(self):
+                return self.rate
+
+        try:
+            import fast
+        except ImportError:
+            def fallback():
+                pass
+        for _ in ():
+            def in_loop():
+                pass
+    """
+    cg = graph_of(("repro/machine/t.py", source))
+    walked = [node for node in ast.walk(ast.parse(textwrap.dedent(source)))
+              if isinstance(node, ast.FunctionDef)]
+    assert len(cg.functions) == len(walked) == 5
+    assert ("repro/machine/t.py", "Tracer.rate#7") in cg.functions
+    getter = cg.declaration(("repro/machine/t.py", "Tracer.rate"))
+    assert getter is not None and getter.node.lineno == 3
+
+
 # -- resolution ----------------------------------------------------------------
 
 def test_bound_method_through_self_resolves_within_class():

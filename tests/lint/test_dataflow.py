@@ -11,8 +11,7 @@ import textwrap
 import pytest
 
 from repro.lint.cfg import build_cfg, functions_of
-from repro.lint.dataflow import (FixpointError, IntersectionLattice,
-                                 ResourceFact, ResourceSpec, TOP,
+from repro.lint.dataflow import (FixpointError, ResourceFact, ResourceSpec,
                                  UnionLattice, resource_gen_kill,
                                  resource_transfer, solve_forward)
 
@@ -46,15 +45,6 @@ def test_union_lattice_is_a_join_semilattice():
     assert lat.join(a, lat.bottom()) == a
 
 
-def test_intersection_lattice_top_is_the_identity():
-    lat = IntersectionLattice()
-    a, b = frozenset({1, 2}), frozenset({2, 3})
-    assert lat.bottom() is TOP
-    assert lat.join(TOP, a) == a
-    assert lat.join(a, TOP) == a
-    assert lat.join(a, b) == frozenset({2})
-
-
 # -- convergence ---------------------------------------------------------------
 
 def test_solver_converges_on_a_loop_with_a_conditional_kill():
@@ -77,30 +67,6 @@ def test_solver_reaches_the_same_fixpoint_regardless_of_seeding_order():
     again = solve_forward(cfg, UnionLattice(), transfer, frozenset())
     assert baseline.values_in == again.values_in
     assert baseline.values_out == again.values_out
-
-
-def test_must_analysis_drops_facts_not_on_every_path():
-    """Intersection over the branches: the acquire happens on one arm
-    only, so at the join it is not a *must* fact."""
-    cfg = cfg_of("""\
-        def f(table, flag):
-            if flag:
-                table.acquire()
-            return flag
-    """)
-
-    def transfer(node, value):
-        if value is TOP:
-            value = frozenset()
-        if node.stmt is None or not isinstance(node.stmt, ast.stmt):
-            return value
-        gens, kills = resource_gen_kill(node.stmt, [LOCK])
-        value = frozenset(f for f in value if f.spec not in kills)
-        return value | frozenset(gens)
-
-    result = solve_forward(cfg, IntersectionLattice(), transfer,
-                           frozenset())
-    assert result.entering(cfg.exit) == frozenset()
 
 
 def test_non_monotone_transfer_raises_fixpoint_error():

@@ -20,10 +20,11 @@ BAD_SOURCE = (
 )
 
 
-def test_registry_holds_the_fifteen_documented_rules():
-    # RL008 (intraprocedural stream escape) was folded into RL011.
+def test_registry_holds_the_fourteen_documented_rules():
+    # RL008 (intraprocedural stream escape) was folded into RL011 and
+    # RL002 (WTPG generation bumps) into RL010.
     assert [rule.rule_id for rule in all_rules()] == [
-        "RL001", "RL002", "RL003", "RL004", "RL005", "RL006",
+        "RL001", "RL003", "RL004", "RL005", "RL006",
         "RL007", "RL009", "RL010", "RL011", "RL012",
         "RL013", "RL014", "RL015", "RL016"]
     assert all(rule.summary for rule in all_rules())
@@ -49,7 +50,7 @@ def test_json_report_schema():
     assert payload["tool"] == "repro-lint"
     assert payload["version"] == 1
     assert payload["files_checked"] == 1
-    assert payload["rules"] == ["RL001", "RL002", "RL003", "RL004",
+    assert payload["rules"] == ["RL001", "RL003", "RL004",
                                 "RL005", "RL006", "RL007", "RL009",
                                 "RL010", "RL011", "RL012", "RL013",
                                 "RL014", "RL015", "RL016"]
@@ -108,12 +109,13 @@ def test_cli_exit_two_on_missing_path(capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006",
+    for rule_id in ("RL001", "RL003", "RL004", "RL005", "RL006",
                     "RL007", "RL009", "RL010", "RL011", "RL012",
                     "RL013", "RL014", "RL015", "RL016"):
         assert rule_id in out
     assert "RL008" not in out
-    assert len(out.splitlines()) == 15
+    assert "RL002" not in out
+    assert len(out.splitlines()) == 14
 
 
 def test_cli_skips_pycache_directories(tmp_path, capsys):
@@ -150,7 +152,7 @@ def test_cli_rule_filters_reject_unknown_ids(capsys):
 
 
 def test_rl002_has_teeth_against_the_real_wtpg():
-    """Strip the generation bump from the real resolve() and RL002 fires.
+    """Strip the generation bumps from the real WTPG and RL010 fires.
 
     This proves the rule analyses the production module (not a toy
     grammar): removing invariant 7's write barrier is caught statically.
@@ -162,8 +164,8 @@ def test_rl002_has_teeth_against_the_real_wtpg():
     assert stripped != source, "expected generation bumps in wtpg.py"
     violations = LintRunner().check_source(
         stripped, display=str(path), logical="repro/core/wtpg.py")
-    rl002 = [v for v in violations if v.rule_id == "RL002"]
-    assert rl002, "RL002 must catch stripped generation bumps"
+    rl002 = [v for v in violations if v.rule_id == "RL010"]
+    assert rl002, "RL010 must catch stripped generation bumps"
 
 
 def test_rl007_has_teeth_against_the_real_wtpg():

@@ -143,7 +143,7 @@ def test_rl007_mutation_after_guard_re_dirties_the_caches():
                 return self._topo_order
     """
     violations = lint(source, "repro/core/wtpg.py")
-    # RL002 stays quiet (the mutation is bumped); RL007 flags the read
+    # RL010 stays quiet (the mutation is bumped); RL007 flags the read
     # because neither the mutation nor the bump re-certifies the memo.
     assert rule_ids(violations) == ["RL007"]
     assert "_topo_order" in violations[0].message

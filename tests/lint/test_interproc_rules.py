@@ -8,11 +8,14 @@ committed suppressions stripped — to prove the rules fire on production
 code shapes, not just on minimal fixtures.
 """
 
+import ast
 import re
 import textwrap
 from pathlib import Path
 
 from repro.lint import LintRunner
+from repro.lint.model import FileContext
+from repro.lint.project import Project
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -205,6 +208,144 @@ def test_rl010_clean_shapes():
 def test_rl010_applies_to_core_too():
     assert "RL010" in rule_ids(
         lint(RL010_BAD_DIRECT, "repro/core/builder.py"))
+
+
+# -- RL010 on the WTPG's own methods (the former RL002) ------------------------
+#
+# RL002 was folded into RL010.  Each list below is the (line, col) list the
+# standalone RL002 reported on the same fixture; RL010 must reproduce it,
+# with RL002's messages.  The corpus includes the two shapes where the
+# CFG analysis is stricter than the statement walker RL002 replaced:
+# ``continue`` and ``break`` skipping the bump.
+
+WTPG_SOURCE = (REPO / "src" / "repro" / "core" / "wtpg.py").read_text()
+
+CONTROL_FLOW_ZOO = """\
+    class WTPG:
+        def loops(self, tids):
+            for tid in tids:
+                self._succ[tid].add(tid)
+            self._generation += 1
+
+        def loop_leak(self, tids):
+            while tids:
+                self._pairs[tids.pop()] = 1.0
+
+        def try_paths(self, tid):
+            try:
+                self._source[tid] = 1.0
+            except KeyError:
+                self._generation += 1
+            self._invalidate_caches()
+
+        def with_return(self, tid, guard):
+            with guard:
+                self._sink[tid] = 2.0
+                return tid
+
+        def nested(self, tid, flag):
+            if flag:
+                if tid:
+                    self._pred[tid] = ()
+                else:
+                    self._generation += 1
+                    return tid
+            self._structure_gen += 1
+"""
+
+CONTINUE_SKIPS_THE_BUMP = """\
+    class WTPG:
+        def poke(self, flags):
+            for flag in flags:
+                if flag:
+                    self._unresolved.add(flag)
+                    continue
+                self._generation += 1
+"""
+
+BREAK_BYPASSES_THE_ELSE = """\
+    class WTPG:
+        def poke(self, items):
+            while items:
+                self._succ[0].add(1)
+                break
+            else:
+                self._generation += 1
+"""
+
+_NEVER_BUMPS = ("on a path that never bumps the generation counter "
+                "(self._generation / self._structure_gen or an "
+                "invalidation helper)")
+
+
+def wtpg_findings(source):
+    """(line, col) of RL010's return/exit findings on a wtpg.py fixture."""
+    violations = LintRunner().check_source(
+        textwrap.dedent(source), display="<fixture>",
+        logical="repro/core/wtpg.py")
+    assert all(v.rule_id == "RL010" for v in violations)
+    return [(v.line, v.col) for v in violations]
+
+
+def test_rl010_wtpg_corpus_matches_former_rl002():
+    assert wtpg_findings(CONTROL_FLOW_ZOO) == [(9, 12), (21, 12)]
+    violations = lint(CONTROL_FLOW_ZOO, "repro/core/wtpg.py")
+    assert [v.message for v in violations] == [
+        "WTPG.loop_leak mutates self._pairs " + _NEVER_BUMPS,
+        "WTPG.with_return returns after mutating self._sink without "
+        "bumping the generation counter"]
+
+
+def test_rl010_continue_skipping_the_bump_is_a_leak():
+    violations = lint(CONTINUE_SKIPS_THE_BUMP, "repro/core/wtpg.py")
+    assert [(v.line, v.col) for v in violations] == [(5, 16)]
+    assert violations[0].message == (
+        "WTPG.poke mutates self._unresolved " + _NEVER_BUMPS)
+
+
+def test_rl010_break_bypassing_the_loop_else_is_a_leak():
+    violations = lint(BREAK_BYPASSES_THE_ELSE, "repro/core/wtpg.py")
+    assert [(v.line, v.col) for v in violations] == [(4, 12)]
+    assert "self._succ" in violations[0].message
+
+
+def test_rl010_real_wtpg_is_clean_and_copy_stays_silent():
+    """``WTPG.copy()`` fills a fresh clone's containers, so it is the one
+    may-leave-unbumped function in the real module; the return/exit
+    check is self-rooted and stays silent on it."""
+    assert wtpg_findings(WTPG_SOURCE) == []
+    project = Project([FileContext(
+        "<wtpg>", "repro/core/wtpg.py", WTPG_SOURCE,
+        ast.parse(WTPG_SOURCE))])
+    unbumped = [fid[1] for fid in project.callgraph.functions
+                if project.summary(fid).may_leave_unbumped]
+    assert unbumped == ["WTPG.copy"]
+
+
+# Line numbers are those of the committed core/wtpg.py: an edit there
+# that moves these methods re-pins the two lists below.
+
+def test_rl010_real_wtpg_with_generation_bumps_stripped_matches_rl002():
+    stripped = re.sub(r"^(\s*)self\._generation \+= 1$", r"\1pass",
+                      WTPG_SOURCE, flags=re.MULTILINE)
+    assert stripped != WTPG_SOURCE
+    assert wtpg_findings(stripped) == [
+        (249, 12), (258, 12), (279, 8), (279, 8), (279, 8), (279, 8)]
+
+
+def test_rl010_real_wtpg_with_all_bumps_stripped():
+    """RL002's list plus (214, 21): the ``for other in
+    self._neighbors.pop(tid)`` header of ``remove_transaction`` mutates
+    the graph, and RL002's statement-level recogniser never looked into
+    compound-statement headers."""
+    stripped = WTPG_SOURCE.replace("self._generation += 1", "pass").replace(
+        "self._structure_gen += 1", "pass")
+    assert wtpg_findings(stripped) == [
+        (196, 8), (197, 8), (198, 8), (199, 8), (200, 8),
+        (212, 8), (213, 8), (214, 21), (215, 12), (216, 12), (217, 12),
+        (219, 12), (220, 12), (221, 8), (222, 8), (249, 12), (258, 12),
+        (279, 8), (279, 8), (279, 8), (279, 8), (320, 8), (321, 8),
+        (322, 8)]
 
 
 # -- RL011: interprocedural RNG-stream escape ----------------------------------

@@ -73,7 +73,10 @@ def test_rl001_rng_module_itself_is_exempt():
     assert lint("import random\n", "repro/engine/example.py") != []
 
 
-# -- RL002: generation-counter coherence --------------------------------------
+# -- RL002 (now part of RL010): generation-counter coherence -----------------
+#
+# RL002 was folded into RL010; these fixtures keep their names and pin the
+# (line, col) findings RL002 gave, now reported as RL010.
 
 RL002_BAD = """\
     class WTPG:
@@ -114,10 +117,10 @@ RL002_GOOD = """\
 
 def test_rl002_fires_on_unbumped_mutations():
     violations = lint(RL002_BAD, "repro/core/wtpg.py")
-    assert rule_ids(violations) == ["RL002", "RL002"]
+    assert rule_ids(violations) == ["RL010", "RL010"]
     # One open mutation reaches the end of add_transaction; the other
     # escapes through the bump-free else path into the return.
-    assert violations[0].line == 7
+    assert [(v.line, v.col) for v in violations] == [(7, 8), (13, 8)]
     assert "add_transaction" in violations[0].message
     assert "resolve" in violations[1].message
 

@@ -49,22 +49,3 @@ class TestReplicate:
     def test_str_format(self):
         metric = ReplicatedMetric(0.5, 0.1, (0.4, 0.6))
         assert str(metric) == "0.500 ± 0.100"
-
-
-class TestParallelReplicate:
-    def test_pool_equals_serial(self):
-        """max_workers changes wall-clock only, never the numbers."""
-        serial = replicate(PARAMS, pattern1, pattern1_catalog,
-                           seeds=(1, 2, 3), max_workers=1)
-        pooled = replicate(PARAMS, pattern1, pattern1_catalog,
-                           seeds=(1, 2, 3), max_workers=2)
-        assert [run.as_dict() for run in serial.runs] \
-            == [run.as_dict() for run in pooled.runs]
-
-    def test_unpicklable_factories_degrade_to_serial(self, result):
-        """Lambda factories cannot ship to workers; results still come."""
-        pooled = replicate(PARAMS, lambda: pattern1(),
-                           lambda: pattern1_catalog(), seeds=(1, 2, 3),
-                           max_workers=2)
-        assert [run.as_dict() for run in pooled.runs] \
-            == [run.as_dict() for run in result.runs]
