@@ -7,7 +7,5 @@ at a glance).  Nothing here affects measurement.
 
 from repro.analysis.tables import format_series_table, format_table
 from repro.analysis.plots import ascii_chart
-from repro.analysis.dot import wtpg_to_dot
 
-__all__ = ["ascii_chart", "format_series_table", "format_table",
-           "wtpg_to_dot"]
+__all__ = ["ascii_chart", "format_series_table", "format_table"]

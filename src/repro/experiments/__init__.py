@@ -17,7 +17,7 @@ used by EXPERIMENTS.md and the shape-checking tests.
 """
 
 from repro.experiments.base import (ExperimentConfig, SchedulerCurve,
-                                    run_scheduler_grid, sweep_arrival_rates)
+                                    run_scheduler_grid)
 from repro.experiments.experiment1 import Experiment1Result, run_experiment1
 from repro.experiments.experiment2 import Experiment2Result, run_experiment2
 from repro.experiments.experiment3 import Experiment3Result, run_experiment3
@@ -61,7 +61,6 @@ __all__ = [
     "run_scheduler_grid",
     "run_sweep",
     "run_tasks",
-    "sweep_arrival_rates",
     "sweep_specs",
     "sweep_status",
     "task_seed",

@@ -5,9 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.config import SimulationParameters
-from repro.machine.cluster import WorkloadFn, run_simulation
-from repro.machine.partition import Catalog
 from repro.metrics.collector import RunMetrics
 from repro.metrics.interpolate import throughput_at_response_time
 from repro.errors import ExperimentError
@@ -80,28 +77,6 @@ class SchedulerCurve:
                                     target)
 
 
-def sweep_arrival_rates(scheduler: str, config: ExperimentConfig,
-                        workload_factory: Callable[[], WorkloadFn],
-                        catalog_factory: Callable[[], Catalog],
-                        base_params: SimulationParameters,
-                        ) -> SchedulerCurve:
-    """Run one scheduler across every arrival rate of the config."""
-    if not config.arrival_rates:
-        raise ExperimentError("need at least one arrival rate")
-    curve = SchedulerCurve(scheduler)
-    for rate in config.arrival_rates:
-        params = base_params.with_overrides(
-            scheduler=scheduler, arrival_rate_tps=rate,
-            sim_clocks=config.sim_clocks, seed=config.seed)
-        result = run_simulation(params, workload_factory(),
-                                catalog=catalog_factory())
-        curve.points.append(result.metrics)
-        config.report(
-            f"{scheduler} λ={rate:.2f}: TPS={result.metrics.throughput_tps:.3f} "
-            f"RT={result.metrics.mean_response_time / 1000:.1f}s")
-    return curve
-
-
 def run_scheduler_grid(config: ExperimentConfig, workload: str,
                        num_hots: int = 8, error_sigma: float = 0.0,
                        schedulers: Optional[Sequence[str]] = None,
@@ -113,8 +88,7 @@ def run_scheduler_grid(config: ExperimentConfig, workload: str,
     executor (:mod:`repro.experiments.runner`); curves come back in
     config order with points in arrival-rate order, bit-identical to a
     serial nested loop.  Workloads must be spec-expressible (pattern1/2/3
-    — all four paper experiments are); custom-workload sweeps use
-    :func:`sweep_arrival_rates` instead.
+    — all four paper experiments are).
     """
     from repro.experiments.runner import PointSpec, run_points
 

@@ -29,8 +29,8 @@ incomparable results.
 
 **Merging.**  Replications of one point are summarised on the parent
 with the Student-t confidence intervals of
-:mod:`repro.metrics.replication`; :meth:`SweepResult.grid` is the
-merged per-point table.
+:func:`repro.metrics.stats.mean_confidence_interval`;
+:meth:`SweepResult.grid` is the merged per-point table.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import FaultPlanError
 
@@ -176,7 +176,8 @@ class FaultPlan:
     ``declared_cost_sigma`` adds the Experiment 4 relative normal error
     on top.  ``cascade`` extends every abort to the victim's direct
     precedence successors in the WTPG.  ``retry = None`` defers to the
-    machine's configured retry policy.
+    machine's configured retry policy.  A node (data or control) cannot
+    crash again until its previous crash has recovered.
     """
 
     crashes: Tuple[NodeCrash, ...] = ()
@@ -219,6 +220,22 @@ class FaultPlan:
                     f"duplicate step abort for T{abort.tid} attempt "
                     f"{abort.attempt}")
             seen.add(key)
+        windows: Dict[str, List[Tuple[float, Optional[float]]]] = {}
+        for crash in self.crashes:
+            windows.setdefault(f"DN {crash.node}", []).append(
+                (crash.at, crash.recover_at))
+        for control in self.control_crashes:
+            windows.setdefault(f"CN {control.cn}", []).append(
+                (control.at, control.recover_at))
+        for node, spans in windows.items():
+            spans.sort(key=lambda span: span[0])
+            for (at, recover_at), (next_at, _) in zip(spans, spans[1:]):
+                if recover_at is None or next_at <= recover_at:
+                    until = ("never recovers" if recover_at is None
+                             else f"recovers at {recover_at}")
+                    raise FaultPlanError(
+                        f"{node} crashes at {next_at}, but its crash at "
+                        f"{at} {until}")
 
     def empty(self) -> bool:
         """True when the plan injects nothing and overrides nothing."""

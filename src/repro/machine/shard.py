@@ -11,19 +11,20 @@ can need one, an append-only
 :class:`~repro.machine.control_log.DependencyLog`.
 
 Every BAT runs as one engine process,
-:meth:`ControlPlane.transaction_process`:
+:meth:`ControlPlane.transaction_process`, the same for every plane
+size.  Each execution attempt passes through four phase generators —
+``_admit``, ``_start``, ``_execute`` and ``_commit`` — and a phase that
+ends the attempt returns its abort cause:
 
-* **admission** costs what the scheduler reports; a rejected BAT
-  (ASL preclaim failure, chain-form or K-conflict violation) is
-  re-submitted after the fixed retry delay, and the 2PC start
-  coordination (``startuptime``) is paid once, on its home CN, when it
-  is admitted.  With several shards, admission runs independently on
-  every participant shard against a shard-local *sub-declaration* (the
-  subsequence of steps on that shard's partitions); the global verdict
-  is the conjunction
-  (:func:`~repro.core.schedulers.base.merge_admission_responses`), each
-  shard's admission cost is spent on its *own* CPU in parallel, and a
-  globally rejected BAT rolls its local admissions back;
+* **admission** runs independently on every participant shard against
+  a shard-local *sub-declaration* (the subsequence of steps on that
+  shard's partitions; on a one-shard plane, all of them) and costs what
+  the schedulers report.  The global verdict is the conjunction
+  (:func:`~repro.core.schedulers.base.merge_admission_responses`); a
+  globally rejected BAT (ASL preclaim failure, chain-form or K-conflict
+  violation) rolls its local admissions back and is re-submitted after
+  the fixed retry delay.  The 2PC start coordination (``startuptime``)
+  is paid once, on its home CN, when it is admitted;
 * **lock requests** route to the shard owning the step's partition and
   are costed on that shard's CPU (``ddtime`` / ``chaintime`` /
   ``kwtpgtime``); BLOCK/DELAY responses are re-submitted after the
@@ -36,11 +37,12 @@ Every BAT runs as one engine process,
   BAT commits like the paper's centralized machine: one ``committime``
   on its home CN, no 2PC rounds.
 
-A one-shard plane *is* the paper's centralized CN: its scheduler sees
-the global runtime (no projection), and its admission cost is charged
-inline on the one CPU.  Each CN's CPU is a single FIFO server, so heavy
-control traffic queues — the paper deliberately overstates control cost
-relative to ``ObjTime`` to show the schedulers survive it.
+A one-shard plane *is* the paper's centralized CN.  The one branch on
+plane size is where admission cost is spent: inline on the one CPU of a
+one-shard plane, on each participant's own CPU in parallel otherwise.
+Each CN's CPU is a single FIFO server, so heavy control traffic queues
+— the paper deliberately overstates control cost relative to
+``ObjTime`` to show the schedulers survive it.
 
 Aborts — deadlock victims (2PL/WAIT-DIE) and injected faults
 (:mod:`repro.faults`) — funnel into one restart path: the schedulers
@@ -57,11 +59,14 @@ shard of the first step) are doomed through the ordinary restart path;
 surviving BATs that merely hold locks there stall — lock requests and
 commits retry until the shard replays its dependency log into a fresh
 scheduler (:meth:`ControlPlane.recover_shard`), which is proved
-consistent before it serves again.  Two modelling simplifications,
-documented in ``docs/control_plane.md``: the dependency log is durable
-and stays reachable (surviving coordinators append their ABORTs to a
-down shard's log), and weight decrements lost with the crash leave the
-replayed WTPG at conservative declared weights.
+consistent before it serves again.  Only a scheduler with a lock table
+and WTPG has state to replay, so the plane refuses a CN crash under any
+other with :class:`~repro.errors.FaultPlanError`.  Two modelling
+simplifications, documented in ``docs/control_plane.md``: the
+dependency log is durable and stays reachable (surviving coordinators
+append their ABORTs to a down shard's log), and weight decrements lost
+with the crash leave the replayed WTPG at conservative declared
+weights.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ from repro.core.schedulers.base import (AdmissionResponse, Decision,
 from repro.core.transaction import (LockMode, Step, TransactionRuntime,
                                     TransactionSpec)
 from repro.engine import Environment, Event, Resource
-from repro.errors import FaultError, SchedulerError
+from repro.errors import FaultError, FaultPlanError, SchedulerError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import RetryPolicy
 from repro.machine.control_log import DependencyLog
@@ -185,8 +190,17 @@ class ControlPlane:
             plan is not None and bool(plan.control_crashes))
         self.shards = [ControlShard(sid, env, scheduler_factory(), logged)
                        for sid in range(params.num_control_nodes)]
-        # The one shard of the paper's centralized CN, or None.
-        self._only = self.shards[0] if len(self.shards) == 1 else None
+        if plan is not None and any(crash.cn < len(self.shards)
+                                    for crash in plan.control_crashes):
+            # Recovery replays the dependency log into a fresh lock table
+            # and WTPG, and crash_shard finds the BATs to doom in the
+            # WTPG: a scheduler without both cannot lose a CN.
+            scheduler = self.shards[0].live
+            if (getattr(scheduler, "table", None) is None
+                    or getattr(scheduler, "wtpg", None) is None):
+                raise FaultPlanError(
+                    f"a CN crash needs a scheduler with a lock table and "
+                    f"WTPG to replay; {scheduler.name} has none")
         self.active_transactions = 0
         # Grant bookkeeping for history validation: tid -> list of
         # (partition, mode, grant time).
@@ -213,7 +227,7 @@ class ControlPlane:
 
     def shard_of(self, partition: int) -> int:
         """The CN controlling ``partition`` (modulo placement)."""
-        return partition % self.num_shards
+        return partition % len(self.shards)
 
     def utilizations(self, elapsed: float) -> List[float]:
         """Per-CN CPU utilization over ``elapsed`` clocks."""
@@ -227,9 +241,8 @@ class ControlPlane:
         global step ``i``, and ``sub_specs[sid]`` is the order-preserving
         subsequence of steps on shard ``sid``'s partitions.  Shard-local
         step indices are exactly each sub-runtime's own ``current_step``,
-        advanced in lockstep with the global one.  Only multi-shard
-        planes project; a one-shard plane's scheduler sees the global
-        declaration itself.
+        advanced in lockstep with the global one.  Every plane projects:
+        a one-shard plane's only sub-declaration has all the BAT's steps.
         """
         route: List[int] = []
         steps_by_shard: Dict[int, List[Step]] = {}
@@ -334,9 +347,7 @@ class ControlPlane:
         replayed WTPG keeps the conservative declared weight), but the
         transaction's own progress bookkeeping still happens.
         """
-        shard = self._only
-        if shard is None:
-            shard = self.shards[self.shard_of(txn.step().partition)]
+        shard = self.shards[self.shard_of(txn.step().partition)]
         scheduler = shard.scheduler
         if scheduler is None:
             txn.note_object_processed(objects)
@@ -346,9 +357,7 @@ class ControlPlane:
     def note_objects_batch(self, txn: TransactionRuntime,
                            full_quanta: int) -> None:
         """Coalesced whole-object messages; see :meth:`note_objects`."""
-        shard = self._only
-        if shard is None:
-            shard = self.shards[self.shard_of(txn.step().partition)]
+        shard = self.shards[self.shard_of(txn.step().partition)]
         scheduler = shard.scheduler
         if scheduler is None:
             txn.note_objects_batch(full_quanta)
@@ -357,328 +366,305 @@ class ControlPlane:
 
     # -- transaction lifecycle -------------------------------------------------
 
-    def _participants(self, txn: TransactionRuntime,
-                      sub_specs: Optional[Dict[int, TransactionSpec]],
-                      ) -> Dict[int, TransactionRuntime]:
-        """Each participant shard's view of ``txn`` for one attempt.
-
-        Fresh per-shard sub-runtimes every attempt, so shard-local step
-        progress restarts from zero exactly like the global runtime; a
-        one-shard plane (``sub_specs`` None) hands its scheduler the
-        global runtime itself.
-        """
-        if sub_specs is None:
-            return {0: txn}
-        return {sid: TransactionRuntime(sub_specs[sid],
-                                        arrival_time=txn.arrival_time)
-                for sid in sorted(sub_specs)}
-
     def transaction_process(self, txn: TransactionRuntime,
                             ) -> Generator[Event, Any, None]:
         """The full life of one BAT; run as an engine process.
 
-        The outer loop exists for restarts: 2PL deadlock victims and
-        fault-aborted transactions re-enter from admission with all
-        their previous work wasted.  The paper's own schedulers never
-        abort by choice, but injected faults can abort any of them.
-        Every scheduler consultation is routed to the owning shard, and
-        cross-shard commitment runs as 2PC among the participants.
+        One iteration per execution attempt: admit, start, execute,
+        commit.  A phase that ends the attempt returns its abort cause,
+        and the attempt restarts from admission with all its previous
+        work wasted (2PL deadlock victims, injected faults, cascades and
+        CN crashes).  The paper's own schedulers never abort by choice.
         """
         env = self.env
-        params = self.params
         tid = txn.tid
-        only = self._only
-        route: Optional[List[int]] = None
-        sub_specs: Optional[Dict[int, TransactionSpec]] = None
-        if only is None:
-            route, sub_specs = self._project(txn.spec)
-            sids = sorted(sub_specs)
-            home = route[0]
-        else:
-            sids = [0]
-            home = 0
-        self._home[tid] = home
+        route, sub_specs = self._project(txn.spec)
+        sids = sorted(sub_specs)
+        self._home[tid] = route[0]
         self._trace(EventType.ARRIVAL, txn)
         restarting = False
-
         while True:  # one iteration per execution attempt
-            sub_rts = self._participants(txn, sub_specs)
-
-            # Admission: every participant shard must admit.  Each
-            # attempt costs only the admission test; startuptime (the
-            # 2PC start coordination) is spent once when the BAT starts.
-            # Log records are appended at decision time, before any CPU
-            # yield, so a shard crashing mid-window has already made its
-            # admission durable.
-            while True:
-                down = [sid for sid in sids if self.shards[sid].crashed]
-                if down:
-                    # Can't even consult the dead shard — reject without
-                    # touching (or charging) anybody, retry later.
-                    response = AdmissionResponse(
-                        False, reason=f"CN {down[0]} down")
-                elif only is not None:
-                    # The centralized CN: one decision, charged inline
-                    # on its CPU.
-                    response = only.live.admit(txn, env.now)
-                    if response.admitted and only.log is not None:
-                        only.log.append_admit(txn.spec, env.now)
-                    yield from only.cpu_work(response.cpu_cost)
-                else:
-                    # The per-shard decisions are taken atomically (no
-                    # yields between them); the costs are then spent on
-                    # the shards' CPUs in parallel.
-                    responses = {}
-                    for sid in sids:
-                        shard = self.shards[sid]
-                        responses[sid] = shard.live.admit(sub_rts[sid],
-                                                          env.now)
-                        if responses[sid].admitted and shard.log is not None:
-                            shard.log.append_admit(sub_rts[sid].spec,
-                                                   env.now)
-                    response = merge_admission_responses(
-                        [responses[sid] for sid in sids])
-                    costed = [
-                        env.process(self.shards[sid].cpu_work(
-                            responses[sid].cpu_cost))
-                        for sid in sids if responses[sid].cpu_cost > 0]
-                    if costed:
-                        yield env.all_of(costed)
-                    if not response.admitted:
-                        # Roll back the shards that did admit; their logs
-                        # get the matching ABORT so replay excises them.
-                        for sid in sids:
-                            if not responses[sid].admitted:
-                                continue
-                            shard = self.shards[sid]
-                            if shard.scheduler is not None:
-                                shard.scheduler.abort_transaction(
-                                    sub_rts[sid], env.now)
-                            if shard.log is not None:
-                                shard.log.append_abort(tid, env.now)
-                if response.admitted:
-                    break
-                self._trace(EventType.ADMISSION_REJECTED, txn,
-                            reason=response.reason)
-                txn.reset_for_retry()
-                yield env.timeout(params.retry_delay)
-                sub_rts = self._participants(txn, sub_specs)
-            # Admitted on every shard: the schedulers now hold state for
-            # this tid, so a cascade doom must be able to land from this
-            # instant on — before the startup CPU window below, during
-            # which a doomed predecessor's abort may already fan out to us.
-            self._running.add(tid)
-            yield from self.shards[home].cpu_work(params.startup_time)
-            txn.start_time = env.now
-            self.active_transactions += 1
+            subs = yield from self._admit(txn, sids, sub_specs)
+            planned_abort = yield from self._start(txn, route[0])
             if restarting:
-                restarting = False
                 self.metrics.record_restart()
-            self._trace(EventType.ADMITTED, txn, attempts=txn.attempts + 1)
+            cause = yield from self._execute(txn, route, subs, planned_abort)
+            if cause is None:
+                cause = yield from self._commit(txn, sids, subs)
+            if cause is None:
+                break
+            # Excise from every participant shard, then restart.
+            successors: Set[int] = set()
+            for sid in sids:
+                successors.update(self._excise(tid, sid, subs[sid]))
+            self._running.discard(tid)
+            self._doomed.pop(tid, None)
+            for node in self.data_nodes:
+                node.cancel(tid, kind=cause)  # reap leftovers
+            self.metrics.record_abort(txn, cause=cause, now=env.now)
+            # The pre-fault abort cause keeps its legacy trace shape.
+            detail = {} if cause == _LEGACY_CAUSE else {"cause": cause}
+            self._trace(EventType.ABORTED, txn, step=txn.current_step,
+                        wasted_objects=txn.objects_done, **detail)
+            self.active_transactions -= 1
             if self.history is not None:
-                self._grants[tid] = []
-            planned_abort = (self.injector.plan_abort(txn)
-                             if self.injector is not None else None)
+                self._grants.pop(tid, None)
+            txn.reset_for_retry()  # repro-lint: disable=RL013 -- schedulers only ever admit, lock, commit and abort the per-shard sub-runtimes, and _excise above aborted every one of them; the global runtime is re-armed exactly once per aborted attempt
+            if self._cascade and successors:
+                for successor in sorted(successors):
+                    self.request_abort(successor, "cascade")
+            restarting = True
+            yield env.timeout(self._retry_delay(txn))
 
-            aborted = False
-            abort_cause = _LEGACY_CAUSE
-            while not txn.finished_all_steps:
-                cause = self._doom_cause(txn, planned_abort)
-                if cause is not None:
-                    aborted, abort_cause = True, cause
-                    break
-                sid = route[txn.current_step] if route is not None else 0
-                sub = sub_rts[sid]
-                granted = False
-                while True:
-                    shard = self.shards[sid]
-                    if shard.crashed or shard.scheduler is None:
-                        # The owning CN is down: stall until it replays
-                        # its log (blocking, like the 2PC below).
-                        self._trace(EventType.LOCK_DELAYED, txn,
-                                    step=txn.current_step,
-                                    reason=f"CN {sid} down")
-                        self.metrics.record_lock_retry()
-                        yield env.timeout(params.retry_delay)
-                        cause = self._doom_cause(txn, planned_abort)
-                        if cause is not None:
-                            break
-                        continue
-                    response = shard.scheduler.request_lock(sub, env.now)
-                    if shard.log is not None and response.granted:
-                        # Log the grant (and the precedence edges it
-                        # resolved) at decision time, before the CPU
-                        # yield below.
-                        resolved = getattr(shard.scheduler,
-                                           "last_resolved", ())
-                        shard.log.append_grant(tid, sub.current_step,
-                                               env.now, resolved)
-                    yield from shard.cpu_work(response.cpu_cost)
-                    if response.granted:  # repro-lint: disable=RL009 -- the grant decision is made atomically inside request_lock() and is binding; the CPU yield models the cost of computing it, not a revalidation window
-                        granted = True
-                        break
-                    if response.decision is Decision.ABORT:
-                        break
-                    kind = (EventType.LOCK_BLOCKED
-                            if response.decision is Decision.BLOCK
-                            else EventType.LOCK_DELAYED)
-                    self._trace(kind, txn, step=txn.current_step,
-                                reason=response.reason)
-                    self.metrics.record_lock_retry()
-                    yield env.timeout(params.retry_delay)
-                    cause = self._doom_cause(txn, planned_abort)
-                    if cause is not None:
-                        break
-                if not granted:
-                    aborted = True
-                    if cause is not None:
-                        abort_cause = cause
-                    break
-                step = txn.step()
-                self._trace(EventType.LOCK_GRANTED, txn,
-                            step=txn.current_step,
-                            partition=step.partition, mode=str(step.mode))
-                if self.history is not None:
-                    self._grants[tid].append(
-                        (step.partition, step.mode, env.now))
-                partition = self.catalog.partition(step.partition)
-                try:
-                    if partition.declustered and len(self.data_nodes) > 1:
-                        # Intra-transaction parallelism: the bulk operation
-                        # runs on every node at once, in near-equal shares
-                        # that sum to exactly step.cost.
-                        shares = declustered_shares(step.cost,
-                                                    len(self.data_nodes))
-                        self._trace(EventType.STEP_DISPATCHED, txn,
-                                    step=txn.current_step, node=-1,
-                                    objects=step.cost)
-                        done = [node.submit(txn, share)
-                                for node, share in zip(self.data_nodes,
-                                                       shares)]
-                        yield env.all_of(done)
-                    else:
-                        node = self.data_nodes[partition.node]
-                        self._trace(EventType.STEP_DISPATCHED, txn,
-                                    step=txn.current_step,
-                                    node=node.node_id, objects=step.cost)
-                        yield node.submit(txn, step.cost)
-                except FaultError as fault:
-                    aborted, abort_cause = True, fault.kind
-                    break
-                self._trace(EventType.STEP_COMPLETED, txn,
-                            step=txn.current_step)
-                if sub is not txn:
-                    sub.advance_step()
-                txn.advance_step()
+        txn.commit_time = env.now
+        self.active_transactions -= 1
+        self._running.discard(tid)
+        # A doom that lands during the commit CPU window loses the race
+        # (commit wins), but its _doomed entry must not outlive the
+        # transaction: it would accumulate forever in cascade-heavy runs.
+        self._doomed.pop(tid, None)
+        self._home.pop(tid, None)
+        if self.history is not None:
+            for partition, mode, granted_at in self._grants.pop(tid):
+                self.history.record(tid, partition, mode, granted_at,
+                                    env.now)
+        self._trace(EventType.COMMITTED, txn,
+                    response_time=txn.response_time())
+        self.metrics.record_commit(txn, env.now)
 
-            if not aborted:
-                # An injection point equal to the step count means
-                # "between the last step and the commit"; a doom arriving
-                # during the final step lands here too.
-                if (planned_abort is not None
-                        and planned_abort >= len(txn.spec.steps)):
-                    aborted, abort_cause = True, "injected"
-                else:
-                    cause = self._doomed.get(tid)
-                    if cause is not None:
-                        aborted, abort_cause = True, cause
+    def _admit(self, txn: TransactionRuntime, sids: List[int],
+               sub_specs: Dict[int, TransactionSpec],
+               ) -> Generator[Event, Any, Dict[int, TransactionRuntime]]:
+        """Retry admission until every participant shard admits.
 
-            if not aborted:
-                # Commitment.  A cross-shard BAT runs two-phase commit
-                # among its participant CNs (prepare round + commit
-                # round, each costing committime on every participant's
-                # CPU in parallel); a single-shard BAT commits like the
-                # centralized machine.  2PC blocks on a dead participant:
-                # the coordinator waits for recovery and retries the
-                # rounds — unless the crash doomed this BAT, which wins.
-                while True:
-                    cause = self._doomed.get(tid)
-                    if cause is not None:
-                        aborted, abort_cause = True, cause
-                        break
-                    if any(self.shards[sid].crashed for sid in sids):
-                        yield env.timeout(params.retry_delay)
-                        continue
-                    if len(sids) > 1:
-                        for _ in range(2):  # prepare, then commit
-                            rounds = [
-                                env.process(self.shards[sid].cpu_work(
-                                    params.commit_time))
-                                for sid in sids]
-                            yield env.all_of(rounds)
-                            self.metrics.record_2pc_round()
-                        if any(self.shards[sid].crashed for sid in sids):
-                            continue  # participant died mid-2PC: block
-                    else:
-                        yield from self.shards[home].cpu_work(
-                            params.commit_time)
-                        if self.shards[home].crashed:
-                            continue
-                    # Apply + log the commit atomically (no yields): a
-                    # crash can never observe a half-committed BAT.
-                    for sid in sids:
-                        shard = self.shards[sid]
-                        shard.live.commit(sub_rts[sid], env.now)
-                        if shard.log is not None:
-                            shard.log.append_commit(tid, env.now)
-                    break
-
-            if aborted:
-                # Excise from every participant shard.  A dead shard
-                # can't be consulted, but its durable log still takes
-                # the ABORT record, so replay excises the victim there
-                # too (modelling simplification, see the module doc).
-                successors: Set[int] = set()
+        Returns that attempt's sub-runtimes, fresh per attempt so
+        shard-local step progress restarts from zero like the global
+        runtime's.  Each attempt costs only the admission test; log
+        records are appended at decision time, before any CPU yield, so
+        a shard crashing mid-window has already made its admission
+        durable.
+        """
+        env = self.env
+        while True:
+            subs = {sid: TransactionRuntime(sub_specs[sid],
+                                            arrival_time=txn.arrival_time)
+                    for sid in sids}
+            down = [sid for sid in sids if self.shards[sid].crashed]
+            if down:
+                # Can't even consult the dead shard: reject without
+                # touching (or charging) anybody, retry later.
+                response = AdmissionResponse(False,
+                                             reason=f"CN {down[0]} down")
+            else:
+                # The per-shard decisions are taken atomically (no yields
+                # between them).
+                responses = {}
                 for sid in sids:
                     shard = self.shards[sid]
-                    if shard.scheduler is not None:
-                        successors.update(shard.scheduler.abort_transaction(
-                            sub_rts[sid], env.now))
-                    if shard.log is not None:
-                        shard.log.append_abort(tid, env.now)
-                self._running.discard(tid)
-                self._doomed.pop(tid, None)
-                for node in self.data_nodes:
-                    node.cancel(tid, kind=abort_cause)  # reap leftovers
-                self.metrics.record_abort(txn, cause=abort_cause,
-                                          now=env.now)
-                if abort_cause == _LEGACY_CAUSE:
-                    self._trace(EventType.ABORTED, txn,
-                                step=txn.current_step,
-                                wasted_objects=txn.objects_done)
+                    responses[sid] = shard.live.admit(subs[sid], env.now)
+                    if responses[sid].admitted and shard.log is not None:
+                        shard.log.append_admit(subs[sid].spec, env.now)
+                response = merge_admission_responses(
+                    [responses[sid] for sid in sids])
+                if self.num_shards == 1:
+                    # The one branch on plane size, kept on purpose: the
+                    # centralized CN charges admission inline on its one
+                    # CPU.  A cost process per participant (below) adds an
+                    # engine step that reorders same-instant events, so
+                    # either way used for both changes the pinned 1-CN or
+                    # multi-CN golden runs.
+                    yield from self.shards[0].cpu_work(response.cpu_cost)
                 else:
-                    self._trace(EventType.ABORTED, txn,
-                                step=txn.current_step,
-                                wasted_objects=txn.objects_done,
-                                cause=abort_cause)
-                self.active_transactions -= 1
-                if self.history is not None:
-                    self._grants.pop(tid, None)
-                txn.reset_for_retry()  # repro-lint: disable=RL013 -- abort_transaction above aborted every participant's runtime (the global one on a one-shard plane, the per-shard sub-runtimes otherwise); the global runtime is re-armed exactly once per aborted attempt
-                if self._cascade and successors:
-                    for successor in sorted(successors):
-                        self.request_abort(successor, "cascade")
-                restarting = True
-                yield env.timeout(self._retry_delay(txn))
-                continue
+                    # Each shard spends its own cost on its own CPU, in
+                    # parallel.
+                    costed = [env.process(self.shards[sid].cpu_work(
+                                  responses[sid].cpu_cost))
+                              for sid in sids if responses[sid].cpu_cost > 0]
+                    if costed:
+                        yield env.all_of(costed)
+                if not response.admitted:
+                    # Roll back the shards that did admit.
+                    for sid in sids:
+                        if responses[sid].admitted:
+                            self._excise(txn.tid, sid, subs[sid])
+            if response.admitted:
+                return subs
+            self._trace(EventType.ADMISSION_REJECTED, txn,
+                        reason=response.reason)
+            txn.reset_for_retry()
+            yield env.timeout(self.params.retry_delay)
 
-            txn.commit_time = env.now
-            self.active_transactions -= 1
-            self._running.discard(tid)
-            # A doom that lands during the commit CPU window loses the
-            # race (commit wins), but its _doomed entry must not outlive
-            # the transaction: it would accumulate forever in
-            # cascade-heavy faulty runs.
-            self._doomed.pop(tid, None)
-            self._home.pop(tid, None)
+    def _start(self, txn: TransactionRuntime, home: int,
+               ) -> Generator[Event, Any, Optional[int]]:
+        """Charge the 2PC start coordination (``startuptime``) on the
+        home CN and stamp ``start_time``; returns the planned abort step.
+        """
+        # Admitted on every shard: the schedulers now hold state for this
+        # tid, so a cascade doom must be able to land from this instant
+        # on, before the startup CPU window, during which a doomed
+        # predecessor's abort may already fan out to us.
+        self._running.add(txn.tid)
+        yield from self.shards[home].cpu_work(self.params.startup_time)
+        txn.start_time = self.env.now
+        self.active_transactions += 1
+        self._trace(EventType.ADMITTED, txn, attempts=txn.attempts + 1)
+        if self.history is not None:
+            self._grants[txn.tid] = []
+        if self.injector is None:
+            return None
+        return self.injector.plan_abort(txn)
+
+    def _execute(self, txn: TransactionRuntime, route: List[int],
+                 subs: Dict[int, TransactionRuntime],
+                 planned_abort: Optional[int],
+                 ) -> Generator[Event, Any, Optional[str]]:
+        """Lock and run every step in order; returns an abort cause or None."""
+        while not txn.finished_all_steps:
+            cause = self._doom_cause(txn, planned_abort)
+            if cause is not None:
+                return cause
+            sid = route[txn.current_step]
+            cause = yield from self._acquire(txn, sid, subs[sid],
+                                             planned_abort)
+            if cause is not None:
+                return cause
+            step = txn.step()
+            self._trace(EventType.LOCK_GRANTED, txn, step=txn.current_step,
+                        partition=step.partition, mode=str(step.mode))
             if self.history is not None:
-                for partition, mode, granted_at in self._grants.pop(tid):
-                    self.history.record(tid, partition, mode,
-                                        granted_at, env.now)
-            self._trace(EventType.COMMITTED, txn,
-                        response_time=txn.response_time())  # repro-lint: disable=RL013 -- commit() was applied to every participant's runtime (the global one on a one-shard plane, the per-shard sub-runtimes otherwise); this line runs only after every participant shard committed
-            self.metrics.record_commit(txn, env.now)
-            return
+                self._grants[txn.tid].append(
+                    (step.partition, step.mode, self.env.now))
+            try:
+                yield from self._dispatch(txn, step)
+            except FaultError as fault:
+                return fault.kind
+            self._trace(EventType.STEP_COMPLETED, txn, step=txn.current_step)
+            subs[sid].advance_step()
+            txn.advance_step()
+        # An injection point equal to the step count means "between the
+        # last step and the commit"; a doom arriving during the final
+        # step lands here too.
+        if planned_abort is not None and planned_abort >= len(txn.spec.steps):
+            return "injected"
+        return self._doomed.get(txn.tid)
+
+    def _acquire(self, txn: TransactionRuntime, sid: int,
+                 sub: TransactionRuntime, planned_abort: Optional[int],
+                 ) -> Generator[Event, Any, Optional[str]]:
+        """Request the current step's lock from its shard until granted.
+
+        Returns None once granted, else the abort cause.  BLOCK/DELAY
+        responses, and a down shard, are retried after the retry delay.
+        """
+        env = self.env
+        shard = self.shards[sid]
+        while True:
+            if shard.scheduler is None:
+                # The owning CN is down: stall until it replays its log
+                # (blocking, like the 2PC commit).
+                self._trace(EventType.LOCK_DELAYED, txn,
+                            step=txn.current_step, reason=f"CN {sid} down")
+            else:
+                response = shard.scheduler.request_lock(sub, env.now)
+                if shard.log is not None and response.granted:
+                    # Log the grant (and the precedence edges it
+                    # resolved) at decision time, before the CPU yield.
+                    resolved = getattr(shard.scheduler, "last_resolved",
+                                       ())
+                    shard.log.append_grant(txn.tid, sub.current_step,
+                                           env.now, resolved)
+                yield from shard.cpu_work(response.cpu_cost)
+                if response.granted:  # repro-lint: disable=RL009 -- the grant decision is made atomically inside request_lock() and is binding; the CPU yield models the cost of computing it, not a revalidation window
+                    return None
+                if response.decision is Decision.ABORT:
+                    return _LEGACY_CAUSE
+                kind = (EventType.LOCK_BLOCKED
+                        if response.decision is Decision.BLOCK
+                        else EventType.LOCK_DELAYED)
+                self._trace(kind, txn, step=txn.current_step,
+                            reason=response.reason)
+            self.metrics.record_lock_retry()
+            yield env.timeout(self.params.retry_delay)
+            cause = self._doom_cause(txn, planned_abort)
+            if cause is not None:
+                return cause
+
+    def _dispatch(self, txn: TransactionRuntime,
+                  step: Step) -> Generator[Event, Any, None]:
+        """Ship the granted step to the data node(s) holding its partition."""
+        partition = self.catalog.partition(step.partition)
+        if partition.declustered and len(self.data_nodes) > 1:
+            # Intra-transaction parallelism: the bulk operation runs on
+            # every node at once, in near-equal shares that sum to
+            # exactly step.cost.
+            shares = declustered_shares(step.cost, len(self.data_nodes))
+            self._trace(EventType.STEP_DISPATCHED, txn,
+                        step=txn.current_step, node=-1, objects=step.cost)
+            yield self.env.all_of([node.submit(txn, share) for node, share
+                                   in zip(self.data_nodes, shares)])
+        else:
+            node = self.data_nodes[partition.node]
+            self._trace(EventType.STEP_DISPATCHED, txn,
+                        step=txn.current_step, node=node.node_id,
+                        objects=step.cost)
+            yield node.submit(txn, step.cost)
+
+    def _commit(self, txn: TransactionRuntime, sids: List[int],
+                subs: Dict[int, TransactionRuntime],
+                ) -> Generator[Event, Any, Optional[str]]:
+        """Commit on every participant; returns a doom cause or None.
+
+        A cross-shard BAT runs two-phase commit among its participant
+        CNs (a prepare round and a commit round, each costing
+        ``committime`` on every participant's CPU in parallel); a
+        single-shard BAT commits like the centralized machine.  2PC
+        blocks on a dead participant: the coordinator waits for recovery
+        and retries the rounds, unless the crash doomed this BAT, which
+        wins.
+        """
+        env = self.env
+        commit_time = self.params.commit_time
+        while True:
+            cause = self._doomed.get(txn.tid)
+            if cause is not None:
+                return cause
+            if any(self.shards[sid].crashed for sid in sids):
+                yield env.timeout(self.params.retry_delay)
+                continue
+            if len(sids) > 1:
+                for _ in range(2):  # prepare, then commit
+                    yield env.all_of([
+                        env.process(self.shards[sid].cpu_work(commit_time))
+                        for sid in sids])
+                    self.metrics.record_2pc_round()
+            else:
+                yield from self.shards[sids[0]].cpu_work(commit_time)
+            if any(self.shards[sid].crashed for sid in sids):
+                continue  # a participant died mid-commit: block
+            # Apply + log the commit atomically (no yields): a crash can
+            # never observe a half-committed BAT.
+            for sid in sids:
+                shard = self.shards[sid]
+                shard.live.commit(subs[sid], env.now)
+                if shard.log is not None:
+                    shard.log.append_commit(txn.tid, env.now)
+            return None
+
+    def _excise(self, tid: int, sid: int,
+                sub: TransactionRuntime) -> Tuple[int, ...]:
+        """Abort ``tid`` on shard ``sid``; returns its WTPG successors there.
+
+        A dead shard can't be consulted, but its durable log still takes
+        the ABORT record, so replay excises the victim there too
+        (modelling simplification, see the module doc).
+        """
+        shard = self.shards[sid]
+        successors: Tuple[int, ...] = ()
+        if shard.scheduler is not None:
+            successors = shard.scheduler.abort_transaction(sub, self.env.now)
+        if shard.log is not None:
+            shard.log.append_abort(tid, self.env.now)
+        return successors
 
     def _trace(self, kind: EventType, txn: TransactionRuntime,
                **detail: object) -> None:

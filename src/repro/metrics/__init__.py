@@ -10,18 +10,13 @@ the arrival rate and interpolating both curves at the RT crossing (see
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.metrics.interpolate import (interpolate_crossing,
                                        throughput_at_response_time)
-from repro.metrics.replication import (ReplicatedMetric, ReplicationResult,
-                                       replicate)
 from repro.metrics.stats import batch_means, mean_confidence_interval
 
 __all__ = [
     "MetricsCollector",
-    "ReplicatedMetric",
-    "ReplicationResult",
     "RunMetrics",
     "batch_means",
     "interpolate_crossing",
     "mean_confidence_interval",
-    "replicate",
     "throughput_at_response_time",
 ]

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError, FaultPlanError
-from repro.faults import (FaultPlan, NodeCrash, PartitionSlowdown,
-                          RetryPolicy, StepAbort)
+from repro.faults import (ControlCrash, FaultPlan, NodeCrash,
+                          PartitionSlowdown, RetryPolicy, StepAbort)
 
 
 class TestValidation:
@@ -37,6 +37,41 @@ class TestValidation:
             FaultPlan(crashes=(NodeCrash(0, -5.0),))
         with pytest.raises(FaultPlanError):
             FaultPlan(crashes=(NodeCrash(0, 10.0, recover_at=5.0),))
+
+    @pytest.mark.parametrize("crashes", [
+        # CN 0 crashes again while it is still down.
+        (ControlCrash(0, 20_000.0, recover_at=40_000.0),
+         ControlCrash(0, 30_000.0, recover_at=35_000.0)),
+        # A permanent CN crash inside a window that later recovers.
+        (ControlCrash(0, 20_000.0, recover_at=40_000.0),
+         ControlCrash(0, 30_000.0)),
+        # A second crash after a crash that never recovers.
+        (ControlCrash(1, 10_000.0), ControlCrash(1, 50_000.0, 60_000.0)),
+        # Back to back: a crash at the very instant of the recovery.
+        (ControlCrash(0, 40_000.0, recover_at=50_000.0),
+         ControlCrash(0, 20_000.0, recover_at=40_000.0)),
+        # The same for a data node.
+        (NodeCrash(2, 20_000.0, recover_at=40_000.0),
+         NodeCrash(2, 30_000.0)),
+        (NodeCrash(2, 5_000.0), NodeCrash(2, 6_000.0, 7_000.0)),
+    ])
+    def test_overlapping_crash_windows_rejected(self, crashes):
+        with pytest.raises(FaultPlanError, match="crashes at"):
+            FaultPlan(
+                crashes=tuple(c for c in crashes
+                              if isinstance(c, NodeCrash)),
+                control_crashes=tuple(c for c in crashes
+                                      if isinstance(c, ControlCrash)))
+
+    def test_disjoint_crash_windows_allowed(self):
+        plan = FaultPlan(
+            crashes=(NodeCrash(2, 50_000.0), NodeCrash(2, 20_000.0, 40_000.0),
+                     NodeCrash(3, 30_000.0)),
+            control_crashes=(ControlCrash(0, 20_000.0, 40_000.0),
+                             ControlCrash(1, 30_000.0, 35_000.0),
+                             ControlCrash(0, 40_000.5)))
+        assert len(plan.crashes) == 3
+        assert len(plan.control_crashes) == 3
 
     def test_step_abort_validation(self):
         with pytest.raises(FaultPlanError):

@@ -5,7 +5,7 @@ import pytest
 from repro import SimulationParameters, run_simulation
 from repro.core import Step, TransactionSpec
 from repro.core.schedulers import SchedulerStats
-from repro.errors import SerializationViolationError
+from repro.errors import FaultPlanError, SerializationViolationError
 from repro.faults import ControlCrash, FaultPlan
 from repro.machine import Catalog, Cluster
 from repro.workloads import (pattern1, pattern1_catalog, pattern2,
@@ -163,3 +163,23 @@ class TestDependencyLogging:
         if logged:
             assert all(len(log) > 0 for log in logs)
         assert result.metrics.cn_recoveries == (1 if cn_crash else 0)
+
+    @pytest.mark.parametrize("recover_at", [30_000.0, None])
+    @pytest.mark.parametrize("scheduler", ["2PL", "ASL", "WAIT-DIE", "NODC"])
+    def test_cn_crash_needs_a_wtpg_scheduler(self, scheduler, recover_at):
+        """Without a lock table and WTPG there is nothing to replay on
+        recovery and no WTPG in which to find the BATs a crash dooms,
+        so the plan is refused when the machine is built."""
+        params = SimulationParameters(scheduler=scheduler, **FAST)
+        plan = FaultPlan(control_crashes=(
+            ControlCrash(0, 20_000.0, recover_at=recover_at),))
+        with pytest.raises(FaultPlanError, match=scheduler):
+            Cluster(params, pattern1(), catalog=pattern1_catalog(),
+                    fault_plan=plan)
+
+    def test_cn_crash_beyond_the_plane_needs_no_wtpg(self):
+        params = SimulationParameters(scheduler="2PL", **FAST)
+        plan = FaultPlan(control_crashes=(ControlCrash(1, 20_000.0),))
+        result = run_simulation(params, pattern1(),
+                                catalog=pattern1_catalog(), fault_plan=plan)
+        assert result.metrics.cn_recoveries == 0

@@ -84,67 +84,67 @@ DIGESTS = {
 
 # (control nodes, scheduler, plan) -> (metrics sha256, trace sha256)
 PLANE_DIGESTS = {
-    (1, 'CHAIN', 'cn-crash'): (
+    (1, "CHAIN", "cn-crash"): (
         "0a25442686d2573b54c1b5d03abfa9a9611332a8087d448b52eb635c0c353587",
         "5767d59f331a3c9f2e5cfbfaede05db17736dd463130d8789b764d1fabae62a0"),
-    (1, 'K2', 'cn-crash'): (
+    (1, "K2", "cn-crash"): (
         "3984fb6254f2f6e4b4cddc27099f493d0139e8aef895ba2a601c64ff3a1b65df",
         "0f8797adbf2f25059bde5667d3b887e3714a86a0662291aa9d047b32933c19d6"),
-    (2, '2PL', 'abort-cascade'): (
+    (2, "2PL", "abort-cascade"): (
         "838f9e485ade8fd8313578271b1f793cfb71f0a8e7e139a9fe4e81466ccc1fd0",
         "a6d5894f4c32ab8385ff54115019b47bab65bcfb3e81fa4aeadabf70a462800a"),
-    (2, '2PL', 'dn-crash'): (
+    (2, "2PL", "dn-crash"): (
         "f947586258653c3456ff3825e92a7828a89bfef67bf5605099cd67df2582f15d",
         "ccc6eaa244531af9e093a0a01966ef49ed572dcf4b21a72b78c1b3ca226de744"),
-    (2, '2PL', 'none'): (
+    (2, "2PL", "none"): (
         "11f57166a198b12563a275441502e6f4bb0239c1e4f6d112b6bb60b5e5146545",
         "f347fa2d60b5a5b78047d4cf74c99bc39447d1da3dfe63b87cdbca53c3c10205"),
-    (2, 'ASL', 'abort-cascade'): (
+    (2, "ASL", "abort-cascade"): (
         "bee4777e07942cb666d67774d7b383dec1965864c440f227a29a4c128f3c2b25",
         "bcee0fd184655db4770a824f146dcbfe3702f7dade7b1ab60c569f259c3d24e0"),
-    (2, 'ASL', 'dn-crash'): (
+    (2, "ASL", "dn-crash"): (
         "f61d81c7424782605117eb6d3748fc7975aeeae16fdd52b975ee2e6da73c7567",
         "84c9b4018f86a0f516845ecb2fb5fbad0f6af4fc26d9ae300c8559ea955da3cd"),
-    (2, 'ASL', 'none'): (
+    (2, "ASL", "none"): (
         "e239803aba58d467be1783c28f0e763726c639350c6686eb6cbcf0ff9a86d4e7",
         "78745f7d9204bfa8a690b50d8f213267552ccccabc1760d2971ae6b87c9e3654"),
-    (2, 'C2PL', 'abort-cascade'): (
+    (2, "C2PL", "abort-cascade"): (
         "255c017c8dd79e607835b957f66f17d2791992d4be9baf7a2b49991dd54a68e2",
         "1d067b3b781d128c2481467a7cb7282bf80fba2b4e1d01c18951f914d0a35aba"),
-    (2, 'C2PL', 'dn-crash'): (
+    (2, "C2PL", "dn-crash"): (
         "a3792b1683a5e612ce8d54cd9777f4ee7f915df9aff321d8c43d163ea17e300e",
         "6ff89df40dbed981ad64dabeb71190d8fae0bbda693d1897ca09073efe3ccb02"),
-    (2, 'C2PL', 'none'): (
+    (2, "C2PL", "none"): (
         "84431ae79e23c296e23c97040157eebc3b358d31866a3e847fc0d8d33ca875ad",
         "86c0519217cc4bf6a56068d10d74356f127fe90052a54ed8790456ee6363eaab"),
-    (2, 'CHAIN', 'abort-cascade'): (
+    (2, "CHAIN", "abort-cascade"): (
         "1ec07fdea0cfff53f4f232b9cd86d4d5db647c706fa9d007f533c7675b5cf415",
         "6f4aff766a7d8e5660d47105b889c9b74eae93e5ee182919e9aa13e4317d7a5b"),
-    (2, 'CHAIN', 'cn-crash'): (
+    (2, "CHAIN", "cn-crash"): (
         "7347168ae5f5661b0574f6251402f9dfef13dc5b557115f7b567dacb435ec368",
         "1a02227dc1033c7e74cb622d5efc7e9b027526bde9ae3aea0f01ad9102c8f681"),
-    (2, 'CHAIN', 'dn-crash'): (
+    (2, "CHAIN", "dn-crash"): (
         "42819d1765f2f7fd35b2caf6254a5d127c3be93f216aea54d37e80087603bb12",
         "03a7d615dc67d0748d25fa090b9552994fc27ad47e7a2382b5c1559163859a5b"),
-    (2, 'CHAIN', 'none'): (
+    (2, "CHAIN", "none"): (
         "a2158e37edf38ea9079e1bcf58f21532524be0d33c7f8ff385e68a162203921a",
         "c6ac7d7fefbbfc1d3544c0470caac68a7f53e6199bf721be578d069dfac98a16"),
-    (2, 'K2', 'abort-cascade'): (
+    (2, "K2", "abort-cascade"): (
         "19a17d140c3a05a713368c90bd6083d68154ca401c8ff833c5b1375859403442",
         "133ccc220c80d2135de60c3bb6ecc25d96c6484574dd6a2a680f8c4c50638d7f"),
-    (2, 'K2', 'cn-crash'): (
+    (2, "K2", "cn-crash"): (
         "e1fb2874bb8ecae2e9a79e8f93bd6a037ede77c126a737a5856d74a729238b5a",
         "7141b037a4b03fa4e71320526cf0ac51ff6121fcea4fa07d71442a19b843367d"),
-    (2, 'K2', 'dn-crash'): (
+    (2, "K2", "dn-crash"): (
         "a892eaa5ea9f3ce2fb33288833f29c1e494f55cfc8e6e8cb44b4f0ae76db0ac5",
         "83d84b6d0b8ae7678f6c30172750ffe8620121a1ba7753edf01b5f930bf48d67"),
-    (2, 'K2', 'none'): (
+    (2, "K2", "none"): (
         "bd38c8bfdb9f917045677b923d4e82b24b61d06759a6fa0f2d5a313a0d831b19",
         "23b1e57ddda1e04c5649f96e6a9cfe27994f05cdbc711fe9f9aeb340a115208a"),
-    (3, 'CHAIN', 'cn-crash'): (
+    (3, "CHAIN", "cn-crash"): (
         "658a0567115ea7443bac207ea7b2b26c7922be1c64b6f8645e1164c6d4ce62f3",
         "ffa77b74e630af2ddc20f3f250fe068a35259271369a4ea5f9294fa8f8cdf2b9"),
-    (3, 'K2', 'cn-crash'): (
+    (3, "K2", "cn-crash"): (
         "f675e893e0605972f1ff823913c7849ad59ab1305cbb07bceda23974f77dd81a",
         "6c1486ef9e5bec21dceb3b03c8ec2c3011f45bd41fd0708351b5a392d5ae66bc"),
 }
