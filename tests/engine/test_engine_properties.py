@@ -1,4 +1,7 @@
-"""Property-based tests of the DES kernel: determinism and clock laws."""
+"""Property-based tests of the DES kernel: determinism, clock laws and the
+event-order contract."""
+
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,3 +109,171 @@ def test_fifo_resource_start_order_matches_request_order(jobs):
                 sorted(enumerate(jobs), key=lambda item: (item[1][0],
                                                           item[0]))]
     assert [ident for ident, _ in starts] == expected
+
+
+# -- the event-order and affecting-horizon contract -------------------------
+#
+# Processes mix every way of scheduling an event: ``timeout``,
+# ``timeout_until`` (optionally inert via ``affect``, with ``sort_time``
+# and ``sort_rank``), ``Event.succeed``, and stray (never yielded)
+# ``timeout_until`` events that a later action may ``unschedule``.  The
+# harness records every scheduling with the key the engine promises to
+# order by, ``(when, sort_time or scheduling instant, rank or 0,
+# schedule index)``, and checks the engine against a reference priority
+# queue replayed from that log.  The Initialize event that starts each
+# process and the event a process schedules when it returns are logged
+# too, so the reference model covers every pending event.
+
+_INF = float("inf")
+
+_OPTIONS = (st.integers(0, 6),                     # when - now
+            st.none() | st.integers(0, 8),         # affect - when
+            st.none() | st.integers(0, 9),         # when - sort_time
+            st.none() | st.integers(1, 3))         # sort_rank
+
+_ACTIONS = st.one_of(
+    st.tuples(st.just("timeout"), st.integers(0, 6)),
+    st.tuples(st.just("until"), *_OPTIONS),
+    st.tuples(st.just("succeed")),
+    st.tuples(st.just("stray"), *_OPTIONS),
+    st.tuples(st.just("unschedule"), st.integers(0, 20)),
+)
+
+
+class _OrderHarness:
+    """Runs ``plans`` (one action list per process) and logs the schedule."""
+
+    def __init__(self, plans):
+        self.env = Environment()
+        self.env.enable_affect_tracking()
+        self.log = []          # ("sched" | "fire" | "unsched", ident)
+        self.key = {}          # ident -> reference order key
+        self.bound = {}        # ident -> instant it counts at in the horizon
+        self.pending = set()
+        self.strays = []       # (ident, event) never yielded by anyone
+        self.cutoff = _INF     # the active run(until=) instant
+        self.horizons = []     # (affecting_horizon(), brute-force minimum)
+        self._counter = count()
+        for plan in plans:
+            init = self._scheduled(self.env.now, None, None, None)
+            proc = self.env.process(self._body(init, plan))
+            proc.callbacks.append(self._process_done)
+
+    def _scheduled(self, when, sort_time, rank, affect):
+        ident = next(self._counter)
+        now = self.env.now
+        self.log.append(("sched", ident))
+        self.key[ident] = (when, now if sort_time is None else sort_time,
+                           0 if rank is None else rank, ident)
+        self.bound[ident] = when if affect is None else affect
+        self.pending.add(ident)
+        return ident
+
+    def _fired(self, ident):
+        self.log.append(("fire", ident))
+        self.pending.discard(ident)
+
+    def _watch(self, ident, event):
+        event.callbacks.append(lambda _event: self._fired(ident))
+        return event
+
+    def _process_done(self, proc):
+        if not proc.ok:
+            raise proc.value
+        self._fired(proc.value)
+
+    def check_horizon(self):
+        expected = min([self.bound[i] for i in self.pending] + [self.cutoff])
+        self.horizons.append((self.env.affecting_horizon(), expected))
+
+    def _until(self, off, affect_off, back, rank):
+        env = self.env
+        when = env.now + off
+        affect = None if affect_off is None else when + affect_off
+        sort_time = None if back is None else when - back
+        ident = self._scheduled(when, sort_time, rank, affect)
+        return ident, self._watch(ident, env.timeout_until(
+            when, affect=affect, sort_time=sort_time, sort_rank=rank))
+
+    def _body(self, init, plan):
+        env = self.env
+        # The Initialize event's only callback is this generator's start.
+        self._fired(init)
+        for action in plan:
+            self.check_horizon()
+            kind = action[0]
+            if kind == "timeout":
+                ident = self._scheduled(env.now + action[1], None, None, None)
+                yield self._watch(ident, env.timeout(action[1]))
+            elif kind == "until":
+                yield self._until(*action[1:])[1]
+            elif kind == "succeed":
+                event = env.event()
+                ident = self._scheduled(env.now, None, None, None)
+                yield self._watch(ident, event.succeed())
+            elif kind == "stray":
+                self.strays.append(self._until(*action[1:]))
+            elif self.strays:
+                ident, event = self.strays[action[1] % len(self.strays)]
+                if ident in self.pending:
+                    env.unschedule(event)
+                    self.log.append(("unsched", ident))
+                    self.pending.discard(ident)
+        self.check_horizon()
+        # Returning schedules the process event, which carries this ident.
+        return self._scheduled(env.now, None, None, None)
+
+    def replay_reference(self):
+        """Fired idents, checking each was the reference queue's minimum."""
+        pending = {}
+        fired = []
+        for kind, ident in self.log:
+            if kind == "sched":
+                pending[ident] = self.key[ident]
+            elif kind == "unsched":
+                del pending[ident]
+            else:
+                assert ident == min(pending, key=pending.__getitem__), (
+                    f"event {ident} fired ahead of "
+                    f"{min(pending, key=pending.__getitem__)}")
+                del pending[ident]
+                fired.append(ident)
+        assert not pending, f"events never fired: {sorted(pending)}"
+        return fired
+
+
+def _drive_by_step(plans):
+    harness = _OrderHarness(plans)
+    env = harness.env
+    while env.peek() != _INF:
+        harness.check_horizon()
+        env.step()
+    harness.check_horizon()
+    return harness
+
+
+def _drive_by_run(plans, cutoffs):
+    harness = _OrderHarness(plans)
+    for cutoff in cutoffs:
+        harness.cutoff = cutoff
+        harness.env.run(until=cutoff)
+        harness.cutoff = _INF
+        harness.check_horizon()
+    harness.env.run()
+    return harness
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_ACTIONS, max_size=8), min_size=1, max_size=5),
+       st.lists(st.integers(0, 40), max_size=4))
+def test_event_order_and_affecting_horizon_match_reference(plans, cutoffs):
+    """Firing order is the reference key order; affecting_horizon() is
+    the brute-force minimum over pending events; step() and run(until=)
+    drive the same order."""
+    stepped = _drive_by_step(plans)
+    ran = _drive_by_run(plans, sorted(cutoffs))
+    for harness in (stepped, ran):
+        harness.replay_reference()
+        for observed, expected in harness.horizons:
+            assert observed == expected
+    assert stepped.log == ran.log
