@@ -13,13 +13,16 @@ concepts are:
   are processed in schedule order, which makes whole simulations
   reproducible bit-for-bit.
 
-The heap is a *slab* heap: :class:`Event` instances are pushed directly
-(ordered by their ``_when``/``_order`` slots via :meth:`Event.__lt__`)
-instead of being boxed into ``(time, seq, event)`` tuples.  That removes one
-tuple allocation and two indirections per scheduled event — the hottest
-allocation site of a run.  Removal from the middle of the heap is lazy:
-:meth:`Environment.unschedule` marks the entry dead and the pop loop skips
-it, so cancellations cost O(1) instead of O(n).
+Pending events live in two heaps of ``(when, sort_time, rank, order,
+event)`` tuples, so ``heapq`` orders them with C tuple comparisons and the
+unique ``order`` guarantees no comparison ever reaches an :class:`Event`.
+Ordinary events go into ``_queue``; *inert* events (see
+:meth:`Environment.timeout_until`) go into ``_inert`` and, keyed by their
+``affect`` bound, into ``_affect``.  The loop pops whichever heap has the
+smaller head, so each event is pushed exactly once and the merged order
+is the single total order of the keys.  Removal from the middle of a heap
+is lazy: :meth:`Environment.unschedule` marks the event dead and the pop
+loop skips it, so cancellations cost O(1) instead of O(n).
 
 Every class on this hot path is ``__slots__``-ed and registered in
 :data:`HOT_CLASSES`; ``tests/engine/test_slots.py`` guards the registry so a
@@ -28,10 +31,10 @@ future field addition cannot silently reintroduce per-instance dicts.
 
 from __future__ import annotations
 
-from heapq import heapify, heappush, heappop
+from heapq import heappush, heappop
 from itertools import count
 from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
-                    TypeVar, Union)
+                    Tuple, TypeVar, Union)
 
 from repro.errors import EngineStateError
 
@@ -76,7 +79,7 @@ class Event:
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_processed",
-                 "_defused", "_when", "_sub", "_rank", "_order", "_dead")
+                 "_defused", "_dead")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -87,32 +90,9 @@ class Event:
         # Failures must not pass silently: if a failed event is never
         # yielded-on, the environment re-raises at the end of the run.
         self._defused = False
-        # Slab-heap fields, set by Environment._schedule; ``_dead`` marks
-        # a lazily deleted entry that the pop loop discards.  ``_sub``
-        # and ``_rank`` refine same-``_when`` tie-breaking: ``_sub`` is a
-        # virtual draw instant (defaults to the scheduling instant, which
-        # leaves ordinary ordering untouched — ``_order`` is already
-        # monotone in schedule time, so (when, sub, order) ranks exactly
-        # like (when, order)) and ``_rank`` a small actor index
-        # (defaults to 0).  Together they let actors whose event *times*
-        # are pure arithmetic (the data-node quantum loops) order
-        # exact-time ties by arithmetic-only keys, independent of which
-        # server loop variant created the event first (see
-        # ``Environment.timeout_until``).
-        self._when = 0.0
-        self._sub = 0.0
-        self._rank = 0
-        self._order = 0
+        # Set by Environment.unschedule: the heap entry is lazily deleted
+        # and the pop loop discards it.
         self._dead = False
-
-    def __lt__(self, other: "Event") -> bool:
-        if self._when != other._when:
-            return self._when < other._when
-        if self._sub != other._sub:
-            return self._sub < other._sub
-        if self._rank != other._rank:
-            return self._rank < other._rank
-        return self._order < other._order
 
     @property
     def triggered(self) -> bool:
@@ -345,27 +325,29 @@ class AllOf(Condition):
         super().__init__(env, events, lambda total, done: done == total)
 
 
+#: A heap entry: ``(when, sort_time, rank, order, event)``.  ``order`` is
+#: unique, so tuple comparison settles before it reaches the event.
+_Entry = Tuple[float, float, int, int, Event]
+
+
 @register_hot_class
 class Environment:
     """The simulation clock and event loop."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process", "_run_until",
-                 "_track", "_live", "_inert")
+    __slots__ = ("_now", "_queue", "_inert", "_affect", "_seq",
+                 "_active_process", "_run_until")
 
     def __init__(self, initial_time: float = 0) -> None:
         self._now = initial_time
-        self._queue: List[Event] = []
+        # Non-inert events, then inert ones (see timeout_until) twice:
+        # by firing key in ``_inert`` and as (affect, order, event) in
+        # ``_affect`` for affecting_horizon.
+        self._queue: List[_Entry] = []
+        self._inert: List[_Entry] = []
+        self._affect: List[Tuple[float, int, Event]] = []
         self._seq = count()
         self._active_process: Optional[Process] = None
         self._run_until = float("inf")
-        # Affect tracking (see affecting_horizon): disabled by default so
-        # runs that never batch pay only one predictable branch per
-        # schedule.  When enabled, ``_live`` mirrors every scheduled
-        # non-inert event and ``_inert`` holds (affect, order, event)
-        # entries for events declared inert via ``timeout_until``.
-        self._track = False
-        self._live: List[Event] = []
-        self._inert: List[tuple] = []
 
     @property
     def now(self) -> float:
@@ -400,25 +382,26 @@ class Environment:
         its coalesced quantum boundary on the identical instant the
         literal per-quantum loop would have reached additively.
 
-        ``affect`` (only meaningful with affect tracking enabled)
-        declares the event *inert*: its own firing cannot influence any
-        other actor before the absolute time ``affect`` — the earliest
-        instant the yielding actor could produce an externally visible
-        effect (for a data node, complete a step).  Inert events are
-        excluded from :meth:`affecting_horizon` up to their ``affect``
-        bound, which must therefore be >= ``when``.
+        ``affect`` declares the event *inert*: its own firing cannot
+        influence any other actor before the absolute time ``affect`` —
+        the earliest instant the yielding actor could produce an
+        externally visible effect (for a data node, complete a step).
+        Inert events are counted in :meth:`affecting_horizon` at their
+        ``affect`` bound, which must therefore be >= ``when``.
 
         ``sort_time`` and ``sort_rank`` set the event's virtual draw
-        instant and actor rank (see ``Event._sub`` / ``Event._rank``):
-        same-``when`` events order by ``(sort_time, sort_rank)`` before
-        falling back to schedule order.  A coalescing loop passes the
-        instant at which its uncoalesced equivalent would have created
-        the event plus a stable per-actor rank, making exact-time tie
-        order a function of arithmetic quantities only — never of which
-        loop variant happened to create its event first.  ``sort_time``
-        must not exceed ``when``; defaults to ``now``.  ``sort_rank``
-        must be positive when given (rank 0 is reserved for ordinary
-        events, which keep plain schedule order among themselves).
+        instant and actor rank, the second and third fields of its heap
+        key: same-``when`` events order by ``(sort_time, sort_rank)``
+        before falling back to schedule order.  A coalescing loop passes
+        the instant at which its uncoalesced equivalent would have
+        created the event plus a stable per-actor rank, making
+        exact-time tie order a function of arithmetic quantities only —
+        never of which loop variant happened to create its event first.
+        ``sort_time`` must not exceed ``when``; defaults to ``now``, which
+        leaves ordinary ordering untouched (schedule order is already
+        monotone in the scheduling instant).  ``sort_rank`` must be
+        positive when given (rank 0 is reserved for ordinary events,
+        which keep plain schedule order among themselves).
         """
         if when < self._now:
             raise ValueError(
@@ -429,23 +412,21 @@ class Environment:
                 f"time {when!r}")
         if sort_rank is not None and sort_rank <= 0:
             raise ValueError(f"sort_rank must be positive: {sort_rank!r}")
+        if affect is not None and affect < when:
+            raise ValueError(
+                f"affect bound {affect!r} precedes the event's own "
+                f"time {when!r}")
         event = Event(self)
         event._ok = True
         event._value = value  # repro-lint: disable=RL014 -- heap fast path: the timeout is born triggered (like Timeout.__init__) on a fresh, unshared event, so the succeed()/fail() single-trigger guard is not bypassable by anyone else
-        event._when = when
-        event._sub = self._now if sort_time is None else sort_time
-        event._rank = 0 if sort_rank is None else sort_rank
-        event._order = next(self._seq)
-        heappush(self._queue, event)
-        if self._track:
-            if affect is not None:
-                if affect < when:
-                    raise ValueError(
-                        f"affect bound {affect!r} precedes the event's own "
-                        f"time {when!r}")
-                heappush(self._inert, (affect, event._order, event))
-            else:
-                heappush(self._live, event)
+        order = next(self._seq)
+        entry = (when, self._now if sort_time is None else sort_time,
+                 0 if sort_rank is None else sort_rank, order, event)
+        if affect is None:
+            heappush(self._queue, entry)
+        else:
+            heappush(self._inert, entry)
+            heappush(self._affect, (affect, order, event))
         return event
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
@@ -459,13 +440,8 @@ class Environment:
     # -- scheduling --------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0) -> None:
-        event._when = self._now + delay
-        event._sub = self._now
-        event._rank = 0
-        event._order = next(self._seq)
-        heappush(self._queue, event)
-        if self._track:
-            heappush(self._live, event)
+        now = self._now
+        heappush(self._queue, (now + delay, now, 0, next(self._seq), event))
 
     def unschedule(self, event: Event) -> None:
         """Lazily remove a scheduled-but-unprocessed event from the queue.
@@ -477,87 +453,71 @@ class Environment:
             raise EngineStateError("cannot unschedule a processed event")
         event._dead = True
 
+    def _next_heap(self) -> Optional[List[_Entry]]:
+        """The heap whose head comes first in key order; None if both empty."""
+        queue, inert = self._queue, self._inert
+        if inert and (not queue or inert[0] < queue[0]):
+            return inert
+        return queue if queue else None
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if head._dead:
-                heappop(queue)
+        while True:
+            heap = self._next_heap()
+            if heap is None:
+                return float("inf")
+            if heap[0][4]._dead:
+                heappop(heap)
                 continue
-            return head._when
-        return float("inf")
-
-    def horizon(self) -> float:
-        """Earliest instant anything other than the caller can observe.
-
-        The minimum of the next live event's time and the active
-        ``run(until=<time>)`` cutoff.  The cutoff matters: it is enforced
-        by the run loop, not by a heap entry, so :meth:`peek` alone would
-        let a batching process pre-account work completing *after* the
-        instant the run stops and state is inspected.
-        """
-        when = self.peek()
-        return when if when < self._run_until else self._run_until
-
-    def enable_affect_tracking(self) -> None:
-        """Start classifying events as inert/non-inert (idempotent).
-
-        Called by data nodes at construction; until then the tracking
-        heaps stay empty and scheduling pays only a dead branch, so
-        pure-engine runs are unaffected.
-        Every event already scheduled is conservatively non-inert.
-        """
-        if self._track:
-            return
-        self._track = True
-        self._live = [event for event in self._queue if not event._dead]
-        heapify(self._live)
+            return heap[0][0]
 
     def affecting_horizon(self) -> float:
         """Earliest instant any *other* actor could affect the caller.
 
-        Like :meth:`horizon`, but inert events (non-completing data-node
-        quanta yielded through ``timeout_until(..., affect=...)``) are
-        counted at their declared ``affect`` bound — the earliest time
-        the sleeping actor could produce an externally visible effect —
-        instead of at their firing time.  An actor pre-playing work up
-        to this bound can therefore ignore other nodes' internal quantum
-        boundaries: everything that could actually reach it (a process
-        resumption, a completion, a fault, the run cutoff) is accounted
-        at or before the returned instant.
+        The minimum of the next non-inert event's time, the smallest
+        ``affect`` bound of a pending inert event (non-completing
+        data-node quanta yielded through ``timeout_until(...,
+        affect=...)``), and the active ``run(until=<time>)`` cutoff.  An
+        actor pre-playing work up to this bound can therefore ignore
+        other nodes' internal quantum boundaries: everything that could
+        actually reach it (a process resumption, a completion, a fault,
+        the run cutoff) is accounted at or before the returned instant.
+        The cutoff matters: it is enforced by the run loop, not by a heap
+        entry, so without it a batching process could pre-account work
+        completing *after* the instant the run stops and state is read.
         """
-        if not self._track:
-            return self.horizon()
         best = self._run_until
-        live = self._live
-        while live:
-            head = live[0]
-            if head._dead or head._processed:
-                heappop(live)
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            if head[4]._dead:
+                heappop(queue)
                 continue
-            if head._when < best:
-                best = head._when
+            if head[0] < best:
+                best = head[0]
             break
-        inert = self._inert
-        while inert:
-            affect, _, event = inert[0]
+        affect = self._affect
+        while affect:
+            bound, _, event = affect[0]
             if event._dead or event._processed:
-                heappop(inert)
+                heappop(affect)
                 continue
-            if affect < best:
-                best = affect
+            if bound < best:
+                best = bound
             break
         return best
 
     def step(self) -> None:
         """Process exactly one event, advancing the clock to its time."""
-        queue = self._queue
-        while queue:
-            event = heappop(queue)
+        while True:
+            heap = self._next_heap()
+            if heap is None:
+                raise EngineStateError("no more events to process")
+            entry = heappop(heap)
+            event = entry[4]
             if event._dead:
                 continue
-            self._now = event._when
+            self._now = entry[0]
             callbacks = event.callbacks
             event.callbacks = []
             event._processed = True
@@ -567,7 +527,6 @@ class Environment:
                 # A failure nobody waited on: surface it, don't lose it.
                 raise event._value
             return
-        raise EngineStateError("no more events to process")
 
     def run(self, until: Union[float, Event, None] = None) -> Any:
         """Run until the queue drains, ``until`` time passes, or an event.
@@ -587,38 +546,43 @@ class Environment:
                     f"until ({stop_time}) must not lie in the past "
                     f"(now={self._now})")
 
-        # Publish the cutoff so Environment.horizon() (the batched
+        # Publish the cutoff so affecting_horizon() (the batched
         # data-node's pre-play bound) never looks past the instant this
         # run stops and counters become observable.
         self._run_until = stop_time
 
         # The hot loop: identical semantics to repeated step() calls, with
-        # the pop/dispatch inlined so the per-event overhead is one heap
-        # operation plus the callback calls.
+        # the heap choice and dispatch inlined so the per-event overhead is
+        # one C tuple comparison, one heap pop and the callback calls.
         queue = self._queue
+        inert = self._inert
         try:
-            while queue:
-                head = queue[0]
-                if head._dead:
-                    heappop(queue)
-                    continue
+            while True:
                 if stop_event is not None and stop_event._processed:
-                    if not stop_event._ok:
-                        stop_event._defused = True
-                        raise stop_event._value
-                    return stop_event._value
-                if head._when > stop_time:
+                    break
+                if inert and (not queue or inert[0] < queue[0]):
+                    heap = inert
+                elif queue:
+                    heap = queue
+                else:
+                    break
+                entry = heappop(heap)
+                event = entry[4]
+                if event._dead:
+                    continue
+                when = entry[0]
+                if when > stop_time:
+                    heappush(heap, entry)
                     self._now = stop_time
                     return None
-                heappop(queue)
-                self._now = head._when
-                callbacks = head.callbacks
-                head.callbacks = []
-                head._processed = True
+                self._now = when
+                callbacks = event.callbacks
+                event.callbacks = []
+                event._processed = True
                 for callback in callbacks:
-                    callback(head)
-                if not head._ok and not head._defused and not callbacks:
-                    raise head._value
+                    callback(event)
+                if not event._ok and not event._defused and not callbacks:
+                    raise event._value
         finally:
             self._run_until = float("inf")
 

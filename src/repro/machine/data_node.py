@@ -111,10 +111,6 @@ class DataNode:
         self._wakeup: Optional[Event] = None
         self._recovered: Optional[Event] = None
         self._slow_factors: List[SlowdownToken] = []
-        # Per-node horizons: the server loop classifies its yielded
-        # quantum events as inert/non-inert so concurrent nodes can
-        # pre-play across each other's internal boundaries.
-        env.enable_affect_tracking()
         self._process = env.process(self._run())
 
     def _loop_on_objects(self, txn: TransactionRuntime,

@@ -438,3 +438,56 @@ def test_many_processes_complete_deterministically():
     assert sorted(done) == list(range(50))
     # Within a time bucket, original creation order is preserved.
     assert done == sorted(done, key=lambda i: (i % 5, i))
+
+
+def test_timeout_until_in_the_past_rejected():
+    env = Environment()
+    env.run(until=10)
+    with pytest.raises(ValueError, match="lies in the past"):
+        env.timeout_until(9)
+
+
+def test_timeout_until_sort_time_beyond_when_rejected():
+    env = Environment()
+    with pytest.raises(ValueError, match="sort_time"):
+        env.timeout_until(5, sort_time=6)
+
+
+@pytest.mark.parametrize("rank", [0, -1])
+def test_timeout_until_non_positive_sort_rank_rejected(rank):
+    env = Environment()
+    with pytest.raises(ValueError, match="sort_rank must be positive"):
+        env.timeout_until(5, sort_rank=rank)
+
+
+def test_timeout_until_affect_before_when_rejected():
+    env = Environment()
+    with pytest.raises(ValueError, match="affect bound"):
+        env.timeout_until(5, affect=4)
+    # A rejected call schedules nothing.
+    assert env.peek() == float("inf")
+
+
+def test_inert_event_counts_at_its_affect_bound_on_a_bare_environment():
+    env = Environment()
+    inert = env.timeout_until(5, affect=12)
+    assert env.peek() == 5
+    assert env.affecting_horizon() == 12
+    env.timeout(20)
+    assert env.affecting_horizon() == 12
+    env.timeout(8)
+    assert env.affecting_horizon() == 8
+    env.run(until=6)
+    assert inert.processed
+    assert env.affecting_horizon() == 8
+
+
+def test_unscheduled_inert_event_drops_out_of_affecting_horizon():
+    env = Environment()
+    inert = env.timeout_until(5, affect=12)
+    env.timeout(30)
+    env.unschedule(inert)
+    assert env.affecting_horizon() == 30
+    env.run()
+    assert not inert.processed
+    assert env.now == 30

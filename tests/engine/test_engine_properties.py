@@ -145,7 +145,6 @@ class _OrderHarness:
 
     def __init__(self, plans):
         self.env = Environment()
-        self.env.enable_affect_tracking()
         self.log = []          # ("sched" | "fire" | "unsched", ident)
         self.key = {}          # ident -> reference order key
         self.bound = {}        # ident -> instant it counts at in the horizon

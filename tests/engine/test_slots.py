@@ -1,8 +1,8 @@
 """Guard: registered hot-path classes must stay fully ``__slots__``-ed.
 
 A single forgotten ``__slots__`` in a subclass silently reintroduces a
-per-instance ``__dict__`` for every event in the heap — the exact
-allocation cost the slab-heap kernel removed.  The registry lives in
+per-instance ``__dict__`` for every event in the event heaps — an
+allocation on the hottest path of a run.  The registry lives in
 :data:`repro.engine.core.HOT_CLASSES`; new hot classes must register via
 ``@register_hot_class``.
 """
