@@ -9,7 +9,7 @@ concepts are:
 * :class:`Process` — a generator wrapped as an event.  The generator yields
   events; the process resumes when each yielded event fires and the process
   event itself succeeds with the generator's return value.
-* :class:`Environment` — the clock plus a heap of events.  Same-time events
+* :class:`Environment` — the clock plus the event heaps.  Same-time events
   are processed in schedule order, which makes whole simulations
   reproducible bit-for-bit.
 
@@ -339,9 +339,9 @@ class Environment:
 
     def __init__(self, initial_time: float = 0) -> None:
         self._now = initial_time
-        # Non-inert events, then inert ones (see timeout_until) twice:
-        # by firing key in ``_inert`` and as (affect, order, event) in
-        # ``_affect`` for affecting_horizon.
+        # ``_queue`` holds non-inert events; inert ones (see
+        # timeout_until) sit in ``_inert`` under the same key and in
+        # ``_affect`` as (affect, order, event) for affecting_horizon.
         self._queue: List[_Entry] = []
         self._inert: List[_Entry] = []
         self._affect: List[Tuple[float, int, Event]] = []
