@@ -1,8 +1,6 @@
 """Control-plane benchmark: decision throughput and recovery time.
 
-Two series.  Under pytest the smoke asserts and prints them;
-``PYTHONPATH=src python benchmarks/bench_control_plane.py`` also writes
-them to ``BENCH_control.json``:
+Two series, each asserted by its own test and printed once both ran:
 
 * **Decision throughput vs CN count** (1/2/4/8).  The workload is
   deliberately *control-bound*: one-object read steps (data nodes are
@@ -25,9 +23,7 @@ them to ``BENCH_control.json``:
   replay applies outcomes, it never re-decides.
 """
 
-import json
 import time
-from pathlib import Path
 
 from conftest import BENCH_SEED, print_series
 from repro.config import SimulationParameters
@@ -71,11 +67,12 @@ def control_bound_params(scheduler, rate, num_control_nodes, sim_clocks):
         num_control_nodes=num_control_nodes)
 
 
-def decisions(metrics) -> float:
-    """Scheduler decisions made: admissions + grants + commits,
-    summed over every shard."""
+def decisions_per_kclock(metrics) -> float:
+    """Scheduler decisions (admissions + grants + commits, summed over
+    every shard) per 1000 simulated clocks of the sweep."""
     stats = metrics.scheduler_stats
-    return stats["admissions"] + stats["grants"] + stats["commits"]
+    made = stats["admissions"] + stats["grants"] + stats["commits"]
+    return made / SWEEP_CLOCKS * 1000.0
 
 
 def decision_sweep():
@@ -86,22 +83,17 @@ def decision_sweep():
         for n in CN_COUNTS]
 
 
-def check_decision_sweep(points):
+def test_decision_throughput_vs_cn_count(benchmark):
+    points = benchmark.pedantic(decision_sweep, rounds=1, iterations=1)
     for n, metrics in zip(CN_COUNTS, points):
         _results[("sweep", n)] = metrics
         assert metrics.commits > 0
         if n > 1:
             assert metrics.twopc_rounds > 0  # cross-shard BATs ran 2PC
     # Acceptance: decision throughput grows monotonically 1 -> 4 CNs.
-    per_kclock = [decisions(_results[("sweep", n)]) / SWEEP_CLOCKS * 1000.0
-                  for n in CN_COUNTS]
+    per_kclock = [decisions_per_kclock(m) for m in points]
     assert per_kclock[0] < per_kclock[1] < per_kclock[2], (
         f"decision throughput not monotone 1->4 CNs: {per_kclock}")
-
-
-def test_decision_throughput_vs_cn_count(benchmark):
-    points = benchmark.pedantic(decision_sweep, rounds=1, iterations=1)
-    check_decision_sweep(points)
     _maybe_report()
 
 
@@ -141,7 +133,10 @@ def replay_sweep(log, factory):
     return series
 
 
-def check_replay_sweep(series):
+def test_recovery_time_vs_log_size(benchmark):
+    log, factory = recovery_log()
+    series = benchmark.pedantic(replay_sweep, args=(log, factory),
+                                rounds=1, iterations=1)
     for (replayed, seconds), size in zip(series, LOG_SIZES):
         assert replayed >= size
         assert seconds > 0.0
@@ -149,66 +144,23 @@ def check_replay_sweep(series):
     # apart (16x) that wall-clock ordering is stable.
     assert series[-1][1] > series[0][1], f"replay time not growing: {series}"
     _results["recovery"] = series
-
-
-def test_recovery_time_vs_log_size(benchmark):
-    log, factory = recovery_log()
-    series = benchmark.pedantic(replay_sweep, args=(log, factory),
-                                rounds=1, iterations=1)
-    check_replay_sweep(series)
     _maybe_report()
-
-
-def _per_kclock():
-    return {n: decisions(_results[("sweep", n)]) / SWEEP_CLOCKS * 1000.0
-            for n in CN_COUNTS}
 
 
 def _maybe_report():
     """Print both series once both have run."""
     if "recovery" not in _results or ("sweep", CN_COUNTS[-1]) not in _results:
         return
-    per_kclock = _per_kclock()
+    sweep = [_results[("sweep", n)] for n in CN_COUNTS]
     print_series(
         f"Decision throughput (decisions/1000 clocks) vs CN count "
         f"({SWEEP_SCHEDULER}, control-bound, lambda={SWEEP_RATE})",
         "control nodes", list(CN_COUNTS),
-        {"decisions/kclock": [round(per_kclock[n], 1) for n in CN_COUNTS],
-         "commits": [_results[("sweep", n)].commits for n in CN_COUNTS]})
+        {"decisions/kclock": [round(decisions_per_kclock(m), 1)
+                              for m in sweep],
+         "commits": [m.commits for m in sweep]})
     recovery = _results["recovery"]
     print_series(
         "Dependency-log replay wall-clock (ms) vs log size (records)",
         "records", [r for r, _ in recovery],
         {"replay ms": [round(s * 1000.0, 2) for _, s in recovery]})
-
-
-def write_grid():
-    """Run both series and write them to ``BENCH_control.json``."""
-    check_decision_sweep(decision_sweep())
-    check_replay_sweep(replay_sweep(*recovery_log()))
-    _maybe_report()
-    per_kclock = _per_kclock()
-    payload = {
-        "sweep_scheduler": SWEEP_SCHEDULER,
-        "recovery_scheduler": RECOVERY_SCHEDULER,
-        "arrival_rate_tps": SWEEP_RATE,
-        "sim_clocks": SWEEP_CLOCKS, "num_partitions": NUM_PARTITIONS,
-        "decision_throughput": [
-            {"control_nodes": n,
-             "decisions_per_kclock": per_kclock[n],
-             "throughput_tps": _results[("sweep", n)].throughput_tps,
-             "commits": _results[("sweep", n)].commits,
-             "twopc_rounds": _results[("sweep", n)].twopc_rounds,
-             "cn_utilizations": _results[("sweep", n)].cn_utilizations}
-            for n in CN_COUNTS],
-        "recovery": [
-            {"records": records, "replay_seconds": seconds}
-            for records, seconds in _results["recovery"]],
-    }
-    out = Path(__file__).resolve().parent.parent / "BENCH_control.json"
-    out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {out}")
-
-
-if __name__ == "__main__":
-    write_grid()

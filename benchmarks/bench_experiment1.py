@@ -1,11 +1,10 @@
 """Benchmark: regenerate Figures 6 and 7 (Experiment 1, scaled).
 
-Pattern1 arrival-rate sweep per scheduler, fanned over ``--jobs`` worker
-processes via the deterministic sweep executor (results are identical
-for every jobs value; only wall-clock changes).  The benchmark time is
-the cost of one scheduler's sweep; the printed tables are the figure
-rows.  Expected shape: ASL ~ CHAIN ~ K2 well above C2PL in TPS at equal
-rates, NODC on top.
+Pattern1 arrival-rate sweep per scheduler, run serially through the
+deterministic sweep executor.  The benchmark time is the cost of one
+scheduler's sweep; the printed tables are the figure rows.  Expected
+shape: ASL ~ CHAIN ~ K2 well above C2PL in TPS at equal rates, NODC on
+top.
 """
 
 import pytest
@@ -20,12 +19,12 @@ _results = {}
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_figure6_7_sweep(benchmark, scheduler, jobs):
+def test_figure6_7_sweep(benchmark, scheduler):
     specs = sweep_specs("pattern1", [scheduler], RATES,
                         sim_clocks=BENCH_CLOCKS, seed=BENCH_SEED)
 
     def sweep():
-        return run_points(specs, processes=jobs)
+        return run_points(specs, processes=1)
 
     points = benchmark.pedantic(sweep, rounds=1, iterations=1)
     _results[scheduler] = points

@@ -12,8 +12,6 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.config import SimulationParameters
 from repro.machine import run_simulation
 
@@ -25,20 +23,6 @@ if _ROOT not in sys.path:
 # Scaled horizon: ~8x shorter than the paper; fast but still contended.
 BENCH_CLOCKS = 250_000.0
 BENCH_SEED = 1
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--jobs", action="store", type=int, default=1,
-        help="worker processes for the sweep benchmarks "
-             "(bench_experiment1, bench_faults); results are identical "
-             "for every value — only wall-clock changes")
-
-
-@pytest.fixture
-def jobs(request):
-    """The --jobs option: pool width for sweep-shaped benchmarks."""
-    return request.config.getoption("--jobs")
 
 
 def run_point(scheduler: str, rate: float, workload, catalog,

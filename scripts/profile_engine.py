@@ -14,8 +14,9 @@ Run::
     PYTHONPATH=src python scripts/profile_engine.py --dump engine.prof
 
 The defaults mirror ``benchmarks/bench_engine.py`` exactly (same seed,
-same arrival rate, same catalog), so profile numbers line up with the
-committed BENCH_engine.json throughput rows.
+same arrival rate, same catalog), so a profile explains the speedup
+that benchmark's tier-1 floor test asserts; for timings with repeats
+and an environment stamp use perfbench (``perfbench/README.md``).
 """
 
 import argparse
