@@ -6,7 +6,7 @@ where the data node's pre-played windows coalesce whole scans into
 single timeouts.  ``"batched"`` is :class:`repro.machine.DataNode`;
 ``"reference"`` is the literal per-quantum loop of the test oracle
 :class:`tests.oracles.ReferenceDataNode`.  Two claims are checked, per
-scheduler:
+scheduler, plus a cheap K2 smoke (one run per loop, a 1.5x floor):
 
 * **equivalence** — both loops must produce the *identical* metrics
   dict (the batched loop is an optimisation, not an approximation);
@@ -45,6 +45,10 @@ FLOOR_TXNS = 500
 FLOOR_REPEATS = 3
 HEADLINE_SPEEDUP = 5.0
 
+#: The cheap K2 smoke: one run per loop, a loose floor.
+SMOKE_TXNS = 200
+SMOKE_SPEEDUP = 1.5
+
 
 def scale_params(scheduler, txns):
     return SimulationParameters(
@@ -64,6 +68,29 @@ def run_scale_point(scheduler, txns, mode):
     with loop:
         result = run_simulation(params, workload, catalog=catalog)
     return time.perf_counter() - start, result.metrics
+
+
+_smoke = {}
+
+
+@pytest.mark.parametrize("mode", ("batched", "reference"))
+def test_smoke_modes_are_equivalent_and_batched_wins(benchmark, mode):
+    def one():
+        return run_scale_point("K2", SMOKE_TXNS, mode)
+
+    wall, metrics = benchmark.pedantic(one, rounds=1, iterations=1)
+    assert metrics.commits > 0
+    _smoke[mode] = (wall, metrics)
+    if len(_smoke) == 2:
+        b_wall, b_metrics = _smoke["batched"]
+        r_wall, r_metrics = _smoke["reference"]
+        # The optimisation must be invisible in every simulated number.
+        assert b_metrics.as_dict() == r_metrics.as_dict()
+        speedup = r_wall / b_wall
+        print(f"\nsmoke speedup (K2, {SMOKE_TXNS} txns): {speedup:.1f}x")
+        # Loose floor for one run per loop; the floor tests below
+        # compare repeated runs against HEADLINE_SPEEDUP.
+        assert speedup > SMOKE_SPEEDUP
 
 
 @pytest.mark.parametrize("scheduler", ("CHAIN", "K2"))
