@@ -75,15 +75,6 @@ class SimulationParameters:
     retry_delay: float = 500.0
     """Fixed delay before re-submitting a delayed/aborted request."""
 
-    retry_policy: str = "fixed"
-    """Restart backoff for *aborted* transactions: 'fixed' (retry_delay),
-    'immediate' (re-submit in the same instant) or 'exponential'
-    (retry_delay doubling per attempt, clamped at retry_backoff_cap).
-    A fault plan's own retry policy, when given, overrides this."""
-
-    retry_backoff_cap: float = 0.0
-    """Upper bound for exponential restart backoff; 0 means unbounded."""
-
     # -- workload / run ------------------------------------------------------
     arrival_rate_tps: float = 0.5
     """Mean transaction arrival rate, transactions per second (Poisson)."""
@@ -103,12 +94,6 @@ class SimulationParameters:
 
     k_conflicts: int = 2
     """K of the K-conflict constraint (paper evaluates K = 2)."""
-
-    # -- observability -------------------------------------------------------
-    trace_sample_rate: float = 1.0
-    """Fraction of transactions whose lifecycle events an attached Tracer
-    records (deterministic per-tid choice; machine-level events are always
-    kept).  1.0 records everything — identical to an unsampled tracer."""
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
@@ -134,16 +119,8 @@ class SimulationParameters:
             # Zero would make a blocked transaction re-request forever at
             # one instant: the simulation clock could never advance.
             raise ConfigurationError("retry_delay must be positive")
-        if self.retry_policy not in ("fixed", "immediate", "exponential"):
-            raise ConfigurationError(
-                "retry_policy must be 'fixed', 'immediate' or 'exponential'")
-        if self.retry_backoff_cap < 0:
-            raise ConfigurationError("retry_backoff_cap must be non-negative")
         if self.k_conflicts < 0:
             raise ConfigurationError("k_conflicts must be non-negative")
-        if not 0.0 <= self.trace_sample_rate <= 1.0:
-            raise ConfigurationError(
-                "trace_sample_rate must lie in [0, 1]")
 
     @property
     def mean_interarrival_clocks(self) -> float:

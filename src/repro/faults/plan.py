@@ -175,9 +175,10 @@ class FaultPlan:
     below 1 model systematic under-declaration) and
     ``declared_cost_sigma`` adds the Experiment 4 relative normal error
     on top.  ``cascade`` extends every abort to the victim's direct
-    precedence successors in the WTPG.  ``retry = None`` defers to the
-    machine's configured retry policy.  A node (data or control) cannot
-    crash again until its previous crash has recovered.
+    precedence successors in the WTPG.  ``retry = None`` restarts after
+    the machine's ``retry_delay`` (a default ``RetryPolicy()``).  A node
+    (data or control) cannot crash again until its previous crash has
+    recovered.
     """
 
     crashes: Tuple[NodeCrash, ...] = ()

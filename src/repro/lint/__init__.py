@@ -23,9 +23,9 @@ Usage::
     PYTHONPATH=src python -m repro.lint src/          # or: repro-lint src/
     repro-lint --json src/                            # machine-readable
     repro-lint --sarif report.sarif src/              # SARIF 2.1.0
-    repro-lint --write-baseline lint-baseline.json src/
-    repro-lint --check-baseline lint-baseline.json src/
+    repro-lint --select RL009,RL012 src/              # or --ignore RLxxx
     repro-lint --list-rules                           # rule catalogue
+    repro-lint --explain RL013                        # rule + state machine
 
 Rules (see ``docs/lint.md`` for the full catalogue and rationale):
 
@@ -36,8 +36,8 @@ RL003     encapsulation: no ``wtpg._*`` access outside core/wtpg.py
           (explicit friend-module allowlist for the estimator overlay)
 RL004     float equality: no ``==``/``!=`` on critical-path/weight floats
           in core/schedulers/ (the infinity sentinel is exempt)
-RL005     exception hygiene: no bare excepts; no blind ``except Exception:
-          pass`` swallows
+RL005     exception hygiene: no blind ``except Exception: pass`` swallows
+          (other bare excepts are ruff ``E722``)
 RL006     lock lifecycle: a resource (register/request) released on some
           paths must be released on every path to a function exit
 RL007     guarded caches: memoized fields are read only behind their
@@ -55,6 +55,12 @@ RL011     stream escape: RNG streams — made locally, received in a
           and are not handed to a callee's escaping parameter
 RL012     synchronous schedulers: nothing in core/schedulers/ yields or
           (transitively) calls a function that may yield
+RL013     BAT lifecycle (typestate): no commit after doom/abort, no
+          double abort, grants only to waiting transactions
+RL014     engine Event lifecycle (typestate): trigger once via
+          ``succeed()``/``fail()``, never write ``_value``
+RL016     checkpoint lifecycle (typestate): results merge once, only
+          after fingerprint validation
 RL000     lint hygiene: unparseable files and suppression comments
           without a justification
 ========  ==============================================================
@@ -62,9 +68,8 @@ RL000     lint hygiene: unparseable files and suppression comments
 Suppressions: append ``# repro-lint: disable=RL001 -- <justification>``
 to the offending line.  The justification text after ``--`` is
 mandatory; a suppression without one is itself an RL000 violation.
-Findings that predate a rule can be grandfathered in a committed
-baseline (``--write-baseline`` / ``--check-baseline``); this repo's
-baseline is empty by design.
+There is no baseline: a new rule lands together with the fix (or the
+justified suppression) for every finding it raises.
 """
 
 from repro.lint.engine import LintRunner, lint_paths

@@ -1,18 +1,16 @@
 """Command-line entry point: ``repro-lint`` / ``python -m repro.lint``.
 
 Exit codes: 0 clean, 1 violations found, 2 usage error (e.g. a path that
-does not exist, or an unreadable baseline).
+does not exist, or an unknown rule id).
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
-from repro.lint.baseline import filter_new, load_baseline, write_baseline
 from repro.lint.engine import lint_paths, render_json, render_text
 from repro.lint.model import all_rules
 from repro.lint.sarif import render_sarif
@@ -24,7 +22,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description="Project-specific static analysis for the WTPG core "
                     "(rules RL001-RL016 except RL002 and RL008, which "
-                    "RL010 and RL011 absorbed; see docs/lint.md).")
+                    "RL010 and RL011 absorbed, and the retired RL015; see "
+                    "docs/lint.md).")
     parser.add_argument(
         "paths", nargs="*", default=["src"], metavar="PATH",
         help="files or directories to lint (default: src)")
@@ -35,13 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sarif", nargs="?", const="-", default=None, metavar="FILE",
         help="emit a SARIF 2.1.0 report to FILE (or stdout when no "
              "FILE is given) instead of text")
-    parser.add_argument(
-        "--write-baseline", metavar="FILE", default=None,
-        help="record the current violations as the committed baseline "
-             "and exit 0")
-    parser.add_argument(
-        "--check-baseline", metavar="FILE", default=None,
-        help="suppress violations recorded in FILE; only new ones fail")
     parser.add_argument(
         "--select", metavar="RULES", default=None,
         help="comma-separated rule ids to run (e.g. RL009,RL012); "
@@ -55,40 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--explain", metavar="RULE", default=None,
         help="print one rule's catalogue entry — and, for the typestate "
-             "rules RL013-RL016, the protocol's state-machine table — "
-             "then exit")
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help="report violations only in files git sees as modified "
-             "(staged, unstaged or untracked); the analysis itself "
-             "stays whole-program, so interprocedural rules still see "
-             "every file under PATH")
+             "rules RL013, RL014 and RL016, the protocol's state-machine "
+             "table — then exit")
     return parser
-
-
-def _git_changed_files() -> Optional[Set[Path]]:
-    """Files ``git status`` reports as touched, as resolved paths.
-
-    Returns None (usage error) outside a git work tree.  Renames report
-    their new name; deleted files resolve to nothing reportable, which
-    is exactly right — there is no line left to point at.
-    """
-    try:
-        out = subprocess.run(
-            ["git", "status", "--porcelain", "--untracked-files=all"],
-            capture_output=True, text=True, check=True).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    changed: Set[Path] = set()
-    for line in out.splitlines():
-        if len(line) < 4:
-            continue
-        name = line[3:]
-        if " -> " in name:
-            name = name.split(" -> ", 1)[1]
-        name = name.strip().strip('"')
-        changed.add(Path(name).resolve())
-    return changed
 
 
 def _parse_rule_list(raw: str, known: Sequence[str],
@@ -160,49 +121,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         paths.append(path)
 
-    changed: Optional[Set[Path]] = None
-    if args.changed_only:
-        if args.write_baseline is not None:
-            # A baseline recorded from a slice of the tree would
-            # grandfather only what happened to be dirty at the time.
-            print("repro-lint: --changed-only cannot combine with "
-                  "--write-baseline", file=sys.stderr)
-            return 2
-        changed = _git_changed_files()
-        if changed is None:
-            print("repro-lint: --changed-only requires git and a work "
-                  "tree", file=sys.stderr)
-            return 2
-
     violations, runner = lint_paths(paths, rules)
-
-    elided = 0
-    if changed is not None:
-        before = len(violations)
-        violations = [v for v in violations
-                      if Path(v.file).resolve() in changed]
-        elided = before - len(violations)
-
-    if args.write_baseline is not None:
-        write_baseline(Path(args.write_baseline), violations)
-        print(f"repro-lint: wrote baseline with {len(violations)} "
-              f"fingerprint{'s' if len(violations) != 1 else ''} to "
-              f"{args.write_baseline}")
-        return 0
-
-    grandfathered = 0
-    if args.check_baseline is not None:
-        baseline_path = Path(args.check_baseline)
-        if not baseline_path.exists():
-            print(f"repro-lint: baseline does not exist: {baseline_path}",
-                  file=sys.stderr)
-            return 2
-        try:
-            baseline = load_baseline(baseline_path)
-        except ValueError as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return 2
-        violations, grandfathered = filter_new(violations, baseline)
 
     if args.sarif is not None:
         report = render_sarif(violations, rules)
@@ -213,15 +132,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.as_json:
         print(render_json(violations, runner.files_checked, rules))
     else:
-        text = render_text(violations, runner.files_checked)
-        if grandfathered:
-            text += (f"\nrepro-lint: {grandfathered} baselined violation"
-                     f"{'s' if grandfathered != 1 else ''} suppressed")
-        if elided:
-            text += (f"\nrepro-lint: {elided} violation"
-                     f"{'s' if elided != 1 else ''} in unchanged files "
-                     "not shown (--changed-only)")
-        print(text)
+        print(render_text(violations, runner.files_checked))
     return 1 if violations else 0
 
 

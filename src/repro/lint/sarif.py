@@ -4,17 +4,22 @@ One run, one driver, one result per violation.  The emitted document is
 the minimal valid subset GitHub code scanning consumes: driver metadata
 with the rule catalogue (``ruleIndex`` back-references), one
 ``physicalLocation`` per result with a repo-relative artifact URI, and a
-``partialFingerprints`` entry reusing the baseline fingerprint so alert
-identity survives line drift.
+``partialFingerprints`` entry so alert identity survives line drift.
+
+The fingerprint hashes ``rule id + repo-relative path + stripped source
+line text + occurrence index`` — deliberately *not* the line number, so
+unrelated edits that shift a finding up or down keep its identity, while
+any change to the offending line itself surfaces as a new alert.  The
+occurrence index disambiguates repeated identical lines in one file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.baseline import fingerprints_for
 from repro.lint.model import Rule, Violation
 
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
@@ -36,12 +41,49 @@ def artifact_uri(file: str, root: Optional[Path] = None) -> str:
         return path.as_posix()
 
 
+def _line_text(violation: Violation,
+               sources: Dict[str, List[str]]) -> str:
+    """The stripped source line a violation points at ('' if unknown)."""
+    if violation.file not in sources:
+        try:
+            text = Path(violation.file).read_text(encoding="utf-8")
+            sources[violation.file] = text.splitlines()
+        except OSError:
+            sources[violation.file] = []
+    lines = sources[violation.file]
+    if 1 <= violation.line <= len(lines):
+        return lines[violation.line - 1].strip()
+    return ""
+
+
+def fingerprint(rule_id: str, rel_path: str, line_text: str,
+                occurrence: int) -> str:
+    payload = f"{rule_id}\x1f{rel_path}\x1f{line_text}\x1f{occurrence}"
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def fingerprints_for(violations: Sequence[Violation],
+                     root: Optional[Path] = None) -> List[str]:
+    """One fingerprint per violation, in input order."""
+    sources: Dict[str, List[str]] = {}
+    counts: Dict[Tuple[str, str, str], int] = {}
+    out: List[str] = []
+    for violation in violations:
+        rel = artifact_uri(violation.file, root)
+        text = _line_text(violation, sources)
+        key = (violation.rule_id, rel, text)
+        occurrence = counts.get(key, 0)
+        counts[key] = occurrence + 1
+        out.append(fingerprint(violation.rule_id, rel, text, occurrence))
+    return out
+
+
 def render_sarif(violations: Sequence[Violation], rules: Sequence[Rule],
                  root: Optional[Path] = None) -> str:
     """The SARIF 2.1.0 document for one lint run, as a JSON string."""
     rule_index: Dict[str, int] = {rule.rule_id: i
                                   for i, rule in enumerate(rules)}
-    fingerprints = fingerprints_for(violations)
+    fingerprints = fingerprints_for(violations, root)
     results: List[Dict[str, object]] = []
     for violation, fingerprint in zip(violations, fingerprints):
         result: Dict[str, object] = {

@@ -1,4 +1,4 @@
-"""Declarative typestate verification: protocols as data (RL013–RL016).
+"""Typestate verification: protocols as data (RL013, RL014, RL016).
 
 The fourth analysis layer.  The first three answer progressively wider
 questions — syntactic shape (RL001–RL005), intraprocedural order
@@ -6,9 +6,8 @@ questions — syntactic shape (RL001–RL005), intraprocedural order
 them states the thing the paper's correctness argument is actually made
 of: *object lifecycles*.  A BAT is admitted, started, granted locks,
 committed or aborted, and restarted only from aborted; an engine event
-is triggered exactly once; a WTPG node must not receive edge operations
-or estimator reads after it was excised; a checkpoint's results may be
-merged into a sweep only once, and only after fingerprint validation.
+is triggered exactly once; a checkpoint's results may be merged into
+a sweep only once, and only after fingerprint validation.
 
 Here a protocol is a committed :class:`ProtocolSpec` value — states,
 operation→transition rules, an error state, creators, and escape
@@ -74,7 +73,7 @@ existing machinery:
   shipped specs) or resets to all states (``on_escape="reset"``: the
   conservative choice when unknown code may advance the object).
 
-The four shipped rules and their scopes:
+The three shipped rules and their scopes:
 
 * **RL013** — BAT lifecycle (``core/schedulers/``, ``machine/shard.py``,
   ``machine/control_log.py``, ``faults/``): no commit after a doom or
@@ -85,12 +84,6 @@ The four shipped rules and their scopes:
   (direct ``_value`` writes bypass the ``EngineStateError`` guard),
   only a triggered (failed) event is defused, only a scheduled
   (pending) event is unscheduled.
-* **RL015** — WTPG node lifecycle (``core/wtpg.py``,
-  ``core/builder.py``): no edge operations or estimator reads against
-  an excised node.  The *excise implies generation bump* half of the
-  contract is deliberately not restated here: ``remove_transaction``
-  mutates watched containers, so RL010 already enforces the bump;
-  RL015 adds only the node-order half.
 * **RL016** — checkpoint/sweep-task lifecycle
   (``experiments/parallel.py``): a loaded checkpoint's results are
   merged once, and only after ``_validate_checkpoint`` accepted the
@@ -140,7 +133,7 @@ class Operation:
     operation *forbidden*: no state permits it.  ``introduces`` marks
     operations whose tracked operand starts tracking (at all states)
     even without an annotation or creator — the only way to track
-    plain-``int`` handles like WTPG transaction ids.
+    plain-``int`` handles such as transaction ids.
     """
 
     kind: str                 # CALL, ARG or WRITE
@@ -747,47 +740,6 @@ EVENT_PROTOCOL = ProtocolSpec(
                 "sub-events of conditions must be defused",
 )
 
-#: RL015 — WTPG node order: nothing touches an excised node.  All
-#: operations introduce tracking (node handles are plain ints, so there
-#: is no annotation or constructor to anchor on).
-WTPG_NODE_PROTOCOL = ProtocolSpec(
-    name="WTPG node lifecycle",
-    states=("absent", "present", "excised"),
-    error_state="invalid",
-    creators=(),
-    operations=(
-        Operation(ARG, "add_transaction", _t(absent=("present",)),
-                  introduces=True,
-                  description="a node is created exactly once"),
-        Operation(ARG, "remove_transaction", _t(present=("excised",)),
-                  introduces=True,
-                  description="excision drops the node and its edges"),
-        Operation(ARG, "ensure_pair", _t(present=("present",)),
-                  arg_index=0, introduces=True),
-        Operation(ARG, "ensure_pair", _t(present=("present",)),
-                  arg_index=1, introduces=True),
-        Operation(ARG, "resolve", _t(present=("present",)),
-                  arg_index=0, introduces=True),
-        Operation(ARG, "resolve", _t(present=("present",)),
-                  arg_index=1, introduces=True),
-        Operation(ARG, "source_weight", _t(present=("present",)),
-                  introduces=True),
-        Operation(ARG, "set_source_weight", _t(present=("present",)),
-                  introduces=True),
-        Operation(ARG, "decrement_source", _t(present=("present",)),
-                  introduces=True,
-                  description="a weight-adjustment message for an "
-                              "excised node must be dropped, not "
-                              "applied"),
-        Operation(ARG, "conflict_neighbors", _t(present=("present",)),
-                  introduces=True),
-    ),
-    on_escape="ignore",
-    description="created -> linked/read -> excised; no edge operation "
-                "or estimator read after excision (the excision bump "
-                "itself is RL010's contract)",
-)
-
 #: RL016 — checkpoint results: loaded, validated, merged exactly once.
 CHECKPOINT_PROTOCOL = ProtocolSpec(
     name="checkpoint lifecycle",
@@ -848,18 +800,6 @@ class EventLifecycleRule(TypestateRule):
 
     def applies_to(self, ctx: FileContext) -> bool:
         return ctx.in_dir("engine")
-
-
-@register_rule
-class WtpgNodeLifecycleRule(TypestateRule):
-    rule_id = "RL015"
-    summary = ("WTPG node lifecycle (typestate): no edge operation or "
-               "estimator read against an excised node")
-    spec = WTPG_NODE_PROTOCOL
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return (ctx.is_module("repro/core/wtpg.py")
-                or ctx.is_module("repro/core/builder.py"))
 
 
 @register_rule

@@ -104,8 +104,6 @@ class Cluster:
         self.history = History() if record_history else None
         self.data_nodes = [DataNode(self.env, node_id, params.obj_time)
                            for node_id in range(params.num_nodes)]
-        if tracer is not None and params.trace_sample_rate < 1.0:
-            tracer.sample_rate = params.trace_sample_rate
         self.tracer = tracer
         # An absent or empty plan builds no injector at all: no extra
         # random draws, no extra engine processes — the run is

@@ -212,12 +212,8 @@ class ControlPlane:
         self._doomed: Dict[int, str] = {}
         self._home: Dict[int, int] = {}
         self._cascade = plan.cascade if plan is not None else False
-        if plan is not None and plan.retry is not None:
-            self.retry_policy = plan.retry
-        else:
-            self.retry_policy = RetryPolicy(
-                kind=params.retry_policy,
-                cap=params.retry_backoff_cap or None)
+        retry = plan.retry if plan is not None else None
+        self.retry_policy = retry if retry is not None else RetryPolicy()
 
     # -- shard map ------------------------------------------------------------
 

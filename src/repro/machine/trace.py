@@ -98,13 +98,6 @@ class Tracer:
     def sample_rate(self) -> float:
         return self._sample_rate
 
-    @sample_rate.setter
-    def sample_rate(self, rate: float) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"sample_rate must lie in [0, 1], got {rate}")
-        self._sample_rate = rate
-        self._threshold = int(rate * self._HASH_SPACE)
-
     def wants(self, tid: int) -> bool:
         """Whether events of transaction ``tid`` are recorded."""
         if tid < 0 or self._threshold >= self._HASH_SPACE:

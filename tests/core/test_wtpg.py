@@ -55,6 +55,29 @@ class TestNodes:
         with pytest.raises(WTPGError):
             WTPG().remove_transaction(5)
 
+    @pytest.mark.parametrize("touch", [
+        lambda g: g.ensure_pair(2, 1),
+        lambda g: g.ensure_pair(1, 2),
+        lambda g: g.resolve(2, 1),
+        lambda g: g.resolve(1, 2),
+        lambda g: g.source_weight(2),
+        lambda g: g.set_source_weight(2, 1.0),
+        lambda g: g.decrement_source(2),
+        lambda g: g.conflict_neighbors(2),
+        lambda g: g.remove_transaction(2),
+    ], ids=["ensure_pair-first", "ensure_pair-second", "resolve-pred",
+            "resolve-succ", "source_weight", "set_source_weight",
+            "decrement_source", "conflict_neighbors", "remove_transaction"])
+    def test_excised_node_refuses_every_operation(self, touch):
+        # The node lifecycle's runtime guard: nothing may touch a node
+        # after remove_transaction (a weight-adjustment message for an
+        # excised node must be dropped, not applied).  resolve fails on
+        # the pair edge the excision dropped, the rest in _require.
+        g = figure2_wtpg()
+        g.remove_transaction(2)
+        with pytest.raises(WTPGError):
+            touch(g)
+
     def test_decrement_source_clamps_at_zero(self):
         g = WTPG()
         g.add_transaction(1, 1.5)

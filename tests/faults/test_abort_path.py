@@ -1,4 +1,4 @@
-"""The abort/restart path: scheduler excision, cascade, retry, config."""
+"""The abort/restart path: scheduler excision, cascade, retry."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.config import SimulationParameters
 from repro.core import Step, TransactionRuntime, TransactionSpec
 from repro.core.invariants import check_consistency
 from repro.core.schedulers import make_scheduler
-from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, NodeCrash, RetryPolicy, StepAbort
 from repro.machine import run_simulation
 from repro.workloads import pattern1, pattern1_catalog
@@ -154,20 +153,14 @@ class TestMachineAbortPath:
         assert fast.commits >= slow.commits
 
     def test_machine_retry_policy_used_when_plan_has_none(self):
-        result = self.run(FaultPlan(abort_rate=0.4),
-                          retry_policy="exponential",
-                          retry_backoff_cap=4_000.0)
-        assert result.metrics.commits > 0
+        # A plan with no retry restarts after exactly params.retry_delay:
+        # the run equals one whose plan spells that fixed delay out, and
+        # any other delay changes it.
+        def run(retry):
+            return self.run(FaultPlan(abort_rate=0.4, retry=retry),
+                            retry_delay=1_234.0).metrics.as_dict()
 
-
-class TestConfigValidation:
-    def test_retry_policy_names(self):
-        for name in ("fixed", "immediate", "exponential"):
-            SimulationParameters(retry_policy=name)
-        with pytest.raises(ConfigurationError):
-            SimulationParameters(retry_policy="bogus")
-
-    def test_backoff_cap_non_negative(self):
-        SimulationParameters(retry_backoff_cap=0.0)
-        with pytest.raises(ConfigurationError):
-            SimulationParameters(retry_backoff_cap=-1.0)
+        implicit = run(None)
+        assert implicit["restarts"] > 0
+        assert implicit == run(RetryPolicy("fixed", delay=1_234.0))
+        assert implicit != run(RetryPolicy("fixed", delay=2_468.0))

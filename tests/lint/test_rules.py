@@ -240,3 +240,17 @@ def test_rl005_fires_on_bare_and_blind_excepts():
 
 def test_rl005_silent_on_narrow_or_reraising_handlers():
     assert lint(RL005_GOOD, "repro/machine/example.py") == []
+
+
+def test_rl005_leaves_bare_excepts_with_a_body_to_ruff():
+    # Bare excepts in general are ruff E722; RL005 keeps only the
+    # silent-swallow half.
+    source = """\
+        def run(task, log):
+            try:
+                task()
+            except:
+                log()
+                raise
+    """
+    assert lint(source, "repro/machine/example.py") == []

@@ -10,7 +10,7 @@ import repro.lint.engine  # noqa: F401  (registers the rule catalogue)
 from repro.lint.model import Violation, all_rules
 from repro.lint.sarif import (FINGERPRINT_KEY, SARIF_SCHEMA, SARIF_VERSION,
                               TOOL_NAME, TOOL_VERSION, artifact_uri,
-                              render_sarif)
+                              fingerprint, fingerprints_for, render_sarif)
 
 
 def sample_violations(tmp_path):
@@ -40,7 +40,8 @@ def test_driver_carries_the_full_rule_catalogue(tmp_path):
     assert driver["name"] == TOOL_NAME
     assert driver["version"] == TOOL_VERSION
     ids = [rule["id"] for rule in driver["rules"]]
-    assert ids == [f"RL{i:03d}" for i in range(1, 17) if i not in (2, 8)]
+    assert ids == [f"RL{i:03d}" for i in range(1, 17)
+                   if i not in (2, 8, 15)]
     for rule in driver["rules"]:
         assert rule["shortDescription"]["text"]
 
@@ -73,6 +74,53 @@ def test_results_carry_baseline_fingerprints(tmp_path):
     results = document_for(tmp_path)["runs"][0]["results"]
     prints = [r["partialFingerprints"][FINGERPRINT_KEY] for r in results]
     assert all(len(p) == 64 for p in prints)  # sha256 hex
+    assert len(set(prints)) == 2
+
+
+def violation_in(path, line, rule_id="RL006", message="leak"):
+    return Violation(rule_id, str(path), line, 4, message)
+
+
+def write_source(tmp_path, name, lines):
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_fingerprint_is_stable_and_input_sensitive():
+    base = fingerprint("RL006", "src/a.py", "x.register()", 0)
+    assert base == fingerprint("RL006", "src/a.py", "x.register()", 0)
+    assert base != fingerprint("RL007", "src/a.py", "x.register()", 0)
+    assert base != fingerprint("RL006", "src/b.py", "x.register()", 0)
+    assert base != fingerprint("RL006", "src/a.py", "x.register()", 1)
+
+
+def test_fingerprints_survive_line_drift(tmp_path):
+    """Inserting lines above a finding must not change its fingerprint —
+    the hash covers the line *text*, never the number."""
+    source = write_source(tmp_path, "mod.py",
+                          ["def f():", "    t.register()"])
+    before = fingerprints_for([violation_in(source, 2)], root=tmp_path)
+
+    write_source(tmp_path, "mod.py",
+                 ["# a new comment", "", "def f():", "    t.register()"])
+    after = fingerprints_for([violation_in(source, 4)], root=tmp_path)
+    assert before == after
+
+
+def test_fingerprints_change_when_the_line_itself_changes(tmp_path):
+    source = write_source(tmp_path, "mod.py", ["t.register()"])
+    before = fingerprints_for([violation_in(source, 1)], root=tmp_path)
+    write_source(tmp_path, "mod.py", ["t.register(txn)"])
+    after = fingerprints_for([violation_in(source, 1)], root=tmp_path)
+    assert before != after
+
+
+def test_repeated_identical_lines_get_distinct_occurrence_indices(tmp_path):
+    source = write_source(tmp_path, "mod.py",
+                          ["t.register()", "t.register()"])
+    prints = fingerprints_for(
+        [violation_in(source, 1), violation_in(source, 2)], root=tmp_path)
     assert len(set(prints)) == 2
 
 

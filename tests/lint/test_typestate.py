@@ -1,4 +1,4 @@
-"""Tests for the declarative typestate layer (RL013–RL016).
+"""Tests for the declarative typestate layer (RL013, RL014, RL016).
 
 Three tiers, mirroring the framework's own layering:
 
@@ -363,41 +363,6 @@ def test_rl014_defuse_and_unschedule_need_the_right_state():
     assert "unschedule" in rl014[1].message
 
 
-def test_rl015_flags_touch_after_excision():
-    violations = lint("""\
-        def drop(wtpg, tid):
-            wtpg.remove_transaction(tid)
-            wtpg.decrement_source(tid)
-    """, "repro/core/wtpg.py")
-    rl015 = of_rule(violations, "RL015")
-    assert len(rl015) == 1
-    assert "decrement_source" in rl015[0].message
-    assert "excised" in rl015[0].message
-
-
-def test_rl015_flags_double_insertion():
-    violations = lint("""\
-        def insert(wtpg, tid, weight):
-            wtpg.add_transaction(tid, weight)
-            wtpg.add_transaction(tid, weight)
-    """, "repro/core/wtpg.py")
-    rl015 = of_rule(violations, "RL015")
-    assert len(rl015) == 1
-    assert "exactly once" in rl015[0].message
-
-
-def test_rl015_clean_on_the_full_node_life():
-    violations = lint("""\
-        def life(wtpg, tid, other, weight):
-            wtpg.add_transaction(tid, weight)
-            wtpg.ensure_pair(tid, other)
-            wtpg.resolve(other, tid)
-            wtpg.decrement_source(tid)
-            wtpg.remove_transaction(tid)
-    """, "repro/core/wtpg.py")
-    assert of_rule(violations, "RL015") == []
-
-
 def test_rl016_flags_merge_without_validation():
     violations = lint("""\
         def resume(done, path):
@@ -467,25 +432,6 @@ def test_rl014_teeth_on_real_engine_core():
     # their justifications, both writes must flag.
     assert len(rl014) == 2
     assert all("_value" in v.message for v in rl014)
-
-
-def test_rl015_teeth_on_reseeded_builder_bug():
-    source = (REPO / "src/repro/core/builder.py").read_text(
-        encoding="utf-8")
-    broken = source.replace(
-        "    wtpg.remove_transaction(tid)\n    table.unregister(tid)",
-        "    wtpg.remove_transaction(tid)\n"
-        "    wtpg.decrement_source(tid)\n"
-        "    table.unregister(tid)")
-    assert broken != source, "builder.remove_transaction changed shape"
-    violations = LintRunner().check_source(
-        broken, display="<broken builder>",
-        logical="repro/core/builder.py")
-    rl015 = of_rule(violations, "RL015")
-    # The paper's WA-message race: a weight adjustment applied to a
-    # node that was just excised.
-    assert len(rl015) == 1
-    assert "decrement_source" in rl015[0].message
 
 
 def test_rl016_teeth_on_unvalidated_resume():

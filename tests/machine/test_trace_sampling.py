@@ -1,7 +1,5 @@
 """Sampled observability: Tracer sample_rate / counters_only switches."""
 
-import json
-
 import pytest
 
 from repro.config import SimulationParameters
@@ -81,25 +79,8 @@ def test_counters_only_composes_with_sampling():
     assert counted.summary() == sampled.summary()
 
 
-def test_cluster_applies_config_sample_rate():
-    tracer = Tracer()
-    run_with(tracer, trace_sample_rate=0.5)
-    assert tracer.sample_rate == 0.5
-
-
 def test_invalid_rates_rejected():
     with pytest.raises(ValueError):
         Tracer(sample_rate=1.5)
-    tracer = Tracer()
     with pytest.raises(ValueError):
-        tracer.sample_rate = -0.1
-    from repro.errors import ConfigurationError
-    with pytest.raises(ConfigurationError):
-        SimulationParameters(trace_sample_rate=2.0)
-
-
-def test_params_round_trip_with_new_fields():
-    params = SimulationParameters(trace_sample_rate=0.25)
-    clone = SimulationParameters.from_json(params.to_json())
-    assert clone == params
-    assert json.loads(params.to_json())["trace_sample_rate"] == 0.25
+        Tracer(sample_rate=-0.1)

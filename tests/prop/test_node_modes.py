@@ -70,10 +70,9 @@ def test_sampled_tracer_sees_identical_streams_across_modes(scheduler):
 
     def sampled_trace(mode):
         from repro.machine.cluster import Cluster
-        run_params = params.with_overrides(trace_sample_rate=0.5)
-        tracer = Tracer()
+        tracer = Tracer(sample_rate=0.5)
         with node_loop(mode):
-            cluster = Cluster(run_params, workload, tracer=tracer)
+            cluster = Cluster(params, workload, tracer=tracer)
         cluster.run()
         return "\n".join(e.to_json() for e in tracer.events)
 

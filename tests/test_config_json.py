@@ -46,7 +46,6 @@ def test_validation_applies_on_load():
     ('{"seed": true}', "seed"),
     ('{"obj_time": false}', "obj_time"),
     ('{"num_nodes": 4.0}', "num_nodes"),
-    ('{"retry_policy": null}', "retry_policy"),
 ])
 def test_wrongly_typed_field_names_the_field(text, field):
     with pytest.raises(ConfigurationError, match=repr(field)):
@@ -61,10 +60,14 @@ def test_int_accepted_where_the_field_is_a_float():
     assert params == SimulationParameters.from_json(params.to_json())
 
 
-@pytest.mark.parametrize("retired", ["node_mode", "estimator_mode"])
+@pytest.mark.parametrize("retired", ["node_mode", "estimator_mode",
+                                     "retry_policy", "retry_backoff_cap",
+                                     "trace_sample_rate"])
 def test_retired_mode_fields_are_unknown(retired):
-    """Parameter files that still select a data-node or estimator mode
-    predate the single runtime path and are refused, not ignored."""
+    """Parameter files that still select a data-node or estimator mode,
+    a restart backoff or a trace sampling rate predate the single owner
+    of each behaviour (the one runtime path, ``FaultPlan.retry`` and
+    ``Tracer(sample_rate=)``) and are refused, not ignored."""
     text = SimulationParameters().to_json()[:-1] + f', "{retired}": "x"}}'
     with pytest.raises(ConfigurationError,
                        match=rf"unknown parameter fields: \['{retired}'\]"):
