@@ -16,22 +16,30 @@ Two series, each asserted by its own test and printed once both ran:
   and a scheduler whose decisions are O(active set) would make the
   *simulator* quadratic in the deliberate overload backlog.
 
-* **Recovery time vs log size**.  One long sharded K2 run at stable
-  load accumulates a dependency log; the benchmark then replays growing
-  prefixes into fresh schedulers and reports the wall-clock replay time
-  per prefix — the recovery-time curve is linear in the log because
-  replay applies outcomes, it never re-decides.
+* **Replay work vs log length**.  One sharded K2 run at stable load is
+  stepped through growing stop times.  At each stop shard 0's
+  dependency log is replayed into a fresh scheduler.  The log compacts
+  at every COMMIT/ABORT, so replay applies only the live BATs' records:
+  the retained count must stay within 2x its first value while the
+  records ever appended grow at least 16x, and the replayed shard must
+  equal the live one edge for edge.  The gate counts records, so it is
+  deterministic; the wall-clock replay time is printed, not asserted.
 """
 
 import time
+from unittest import mock
 
 from conftest import BENCH_SEED, print_series
 from repro.config import SimulationParameters
+from repro.core import builder
+from repro.core.locks import LockTable
 from repro.core.schedulers import make_scheduler
 from repro.core.transaction import Step, TransactionSpec
 from repro.machine import run_simulation
 from repro.machine.cluster import Cluster
-from repro.machine.control_log import EDGE
+from repro.machine.control_log import ADMIT, GRANT
+
+from tests.oracles.control_log import names
 
 SWEEP_SCHEDULER = "NODC"
 CN_COUNTS = (1, 2, 4, 8)
@@ -41,9 +49,14 @@ SWEEP_CLOCKS = 30_000.0
 TWO_STEP_PROB = 0.2     # fraction of BATs that are (usually) cross-shard
 
 RECOVERY_SCHEDULER = "K2"
-RECOVERY_RATE = 100.0   # stable under 2 CNs: the log grows, queues don't
-LOG_CLOCKS = 80_000.0
-LOG_SIZES = (500, 1000, 2000, 4000, 8000)
+# 50 arrivals per 1000 clocks of 1-2 two-object steps over 64 partitions
+# and 64 data nodes (DN utilisation ~0.46), 2% of steps writes: the load
+# is stable, so shard 0's live set holds at ~30-55 BATs while its log
+# grows ~30x from the first stop to the last.
+RECOVERY_RATE = 50.0
+RECOVERY_PARTITIONS = 64
+RECOVERY_WRITE_PROB = 0.02
+RECOVERY_STOPS = (2_500.0, 5_000.0, 10_000.0, 20_000.0, 40_000.0, 80_000.0)
 
 _results = {}
 
@@ -97,53 +110,94 @@ def test_decision_throughput_vs_cn_count(benchmark):
     _maybe_report()
 
 
-def _safe_cut(records, k):
-    """Advance a prefix cut past EDGE records so a GRANT is never split
-    from the precedence edges it resolved."""
-    while k < len(records) and records[k].kind == EDGE:
-        k += 1
-    return k
+def recovery_workload(tid, streams):
+    """One or two short steps on uniform partitions, rarely a write: a
+    steady live set with a few conflict pairs to log and replay."""
+    steps = []
+    for _ in range(streams.randint("bench-rec", 1, 2)):
+        partition = streams.randint("bench-rec", 0, RECOVERY_PARTITIONS - 1)
+        if streams.uniform("bench-rec", 0.0, 1.0) < RECOVERY_WRITE_PROB:
+            steps.append(Step.write(partition, 2.0))
+        else:
+            steps.append(Step.read(partition, 2.0))
+    return TransactionSpec(tid, steps)
 
 
-def recovery_log():
-    """A long 2-CN run's shard-0 log and a matching scheduler factory."""
-    params = control_bound_params(RECOVERY_SCHEDULER, RECOVERY_RATE, 2,
-                                  LOG_CLOCKS)
-    cluster = Cluster(params, control_bound_workload)
-    cluster.run()
-    log = cluster.control_plane.shards[0].log
-    assert log is not None
-    assert len(log) >= LOG_SIZES[-1], (
-        f"log too small for the sweep: {len(log)} records")
+def recovery_params():
+    return SimulationParameters(
+        scheduler=RECOVERY_SCHEDULER, arrival_rate_tps=RECOVERY_RATE,
+        sim_clocks=RECOVERY_STOPS[-1], seed=BENCH_SEED,
+        num_partitions=RECOVERY_PARTITIONS, num_nodes=RECOVERY_PARTITIONS,
+        obj_time=200.0, admission_time=2.0, startup_time=4.0, dd_time=2.0,
+        commit_time=4.0, retry_delay=50.0, num_control_nodes=2)
+
+
+def structure(wtpg):
+    """Nodes plus every pair edge as (a, b, resolved-successor)."""
+    return (frozenset(wtpg.transactions),
+            frozenset((min(e.a, e.b), max(e.a, e.b), e.resolved_to)
+                      for e in wtpg.pairs()))
+
+
+def replay_point(shard, factory):
+    """Replay ``shard``'s log at the current instant and check it.
+
+    Returns (records appended, records retained, live BATs, seconds).
+    """
+    log = shard.log
+    live = shard.scheduler.wtpg
+    retained = list(log.retained.values())
+    for record in retained:
+        assert all(tid in live for tid in names(record)), (
+            f"retained {record} names a finished BAT")
+    with mock.patch.object(builder, "add_transaction",
+                           wraps=builder.add_transaction) as added, \
+            mock.patch.object(LockTable, "grant", autospec=True,
+                              side_effect=LockTable.grant) as granted:
+        begin = time.perf_counter()
+        replayed, lsn = log.replay(factory)
+        seconds = time.perf_counter() - begin
+    assert lsn == len(log)
+    # Replay applied every retained ADMIT and GRANT, and nothing else.
+    assert added.call_count == len(live) == sum(
+        1 for record in retained if record.kind == ADMIT)
+    assert granted.call_count == sum(
+        1 for record in retained if record.kind == GRANT)
+    assert structure(replayed.wtpg) == structure(live), (
+        "replayed WTPG diverges from the live shard")
+    return len(log), len(retained), len(live), seconds
+
+
+def stepped_recovery():
+    """Step one 2-CN run through RECOVERY_STOPS, replaying at each."""
+    params = recovery_params()
+    cluster = Cluster(params, recovery_workload)
+    shard = cluster.control_plane.shards[0]
+    points = []
 
     def factory():
         return make_scheduler(params.scheduler, **params.scheduler_kwargs())
 
-    return log, factory
+    def observer():
+        for stop in RECOVERY_STOPS:
+            yield cluster.env.timeout(stop - cluster.env.now)
+            points.append(replay_point(shard, factory))
+
+    cluster.env.process(observer())
+    cluster.run()
+    return points
 
 
-def replay_sweep(log, factory):
-    """Wall-clock replay of growing log prefixes: (records, seconds)."""
-    series = []
-    for size in LOG_SIZES:
-        upto = _safe_cut(log.records, size)
-        begin = time.perf_counter()
-        _, replayed = log.replay(factory, upto=upto)
-        series.append((replayed, time.perf_counter() - begin))
-    return series
-
-
-def test_recovery_time_vs_log_size(benchmark):
-    log, factory = recovery_log()
-    series = benchmark.pedantic(replay_sweep, args=(log, factory),
-                                rounds=1, iterations=1)
-    for (replayed, seconds), size in zip(series, LOG_SIZES):
-        assert replayed >= size
-        assert seconds > 0.0
-    # More log must take more replay work; the extremes are far enough
-    # apart (16x) that wall-clock ordering is stable.
-    assert series[-1][1] > series[0][1], f"replay time not growing: {series}"
-    _results["recovery"] = series
+def test_replay_work_vs_log_length(benchmark):
+    points = benchmark.pedantic(stepped_recovery, rounds=1, iterations=1)
+    assert len(points) == len(RECOVERY_STOPS)
+    appended = [point[0] for point in points]
+    retained = [point[1] for point in points]
+    # Compaction bounds replay by the live set, not by the run length.
+    assert appended[-1] >= 16 * appended[0], f"log barely grew: {appended}"
+    assert all(retained[0] / 2 <= r <= 2 * retained[0] for r in retained), (
+        f"retained records not steady while the log grew: {points}")
+    _results["recovery"] = points
     _maybe_report()
 
 
@@ -161,6 +215,10 @@ def _maybe_report():
          "commits": [m.commits for m in sweep]})
     recovery = _results["recovery"]
     print_series(
-        "Dependency-log replay wall-clock (ms) vs log size (records)",
-        "records", [r for r, _ in recovery],
-        {"replay ms": [round(s * 1000.0, 2) for _, s in recovery]})
+        f"Dependency-log replay vs run length ({RECOVERY_SCHEDULER}, 2 CNs, "
+        f"lambda={RECOVERY_RATE}, shard 0)",
+        "stop clock", list(RECOVERY_STOPS),
+        {"appended": [point[0] for point in recovery],
+         "retained": [point[1] for point in recovery],
+         "live BATs": [point[2] for point in recovery],
+         "replay ms": [round(point[3] * 1000.0, 2) for point in recovery]})

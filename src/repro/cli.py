@@ -207,7 +207,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rows += [
             ("CN crashes", m.cn_crashes),
             ("CN recoveries", m.cn_recoveries),
-            ("log records replayed", m.recovery_records),
+            ("log records recovered", m.recovery_records),
             ("recovery downtime", f"{m.recovery_clocks:.0f} clocks"),
         ]
     if fault_plan is not None:

@@ -13,9 +13,9 @@ The paper's machine has one centralized control node (CN): the
 one-shard :class:`ControlPlane` (:mod:`repro.machine.shard`).  With
 ``num_control_nodes > 1`` partition ``p`` is controlled by CN ``p mod
 num_control_nodes``, cross-shard BATs commit by 2PC among their
-participant CNs, and each CN keeps an append-only :class:`DependencyLog`
-(:mod:`repro.machine.control_log`) from which a crashed CN's lock table
-and WTPG are replayed.
+participant CNs, and each CN keeps a :class:`DependencyLog`
+(:mod:`repro.machine.control_log`), compacted at every commit and abort,
+from which a crashed CN's lock table and WTPG are replayed.
 """
 
 from repro.machine.partition import Catalog, Partition

@@ -1,17 +1,28 @@
-"""Per-control-node dependency logging and log replay.
+"""Per-control-node dependency logging, compaction and log replay.
 
 Each control-plane shard appends one :class:`LogRecord` per
 state-changing scheduler operation it performs: the *admission* of a
-BAT's shard-local sub-declaration, every lock *grant* (with the
-precedence *edges* the grant resolved), and the *commit* or *abort* that
-excises the BAT again.  Blocked/delayed requests are deliberately absent
-— they do not mutate scheduler state, so a log of only the
-state-changing operations, replayed in append order, reconstructs the
-shard's lock table and WTPG exactly (dependency logging in the sense of
-"Scaling Distributed Transaction Processing and Recovery based on
-Dependency Logging": the log persists *outcomes* — the dependencies —
-not the decision procedure that produced them, so replay never re-runs
-an admission constraint or a grant rule).
+BAT's shard-local sub-declaration and every lock *grant* (with the
+precedence *edges* the grant resolved).  Blocked/delayed requests are
+deliberately absent — they do not mutate scheduler state, so a log of
+only the state-changing operations, replayed in append order,
+reconstructs the shard's lock table and WTPG exactly (dependency logging
+in the sense of "Scaling Distributed Transaction Processing and Recovery
+based on Dependency Logging": the log persists *outcomes* — the
+dependencies — not the decision procedure that produced them, so replay
+never re-runs an admission constraint or a grant rule).
+
+The *commit* or *abort* that excises a BAT is not stored: it compacts
+the log instead.  It drops every retained record of that tid — its
+ADMIT and GRANT records and every EDGE naming it as predecessor or
+successor — because replaying them would only rebuild state the excision
+removes again.  Nothing else in the lock table or WTPG depends on an
+excised BAT (its pairs go with its node, its locks with its
+registration), so the retained records alone rebuild the live state,
+and each compaction costs the records it drops.  The log is therefore
+bounded by the live set, not by the run length.  Records keep their LSN
+(their position in append order); ``len(log)`` is the end LSN, the count
+of records ever appended, commits and aborts included.
 
 One deliberate omission, documented in ``docs/control_plane.md``: the
 per-object weight-adjustment messages are *not* logged (they would grow
@@ -22,35 +33,34 @@ weights.  That is safe: weights only bias scheduling decisions
 weight >= due, weight <= declared total, acyclicity, cache consistency —
 holds at the declared upper bound.
 
-:meth:`DependencyLog.replay` rebuilds a fresh scheduler from the log and
-*proves* consistency before handing it back: ``cache_violations()`` must
-be empty and :func:`repro.core.invariants.check_consistency` must pass,
-otherwise recovery fails loudly.
+:meth:`DependencyLog.replay` rebuilds a fresh scheduler from the
+retained records and *proves* it consistent before handing it back:
+:func:`repro.core.invariants.find_violations` (which includes
+``cache_violations()``) must find nothing, otherwise recovery fails
+loudly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.core import builder
-from repro.core.invariants import check_consistency
+from repro.core.invariants import find_violations
 from repro.core.schedulers.base import Scheduler
 from repro.core.transaction import LockMode, Step, TransactionSpec
 from repro.errors import LockTableError, SchedulerError
 
-# Record kinds, in the only order they can legally appear per (tid,
-# attempt): ADMIT, then GRANT/EDGE interleaved, then COMMIT or ABORT.
+# Retained record kinds, in the only order they can legally appear per
+# (tid, attempt): ADMIT, then GRANT/EDGE interleaved.
 ADMIT = "admit"
 GRANT = "grant"
 EDGE = "edge"
-COMMIT = "commit"
-ABORT = "abort"
 
 
 @dataclass(frozen=True)
 class LogRecord:
-    """One append-only dependency-log entry.
+    """One dependency-log entry.
 
     ``steps`` is only populated for ADMIT records (the shard-local
     sub-declaration: partition, mode value, actual cost, declared cost);
@@ -68,20 +78,41 @@ class LogRecord:
 
 
 class DependencyLog:
-    """Append-only dependency log of one control-plane shard.
+    """Self-compacting dependency log of one control-plane shard.
 
     The log models the shard's *durable* medium: it survives the shard's
     crash, and — one modelling simplification — surviving coordinators
-    may still append ABORT records for transactions they abort while the
-    shard is down, so that replay excises them in order.
+    may still append ABORTs for transactions they abort while the shard
+    is down, so that the excision lands before replay.
+
+    ``retained`` maps LSN -> record for the records live transactions
+    still depend on, in append order; ``_lsns`` maps each tid to the
+    LSNs of the records naming it (an EDGE is listed under both ends).
     """
 
     def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
-        self.records: List[LogRecord] = []
+        self.retained: Dict[int, LogRecord] = {}
+        self._lsns: Dict[int, List[int]] = {}
+        self._end = 0
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._end
+
+    def _retain(self, record: LogRecord, tids: Iterable[int]) -> None:
+        lsn = self._end
+        self._end += 1
+        self.retained[lsn] = record
+        for tid in tids:
+            self._lsns.setdefault(tid, []).append(lsn)
+
+    def _excise(self, tid: int) -> None:
+        self._end += 1
+        retained = self.retained
+        for lsn in self._lsns.pop(tid, ()):
+            # An EDGE is listed under both ends; the first excision of
+            # either end already dropped it.
+            retained.pop(lsn, None)
 
     # -- appends ---------------------------------------------------------------
 
@@ -91,33 +122,35 @@ class DependencyLog:
              step.declared_cost if step.declared_cost is not None
              else step.cost)
             for step in spec.steps)
-        self.records.append(LogRecord(ADMIT, spec.tid, now, steps=steps))
+        self._retain(LogRecord(ADMIT, spec.tid, now, steps=steps),
+                     (spec.tid,))
 
     def append_grant(self, tid: int, step_index: int, now: float,
                      resolved: Tuple[Tuple[int, int], ...] = ()) -> None:
-        self.records.append(LogRecord(GRANT, tid, now, step=step_index))
+        self._retain(LogRecord(GRANT, tid, now, step=step_index), (tid,))
         for predecessor, successor in resolved:
-            self.records.append(LogRecord(EDGE, tid, now,
-                                          predecessor=predecessor,
-                                          successor=successor))
+            self._retain(LogRecord(EDGE, tid, now, predecessor=predecessor,
+                                   successor=successor),
+                         (predecessor, successor))
 
     def append_commit(self, tid: int, now: float) -> None:
-        self.records.append(LogRecord(COMMIT, tid, now))
+        self._excise(tid)
 
     def append_abort(self, tid: int, now: float) -> None:
-        self.records.append(LogRecord(ABORT, tid, now))
+        self._excise(tid)
 
     # -- replay ----------------------------------------------------------------
 
     def replay(self, scheduler_factory: Callable[[], Scheduler],
-               upto: Optional[int] = None) -> Tuple[Scheduler, int]:
-        """Rebuild a fresh scheduler from the log's first ``upto`` records.
+               ) -> Tuple[Scheduler, int]:
+        """Rebuild a fresh scheduler from the retained records.
 
-        Applies each structural record directly to the new scheduler's
-        lock table and WTPG — replay applies logged *outcomes*, it never
-        re-decides — and then proves the result consistent
-        (``cache_violations()`` empty plus the full invariant suite).
-        Returns ``(scheduler, records_replayed)``.
+        Applies each retained record, in append order, directly to the
+        new scheduler's lock table and WTPG — replay applies logged
+        *outcomes*, it never re-decides — and then proves the result
+        consistent with the full invariant suite (``cache_violations()``
+        included).  Returns ``(scheduler, lsn)``: ``lsn`` is ``len(self)``,
+        the end of the log the scheduler was recovered to.
         """
         scheduler = scheduler_factory()
         # Duck-typed (not isinstance) so the factory may hand back a
@@ -129,10 +162,7 @@ class DependencyLog:
             raise SchedulerError(
                 f"dependency-log replay requires a WTPG scheduler, got "
                 f"{type(scheduler).__name__}")
-        replayed = 0
-        for record in (self.records if upto is None
-                       else self.records[:upto]):
-            replayed += 1
+        for record in self.retained.values():
             if record.kind == ADMIT:
                 spec = TransactionSpec(record.tid, [
                     Step(partition, LockMode(mode), cost,
@@ -148,22 +178,11 @@ class DependencyLog:
                     # an earlier grant consumed — the live path swallows
                     # this too (WTPGScheduler._consume_if_pending).
                     pass
-            elif record.kind == EDGE:
+            else:  # EDGE
                 wtpg.resolve(record.predecessor, record.successor)
-            elif record.kind == COMMIT:
-                builder.remove_transaction(wtpg, table, record.tid)
-            elif record.kind == ABORT:
-                if record.tid in wtpg:
-                    builder.remove_transaction(wtpg, table, record.tid)
-                elif table.is_registered(record.tid):
-                    table.unregister(record.tid)
-            else:
-                raise SchedulerError(
-                    f"unknown dependency-log record kind {record.kind!r}")
-        violations = wtpg.cache_violations()
+        violations = find_violations(table, wtpg)
         if violations:
             raise SchedulerError(
-                f"replayed WTPG of CN {self.shard_id} is inconsistent: "
-                f"{violations}")
-        check_consistency(table, wtpg)
-        return scheduler, replayed
+                f"replayed state of CN {self.shard_id} is inconsistent: "
+                + "; ".join(violations))
+        return scheduler, self._end

@@ -7,8 +7,8 @@ coordinator.  Here that CN is the one-shard case of a *control plane* of
 a partition range — partition ``p`` is controlled by CN ``p mod
 num_control_nodes``, the same modulo placement the data layer uses for
 partitions over data nodes — plus its own FIFO CPU and, when recovery
-can need one, an append-only
-:class:`~repro.machine.control_log.DependencyLog`.
+can need one, a :class:`~repro.machine.control_log.DependencyLog`
+that every commit and abort compacts.
 
 Every BAT runs as one engine process,
 :meth:`ControlPlane.transaction_process`, the same for every plane
@@ -64,9 +64,9 @@ and WTPG has state to replay, so the plane refuses a CN crash under any
 other with :class:`~repro.errors.FaultPlanError`.  Two modelling
 simplifications, documented in ``docs/control_plane.md``: the
 dependency log is durable and stays reachable (surviving coordinators
-append their ABORTs to a down shard's log), and weight decrements lost
-with the crash leave the replayed WTPG at conservative declared
-weights.
+append their ABORTs to a down shard's log, compacting it), and weight
+decrements lost with the crash leave the replayed WTPG at conservative
+declared weights.
 """
 
 from __future__ import annotations
@@ -304,8 +304,9 @@ class ControlPlane:
 
         The replayed scheduler is proved consistent inside
         :meth:`~repro.machine.control_log.DependencyLog.replay`
-        (``cache_violations()`` empty plus the invariant suite) before
-        the shard serves again.  Returns the number of records replayed.
+        (the full invariant suite, ``cache_violations()`` included)
+        before the shard serves again.  Returns the log's end LSN, the
+        records ever appended that the shard recovered to.
         """
         shard = self.shards[sid]
         if not shard.crashed:

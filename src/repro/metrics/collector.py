@@ -37,7 +37,7 @@ class RunMetrics:
     cn_crashes: int = 0            # injected control-node crash events
     cn_recoveries: int = 0         # control-node log replays completed
     twopc_rounds: int = 0          # cross-shard prepare/commit rounds
-    recovery_records: int = 0      # dependency-log records replayed
+    recovery_records: int = 0      # log end LSNs recovered to, summed
     recovery_clocks: float = 0.0   # total simulated CN downtime
     fault_timeline: List[Dict[str, object]] = field(default_factory=list)
     scheduler_stats: Dict[str, float] = field(default_factory=dict)

@@ -2,9 +2,11 @@
 
 The simulator ships one implementation per job.  Where that
 implementation is an optimisation — the data node's pre-played quantum
-windows, the copy-free E(q) overlay — the literal version it must equal
-lives here, outside ``src/``:
+windows, the copy-free E(q) overlay, the self-compacting dependency
+log — the literal version it must equal lives here, outside ``src/``:
 
+* :mod:`tests.oracles.control_log` — the append-only dependency log
+  (:class:`FullDependencyLog`, :func:`full_log_differential`);
 * :mod:`tests.oracles.data_node` — the one-timeout-per-quantum node loop
   (:class:`ReferenceDataNode`, :func:`reference_data_nodes`);
 * :mod:`tests.oracles.estimator` — E(q) on a deep copy of the WTPG
@@ -12,17 +14,22 @@ lives here, outside ``src/``:
   :func:`reference_estimator`).
 
 The context managers swap an oracle into a whole simulation run, so an
-equivalence test compares two runs of the same public entry points.
+equivalence test compares two runs of the same public entry points
+(the log differential compares the two replays at every recovery).
 """
 
+from tests.oracles.control_log import (FullDependencyLog,
+                                       full_log_differential)
 from tests.oracles.data_node import ReferenceDataNode, reference_data_nodes
 from tests.oracles.estimator import (ReferenceBatch, estimate_reference,
                                      reference_estimator)
 
 __all__ = [
+    "FullDependencyLog",
     "ReferenceBatch",
     "ReferenceDataNode",
     "estimate_reference",
+    "full_log_differential",
     "reference_data_nodes",
     "reference_estimator",
 ]

@@ -21,6 +21,7 @@ from repro.core.schedulers import make_scheduler
 from repro.faults import FaultPlan
 from repro.machine.cluster import Cluster, SimulationResult
 from repro.machine.trace import EventType, Tracer, validate_trace
+from tests.oracles.control_log import full_log_differential
 
 
 def prop_jobs() -> int:
@@ -168,7 +169,11 @@ def check_case(scheduler: str, name: str) -> CaseVerdict:
         plan = gen.make_fault_plan(rng)
         params = gen.make_params(rng, scheduler)
     try:
-        result, proxy = run_case(params, workload, plan)
+        # Every log compaction and recovery is checked against the
+        # append-only log (inert in cases that keep no log).
+        with full_log_differential(lambda: make_scheduler(
+                params.scheduler, **params.scheduler_kwargs())):
+            result, proxy = run_case(params, workload, plan)
         if gen.is_control_case(name) and result.metrics.commits == 0:
             # Total control blackout is a legal outcome: a CN that
             # crashes early and never recovers can stall every arrival

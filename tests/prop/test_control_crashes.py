@@ -11,7 +11,10 @@ dependency-log replay), then asserts the full harness battery:
   its lock table;
 * no transaction is both committed and aborted (commits are final);
 * every recovery went through the scheduler factory (the replayed
-  scheduler is invariant-checked like the one it replaces).
+  scheduler is invariant-checked like the one it replaces);
+* every dependency-log compaction keeps exactly the live BATs' records,
+  and every recovery rebuilds what a full replay of the append-only log
+  rebuilds (``tests/oracles/control_log.py``).
 
 The differential tests close the loop on the dependency log itself: a
 full replay of a shard's log must reconstruct the live shard's WTPG
@@ -20,6 +23,14 @@ crashed, replayed, and kept serving.  Weights are deliberately outside
 the comparison: per-object weight-adjustment messages are not logged, so
 a replayed WTPG carries the conservative declared weights (see
 ``repro/machine/control_log.py``).
+
+The compaction differentials check the log against its own past: at
+every recovery, replaying the compacted log must rebuild exactly what
+replaying the append-only log (``tests/oracles/control_log.py``) does —
+lock table, WTPG nodes, pair edges with their resolution and weights,
+and source weights.  Abort rate and cascades are on, so ABORTs land on
+down shards and compact them while they cannot serve; one case takes
+every shard down at once.
 """
 
 import pytest
@@ -27,8 +38,9 @@ import pytest
 from repro.core.schedulers import make_scheduler
 from repro.faults import ControlCrash, FaultPlan
 from repro.machine.cluster import run_simulation
+from tests.oracles.control_log import ABORT, full_log_differential
 from tests.prop import gen
-from tests.prop.harness import check_cases
+from tests.prop.harness import assert_invariants, check_cases, run_case
 
 SCHEDULERS = ["CHAIN", "K2", "C2PL"]  # 2PL has no WTPG slice to replay
 CASES_PER_SCHEDULER = 500
@@ -104,3 +116,80 @@ def test_replay_equals_recovered_shard_edge_for_edge(scheduler):
     assert compared == 3
     assert result.metrics.cn_crashes == 1
     assert result.metrics.cn_recoveries == 1
+
+
+def compaction_case(scheduler, name, num_control_nodes, crashes):
+    """Run one case under the compacted-vs-full differential and the
+    harness battery; returns (result, differential counts).
+
+    Arrivals run at twice the busiest generated rate, with abort rate
+    and cascades on, so BATs are mid-step when shards die and ABORTs
+    reach down shards' logs.
+    """
+    rng = gen.case_rng(name)
+    workload = gen.make_workload(rng)
+    params = gen.make_params(rng, scheduler).with_overrides(
+        num_control_nodes=num_control_nodes, arrival_rate_tps=16.0)
+    plan = FaultPlan(control_crashes=tuple(crashes), abort_rate=0.3,
+                     cascade=True)
+
+    def reference():
+        return make_scheduler(params.scheduler, **params.scheduler_kwargs())
+
+    with full_log_differential(reference) as counts:
+        result, proxies = run_case(params, workload, plan)
+    for shard in result.control_plane.shards:
+        shard.log.check_against_full()  # the logs as the run left them
+    assert_invariants(result, name)
+    assert counts.compactions > 0
+    assert counts.recoveries == result.metrics.cn_recoveries
+    assert len(proxies) == num_control_nodes + counts.recoveries
+    return result, counts
+
+
+@pytest.mark.parametrize("num_control_nodes", [1, 2, 3])
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_compacted_replay_equals_full_replay(scheduler, num_control_nodes):
+    recoveries = aborts_while_down = 0
+    for case in range(4):
+        name = f"compaction-{scheduler}-{num_control_nodes}-{case}"
+        rng = gen.case_rng(name + "-plan")
+        crashes = []
+        for cn in range(num_control_nodes):
+            at = rng.uniform(200.0, gen.SIM_CLOCKS * 0.5)
+            crashes.append(ControlCrash(
+                cn, at, recover_at=at + rng.uniform(100.0, 600.0)))
+        _, counts = compaction_case(scheduler, name, num_control_nodes,
+                                    crashes)
+        recoveries += counts.recoveries
+        aborts_while_down += counts.aborts_while_down
+    assert recoveries == 4 * num_control_nodes
+    assert aborts_while_down > 0, "no ABORT ever reached a down shard"
+
+
+@pytest.mark.parametrize("num_control_nodes", [2, 3])
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_every_shard_down_at_once(scheduler, num_control_nodes):
+    """Overlapping crash windows on all CNs: for a while no shard is
+    live, yet ABORTs keep compacting the logs; every recovery must still
+    rebuild what full replay does, and the run must stay serializable."""
+    compacted_while_all_down = 0
+    for case in range(4):
+        start = 500.0 + 200.0 * case
+        crashes = [ControlCrash(cn, start + 150.0 * cn,
+                                recover_at=start + 800.0 + 150.0 * cn)
+                   for cn in range(num_control_nodes)]
+        all_down = max(crash.at for crash in crashes)
+        first_up = min(crash.recover_at for crash in crashes)
+        assert all_down < first_up  # the windows overlap on every CN
+        result, counts = compaction_case(
+            scheduler, f"all-down-{scheduler}-{num_control_nodes}-{case}",
+            num_control_nodes, crashes)
+        assert result.metrics.cn_crashes == num_control_nodes
+        assert counts.recoveries == num_control_nodes
+        assert result.metrics.commits > 0
+        compacted_while_all_down += sum(
+            1 for shard in result.control_plane.shards
+            for record in shard.log.full.records
+            if record.kind == ABORT and all_down <= record.time < first_up)
+    assert compacted_while_all_down > 0, "no ABORT while every CN was down"
