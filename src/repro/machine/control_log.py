@@ -47,9 +47,11 @@ from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.core import builder
 from repro.core.invariants import find_violations
+from repro.core.locks import LockTable
 from repro.core.schedulers.base import Scheduler
 from repro.core.transaction import LockMode, Step, TransactionSpec
-from repro.errors import LockTableError, SchedulerError
+from repro.core.wtpg import WTPG
+from repro.errors import LockTableError, SchedulerError, WTPGError
 
 # Retained record kinds, in the only order they can legally appear per
 # (tid, attempt): ADMIT, then GRANT/EDGE interleaved.
@@ -149,8 +151,12 @@ class DependencyLog:
         new scheduler's lock table and WTPG — replay applies logged
         *outcomes*, it never re-decides — and then proves the result
         consistent with the full invariant suite (``cache_violations()``
-        included).  Returns ``(scheduler, lsn)``: ``lsn`` is ``len(self)``,
-        the end of the log the scheduler was recovered to.
+        included).  A record the rebuilt state cannot take — a pair or
+        tid it does not hold, a second registration — raises
+        :class:`SchedulerError` naming the CN and the record's LSN,
+        chained to the lock-table or WTPG error.  Returns
+        ``(scheduler, lsn)``: ``lsn`` is ``len(self)``, the end of the
+        log the scheduler was recovered to.
         """
         scheduler = scheduler_factory()
         # Duck-typed (not isinstance) so the factory may hand back a
@@ -162,27 +168,36 @@ class DependencyLog:
             raise SchedulerError(
                 f"dependency-log replay requires a WTPG scheduler, got "
                 f"{type(scheduler).__name__}")
-        for record in self.retained.values():
-            if record.kind == ADMIT:
-                spec = TransactionSpec(record.tid, [
-                    Step(partition, LockMode(mode), cost,
-                         declared_cost=declared)
-                    for partition, mode, cost, declared in record.steps])
-                table.register(spec)
-                builder.add_transaction(wtpg, table, spec)
-            elif record.kind == GRANT:
-                try:
-                    table.grant(record.tid, record.step)
-                except LockTableError:
-                    # Re-access of an already-held lock whose declaration
-                    # an earlier grant consumed — the live path swallows
-                    # this too (WTPGScheduler._consume_if_pending).
-                    pass
-            else:  # EDGE
-                wtpg.resolve(record.predecessor, record.successor)
+        for lsn, record in self.retained.items():
+            try:
+                _apply(record, table, wtpg)
+            except (LockTableError, WTPGError) as exc:
+                raise SchedulerError(
+                    f"replay of CN {self.shard_id} failed at LSN {lsn} "
+                    f"({record.kind} of T{record.tid}): {exc}") from exc
         violations = find_violations(table, wtpg)
         if violations:
             raise SchedulerError(
                 f"replayed state of CN {self.shard_id} is inconsistent: "
                 + "; ".join(violations))
         return scheduler, self._end
+
+
+def _apply(record: LogRecord, table: LockTable, wtpg: WTPG) -> None:
+    """Apply one retained record's outcome to the rebuilt state."""
+    if record.kind == ADMIT:
+        spec = TransactionSpec(record.tid, [
+            Step(partition, LockMode(mode), cost, declared_cost=declared)
+            for partition, mode, cost, declared in record.steps])
+        table.register(spec)
+        builder.add_transaction(wtpg, table, spec)
+    elif record.kind == GRANT:
+        try:
+            table.grant(record.tid, record.step)
+        except LockTableError:
+            # Re-access of an already-held lock whose declaration an
+            # earlier grant consumed — the live path swallows this too
+            # (WTPGScheduler._consume_if_pending).
+            pass
+    else:  # EDGE
+        wtpg.resolve(record.predecessor, record.successor)

@@ -18,11 +18,15 @@ heap events.  The server loop instead exploits that, between scheduler
 events, the round-robin interleaving is fully determined: quanta whose
 end lies strictly before the next pending engine event are *pre-played*
 arithmetically and only one timeout per window is yielded (see the
-equivalence argument above :meth:`DataNode._run`).  Statistics, message
-counts, weight adjustments and all event orderings are bit-identical to
-the literal loop, which lives on as a test oracle
-(``tests/oracles/data_node.py``); ``tests/machine/test_node_equivalence.py``
-proves the identity under every scheduler and fault plan.
+equivalence argument above :meth:`DataNode._run`).  Pre-play costs
+O(residents + binades crossed) per window, not O(objects): whole rounds
+of the round-robin coalesce, and the boundary chain and the
+remaining-objects countdown have exact closed forms (:func:`_advance`,
+:func:`_whole_quanta`).  Statistics, message counts, weight adjustments
+and all event orderings are bit-identical to the literal loop, which
+lives on as a test oracle (``tests/oracles/data_node.py``);
+``tests/machine/test_node_equivalence.py`` proves the identity under
+every scheduler and fault plan.
 
 Fault support (:mod:`repro.faults`): a node can :meth:`crash` — every
 resident step fails with :class:`~repro.errors.FaultError` and new
@@ -40,6 +44,7 @@ is bit-identical to the fault-free model.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
@@ -51,10 +56,15 @@ from repro.errors import FaultError
 # Tolerance when deciding a step's remaining object count is exhausted.
 _EPSILON = 1e-9
 
-# Cap on the mirror-replay length in _completion_bound.  Replays cut off
-# here return the boundary reached so far — still a sound (just less
-# deep) lower bound on the node's first completion.
-_BOUND_CAP = 4096
+# Largest step the closed-form countdown (_whole_quanta) serves exactly;
+# past 2**53 the literal ``rem -= 1.0`` itself rounds.
+_MAX_OBJECTS = 2.0 ** 53
+
+_INF = float("inf")
+
+# Chains of at most this many additions run literally in _advance: the
+# binade arithmetic costs about as much as eight plain additions.
+_LITERAL_RUN = 8
 
 ObjectCallback = Callable[[TransactionRuntime, float], None]
 BatchCallback = Callable[[TransactionRuntime, int], None]
@@ -94,14 +104,13 @@ class DataNode:
             raise ValueError(f"obj_time must be positive, got {obj_time}")
         self.env = env
         self.node_id = node_id
-        # Coerced so the integral-exactness fast paths can use
-        # float.is_integer (callers may pass an int).
         self.obj_time = float(obj_time)
         self.on_objects = on_objects or (lambda txn, n: None)
-        # The coalesced form of ``k`` whole-object callbacks.  The
-        # fallback loop is always bit-identical; the cluster wires this
-        # to Scheduler.object_processed_batch, which coalesces exactly.
-        self.on_objects_batch = on_objects_batch or self._loop_on_objects
+        # The coalesced form of ``k`` whole-object callbacks; the cluster
+        # wires it to Scheduler.object_processed_batch, which coalesces
+        # exactly.  Without it every quantum reports through on_objects
+        # in service order, as in the literal loop.
+        self.on_objects_batch = on_objects_batch
         self.busy_time = 0.0
         self.objects_processed = 0.0
         self.messages_sent = 0
@@ -113,11 +122,6 @@ class DataNode:
         self._slow_factors: List[SlowdownToken] = []
         self._process = env.process(self._run())
 
-    def _loop_on_objects(self, txn: TransactionRuntime,
-                         full_quanta: int) -> None:
-        for _ in range(full_quanta):
-            self.on_objects(txn, 1.0)
-
     @property
     def resident_transactions(self) -> int:
         """Transactions currently multiplexed on this node."""
@@ -125,6 +129,8 @@ class DataNode:
 
     def submit(self, txn: TransactionRuntime, objects: float) -> Event:
         """Enqueue a step of ``objects`` bulk work; event fires when done."""
+        if objects > _MAX_OBJECTS:
+            raise ValueError(f"a step of {objects} objects exceeds 2**53")
         done = self.env.event()
         if self.crashed:
             done.fail(FaultError(
@@ -242,9 +248,9 @@ class DataNode:
     # * Quanta whose end falls *strictly before* the horizon and that do
     #   not complete their item are pre-played: nothing that could reach
     #   this node fires inside that span, so accounting them early is
-    #   unobservable; the boundary times are accumulated with the
-    #   identical float additions the literal per-quantum timeouts would have
-    #   produced.
+    #   unobservable.  The boundary times are the very floats the
+    #   literal per-quantum additions produce, computed one binade at a
+    #   time (:func:`_advance`).
     # * The first quantum that completes an item or whose end reaches
     #   the horizon is *yielded* as one timeout at its absolute end time
     #   (``timeout_until`` — ``t + (e - t)`` is not bit-exact).
@@ -253,23 +259,26 @@ class DataNode:
     #   foreign event may cancel/crash mid-quantum, which the resume
     #   handles exactly as the literal loop does.
     # * A yielded *non-completing* quantum is declared inert, carrying
-    #   an ``affect`` bound from :meth:`_completion_bound`: a mirror
-    #   replay (same float ops the real loop will execute) of this
-    #   node's round-robin up to its first step completion, under the
-    #   conditions holding at yield time.  Soundness: the bound is valid
+    #   an ``affect`` bound from :meth:`_completion_bound`: the instant
+    #   of this node's first step completion under the conditions
+    #   holding at yield time, computed in closed form from the floats
+    #   the real loop will produce.  Soundness: the bound is valid
     #   as long as conditions hold, and everything that changes them —
     #   a submission, a cancel, a crash, a slowdown edge — originates
     #   from a *non-inert* event, which caps every other actor's horizon
     #   by itself.  So another node pre-playing up to min(affect bounds,
     #   non-inert horizon) can never run past a completion this node
-    #   actually produces.  Firing inert events do perturb one thing
-    #   inside a foreign pre-play window: the interleaving of per-object
-    #   weight-adjustment callbacks between nodes.  That reordering is
-    #   value-exact, because every pre-played/inert quantum is a *whole*
-    #   object — the callbacks subtract exactly-representable integers
-    #   from positive doubles (see note_objects_batch), and any
-    #   interleaving of such exact clamped subtractions on the same or
-    #   independent accumulators yields bit-identical final values.  No
+    #   actually produces.  Two things reorder the per-object
+    #   weight-adjustment callbacks: firing inert events interleave
+    #   them between nodes inside a foreign pre-play window, and a
+    #   window's pre-played round-robin reports each resident's quanta
+    #   in one on_objects_batch call rather than rotation by rotation.
+    #   That reordering is value-exact, because every pre-played/inert
+    #   quantum is a *whole* object — the callbacks subtract
+    #   exactly-representable integers from positive doubles (see
+    #   note_objects_batch), and any interleaving of such exact
+    #   clamped subtractions on the same or independent accumulators
+    #   yields bit-identical final values.  No
     #   control decision can observe an intermediate ordering: decision
     #   points live on non-inert events, outside every window.
     # * Same-time tie order is *loop-invariant by construction*: both
@@ -293,7 +302,9 @@ class DataNode:
     # The pre-play accounting coalesces the per-object callback chain
     # (scheduler weight adjustment) through on_objects_batch, which is
     # exact for whole quanta; fractional quanta always terminate an item
-    # and therefore always travel the yielded path.
+    # and therefore always travel the yielded path.  A node built
+    # without on_objects_batch reports pre-played quanta through
+    # on_objects in the literal rotation order.
 
     def _run(self) -> Generator[Event, Any, None]:
         env = self.env
@@ -313,10 +324,7 @@ class DataNode:
             t = env.now
             horizon = env.affecting_horizon()
             if horizon > t:
-                if not self._queue and not self._slow_factors:
-                    item, t = self._preplay_single(item, t, horizon)
-                else:
-                    item, t = self._preplay_rr(item, t, horizon)
+                item, t = self._preplay(item, t, horizon)
             # The yielded quantum: bit-identical to one literal
             # iteration (same service value, same absolute end instant,
             # same cancellation check at resume).  Non-completing quanta
@@ -347,103 +355,161 @@ class DataNode:
 
     def _completion_bound(self, end: float, item: _WorkItem,
                           quantum: float) -> float:
-        """Lower bound on this node's first step completion after ``end``.
+        """This node's first step completion after ``end``, bit-exact.
 
-        A *mirror replay*: runs the exact float operations the live loop
-        will execute — the queued remainders in order, the yielded item's
-        post-quantum remainder at the back, ``min(1.0, r)`` quanta
-        serviced via :meth:`_service_time` — until the first quantum that
-        completes its item, and returns that completion's boundary.
-        Because it replays the real arithmetic rather than approximating
-        it (e.g. ``remaining * service`` can exceed the additive boundary
-        chain by ulps), the bound is bit-exact under constant conditions;
-        every condition change originates at a non-inert event that caps
-        foreign horizons independently (see the equivalence argument
-        above).  Capped at ``_BOUND_CAP`` quanta: a truncated replay
-        returns the last boundary reached, which precedes the first
-        completion and is therefore still sound.
+        What a mirror replay of the round-robin from ``end`` would reach
+        under the conditions holding at yield time (the queued
+        remainders in order, the yielded item's post-quantum remainder
+        at the back), in closed form: the whole quanta before the first
+        completing one (:func:`_first_completion`) share one service
+        time, so their boundaries are one :func:`_advance` chain, and
+        the completing quantum adds its own service.  Exact at any
+        depth; every condition change originates at a non-inert event
+        that caps foreign horizons independently (see the equivalence
+        argument above).
         """
-        seq: Deque[float] = deque(it.remaining for it in self._queue)
-        seq.append(item.remaining - quantum)
-        t = end
-        for _ in range(_BOUND_CAP):
-            r = seq.popleft()
-            q = min(1.0, r)
-            t += self._service_time(q)
-            r -= q
-            if r <= _EPSILON:
-                return t
-            seq.append(r)
-        return t
+        rems = [it.remaining for it in self._queue]
+        rems.append(item.remaining - quantum)
+        m = len(rems)
+        first = _first_completion(rems, m)
+        rem = rems[first % m] - first // m
+        t, _ = _advance(end, self._service_time(1.0), first, _INF)
+        return t + self._service_time(min(1.0, rem))
 
-    def _preplay_single(self, item: _WorkItem, t: float,
-                        horizon: float) -> Tuple[_WorkItem, float]:
-        """Coalesced pre-play: sole resident item, no slowdown factors.
+    def _preplay(self, item: _WorkItem, t: float,
+                 horizon: float) -> Tuple[_WorkItem, float]:
+        """Pre-play the whole, non-completing quanta ending before ``horizon``.
 
-        Counts the run of whole, non-completing quanta ending strictly
-        before ``horizon``, then accounts them in one go.  The boundary
-        times and the remaining-object countdown replay the literal
-        loop's float additions one by one (additions may round at
-        exponent crossings, so they cannot be coalesced); the *integer*
-        aggregate updates use a single arithmetic step only where that
-        is provably exact.
-        """
-        svc = self.obj_time
-        rem = item.remaining
-        n = 0
-        # A quantum is pre-playable iff it is whole and leaves work
-        # behind (rem - 1.0 > eps, i.e. the literal loop would have
-        # re-queued the item) and its end stays below the horizon.
-        while rem - 1.0 > _EPSILON:
-            e = t + svc
-            if e >= horizon:
-                break
-            t = e
-            rem -= 1.0
-            n += 1
-        if n:
-            item.remaining = rem
-            busy = self.busy_time
-            if busy.is_integer() and svc.is_integer():
-                self.busy_time = busy + svc * n
-            else:
-                for _ in range(n):
-                    busy += svc
-                self.busy_time = busy
-            objs = self.objects_processed
-            if objs.is_integer():
-                self.objects_processed = objs + n
-            else:
-                for _ in range(n):
-                    objs += 1.0
-                self.objects_processed = objs
-            self.messages_sent += n
-            self.on_objects_batch(item.txn, n)
-        return item, t
-
-    def _preplay_rr(self, item: _WorkItem, t: float,
-                    horizon: float) -> Tuple[_WorkItem, float]:
-        """General pre-play: several residents and/or slowdown factors.
-
-        Replays the literal round-robin quantum by quantum (service
-        recomputed per quantum, per-object callback per quantum) but
-        without engine timeouts.  Stops at the first quantum that either
-        completes its item or reaches the horizon; that quantum is
-        returned for the caller to yield.
+        The residents in service order are ``item``, then the queue.
+        Every quantum before the first completing one
+        (:func:`_first_completion`) is whole and costs the same service
+        time, so the boundary chain runs to the earlier of that quantum
+        and the horizon in one :func:`_advance` call.  The ``k`` quanta
+        taken are accounted per resident (``k // m`` each, one more for
+        the first ``k % m``) and the rotation advances by ``k mod m``.
+        Returns the quantum for the caller to yield.
         """
         queue = self._queue
-        while True:
-            quantum = min(1.0, item.remaining)
-            service = self._service_time(quantum)
-            e = t + service
-            if e >= horizon or item.remaining - quantum <= _EPSILON:
-                return item, t
-            t = e
-            self.busy_time += service
-            self.objects_processed += quantum
-            self.messages_sent += 1
-            self.on_objects(item.txn, quantum)
-            item.remaining -= quantum
-            queue.append(item)
+        svc = self._service_time(1.0)
+        if t + svc >= horizon:
+            return item, t
+        residents = [item, *queue]
+        m = len(residents)
+        first = _first_completion([it.remaining for it in residents], m)
+        t, k = _advance(t, svc, first, horizon)
+        if not k:
+            return item, t
+        self.busy_time, _ = _advance(self.busy_time, svc, k, _INF)
+        self.objects_processed, _ = _advance(self.objects_processed, 1.0,
+                                             k, _INF)
+        self.messages_sent += k
+        rounds, extra = divmod(k, m)
+        batch = self.on_objects_batch
+        if batch is None:
+            on_objects = self.on_objects
+            for _ in range(rounds):
+                for it in residents:
+                    on_objects(it.txn, 1.0)
+            for it in residents[:extra]:
+                on_objects(it.txn, 1.0)
+        for i, it in enumerate(residents):
+            whole = rounds + 1 if i < extra else rounds
+            if whole:
+                it.remaining -= whole
+                if batch is not None:
+                    batch(it.txn, whole)
+        if extra:
+            queue.appendleft(item)
+            queue.rotate(-extra)
             item = queue.popleft()
             self._current = item
+        return item, t
+
+
+def _advance(t: float, svc: float, n: int,
+             horizon: float) -> Tuple[float, int]:
+    """Up to ``n`` literal steps ``e = t + svc; if e >= horizon: stop; t = e``.
+
+    Returns the boundary reached and the number of steps taken, both
+    bit-identical to the literal loop, in O(binades crossed) work.  The
+    binade argument: let ``t`` lie in ``[2**e, 2**(e+1))``, where the
+    doubles are exactly the multiples of ``ulp(t)``.  If ``svc`` is a
+    multiple of ``ulp(t)`` too, every ``t + j*svc`` below ``2**(e+1)`` is
+    such a multiple and hence a double: the chain adds without rounding
+    and equals ``t + j*svc`` (``j*svc`` is itself exact, being a multiple
+    of ``ulp(t)`` below ``2**(e+1)``), and a sum at or past the top
+    rounds to a value at or past it, so comparing the computed sums with
+    ``min(top, horizon)`` decides exactly.  The step that leaves the
+    binade may round; it is taken as one literal addition and the test
+    repeats in the next binade.  ``ulp(t)`` never shrinks as ``t``
+    grows, so once ``svc`` fails the test (a fractional ``obj_time``, a
+    slowdown product) it fails for the rest of the chain, which then
+    runs the literal additions.  So does a step from ``t <= 0``, and so
+    do the steps of a chain with at most ``_LITERAL_RUN`` of them left.
+    """
+    k = 0
+    while k < n:
+        if t > 0.0 and n - k > _LITERAL_RUN:
+            if svc % math.ulp(t):
+                break
+            top = math.ldexp(1.0, math.frexp(t)[1])
+            limit = horizon if horizon < top else top
+            j = min(n - k, max(0, int((limit - t) / svc)))
+            while j and t + j * svc >= limit:
+                j -= 1
+            while j < n - k and t + (j + 1) * svc < limit:
+                j += 1
+            t += j * svc
+            k += j
+            if k == n:
+                return t, k
+        e = t + svc
+        if e >= horizon:
+            return t, k
+        t = e
+        k += 1
+    while k < n:
+        e = t + svc
+        if e >= horizon:
+            break
+        t = e
+        k += 1
+    return t, k
+
+
+def _whole_quanta(rem: float) -> int:
+    """How many literal ``rem -= 1.0`` steps run while ``rem - 1.0 > _EPSILON``.
+
+    That is the number of whole quanta a step with ``rem`` objects left
+    takes before the quantum that completes it, and after ``j`` of them
+    the literal countdown holds ``rem - j`` exactly.  For ``0 < rem <=
+    2**53``, ``ulp(rem) <= 1`` divides every integer, so each ``rem - j``
+    that is not negative is a multiple of ``ulp(rem)`` no larger than
+    ``rem`` — a double, reached without rounding — and the loop's test
+    is monotone in ``j``: the count is its first failure, found from an
+    estimate by exact probes.
+    """
+    j = max(0, math.ceil(rem - 1.0 - _EPSILON))
+    while j and not rem - (j - 1) - 1.0 > _EPSILON:
+        j -= 1
+    while rem - j - 1.0 > _EPSILON:
+        j += 1
+    return j
+
+
+def _first_completion(rems: List[float], m: int) -> int:
+    """Round-robin position of the first quantum that completes a step.
+
+    ``rems`` are the residents' remainders in service order; resident
+    ``i`` completes on its quantum ``_whole_quanta(rems[i])``, i.e. at
+    position ``c_i * m + i``.  Scanning stops once ``i`` alone exceeds
+    the best position found.
+    """
+    first = _whole_quanta(rems[0]) * m
+    for i in range(1, m):
+        if i >= first:
+            break
+        pos = _whole_quanta(rems[i]) * m + i
+        if pos < first:
+            first = pos
+    return first

@@ -7,8 +7,9 @@ import pytest
 from repro.core import Step, TransactionSpec
 from repro.core.schedulers import make_scheduler
 from repro.core.wtpg import WTPG
-from repro.errors import SchedulerError
-from repro.machine.control_log import ADMIT, EDGE, DependencyLog
+from repro.errors import LockTableError, SchedulerError, WTPGError
+from repro.machine.control_log import (
+    ADMIT, EDGE, GRANT, DependencyLog, LogRecord)
 
 
 def k2():
@@ -19,6 +20,17 @@ def writers_of_p0(log):
     """Admit T1 and T2, both writing partition 0: one conflict pair."""
     log.append_admit(TransactionSpec(1, [Step.write(0, 2.0)]), 0.0)
     log.append_admit(TransactionSpec(2, [Step.write(0, 3.0)]), 1.0)
+
+
+class PredecessorIndexedLog(DependencyLog):
+    """A faulty log that indexes EDGE records only under their
+    predecessor, so excising the successor leaves its EDGE behind."""
+
+    def append_grant(self, tid, step_index, now, resolved=()):
+        self._retain(LogRecord(GRANT, tid, now, step=step_index), (tid,))
+        for predecessor, successor in resolved:
+            self._retain(LogRecord(EDGE, tid, now, predecessor=predecessor,
+                                   successor=successor), (predecessor,))
 
 
 class TestCompaction:
@@ -90,3 +102,30 @@ class TestReplayProof:
     def test_replay_needs_a_wtpg_scheduler(self):
         with pytest.raises(SchedulerError, match="requires a WTPG"):
             DependencyLog(0).replay(lambda: make_scheduler("2PL"))
+
+
+class TestTypedReplayFailures:
+    def test_an_edge_outliving_its_successor_names_the_cn_and_lsn(self):
+        """The EDGE at LSN 3 names T2, whose abort should have dropped
+        it: replay must refuse it as a SchedulerError naming the CN and
+        the LSN, not as the bare WTPG error."""
+        log = PredecessorIndexedLog(5)
+        writers_of_p0(log)
+        log.append_grant(1, 0, 2.0, resolved=((1, 2),))
+        log.append_abort(2, 3.0)
+        assert [r.kind for r in log.retained.values()] == [ADMIT, GRANT, EDGE]
+        with pytest.raises(SchedulerError,
+                           match=r"CN 5 failed at LSN 3 \(edge of T1\)") as err:
+            log.replay(k2)
+        assert type(err.value) is SchedulerError
+        assert isinstance(err.value.__cause__, WTPGError)
+
+    def test_a_second_registration_names_the_cn_and_lsn(self):
+        log = DependencyLog(2)
+        writers_of_p0(log)
+        log.retained[7] = log.retained[0]  # T1's ADMIT retained twice
+        with pytest.raises(SchedulerError,
+                           match=r"CN 2 failed at LSN 7 \(admit of T1\)") as err:
+            log.replay(k2)
+        assert type(err.value) is SchedulerError
+        assert isinstance(err.value.__cause__, LockTableError)

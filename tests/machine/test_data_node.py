@@ -119,3 +119,15 @@ def test_invalid_obj_time_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         DataNode(env, 0, obj_time=0)
+
+
+def test_step_beyond_exact_countdown_rejected():
+    """Past 2**53 objects a literal ``rem -= 1.0`` rounds, so the node
+    refuses the step instead of counting it down in closed form."""
+    env = Environment()
+    node = DataNode(env, 0, obj_time=1000)
+    with pytest.raises(ValueError, match=r"exceeds 2\*\*53"):
+        node.submit(rt(1), objects=2.0 ** 53 + 2.0)
+    assert node.resident_transactions == 0
+    node.submit(rt(2), objects=2.0 ** 53)  # the largest exact step
+    assert node.resident_transactions == 1

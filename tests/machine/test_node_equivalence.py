@@ -10,6 +10,7 @@ million quanta.
 
 import json
 from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 
@@ -79,14 +80,26 @@ def rt(tid, cost=10.0):
     return TransactionRuntime(TransactionSpec(tid, [Step.read(0, cost)]))
 
 
-def drive(mode, scenario):
-    """Run ``scenario(env, node, log)`` and fingerprint everything."""
+def drive(mode, scenario, obj_time=1000.0, coalesced=False):
+    """Run ``scenario(env, node, log)`` and fingerprint everything.
+
+    With ``coalesced`` the node also gets an ``on_objects_batch``
+    callback, so the batched node reports a resident's pre-played quanta
+    in one call; the log is then compared per transaction, since the
+    order of callbacks across transactions is free (see the equivalence
+    argument in ``repro/machine/data_node.py``).
+    """
     log = []
     env = Environment()
+    batch = ((lambda txn, k: log.extend([(txn.tid, 1.0)] * k))
+             if coalesced else None)
     node = NODE_CLASSES[mode](
-        env, 0, obj_time=1000.0,
-        on_objects=lambda txn, q: log.append((txn.tid, q)))
+        env, 0, obj_time=obj_time,
+        on_objects=lambda txn, q: log.append((txn.tid, q)),
+        on_objects_batch=batch)
     completions = scenario(env, node, log)
+    if coalesced:
+        log = sorted(log, key=lambda entry: entry[0])
     return (log, node.busy_time, node.objects_processed, node.messages_sent,
             [(e.triggered, e.ok if e.triggered else None,
               env.now) for e in completions])
@@ -211,6 +224,82 @@ def test_fractional_arrival_offset_no_drift():
     assert batched == reference
 
 
+# -- the coalesced round-robin and its literal fallbacks ----------------------
+
+
+def submit_logged(env, node, log, tid, objects):
+    """Submit a step and log its completion instant under its tid."""
+    done = node.submit(rt(tid), objects)
+    done.callbacks.append(
+        lambda event: log.append((tid, ("done", env.now))))
+    return done
+
+
+def three_residents_and_a_late_one(env, node, log):
+    done = [submit_logged(env, node, log, 1, 7.2),
+            submit_logged(env, node, log, 2, 5.0),
+            submit_logged(env, node, log, 3, 9.5)]
+
+    def late():
+        yield env.timeout(2.1)  # not exactly representable
+        done.append(submit_logged(env, node, log, 4, 3.3))
+    env.process(late())
+    env.run()
+    return done
+
+
+def three_residents_under_stacked_slowdowns(env, node, log):
+    done = [submit_logged(env, node, log, 1, 60.0),
+            submit_logged(env, node, log, 2, 45.5),
+            submit_logged(env, node, log, 3, 75.0)]
+
+    def slow():
+        yield env.timeout(4.5)
+        first = node.apply_slowdown(1.1)
+        yield env.timeout(60.5)
+        second = node.apply_slowdown(1.7)
+        yield env.timeout(180.0)
+        node.clear_slowdown(first)
+        yield env.timeout(120.0)
+        node.clear_slowdown(second)
+    env.process(slow())
+    env.run()
+    return done
+
+
+def three_residents_from_below_a_power_of_two(env, node, log):
+    done = []
+
+    def start():
+        yield env.timeout(2.0 ** 20 - 0.5)
+        done.extend([submit_logged(env, node, log, 1, 40.2),
+                     submit_logged(env, node, log, 2, 33.0),
+                     submit_logged(env, node, log, 3, 25.5)])
+    env.process(start())
+    env.run()
+    return done
+
+
+@pytest.mark.parametrize("coalesced", [False, True],
+                         ids=["per-quantum", "coalesced"])
+@pytest.mark.parametrize("scenario, obj_time", [
+    (three_residents_and_a_late_one, 0.3),
+    (three_residents_under_stacked_slowdowns, 3.0),
+    (three_residents_from_below_a_power_of_two, 1.0),
+], ids=["fractional-obj-time", "stacked-slowdown", "below-power-of-two"])
+def test_round_robin_fallbacks_are_identical(scenario, obj_time, coalesced):
+    """Three residents rotate through the coalesced round-robin path
+    where its binade arithmetic does not apply: service times of 0.3,
+    3 x 1.1 and 3 x 1.1 x 1.7 are no multiples of the boundaries' ulp
+    (1000 x 1.1 x 1.7 would be: it rounds to 1870.0), and a start at
+    2**20 - 0.5 crosses a binade mid-window.  The log holds each step's
+    completion instant."""
+    batched = drive("batched", scenario, obj_time, coalesced)
+    reference = drive("reference", scenario, obj_time, coalesced)
+    assert batched == reference
+    assert all(fired and ok for fired, ok, _ in batched[4])
+
+
 # -- satellite regressions ----------------------------------------------------
 
 
@@ -265,3 +354,88 @@ def test_invalid_node_mode_rejected():
         DataNode(env, 0, obj_time=1000.0, mode="reference")
     with pytest.raises(ConfigurationError, match="unknown parameter"):
         SimulationParameters.from_json('{"node_mode": "reference"}')
+
+
+# -- the overload row: work per yielded window, not per object ----------------
+
+
+def overload_workload(tid, streams):
+    """One or two 400-object steps on uniform partitions, 2% writes."""
+    steps = []
+    for _ in range(streams.randint("overload", 1, 2)):
+        partition = streams.randint("overload", 0, 63)
+        if streams.uniform("overload", 0.0, 1.0) < 0.02:
+            steps.append(Step.write(partition, 400.0))
+        else:
+            steps.append(Step.read(partition, 400.0))
+    return TransactionSpec(tid, steps)
+
+
+def overload_params():
+    return SimulationParameters(
+        scheduler="K2", arrival_rate_tps=50.0, sim_clocks=4_000.0, seed=7,
+        num_partitions=64, num_nodes=64, obj_time=1.0, admission_time=2.0,
+        startup_time=4.0, dd_time=2.0, commit_time=4.0, retry_delay=50.0,
+        num_control_nodes=2)
+
+
+def test_overload_work_per_window_is_bounded():
+    """2-CN K2 on 64 data nodes at utilisation ~0.46, 400-object steps
+    at obj_time=1: control events every few clocks cap each window at
+    about two quanta, and several steps share a node.
+
+    Per yielded data-node timeout (only data nodes call
+    ``timeout_until``), the weight callbacks stay within the peak
+    resident count plus one (one batch per resident, one per-object
+    call for the yielded quantum), and the service-time evaluations
+    within four (the window's, the yielded quantum's, the completion
+    bound's two).  Measured: 33,409 timeouts, peak 6 residents, 1.94
+    callbacks and 3.92 service-time evaluations per timeout.  Before
+    the closed-form pre-play the callback ratio was already 2.27 here,
+    since windows are short, but the completion bound's mirror replay
+    looped once per remaining object: 256 service-time evaluations per
+    timeout, so host time followed the objects.  The metrics must equal
+    the literal loop's.
+    """
+    params = overload_params()
+    cluster = Cluster(params, overload_workload)
+    counts = {"callbacks": 0, "timeouts": 0, "services": 0, "peak": 0}
+
+    def counted(callback):
+        def call(*args):
+            counts["callbacks"] += 1
+            callback(*args)
+        return call
+
+    def watched(node, submit):
+        def call(txn, objects):
+            done = submit(txn, objects)
+            counts["peak"] = max(counts["peak"], node.resident_transactions)
+            return done
+        return call
+
+    for node in cluster.data_nodes:
+        node.on_objects = counted(node.on_objects)
+        node.on_objects_batch = counted(node.on_objects_batch)
+        node.submit = watched(node, node.submit)
+    timeout_until = Environment.timeout_until
+    service_time = DataNode._service_time
+
+    def count_timeout(env, *args, **kwargs):
+        counts["timeouts"] += 1
+        return timeout_until(env, *args, **kwargs)
+
+    def count_service(node, quantum):
+        counts["services"] += 1
+        return service_time(node, quantum)
+
+    with mock.patch.object(Environment, "timeout_until", count_timeout), \
+            mock.patch.object(DataNode, "_service_time", count_service):
+        batched = cluster.run()
+    with reference_data_nodes():
+        reference = Cluster(params, overload_workload).run()
+    assert batched.metrics.as_dict() == reference.metrics.as_dict()
+    timeouts = counts["timeouts"]
+    assert timeouts > 10_000 and counts["peak"] >= 3, counts
+    assert counts["callbacks"] <= (counts["peak"] + 1) * timeouts, counts
+    assert counts["services"] <= 4 * timeouts, counts
