@@ -20,9 +20,7 @@ Ordinary events go into ``_queue``; *inert* events (see
 :meth:`Environment.timeout_until`) go into ``_inert`` and, keyed by their
 ``affect`` bound, into ``_affect``.  The loop pops whichever heap has the
 smaller head, so each event is pushed exactly once and the merged order
-is the single total order of the keys.  Removal from the middle of a heap
-is lazy: :meth:`Environment.unschedule` marks the event dead and the pop
-loop skips it, so cancellations cost O(1) instead of O(n).
+is the single total order of the keys.
 
 Every class on this hot path is ``__slots__``-ed and registered in
 :data:`HOT_CLASSES`; ``tests/engine/test_slots.py`` guards the registry so a
@@ -79,7 +77,7 @@ class Event:
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_processed",
-                 "_defused", "_dead")
+                 "_defused")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -90,9 +88,6 @@ class Event:
         # Failures must not pass silently: if a failed event is never
         # yielded-on, the environment re-raises at the end of the run.
         self._defused = False
-        # Set by Environment.unschedule: the heap entry is lazily deleted
-        # and the pop loop discards it.
-        self._dead = False
 
     @property
     def triggered(self) -> bool:
@@ -181,7 +176,7 @@ class Process(Event):
     handle failures with ordinary ``try``/``except``.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment",
                  generator: Generator["Event", Any, Any]) -> None:
@@ -189,7 +184,6 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         Initialize(env, self)
 
     @property
@@ -198,7 +192,6 @@ class Process(Event):
         return self._value is _PENDING
 
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
         current: Union[Event, _FailureCarrier] = event
         while True:
             try:
@@ -228,41 +221,12 @@ class Process(Event):
                     "process yielded an event from a different environment"))
                 continue
 
-            self._target = next_event
             if next_event._processed:
                 # Already fired: resume synchronously with its value.
                 current = next_event
                 continue
             next_event.callbacks.append(self._resume)
             break
-
-        self.env._active_process = None
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise EngineStateError("cannot interrupt a finished process")
-        if self is self.env.active_process:
-            raise EngineStateError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)  # repro-lint: disable=RL014 -- deliberately constructs a pre-triggered event: it is fresh and unshared, so the single-trigger guard succeed()/fail() enforce cannot be violated here
-        event._defused = True
-        # Detach from whatever the process currently waits on.
-        target = self._target
-        if target is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-        self._target = None
-        event.callbacks.append(self._resume)
-        self.env._schedule(event)
-
-
-class Interrupt(Exception):
-    """Raised inside a process when :meth:`Process.interrupt` is called."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 @register_hot_class
@@ -335,7 +299,7 @@ class Environment:
     """The simulation clock and event loop."""
 
     __slots__ = ("_now", "_queue", "_inert", "_affect", "_seq",
-                 "_active_process", "_run_until")
+                 "_run_until")
 
     def __init__(self, initial_time: float = 0) -> None:
         self._now = initial_time
@@ -346,18 +310,12 @@ class Environment:
         self._inert: List[_Entry] = []
         self._affect: List[Tuple[float, int, Event]] = []
         self._seq = count()
-        self._active_process: Optional[Process] = None
         self._run_until = float("inf")
 
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event factories ---------------------------------------------------
 
@@ -443,16 +401,6 @@ class Environment:
         now = self._now
         heappush(self._queue, (now + delay, now, 0, next(self._seq), event))
 
-    def unschedule(self, event: Event) -> None:
-        """Lazily remove a scheduled-but-unprocessed event from the queue.
-
-        The heap entry is only marked; the pop loop discards it when it
-        surfaces.  The event must not be rescheduled afterwards.
-        """
-        if event._processed:
-            raise EngineStateError("cannot unschedule a processed event")
-        event._dead = True
-
     def _next_heap(self) -> Optional[List[_Entry]]:
         """The heap whose head comes first in key order; None if both empty."""
         queue, inert = self._queue, self._inert
@@ -462,14 +410,8 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        while True:
-            heap = self._next_heap()
-            if heap is None:
-                return float("inf")
-            if heap[0][4]._dead:
-                heappop(heap)
-                continue
-            return heap[0][0]
+        heap = self._next_heap()
+        return float("inf") if heap is None else heap[0][0]
 
     def affecting_horizon(self) -> float:
         """Earliest instant any *other* actor could affect the caller.
@@ -488,18 +430,12 @@ class Environment:
         """
         best = self._run_until
         queue = self._queue
-        while queue:
-            head = queue[0]
-            if head[4]._dead:
-                heappop(queue)
-                continue
-            if head[0] < best:
-                best = head[0]
-            break
+        if queue and queue[0][0] < best:
+            best = queue[0][0]
         affect = self._affect
         while affect:
             bound, _, event = affect[0]
-            if event._dead or event._processed:
+            if event._processed:
                 heappop(affect)
                 continue
             if bound < best:
@@ -509,24 +445,19 @@ class Environment:
 
     def step(self) -> None:
         """Process exactly one event, advancing the clock to its time."""
-        while True:
-            heap = self._next_heap()
-            if heap is None:
-                raise EngineStateError("no more events to process")
-            entry = heappop(heap)
-            event = entry[4]
-            if event._dead:
-                continue
-            self._now = entry[0]
-            callbacks = event.callbacks
-            event.callbacks = []
-            event._processed = True
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused and not callbacks:
-                # A failure nobody waited on: surface it, don't lose it.
-                raise event._value
-            return
+        heap = self._next_heap()
+        if heap is None:
+            raise EngineStateError("no more events to process")
+        when, _, _, _, event = heappop(heap)
+        self._now = when
+        callbacks = event.callbacks
+        event.callbacks = []
+        event._processed = True
+        for callback in callbacks:
+            callback(event)
+        if not event._ok and not event._defused and not callbacks:
+            # A failure nobody waited on: surface it, don't lose it.
+            raise event._value
 
     def run(self, until: Union[float, Event, None] = None) -> Any:
         """Run until the queue drains, ``until`` time passes, or an event.
@@ -568,8 +499,6 @@ class Environment:
                     break
                 entry = heappop(heap)
                 event = entry[4]
-                if event._dead:
-                    continue
                 when = entry[0]
                 if when > stop_time:
                     heappush(heap, entry)

@@ -10,13 +10,15 @@ critical-path floats are never compared with ``==`` in scheduler code.
 This package turns those conventions into machine-checked rules so a
 regression is caught at lint time instead of as a silently wrong
 schedule.  Single-pass AST matchers handle the per-node contracts; the
-*path* contracts (RL006–RL007) run on an intraprocedural CFG
+*path* contract RL007 runs on an intraprocedural CFG
 (:mod:`repro.lint.cfg`) with a worklist fixpoint solver
 (:mod:`repro.lint.dataflow`); the *interprocedural* contracts
 (RL009–RL012: yield-point atomicity, generation bumps and stream
 escape) additionally consult a whole-program call graph (:mod:`repro.lint.callgraph`) and
 bottom-up function summaries (:mod:`repro.lint.summaries`), so a yield
-point or an RNG stream hidden behind a helper call is still seen.
+point or an RNG stream hidden behind a helper call is still seen; the
+*lifecycle* contracts (RL006, RL013, RL014, RL016) are four committed
+protocols run by one typestate evaluator (:mod:`repro.lint.typestate`).
 
 Usage::
 
@@ -38,8 +40,9 @@ RL004     float equality: no ``==``/``!=`` on critical-path/weight floats
           in core/schedulers/ (the infinity sentinel is exempt)
 RL005     exception hygiene: no blind ``except Exception: pass`` swallows
           (other bare excepts are ruff ``E722``)
-RL006     lock lifecycle: a resource (register/request) released on some
-          paths must be released on every path to a function exit
+RL006     lock lifecycle (typestate): a declaration (register) or grant
+          (request) released on some paths must be released on every
+          path to a function exit
 RL007     guarded caches: memoized fields are read only behind their
           generation-guard check (the static face of invariant 7's reads)
 RL009     stale snapshot: a machine/ local holding shared simulation

@@ -1,11 +1,11 @@
-"""Worklist fixpoint solver and resource-fact layer for the lint CFGs.
+"""Worklist fixpoint solver for the lint CFGs.
 
 The solver is deliberately tiny and generic: a forward dataflow problem
 is a :class:`Lattice` (bottom + join), a transfer function mapping
 ``(node, in_value) -> out_value``, and an entry value.  Every rule runs
-a may-analysis over :class:`UnionLattice` (``frozenset`` facts); a
-small "resource" facts layer turns method-call patterns into gen/kill
-sets, which is how RL006 (lock lifecycle) describes its problem.
+a may-analysis over :class:`UnionLattice` (``frozenset`` facts); the
+lifecycle rules describe theirs as typestate protocols
+(:mod:`repro.lint.typestate`).
 
 Termination: the solver requires a monotone transfer function over a
 finite-height lattice (true here: facts are drawn from the finitely
@@ -19,8 +19,8 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Generic, Iterator, List,
-                    Optional, Sequence, Tuple, TypeVar)
+from typing import (Callable, Dict, FrozenSet, Generic, Iterator, Optional,
+                    TypeVar)
 
 from repro.lint.cfg import CFG, CFGNode, header_exprs
 
@@ -114,35 +114,8 @@ def solve_forward(cfg: CFG, lattice: Lattice[T], transfer: Transfer[T],
 
 
 # ---------------------------------------------------------------------------
-# Resource facts: gen/kill from method-call patterns
+# Call helpers shared by the rules
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResourceSpec:
-    """One protocol resource: what opens it and what closes it.
-
-    Both sets are *method names* matched against attribute calls
-    (``anything.<name>(...)``).  Receiver identity is deliberately not
-    tracked — in this codebase each function works with one lock table /
-    one WTPG, so a release of the right *kind* closes every open
-    resource of that kind.  The limitation is documented in
-    docs/lint.md.
-    """
-
-    name: str
-    acquire: FrozenSet[str]
-    release: FrozenSet[str]
-
-
-@dataclass(frozen=True)
-class ResourceFact:
-    """One open resource, keyed by its acquire site."""
-
-    spec: str
-    line: int
-    col: int
-    call: str  # the method name that opened it, for messages
-
 
 def calls_of(stmt: ast.AST) -> Iterator[ast.Call]:
     """Every call this statement's own CFG node evaluates.
@@ -162,43 +135,3 @@ def method_name_of(call: ast.Call) -> Optional[str]:
     if isinstance(call.func, ast.Attribute):
         return call.func.attr
     return None
-
-
-def resource_gen_kill(stmt: ast.AST, specs: Sequence[ResourceSpec],
-                      ) -> Tuple[List[ResourceFact], FrozenSet[str]]:
-    """The resources a statement opens and the spec names it closes."""
-    gens: List[ResourceFact] = []
-    kills: List[str] = []
-    for call in calls_of(stmt):
-        name = method_name_of(call)
-        if name is None:
-            continue
-        for spec in specs:
-            if name in spec.acquire:
-                gens.append(ResourceFact(spec.name, call.lineno,
-                                         call.col_offset, name))
-            if name in spec.release:
-                kills.append(spec.name)
-    return gens, frozenset(kills)
-
-
-def resource_transfer(specs: Sequence[ResourceSpec],
-                      ) -> Transfer[FrozenSet[object]]:
-    """Standard transfer for open-resource tracking: kill, then gen.
-
-    Kills run first so a statement that closes and re-opens the same
-    resource kind ends the statement with only the fresh fact open.
-    """
-    def transfer(node: CFGNode,
-                 value: FrozenSet[object]) -> FrozenSet[object]:
-        if node.stmt is None or not isinstance(node.stmt, ast.stmt):
-            return value
-        gens, kills = resource_gen_kill(node.stmt, specs)
-        if kills:
-            value = frozenset(f for f in value
-                              if not (isinstance(f, ResourceFact)
-                                      and f.spec in kills))
-        if gens:
-            value = value | frozenset(gens)
-        return value
-    return transfer

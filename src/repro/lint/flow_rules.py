@@ -1,4 +1,4 @@
-"""The flow-sensitive rules RL006–RL007 and RL009–RL012, on cfg + dataflow.
+"""The flow-sensitive rules RL007 and RL009–RL012, on cfg + dataflow.
 
 Where RL001 and RL003–RL005 are single-pass AST matchers, these rules
 state *path* properties: each runs a forward may-analysis
@@ -6,8 +6,10 @@ state *path* properties: each runs a forward may-analysis
 function in scope and reports on what survives to an exit.  They are
 :class:`~repro.lint.model.ProjectRule` subclasses: the CFGs are the ones
 :class:`~repro.lint.summaries.SummaryTable` built once per function, and
-RL006–RL007 use nothing else of the project, while RL009–RL012 also
-consume the whole-program call graph and function summaries.
+RL007 uses nothing else of the project, while RL009–RL012 also
+consume the whole-program call graph and function summaries.  The
+lock lifecycle (RL006) is a protocol of the typestate layer
+(:mod:`repro.lint.typestate`).
 ``docs/lint.md`` has the full catalogue entry, threat model and known
 over/under-approximations of each rule.
 """
@@ -21,10 +23,8 @@ from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
 
 from repro.lint.callgraph import FunctionDecl, FunctionId
 from repro.lint.cfg import CFG, CFGNode, header_exprs
-from repro.lint.dataflow import (DataflowResult, ResourceFact, ResourceSpec,
-                                 UnionLattice, method_name_of,
-                                 resource_gen_kill, resource_transfer,
-                                 solve_forward)
+from repro.lint.dataflow import (DataflowResult, UnionLattice,
+                                 method_name_of, solve_forward)
 from repro.lint.model import (FileContext, ProjectRule, Violation,
                               register_rule)
 from repro.lint.project import Project
@@ -43,99 +43,6 @@ _INPLACE_METHODS = frozenset({
     "add", "append", "clear", "discard", "extend", "insert", "pop",
     "popitem", "remove", "setdefault", "update",
 })
-
-
-# ---------------------------------------------------------------------------
-# RL006 — lock-declaration / resource lifecycle leaks
-# ---------------------------------------------------------------------------
-
-#: The protocol resources of the scheduler/machine layer.  ``register``
-#: opens a lock-declaration registration in the LockTable; it is closed
-#: by ``unregister`` (reject/abort), by ``builder.add_transaction`` /
-#: ``builder.remove_transaction`` (ownership transfer into/out of the
-#: WTPG admission path).  ``request``/``release`` is the engine's
-#: SimPy-style Resource grant protocol (the control node's CPU token).
-RL006_SPECS: Tuple[ResourceSpec, ...] = (
-    ResourceSpec("lock-registration",
-                 acquire=frozenset({"register"}),
-                 release=frozenset({"unregister", "add_transaction",
-                                    "remove_transaction"})),
-    ResourceSpec("engine-resource",
-                 acquire=frozenset({"request"}),
-                 release=frozenset({"release"})),
-)
-
-
-@register_rule
-class LockLifecycleRule(ProjectRule):
-    """RL006: a resource released on some paths must be released on all.
-
-    In ``core/schedulers/``, ``core/locks.py`` and ``machine/``, a
-    function that acquires a protocol resource (``register`` a
-    declaration, ``request`` a CPU token) and releases it on *some* exit
-    path must release it on *every* exit path — the abort/cascade/fault
-    machinery of PR 3 multiplied the exits, and a registration that
-    survives a reject path wedges the admission protocol.  Functions
-    that never release intraprocedurally are exempt (2PL-style
-    registrations intentionally persist until commit/abort elsewhere);
-    this inconsistency heuristic is what keeps the rule's false-positive
-    rate at zero on purpose-persistent protocols.  Exception edges are
-    modelled inside ``try`` blocks and at explicit ``raise`` statements,
-    so a ``finally`` release keeps a function clean.
-    """
-
-    rule_id = "RL006"
-    summary = ("resources (register/request) released on some paths must "
-               "be released on every path to a function exit")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return (ctx.in_dir("core/schedulers")
-                or ctx.is_module("repro/core/locks.py")
-                or ctx.in_dir("machine"))
-
-    def check_project(self, ctx: FileContext,
-                      project: Project) -> Iterator[Violation]:
-        for decl in project.functions_of(ctx.logical):
-            cfg = project.summaries.cfg(decl.fid)
-            if cfg is not None:
-                yield from self._check_function(ctx, decl, cfg)
-
-    def _check_function(self, ctx: FileContext, decl: FunctionDecl,
-                        cfg: CFG) -> Iterator[Violation]:
-        # Inconsistency gate: only resource kinds this function releases
-        # somewhere can leak; acquire-only functions persist by design.
-        released: Set[str] = set()
-        acquired = False
-        for stmt in ast.walk(decl.node):
-            if not isinstance(stmt, ast.stmt):
-                continue
-            gens, kills = resource_gen_kill(stmt, RL006_SPECS)
-            released.update(kills)
-            acquired = acquired or bool(gens)
-        if not acquired or not released:
-            return
-        result = solve_forward(cfg, _LATTICE,
-                               resource_transfer(RL006_SPECS), frozenset())
-        leaked = (result.entering(cfg.exit)
-                  | result.entering(cfg.raise_exit))
-        seen: Set[Tuple[str, int, int]] = set()
-        for fact in sorted(leaked,
-                           key=lambda f: (f.line, f.col, f.spec)):  # type: ignore[union-attr]
-            assert isinstance(fact, ResourceFact)
-            if fact.spec not in released:
-                continue
-            key = (fact.spec, fact.line, fact.col)
-            if key in seen:
-                continue
-            seen.add(key)
-            spec = next(s for s in RL006_SPECS if s.name == fact.spec)
-            names = "/".join(sorted(spec.release))
-            yield Violation(
-                self.rule_id, ctx.display, fact.line, fact.col,
-                f"{fact.call}() in {decl.name} is released on some paths "
-                f"but can reach a function exit still held: call "
-                f"{names} on every path (including exception edges), "
-                "or keep ownership past the function on all paths")
 
 
 # ---------------------------------------------------------------------------

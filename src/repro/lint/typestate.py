@@ -1,18 +1,20 @@
-"""Typestate verification: protocols as data (RL013, RL014, RL016).
+"""Typestate verification: protocols as data (RL006, RL013, RL014, RL016).
 
 The fourth analysis layer.  The first three answer progressively wider
 questions — syntactic shape (RL001–RL005), intraprocedural order
-(RL006–RL007), interprocedural reachability (RL009–RL012) — but none of
+(RL007), interprocedural reachability (RL009–RL012) — but none of
 them states the thing the paper's correctness argument is actually made
-of: *object lifecycles*.  A BAT is admitted, started, granted locks,
-committed or aborted, and restarted only from aborted; an engine event
-is triggered exactly once; a checkpoint's results may be merged into
-a sweep only once, and only after fingerprint validation.
+of: *object lifecycles*.  A lock declaration is registered at admission
+and released or handed to the WTPG on every path; a BAT is admitted,
+started, granted locks, committed or aborted, and restarted only from
+aborted; an engine event is triggered exactly once; a checkpoint's
+results may be merged into a sweep only once, and only after
+fingerprint validation.
 
 Here a protocol is a committed :class:`ProtocolSpec` value — states,
-operation→transition rules, an error state, creators, and escape
-semantics — and one generic evaluator interprets any spec over the
-existing machinery:
+operation→transition rules, an error state, creators, escape semantics
+and an optional exit obligation — and one generic evaluator interprets
+any spec over the existing machinery:
 
 * **object discovery** — a local name becomes *tracked* when it is a
   parameter annotated with one of the spec's ``tracked_types``, when it
@@ -20,21 +22,24 @@ existing machinery:
   of a tuple-unpacked result), when it appears at the tracked position
   of an *introducing* operation, or when it is aliased from an already
   tracked name.  All tracked names of a function are seeded at function
-  entry: annotated parameters and introduced names start in *every*
-  non-error state (nothing is known about the caller), creator-bound
+  entry in the spec's *start states* — every non-error state, minus the
+  exit obligation's states (nothing is known about the caller, and the
+  caller's ownership is not this function's obligation); creator-bound
   names are narrowed at their binding site.  Seeding everything at
   entry keeps the transfer function monotone — tracking never begins
-  mid-flight, so the fixpoint cannot oscillate.
+  mid-flight, so the fixpoint cannot oscillate.  A function with no
+  tracked name has no facts and is skipped.
 
-* **operations** — three syntactic kinds, matched the same
-  receiver-blind way as RL006's :class:`~repro.lint.dataflow.ResourceSpec`
-  (the call graph cannot resolve ``self.scheduler.admit``; a method
-  *name* in this codebase is unambiguous within a spec's scope):
+* **operations** — three syntactic kinds, matched receiver-blind (the
+  call graph cannot resolve ``self.scheduler.admit``; a method *name*
+  in this codebase is unambiguous within a spec's scope):
 
   - ``call``: ``obj.<name>(...)`` on a tracked plain-name receiver;
   - ``arg``: a tracked name passed at a fixed positional index of a
     call whose bare/attribute name matches (``admit(txn, now)`` and
-    ``self.scheduler.admit(txn, now)`` both match ``admit`` @ 0);
+    ``self.scheduler.admit(txn, now)`` both match ``admit`` @ 0).  An
+    attribute operand ``x.attr`` stands for ``x``, so
+    ``register(spec)`` pairs with ``unregister(spec.tid)``;
   - ``write``: ``obj.<attr> = ...`` on a tracked plain-name receiver.
 
   An operation maps each legal source state to a *set* of successor
@@ -56,6 +61,13 @@ existing machinery:
   operation illegal on one arm of a join but legal on the other is
   not reported.
 
+* **exit obligation** — ``must_not_exit`` names states no tracked name
+  may carry to the normal or the raise exit.  A name is judged only if
+  the function both *acquires* it (an operation or creator moving it
+  into such a state) and *releases* it (one moving it out): a function
+  that only acquires hands ownership on by design.  A leak is reported
+  at the name's first acquire site.
+
 * **interprocedural lift** — when a tracked name is passed to a call
   the PR 6 call graph resolves and no syntactic operation matched, the
   callee contributes its *transition relation* for that parameter: the
@@ -70,20 +82,23 @@ existing machinery:
   unresolvable call (or used as the receiver of an unknown method)
   either keeps its states (``on_escape="ignore"``: the protocol's
   operations are the only state-changing surface, the default for the
-  shipped specs) or resets to all states (``on_escape="reset"``: the
-  conservative choice when unknown code may advance the object).
+  shipped specs) or resets to the start states (``on_escape="reset"``:
+  the conservative choice when unknown code may advance the object).
 
-The three shipped rules and their scopes:
+The four shipped rules and their scopes:
 
+* **RL006** — lock lifecycle (``core/schedulers/``, ``core/locks.py``,
+  ``machine/``): a declaration ``register``-ed, or a resource grant
+  ``request``-ed, and released on some path is released (or handed to
+  the WTPG) on every path to an exit.
 * **RL013** — BAT lifecycle (``core/schedulers/``, ``machine/shard.py``,
   ``machine/control_log.py``, ``faults/``): no commit after a doom or
   abort, no double abort, no lock grant to a transaction that is not
   admitted-and-waiting, restart only from aborted.
-* **RL014** — engine Event/Condition lifecycle (``engine/``): an event
+* **RL014** — engine Event lifecycle (``engine/``): an event
   triggers at most once and only through ``succeed()``/``fail()``
   (direct ``_value`` writes bypass the ``EngineStateError`` guard),
-  only a triggered (failed) event is defused, only a scheduled
-  (pending) event is unscheduled.
+  and only a triggered (failed) event is defused.
 * **RL016** — checkpoint/sweep-task lifecycle
   (``experiments/parallel.py``): a loaded checkpoint's results are
   merged once, and only after ``_validate_checkpoint`` accepted the
@@ -99,7 +114,8 @@ fire on production code shapes.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
@@ -176,9 +192,11 @@ class ProtocolSpec:
     tracked_types: FrozenSet[str] = frozenset()
     on_escape: str = "ignore"       # or "reset"
     description: str = ""
+    must_not_exit: FrozenSet[str] = frozenset()  # the exit obligation
 
-    def all_states(self) -> FrozenSet[str]:
-        return frozenset(self.states)
+    def start_states(self) -> FrozenSet[str]:
+        """Where a tracked name starts: every state an exit may carry."""
+        return frozenset(self.states) - self.must_not_exit
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +233,13 @@ def _annotation_names(node: Optional[ast.AST]) -> Set[str]:
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
     return names
+
+
+def _operand_name(node: ast.AST) -> Optional[str]:
+    """The tracked name an ``arg`` operand denotes: ``x`` or ``x.attr``."""
+    if isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
 
 
 def _all_args(fn: ast.AST) -> List[ast.arg]:
@@ -254,7 +279,7 @@ class _FunctionAnalysis:
         assert decl is not None and cfg is not None
         self.decl: FunctionDecl = decl
         self.cfg: CFG = cfg
-        self.all_states = spec.all_states()
+        self.start = spec.start_states()
         self.error = spec.error_state
         self.call_ops: Dict[str, Operation] = {
             op.name: op for op in spec.operations if op.kind == CALL}
@@ -266,10 +291,16 @@ class _FunctionAnalysis:
             op.name: op for op in spec.operations if op.kind == WRITE}
         self.creators: Dict[str, Creator] = {
             c.name: c for c in spec.creators}
-        self.sites: Dict[int, CallSite] = {
-            id(site.call): site
-            for site in project.callgraph.call_sites(fid)}
+        # Exit obligation bookkeeping: each name's acquire sites as
+        # (line, col, operation) and the names released anywhere.
+        self.acquired: Dict[str, List[Tuple[int, int, str]]] = {}
+        self.released: Set[str] = set()
         self.relevant = self._relevant_names()
+
+    @cached_property
+    def sites(self) -> Dict[int, CallSite]:
+        return {id(site.call): site
+                for site in self.project.callgraph.call_sites(self.fid)}
 
     # -- tracked-name discovery (see module docstring) ---------------------
 
@@ -278,6 +309,14 @@ class _FunctionAnalysis:
         for arg in _all_args(self.decl.node):
             if self.spec.tracked_types & _annotation_names(arg.annotation):
                 names.add(arg.arg)
+        # Without an annotated parameter, only a creator or introducing
+        # call starts tracking; the call graph already lists the calls.
+        starters = set(self.creators) | {
+            op.name for op in self.spec.operations if op.introduces}
+        if not names and not any(
+                _called_name(site.call) in starters
+                for site in self.project.callgraph.call_sites(self.fid)):
+            return frozenset()
         alias_edges: List[Tuple[str, str]] = []
         for node in _own_nodes(self.decl.node):
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -286,28 +325,40 @@ class _FunctionAnalysis:
                 value = node.value
                 creator = self._creator_of(value)
                 for target in targets:
+                    bound: Optional[str] = None
                     if isinstance(target, ast.Name):
                         if creator is not None and creator.result_index is None:
-                            names.add(target.id)
+                            bound = target.id
                         elif isinstance(value, ast.Name):
                             alias_edges.append((target.id, value.id))
                     elif isinstance(target, ast.Tuple) and creator is not None:
                         index = creator.result_index
                         if (index is not None and index < len(target.elts)
                                 and isinstance(target.elts[index], ast.Name)):
-                            names.add(target.elts[index].id)  # type: ignore[union-attr]
+                            bound = target.elts[index].id  # type: ignore[union-attr]
+                    if bound is not None and creator is not None:
+                        names.add(bound)
+                        self._note(bound, value, creator.name,
+                                   dict.fromkeys(self.start,
+                                                 frozenset({creator.state})))
             elif isinstance(node, ast.Call):
-                op = self.call_ops.get(_called_name(node))
-                if (op is not None and op.introduces
-                        and isinstance(node.func, ast.Attribute)
+                name = _called_name(node)
+                op = self.call_ops.get(name)
+                if (op is not None and isinstance(node.func, ast.Attribute)
                         and isinstance(node.func.value, ast.Name)):
-                    names.add(node.func.value.id)
-                for arg_op in self.arg_ops.get(_called_name(node), []):
-                    if (arg_op.introduces
-                            and arg_op.arg_index < len(node.args)
-                            and isinstance(node.args[arg_op.arg_index],
-                                           ast.Name)):
-                        names.add(node.args[arg_op.arg_index].id)  # type: ignore[attr-defined]
+                    if op.introduces:
+                        names.add(node.func.value.id)
+                    self._note(node.func.value.id, node, op.name,
+                               op.transitions)
+                for arg_op in self.arg_ops.get(name, []):
+                    if arg_op.arg_index >= len(node.args):
+                        continue
+                    operand = _operand_name(node.args[arg_op.arg_index])
+                    if operand is not None:
+                        if arg_op.introduces:
+                            names.add(operand)
+                        self._note(operand, node, arg_op.name,
+                                   arg_op.transitions)
         changed = True
         while changed:
             changed = False
@@ -316,6 +367,22 @@ class _FunctionAnalysis:
                     names.add(target)
                     changed = True
         return frozenset(names)
+
+    def _note(self, name: str, node: Optional[ast.AST], what: str,
+              moves: Mapping[str, FrozenSet[str]]) -> None:
+        """Record whether ``what`` acquires or releases ``name``: moves
+        it into, or out of, a state the exit obligation forbids."""
+        held = self.spec.must_not_exit
+        if not held:
+            return
+        if any(targets & held for source, targets in moves.items()
+               if source not in held):
+            self.acquired.setdefault(name, []).append(
+                (getattr(node, "lineno", 1), getattr(node, "col_offset", 0),
+                 what))
+        if any(targets - held for source, targets in moves.items()
+               if source in held):
+            self.released.add(name)
 
     def _creator_of(self, value: Optional[ast.AST]) -> Optional[Creator]:
         if isinstance(value, ast.Call):
@@ -339,7 +406,7 @@ class _FunctionAnalysis:
 
     def entry_facts(self) -> FrozenSet[object]:
         return frozenset((name, state) for name in self.relevant
-                         for state in self.all_states)
+                         for state in self.start)
 
     # -- the transfer ------------------------------------------------------
 
@@ -367,8 +434,24 @@ class _FunctionAnalysis:
             if node.stmt is None:
                 continue
             self._apply(node.stmt, result.entering(node), report)
+        findings.extend(self._leaks(result.entering(self.cfg.exit)
+                                    | result.entering(self.cfg.raise_exit)))
         findings.sort()
         return findings
+
+    def _leaks(self, at_exit: FrozenSet[object]) -> Iterator[Finding]:
+        """The exit obligation, for names acquired *and* released here."""
+        for name in sorted(self.released.intersection(self.acquired)):
+            held = self._states(at_exit, name) & self.spec.must_not_exit
+            if held:
+                line, col, what = min(self.acquired[name])
+                yield (line, col, (
+                    f"{self.spec.name}: {what}() of '{name}' in "
+                    f"{self.decl.name} is released on some paths but can "
+                    f"reach a function exit still {'/'.join(sorted(held))}"
+                    f": release it on every path (including exception "
+                    f"edges), or keep ownership past the function on all "
+                    f"paths"))
 
     def _apply(self, stmt: ast.AST, facts: FrozenSet[object],
                report: Optional[object]) -> FrozenSet[object]:
@@ -390,13 +473,13 @@ class _FunctionAnalysis:
             for target in stmt.targets:
                 if (isinstance(target, ast.Name)
                         and target.id in self.relevant):
-                    facts = self._set(facts, target.id, self.all_states)
+                    facts = self._set(facts, target.id, self.start)
             return facts
         facts = self._apply_calls(stmt, facts, report)
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             for sub in ast.walk(stmt.target):
                 if isinstance(sub, ast.Name) and sub.id in self.relevant:
-                    facts = self._set(facts, sub.id, self.all_states)
+                    facts = self._set(facts, sub.id, self.start)
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 if item.optional_vars is not None:
@@ -404,7 +487,7 @@ class _FunctionAnalysis:
                         if (isinstance(sub, ast.Name)
                                 and sub.id in self.relevant):
                             facts = self._set(facts, sub.id,
-                                              self.all_states)
+                                              self.start)
         return facts
 
     def _bind(self, target: ast.AST, value: Optional[ast.AST],
@@ -420,8 +503,8 @@ class _FunctionAnalysis:
                 states = self._states(facts, value.id)
                 if states:
                     return self._set(facts, target.id, states)
-            # Opaque rebinding: back to "could be anything".
-            return self._set(facts, target.id, self.all_states)
+            # Opaque rebinding: back to the start states.
+            return self._set(facts, target.id, self.start)
         if isinstance(target, ast.Tuple):
             for index, elt in enumerate(target.elts):
                 if not isinstance(elt, ast.Name):
@@ -432,7 +515,7 @@ class _FunctionAnalysis:
                     facts = self._set(facts, elt.id,
                                       frozenset({creator.state}))
                 else:
-                    facts = self._set(facts, elt.id, self.all_states)
+                    facts = self._set(facts, elt.id, self.start)
         return facts
 
     def _apply_calls(self, stmt: ast.AST, facts: FrozenSet[object],
@@ -460,10 +543,9 @@ class _FunctionAnalysis:
             if arg_op.arg_index >= len(call.args):
                 continue
             operand = call.args[arg_op.arg_index]
-            if (isinstance(operand, ast.Name)
-                    and self._states(facts, operand.id)):
-                facts = self._apply_op(arg_op, operand.id, call, facts,
-                                       report)
+            tracked = _operand_name(operand)
+            if tracked is not None and self._states(facts, tracked):
+                facts = self._apply_op(arg_op, tracked, call, facts, report)
                 handled.add(id(operand))
 
         if not handled and not receiver_handled:
@@ -549,12 +631,12 @@ class _FunctionAnalysis:
         if (not receiver_handled and isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)
                 and self._states(facts, func.value.id)):
-            facts = self._set(facts, func.value.id, self.all_states)
+            facts = self._set(facts, func.value.id, self.start)
         operands = list(call.args) + [kw.value for kw in call.keywords]
         for operand in operands:
             if (isinstance(operand, ast.Name) and id(operand) not in handled
                     and self._states(facts, operand.id)):
-                facts = self._set(facts, operand.id, self.all_states)
+                facts = self._set(facts, operand.id, self.start)
         return facts
 
 
@@ -603,7 +685,7 @@ def transition_relation(project: Project, spec: ProtocolSpec,
 
     relation: Relation = {}
     base = frozenset((name, state) for name in analysis.relevant
-                     if name != param for state in analysis.all_states)
+                     if name != param for state in analysis.start)
     for start in spec.states:
         entry = base | frozenset({(param, start)})
         result = solve_forward(cfg, _LATTICE, transfer, entry)
@@ -620,7 +702,9 @@ def check_protocol(spec: ProtocolSpec, project: Project,
     for decl in project.functions_of(ctx.logical):
         if project.summaries.cfg(decl.fid) is None:
             continue
-        findings.extend(_FunctionAnalysis(spec, project, decl.fid).run())
+        analysis = _FunctionAnalysis(spec, project, decl.fid)
+        if analysis.relevant:   # no tracked name: no facts, no findings
+            findings.extend(analysis.run())
     findings.sort()
     return findings
 
@@ -646,16 +730,19 @@ def render_table(spec: ProtocolSpec) -> str:
         lines.append("tracked annotations: "
                      + ", ".join(sorted(spec.tracked_types)))
     lines.append(f"on escape to unknown code: {spec.on_escape}")
-    header = f"{'operation':<34} {'from':<22} to"
+    if spec.must_not_exit:
+        lines.append("must not reach a function exit: "
+                     + ", ".join(sorted(spec.must_not_exit)))
+    header = f"{'operation':<36} {'from':<22} to"
     lines.append(header)
     lines.append("-" * len(header))
     for op in spec.operations:
         rows = sorted(op.transitions.items())
         if not rows:
-            lines.append(f"{op.describe():<34} {'(forbidden)':<22} "
+            lines.append(f"{op.describe():<36} {'(forbidden)':<22} "
                          f"{spec.error_state}")
         for source, targets in rows:
-            lines.append(f"{op.describe():<34} {source:<22} "
+            lines.append(f"{op.describe():<36} {source:<22} "
                          f"{'|'.join(sorted(targets))}")
         if op.description:
             lines.append(f"    {op.description}")
@@ -670,6 +757,35 @@ def _t(**transitions: Sequence[str]) -> Dict[str, FrozenSet[str]]:
     return {source: frozenset(targets)
             for source, targets in transitions.items()}
 
+
+_HOLD = _t(free=("held",), held=("held",))
+_FREE = _t(free=("free",), held=("free",))
+
+#: RL006 — lock declarations and engine resource grants.  ``register``
+#: opens a declaration in the LockTable; ``unregister`` (reject/abort)
+#: or the hand-over into/out of the WTPG admission path
+#: (``builder.add_transaction``/``remove_transaction``) closes it.
+#: ``request``/``release`` is the engine Resource grant (the control
+#: node's CPU token).  Every operation is legal in every state: the
+#: protocol's only check is the exit obligation.
+LOCK_PROTOCOL = ProtocolSpec(
+    name="lock lifecycle",
+    states=("free", "held"),
+    error_state="invalid",
+    creators=(Creator("request", "held"),),
+    operations=(
+        Operation(ARG, "register", _HOLD, introduces=True,
+                  description="a declaration registered at admission"),
+        Operation(ARG, "unregister", _FREE),
+        Operation(ARG, "add_transaction", _FREE, arg_index=2,
+                  description="ownership passes to the WTPG"),
+        Operation(ARG, "remove_transaction", _FREE, arg_index=2),
+        Operation(ARG, "release", _FREE),
+    ),
+    must_not_exit=frozenset({"held"}),
+    description="register/request -> unregister, WTPG hand-over or "
+                "release on every path to an exit",
+)
 
 #: RL013 — the BAT lifecycle of the paper's §3 walked by
 #: ``ControlPlane.transaction_process``.  ``admit`` is nondeterministic
@@ -730,9 +846,6 @@ EVENT_PROTOCOL = ProtocolSpec(
         Operation(WRITE, "_defused", _t(triggered=("defused",)),
                   description="only a triggered (failed) event is "
                               "defused"),
-        Operation(ARG, "unschedule", _t(pending=("defused",)),
-                  description="only a scheduled, untriggered event can "
-                              "be unscheduled"),
     ),
     tracked_types=frozenset({"Event"}),
     on_escape="ignore",
@@ -777,6 +890,20 @@ class TypestateRule(ProjectRule):
 
 
 @register_rule
+class LockLifecycleRule(TypestateRule):
+    rule_id = "RL006"
+    summary = ("lock lifecycle (typestate): a declaration (register) or "
+               "resource grant (request) released on some paths is "
+               "released on every path to a function exit")
+    spec = LOCK_PROTOCOL
+
+    def applies_to(self, ctx: FileContext) -> bool:
+        return (ctx.in_dir("core/schedulers")
+                or ctx.is_module("repro/core/locks.py")
+                or ctx.in_dir("machine"))
+
+
+@register_rule
 class BatLifecycleRule(TypestateRule):
     rule_id = "RL013"
     summary = ("BAT lifecycle conformance (typestate): no commit after "
@@ -794,8 +921,7 @@ class BatLifecycleRule(TypestateRule):
 class EventLifecycleRule(TypestateRule):
     rule_id = "RL014"
     summary = ("engine Event lifecycle (typestate): trigger once via "
-               "succeed()/fail(), defuse only triggered events, "
-               "unschedule only scheduled ones")
+               "succeed()/fail(), defuse only triggered events")
     spec = EVENT_PROTOCOL
 
     def applies_to(self, ctx: FileContext) -> bool:

@@ -73,24 +73,18 @@ class Tracer:
     skipped, decided by a hash of its tid (no ambient randomness, so runs
     stay reproducible), and machine-level events (``tid < 0``) are always
     kept.  At the default rate 1.0 the tracer is bit-identical to an
-    unsampled one.  ``counters_only`` drops the per-event records
-    entirely and keeps only per-kind counts — the cheapest observability
-    mode for million-transaction runs (:meth:`summary` still works;
-    record queries return nothing).
+    unsampled one.
     """
 
     #: Knuth's multiplicative hash constant (2^32 / golden ratio).
     _HASH_MULT = 2654435761
     _HASH_SPACE = 1 << 32
 
-    def __init__(self, sample_rate: float = 1.0,
-                 counters_only: bool = False) -> None:
+    def __init__(self, sample_rate: float = 1.0) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(
                 f"sample_rate must lie in [0, 1], got {sample_rate}")
         self.events: List[TraceEvent] = []
-        self.counters: Dict[EventType, int] = {}
-        self.counters_only = counters_only
         self._sample_rate = sample_rate
         self._threshold = int(sample_rate * self._HASH_SPACE)
 
@@ -108,9 +102,6 @@ class Tracer:
              **detail: Any) -> None:
         if self._threshold < self._HASH_SPACE and not self.wants(tid):
             return
-        if self.counters_only:
-            self.counters[kind] = self.counters.get(kind, 0) + 1
-            return
         self.events.append(TraceEvent(time, kind, tid, dict(detail)))
 
     def __len__(self) -> int:
@@ -126,8 +117,6 @@ class Tracer:
         return [e for e in self.events if e.kind is kind]
 
     def count(self, kind: EventType) -> int:
-        if self.counters_only:
-            return self.counters.get(kind, 0)
         return sum(1 for e in self.events if e.kind is kind)
 
     def transactions(self) -> List[int]:

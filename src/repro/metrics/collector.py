@@ -155,11 +155,6 @@ class MetricsCollector:
     def response_times(self) -> List[float]:
         return list(self._response_times)
 
-    def response_times_by_label(self) -> Dict[str, List[float]]:
-        """Response times grouped by the transactions' class labels."""
-        return {label: list(values)
-                for label, values in self._by_label.items()}
-
     def mean_response_time_by_label(self) -> Dict[str, float]:
         """Per-class mean RT (only classes with at least one commit)."""
         return {label: sum(values) / len(values)

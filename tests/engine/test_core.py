@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import Environment, Event
-from repro.engine.core import Interrupt
 from repro.errors import EngineStateError
 
 
@@ -345,38 +344,6 @@ def test_condition_rejects_cross_environment_events():
         env1.all_of([env1.event(), env2.event()])
 
 
-def test_interrupt_raises_in_target():
-    env = Environment()
-    log = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as intr:
-            log.append((env.now, intr.cause))
-
-    def attacker(env, target):
-        yield env.timeout(7)
-        target.interrupt(cause="stop")
-
-    target = env.process(victim(env))
-    env.process(attacker(env, target))
-    env.run()
-    assert log == [(7, "stop")]
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    proc = env.process(quick(env))
-    env.run()
-    with pytest.raises(EngineStateError):
-        proc.interrupt()
-
-
 def test_step_without_events_raises():
     env = Environment()
     with pytest.raises(EngineStateError):
@@ -401,20 +368,6 @@ def test_process_is_alive_tracks_lifetime():
     assert p.is_alive
     env.run()
     assert not p.is_alive
-
-
-def test_active_process_visible_during_execution():
-    env = Environment()
-    seen = []
-
-    def proc(env):
-        seen.append(env.active_process)
-        yield env.timeout(1)
-
-    p = env.process(proc(env))
-    env.run()
-    assert seen == [p]
-    assert env.active_process is None
 
 
 def test_fail_requires_exception_instance():
@@ -480,14 +433,3 @@ def test_inert_event_counts_at_its_affect_bound_on_a_bare_environment():
     env.run(until=6)
     assert inert.processed
     assert env.affecting_horizon() == 8
-
-
-def test_unscheduled_inert_event_drops_out_of_affecting_horizon():
-    env = Environment()
-    inert = env.timeout_until(5, affect=12)
-    env.timeout(30)
-    env.unschedule(inert)
-    assert env.affecting_horizon() == 30
-    env.run()
-    assert not inert.processed
-    assert env.now == 30

@@ -116,8 +116,7 @@ def test_fifo_resource_start_order_matches_request_order(jobs):
 # Processes mix every way of scheduling an event: ``timeout``,
 # ``timeout_until`` (optionally inert via ``affect``, with ``sort_time``
 # and ``sort_rank``), ``Event.succeed``, and stray (never yielded)
-# ``timeout_until`` events that a later action may ``unschedule``.  The
-# harness records every scheduling with the key the engine promises to
+# ``timeout_until`` events.  The harness records every scheduling with the key the engine promises to
 # order by, ``(when, sort_time or scheduling instant, rank or 0,
 # schedule index)``, and checks the engine against a reference priority
 # queue replayed from that log.  The Initialize event that starts each
@@ -136,7 +135,6 @@ _ACTIONS = st.one_of(
     st.tuples(st.just("until"), *_OPTIONS),
     st.tuples(st.just("succeed")),
     st.tuples(st.just("stray"), *_OPTIONS),
-    st.tuples(st.just("unschedule"), st.integers(0, 20)),
 )
 
 
@@ -145,11 +143,10 @@ class _OrderHarness:
 
     def __init__(self, plans):
         self.env = Environment()
-        self.log = []          # ("sched" | "fire" | "unsched", ident)
+        self.log = []          # ("sched" | "fire", ident)
         self.key = {}          # ident -> reference order key
         self.bound = {}        # ident -> instant it counts at in the horizon
         self.pending = set()
-        self.strays = []       # (ident, event) never yielded by anyone
         self.cutoff = _INF     # the active run(until=) instant
         self.horizons = []     # (affecting_horizon(), brute-force minimum)
         self._counter = count()
@@ -210,14 +207,8 @@ class _OrderHarness:
                 event = env.event()
                 ident = self._scheduled(env.now, None, None, None)
                 yield self._watch(ident, event.succeed())
-            elif kind == "stray":
-                self.strays.append(self._until(*action[1:]))
-            elif self.strays:
-                ident, event = self.strays[action[1] % len(self.strays)]
-                if ident in self.pending:
-                    env.unschedule(event)
-                    self.log.append(("unsched", ident))
-                    self.pending.discard(ident)
+            else:   # a stray: scheduled, never yielded by anyone
+                self._until(*action[1:])
         self.check_horizon()
         # Returning schedules the process event, which carries this ident.
         return self._scheduled(env.now, None, None, None)
@@ -229,8 +220,6 @@ class _OrderHarness:
         for kind, ident in self.log:
             if kind == "sched":
                 pending[ident] = self.key[ident]
-            elif kind == "unsched":
-                del pending[ident]
             else:
                 assert ident == min(pending, key=pending.__getitem__), (
                     f"event {ident} fired ahead of "

@@ -11,13 +11,22 @@ import textwrap
 import pytest
 
 from repro.lint.cfg import build_cfg, functions_of
-from repro.lint.dataflow import (FixpointError, ResourceFact, ResourceSpec,
-                                 UnionLattice, resource_gen_kill,
-                                 resource_transfer, solve_forward)
+from repro.lint.dataflow import (FixpointError, UnionLattice, calls_of,
+                                 method_name_of, solve_forward)
 
-LOCK = ResourceSpec(name="lock",
-                    acquire=frozenset({"acquire"}),
-                    release=frozenset({"release"}))
+
+def lock_transfer(node, value):
+    """A minimal gen/kill problem: ``.release()`` kills every open lock,
+    then ``.acquire()`` gens one keyed by its line."""
+    if node.stmt is None:
+        return value
+    for call in calls_of(node.stmt):
+        if method_name_of(call) == "release":
+            value = frozenset()
+    for call in calls_of(node.stmt):
+        if method_name_of(call) == "acquire":
+            value = value | {("lock", call.lineno)}
+    return value
 
 
 def cfg_of(source):
@@ -52,19 +61,14 @@ def test_solver_converges_on_a_loop_with_a_conditional_kill():
     not still be open (release on one path only), so the fact survives
     the join and is live at exit."""
     cfg = cfg_of(LOOP_SOURCE)
-    result = solve_forward(cfg, UnionLattice(),
-                           resource_transfer([LOCK]), frozenset())
-    at_exit = result.entering(cfg.exit)
-    assert {f.spec for f in at_exit} == {"lock"}
-    [fact] = at_exit
-    assert (fact.line, fact.call) == (2, "acquire")
+    result = solve_forward(cfg, UnionLattice(), lock_transfer, frozenset())
+    assert result.entering(cfg.exit) == frozenset({("lock", 2)})
 
 
 def test_solver_reaches_the_same_fixpoint_regardless_of_seeding_order():
     cfg = cfg_of(LOOP_SOURCE)
-    transfer = resource_transfer([LOCK])
-    baseline = solve_forward(cfg, UnionLattice(), transfer, frozenset())
-    again = solve_forward(cfg, UnionLattice(), transfer, frozenset())
+    baseline = solve_forward(cfg, UnionLattice(), lock_transfer, frozenset())
+    again = solve_forward(cfg, UnionLattice(), lock_transfer, frozenset())
     assert baseline.values_in == again.values_in
     assert baseline.values_out == again.values_out
 
@@ -84,43 +88,13 @@ def test_non_monotone_transfer_raises_fixpoint_error():
                       max_passes=10)
 
 
-# -- resource facts ------------------------------------------------------------
-
-def test_resource_gen_kill_reads_method_calls_only():
-    stmt = ast.parse("acquire(); t.acquire(); t.release()").body
-    gens0, kills0 = resource_gen_kill(stmt[0], [LOCK])
-    assert (gens0, kills0) == ([], frozenset())
-    gens1, _ = resource_gen_kill(stmt[1], [LOCK])
-    assert [(g.spec, g.call) for g in gens1] == [("lock", "acquire")]
-    _, kills2 = resource_gen_kill(stmt[2], [LOCK])
-    assert kills2 == frozenset({"lock"})
-
-
-def test_resource_transfer_kills_before_it_gens():
-    """A single statement that both releases and re-acquires leaves
-    exactly the fresh fact open, not the stale one."""
-    transfer = resource_transfer([LOCK])
-    stale = ResourceFact("lock", 99, 0, "acquire")
-
-    class FakeNode:
-        def __init__(self, s):
-            self.stmt = s
-
-    release = ast.parse("t.release()").body[0]
-    assert transfer(FakeNode(release), frozenset({stale})) == frozenset()
-
-    both = ast.parse("t.acquire(t.release())").body[0]
-    value = transfer(FakeNode(both), frozenset({stale}))
-    assert stale not in value
-    assert {(f.spec, f.call) for f in value} == {("lock", "acquire")}
-
+# -- call helpers -------------------------------------------------------------
 
 def test_compound_headers_only_see_their_own_calls():
     """A loop header must not execute its body's calls: the release
-    inside the loop body kills at the body node, never at the header."""
+    inside the loop body is seen at the body node, never at the header."""
     stmt = ast.parse(textwrap.dedent("""\
-        for item in items:
+        for item in t.items():
             t.release()
     """)).body[0]
-    gens, kills = resource_gen_kill(stmt, [LOCK])
-    assert (gens, kills) == ([], frozenset())
+    assert [method_name_of(call) for call in calls_of(stmt)] == ["items"]

@@ -83,13 +83,16 @@ def rt(tid, cost=10.0):
 def drive(mode, scenario, obj_time=1000.0, coalesced=False):
     """Run ``scenario(env, node, log)`` and fingerprint everything.
 
-    With ``coalesced`` the node also gets an ``on_objects_batch``
-    callback, so the batched node reports a resident's pre-played quanta
-    in one call; the log is then compared per transaction, since the
-    order of callbacks across transactions is free (see the equivalence
-    argument in ``repro/machine/data_node.py``).
+    Each step's completion is fingerprinted with the instant its done
+    event fired (None if it never did).  With ``coalesced`` the node
+    also gets an ``on_objects_batch`` callback, so the batched node
+    reports a resident's pre-played quanta in one call; the log is then
+    compared per transaction, since the order of callbacks across
+    transactions is free (see the equivalence argument in
+    ``repro/machine/data_node.py``).
     """
     log = []
+    fired = {}
     env = Environment()
     batch = ((lambda txn, k: log.extend([(txn.tid, 1.0)] * k))
              if coalesced else None)
@@ -97,12 +100,20 @@ def drive(mode, scenario, obj_time=1000.0, coalesced=False):
         env, 0, obj_time=obj_time,
         on_objects=lambda txn, q: log.append((txn.tid, q)),
         on_objects_batch=batch)
+    submit = node.submit
+
+    def timed_submit(txn, objects):
+        done = submit(txn, objects)
+        done.callbacks.append(
+            lambda event: fired.__setitem__(event, env.now))
+        return done
+    node.submit = timed_submit
     completions = scenario(env, node, log)
     if coalesced:
         log = sorted(log, key=lambda entry: entry[0])
     return (log, node.busy_time, node.objects_processed, node.messages_sent,
-            [(e.triggered, e.ok if e.triggered else None,
-              env.now) for e in completions])
+            [(e.triggered, e.ok if e.triggered else None, fired.get(e))
+             for e in completions])
 
 
 def both_modes(scenario):
@@ -227,31 +238,23 @@ def test_fractional_arrival_offset_no_drift():
 # -- the coalesced round-robin and its literal fallbacks ----------------------
 
 
-def submit_logged(env, node, log, tid, objects):
-    """Submit a step and log its completion instant under its tid."""
-    done = node.submit(rt(tid), objects)
-    done.callbacks.append(
-        lambda event: log.append((tid, ("done", env.now))))
-    return done
-
-
 def three_residents_and_a_late_one(env, node, log):
-    done = [submit_logged(env, node, log, 1, 7.2),
-            submit_logged(env, node, log, 2, 5.0),
-            submit_logged(env, node, log, 3, 9.5)]
+    done = [node.submit(rt(1), 7.2),
+            node.submit(rt(2), 5.0),
+            node.submit(rt(3), 9.5)]
 
     def late():
         yield env.timeout(2.1)  # not exactly representable
-        done.append(submit_logged(env, node, log, 4, 3.3))
+        done.append(node.submit(rt(4), 3.3))
     env.process(late())
     env.run()
     return done
 
 
 def three_residents_under_stacked_slowdowns(env, node, log):
-    done = [submit_logged(env, node, log, 1, 60.0),
-            submit_logged(env, node, log, 2, 45.5),
-            submit_logged(env, node, log, 3, 75.0)]
+    done = [node.submit(rt(1), 60.0),
+            node.submit(rt(2), 45.5),
+            node.submit(rt(3), 75.0)]
 
     def slow():
         yield env.timeout(4.5)
@@ -272,9 +275,9 @@ def three_residents_from_below_a_power_of_two(env, node, log):
 
     def start():
         yield env.timeout(2.0 ** 20 - 0.5)
-        done.extend([submit_logged(env, node, log, 1, 40.2),
-                     submit_logged(env, node, log, 2, 33.0),
-                     submit_logged(env, node, log, 3, 25.5)])
+        done.extend([node.submit(rt(1), 40.2),
+                     node.submit(rt(2), 33.0),
+                     node.submit(rt(3), 25.5)])
     env.process(start())
     env.run()
     return done
@@ -292,8 +295,8 @@ def test_round_robin_fallbacks_are_identical(scenario, obj_time, coalesced):
     where its binade arithmetic does not apply: service times of 0.3,
     3 x 1.1 and 3 x 1.1 x 1.7 are no multiples of the boundaries' ulp
     (1000 x 1.1 x 1.7 would be: it rounds to 1870.0), and a start at
-    2**20 - 0.5 crosses a binade mid-window.  The log holds each step's
-    completion instant."""
+    2**20 - 0.5 crosses a binade mid-window.  drive() fingerprints each
+    step's completion instant."""
     batched = drive("batched", scenario, obj_time, coalesced)
     reference = drive("reference", scenario, obj_time, coalesced)
     assert batched == reference

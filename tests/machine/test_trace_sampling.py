@@ -1,4 +1,4 @@
-"""Sampled observability: Tracer sample_rate / counters_only switches."""
+"""Sampled observability: the Tracer sample_rate switch."""
 
 import pytest
 
@@ -64,19 +64,6 @@ def test_machine_events_survive_sampling():
             tracer=tracer, fault_plan=plan).run()
     kinds = {e.kind for e in tracer.events}
     assert EventType.NODE_CRASHED in kinds
-
-
-def test_counters_only_matches_full_counts():
-    full = run_with(Tracer())
-    counted = run_with(Tracer(counters_only=True))
-    assert counted.events == []
-    assert counted.summary() == full.summary()
-
-
-def test_counters_only_composes_with_sampling():
-    sampled = run_with(Tracer(sample_rate=0.5))
-    counted = run_with(Tracer(sample_rate=0.5, counters_only=True))
-    assert counted.summary() == sampled.summary()
 
 
 def test_invalid_rates_rejected():
