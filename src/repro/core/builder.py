@@ -17,54 +17,60 @@ WTPG node and pair edges that Section 3.1 prescribes:
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.locks import LockTable
+from repro.core.locks import Declaration, LockTable
 from repro.core.transaction import LockMode, TransactionSpec
 from repro.core.wtpg import WTPG
 from repro.errors import WTPGError
 
 
-def conflict_partners(table: LockTable, spec: TransactionSpec) -> Set[int]:
-    """Active transactions with at least one declaration conflicting with spec.
+#: Conflict partner -> its conflicting ``(newcomer's, partner's)``
+#: declaration pairs, in ascending partner order.
+PartnerConflicts = Dict[int, List[Tuple[Declaration, Declaration]]]
 
-    Must be called *after* ``table.register(spec)`` — it inspects the
-    registered declarations of ``spec.tid``.
+
+def partner_conflicts(table: LockTable,
+                      spec: TransactionSpec) -> PartnerConflicts:
+    """Every registered transaction whose declarations conflict with spec's.
+
+    Must be called *after* ``table.register(spec)``.  Only transactions
+    declaring one of spec's partitions can conflict with it, so this asks
+    :meth:`LockTable.conflicting_transactions` once per partition sharer
+    (:meth:`LockTable.partition_sharers`, ascending), never of the rest.
     """
-    partners: Set[int] = set()
     own = table.declarations_of(spec.tid)
-    # Sorted for deterministic iteration (RL001), matching add_transaction.
-    for other_tid in sorted(table.active_transactions):
-        if other_tid == spec.tid:
-            continue
-        if table.conflicting_transactions(own, other_tid):
-            partners.add(other_tid)
+    partners: PartnerConflicts = {}
+    for other_tid in table.partition_sharers(spec.tid):
+        conflicts = table.conflicting_transactions(own, other_tid)
+        if conflicts:
+            partners[other_tid] = conflicts
     return partners
 
 
-def add_transaction(wtpg: WTPG, table: LockTable,
-                    spec: TransactionSpec) -> Set[int]:
+def add_transaction(wtpg: WTPG, table: LockTable, spec: TransactionSpec,
+                    partners: Optional[PartnerConflicts] = None) -> Set[int]:
     """Insert ``spec`` into the WTPG with all pair edges and weights.
 
-    The transaction must already be registered in ``table``.  Returns the
-    set of conflict partners (useful for chain-form / K-conflict admission
-    tests).  Pairs against holders of conflicting locks are pre-resolved
-    ``holder -> newcomer``.
+    The transaction must already be registered in ``table``.
+    ``partners`` is :func:`partner_conflicts` of ``spec`` when the caller
+    already has it (admission computes it once for its constraint and
+    for this insertion); it is computed here otherwise.  Returns the set
+    of conflict partners that got a pair edge.  Pairs against holders of
+    conflicting locks are pre-resolved ``holder -> newcomer``.
     """
     tid = spec.tid
     if not table.is_registered(tid):
         raise WTPGError(f"T{tid} must be registered in the lock table first")
+    if partners is None:
+        partners = partner_conflicts(table, spec)
     wtpg.add_transaction(tid, spec.declared_total)
 
-    own = table.declarations_of(tid)
-    partners: Set[int] = set()
-    for other_tid in sorted(table.active_transactions):
-        if other_tid == tid or other_tid not in wtpg:
+    linked: Set[int] = set()
+    for other_tid, conflicts in partners.items():
+        if other_tid not in wtpg:
             continue
-        conflicts = table.conflicting_transactions(own, other_tid)
-        if not conflicts:
-            continue
-        partners.add(other_tid)
+        linked.add(other_tid)
         edge = wtpg.ensure_pair(tid, other_tid)
         forced = False
         for mine, theirs in conflicts:
@@ -76,7 +82,7 @@ def add_transaction(wtpg: WTPG, table: LockTable,
         if forced:
             # The holder commits before the newcomer can take the lock.
             wtpg.resolve(other_tid, tid)
-    return partners
+    return linked
 
 
 def remove_transaction(wtpg: WTPG, table: LockTable, tid: int) -> None:
@@ -86,8 +92,9 @@ def remove_transaction(wtpg: WTPG, table: LockTable, tid: int) -> None:
 
 
 def implied_resolutions(table: LockTable, wtpg: WTPG, tid: int,
-                        partition: int,
-                        mode: LockMode) -> Tuple[Tuple[int, int], ...]:
+                        partition: int, mode: LockMode,
+                        pending: Optional[Sequence[Declaration]] = None,
+                        ) -> Tuple[Tuple[int, int], ...]:
     """Resolutions forced by granting ``tid`` a lock on ``partition``.
 
     Every other active transaction with a pending conflicting declaration
@@ -98,11 +105,14 @@ def implied_resolutions(table: LockTable, wtpg: WTPG, tid: int,
     as predicted deadlocks.
 
     The result is a sorted *tuple* so it is hashable as-is: the K-WTPG
-    scheduler keys its E-value cache on it.
+    scheduler keys its E-value cache on it.  ``pending`` is the request's
+    ``table.pending_conflicts`` when the caller already has it.
     """
+    if pending is None:
+        pending = table.pending_conflicts(tid, partition, mode)
     seen: Set[int] = set()
     out: List[Tuple[int, int]] = []
-    for decl in table.pending_conflicts(tid, partition, mode):
+    for decl in pending:
         if decl.tid in seen or decl.tid not in wtpg:
             continue
         seen.add(decl.tid)

@@ -189,14 +189,18 @@ class LockTable:
         """True if any pending declaration conflicts with more than ``k``.
 
         ``partitions`` restricts the scan (only partitions touched by a
-        newly registered transaction can change counts).
+        newly registered transaction can change counts).  Each partition
+        is judged from one tally of its pending declarations by owner and
+        mode, so the scan is linear in the partition's backlog; the
+        verdict equals asking :meth:`conflict_count` of every declaration.
         """
-        scan = self._pending if partitions is None else {
-            p: self._pending.get(p, {}) for p in partitions}
-        for entries in scan.values():
-            for decl in entries.values():
-                if self.conflict_count(decl, count=count) > k:
-                    return True
+        if count not in ("declarations", "transactions"):
+            raise LockTableError(f"unknown conflict count mode {count!r}")
+        pending = self._pending
+        for partition in pending if partitions is None else partitions:
+            entries = pending.get(partition)
+            if entries and _partition_conflict_peak(entries, count) > k:
+                return True
         return False
 
     def conflicting_transactions(self, spec_a: Iterable[Declaration],
@@ -212,6 +216,24 @@ class LockTable:
                 if decl_a.mode.conflicts_with(decl_b.mode):
                     pairs.append((decl_a, decl_b))
         return pairs
+
+    def partition_sharers(self, tid: int) -> List[int]:
+        """Other transactions declaring any partition ``tid`` declares.
+
+        Pending and granted declarations alike, in ascending tid order:
+        every transaction :meth:`conflicting_transactions` can pair with
+        ``tid`` is among them, so callers scan these instead of every
+        active transaction.
+        """
+        pending, granted = self._pending, self._granted
+        owners: Set[int] = set()
+        for decl in self._by_txn.get(tid, ()):
+            for owner, _ in pending.get(decl.partition, ()):
+                owners.add(owner)
+            for owner, _ in granted.get(decl.partition, ()):
+                owners.add(owner)
+        owners.discard(tid)
+        return sorted(owners)
 
     def is_granted(self, decl: Declaration) -> bool:
         """True if this declaration's lock is currently held."""
@@ -230,3 +252,39 @@ class LockTable:
             if pend or held:
                 out[partition] = {"pending": sorted(pend), "granted": sorted(held)}
         return out
+
+
+def _partition_conflict_peak(entries: Dict[Tuple[int, int], Declaration],
+                             count: str) -> int:
+    """The largest :meth:`LockTable.conflict_count` among one partition's
+    pending declarations, in one pass over them.
+
+    An exclusive declaration conflicts with every other owner's
+    declaration, a shared one only with the other owners' exclusive
+    ones.  So an owner with an exclusive declaration counts every other
+    owner (``transactions``) or declaration (``declarations``), which is
+    at least what any shared declaration counts, and an owner with only
+    shared ones counts the writers or the exclusive declarations.
+    """
+    if count == "transactions":
+        owners: Set[int] = set()
+        writer = False
+        for (owner, _), decl in entries.items():
+            owners.add(owner)
+            if decl.mode is LockMode.EXCLUSIVE:
+                writer = True
+        # Every owner but the writer itself; a shared-only owner counts
+        # the writers, who are never more than that.
+        return len(owners) - 1 if writer else 0
+    sizes: Dict[int, int] = {}
+    writers: Set[int] = set()
+    exclusive = 0
+    for (owner, _), decl in entries.items():
+        sizes[owner] = sizes.get(owner, 0) + 1
+        if decl.mode is LockMode.EXCLUSIVE:
+            exclusive += 1
+            writers.add(owner)
+    peak = exclusive if len(writers) < len(sizes) else 0
+    for owner in writers:
+        peak = max(peak, len(entries) - sizes[owner])
+    return peak

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core import builder
-from repro.core.locks import LockTable
+from repro.core.locks import Declaration, LockTable
 from repro.core.transaction import TransactionRuntime
 from repro.core.wtpg import WTPG
 from repro.errors import SchedulerError
@@ -206,7 +206,7 @@ class WTPGScheduler(Scheduler):
 
     Subclasses implement :meth:`_admission_constraint` (return a rejection
     reason or None) and :meth:`_evaluate_grant` (GRANT or DELAY a
-    non-blocked request given its implied resolutions).
+    non-blocked request given its rivals and implied resolutions).
     """
 
     def __init__(self) -> None:
@@ -223,18 +223,23 @@ class WTPGScheduler(Scheduler):
     def _admit(self, txn: TransactionRuntime, now: float) -> AdmissionResponse:
         spec = txn.spec
         self.table.register(spec)
-        partners = builder.conflict_partners(self.table, spec)
+        # One pass over the newcomer's partition sharers serves both the
+        # constraint and the WTPG insertion.
+        partners = builder.partner_conflicts(self.table, spec)
         reason = self._admission_constraint(txn, partners, now)
         if reason is not None:
             self.table.unregister(spec.tid)
             return AdmissionResponse(False, cpu_cost=self._admission_cost(),
                                      reason=reason)
-        builder.add_transaction(self.wtpg, self.table, spec)
+        builder.add_transaction(self.wtpg, self.table, spec, partners)
         self._after_admit(txn, now)
         return AdmissionResponse(True, cpu_cost=self._admission_cost())
 
     def _admission_constraint(self, txn: TransactionRuntime,
-                              partners: Set[int], now: float) -> Optional[str]:
+                              partners: builder.PartnerConflicts,
+                              now: float) -> Optional[str]:
+        """Rejection reason, or None; ``partners`` maps each conflict
+        partner to its conflicting declaration pairs."""
         return None
 
     def _admission_cost(self) -> float:
@@ -259,10 +264,12 @@ class WTPGScheduler(Scheduler):
             return LockResponse(
                 Decision.BLOCK, cpu_cost=self._block_check_cost(),
                 reason=f"blocked by holders {sorted(holders)}")
+        # C(q), read once for the implied resolutions and the grant rule.
+        rivals = self.table.pending_conflicts(tid, step.partition, step.mode)
         # A sorted, hashable tuple — schedulers may key caches on it.
         implied = builder.implied_resolutions(
-            self.table, self.wtpg, tid, step.partition, step.mode)
-        response = self._evaluate_grant(txn, implied, now)
+            self.table, self.wtpg, tid, step.partition, step.mode, rivals)
+        response = self._evaluate_grant(txn, implied, rivals, now)
         if response.decision is Decision.GRANT:
             self._apply_grant(txn, implied, now)
         return response
@@ -279,7 +286,10 @@ class WTPGScheduler(Scheduler):
 
     def _evaluate_grant(self, txn: TransactionRuntime,
                         implied: Sequence[Tuple[int, int]],
+                        rivals: Sequence[Declaration],
                         now: float) -> LockResponse:
+        """GRANT or DELAY a request no holder blocks; ``rivals`` is its
+        ``C(q)`` and ``implied`` the resolutions granting it forces."""
         raise NotImplementedError
 
     def _apply_grant(self, txn: TransactionRuntime,

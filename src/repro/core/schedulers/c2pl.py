@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from repro.core.locks import Declaration
 from repro.core.schedulers.base import (Decision, LockResponse,
                                         WTPGScheduler)
 from repro.core.transaction import TransactionRuntime
@@ -37,6 +38,7 @@ class CautiousTwoPhaseLock(WTPGScheduler):
 
     def _evaluate_grant(self, txn: TransactionRuntime,
                         implied: Sequence[Tuple[int, int]],
+                        rivals: Sequence[Declaration],
                         now: float) -> LockResponse:
         cost = self.ddtime  # one deadlock-prediction test on the graph
         if self._would_deadlock(implied):

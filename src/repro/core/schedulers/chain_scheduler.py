@@ -14,10 +14,12 @@ otherwise the most recent ``W`` is reused.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.core.builder import PartnerConflicts
 from repro.core.chain import chain_components, would_remain_chain_form
 from repro.core.chain_opt import DOWN, UP, ChainPair, optimise_chain
+from repro.core.locks import Declaration
 from repro.core.schedulers.base import (ControlSaver, Decision, LockResponse,
                                         WTPGScheduler)
 from repro.core.transaction import TransactionRuntime
@@ -44,7 +46,8 @@ class ChainScheduler(WTPGScheduler):
     # -- admission: the chain-form constraint (Step 0 of CC1) ----------------
 
     def _admission_constraint(self, txn: TransactionRuntime,
-                              partners: Set[int], now: float) -> Optional[str]:
+                              partners: PartnerConflicts,
+                              now: float) -> Optional[str]:
         if not would_remain_chain_form(self.wtpg, txn.tid, partners):
             return "WTPG would not be chain-form"
         return None
@@ -109,6 +112,7 @@ class ChainScheduler(WTPGScheduler):
 
     def _evaluate_grant(self, txn: TransactionRuntime,
                         implied: Sequence[Tuple[int, int]],
+                        rivals: Sequence[Declaration],
                         now: float) -> LockResponse:
         cost = self._refresh_w(now)
         for predecessor, successor in implied:

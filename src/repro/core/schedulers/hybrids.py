@@ -12,8 +12,9 @@ weights).
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional
 
+from repro.core.builder import PartnerConflicts
 from repro.core.chain import would_remain_chain_form
 from repro.core.schedulers.c2pl import CautiousTwoPhaseLock
 from repro.core.transaction import TransactionRuntime
@@ -28,7 +29,8 @@ class ChainC2PL(CautiousTwoPhaseLock):
         super().__init__(ddtime=ddtime, admission_time=admission_time)
 
     def _admission_constraint(self, txn: TransactionRuntime,
-                              partners: Set[int], now: float) -> Optional[str]:
+                              partners: PartnerConflicts,
+                              now: float) -> Optional[str]:
         if not would_remain_chain_form(self.wtpg, txn.tid, partners):
             return "WTPG would not be chain-form"
         return None
@@ -49,7 +51,8 @@ class KConflictC2PL(CautiousTwoPhaseLock):
         self.k_count_mode = k_count_mode
 
     def _admission_constraint(self, txn: TransactionRuntime,
-                              partners: Set[int], now: float) -> Optional[str]:
+                              partners: PartnerConflicts,
+                              now: float) -> Optional[str]:
         touched = set(txn.spec.partitions)
         if self.table.k_conflict_violated(self.k, partitions=touched,
                                           count=self.k_count_mode):

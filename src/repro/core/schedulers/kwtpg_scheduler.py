@@ -26,10 +26,13 @@ keeptime window without any invalidating event (e.g. a rival's pending
 declaration is consumed by an already-held re-access, which creates no
 precedence edge).
 
-Each grant decision builds one
+A grant decision with rivals builds one
 :class:`~repro.core.estimator.ContentionBatch` — a copy-free delta view
 over the live WTPG — and evaluates the request and every rival through
-it.
+it.  A request whose ``C(q)`` is empty has nothing to be compared with:
+it is granted unless the live graph already has a precedence cycle,
+which is exactly when its ``E(q)`` would be infinite, and no batch is
+built (:meth:`KWTPGScheduler._grant_uncontested`).
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ class KWTPGScheduler(WTPGScheduler):
     # -- admission: the K-conflict constraint --------------------------------
 
     def _admission_constraint(self, txn: TransactionRuntime,
-                              partners: Set[int], now: float) -> Optional[str]:
+                              partners: builder.PartnerConflicts,
+                              now: float) -> Optional[str]:
         touched = set(txn.spec.partitions)
         if self.table.k_conflict_violated(self.k, partitions=touched,
                                           count=self.k_count_mode):
@@ -104,26 +108,28 @@ class KWTPGScheduler(WTPGScheduler):
 
     def _evaluate_grant(self, txn: TransactionRuntime,
                         implied: Sequence[Tuple[int, int]],
+                        rivals: Sequence[Declaration],
                         now: float) -> LockResponse:
-        step = txn.step()
-        cost = 0.0
+        if not rivals:
+            return self._grant_uncontested(txn, now)
+        return self._grant_if_minimal(txn, implied, rivals, now)
 
+    def _grant_if_minimal(self, txn: TransactionRuntime,
+                          implied: Sequence[Tuple[int, int]],
+                          rivals: Sequence[Declaration],
+                          now: float) -> LockResponse:
+        """E(q) against the E of each rival's earliest declaration."""
         # One overlay base shared by the request and every rival candidate
         # this decision evaluates: the base-graph acyclicity verdict and
         # the live graph's memoized closures are established once.
         batch = ContentionBatch(self.wtpg)
 
-        e_q, extra = self._estimate(txn.tid, txn.current_step, implied, now,
-                                    batch)
-        cost += extra
+        e_q, cost = self._estimate(txn.tid, txn.current_step, implied, now,
+                                   batch)
         if e_q == INFINITE_CONTENTION:
-            self.stats.deadlock_predictions += 1
-            return LockResponse(Decision.DELAY, cpu_cost=cost,
-                                reason="E(q) infinite: predicted deadlock")
+            return self._predicted_deadlock(cost)
 
-        competitors = self._earliest_per_rival(
-            self.table.pending_conflicts(txn.tid, step.partition, step.mode))
-        for decl in competitors:
+        for decl in self._earliest_per_rival(rivals):
             e_rival, extra = self._estimate_declaration(decl, now, batch)
             cost += extra
             if e_rival < e_q:
@@ -136,6 +142,43 @@ class KWTPGScheduler(WTPGScheduler):
                            f"declaration has E={e_rival:g}")
         self._deferred_to.pop(txn.tid, None)
         return LockResponse(Decision.GRANT, cpu_cost=cost)
+
+    def _grant_uncontested(self, txn: TransactionRuntime,
+                           now: float) -> LockResponse:
+        """Decide a request with an empty ``C(q)`` without evaluating E(q).
+
+        With no rival the rule reduces to "grant unless E(q) is
+        infinite", and with no rival nothing is implied.  E(q) of an
+        empty implied set is infinite exactly when the live graph already
+        has a precedence cycle: in an acyclic graph before(T) and after(T)
+        are disjoint, and no before -> after crossing can close a cycle
+        because nothing in after(T) reaches before(T).
+
+        The cost is what :meth:`_estimate` charges for the same key.  Only
+        a DELAY caches its infinite E, so the retry is free; a GRANT
+        consumes the declaration, so no lookup can reach its key before an
+        abort clears the cache, and it stores nothing.
+        """
+        key = (txn.tid, txn.current_step, ())
+        cached = self._lookup(key, now)
+        if cached is not None:
+            cost = 0.0
+            deadlocked = cached == INFINITE_CONTENTION
+        else:
+            cost = self.kwtpgtime
+            self.stats.estimator_calls += 1
+            deadlocked = self.wtpg.has_precedence_cycle()
+            if deadlocked:
+                self._e_cache[key] = INFINITE_CONTENTION
+        if deadlocked:
+            return self._predicted_deadlock(cost)
+        self._deferred_to.pop(txn.tid, None)
+        return LockResponse(Decision.GRANT, cpu_cost=cost)
+
+    def _predicted_deadlock(self, cost: float) -> LockResponse:
+        self.stats.deadlock_predictions += 1
+        return LockResponse(Decision.DELAY, cpu_cost=cost,
+                            reason="E(q) infinite: predicted deadlock")
 
     @staticmethod
     def _earliest_per_rival(
@@ -184,17 +227,26 @@ class KWTPGScheduler(WTPGScheduler):
             stack.extend(self._deferred_to.get(node, ()))
         return False
 
+    def _lookup(self, key: _EKey, now: float) -> Optional[float]:
+        """The cached E value under ``key``, or None.
+
+        A stale cache starts a fresh computation round: every stale value
+        is dropped and the round is stamped ``now``.
+        """
+        if not self._saver.stale(now):
+            return self._e_cache.get(key)
+        self._e_cache.clear()
+        self._saver.mark_computed(now)
+        return None
+
     def _estimate(self, tid: int, step_index: int,
                   implied: Sequence[Tuple[int, int]], now: float,
                   batch: ContentionBatch) -> Tuple[float, float]:
         """E value for a (tid, step) with given implications, plus CPU cost."""
         key = (tid, step_index, tuple(implied))
-        if not self._saver.stale(now) and key in self._e_cache:
-            return self._e_cache[key], 0.0
-        if self._saver.stale(now):
-            # A fresh computation round starts: drop every stale value.
-            self._e_cache.clear()
-            self._saver.mark_computed(now)
+        value = self._lookup(key, now)
+        if value is not None:
+            return value, 0.0
         value = batch.estimate(tid, implied)
         self._e_cache[key] = value
         self.stats.estimator_calls += 1

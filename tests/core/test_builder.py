@@ -10,8 +10,8 @@ Starting all three must produce exactly the WTPG of Figure 2-(a).
 import pytest
 
 from repro.core import LockMode, LockTable, Step, TransactionSpec, WTPG
-from repro.core.builder import (add_transaction, conflict_partners,
-                                implied_resolutions, remove_transaction)
+from repro.core.builder import (add_transaction, implied_resolutions,
+                                partner_conflicts, remove_transaction)
 from repro.errors import WTPGError
 
 A, B, C, D = 0, 1, 2, 3
@@ -64,8 +64,16 @@ class TestFigure2Construction:
     def test_conflict_partners(self):
         table, _ = start_all()
         t1, t2, t3 = figure1_specs()
-        assert conflict_partners(table, t2) == {1, 3}
-        assert conflict_partners(table, t1) == {2}
+        partners = partner_conflicts(table, t2)
+        assert list(partners) == [1, 3]  # ascending partner order
+        # w2(A) against both of T1's A declarations; r2(C) against w3(C).
+        assert [(mine.step_index, theirs.step_index)
+                for mine, theirs in partners[1]] == [(1, 0), (1, 2)]
+        assert [(mine.step_index, theirs.step_index)
+                for mine, theirs in partners[3]] == [(0, 0)]
+        assert list(partner_conflicts(table, t1)) == [2]
+        # T3 shares no partition with T1: never even asked about it.
+        assert table.partition_sharers(1) == [2]
 
 
 class TestWeightsTakeMaxOverStepPairs:

@@ -3,11 +3,16 @@
 ``tests/core/test_estimator_equivalence.py`` compares the two
 estimators value by value on generated graphs.  This module compares
 them where the scheduler uses them: a full simulation whose every grant
-decision evaluates E(q) through the copy-free
-:class:`~repro.core.estimator.ContentionBatch`, against the same run with
+decision with rivals evaluates E(q) through the copy-free
+:class:`~repro.core.estimator.ContentionBatch` (and every uncontested one
+takes the scheduler's cycle-check shortcut), against the same run with
 :func:`tests.oracles.reference_estimator` swapping in the deep-copy
-oracle.  Metrics JSON and the full trace must be byte-identical, and the
-oracle must really have answered every estimate the scheduler made.
+oracle and sending every decision down the full rule.  Metrics JSON,
+the full trace and the scheduler stats must be byte-identical, and the
+oracle must really have answered every estimate the scheduler counted.
+The identity also proves that the shortcut's GRANTs, which cache
+nothing, leave no key a later decision reads: such a read is free under
+the full rule and would change the stats.
 """
 
 import json

@@ -150,3 +150,81 @@ def test_live_schedulers_stay_consistent_mid_workload(name, specs):
             check_consistency(scheduler.table, scheduler.wtpg)
         if not progressed and all(t.committed for t in runtimes):
             break
+
+
+def drive(scheduler, specs, passes):
+    """Admit, grant and commit round-robin for ``passes`` rounds."""
+    runtimes = [TransactionRuntime(spec) for spec in specs]
+    admitted = set()
+    now = 0.0
+    for _ in range(passes):
+        for txn in runtimes:
+            now += 1
+            if txn.committed:
+                continue
+            if txn.tid not in admitted:
+                if scheduler.admit(txn, now).admitted:
+                    admitted.add(txn.tid)
+            elif txn.finished_all_steps:
+                scheduler.commit(txn, now)
+                txn.commit_time = now
+            elif scheduler.request_lock(txn, now).decision is Decision.GRANT:
+                for _ in range(int(txn.step().cost)):
+                    scheduler.object_processed(txn)
+                txn.advance_step()
+
+
+def plant(kind, table, wtpg, rng):
+    """Corrupt one live pair in a way ``find_violations`` must report;
+    False when the state offers no pair to corrupt that way."""
+    live = sorted(table.active_transactions & wtpg.transactions)
+    pairs = [(a, b) for i, a in enumerate(live) for b in live[i + 1:]]
+    rng.shuffle(pairs)
+    for a, b in pairs:
+        conflicts = table.conflicting_transactions(table.declarations_of(a), b)
+        edge = wtpg.pair(a, b)
+        if kind == "spurious edge" and not conflicts and edge is None:
+            wtpg.ensure_pair(a, b)
+            return True
+        if kind == "lost edges" and conflicts and edge is not None:
+            weight = wtpg.source_weight(a)
+            wtpg.remove_transaction(a)
+            wtpg.add_transaction(a, weight)
+            return True
+        if kind == "zero weights" and edge is not None:
+            edge.weight_ab = edge.weight_ba = 0.0
+            return bool(conflicts)
+        if kind == "unordered holder" and edge is not None \
+                and not edge.resolved:
+            for mine, theirs in conflicts:
+                if not table.is_granted(mine) and not table.is_granted(theirs):
+                    table.grant(a, mine.step_index)
+                    return True
+    return False
+
+
+PLANTS = ("spurious edge", "lost edges", "zero weights", "unordered holder")
+
+
+@pytest.mark.parametrize("name", ["C2PL", "K2"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(specs=operation_sequences(), passes=st.integers(0, 4),
+       plants=st.lists(st.sampled_from(PLANTS), max_size=3),
+       seed=st.integers(0, 2**16))
+def test_partition_scan_equals_all_pairs_on_planted_violations(
+        name, specs, passes, plants, seed):
+    """``find_violations`` examines partition sharers and WTPG pairs
+    only; on any mid-workload state, with or without planted faults, it
+    reports exactly what the all-pairs oracle reports."""
+    import random
+    from tests.oracles import find_violations_all_pairs
+
+    scheduler = make_scheduler(name)
+    drive(scheduler, specs, passes)
+    table, wtpg = scheduler.table, scheduler.wtpg
+    rng = random.Random(seed)
+    planted = [kind for kind in plants if plant(kind, table, wtpg, rng)]
+    problems = find_violations(table, wtpg)
+    assert problems == find_violations_all_pairs(table, wtpg)
+    assert bool(problems) == bool(planted)

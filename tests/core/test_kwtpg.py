@@ -280,6 +280,91 @@ class TestControlSaving:
         assert response.cpu_cost > 0
 
 
+class TestUncontestedGrant:
+    """A request whose C(q) is empty is decided without an E(q) batch:
+    GRANT unless the live graph already has a precedence cycle (then
+    E(q) would be infinite), with the cost accounting of the full rule."""
+
+    def cyclic_scenario(self, keeptime):
+        """T1-T3 form a ring of pairwise conflicts resolved into a cycle
+        (planted: no schedule reaches one); T4 shares no partition."""
+        sched = KWTPGScheduler(k=2, keeptime=keeptime)
+        ring = [rt(1, [Step.write(0, 1), Step.write(1, 1)]),
+                rt(2, [Step.write(1, 1), Step.write(2, 1)]),
+                rt(3, [Step.write(2, 1), Step.write(0, 1)])]
+        loner = rt(4, [Step.read(9, 1)])
+        for txn in ring + [loner]:
+            assert sched.admit(txn, now=0).admitted
+        for predecessor, successor in ((1, 2), (2, 3), (3, 1)):
+            sched.wtpg.resolve(predecessor, successor)
+        assert sched.wtpg.has_precedence_cycle()
+        return sched, loner
+
+    def test_no_batch_is_built(self, monkeypatch):
+        from repro.core.schedulers import kwtpg_scheduler
+
+        def refuse(wtpg):
+            raise AssertionError("uncontested request built a batch")
+
+        monkeypatch.setattr(kwtpg_scheduler, "ContentionBatch", refuse)
+        sched = KWTPGScheduler(k=2)
+        loner = rt(1, [Step.read(3, 2)])
+        sched.admit(loner, now=0)
+        response = sched.request_lock(loner, now=1)
+        assert response.granted
+        assert response.cpu_cost == sched.kwtpgtime
+        assert sched.stats.estimator_calls == 1
+
+    def test_grant_caches_nothing(self):
+        sched = KWTPGScheduler(k=2, keeptime=5000)
+        first, second = rt(1, [Step.read(3, 2)]), rt(2, [Step.read(4, 2)])
+        for txn in (first, second):
+            sched.admit(txn, now=0)
+        assert sched.request_lock(first, now=1).granted
+        assert sched._e_cache == {}
+        # Same computation round: the next uncontested decision is not
+        # a cache hit either, and pays like the full rule would.
+        response = sched.request_lock(second, now=2)
+        assert response.granted and response.cpu_cost == sched.kwtpgtime
+        assert sched.stats.estimator_calls == 2
+
+    def test_cyclic_graph_delays_and_retry_hits_cache(self):
+        sched, loner = self.cyclic_scenario(keeptime=5000)
+        first = sched.request_lock(loner, now=1)
+        assert first.decision is Decision.DELAY
+        assert "predicted deadlock" in first.reason
+        assert first.cpu_cost == sched.kwtpgtime
+        assert sched.stats.deadlock_predictions == 1
+        assert sched.stats.estimator_calls == 1
+        retry = sched.request_lock(loner, now=2)
+        assert retry.decision is Decision.DELAY
+        assert retry.cpu_cost == 0.0
+        assert sched.stats.deadlock_predictions == 2
+        assert sched.stats.estimator_calls == 1
+
+    def test_keeptime_expiry_recharges(self):
+        sched, loner = self.cyclic_scenario(keeptime=100)
+        assert sched.request_lock(loner, now=1).decision is Decision.DELAY
+        response = sched.request_lock(loner, now=500)
+        assert response.decision is Decision.DELAY
+        assert response.cpu_cost == sched.kwtpgtime
+        assert sched.stats.estimator_calls == 2
+
+    def test_same_verdict_as_full_rule(self):
+        """The shortcut's verdict and cost equal E(q) evaluated by the
+        full rule with nothing implied, on a cyclic and an acyclic graph."""
+        acyclic, loner = KWTPGScheduler(k=2), rt(4, [Step.read(9, 1)])
+        acyclic.admit(loner, now=0)
+        for sched, txn in (self.cyclic_scenario(keeptime=5000),
+                           (acyclic, loner)):
+            full = sched._grant_if_minimal(txn, (), (), 1)
+            sched._invalidate()  # the full rule cached its E(q)
+            fast = sched.request_lock(txn, now=1)
+            assert fast.decision is full.decision
+            assert fast.cpu_cost == full.cpu_cost
+            assert fast.reason == full.reason
+
+
 class TestWeightsDriveDecisions:
     def test_progress_flips_the_preference(self):
         """As the heavy transaction nears completion its dues shrink;

@@ -187,6 +187,20 @@ class TestKConflict:
             table.register(spec_read(tid, partition=0))
         assert not table.k_conflict_violated(0)
 
+    def test_reader_counts_each_repeated_write(self):
+        """A reader behind one writer's three write declarations counts
+        three conflicts by declaration, one by transaction; the writer's
+        own declarations count only the reader."""
+        table = LockTable()
+        table.register(TransactionSpec(1, [Step.write(0, 1)] * 3))
+        table.register(spec_read(2, partition=0))
+        assert table.k_conflict_violated(2, count="declarations")
+        assert not table.k_conflict_violated(3, count="declarations")
+        assert not table.k_conflict_violated(0, partitions=[1],
+                                             count="declarations")
+        assert not table.k_conflict_violated(1, count="transactions")
+        assert table.k_conflict_violated(0, count="transactions")
+
 
 class TestSnapshot:
     def test_snapshot_readable(self):

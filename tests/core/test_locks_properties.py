@@ -114,3 +114,35 @@ def test_k_violation_matches_bruteforce_count(script, k):
             and other.mode.conflicts_with(decl.mode)) > k
         for decl in pending)
     assert table.k_conflict_violated(k) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_scripts(), st.integers(min_value=0, max_value=4),
+       st.sets(st.integers(min_value=0, max_value=4)))
+def test_k_violation_matches_bruteforce_in_both_modes(script, k, touched):
+    """The per-partition tally behind ``k_conflict_violated`` gives the
+    brute-force verdict in the transactions mode K2 runs, in the
+    declarations mode, and under the ``partitions=`` restriction
+    admission uses (a partition no declaration names included)."""
+    table, alive = apply_script(script)
+    pending = [d for tid in alive for d in table.pending_of(tid)]
+
+    def rivals(decl):
+        return [other for other in pending
+                if other.tid != decl.tid
+                and other.partition == decl.partition
+                and other.mode.conflicts_with(decl.mode)]
+
+    counts = {
+        "declarations": lambda decl: len(rivals(decl)),
+        "transactions": lambda decl: len({o.tid for o in rivals(decl)}),
+    }
+    for count, measure in counts.items():
+        assert table.k_conflict_violated(k, count=count) == any(
+            measure(decl) > k for decl in pending)
+        assert table.k_conflict_violated(
+            k, partitions=touched, count=count) == any(
+            measure(decl) > k for decl in pending
+            if decl.partition in touched)
+        for decl in pending:
+            assert table.conflict_count(decl, count=count) == measure(decl)

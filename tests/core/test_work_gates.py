@@ -1,0 +1,116 @@
+"""Work-count gates for the K-WTPG grant rule and WTPG admission.
+
+Counts, not timings, so they hold on any host:
+
+* a request whose ``C(q)`` is empty builds no
+  :class:`~repro.core.estimator.ContentionBatch` -- on a light-load bulk
+  scan that is nearly every decision;
+* admission asks :meth:`LockTable.conflicting_transactions` once per
+  transaction sharing one of the newcomer's partitions, and never of the
+  rest of the active set.
+"""
+
+from collections import Counter
+from unittest import mock
+
+from repro.config import SimulationParameters
+from repro.core.estimator import ContentionBatch
+from repro.core.locks import LockTable
+from repro.core.schedulers import kwtpg_scheduler
+from repro.core.schedulers.kwtpg_scheduler import KWTPGScheduler
+from repro.core.transaction import Step, TransactionSpec
+from repro.machine.cluster import Cluster
+from repro.workloads import bulk_scan_catalog, pattern2, pattern2_catalog
+
+SCAN_NODES = 64
+
+
+def scan_bat(tid, streams):
+    """A bulk scan of one random partition, then a one-object write."""
+    partition = streams.choice("bulk-scan-partition",
+                               tuple(range(SCAN_NODES)))
+    objects = streams.uniform("bulk-scan-length", 256.0, 768.0)
+    return TransactionSpec(tid, [Step.read(partition, objects),
+                                 Step.write(partition, 1.0)])
+
+
+def scan_window_run():
+    """Light-load K2 bulk scans on 64 nodes: BATs rarely meet."""
+    params = SimulationParameters(
+        scheduler="K2", arrival_rate_tps=0.002, sim_clocks=40_000_000.0,
+        seed=5, num_nodes=SCAN_NODES, num_partitions=SCAN_NODES,
+        obj_time=20.0)
+    return Cluster(params, scan_bat, catalog=bulk_scan_catalog(
+        num_partitions=SCAN_NODES, num_nodes=SCAN_NODES))
+
+
+def hotset_run():
+    """K2 on Experiment 2's hot set: a standing backlog of rivals."""
+    params = SimulationParameters(
+        scheduler="K2", arrival_rate_tps=0.45, sim_clocks=80_000.0, seed=5,
+        num_partitions=16)
+    return Cluster(params, pattern2(num_hots=8),
+                   catalog=pattern2_catalog(num_hots=8))
+
+
+def count_decisions(cluster):
+    """Run ``cluster``; count grant decisions by whether C(q) was empty,
+    and the batches built."""
+    decisions = Counter()
+    evaluate = KWTPGScheduler._evaluate_grant
+
+    def counted(self, txn, implied, rivals, now):
+        decisions["contested" if rivals else "uncontested"] += 1
+        return evaluate(self, txn, implied, rivals, now)
+
+    with mock.patch.object(KWTPGScheduler, "_evaluate_grant", counted), \
+            mock.patch.object(kwtpg_scheduler, "ContentionBatch",
+                              wraps=ContentionBatch) as batches:
+        cluster.run()
+    return decisions, batches.call_count
+
+
+def test_uncontested_decisions_build_no_batch():
+    scan, batches = count_decisions(scan_window_run())
+    assert batches == scan["contested"], (scan, batches)
+    # The bulk scan is the bypass case: almost nothing is contested.
+    assert scan["contested"] * 20 < scan["uncontested"], scan
+    hot, batches = count_decisions(hotset_run())
+    assert batches == hot["contested"], (hot, batches)
+    assert hot["contested"] > 0 and hot["uncontested"] > 0, hot
+
+
+def test_admission_asks_only_partition_sharers():
+    cluster = hotset_run()
+    asked = Counter()
+    conflicting = LockTable.conflicting_transactions
+    admit = KWTPGScheduler.admit
+
+    def counted_conflicts(self, spec_a, tid_b):
+        asked["calls"] += 1
+        return conflicting(self, spec_a, tid_b)
+
+    def counted_admit(self, txn, now=0.0):
+        table = self.table
+        active = len(table.active_transactions)
+        partitions = set(txn.spec.partitions)
+        sharers = {decl.tid for tid in table.active_transactions
+                   for decl in table.declarations_of(tid)
+                   if decl.partition in partitions}
+        before = asked["calls"]
+        response = admit(self, txn, now)
+        assert asked["calls"] - before == len(sharers), (
+            f"T{txn.tid}: {asked['calls'] - before} conflict queries for "
+            f"{len(sharers)} partition sharers")
+        asked["sharers"] += len(sharers)
+        asked["active"] += active
+        asked["admissions"] += 1
+        return response
+
+    with mock.patch.object(LockTable, "conflicting_transactions",
+                           counted_conflicts), \
+            mock.patch.object(KWTPGScheduler, "admit", counted_admit):
+        cluster.run()
+    assert asked["admissions"] > 100
+    # The index bites: fewer queries than active transactions seen.
+    assert asked["sharers"] < asked["active"], dict(asked)

@@ -11,7 +11,9 @@ log — the literal version it must equal lives here, outside ``src/``:
   (:class:`ReferenceDataNode`, :func:`reference_data_nodes`);
 * :mod:`tests.oracles.estimator` — E(q) on a deep copy of the WTPG
   (:func:`estimate_reference`, :class:`ReferenceBatch`,
-  :func:`reference_estimator`).
+  :func:`reference_estimator`);
+* :mod:`tests.oracles.invariants` — the lock-table/WTPG consistency check
+  over every live pair (:func:`find_violations_all_pairs`).
 
 The context managers swap an oracle into a whole simulation run, so an
 equivalence test compares two runs of the same public entry points
@@ -23,12 +25,14 @@ from tests.oracles.control_log import (FullDependencyLog,
 from tests.oracles.data_node import ReferenceDataNode, reference_data_nodes
 from tests.oracles.estimator import (ReferenceBatch, estimate_reference,
                                      reference_estimator)
+from tests.oracles.invariants import find_violations_all_pairs
 
 __all__ = [
     "FullDependencyLog",
     "ReferenceBatch",
     "ReferenceDataNode",
     "estimate_reference",
+    "find_violations_all_pairs",
     "full_log_differential",
     "reference_data_nodes",
     "reference_estimator",

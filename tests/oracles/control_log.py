@@ -18,13 +18,14 @@ from typing import Callable, Iterator, List, Optional, Tuple
 from unittest import mock
 
 from repro.core import builder
-from repro.core.invariants import check_consistency
+from repro.core.invariants import check_consistency, find_violations
 from repro.core.schedulers.base import Scheduler
 from repro.core.transaction import LockMode, Step, TransactionSpec
 from repro.errors import LockTableError, SchedulerError
 from repro.machine import shard as shard_module
 from repro.machine.control_log import (ADMIT, EDGE, GRANT, DependencyLog,
                                        LogRecord)
+from tests.oracles.invariants import find_violations_all_pairs
 
 COMMIT = "commit"
 ABORT = "abort"
@@ -99,6 +100,11 @@ class FullDependencyLog:
                 f"replayed WTPG of CN {self.shard_id} is inconsistent: "
                 f"{violations}")
         check_consistency(table, wtpg)
+        # The replayed state is where the runtime's consistency proof
+        # runs: it must see what the all-pairs check sees.
+        assert find_violations(table, wtpg) == find_violations_all_pairs(
+            table, wtpg), f"consistency check of CN {self.shard_id} " \
+            "missed a pair"
         return scheduler, len(self.records)
 
 

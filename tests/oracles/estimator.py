@@ -13,6 +13,9 @@ from unittest import mock
 
 from repro.core.estimator import INFINITE_CONTENTION, Resolution
 from repro.core.schedulers import kwtpg_scheduler
+from repro.core.schedulers.base import LockResponse
+from repro.core.schedulers.kwtpg_scheduler import KWTPGScheduler
+from repro.core.transaction import TransactionRuntime
 from repro.core.wtpg import WTPG
 from repro.errors import WTPGError
 
@@ -72,10 +75,24 @@ class ReferenceBatch:
         return estimate_reference(self.wtpg, tid, implied_resolutions)
 
 
+def _grant_by_full_rule(self: KWTPGScheduler, txn: TransactionRuntime,
+                        now: float) -> LockResponse:
+    """The paper's rule for a request with an empty ``C(q)``: evaluate
+    E(q) with nothing implied and grant unless it is infinite."""
+    return self._grant_if_minimal(txn, (), (), now)
+
+
 @contextmanager
 def reference_estimator() -> Iterator[None]:
     """Make every K-WTPG grant decision use :class:`ReferenceBatch`
-    while the block runs."""
+    while the block runs.
+
+    Uncontested requests go through the full rule too, so the oracle
+    answers every E(q) the paper evaluates, and a run under it proves
+    the scheduler's cycle-check shortcut for those requests exact.
+    """
     with mock.patch.object(kwtpg_scheduler, "ContentionBatch",
-                           ReferenceBatch):
+                           ReferenceBatch), \
+            mock.patch.object(KWTPGScheduler, "_grant_uncontested",
+                              _grant_by_full_rule):
         yield

@@ -16,12 +16,13 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.invariants import check_consistency
+from repro.core.invariants import check_consistency, find_violations
 from repro.core.schedulers import make_scheduler
 from repro.faults import FaultPlan
 from repro.machine.cluster import Cluster, SimulationResult
 from repro.machine.trace import EventType, Tracer, validate_trace
 from tests.oracles.control_log import full_log_differential
+from tests.oracles.invariants import find_violations_all_pairs
 
 
 def prop_jobs() -> int:
@@ -37,7 +38,9 @@ class InvariantCheckingScheduler:
 
     ``cache_violations()`` must be empty not just at the end of a run
     but after each scheduler transition — a stale cached weight that a
-    later event happens to repair would otherwise go unnoticed.
+    later event happens to repair would otherwise go unnoticed.  Every
+    new state must also give ``find_violations`` the all-pairs oracle's
+    answer.
     """
 
     CHECKED = ("admit", "request_lock", "commit", "object_processed",
@@ -52,12 +55,12 @@ class InvariantCheckingScheduler:
         if name in self.CHECKED and callable(value):
             def checked(*args, **kwargs):
                 result = value(*args, **kwargs)
-                self._assert_clean(name)
+                self._assert_clean(name, _changed(name, result))
                 return result
             return checked
         return value
 
-    def _assert_clean(self, after: str) -> None:
+    def _assert_clean(self, after: str, changed: bool) -> None:
         self.checks += 1
         wtpg = getattr(self._inner, "wtpg", None)
         if wtpg is None:
@@ -65,6 +68,21 @@ class InvariantCheckingScheduler:
         violations = wtpg.cache_violations()
         assert violations == [], (
             f"cache violations after {after}: {violations}")
+        if changed:
+            table = self._inner.table
+            assert find_violations(table, wtpg) == find_violations_all_pairs(
+                table, wtpg), f"consistency check missed a pair after {after}"
+
+
+def _changed(call: str, result) -> bool:
+    """False only when the call left the lock table and the WTPG as they
+    were: a refused lock request or admission.  The state it leaves was
+    already compared after the call that made it."""
+    if call == "request_lock":
+        return result.granted
+    if call == "admit":
+        return result.admitted
+    return True
 
 
 class SchedulerProxies:
