@@ -45,6 +45,10 @@ class LockTable:
         self._granted: Dict[int, Dict[Tuple[int, int], Declaration]] = {}
         # tid -> all its declarations (pending and granted alike).
         self._by_txn: Dict[int, List[Declaration]] = {}
+        # tid -> partition -> its declarations there, in step order; built
+        # at the first conflicting_transactions() query against tid (a
+        # declaration set never changes while registered).
+        self._by_txn_partition: Dict[int, Dict[int, List[Declaration]]] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -66,6 +70,7 @@ class LockTable:
         decls = self._by_txn.pop(tid, None)
         if decls is None:
             raise LockTableError(f"T{tid} is not registered")
+        self._by_txn_partition.pop(tid, None)
         for decl in decls:
             key = (decl.tid, decl.step_index)
             self._pending.get(decl.partition, {}).pop(key, None)
@@ -207,10 +212,14 @@ class LockTable:
                                  tid_b: int) -> List[Tuple[Declaration, Declaration]]:
         """All conflicting declaration pairs between ``spec_a`` and ``tid_b``."""
         pairs: List[Tuple[Declaration, Declaration]] = []
-        decls_b = self._by_txn.get(tid_b, ())
-        by_partition: Dict[int, List[Declaration]] = {}
-        for decl in decls_b:
-            by_partition.setdefault(decl.partition, []).append(decl)
+        by_partition = self._by_txn_partition.get(tid_b)
+        if by_partition is None:
+            if tid_b not in self._by_txn:
+                return pairs
+            by_partition = {}
+            for decl in self._by_txn[tid_b]:
+                by_partition.setdefault(decl.partition, []).append(decl)
+            self._by_txn_partition[tid_b] = by_partition
         for decl_a in spec_a:
             for decl_b in by_partition.get(decl_a.partition, ()):
                 if decl_a.mode.conflicts_with(decl_b.mode):

@@ -19,8 +19,8 @@ Public surface::
     env = Environment()
 
     def worker(env, resource):
-        with (yield from resource.acquire()):
-            yield env.timeout(5)
+        yield resource.hold(5)     # take a unit for 5, then return it
+        yield env.timeout(1)
 
     env.process(worker(env, Resource(env, capacity=1)))
     env.run(until=100)

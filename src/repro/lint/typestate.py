@@ -765,9 +765,10 @@ _FREE = _t(free=("free",), held=("free",))
 #: opens a declaration in the LockTable; ``unregister`` (reject/abort)
 #: or the hand-over into/out of the WTPG admission path
 #: (``builder.add_transaction``/``remove_transaction``) closes it.
-#: ``request``/``release`` is the engine Resource grant (the control
-#: node's CPU token).  Every operation is legal in every state: the
-#: protocol's only check is the exit obligation.
+#: ``request``/``release`` is the engine Resource grant (a
+#: ``Resource.hold``, the control node's CPU charge, returns its unit
+#: itself).  Every operation is legal in every state: the protocol's
+#: only check is the exit obligation.
 LOCK_PROTOCOL = ProtocolSpec(
     name="lock lifecycle",
     states=("free", "held"),

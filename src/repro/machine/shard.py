@@ -140,14 +140,8 @@ class ControlShard:
 
     def cpu_work(self, cost: float) -> Generator[Event, Any, None]:
         """Occupy this shard's CPU for ``cost`` clocks (FIFO queueing)."""
-        if cost <= 0:
-            return
-        request = self.cpu.request()
-        yield request
-        try:
-            yield self.env.timeout(cost)
-        finally:
-            self.cpu.release(request)
+        if cost > 0:
+            yield self.cpu.hold(cost)
 
     def crash(self, now: float) -> None:
         """Lose the volatile scheduler state; only the log survives."""
@@ -238,7 +232,8 @@ class ControlPlane:
         subsequence of steps on shard ``sid``'s partitions.  Shard-local
         step indices are exactly each sub-runtime's own ``current_step``,
         advanced in lockstep with the global one.  Every plane projects:
-        a one-shard plane's only sub-declaration has all the BAT's steps.
+        a BAT on one shard (on a one-shard plane, every BAT) has the
+        immutable declaration itself as its only sub-declaration.
         """
         route: List[int] = []
         steps_by_shard: Dict[int, List[Step]] = {}
@@ -246,6 +241,8 @@ class ControlPlane:
             sid = self.shard_of(step.partition)
             route.append(sid)
             steps_by_shard.setdefault(sid, []).append(step)
+        if len(steps_by_shard) == 1:
+            return route, {route[0]: spec}
         sub_specs = {sid: TransactionSpec(spec.tid, steps, label=spec.label)
                      for sid, steps in steps_by_shard.items()}
         return route, sub_specs
@@ -378,14 +375,19 @@ class ControlPlane:
         route, sub_specs = self._project(txn.spec)
         sids = sorted(sub_specs)
         self._home[tid] = route[0]
-        self._trace(EventType.ARRIVAL, txn)
+        # The tracer samples whole transactions, so decide once whether
+        # this BAT's records are kept and build none of them otherwise.
+        traced = self.tracer is not None and self.tracer.wants(tid)
+        if traced:
+            self._trace(EventType.ARRIVAL, txn)
         restarting = False
         while True:  # one iteration per execution attempt
-            subs = yield from self._admit(txn, sids, sub_specs)
-            planned_abort = yield from self._start(txn, route[0])
+            subs = yield from self._admit(txn, sids, sub_specs, traced)
+            planned_abort = yield from self._start(txn, route[0], traced)
             if restarting:
                 self.metrics.record_restart()
-            cause = yield from self._execute(txn, route, subs, planned_abort)
+            cause = yield from self._execute(txn, route, subs, planned_abort,
+                                             traced)
             if cause is None:
                 cause = yield from self._commit(txn, sids, subs)
             if cause is None:
@@ -399,10 +401,11 @@ class ControlPlane:
             for node in self.data_nodes:
                 node.cancel(tid, kind=cause)  # reap leftovers
             self.metrics.record_abort(txn, cause=cause, now=env.now)
-            # The pre-fault abort cause keeps its legacy trace shape.
-            detail = {} if cause == _LEGACY_CAUSE else {"cause": cause}
-            self._trace(EventType.ABORTED, txn, step=txn.current_step,
-                        wasted_objects=txn.objects_done, **detail)
+            if traced:
+                # The pre-fault abort cause keeps its legacy trace shape.
+                detail = {} if cause == _LEGACY_CAUSE else {"cause": cause}
+                self._trace(EventType.ABORTED, txn, step=txn.current_step,
+                            wasted_objects=txn.objects_done, **detail)
             self.active_transactions -= 1
             if self.history is not None:
                 self._grants.pop(tid, None)
@@ -425,12 +428,13 @@ class ControlPlane:
             for partition, mode, granted_at in self._grants.pop(tid):
                 self.history.record(tid, partition, mode, granted_at,
                                     env.now)
-        self._trace(EventType.COMMITTED, txn,
-                    response_time=txn.response_time())
+        if traced:
+            self._trace(EventType.COMMITTED, txn,
+                        response_time=txn.response_time())
         self.metrics.record_commit(txn, env.now)
 
     def _admit(self, txn: TransactionRuntime, sids: List[int],
-               sub_specs: Dict[int, TransactionSpec],
+               sub_specs: Dict[int, TransactionSpec], traced: bool,
                ) -> Generator[Event, Any, Dict[int, TransactionRuntime]]:
         """Retry admission until every participant shard admits.
 
@@ -486,12 +490,13 @@ class ControlPlane:
                             self._excise(txn.tid, sid, subs[sid])
             if response.admitted:
                 return subs
-            self._trace(EventType.ADMISSION_REJECTED, txn,
-                        reason=response.reason)
+            if traced:
+                self._trace(EventType.ADMISSION_REJECTED, txn,
+                            reason=response.reason)
             txn.reset_for_retry()
             yield env.timeout(self.params.retry_delay)
 
-    def _start(self, txn: TransactionRuntime, home: int,
+    def _start(self, txn: TransactionRuntime, home: int, traced: bool,
                ) -> Generator[Event, Any, Optional[int]]:
         """Charge the 2PC start coordination (``startuptime``) on the
         home CN and stamp ``start_time``; returns the planned abort step.
@@ -504,7 +509,8 @@ class ControlPlane:
         yield from self.shards[home].cpu_work(self.params.startup_time)
         txn.start_time = self.env.now
         self.active_transactions += 1
-        self._trace(EventType.ADMITTED, txn, attempts=txn.attempts + 1)
+        if traced:
+            self._trace(EventType.ADMITTED, txn, attempts=txn.attempts + 1)
         if self.history is not None:
             self._grants[txn.tid] = []
         if self.injector is None:
@@ -513,7 +519,7 @@ class ControlPlane:
 
     def _execute(self, txn: TransactionRuntime, route: List[int],
                  subs: Dict[int, TransactionRuntime],
-                 planned_abort: Optional[int],
+                 planned_abort: Optional[int], traced: bool,
                  ) -> Generator[Event, Any, Optional[str]]:
         """Lock and run every step in order; returns an abort cause or None."""
         while not txn.finished_all_steps:
@@ -522,20 +528,24 @@ class ControlPlane:
                 return cause
             sid = route[txn.current_step]
             cause = yield from self._acquire(txn, sid, subs[sid],
-                                             planned_abort)
+                                             planned_abort, traced)
             if cause is not None:
                 return cause
             step = txn.step()
-            self._trace(EventType.LOCK_GRANTED, txn, step=txn.current_step,
-                        partition=step.partition, mode=str(step.mode))
+            if traced:
+                self._trace(EventType.LOCK_GRANTED, txn,
+                            step=txn.current_step, partition=step.partition,
+                            mode=str(step.mode))
             if self.history is not None:
                 self._grants[txn.tid].append(
                     (step.partition, step.mode, self.env.now))
             try:
-                yield from self._dispatch(txn, step)
+                yield from self._dispatch(txn, step, traced)
             except FaultError as fault:
                 return fault.kind
-            self._trace(EventType.STEP_COMPLETED, txn, step=txn.current_step)
+            if traced:
+                self._trace(EventType.STEP_COMPLETED, txn,
+                            step=txn.current_step)
             subs[sid].advance_step()
             txn.advance_step()
         # An injection point equal to the step count means "between the
@@ -547,7 +557,7 @@ class ControlPlane:
 
     def _acquire(self, txn: TransactionRuntime, sid: int,
                  sub: TransactionRuntime, planned_abort: Optional[int],
-                 ) -> Generator[Event, Any, Optional[str]]:
+                 traced: bool) -> Generator[Event, Any, Optional[str]]:
         """Request the current step's lock from its shard until granted.
 
         Returns None once granted, else the abort cause.  BLOCK/DELAY
@@ -559,8 +569,10 @@ class ControlPlane:
             if shard.scheduler is None:
                 # The owning CN is down: stall until it replays its log
                 # (blocking, like the 2PC commit).
-                self._trace(EventType.LOCK_DELAYED, txn,
-                            step=txn.current_step, reason=f"CN {sid} down")
+                if traced:
+                    self._trace(EventType.LOCK_DELAYED, txn,
+                                step=txn.current_step,
+                                reason=f"CN {sid} down")
             else:
                 response = shard.scheduler.request_lock(sub, env.now)
                 if shard.log is not None and response.granted:
@@ -575,19 +587,20 @@ class ControlPlane:
                     return None
                 if response.decision is Decision.ABORT:
                     return _LEGACY_CAUSE
-                kind = (EventType.LOCK_BLOCKED
-                        if response.decision is Decision.BLOCK
-                        else EventType.LOCK_DELAYED)
-                self._trace(kind, txn, step=txn.current_step,
-                            reason=response.reason)
+                if traced:
+                    kind = (EventType.LOCK_BLOCKED
+                            if response.decision is Decision.BLOCK
+                            else EventType.LOCK_DELAYED)
+                    self._trace(kind, txn, step=txn.current_step,
+                                reason=response.reason)
             self.metrics.record_lock_retry()
             yield env.timeout(self.params.retry_delay)
             cause = self._doom_cause(txn, planned_abort)
             if cause is not None:
                 return cause
 
-    def _dispatch(self, txn: TransactionRuntime,
-                  step: Step) -> Generator[Event, Any, None]:
+    def _dispatch(self, txn: TransactionRuntime, step: Step,
+                  traced: bool) -> Generator[Event, Any, None]:
         """Ship the granted step to the data node(s) holding its partition."""
         partition = self.catalog.partition(step.partition)
         if partition.declustered and len(self.data_nodes) > 1:
@@ -595,15 +608,18 @@ class ControlPlane:
             # every node at once, in near-equal shares that sum to
             # exactly step.cost.
             shares = declustered_shares(step.cost, len(self.data_nodes))
-            self._trace(EventType.STEP_DISPATCHED, txn,
-                        step=txn.current_step, node=-1, objects=step.cost)
+            if traced:
+                self._trace(EventType.STEP_DISPATCHED, txn,
+                            step=txn.current_step, node=-1,
+                            objects=step.cost)
             yield self.env.all_of([node.submit(txn, share) for node, share
                                    in zip(self.data_nodes, shares)])
         else:
             node = self.data_nodes[partition.node]
-            self._trace(EventType.STEP_DISPATCHED, txn,
-                        step=txn.current_step, node=node.node_id,
-                        objects=step.cost)
+            if traced:
+                self._trace(EventType.STEP_DISPATCHED, txn,
+                            step=txn.current_step, node=node.node_id,
+                            objects=step.cost)
             yield node.submit(txn, step.cost)
 
     def _commit(self, txn: TransactionRuntime, sids: List[int],
@@ -665,5 +681,7 @@ class ControlPlane:
 
     def _trace(self, kind: EventType, txn: TransactionRuntime,
                **detail: object) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.env.now, kind, txn.tid, **detail)
+        """Record one event of a BAT the tracer samples (see the
+        ``traced`` flag of :meth:`transaction_process`)."""
+        assert self.tracer is not None
+        self.tracer.emit(self.env.now, kind, txn.tid, **detail)

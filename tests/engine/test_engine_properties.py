@@ -111,6 +111,58 @@ def test_fifo_resource_start_order_matches_request_order(jobs):
     assert [ident for ident, _ in starts] == expected
 
 
+_HOLD_ACTIONS = st.tuples(st.sampled_from(("hold", "timeout")),
+                          st.integers(0, 3))
+
+
+def _run_holds(plans, capacity, cutoff, literal):
+    """Run ``plans`` (per process: ``(kind, delay)`` actions) on one
+    resource; ``literal`` charges each hold as request+timeout+release.
+    Returns the firing log, the busy time and the schedule count."""
+    env = Environment()
+    resource = Resource(env, capacity=capacity)
+    log = []
+
+    def charge(delay):
+        if not literal:
+            yield resource.hold(delay)
+            return
+        request = resource.request()
+        yield request
+        try:
+            yield env.timeout(delay)
+        finally:
+            resource.release(request)
+
+    def proc(ident, actions):
+        for index, (kind, delay) in enumerate(actions):
+            if kind == "hold":
+                yield from charge(delay)
+            else:
+                yield env.timeout(delay)
+            log.append((env.now, ident, index, resource.in_use,
+                        resource.queue_length))
+
+    for ident, actions in enumerate(plans):
+        env.process(proc(ident, actions))
+    env.run(until=cutoff)
+    mid = (list(log), resource.busy_time(), resource.in_use)
+    env.run()
+    return mid, log, resource.busy_time(), env.now, next(env._seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_HOLD_ACTIONS, min_size=1, max_size=5),
+                min_size=1, max_size=6),
+       st.sampled_from((1, 2)), st.integers(0, 12))
+def test_hold_fires_like_request_timeout_release(plans, capacity, cutoff):
+    """Holds mixed with plain timeouts on colliding instants: the firing
+    log, queue states, busy time and schedule count equal those of the
+    request/timeout/release generator, also when a run stops mid-hold."""
+    assert (_run_holds(plans, capacity, cutoff, literal=False)
+            == _run_holds(plans, capacity, cutoff, literal=True))
+
+
 # -- the event-order and affecting-horizon contract -------------------------
 #
 # Processes mix every way of scheduling an event: ``timeout``,

@@ -104,3 +104,44 @@ def test_busy_time_integrates_utilization():
     env.process(worker(env, res))
     env.run(until=100)
     assert res.busy_time() == pytest.approx(30)
+
+
+def test_hold_queues_behind_requests_and_returns_its_unit():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+
+    def holder(name, delay):
+        yield res.hold(delay)
+        # The unit has passed to the next in line before the holder
+        # resumes.
+        log.append((name, env.now, res.in_use))
+
+    def requester():
+        req = res.request()
+        yield req
+        log.append(("req", env.now, res.in_use))
+        yield env.timeout(5)
+        res.release(req)
+
+    env.process(holder("a", 10))
+    env.process(requester())
+    env.process(holder("b", 3))
+    env.run()
+    assert log == [("a", 10, 1), ("req", 10, 1), ("b", 18, 0)]
+    assert res.busy_time() == pytest.approx(18)
+
+
+def test_hold_is_released_and_cancelled_only_by_itself():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    granted = res.hold(4)
+    queued = res.hold(2)
+    with pytest.raises(EngineStateError):
+        res.release(granted)
+    with pytest.raises(EngineStateError):
+        res.cancel(queued)
+    with pytest.raises(ValueError):
+        res.hold(-1)
+    env.run()
+    assert env.now == 6 and res.in_use == 0 and res.queue_length == 0

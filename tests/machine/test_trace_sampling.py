@@ -1,5 +1,7 @@
 """Sampled observability: the Tracer sample_rate switch."""
 
+from unittest import mock
+
 import pytest
 
 from repro.config import SimulationParameters
@@ -71,3 +73,13 @@ def test_invalid_rates_rejected():
         Tracer(sample_rate=1.5)
     with pytest.raises(ValueError):
         Tracer(sample_rate=-0.1)
+
+
+def test_unsampled_transactions_build_no_records():
+    """The coordinator asks the tracer once per BAT and emits only the
+    records it keeps, so no call is made for an unsampled transaction."""
+    tracer = Tracer(sample_rate=0.3)
+    with mock.patch.object(Tracer, "emit", autospec=True,
+                           side_effect=Tracer.emit) as emit:
+        run_with(tracer)
+    assert 0 < emit.call_count == len(tracer.events)
