@@ -230,20 +230,18 @@ class Process(Event):
 
 
 @register_hot_class
-class Condition(Event):
-    """An event that triggers based on a set of sub-events.
+class AllOf(Event):
+    """Triggers when every sub-event has triggered.
 
-    Used through :class:`AllOf`.  The value is a dict
-    mapping each *triggered* sub-event to its value at trigger time.
+    The value is a dict mapping each *triggered* sub-event to its value
+    at trigger time.
     """
 
-    __slots__ = ("_events", "_evaluate", "_done")
+    __slots__ = ("_events", "_done")
 
-    def __init__(self, env: "Environment", events: Iterable[Event],
-                 evaluate: Callable[[int, int], bool]) -> None:
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self._events = list(events)
-        self._evaluate = evaluate
         self._done = 0
         for event in self._events:
             if event.env is not self.env:
@@ -275,18 +273,8 @@ class Condition(Event):
             self.fail(event._value)
             return
         self._done += 1
-        if self._evaluate(len(self._events), self._done):
+        if self._done == len(self._events):
             self.succeed(self._collect())
-
-
-@register_hot_class
-class AllOf(Condition):
-    """Triggers when every sub-event has triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, events, lambda total, done: done == total)
 
 
 #: A heap entry: ``(when, sort_time, rank, order, event)``.  ``order`` is

@@ -104,10 +104,9 @@ class FaultInjector:
             return min(explicit, len(txn.spec.steps))
         if self.plan.abort_rate <= 0.0:
             return None
-        stream = self.streams.stream(STREAM_ABORTS)
-        if stream.random() >= self.plan.abort_rate:
+        if self.streams.random(STREAM_ABORTS) >= self.plan.abort_rate:
             return None
-        return stream.randint(0, len(txn.spec.steps))
+        return self.streams.randint(STREAM_ABORTS, 0, len(txn.spec.steps))
 
     # -- timed faults ----------------------------------------------------------
 

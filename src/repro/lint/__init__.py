@@ -13,10 +13,10 @@ schedule.  Single-pass AST matchers handle the per-node contracts; the
 *path* contract RL007 runs on an intraprocedural CFG
 (:mod:`repro.lint.cfg`) with a worklist fixpoint solver
 (:mod:`repro.lint.dataflow`); the *interprocedural* contracts
-(RL009–RL012: yield-point atomicity, generation bumps and stream
-escape) additionally consult a whole-program call graph (:mod:`repro.lint.callgraph`) and
+(RL009, RL010 and RL012: yield-point atomicity and generation bumps)
+additionally consult a whole-program call graph (:mod:`repro.lint.callgraph`) and
 bottom-up function summaries (:mod:`repro.lint.summaries`), so a yield
-point or an RNG stream hidden behind a helper call is still seen; the
+point hidden behind a helper call is still seen; the
 *lifecycle* contracts (RL006, RL013, RL014, RL016) are four committed
 protocols run by one typestate evaluator (:mod:`repro.lint.typestate`).
 
@@ -32,8 +32,11 @@ Usage::
 Rules (see ``docs/lint.md`` for the full catalogue and rationale):
 
 ========  ==============================================================
-RL001     determinism: no ambient randomness/clocks outside engine/rng.py;
-          no iteration over unordered set expressions in core/ and engine/
+RL001     determinism: no ambient randomness/clocks outside engine/rng.py,
+          no ``_stream``/``_streams`` access there either (so no code
+          holds a generator), ``RandomStreams(...)`` built only by
+          ``Cluster.__init__`` and ``record_workload``; no iteration
+          over unordered set expressions in core/ and engine/
 RL003     encapsulation: no ``wtpg._*`` access outside core/wtpg.py
           (explicit friend-module allowlist for the estimator overlay)
 RL004     float equality: no ``==``/``!=`` on critical-path/weight floats
@@ -52,10 +55,6 @@ RL010     cache coherence (static invariant 7): a watched-container
           mutation (direct or through a callee that may leave it
           unbumped) must bump the generation before the next yield
           point, and WTPG methods must bump on every path to an exit
-RL011     stream escape: RNG streams — made locally, received in a
-          stream-named parameter or returned by a callee — stay in named
-          locals / stream-named attributes outside engine/ and faults/,
-          and are not handed to a callee's escaping parameter
 RL012     synchronous schedulers: nothing in core/schedulers/ yields or
           (transitively) calls a function that may yield
 RL013     BAT lifecycle (typestate): no commit after doom/abort, no

@@ -1,8 +1,8 @@
 """Project-wide call graph over the ``repro`` package.
 
-The interprocedural rules (RL009–RL012) need one fact the per-file CFGs
-cannot provide: *which function does this call reach?*  This module
-builds a whole-program call graph from the already-parsed
+The interprocedural rules (RL009, RL010, RL012) need one fact the
+per-file CFGs cannot provide: *which function does this call reach?*
+This module builds a whole-program call graph from the already-parsed
 :class:`~repro.lint.model.FileContext` set:
 
 * **functions** are indexed by :data:`FunctionId` — ``(logical path,
@@ -176,15 +176,6 @@ class CallGraph:
     def functions_of_module(self, logical: str) -> List[FunctionDecl]:
         return [decl for fid, decl in self.functions.items()
                 if fid[0] == logical]
-
-    def resolve_bare_name(self, logical: str,
-                          name: str) -> Optional[FunctionId]:
-        """Resolve ``name(...)`` as written at module scope of ``logical``.
-
-        The per-function call-site index only covers calls inside
-        ``def`` bodies; rules use this for module-level expressions.
-        """
-        return self._resolve_name_callable(logical, name)
 
     def resolve_method(self, module: str, class_name: str,
                        method: str) -> Optional[FunctionId]:

@@ -21,8 +21,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Project-specific static analysis for the WTPG core "
-                    "(rules RL001-RL016 except RL002 and RL008, which "
-                    "RL010 and RL011 absorbed, and the retired RL015; see "
+                    "(rules RL001-RL016 except RL002, folded into RL010, "
+                    "and the retired RL008, RL011 and RL015; see "
                     "docs/lint.md).")
     parser.add_argument(
         "paths", nargs="*", default=["src"], metavar="PATH",

@@ -1,14 +1,14 @@
 """Worklist fixpoint solver for the lint CFGs.
 
-The solver is deliberately tiny and generic: a forward dataflow problem
-is a :class:`Lattice` (bottom + join), a transfer function mapping
-``(node, in_value) -> out_value``, and an entry value.  Every rule runs
-a may-analysis over :class:`UnionLattice` (``frozenset`` facts); the
-lifecycle rules describe theirs as typestate protocols
+The solver is deliberately tiny: a forward dataflow problem is a
+transfer function mapping ``(node, in_facts) -> out_facts`` and an
+entry value.  Facts are ``frozenset`` s joined by union, so every
+analysis is a may-analysis (a fact holds if it holds on *some* path);
+the lifecycle rules describe theirs as typestate protocols
 (:mod:`repro.lint.typestate`).
 
 Termination: the solver requires a monotone transfer function over a
-finite-height lattice (true here: facts are drawn from the finitely
+finite fact space (true here: facts are drawn from the finitely
 many sites of one function).  A hard iteration
 cap turns an accidental non-monotone transfer into a loud
 :class:`FixpointError` instead of a hang.
@@ -19,68 +19,46 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Generic, Iterator, Optional,
-                    TypeVar)
+from typing import Callable, Dict, FrozenSet, Iterator, Optional
 
 from repro.lint.cfg import CFG, CFGNode, header_exprs
-
-T = TypeVar("T")
 
 
 class FixpointError(RuntimeError):
     """The solver failed to converge — the transfer is not monotone."""
 
 
-class Lattice(Generic[T]):
-    """A join-semilattice: ``bottom`` plus a commutative ``join``."""
+#: A set of dataflow facts; the join is set union.
+Facts = FrozenSet[object]
 
-    def bottom(self) -> T:
-        raise NotImplementedError
-
-    def join(self, left: T, right: T) -> T:
-        raise NotImplementedError
-
-
-class UnionLattice(Lattice[FrozenSet[object]]):
-    """May-analysis: a fact holds if it holds on *some* path."""
-
-    def bottom(self) -> FrozenSet[object]:
-        return frozenset()
-
-    def join(self, left: FrozenSet[object],
-             right: FrozenSet[object]) -> FrozenSet[object]:
-        return left | right
-
-
-Transfer = Callable[[CFGNode, T], T]
+Transfer = Callable[[CFGNode, Facts], Facts]
 
 
 @dataclass
-class DataflowResult(Generic[T]):
-    """Per-node in/out values of a converged forward analysis."""
+class DataflowResult:
+    """Per-node in/out facts of a converged forward analysis."""
 
     cfg: CFG
-    values_in: Dict[int, T]
-    values_out: Dict[int, T]
+    values_in: Dict[int, Facts]
+    values_out: Dict[int, Facts]
 
-    def entering(self, node: CFGNode) -> T:
+    def entering(self, node: CFGNode) -> Facts:
         return self.values_in[node.index]
 
-    def leaving(self, node: CFGNode) -> T:
+    def leaving(self, node: CFGNode) -> Facts:
         return self.values_out[node.index]
 
 
-def solve_forward(cfg: CFG, lattice: Lattice[T], transfer: Transfer[T],
-                  entry_value: T,
-                  max_passes: int = 100) -> DataflowResult[T]:
+def solve_forward(cfg: CFG, transfer: Transfer, entry_value: Facts,
+                  max_passes: int = 100) -> DataflowResult:
     """Run a forward worklist fixpoint over the CFG.
 
     ``max_passes`` bounds how often any single node may be reprocessed;
-    with a monotone transfer the bound is never reached (the lattice
-    height of one function's fact space is tiny).
+    with a monotone transfer the bound is never reached (one function's
+    fact space is tiny).
     """
-    values_in: Dict[int, T] = {n.index: lattice.bottom() for n in cfg.nodes}
-    values_out: Dict[int, T] = {n.index: lattice.bottom() for n in cfg.nodes}
+    values_in: Dict[int, Facts] = {n.index: frozenset() for n in cfg.nodes}
+    values_out: Dict[int, Facts] = {n.index: frozenset() for n in cfg.nodes}
     values_in[cfg.entry.index] = entry_value
     values_out[cfg.entry.index] = transfer(cfg.entry, entry_value)
 
@@ -99,9 +77,9 @@ def solve_forward(cfg: CFG, lattice: Lattice[T], transfer: Transfer[T],
         if node is cfg.entry:
             in_value = entry_value
         else:
-            in_value = lattice.bottom()
+            in_value = frozenset()
             for pred in node.preds:
-                in_value = lattice.join(in_value, values_out[pred])
+                in_value = in_value | values_out[pred]
         out_value = transfer(node, in_value)
         values_in[index] = in_value
         if out_value != values_out[index]:

@@ -1,4 +1,4 @@
-"""The flow-sensitive rules RL007 and RL009–RL012, on cfg + dataflow.
+"""The flow-sensitive rules RL007, RL009, RL010 and RL012, on cfg + dataflow.
 
 Where RL001 and RL003–RL005 are single-pass AST matchers, these rules
 state *path* properties: each runs a forward may-analysis
@@ -6,7 +6,7 @@ state *path* properties: each runs a forward may-analysis
 function in scope and reports on what survives to an exit.  They are
 :class:`~repro.lint.model.ProjectRule` subclasses: the CFGs are the ones
 :class:`~repro.lint.summaries.SummaryTable` built once per function, and
-RL007 uses nothing else of the project, while RL009–RL012 also
+RL007 uses nothing else of the project, while RL009, RL010 and RL012 also
 consume the whole-program call graph and function summaries.  The
 lock lifecycle (RL006) is a protocol of the typestate layer
 (:mod:`repro.lint.typestate`).
@@ -18,23 +18,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, replace
-from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from repro.lint.callgraph import FunctionDecl, FunctionId
 from repro.lint.cfg import CFG, CFGNode, header_exprs
-from repro.lint.dataflow import (DataflowResult, UnionLattice,
-                                 method_name_of, solve_forward)
+from repro.lint.dataflow import DataflowResult, method_name_of, solve_forward
 from repro.lint.model import (FileContext, ProjectRule, Violation,
                               register_rule)
 from repro.lint.project import Project
-from repro.lint.summaries import (_STREAM_TOKEN, WATCHED_ATTRS, OpenMutation,
-                                  SummaryTable, _is_stream_call,
-                                  _stream_param_names, bind_args,
+from repro.lint.summaries import (WATCHED_ATTRS, OpenMutation, SummaryTable,
                                   is_bump_stmt, stmt_has_yield,
                                   unbumped_transfer, watched_mutations)
-
-_LATTICE = UnionLattice()
 
 #: Container methods that mutate their receiver in place — an attribute
 #: load that only *receives* one of these is cache maintenance, not a
@@ -250,7 +244,7 @@ class UnguardedCacheReadRule(ProjectRule):
                 dirty = dirty - frozenset(stored)
             return dirty
 
-        result = solve_forward(cfg, _LATTICE, transfer, all_fields)
+        result = solve_forward(cfg, transfer, all_fields)
         reported: Set[Tuple[int, int, str]] = set()
         for node in cfg.stmt_nodes():
             stmt = node.stmt
@@ -288,7 +282,7 @@ class UnguardedCacheReadRule(ProjectRule):
 
 
 # ---------------------------------------------------------------------------
-# RL009–RL012 — interprocedural yield-point atomicity rules
+# RL009, RL010, RL012 — interprocedural yield-point atomicity rules
 # ---------------------------------------------------------------------------
 #
 # Every ``yield`` in the machine layer is a context switch of the
@@ -482,7 +476,7 @@ class StaleSnapshotRule(ProjectRule):
                 facts = facts | frozenset(gens)
             return facts
 
-        result = solve_forward(cfg, _LATTICE, transfer, frozenset())
+        result = solve_forward(cfg, transfer, frozenset())
         # One finding per snapshot: its textually first stale read.
         first_read: Dict[Tuple[str, int, int],
                          Tuple[int, int, _SnapFact]] = {}
@@ -569,8 +563,7 @@ class UnbumpedAcrossYieldRule(ProjectRule):
             cfg = table.cfg(decl.fid)
             if cfg is None or not (at_exits or at_yields):
                 continue
-            result = solve_forward(cfg, _LATTICE,
-                                   unbumped_transfer(table, decl.fid),
+            result = solve_forward(cfg, unbumped_transfer(table, decl.fid),
                                    frozenset())
             if at_yields:
                 yield from self._check_yields(ctx, decl, cfg, table, result)
@@ -579,7 +572,7 @@ class UnbumpedAcrossYieldRule(ProjectRule):
 
     def _check_yields(self, ctx: FileContext, decl: FunctionDecl,
                       cfg: CFG, table: SummaryTable,
-                      result: DataflowResult[FrozenSet[object]],
+                      result: DataflowResult,
                       ) -> Iterator[Violation]:
         reported: Set[Tuple[int, int, str]] = set()
         for node in cfg.stmt_nodes():
@@ -606,7 +599,7 @@ class UnbumpedAcrossYieldRule(ProjectRule):
 
     def _check_exits(self, ctx: FileContext, decl: FunctionDecl,
                      cfg: CFG, table: SummaryTable,
-                     result: DataflowResult[FrozenSet[object]],
+                     result: DataflowResult,
                      ) -> Iterator[Violation]:
         # Return statements inside a finally body are duplicated across
         # the CFG's continuation copies; dedup on (return site, fact).
@@ -642,193 +635,6 @@ def _open(facts: FrozenSet[object],
     return sorted(fact for fact in facts
                   if isinstance(fact, OpenMutation)
                   and (not on_self or (fact.on_self and not fact.returned)))
-
-
-@register_rule
-class EscapingStreamRule(ProjectRule):
-    """RL011: RNG streams stay in named locals / stream-named attributes.
-
-    Bit-identical fault replay (:mod:`repro.faults`) rests on the
-    named-stream determinism contract: every ``random.Random`` lives in
-    :class:`repro.engine.rng.RandomStreams` under a stable name, and
-    consumers hold it only transiently.  A stream smuggled into module
-    scope or an innocuously named attribute outside ``engine/`` +
-    ``faults/`` becomes ambient randomness the replay machinery cannot
-    see.  Stream values are tracked through local assignments
-    (may-analysis over the CFG) from three sources: a ``*.stream()`` or
-    ``RandomStreams()`` expression, a stream-named parameter, and a call
-    into a function whose summary says it *returns a stream*.  The rule
-    flags binding one at module or class scope, storing one in an
-    attribute or attribute-rooted container whose name does not contain
-    "stream", binding one to a ``global``, returning one from a public
-    function, and handing one to a parameter the callee's summary marks
-    as *escaping* (stored into a non-stream attribute or global, or
-    passed on to another escaping parameter).
-    """
-
-    rule_id = "RL011"
-    summary = ("RNG streams — local or obtained through calls — must not "
-               "escape to module scope, non-stream attributes, globals or "
-               "public returns outside engine/ and faults/")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return not ctx.in_dir("engine") and not ctx.in_dir("faults")
-
-    def check_project(self, ctx: FileContext,
-                      project: Project) -> Iterator[Violation]:
-        yield from self._check_module_scope(ctx, project)
-        table = project.summaries
-        for decl in project.functions_of(ctx.logical):
-            cfg = table.cfg(decl.fid)
-            if cfg is not None:
-                yield from self._check_function(ctx, decl, cfg, table)
-
-    def _check_module_scope(self, ctx: FileContext,
-                            project: Project) -> Iterator[Violation]:
-        # (statement, at module scope?) — class bodies get the direct
-        # check only.
-        stmts: List[Tuple[ast.stmt, bool]] = [
-            (stmt, True) for stmt in ctx.tree.body]
-        for node in ctx.tree.body:
-            if isinstance(node, ast.ClassDef):
-                stmts.extend((item, False) for item in node.body)
-        for stmt, at_module in stmts:
-            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                continue
-            value = stmt.value
-            if value is not None and _is_stream_call(value):
-                yield self.violation(
-                    ctx, stmt,
-                    "RNG stream bound at module/class scope: streams are "
-                    "per-run state owned by RandomStreams — create them "
-                    "inside the consuming function")
-            elif (at_module and isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Name)):
-                callee = project.callgraph.resolve_bare_name(
-                    ctx.logical, value.func.id)
-                if (callee is not None
-                        and project.summary(callee).returns_stream):
-                    yield self.violation(
-                        ctx, stmt,
-                        f"module-scope binding of a stream returned by "
-                        f"{callee[1]}: streams are per-run state owned "
-                        "by RandomStreams — create them inside the "
-                        "consuming function")
-
-    def _check_function(self, ctx: FileContext, decl: FunctionDecl,
-                        cfg: CFG, table: SummaryTable,
-                        ) -> Iterator[Violation]:
-        fid = decl.fid
-        global_names: Set[str] = set()
-        for stmt in decl.node.body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Global):
-                    global_names.update(node.names)
-
-        def tainted(expr: Optional[ast.AST],
-                    names: FrozenSet[object]) -> bool:
-            if expr is None:
-                return False
-            if _is_stream_call(expr):
-                return True
-            if isinstance(expr, ast.Name):
-                return expr.id in names
-            if isinstance(expr, ast.Call):
-                for site in table.node_calls(fid, expr):
-                    if (site.call is expr and site.callee is not None
-                            and table.summary(site.callee).returns_stream):
-                        return True
-            return False
-
-        def transfer(node: CFGNode,
-                     names: FrozenSet[object]) -> FrozenSet[object]:
-            stmt = node.stmt
-            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                return names
-            is_stream = tainted(stmt.value, names)
-            targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                       else [stmt.target])
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    if is_stream:
-                        names = names | {target.id}
-                    else:
-                        names = names - {target.id}
-            return names
-
-        entry = frozenset(_stream_param_names(decl.node))
-        result = solve_forward(cfg, _LATTICE, transfer, entry)
-        public = not decl.name.startswith("_")
-        for node in cfg.stmt_nodes():
-            stmt = node.stmt
-            if stmt is None or not isinstance(stmt, ast.stmt):
-                continue
-            names = result.entering(node)
-            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                if tainted(stmt.value, names):
-                    targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                               else [stmt.target])
-                    for target in targets:
-                        yield from self._check_binding(ctx, target,
-                                                       global_names)
-            elif isinstance(stmt, ast.Return) and public:
-                if tainted(stmt.value, names):
-                    yield self.violation(
-                        ctx, stmt,
-                        f"public function {decl.name} returns an RNG "
-                        "stream: streams escape the named-stream "
-                        "discipline through public APIs — draw values "
-                        "here or make the helper private")
-            # Tainted argument to a callee with escaping parameters.
-            for site in table.node_calls(fid, stmt):
-                if site.callee is None:
-                    continue
-                callee_summary = table.summary(site.callee)
-                if not callee_summary.escaping_params:
-                    continue
-                callee_decl = table.graph.declaration(site.callee)
-                if callee_decl is None:
-                    continue
-                for param, arg in bind_args(callee_decl, site.call):
-                    if param not in callee_summary.escaping_params:
-                        continue
-                    if tainted(arg, names):
-                        yield Violation(
-                            self.rule_id, ctx.display, site.line,
-                            site.col,
-                            f"RNG stream passed to parameter {param!r} "
-                            f"of {site.callee[1]}, which lets it escape "
-                            "(non-stream attribute store or onward "
-                            "hand-off): pass drawn values instead, or "
-                            "store the stream under a 'stream' name")
-
-    def _check_binding(self, ctx: FileContext, target: ast.AST,
-                       global_names: Set[str]) -> Iterator[Violation]:
-        if isinstance(target, ast.Name) and target.id in global_names:
-            yield self.violation(
-                ctx, target,
-                f"RNG stream assigned to global {target.id!r}: "
-                "module-scope streams are invisible to the replay "
-                "machinery — keep them local to the consuming function")
-        elif isinstance(target, ast.Attribute):
-            if _STREAM_TOKEN not in target.attr.lower():
-                yield self.violation(
-                    ctx, target,
-                    f"RNG stream stored in attribute {target.attr!r}: use "
-                    "a name containing 'stream' so the determinism "
-                    "contract stays auditable, or draw values instead of "
-                    "caching the stream")
-        elif isinstance(target, ast.Subscript):
-            root = target.value
-            while isinstance(root, ast.Subscript):
-                root = root.value
-            if (isinstance(root, ast.Attribute)
-                    and _STREAM_TOKEN not in root.attr.lower()):
-                yield self.violation(
-                    ctx, target,
-                    f"RNG stream stored in container {root.attr!r}: use "
-                    "a name containing 'stream' so the determinism "
-                    "contract stays auditable")
 
 
 @register_rule

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, FrozenSet, Iterator, Optional
+from typing import Dict, FrozenSet, Iterator, List, Optional
 
 from repro.lint.model import (FileContext, Rule, Violation, dotted_name,
                               register_rule)
@@ -22,6 +22,18 @@ from repro.lint.model import (FileContext, Rule, Violation, dotted_name,
 #: The only module allowed to touch ambient randomness: it derives named,
 #: seeded substreams for everything else.
 RNG_MODULES = frozenset({"repro/engine/rng.py"})
+
+#: Where a :class:`~repro.engine.rng.RandomStreams` may be built: the
+#: enclosing function of each owner module.  Every other consumer takes
+#: the run's streams as a parameter.
+RNG_OWNERS: Dict[str, str] = {
+    "repro/machine/cluster.py": "Cluster.__init__",
+    "repro/workloads/tracefile.py": "record_workload",
+}
+
+#: The private state of RandomStreams: reading either hands out a
+#: generator, which would let it escape the named-draw discipline.
+_RNG_PRIVATE = frozenset({"_stream", "_streams"})
 
 #: Importing these modules is the gateway to nondeterminism.
 _BANNED_IMPORTS = frozenset({"random", "secrets"})
@@ -66,6 +78,21 @@ def _is_unordered_expr(node: ast.AST) -> bool:
     return False
 
 
+def _enclosing_def(ctx: FileContext, node: ast.AST) -> Optional[str]:
+    """Qualified name of the function around ``node``; None at module
+    or class scope."""
+    names: List[str] = []
+    in_function = False
+    while node is not ctx.tree:
+        node = ctx.parent(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            in_function = True
+            names.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names.append(node.name)
+    return ".".join(reversed(names)) if in_function else None
+
+
 @register_rule
 class DeterminismRule(Rule):
     """RL001: randomness/clocks only via engine/rng.py; ordered iteration.
@@ -74,15 +101,22 @@ class DeterminismRule(Rule):
     schedule — the property every PR-1 equivalence test rests on) holds
     only while (a) every random draw flows through the named streams of
     :mod:`repro.engine.rng` and (b) no scheduling decision consumes a
-    hash-ordered iteration.  The iteration check is syntactic and
+    hash-ordered iteration.  For (a), outside ``engine/rng.py`` the rule
+    bans ``random``/``secrets`` imports, wall-clock calls, any
+    ``_stream``/``_streams`` attribute access (the only ways to get a
+    generator out of :class:`~repro.engine.rng.RandomStreams`) and any
+    ``RandomStreams(...)`` construction outside :data:`RNG_OWNERS`, at
+    module and class scope too.  So no code can hold a generator, and
+    every draw is a named one.  The iteration check is syntactic and
     conservative: it flags loops whose iterable is *visibly* a set
     expression, in ``core/`` and ``engine/`` only, and exempts
     comprehensions consumed by order-insensitive reducers.
     """
 
     rule_id = "RL001"
-    summary = ("no ambient randomness/clocks outside engine/rng.py; "
-               "no unordered-set iteration in core/ and engine/")
+    summary = ("no ambient randomness/clocks, RandomStreams internals or "
+               "stray RandomStreams outside engine/rng.py; no "
+               "unordered-set iteration in core/ and engine/")
 
     def applies_to(self, ctx: FileContext) -> bool:
         return ctx.logical not in RNG_MODULES
@@ -92,6 +126,7 @@ class DeterminismRule(Rule):
         for node in ast.walk(ctx.tree):
             yield from self._check_imports(ctx, node)
             yield from self._check_calls(ctx, node)
+            yield from self._check_rng_access(ctx, node)
             if check_iteration:
                 yield from self._check_iteration(ctx, node)
 
@@ -128,6 +163,26 @@ class DeterminismRule(Rule):
                     "seeded reproducibility — use simulation time or a "
                     "named RandomStreams stream")
                 return
+
+    def _check_rng_access(self, ctx: FileContext,
+                       node: ast.AST) -> Iterator[Violation]:
+        if isinstance(node, ast.Attribute) and node.attr in _RNG_PRIVATE:
+            yield self.violation(
+                ctx, node,
+                f"access to RandomStreams.{node.attr} outside "
+                "engine/rng.py: draw through a named method "
+                "(streams.random(name), streams.randint(name, ...)) so "
+                "no generator leaves rng.py")
+        elif (isinstance(node, ast.Call)
+                and dotted_name(node.func).split(".")[-1] == "RandomStreams"
+                # None (module/class scope) never matches an owner.
+                and _enclosing_def(ctx, node)
+                != RNG_OWNERS.get(ctx.logical, "")):
+            yield self.violation(
+                ctx, node,
+                "RandomStreams constructed outside its owners "
+                f"({', '.join(sorted(RNG_OWNERS.values()))}): take the "
+                "run's streams as a parameter instead")
 
     def _check_iteration(self, ctx: FileContext,
                          node: ast.AST) -> Iterator[Violation]:

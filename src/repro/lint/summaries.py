@@ -24,13 +24,6 @@ interprocedural rules consume:
     (a direct bump statement, an invalidation helper, or a call to a
     ``must_bump`` callee) — the kill event of RL010's analysis.
 
-``returns_stream`` / ``escaping_params``
-    The RNG-taint facts of RL011: whether the function may return a
-    live ``RandomStreams`` stream, and which of its parameters — if
-    bound to a stream by the caller — end up stored in a non-stream
-    attribute/global or handed on to another escaping parameter.
-    RL011 turns these into call-site findings.
-
 All summaries are computed as one whole-program fixpoint: per-function
 facts are (re)derived from a CFG dataflow pass parameterised by the
 current callee summaries, and the pass repeats until nothing changes.
@@ -51,13 +44,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 from repro.lint.callgraph import (CallGraph, CallSite, FunctionDecl,
                                   FunctionId)
 from repro.lint.cfg import CFG, CFGNode, build_cfg, header_exprs
-from repro.lint.dataflow import (FixpointError, Transfer, UnionLattice,
-                                 solve_forward)
-
-_LATTICE = UnionLattice()
-
-#: Parameter names that arrive already carrying RNG-stream taint.
-_STREAM_TOKEN = "stream"
+from repro.lint.dataflow import FixpointError, Transfer, solve_forward
 
 
 @dataclass(frozen=True)
@@ -68,21 +55,6 @@ class FunctionSummary:
     mutates_watched: FrozenSet[str] = frozenset()
     may_leave_unbumped: bool = False
     must_bump: bool = False
-    returns_stream: bool = False
-    escaping_params: FrozenSet[str] = frozenset()
-
-
-def _stream_param_names(fn: ast.AST) -> Set[str]:
-    names: Set[str] = set()
-    args = getattr(fn, "args", None)
-    if args is None:
-        return names
-    for arg in (list(args.posonlyargs) + list(args.args)
-                + list(args.kwonlyargs)):
-        lowered = arg.arg.lower()
-        if lowered == _STREAM_TOKEN or lowered.endswith("_" + _STREAM_TOKEN):
-            names.add(arg.arg)
-    return names
 
 
 def _param_names(fn: ast.AST) -> List[str]:
@@ -219,17 +191,6 @@ def stmt_has_yield(stmt: ast.AST) -> bool:
     return False
 
 
-def _is_stream_call(node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    if isinstance(node.func, ast.Attribute) and node.func.attr == "stream":
-        return True
-    func_name = (node.func.id if isinstance(node.func, ast.Name)
-                 else node.func.attr if isinstance(node.func, ast.Attribute)
-                 else "")
-    return func_name == "RandomStreams"
-
-
 # ---------------------------------------------------------------------------
 # The whole-program fixpoint
 # ---------------------------------------------------------------------------
@@ -315,29 +276,22 @@ class SummaryTable:
         must_bump = self._must_bump(fid, decl, cfg)
         may_leave_unbumped = (bool(mutates)
                               and self._may_leave_unbumped(fid, decl, cfg))
-        returns_stream, escaping = self._stream_facts(fid, decl, cfg)
         return FunctionSummary(
             may_yield=may_yield,
             mutates_watched=frozenset(mutates),
             may_leave_unbumped=may_leave_unbumped,
             must_bump=must_bump,
-            returns_stream=returns_stream,
-            escaping_params=escaping,
         )
-
-    # Calls at one CFG node, resolved against the graph.  CallSites are
-    # matched by identity of the ast.Call object.
-    def _sites_by_call(self, fid: FunctionId) -> Dict[int, CallSite]:
-        cached = self._site_index.get(fid)
-        if cached is None:
-            cached = {id(site.call): site
-                      for site in self.graph.call_sites(fid)}
-            self._site_index[fid] = cached
-        return cached
 
     def node_calls(self, fid: FunctionId,
                     stmt: ast.AST) -> List[CallSite]:
-        by_id = self._sites_by_call(fid)
+        """Calls at one CFG node, resolved against the graph.  CallSites
+        are matched by identity of the ast.Call object."""
+        by_id = self._site_index.get(fid)
+        if by_id is None:
+            by_id = {id(site.call): site
+                     for site in self.graph.call_sites(fid)}
+            self._site_index[fid] = by_id
         out: List[CallSite] = []
         for root in header_exprs(stmt):
             for node in ast.walk(root):
@@ -373,7 +327,7 @@ class SummaryTable:
                 return frozenset()
             return value
 
-        result = solve_forward(cfg, _LATTICE, transfer, token)
+        result = solve_forward(cfg, transfer, token)
         if result.entering(cfg.exit):
             return False
         for node in cfg.stmt_nodes():
@@ -385,7 +339,7 @@ class SummaryTable:
     def _may_leave_unbumped(self, fid: FunctionId, decl: FunctionDecl,
                             cfg: CFG) -> bool:
         """Some path mutates watched state and exits without a bump."""
-        result = solve_forward(cfg, _LATTICE, unbumped_transfer(self, fid),
+        result = solve_forward(cfg, unbumped_transfer(self, fid),
                                frozenset())
         if result.entering(cfg.exit):
             return True
@@ -393,128 +347,9 @@ class SummaryTable:
                    and result.entering(node)
                    for node in cfg.stmt_nodes())
 
-    def _stream_facts(self, fid: FunctionId, decl: FunctionDecl,
-                      cfg: CFG) -> Tuple[bool, FrozenSet[str]]:
-        """(returns a stream?, params whose stream taint escapes).
-
-        One taint pass per function: stream-producing expressions taint
-        with the anonymous mark, parameters taint with their own name,
-        and both propagate through local assignments and through calls
-        to ``returns_stream`` callees.  A sink (non-stream attribute or
-        global store, argument position feeding a callee's escaping
-        parameter) reached by a parameter's mark puts that parameter in
-        ``escaping_params``; a return reached by any mark sets
-        ``returns_stream``.
-        """
-        params = _param_names(decl.node)
-        param_set = frozenset(params)
-        anon = "<stream>"
-
-        # Taint facts are ``(local name, mark)`` pairs; marks are the
-        # anonymous stream mark or an originating parameter name.
-        def local_marks(name: str,
-                        tainted: FrozenSet[object]) -> FrozenSet[object]:
-            out: Set[object] = set()
-            for fact in tainted:
-                if isinstance(fact, tuple) and fact[0] == name:
-                    out.add(fact[1])
-            return frozenset(out)
-
-        sites_by_call = self._sites_by_call(fid)
-
-        def value_marks(expr: Optional[ast.AST],
-                        tainted: FrozenSet[object]) -> FrozenSet[object]:
-            if expr is None:
-                return frozenset()
-            if _is_stream_call(expr):
-                return frozenset({anon})
-            if isinstance(expr, ast.Name):
-                return local_marks(expr.id, tainted)
-            if isinstance(expr, ast.Call):
-                site = sites_by_call.get(id(expr))
-                if (site is not None and site.callee is not None
-                        and self.summary(site.callee).returns_stream):
-                    return frozenset({anon})
-            return frozenset()
-
-        def transfer(node: CFGNode,
-                     tainted: FrozenSet[object]) -> FrozenSet[object]:
-            stmt = node.stmt
-            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                return tainted
-            marks = value_marks(stmt.value, tainted)
-            targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                       else [stmt.target])
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    tainted = frozenset(
-                        fact for fact in tainted
-                        if not (isinstance(fact, tuple)
-                                and fact[0] == target.id))
-                    tainted = tainted | frozenset(
-                        (target.id, mark) for mark in marks)
-            return tainted
-
-        stream_params = _stream_param_names(decl.node)
-        entry = frozenset((name, name) for name in stream_params)
-        result = solve_forward(cfg, _LATTICE, transfer, entry)
-
-        returns_stream = False
-        escaping: Set[str] = set()
-        for node in cfg.stmt_nodes():
-            stmt = node.stmt
-            if stmt is None or not isinstance(stmt, ast.stmt):
-                continue
-            tainted = result.entering(node)
-            if isinstance(stmt, ast.Return):
-                if value_marks(stmt.value, tainted):
-                    returns_stream = True
-                continue
-            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                marks = value_marks(stmt.value, tainted)
-                if marks:
-                    targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                               else [stmt.target])
-                    for target in targets:
-                        if self._is_escape_target(target):
-                            escaping.update(m for m in marks
-                                            if isinstance(m, str)
-                                            and m in param_set)
-            # Tainted argument handed to a callee's escaping parameter.
-            for site in self.node_calls(fid, stmt):
-                if site.callee is None:
-                    continue
-                callee_summary = self.summary(site.callee)
-                if not callee_summary.escaping_params:
-                    continue
-                callee_decl = self.graph.declaration(site.callee)
-                if callee_decl is None:
-                    continue
-                for param, arg in bind_args(callee_decl, site.call):
-                    if param not in callee_summary.escaping_params:
-                        continue
-                    marks = value_marks(arg, tainted)
-                    escaping.update(m for m in marks
-                                    if isinstance(m, str)
-                                    and m in param_set)
-        return returns_stream, frozenset(escaping)
-
-    @staticmethod
-    def _is_escape_target(target: ast.AST) -> bool:
-        """A store that takes a stream out of the local discipline."""
-        if isinstance(target, ast.Attribute):
-            return _STREAM_TOKEN not in target.attr.lower()
-        if isinstance(target, ast.Subscript):
-            root = target.value
-            while isinstance(root, ast.Subscript):
-                root = root.value
-            if isinstance(root, ast.Attribute):
-                return _STREAM_TOKEN not in root.attr.lower()
-        return False
-
 
 def unbumped_transfer(table: SummaryTable,
-                      fid: FunctionId) -> Transfer[FrozenSet[object]]:
+                      fid: FunctionId) -> Transfer:
     """The open-mutation may-analysis of one function (invariant 7).
 
     Facts are :class:`OpenMutation` s.  A generation bump — direct,

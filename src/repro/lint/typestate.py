@@ -2,7 +2,7 @@
 
 The fourth analysis layer.  The first three answer progressively wider
 questions — syntactic shape (RL001–RL005), intraprocedural order
-(RL007), interprocedural reachability (RL009–RL012) — but none of
+(RL007), interprocedural reachability (RL009, RL010, RL012) — but none of
 them states the thing the paper's correctness argument is actually made
 of: *object lifecycles*.  A lock declaration is registered at admission
 and released or handed to the WTPG on every path; a BAT is admitted,
@@ -47,11 +47,11 @@ any spec over the existing machinery:
   operation with **no** legal sources is *forbidden* — flagged from any
   non-error state.
 
-* **evaluation** — facts are ``(name, state)`` pairs in a
-  :class:`~repro.lint.dataflow.UnionLattice` solved forward over the
-  PR 4 CFG.  At an operation, states outside the legal sources flow to
-  the spec's error state; once in the error state an object is silent
-  (one finding per broken object, not a cascade).
+* **evaluation** — facts are ``(name, state)`` pairs, joined by union
+  and solved forward (:func:`~repro.lint.dataflow.solve_forward`) over
+  the :mod:`repro.lint.cfg` CFG.  At an operation, states outside the
+  legal sources flow to the spec's error state; once in the error state
+  an object is silent (one finding per broken object, not a cascade).
 
 * **reporting policy (must-violation)** — a site is flagged only when
   *no* reachable non-error state permits the operation.  The union
@@ -121,13 +121,12 @@ from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional,
 
 from repro.lint.callgraph import CallSite, FunctionDecl, FunctionId
 from repro.lint.cfg import CFG, CFGNode
-from repro.lint.dataflow import UnionLattice, calls_of, solve_forward
+from repro.lint.dataflow import calls_of, solve_forward
 from repro.lint.model import (FileContext, ProjectRule, Violation,
                               register_rule)
 from repro.lint.project import Project
 from repro.lint.summaries import bind_args
 
-_LATTICE = UnionLattice()
 
 #: Operation kinds (see module docstring).
 CALL = "call"
@@ -418,8 +417,7 @@ class _FunctionAnalysis:
                 return value
             return self._apply(node.stmt, value, None)
 
-        result = solve_forward(self.cfg, _LATTICE, transfer,
-                               self.entry_facts())
+        result = solve_forward(self.cfg, transfer, self.entry_facts())
         findings: List[Finding] = []
         seen: Set[Finding] = set()
 
@@ -688,7 +686,7 @@ def transition_relation(project: Project, spec: ProtocolSpec,
                      if name != param for state in analysis.start)
     for start in spec.states:
         entry = base | frozenset({(param, start)})
-        result = solve_forward(cfg, _LATTICE, transfer, entry)
+        result = solve_forward(cfg, transfer, entry)
         out = analysis._states(result.entering(cfg.exit), param)
         relation[start] = out or frozenset({start})
     cache[key] = relation
@@ -832,8 +830,8 @@ EVENT_PROTOCOL = ProtocolSpec(
     name="Event lifecycle",
     states=("pending", "triggered", "defused"),
     error_state="corrupt",
-    creators=(Creator("Event", "pending"), Creator("Condition", "pending"),
-              Creator("AllOf", "pending"), Creator("Timeout", "pending")),
+    creators=(Creator("Event", "pending"), Creator("AllOf", "pending"),
+              Creator("Timeout", "pending")),
     operations=(
         Operation(CALL, "succeed", _t(pending=("triggered",)),
                   introduces=True,

@@ -73,10 +73,13 @@ class MetricsCollector:
         self.recovery_records = 0
         self.recovery_clocks = 0.0
         self.fault_timeline: List[Dict[str, object]] = []
-        self._response_times: List[float] = []
-        self._attempts: List[int] = []
+        # Running aggregates over committed post-warmup transactions, so
+        # a run's memory does not grow with its commits.
         self._commits = 0
-        self._by_label: Dict[str, List[float]] = {}
+        self._rt_sum = 0.0
+        self._rt_max = float("-inf")
+        self._attempts_sum = 0
+        self._by_label: Dict[str, List[float]] = {}  # label -> [sum, count]
 
     def record_arrival(self, now: float) -> None:
         if now >= self.warmup_clocks:
@@ -139,26 +142,26 @@ class MetricsCollector:
     def record_commit(self, txn: TransactionRuntime, now: float) -> None:
         if txn.arrival_time < self.warmup_clocks:
             return  # transaction straddles the warmup boundary: discard
+        response_time = now - txn.arrival_time
         self._commits += 1
-        self._response_times.append(now - txn.arrival_time)
-        self._attempts.append(txn.attempts + 1)
+        self._rt_sum += response_time
+        if response_time > self._rt_max:
+            self._rt_max = response_time
+        self._attempts_sum += txn.attempts + 1
         label = getattr(txn.spec, "label", "")
         if label:
-            self._by_label.setdefault(label, []).append(
-                now - txn.arrival_time)
+            entry = self._by_label.setdefault(label, [0.0, 0])
+            entry[0] += response_time
+            entry[1] += 1
 
     @property
     def commits(self) -> int:
         return self._commits
 
-    @property
-    def response_times(self) -> List[float]:
-        return list(self._response_times)
-
     def mean_response_time_by_label(self) -> Dict[str, float]:
         """Per-class mean RT (only classes with at least one commit)."""
-        return {label: sum(values) / len(values)
-                for label, values in self._by_label.items() if values}
+        return {label: total / count
+                for label, (total, count) in self._by_label.items()}
 
     def summarise(self, scheduler: str, arrival_rate_tps: float,
                   sim_clocks: float, dn_utilization: float,
@@ -169,11 +172,10 @@ class MetricsCollector:
         if sim_clocks <= self.warmup_clocks:
             raise ExperimentError("run shorter than its warmup")
         measured = sim_clocks - self.warmup_clocks
-        mean_rt = (sum(self._response_times) / len(self._response_times)
-                   if self._response_times else float("inf"))
-        max_rt = max(self._response_times, default=float("inf"))
-        mean_attempts = (sum(self._attempts) / len(self._attempts)
-                         if self._attempts else 0.0)
+        commits = self._commits
+        mean_rt = self._rt_sum / commits if commits else float("inf")
+        max_rt = self._rt_max if commits else float("inf")
+        mean_attempts = self._attempts_sum / commits if commits else 0.0
         return RunMetrics(
             scheduler=scheduler,
             arrival_rate_tps=arrival_rate_tps,

@@ -7,39 +7,49 @@ from repro.engine.rng import RandomStreams, derive_seed
 
 
 def test_same_seed_same_stream_reproduces():
-    a = RandomStreams(7).stream("arrivals")
-    b = RandomStreams(7).stream("arrivals")
-    assert [a.random() for _ in range(10)] == [b.random() for _ in range(10)]
+    a = RandomStreams(7)
+    b = RandomStreams(7)
+    assert [a.random("arrivals") for _ in range(10)] == \
+           [b.random("arrivals") for _ in range(10)]
 
 
 def test_different_names_give_different_sequences():
     streams = RandomStreams(7)
-    xs = [streams.stream("arrivals").random() for _ in range(5)]
-    ys = [streams.stream("errors").random() for _ in range(5)]
+    xs = [streams.random("arrivals") for _ in range(5)]
+    ys = [streams.random("errors") for _ in range(5)]
     assert xs != ys
 
 
 def test_different_master_seeds_give_different_sequences():
-    xs = [RandomStreams(1).stream("s").random() for _ in range(5)]
-    ys = [RandomStreams(2).stream("s").random() for _ in range(5)]
+    one, two = RandomStreams(1), RandomStreams(2)
+    xs = [one.random("s") for _ in range(5)]
+    ys = [two.random("s") for _ in range(5)]
     assert xs != ys
 
 
 def test_stream_is_cached_not_reset():
     streams = RandomStreams(0)
-    first = streams.stream("x").random()
-    second = streams.stream("x").random()
+    first = streams.random("x")
+    second = streams.random("x")
     assert first != second  # same underlying generator keeps advancing
 
 
 def test_consuming_one_stream_does_not_shift_another():
     reference = RandomStreams(3)
-    ref_draw = reference.stream("b").random()
+    ref_draw = reference.random("b")
 
     mixed = RandomStreams(3)
     for _ in range(100):
-        mixed.stream("a").random()
-    assert mixed.stream("b").random() == ref_draw
+        mixed.random("a")
+    assert mixed.random("b") == ref_draw
+
+
+def test_named_draws_are_the_private_generators_draws():
+    named = RandomStreams(11)
+    generator = RandomStreams(11)._stream("aborts")
+    for _ in range(20):
+        assert named.random("aborts") == generator.random()
+        assert named.randint("aborts", 0, 9) == generator.randint(0, 9)
 
 
 def test_exponential_mean_validation():

@@ -34,9 +34,9 @@ def test_hot_class_instances_have_no_dict(cls):
 
 def test_registry_covers_the_core_event_types():
     names = {cls.__name__ for cls in HOT_CLASSES}
-    expected = {"Event", "Timeout", "Initialize", "Process", "Condition",
-                "AllOf", "Environment", "Request", "Hold", "Resource",
-                "_WorkItem", "SlowdownToken"}
+    expected = {"Event", "Timeout", "Initialize", "Process", "AllOf",
+                "Environment", "Request", "Hold", "Resource", "_WorkItem",
+                "SlowdownToken"}
     missing = expected - names
     assert not missing, f"hot classes fell out of the registry: {missing}"
 

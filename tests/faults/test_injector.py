@@ -74,8 +74,7 @@ class TestPlanAbort:
         # same seed agrees on the next draw.
         from repro.faults.injector import STREAM_ABORTS
         fresh = RandomStreams(7)
-        assert streams.stream(STREAM_ABORTS).random() == \
-               fresh.stream(STREAM_ABORTS).random()
+        assert streams.random(STREAM_ABORTS) == fresh.random(STREAM_ABORTS)
 
     def test_zero_rate_never_aborts(self):
         injector = FaultInjector(FaultPlan(cascade=True), RandomStreams(1))

@@ -284,17 +284,3 @@ def test_must_bump_requires_every_path():
     assert not table.summary((mod, "G.always")).may_leave_unbumped
     assert not table.summary((mod, "G.sometimes")).must_bump
     assert table.summary((mod, "G.sometimes")).may_leave_unbumped
-
-
-def test_stream_facts_lift_returns_and_escaping_params():
-    cg = graph_of(("repro/core/a.py", """\
-        def make(streams):
-            return streams.stream("noise")
-
-        def stash(self, value_stream):
-            self.noise = value_stream
-    """))
-    table = compute_summaries(cg)
-    mod = "repro/core/a.py"
-    assert table.summary((mod, "make")).returns_stream
-    assert table.summary((mod, "stash")).escaping_params == {"value_stream"}

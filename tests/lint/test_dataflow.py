@@ -11,8 +11,8 @@ import textwrap
 import pytest
 
 from repro.lint.cfg import build_cfg, functions_of
-from repro.lint.dataflow import (FixpointError, UnionLattice, calls_of,
-                                 method_name_of, solve_forward)
+from repro.lint.dataflow import (FixpointError, calls_of, method_name_of,
+                                 solve_forward)
 
 
 def lock_transfer(node, value):
@@ -44,16 +44,6 @@ LOOP_SOURCE = """\
 """
 
 
-# -- lattices ------------------------------------------------------------------
-
-def test_union_lattice_is_a_join_semilattice():
-    lat = UnionLattice()
-    a, b = frozenset({1}), frozenset({2})
-    assert lat.bottom() == frozenset()
-    assert lat.join(a, b) == lat.join(b, a) == frozenset({1, 2})
-    assert lat.join(a, lat.bottom()) == a
-
-
 # -- convergence ---------------------------------------------------------------
 
 def test_solver_converges_on_a_loop_with_a_conditional_kill():
@@ -61,14 +51,14 @@ def test_solver_converges_on_a_loop_with_a_conditional_kill():
     not still be open (release on one path only), so the fact survives
     the join and is live at exit."""
     cfg = cfg_of(LOOP_SOURCE)
-    result = solve_forward(cfg, UnionLattice(), lock_transfer, frozenset())
+    result = solve_forward(cfg, lock_transfer, frozenset())
     assert result.entering(cfg.exit) == frozenset({("lock", 2)})
 
 
 def test_solver_reaches_the_same_fixpoint_regardless_of_seeding_order():
     cfg = cfg_of(LOOP_SOURCE)
-    baseline = solve_forward(cfg, UnionLattice(), lock_transfer, frozenset())
-    again = solve_forward(cfg, UnionLattice(), lock_transfer, frozenset())
+    baseline = solve_forward(cfg, lock_transfer, frozenset())
+    again = solve_forward(cfg, lock_transfer, frozenset())
     assert baseline.values_in == again.values_in
     assert baseline.values_out == again.values_out
 
@@ -84,7 +74,7 @@ def test_non_monotone_transfer_raises_fixpoint_error():
         return frozenset({("tick", flips[node.index])})
 
     with pytest.raises(FixpointError, match="non-monotone"):
-        solve_forward(cfg, UnionLattice(), transfer, frozenset(),
+        solve_forward(cfg, transfer, frozenset(),
                       max_passes=10)
 
 

@@ -20,13 +20,14 @@ BAD_SOURCE = (
 )
 
 
-def test_registry_holds_the_thirteen_documented_rules():
-    # RL008 (intraprocedural stream escape) was folded into RL011 and
-    # RL002 (WTPG generation bumps) into RL010; RL015 (WTPG node
-    # lifecycle) was retired for its runtime twin, WTPGError.
+def test_registry_holds_the_twelve_documented_rules():
+    # RL002 (WTPG generation bumps) was folded into RL010.  RL008 and
+    # RL011 (stream escape) were retired once RandomStreams stopped
+    # handing out generators (RL001 bans reaching for one), and RL015
+    # (WTPG node lifecycle) for its runtime twin, WTPGError.
     assert [rule.rule_id for rule in all_rules()] == [
         "RL001", "RL003", "RL004", "RL005", "RL006",
-        "RL007", "RL009", "RL010", "RL011", "RL012",
+        "RL007", "RL009", "RL010", "RL012",
         "RL013", "RL014", "RL016"]
     assert all(rule.summary for rule in all_rules())
 
@@ -53,7 +54,7 @@ def test_json_report_schema():
     assert payload["files_checked"] == 1
     assert payload["rules"] == ["RL001", "RL003", "RL004",
                                 "RL005", "RL006", "RL007", "RL009",
-                                "RL010", "RL011", "RL012", "RL013",
+                                "RL010", "RL012", "RL013",
                                 "RL014", "RL016"]
     assert len(payload["violations"]) == 1
     entry = payload["violations"][0]
@@ -111,13 +112,14 @@ def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("RL001", "RL003", "RL004", "RL005", "RL006",
-                    "RL007", "RL009", "RL010", "RL011", "RL012",
+                    "RL007", "RL009", "RL010", "RL012",
                     "RL013", "RL014", "RL016"):
         assert rule_id in out
     assert "RL008" not in out
+    assert "RL011" not in out
     assert "RL002" not in out
     assert "RL015" not in out
-    assert len(out.splitlines()) == 13
+    assert len(out.splitlines()) == 12
 
 
 def test_cli_skips_pycache_directories(tmp_path, capsys):

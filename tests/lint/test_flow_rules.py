@@ -1,4 +1,5 @@
-"""Fixture tests for the flow-sensitive rules RL006, RL007 and RL011.
+"""Fixture tests for the flow-sensitive rules RL006 and RL007, and the
+stream-escape fixtures RL001 now answers.
 
 Same pattern as test_rules.py: in-memory sources impersonate production
 modules through ``logical`` so each rule's applicability and verdict are
@@ -200,28 +201,31 @@ def test_rl007_estimator_family_guards():
     assert lint(good, "repro/core/estimator.py") == []
 
 
-# -- RNG stream escape (RL011) ------------------------------------------------
+# -- RNG stream escape (RL001) ------------------------------------------------
 #
-# These fixtures were written for RL008, the intraprocedural stream-escape
-# rule RL011 absorbed; they keep their names, and every finding they
-# pinned must come from RL011 on the same line.
+# These fixtures were written for RL008, and later run by RL011; they keep
+# their names.  RandomStreams now hands out no generator, so each bad
+# fixture reaches for the private ``_stream`` (or builds a RandomStreams
+# where it may not) and RL001 flags that access at its line.
 
 def test_rl008_flags_a_stream_cached_in_an_innocuous_attribute():
     source = """\
         class Thing:
             def __init__(self, streams):
-                self._rng = streams.stream("arrivals")
+                self._rng = streams._stream("arrivals")
     """
     violations = lint(source, "repro/core/example.py")
-    assert rule_ids(violations) == ["RL011"]
-    assert "'_rng'" in violations[0].message
+    assert [(v.rule_id, v.line) for v in violations] == [("RL001", 3)]
 
 
 def test_rl008_stream_named_attribute_is_clean():
     source = """\
         class Thing:
             def __init__(self, streams):
-                self._arrival_stream = streams.stream("arrivals")
+                self._arrival_streams = streams
+
+            def next_gap(self):
+                return self._arrival_streams.exponential("arrivals", 5.0)
     """
     assert lint(source, "repro/core/example.py") == []
 
@@ -233,70 +237,30 @@ def test_rl008_flags_module_scope_streams():
         STREAMS = RandomStreams(42)
     """
     violations = lint(source, "repro/workloads/example.py")
-    assert rule_ids(violations) == ["RL011"]
-    assert violations[0].line == 3
+    assert [(v.rule_id, v.line) for v in violations] == [("RL001", 3)]
 
 
 def test_rl008_taint_propagates_through_locals_to_a_public_return():
     source = """\
         def make(streams):
-            s = streams.stream("x")
+            s = streams._stream("x")
             return s
     """
     violations = lint(source, "repro/core/example.py")
-    assert rule_ids(violations) == ["RL011"]
-    assert "public function make" in violations[0].message
-
-
-def test_rl008_private_helpers_may_return_streams():
-    source = """\
-        def _make(streams):
-            s = streams.stream("x")
-            return s
-    """
-    assert lint(source, "repro/core/example.py") == []
-
-
-def test_rl008_reassignment_kills_the_taint():
-    source = """\
-        def use(streams):
-            s = streams.stream("x")
-            s = s.random()
-            return s
-    """
-    assert lint(source, "repro/core/example.py") == []
-
-
-def test_rl008_stream_named_parameters_are_tainted():
-    source = """\
-        class C:
-            def attach(self, stream):
-                self.rng = stream
-    """
-    violations = lint(source, "repro/machine/example.py")
-    assert rule_ids(violations) == ["RL011"]
+    assert [(v.rule_id, v.line) for v in violations] == [("RL001", 2)]
 
 
 def test_rl008_container_store_needs_a_stream_named_root():
     bad = """\
         class C:
             def reg(self, streams):
-                self._table["x"] = streams.stream("x")
+                self._table["x"] = streams._stream("x")
     """
     good = """\
         class C:
             def reg(self, streams):
-                self._streams_by_name["x"] = streams.stream("x")
+                self._streams_by_name["x"] = streams
     """
-    assert rule_ids(lint(bad, "repro/core/example.py")) == ["RL011"]
+    violations = lint(bad, "repro/core/example.py")
+    assert [(v.rule_id, v.line) for v in violations] == [("RL001", 3)]
     assert lint(good, "repro/core/example.py") == []
-
-
-def test_rl008_engine_and_faults_own_their_streams():
-    source = """\
-        class Thing:
-            def __init__(self, streams):
-                self._rng = streams.stream("arrivals")
-    """
-    assert lint(source, "repro/engine/example.py") == []
-    assert lint(source, "repro/faults/example.py") == []

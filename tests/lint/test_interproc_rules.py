@@ -1,4 +1,4 @@
-"""Fixture tests for the interprocedural rules RL009–RL012.
+"""Fixture tests for the interprocedural rules RL009, RL010 and RL012.
 
 Single-file fixtures go through ``check_source`` (which builds a
 one-file project); cross-module facts go through ``check_sources`` so
@@ -348,11 +348,16 @@ def test_rl010_real_wtpg_with_all_bumps_stripped():
         (322, 8)]
 
 
-# -- RL011: interprocedural RNG-stream escape ----------------------------------
+# -- RL011 fixtures, answered by RL001 -----------------------------------------
+#
+# RL011 tracked a generator from ``RandomStreams.stream()`` through calls.
+# RandomStreams now hands out none: the only ways to get one are the
+# private ``_stream``/``_streams`` (or a RandomStreams of one's own), and
+# RL001 flags each at its line, so no call-graph taint is needed.
 
 RL011_BAD_RETURNED_STREAM_STORED = """\
     def make(streams):
-        return streams.stream("noise")
+        return streams._stream("noise")
 
     class Model:
         def setup(self, streams):
@@ -366,85 +371,69 @@ RL011_BAD_ESCAPING_PARAM = """\
 
     class Model:
         def setup(self, streams):
-            source = streams.stream("noise")
+            source = streams._stream("noise")
             stash(self, source)
 """
 
 RL011_BAD_MODULE_SCOPE = """\
     def make():
-        return RandomStreams(7).stream("ambient")
+        return 7
 
-    NOISE = make()
+    NOISE = RandomStreams(make())
 """
 
 RL011_GOOD_STREAM_NAMED = """\
-    def make(streams):
-        return streams.stream("noise")
-
     class Model:
         def setup(self, streams):
-            self._noise_stream = make(streams)
+            self._noise_streams = streams
+
+        def noise(self):
+            return self._noise_streams.normal("noise", 0.0, 1.0)
 """
+
+
+def findings(violations):
+    return [(v.rule_id, v.line) for v in violations]
 
 
 def test_rl011_flags_store_of_call_returned_stream():
     violations = lint(RL011_BAD_RETURNED_STREAM_STORED,
                       "repro/core/model.py")
-    # `make` itself also returns a stream from a public function.
-    assert rule_ids(violations) == ["RL011", "RL011"]
-    assert "public function make" in violations[0].message
-    assert violations[1].line == 7 and "'noise'" in violations[1].message
+    # Flagged where the generator is obtained, not where it is stored.
+    assert findings(violations) == [("RL001", 2)]
 
 
 def test_rl011_flags_argument_to_escaping_param():
     violations = lint(RL011_BAD_ESCAPING_PARAM, "repro/core/model.py")
-    # The store inside stash itself, then the call-site hand-off.
-    assert rule_ids(violations) == ["RL011", "RL011"]
-    assert violations[0].line == 2 and "'noise'" in violations[0].message
-    hand_off = violations[1]
-    assert "'value_stream'" in hand_off.message
-    assert "stash" in hand_off.message
+    assert findings(violations) == [("RL001", 6)]
 
 
 def test_rl011_flags_module_scope_stream_binding():
     violations = lint(RL011_BAD_MODULE_SCOPE, "repro/core/model.py")
-    # The public return inside make, then the module-scope binding.
-    assert rule_ids(violations) == ["RL011", "RL011"]
-    assert violations[0].line == 2
-    assert violations[1].line == 4
+    assert findings(violations) == [("RL001", 4)]
+    assert "constructed outside its owners" in violations[0].message
 
 
 def test_rl011_does_not_duplicate_rl008_findings():
-    """A locally made stream stored in a plain attribute — once RL008's
-    case — is reported exactly once, with a provenance-neutral message."""
+    """A generator stored in a plain attribute is reported exactly once."""
     source = """\
         class Model:
             def setup(self, streams):
-                self.noise = streams.stream("x")
+                self.noise = streams._stream("x")
     """
     violations = lint(source, "repro/core/model.py")
-    assert rule_ids(violations) == ["RL011"]
-    assert violations[0].line == 3
-    assert "through a call" not in violations[0].message
+    assert findings(violations) == [("RL001", 3)]
 
 
 def test_rl011_clean_when_stream_named():
-    violations = lint(RL011_GOOD_STREAM_NAMED, "repro/core/model.py")
-    # Only make's public return is reported; the store into the
-    # stream-named attribute is clean.
-    assert [(v.rule_id, v.line) for v in violations] == [("RL011", 2)]
-
-
-def test_rl011_silent_in_engine_and_faults():
-    assert lint(RL011_BAD_ESCAPING_PARAM, "repro/engine/model.py") == []
-    assert lint(RL011_BAD_ESCAPING_PARAM, "repro/faults/model.py") == []
+    assert lint(RL011_GOOD_STREAM_NAMED, "repro/core/model.py") == []
 
 
 def test_rl011_cross_module_returned_stream():
     violations = lint_many(
         ("repro/core/factory.py", """\
             def make(streams):
-                return streams.stream("noise")
+                return streams._stream("noise")
         """),
         ("repro/core/model.py", """\
             from repro.core.factory import make
@@ -453,10 +442,8 @@ def test_rl011_cross_module_returned_stream():
                 def setup(self, streams):
                     self.noise = make(streams)
         """))
-    by_file = [v for v in violations
-               if v.rule_id == "RL011"
-               and v.file == "<fixture:repro/core/model.py>"]
-    assert len(by_file) == 1
+    assert [(v.file, v.rule_id, v.line) for v in violations] == [
+        ("<fixture:repro/core/factory.py>", "RL001", 2)]
 
 
 # -- RL012: schedulers stay synchronous ----------------------------------------

@@ -8,8 +8,11 @@ applicability from the logical path, not the on-disk location).
 """
 
 import textwrap
+from pathlib import Path
 
 from repro.lint import LintRunner
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def lint(source, logical):
@@ -71,6 +74,88 @@ def test_rl001_set_iteration_only_checked_in_core_and_engine():
 def test_rl001_rng_module_itself_is_exempt():
     assert lint("import random\n", "repro/engine/rng.py") == []
     assert lint("import random\n", "repro/engine/example.py") != []
+
+
+def test_rl001_flags_every_generator_access_outside_the_rng_module():
+    source = """\
+        def draw(streams):
+            a = streams._stream("x").random()
+            return a, len(streams._streams)
+    """
+    violations = lint(source, "repro/core/example.py")
+    assert [(v.rule_id, v.line) for v in violations] == [
+        ("RL001", 2), ("RL001", 3)]
+    assert "RandomStreams._stream" in violations[0].message
+    assert lint(source, "repro/engine/rng.py") == []
+    assert lint(source, "repro/faults/example.py") != []
+
+
+def test_rl001_named_draws_are_clean():
+    source = """\
+        def draw(streams):
+            return streams.random("x"), streams.randint("x", 0, 3)
+    """
+    assert lint(source, "repro/faults/example.py") == []
+
+
+def test_rl001_random_streams_built_only_by_its_owners():
+    def construction(logical, source):
+        return [(v.rule_id, v.line) for v in lint(source, logical)]
+
+    owner = """\
+        class Cluster:
+            def __init__(self, params):
+                self.streams = RandomStreams(params.seed)
+    """
+    assert construction("repro/machine/cluster.py", owner) == []
+    assert construction("repro/machine/other.py", owner) == [("RL001", 3)]
+    helper = """\
+        def record_workload(workload, count, seed=0):
+            streams = RandomStreams(seed)
+            return [workload(t, streams) for t in range(count)]
+
+        def elsewhere(seed):
+            return engine.RandomStreams(seed)
+    """
+    assert construction("repro/workloads/tracefile.py", helper) == [
+        ("RL001", 6)]
+    # Module and class scope of an owner module are not owners.
+    scopes = """\
+        STREAMS = RandomStreams(1)
+
+        class Cluster:
+            SHARED = RandomStreams(2)
+    """
+    assert construction("repro/machine/cluster.py", scopes) == [
+        ("RL001", 1), ("RL001", 4)]
+
+
+def _real_source(relative):
+    return (REPO / "src" / "repro" / relative).read_text(encoding="utf-8")
+
+
+def test_rl001_teeth_on_real_fault_injector():
+    """Reading the aborts generator directly in the real injector is one
+    finding, at the edited line."""
+    source = _real_source("faults/injector.py")
+    named = "self.streams.random(STREAM_ABORTS)"
+    assert source.count(named) == 1
+    broken = source.replace(named,
+                            "self.streams._stream(STREAM_ABORTS).random()")
+    violations = lint(broken, "repro/faults/injector.py")
+    line = broken[:broken.index("._stream(")].count("\n") + 1
+    assert [(v.rule_id, v.line) for v in violations] == [("RL001", line)]
+
+
+def test_rl001_teeth_on_real_cluster():
+    """A module-scope RandomStreams in the real owner module is one
+    finding; its construction in Cluster.__init__ stays clean."""
+    source = _real_source("machine/cluster.py")
+    assert lint(source, "repro/machine/cluster.py") == []
+    broken = source + "\n_AMBIENT = RandomStreams(0)\n"
+    violations = lint(broken, "repro/machine/cluster.py")
+    line = len(broken.splitlines())
+    assert [(v.rule_id, v.line) for v in violations] == [("RL001", line)]
 
 
 # -- RL002 (now part of RL010): generation-counter coherence -----------------

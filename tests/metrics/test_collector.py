@@ -7,6 +7,12 @@ from repro.errors import ExperimentError
 from repro.metrics import MetricsCollector
 
 
+def summary(collector, sim_clocks=100_000):
+    return collector.summarise(
+        scheduler="X", arrival_rate_tps=0.5, sim_clocks=sim_clocks,
+        dn_utilization=0, cn_utilization=0, weight_messages=0)
+
+
 def committed_txn(tid, arrival, commit, label=""):
     spec = TransactionSpec(tid, [Step.read(0, 1)], label=label)
     txn = TransactionRuntime(spec, arrival_time=arrival)
@@ -22,7 +28,9 @@ class TestCollection:
         collector.record_commit(committed_txn(1, 10, 110), now=110)
         assert collector.arrivals == 2
         assert collector.commits == 1
-        assert collector.response_times == [100]
+        metrics = summary(collector)
+        assert metrics.mean_response_time == 100
+        assert metrics.max_response_time == 100
 
     def test_warmup_filters_arrivals_and_commits(self):
         collector = MetricsCollector(warmup_clocks=100)
@@ -32,7 +40,9 @@ class TestCollection:
         collector.record_commit(committed_txn(2, 150, 300), now=300)
         assert collector.arrivals == 1
         assert collector.commits == 1
-        assert collector.response_times == [150]
+        metrics = summary(collector)
+        assert metrics.mean_response_time == 150
+        assert metrics.max_response_time == 150
 
     def test_abort_accounting(self):
         collector = MetricsCollector()
