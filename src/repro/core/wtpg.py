@@ -137,6 +137,9 @@ class WTPG:
         # change (structure or weights) and is exposed for external cache
         # keys; ``_structure_gen`` bumps only when the precedence relation
         # (nodes or resolved edges) changes and gates the closure caches.
+        # Every mutator bumps before its first write to the containers
+        # above; nothing here can suspend, so no reader sees a write the
+        # counters do not yet vouch for (lint rule RL003 checks both).
         self._generation = 0
         self._structure_gen = 0
         # Cached topological order of the precedence edges.
@@ -193,13 +196,13 @@ class WTPG:
             raise WTPGError(f"T{tid} is already in the WTPG")
         if source_weight < 0 or sink_weight < 0:
             raise WTPGError("WTPG weights must be non-negative")
+        self._generation += 1
+        self._structure_gen += 1
         self._source[tid] = source_weight
         self._sink[tid] = sink_weight
         self._neighbors[tid] = set()
         self._succ[tid] = set()
         self._pred[tid] = set()
-        self._generation += 1
-        self._structure_gen += 1
         # An isolated new node extends any valid topological order.
         if self._known_cyclic is False:
             assert self._topo_order is not None
@@ -209,6 +212,8 @@ class WTPG:
     def remove_transaction(self, tid: int) -> None:
         """Drop a node and all its pair edges (commit or admission abort)."""
         self._require(tid)
+        self._generation += 1
+        self._structure_gen += 1
         del self._source[tid]
         del self._sink[tid]
         for other in self._neighbors.pop(tid):
@@ -220,8 +225,6 @@ class WTPG:
             del self._pairs[key]
         del self._succ[tid]
         del self._pred[tid]
-        self._generation += 1
-        self._structure_gen += 1
         if self._known_cyclic is True:
             # Removal may have broken the cycle: back to unknown.
             self._known_cyclic = None
@@ -246,8 +249,8 @@ class WTPG:
         self._require(tid)
         value = max(0.0, value)
         if value != self._source[tid]:
-            self._source[tid] = value
             self._generation += 1
+            self._source[tid] = value
             self._cp_dirty.add(tid)
 
     def decrement_source(self, tid: int, objects: float = 1.0) -> None:
@@ -255,8 +258,8 @@ class WTPG:
         self._require(tid)
         value = max(0.0, self._source[tid] - objects)
         if value != self._source[tid]:
-            self._source[tid] = value
             self._generation += 1
+            self._source[tid] = value
             self._cp_dirty.add(tid)
 
     # -- pair edges -------------------------------------------------------------
@@ -268,6 +271,7 @@ class WTPG:
         key = _pair(a, b)
         edge = self._pairs.get(key)
         if edge is None:
+            self._generation += 1
             lo, hi = min(a, b), max(a, b)
             edge = PairEdge(lo, hi)
             edge._on_weight_change = self._note_edge_weight
@@ -275,7 +279,6 @@ class WTPG:
             self._unresolved[key] = None
             self._neighbors[a].add(b)
             self._neighbors[b].add(a)
-            self._generation += 1
         return edge
 
     def pair(self, a: int, b: int) -> Optional[PairEdge]:
@@ -316,12 +319,12 @@ class WTPG:
                 raise WTPGError(
                     f"pair ({edge.a},{edge.b}) already resolved the other way")
             return
+        self._generation += 1
+        self._structure_gen += 1
         edge.resolved_to = successor
         self._succ[predecessor].add(successor)
         self._pred[successor].add(predecessor)
         self._unresolved.pop(key, None)
-        self._generation += 1
-        self._structure_gen += 1
         if self._known_cyclic is False:
             self._pk_insert(predecessor, successor)
 

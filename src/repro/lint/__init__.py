@@ -9,14 +9,15 @@ allowed inside :class:`~repro.core.wtpg.WTPG`'s private state, and
 critical-path floats are never compared with ``==`` in scheduler code.
 This package turns those conventions into machine-checked rules so a
 regression is caught at lint time instead of as a silently wrong
-schedule.  Single-pass AST matchers handle the per-node contracts; the
-*path* contract RL007 runs on an intraprocedural CFG
-(:mod:`repro.lint.cfg`) with a worklist fixpoint solver
-(:mod:`repro.lint.dataflow`); the *interprocedural* contracts
-(RL009, RL010 and RL012: yield-point atomicity and generation bumps)
-additionally consult a whole-program call graph (:mod:`repro.lint.callgraph`) and
-bottom-up function summaries (:mod:`repro.lint.summaries`), so a yield
-point hidden behind a helper call is still seen; the
+schedule.  Single-pass AST matchers handle the per-node contracts,
+including the WTPG's bump-before-write barrier (RL003); the *path*
+contract RL007 runs on an intraprocedural CFG (:mod:`repro.lint.cfg`)
+with a worklist fixpoint solver (:mod:`repro.lint.dataflow`); the
+*interprocedural* contracts (RL009 and RL012: yield-point atomicity)
+additionally consult a whole-program call graph
+(:mod:`repro.lint.callgraph`) and may-yield function summaries
+(:mod:`repro.lint.summaries`), so a yield point hidden behind a helper
+call is still seen; the
 *lifecycle* contracts (RL006, RL013, RL014, RL016) are four committed
 protocols run by one typestate evaluator (:mod:`repro.lint.typestate`).
 
@@ -37,8 +38,11 @@ RL001     determinism: no ambient randomness/clocks outside engine/rng.py,
           holds a generator), ``RandomStreams(...)`` built only by
           ``Cluster.__init__`` and ``record_workload``; no iteration
           over unordered set expressions in core/ and engine/
-RL003     encapsulation: no ``wtpg._*`` access outside core/wtpg.py
-          (explicit friend-module allowlist for the estimator overlay)
+RL003     encapsulation and cache coherence (static invariant 7): no
+          ``wtpg._*`` access outside core/wtpg.py (read-only allowlist
+          for the estimator overlay) and no write to a watched WTPG
+          container there; in core/wtpg.py every such write follows a
+          generation bump, and nothing yields or imports engine/machine
 RL004     float equality: no ``==``/``!=`` on critical-path/weight floats
           in core/schedulers/ (the infinity sentinel is exempt)
 RL005     exception hygiene: no blind ``except Exception: pass`` swallows
@@ -51,10 +55,6 @@ RL007     guarded caches: memoized fields are read only behind their
 RL009     stale snapshot: a machine/ local holding shared simulation
           state is not read again after a yield point (direct or via a
           may-yield callee) without re-reading or a generation guard
-RL010     cache coherence (static invariant 7): a watched-container
-          mutation (direct or through a callee that may leave it
-          unbumped) must bump the generation before the next yield
-          point, and WTPG methods must bump on every path to an exit
 RL012     synchronous schedulers: nothing in core/schedulers/ yields or
           (transitively) calls a function that may yield
 RL013     BAT lifecycle (typestate): no commit after doom/abort, no

@@ -1,6 +1,6 @@
 """Project-wide call graph over the ``repro`` package.
 
-The interprocedural rules (RL009, RL010, RL012) need one fact the
+The interprocedural rules (RL009, RL012) need one fact the
 per-file CFGs cannot provide: *which function does this call reach?*
 This module builds a whole-program call graph from the already-parsed
 :class:`~repro.lint.model.FileContext` set:

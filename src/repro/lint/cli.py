@@ -21,9 +21,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Project-specific static analysis for the WTPG core "
-                    "(rules RL001-RL016 except RL002, folded into RL010, "
-                    "and the retired RL008, RL011 and RL015; see "
-                    "docs/lint.md).")
+                    "(11 rules numbered RL001-RL016; docs/lint.md lists "
+                    "them and the retired numbers).")
     parser.add_argument(
         "paths", nargs="*", default=["src"], metavar="PATH",
         help="files or directories to lint (default: src)")

@@ -1,7 +1,7 @@
 """File collection, rule dispatch and reporting for repro-lint.
 
 Since the whole-program rules arrived (the interprocedural layer
-RL009, RL010, RL012, then the typestate layer RL013, RL014, RL016), a
+RL009, RL012, then the typestate layer RL013, RL014, RL016), a
 lint run has two phases: every file of the invocation is parsed first
 and assembled into one :class:`repro.lint.project.Project` (call graph + function
 summaries + the per-run analysis cache the typestate transition

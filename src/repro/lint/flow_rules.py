@@ -1,4 +1,4 @@
-"""The flow-sensitive rules RL007, RL009, RL010 and RL012, on cfg + dataflow.
+"""The flow-sensitive rules RL007, RL009 and RL012, on cfg + dataflow.
 
 Where RL001 and RL003–RL005 are single-pass AST matchers, these rules
 state *path* properties: each runs a forward may-analysis
@@ -6,8 +6,8 @@ state *path* properties: each runs a forward may-analysis
 function in scope and reports on what survives to an exit.  They are
 :class:`~repro.lint.model.ProjectRule` subclasses: the CFGs are the ones
 :class:`~repro.lint.summaries.SummaryTable` built once per function, and
-RL007 uses nothing else of the project, while RL009, RL010 and RL012 also
-consume the whole-program call graph and function summaries.  The
+RL007 uses nothing else of the project, while RL009 and RL012 also
+consume the whole-program call graph and may-yield summaries.  The
 lock lifecycle (RL006) is a protocol of the typestate layer
 (:mod:`repro.lint.typestate`).
 ``docs/lint.md`` has the full catalogue entry, threat model and known
@@ -22,21 +22,13 @@ from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from repro.lint.callgraph import FunctionDecl, FunctionId
 from repro.lint.cfg import CFG, CFGNode, header_exprs
-from repro.lint.dataflow import DataflowResult, method_name_of, solve_forward
+from repro.lint.dataflow import method_name_of, solve_forward
 from repro.lint.model import (FileContext, ProjectRule, Violation,
                               register_rule)
 from repro.lint.project import Project
-from repro.lint.summaries import (WATCHED_ATTRS, OpenMutation, SummaryTable,
-                                  is_bump_stmt, stmt_has_yield,
-                                  unbumped_transfer, watched_mutations)
-
-#: Container methods that mutate their receiver in place — an attribute
-#: load that only *receives* one of these is cache maintenance, not a
-#: guarded read.
-_INPLACE_METHODS = frozenset({
-    "add", "append", "clear", "discard", "extend", "insert", "pop",
-    "popitem", "remove", "setdefault", "update",
-})
+from repro.lint.rules import (MUTATOR_METHODS, WATCHED_ATTRS, is_bump_stmt,
+                              watched_mutations)
+from repro.lint.summaries import SummaryTable, stmt_has_yield
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +105,7 @@ RL007_EXEMPT_METHODS: Dict[str, FrozenSet[str]] = {
 def _exempt_attr_loads(stmt: ast.AST) -> Set[int]:
     """ids of attribute nodes whose load is maintenance, not a read:
     roots of assignment/delete targets and receivers of in-place
-    container-method calls."""
+    container-method calls (cache maintenance, not a guarded read)."""
     exempt: Set[int] = set()
 
     def mark_chain(node: ast.AST) -> None:
@@ -138,7 +130,7 @@ def _exempt_attr_loads(stmt: ast.AST) -> Set[int]:
                     mark_chain(target)
             elif isinstance(node, ast.Call):
                 if (isinstance(node.func, ast.Attribute)
-                        and node.func.attr in _INPLACE_METHODS):
+                        and node.func.attr in MUTATOR_METHODS):
                     mark_chain(node.func.value)
     return exempt
 
@@ -282,7 +274,7 @@ class UnguardedCacheReadRule(ProjectRule):
 
 
 # ---------------------------------------------------------------------------
-# RL009, RL010, RL012 — interprocedural yield-point atomicity rules
+# RL009, RL012 — interprocedural yield-point atomicity rules
 # ---------------------------------------------------------------------------
 #
 # Every ``yield`` in the machine layer is a context switch of the
@@ -510,131 +502,6 @@ class StaleSnapshotRule(ProjectRule):
                 "read here after a yield point: a context switch may "
                 "have invalidated it — re-read the state or re-check a "
                 "generation guard before acting on it")
-
-
-@register_rule
-class UnbumpedAcrossYieldRule(ProjectRule):
-    """RL010: watched-state mutations must be closed by a generation bump.
-
-    The static counterpart of runtime invariant 7
-    (:meth:`repro.core.wtpg.WTPG.cache_violations`): the incremental
-    topological order, closure memos and critical-path dist cache may
-    trust their generation guards only because every mutation of the
-    graph-defining containers (:data:`~repro.lint.summaries.WATCHED_ATTRS`)
-    is followed by a bump.  One may-analysis of open mutations
-    (:func:`~repro.lint.summaries.unbumped_transfer`) serves two checks:
-
-    * **yield points** — in ``core/`` and ``machine/``, a mutation,
-      direct or through a call whose summary says *may-leave-unbumped*,
-      must not reach a yield point before a bump: at the switch every
-      other coroutine sees counters that still vouch for the
-      pre-mutation structure.  Reported at the mutation (or call) site.
-    * **the WTPG's own methods** — in ``core/wtpg.py``, a ``self.<watched>``
-      mutation of a ``WTPG`` method (``__init__`` builds rather than
-      mutates) must not reach a ``return`` (reported there) or the
-      normal exit (reported at the mutation).  Only ``self``-rooted
-      mutations count: ``copy()`` fills a fresh clone, whose caches are
-      empty.  Paths into the ``raise`` exit are exempt — an exception
-      mid-mutation is already a hard failure.
-
-    Calls to *must-bump* callees close the window like a direct bump.
-    """
-
-    rule_id = "RL010"
-    summary = ("watched-container mutations (direct or via calls) must be "
-               "generation-bumped before the next yield point, and WTPG "
-               "methods must bump on every path to a return or exit")
-
-    #: ``__init__`` creates the containers, so there is no pre-existing
-    #: derived state to guard.
-    EXEMPT_METHODS = frozenset({"__init__"})
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.in_dir("core") or ctx.in_dir("machine")
-
-    def check_project(self, ctx: FileContext,
-                      project: Project) -> Iterator[Violation]:
-        table = project.summaries
-        in_wtpg = ctx.is_module("repro/core/wtpg.py")
-        for decl in project.functions_of(ctx.logical):
-            at_exits = (in_wtpg and decl.class_name == "WTPG"
-                        and decl.name not in self.EXEMPT_METHODS)
-            at_yields = _function_has_yield_point(table, decl)
-            cfg = table.cfg(decl.fid)
-            if cfg is None or not (at_exits or at_yields):
-                continue
-            result = solve_forward(cfg, unbumped_transfer(table, decl.fid),
-                                   frozenset())
-            if at_yields:
-                yield from self._check_yields(ctx, decl, cfg, table, result)
-            if at_exits:
-                yield from self._check_exits(ctx, decl, cfg, table, result)
-
-    def _check_yields(self, ctx: FileContext, decl: FunctionDecl,
-                      cfg: CFG, table: SummaryTable,
-                      result: DataflowResult,
-                      ) -> Iterator[Violation]:
-        reported: Set[Tuple[int, int, str]] = set()
-        for node in cfg.stmt_nodes():
-            stmt = node.stmt
-            if stmt is None or not isinstance(stmt, ast.stmt):
-                continue
-            if not _node_is_yield_point(table, decl.fid, stmt):
-                continue
-            if table.bumps_here(decl.fid, stmt):
-                continue  # bump-and-yield in one statement: closed
-            for fact in _open(result.entering(node)):
-                key = (fact.line, fact.col, fact.what)
-                if key in reported:
-                    continue
-                reported.add(key)
-                yield Violation(
-                    self.rule_id, ctx.display, fact.line, fact.col,
-                    f"mutation of watched state ({fact.what}) in "
-                    f"{decl.name} reaches the yield point at line "
-                    f"{stmt.lineno} without a generation bump: other "
-                    "coroutines resume against counters that still vouch "
-                    "for the old structure — bump (or call an "
-                    "invalidation helper) before yielding")
-
-    def _check_exits(self, ctx: FileContext, decl: FunctionDecl,
-                     cfg: CFG, table: SummaryTable,
-                     result: DataflowResult,
-                     ) -> Iterator[Violation]:
-        # Return statements inside a finally body are duplicated across
-        # the CFG's continuation copies; dedup on (return site, fact).
-        reported: Set[Tuple[int, int, OpenMutation]] = set()
-        for node in cfg.stmt_nodes():
-            stmt = node.stmt
-            if (not isinstance(stmt, ast.Return)
-                    or table.bumps_here(decl.fid, stmt)):
-                continue
-            for fact in _open(result.entering(node), on_self=True):
-                key = (stmt.lineno, stmt.col_offset, fact)
-                if key in reported:
-                    continue
-                reported.add(key)
-                yield self.violation(
-                    ctx, stmt,
-                    f"WTPG.{decl.name} returns after mutating "
-                    f"self.{fact.what} without bumping the generation "
-                    "counter")
-        for fact in _open(result.entering(cfg.exit), on_self=True):
-            yield Violation(
-                self.rule_id, ctx.display, fact.line, fact.col,
-                f"WTPG.{decl.name} mutates self.{fact.what} on a path "
-                "that never bumps the generation counter "
-                "(self._generation / self._structure_gen or an "
-                "invalidation helper)")
-
-
-def _open(facts: FrozenSet[object],
-          on_self: bool = False) -> List[OpenMutation]:
-    """Sorted open mutations; with ``on_self``, only ``self``-rooted ones
-    not already reported at a ``return``."""
-    return sorted(fact for fact in facts
-                  if isinstance(fact, OpenMutation)
-                  and (not on_self or (fact.on_self and not fact.returned)))
 
 
 @register_rule

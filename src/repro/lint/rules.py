@@ -2,16 +2,19 @@
 
 Each rule encodes a contract the runtime invariant suite or reviewer
 discipline used to carry alone; ``docs/lint.md`` ties every rule to the
-paper / PR-1 design decision it protects.  (RL002, the WTPG
-generation-bump check, is part of RL010 in :mod:`repro.lint.flow_rules`.)
+paper / PR-1 design decision it protects.  The watched-state vocabulary
+of RL003 (:data:`WATCHED_ATTRS`, :func:`watched_mutations`,
+:func:`is_bump_stmt`) is shared with the flow rules RL007 and RL009.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, FrozenSet, Iterator, List, Optional
+from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
+from repro.lint.cfg import header_exprs
 from repro.lint.model import (FileContext, Rule, Violation, dotted_name,
                               register_rule)
 
@@ -208,7 +211,7 @@ class DeterminismRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RL003 — WTPG encapsulation
+# RL003 — WTPG encapsulation and the bump-first write barrier
 # ---------------------------------------------------------------------------
 
 #: Friend-module allowlist.  The overlay estimator reads (never writes)
@@ -230,6 +233,152 @@ RL003_IMPORT_ALLOWLIST: Dict[str, FrozenSet[str]] = {
     "repro/core/estimator.py": frozenset({"_pair"}),
 }
 
+#: The graph-defining containers of WTPG.  Anything else (``_cp_dist``,
+#: ``_topo_order``, the closure caches…) is *derived* state guarded by
+#: the generation counters every write to these must bump first.  They
+#: are recognised through any receiver: ``wtpg._pairs[k] = v`` in a
+#: helper is the same incoherence hazard as ``self._pairs[k] = v``.
+WATCHED_ATTRS = frozenset({
+    "_source", "_sink", "_pairs", "_neighbors", "_succ", "_pred",
+    "_unresolved",
+})
+
+#: A bump statement assigns one of these counters or calls the helper
+#: that bumps ``_generation`` for a raised pair-edge weight.
+BUMP_ATTRS = frozenset({"_generation", "_structure_gen"})
+INVALIDATION_HELPERS = frozenset({"_note_edge_weight"})
+
+#: Container methods that mutate their receiver in place.
+MUTATOR_METHODS = frozenset({
+    "add", "append", "clear", "discard", "extend", "insert", "pop",
+    "popitem", "remove", "setdefault", "update",
+})
+
+#: Packages whose import would let core/wtpg.py suspend mid-mutation.
+_SUSPENDING_PACKAGES = ("repro.engine", "repro.machine")
+
+
+class WatchedWrite(NamedTuple):
+    """One write to a watched container: where, which, and whether the
+    receiver is ``self`` (the WTPG's own write barrier, as opposed to
+    filling some other graph, as ``WTPG.copy`` fills a fresh clone)."""
+
+    line: int
+    col: int
+    what: str
+    on_self: bool
+
+
+def _watched_target(node: ast.AST) -> Optional[Tuple[str, bool]]:
+    """(watched attr, rooted at ``self``?) of a target chain, any receiver."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Attribute) and node.attr in WATCHED_ATTRS:
+        on_self = (isinstance(node.value, ast.Name)
+                   and node.value.id == "self")
+        return node.attr, on_self
+    return None
+
+
+#: The node types :func:`_writes_at` can find a write in.
+_WRITE_NODES: FrozenSet[type] = frozenset({
+    ast.Assign, ast.Delete, ast.AugAssign, ast.AnnAssign, ast.Call})
+
+
+def _writes_at(node: ast.AST) -> List[WatchedWrite]:
+    """The watched writes one AST node performs itself (not its children):
+    assignment and ``del`` targets, and in-place mutator calls."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if not (isinstance(func, ast.Attribute)
+                and func.attr in MUTATOR_METHODS):
+            return []
+        targets: List[ast.expr] = [func.value]
+    elif isinstance(node, (ast.Assign, ast.Delete)):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return []
+    writes: List[WatchedWrite] = []
+    for target in targets:
+        elements = (target.elts if isinstance(target, (ast.Tuple, ast.List))
+                    else [target])
+        for element in elements:
+            watched = _watched_target(element)
+            if watched is not None:
+                what, on_self = watched
+                writes.append(WatchedWrite(node.lineno, node.col_offset,
+                                           what, on_self))
+    return writes
+
+
+def watched_mutations(stmt: ast.AST) -> List[WatchedWrite]:
+    """Watched writes evaluated by one statement's own header (a compound
+    statement's nested blocks are not included, see ``header_exprs``)."""
+    return [write for root in header_exprs(stmt)
+            for node in ast.walk(root) for write in _writes_at(node)]
+
+
+def is_bump_stmt(stmt: ast.AST) -> bool:
+    """A generation bump through any receiver, incl. invalidation helpers."""
+    for root in header_exprs(stmt):
+        for node in ast.walk(root):
+            if isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    if (isinstance(target, ast.Attribute)
+                            and target.attr in BUMP_ATTRS):
+                        return True
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else func.id if isinstance(func, ast.Name) else "")
+                if name in INVALIDATION_HELPERS:
+                    return True
+    return False
+
+
+def _blocks(stmt: ast.AST) -> Iterator[Tuple[bool, Sequence[ast.AST]]]:
+    """The nested statement blocks of a compound statement, each with
+    whether it starts a new scope (a nested ``def``/``class`` body runs
+    later, so no bump before it counts inside it)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        yield True, stmt.body
+        return
+    for name in ("body", "orelse", "finalbody"):
+        block = getattr(stmt, name, None)
+        if isinstance(block, list):
+            yield False, block
+    for handler in getattr(stmt, "handlers", ()):
+        yield False, [handler]
+
+
+def _unbumped_writes(block: Sequence[ast.AST],
+                     bumped: bool) -> Iterator[WatchedWrite]:
+    """``self``-rooted watched writes in ``block`` not preceded by a bump
+    statement in their own block or an enclosing one."""
+    for stmt in block:
+        if not bumped:
+            yield from (write for write in watched_mutations(stmt)
+                        if write.on_self)
+        bumped = bumped or is_bump_stmt(stmt)
+        for new_scope, nested in _blocks(stmt):
+            yield from _unbumped_writes(nested, bumped and not new_scope)
+
+
+def _imported_modules(ctx: FileContext,
+                      node: Union[ast.Import, ast.ImportFrom]) -> List[str]:
+    """Absolute dotted names an import statement may bind: each module
+    of an ``import``; for ``from M import a`` both ``M`` and ``M.a``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    parts = ctx.logical.split("/")[:-node.level] if node.level else []
+    base = ".".join(parts + ([node.module] if node.module else []))
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
 
 def _is_wtpg_expr(node: ast.AST) -> bool:
     """Does this expression (very likely) evaluate to a WTPG?
@@ -247,26 +396,44 @@ def _is_wtpg_expr(node: ast.AST) -> bool:
 
 @register_rule
 class EncapsulationRule(Rule):
-    """RL003: WTPG private state stays inside core/wtpg.py.
+    """RL003: WTPG state stays inside core/wtpg.py, which bumps first.
 
-    PR 1 made every ``_``-prefixed WTPG structure a cache-coherence
-    liability: external readers bypass the generation guards, and
-    external *writers* would corrupt them silently.  The only sanctioned
-    exception is the estimator's friend-module overlay (read-only,
-    allowlisted attribute by attribute).
+    The WTPG's caches (incremental topological order, closure memos,
+    critical-path dist) trust their generation guards only while every
+    write to a graph-defining container (:data:`WATCHED_ATTRS`) bumps a
+    counter.  Single-pass checks keep that true by construction:
+
+    * outside ``core/wtpg.py``, no ``wtpg._*`` access except the
+      estimator's allowlisted reads;
+    * outside ``core/wtpg.py``, no watched write through any receiver,
+      so the estimator's allowlist is read-only;
+    * in ``core/wtpg.py``, every ``self``-rooted watched write of a
+      ``WTPG`` method other than ``__init__`` follows a bump statement
+      in its own block or an enclosing one;
+    * ``core/wtpg.py`` contains no ``yield``/``await`` and imports
+      nothing from ``repro.engine`` or ``repro.machine``, so no other
+      coroutine can run between a bump and the writes it covers.
     """
 
     rule_id = "RL003"
-    summary = ("no wtpg._* access outside core/wtpg.py "
-               "(explicit allowlist for the estimator overlay)")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return not ctx.is_module("repro/core/wtpg.py")
+    summary = ("WTPG state stays in core/wtpg.py (read-only estimator "
+               "allowlist), whose methods bump the generation before "
+               "they write and never suspend")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
+        if ctx.is_module("repro/core/wtpg.py"):
+            yield from self._check_wtpg(ctx)
+            return
         allowed_attrs = RL003_ATTR_ALLOWLIST.get(ctx.logical, frozenset())
         allowed_imports = RL003_IMPORT_ALLOWLIST.get(ctx.logical, frozenset())
         for node in ast.walk(ctx.tree):
+            for write in (_writes_at(node) if type(node) in _WRITE_NODES
+                          else ()):
+                yield Violation(
+                    self.rule_id, ctx.display, write.line, write.col,
+                    f"write to WTPG container {write.what!r} outside "
+                    "core/wtpg.py: the graph changes only through WTPG "
+                    "methods, which bump the generation first")
             if isinstance(node, ast.Attribute):
                 if (node.attr.startswith("_")
                         and not node.attr.startswith("__")
@@ -287,6 +454,39 @@ class EncapsulationRule(Rule):
                                 f"import of private {alias.name!r} from "
                                 "repro.core.wtpg: use the public API or "
                                 "extend the RL003 allowlist")
+
+    def _check_wtpg(self, ctx: FileContext) -> Iterator[Violation]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
+                yield self.violation(
+                    ctx, node,
+                    "suspension point in core/wtpg.py: WTPG methods run "
+                    "to completion, which is what lets them bump the "
+                    "generation before writing")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for module in _imported_modules(ctx, node):
+                    if any(module == package or module.startswith(package + ".")
+                           for package in _SUSPENDING_PACKAGES):
+                        yield self.violation(
+                            ctx, node,
+                            f"import of {module} in core/wtpg.py: the WTPG "
+                            "must not depend on the engine or machine "
+                            "layers, where code can suspend")
+                        break
+        for cls in ctx.tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name == "WTPG"):
+                continue
+            for method in cls.body:
+                if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and method.name != "__init__"):
+                    for write in _unbumped_writes(method.body, False):
+                        yield Violation(
+                            self.rule_id, ctx.display, write.line, write.col,
+                            f"WTPG.{method.name} writes self.{write.what} "
+                            "before bumping the generation: put "
+                            "self._generation / self._structure_gen += 1 "
+                            "(or self._note_edge_weight) first, in this "
+                            "block or an enclosing one")
 
 
 # ---------------------------------------------------------------------------

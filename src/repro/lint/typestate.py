@@ -2,7 +2,7 @@
 
 The fourth analysis layer.  The first three answer progressively wider
 questions — syntactic shape (RL001–RL005), intraprocedural order
-(RL007), interprocedural reachability (RL009, RL010, RL012) — but none of
+(RL007), interprocedural reachability (RL009, RL012) — but none of
 them states the thing the paper's correctness argument is actually made
 of: *object lifecycles*.  A lock declaration is registered at admission
 and released or handed to the WTPG on every path; a BAT is admitted,

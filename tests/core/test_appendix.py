@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ChainPair, optimise_chain
-from repro.core.appendix import (Triplet, appendix_shortest_critical_path,
-                                 from_chain)
 from repro.core.chain_opt import brute_force_chain
 from repro.errors import WTPGError
+from tests.oracles.appendix import (Triplet, appendix_shortest_critical_path,
+                                    from_chain)
 
 
 def solve(r, weights):

@@ -20,14 +20,15 @@ BAD_SOURCE = (
 )
 
 
-def test_registry_holds_the_twelve_documented_rules():
-    # RL002 (WTPG generation bumps) was folded into RL010.  RL008 and
-    # RL011 (stream escape) were retired once RandomStreams stopped
+def test_registry_holds_the_eleven_documented_rules():
+    # RL002 and RL010 (WTPG generation bumps) were retired once the WTPG
+    # bumped before it writes: RL003 checks that syntactically.  RL008
+    # and RL011 (stream escape) were retired once RandomStreams stopped
     # handing out generators (RL001 bans reaching for one), and RL015
     # (WTPG node lifecycle) for its runtime twin, WTPGError.
     assert [rule.rule_id for rule in all_rules()] == [
         "RL001", "RL003", "RL004", "RL005", "RL006",
-        "RL007", "RL009", "RL010", "RL012",
+        "RL007", "RL009", "RL012",
         "RL013", "RL014", "RL016"]
     assert all(rule.summary for rule in all_rules())
 
@@ -54,8 +55,7 @@ def test_json_report_schema():
     assert payload["files_checked"] == 1
     assert payload["rules"] == ["RL001", "RL003", "RL004",
                                 "RL005", "RL006", "RL007", "RL009",
-                                "RL010", "RL012", "RL013",
-                                "RL014", "RL016"]
+                                "RL012", "RL013", "RL014", "RL016"]
     assert len(payload["violations"]) == 1
     entry = payload["violations"][0]
     assert set(entry) == {"rule", "file", "line", "col", "message"}
@@ -112,14 +112,15 @@ def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("RL001", "RL003", "RL004", "RL005", "RL006",
-                    "RL007", "RL009", "RL010", "RL012",
+                    "RL007", "RL009", "RL012",
                     "RL013", "RL014", "RL016"):
         assert rule_id in out
     assert "RL008" not in out
     assert "RL011" not in out
     assert "RL002" not in out
+    assert "RL010" not in out
     assert "RL015" not in out
-    assert len(out.splitlines()) == 12
+    assert len(out.splitlines()) == 11
 
 
 def test_cli_skips_pycache_directories(tmp_path, capsys):
@@ -156,7 +157,8 @@ def test_cli_rule_filters_reject_unknown_ids(capsys):
 
 
 def test_rl002_has_teeth_against_the_real_wtpg():
-    """Strip the generation bumps from the real WTPG and RL010 fires.
+    """Strip the generation bumps from the real WTPG and RL003 fires at
+    every write of the six mutators that write the watched containers.
 
     This proves the rule analyses the production module (not a toy
     grammar): removing invariant 7's write barrier is caught statically.
@@ -168,8 +170,12 @@ def test_rl002_has_teeth_against_the_real_wtpg():
     assert stripped != source, "expected generation bumps in wtpg.py"
     violations = LintRunner().check_source(
         stripped, display=str(path), logical="repro/core/wtpg.py")
-    rl002 = [v for v in violations if v.rule_id == "RL010"]
-    assert rl002, "RL010 must catch stripped generation bumps"
+    rl002 = [v for v in violations if v.rule_id == "RL003"]
+    assert len(rl002) == 24, "RL003 must catch stripped generation bumps"
+    assert {v.message.split()[0] for v in rl002} == {
+        "WTPG.add_transaction", "WTPG.remove_transaction",
+        "WTPG.set_source_weight", "WTPG.decrement_source",
+        "WTPG.ensure_pair", "WTPG.resolve"}
 
 
 def test_rl007_has_teeth_against_the_real_wtpg():

@@ -139,13 +139,13 @@ def test_rl007_mutation_after_guard_re_dirties_the_caches():
         class WTPG:
             def add_edge(self, u, v):
                 self._ensure_topo()
-                self._succ[u].add(v)
                 self._generation += 1
+                self._succ[u].add(v)
                 return self._topo_order
     """
     violations = lint(source, "repro/core/wtpg.py")
-    # RL010 stays quiet (the mutation is bumped); RL007 flags the read
-    # because neither the mutation nor the bump re-certifies the memo.
+    # RL003 stays quiet (the write is bumped first); RL007 flags the read
+    # because neither the bump nor the write re-certifies the memo.
     assert rule_ids(violations) == ["RL007"]
     assert "_topo_order" in violations[0].message
 

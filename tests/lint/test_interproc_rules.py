@@ -1,4 +1,5 @@
-"""Fixture tests for the interprocedural rules RL009, RL010 and RL012.
+"""Fixture tests for the interprocedural rules RL009 and RL012, and for
+the RL010 fixtures that RL003 now answers.
 
 Single-file fixtures go through ``check_source`` (which builds a
 one-file project); cross-module facts go through ``check_sources`` so
@@ -14,8 +15,7 @@ import textwrap
 from pathlib import Path
 
 from repro.lint import LintRunner
-from repro.lint.model import FileContext
-from repro.lint.project import Project
+from repro.lint.rules import watched_mutations
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -147,7 +147,13 @@ def test_rl009_cross_module_may_yield_call():
     assert violations[0].file == "<fixture:repro/machine/node.py>"
 
 
-# -- RL010: un-bumped watched mutation across a yield --------------------------
+# -- RL010 fixtures, answered by RL003 -----------------------------------------
+#
+# RL010 tracked a watched-container mutation to the next yield point or
+# WTPG method exit without a generation bump.  Writes now happen only in
+# core/wtpg.py, whose methods bump first and never suspend; RL003 flags
+# any other write at the write itself, with or without a yield after it.
+# The fixtures keep their names.
 
 RL010_BAD_DIRECT = """\
     class Builder:
@@ -168,55 +174,33 @@ RL010_BAD_VIA_CALL = """\
             self._generation += 1
 """
 
-RL010_GOOD_BUMP_FIRST = """\
-    class Builder:
-        def flow(self, env, key):
-            self._pairs[key] = 1.0
-            self._generation += 1
-            yield env.timeout(1)
-"""
-
-RL010_GOOD_MUST_BUMP_CALLEE = """\
-    class Builder:
-        def raw(self, key):
-            self._pairs[key] = 1.0
-            self._generation += 1
-
-        def flow(self, env, key):
-            self.raw(key)
-            yield env.timeout(1)
-"""
-
 
 def test_rl010_flags_mutation_reaching_yield():
     violations = lint(RL010_BAD_DIRECT, "repro/machine/builder.py")
-    assert rule_ids(violations) == ["RL010"]
-    assert violations[0].line == 3  # reported at the mutation site
+    assert rule_ids(violations) == ["RL003"]
+    assert (violations[0].line, violations[0].col) == (3, 8)
 
 
 def test_rl010_flags_unbumped_callee_mutation():
     violations = lint(RL010_BAD_VIA_CALL, "repro/machine/builder.py")
-    assert rule_ids(violations) == ["RL010"]
-    assert "Builder.raw()" in violations[0].message
-
-
-def test_rl010_clean_shapes():
-    for source in (RL010_GOOD_BUMP_FIRST, RL010_GOOD_MUST_BUMP_CALLEE):
-        assert lint(source, "repro/machine/builder.py") == []
+    assert rule_ids(violations) == ["RL003"]
+    # Reported in the callee, where the write is, not at the call.
+    assert (violations[0].line, violations[0].col) == (3, 8)
+    assert "'_pairs' outside core/wtpg.py" in violations[0].message
 
 
 def test_rl010_applies_to_core_too():
-    assert "RL010" in rule_ids(
-        lint(RL010_BAD_DIRECT, "repro/core/builder.py"))
+    assert rule_ids(lint(RL010_BAD_DIRECT, "repro/core/builder.py")) == [
+        "RL003"]
 
 
-# -- RL010 on the WTPG's own methods (the former RL002) ------------------------
+# -- RL010 on the WTPG's own methods, answered by RL003 bump-first -------------
 #
-# RL002 was folded into RL010.  Each list below is the (line, col) list the
-# standalone RL002 reported on the same fixture; RL010 must reproduce it,
-# with RL002's messages.  The corpus includes the two shapes where the
-# CFG analysis is stricter than the statement walker RL002 replaced:
-# ``continue`` and ``break`` skipping the bump.
+# A ``self``-rooted watched write in a WTPG method must follow a bump in
+# its own block or an enclosing one.  Every bump-last shape below is a
+# finding, including the two the former exit analysis also caught
+# (``loop_leak``, ``with_return``); ``BUMP_FIRST_ZOO`` shows the block
+# scoping that makes a bump count.
 
 WTPG_SOURCE = (REPO / "src" / "repro" / "core" / "wtpg.py").read_text()
 
@@ -236,7 +220,7 @@ CONTROL_FLOW_ZOO = """\
                 self._source[tid] = 1.0
             except KeyError:
                 self._generation += 1
-            self._invalidate_caches()
+            self._note_edge_weight(tid)
 
         def with_return(self, tid, guard):
             with guard:
@@ -251,6 +235,46 @@ CONTROL_FLOW_ZOO = """\
                     self._generation += 1
                     return tid
             self._structure_gen += 1
+"""
+
+BUMP_FIRST_ZOO = """\
+    class WTPG:
+        def enclosing(self, tids):
+            self._generation += 1
+            for tid in tids:
+                if tid:
+                    self._succ[tid].add(tid)
+
+        def helper(self, tid):
+            self._note_edge_weight(tid)
+            self._source[tid] = 1.0
+
+        def sibling(self, tid, flag):
+            if flag:
+                self._generation += 1
+                self._pred[tid] = ()
+            else:
+                self._pred[tid] = ()
+
+        def handler(self, tid):
+            try:
+                self._structure_gen += 1
+            except KeyError:
+                self._sink[tid] = 0.0
+            finally:
+                self._sink.pop(tid)
+
+        def closure(self, tid):
+            self._generation += 1
+
+            def later():
+                self._unresolved.clear()
+            return later
+
+        def copy(self):
+            clone = WTPG()
+            clone._pairs = dict(self._pairs)
+            return clone
 """
 
 CONTINUE_SKIPS_THE_BUMP = """\
@@ -273,34 +297,39 @@ BREAK_BYPASSES_THE_ELSE = """\
                 self._generation += 1
 """
 
-_NEVER_BUMPS = ("on a path that never bumps the generation counter "
-                "(self._generation / self._structure_gen or an "
-                "invalidation helper)")
-
 
 def wtpg_findings(source):
-    """(line, col) of RL010's return/exit findings on a wtpg.py fixture."""
+    """(line, col) of RL003's findings on a wtpg.py fixture."""
     violations = LintRunner().check_source(
         textwrap.dedent(source), display="<fixture>",
         logical="repro/core/wtpg.py")
-    assert all(v.rule_id == "RL010" for v in violations)
+    assert all(v.rule_id == "RL003" for v in violations)
     return [(v.line, v.col) for v in violations]
 
 
 def test_rl010_wtpg_corpus_matches_former_rl002():
-    assert wtpg_findings(CONTROL_FLOW_ZOO) == [(9, 12), (21, 12)]
+    assert wtpg_findings(CONTROL_FLOW_ZOO) == [
+        (4, 12), (9, 12), (13, 12), (20, 12), (26, 16)]
     violations = lint(CONTROL_FLOW_ZOO, "repro/core/wtpg.py")
-    assert [v.message for v in violations] == [
-        "WTPG.loop_leak mutates self._pairs " + _NEVER_BUMPS,
-        "WTPG.with_return returns after mutating self._sink without "
-        "bumping the generation counter"]
+    assert violations[1].message == (
+        "WTPG.loop_leak writes self._pairs before bumping the generation: "
+        "put self._generation / self._structure_gen += 1 (or "
+        "self._note_edge_weight) first, in this block or an enclosing one")
+
+
+def test_rl003_bump_counts_in_its_own_and_enclosing_blocks_only():
+    # sibling's else branch, the except and finally bodies (the try body
+    # may raise before its bump) and a nested def (it runs later) are
+    # not covered; copy() fills a fresh clone, not self.
+    assert wtpg_findings(BUMP_FIRST_ZOO) == [
+        (17, 12), (23, 12), (25, 12), (31, 12)]
 
 
 def test_rl010_continue_skipping_the_bump_is_a_leak():
     violations = lint(CONTINUE_SKIPS_THE_BUMP, "repro/core/wtpg.py")
     assert [(v.line, v.col) for v in violations] == [(5, 16)]
-    assert violations[0].message == (
-        "WTPG.poke mutates self._unresolved " + _NEVER_BUMPS)
+    assert violations[0].message.startswith(
+        "WTPG.poke writes self._unresolved before bumping")
 
 
 def test_rl010_break_bypassing_the_loop_else_is_a_leak():
@@ -310,42 +339,43 @@ def test_rl010_break_bypassing_the_loop_else_is_a_leak():
 
 
 def test_rl010_real_wtpg_is_clean_and_copy_stays_silent():
-    """``WTPG.copy()`` fills a fresh clone's containers, so it is the one
-    may-leave-unbumped function in the real module; the return/exit
-    check is self-rooted and stays silent on it."""
+    """``WTPG.copy()`` fills a fresh clone's containers without a bump;
+    the bump-first check is ``self``-rooted and stays silent on it."""
     assert wtpg_findings(WTPG_SOURCE) == []
-    project = Project([FileContext(
-        "<wtpg>", "repro/core/wtpg.py", WTPG_SOURCE,
-        ast.parse(WTPG_SOURCE))])
-    unbumped = [fid[1] for fid in project.callgraph.functions
-                if project.summary(fid).may_leave_unbumped]
-    assert unbumped == ["WTPG.copy"]
+    tree = ast.parse(WTPG_SOURCE)
+    [copy] = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "copy"]
+    writes = [write for stmt in ast.walk(copy) if isinstance(stmt, ast.stmt)
+              for write in watched_mutations(stmt)]
+    assert len(writes) == 8
+    assert not any(write.on_self for write in writes)
 
 
 # Line numbers are those of the committed core/wtpg.py: an edit there
 # that moves these methods re-pins the two lists below.
 
 def test_rl010_real_wtpg_with_generation_bumps_stripped_matches_rl002():
+    """Where a ``_structure_gen`` bump still leads, the writes stay
+    covered; the weight setters and ``ensure_pair`` bump only
+    ``_generation``."""
     stripped = re.sub(r"^(\s*)self\._generation \+= 1$", r"\1pass",
                       WTPG_SOURCE, flags=re.MULTILINE)
     assert stripped != WTPG_SOURCE
     assert wtpg_findings(stripped) == [
-        (249, 12), (258, 12), (279, 8), (279, 8), (279, 8), (279, 8)]
+        (253, 12), (262, 12), (278, 12), (279, 12), (280, 12), (281, 12)]
 
 
 def test_rl010_real_wtpg_with_all_bumps_stripped():
-    """RL002's list plus (214, 21): the ``for other in
-    self._neighbors.pop(tid)`` header of ``remove_transaction`` mutates
-    the graph, and RL002's statement-level recogniser never looked into
-    compound-statement headers."""
+    """Every write site of the mutators, including the ``for other in
+    self._neighbors.pop(tid)`` header of ``remove_transaction`` (219, 21)."""
     stripped = WTPG_SOURCE.replace("self._generation += 1", "pass").replace(
         "self._structure_gen += 1", "pass")
     assert wtpg_findings(stripped) == [
-        (196, 8), (197, 8), (198, 8), (199, 8), (200, 8),
-        (212, 8), (213, 8), (214, 21), (215, 12), (216, 12), (217, 12),
-        (219, 12), (220, 12), (221, 8), (222, 8), (249, 12), (258, 12),
-        (279, 8), (279, 8), (279, 8), (279, 8), (320, 8), (321, 8),
-        (322, 8)]
+        (201, 8), (202, 8), (203, 8), (204, 8), (205, 8),
+        (217, 8), (218, 8), (219, 21), (220, 12), (221, 12), (222, 12),
+        (224, 12), (225, 12), (226, 8), (227, 8), (253, 12), (262, 12),
+        (278, 12), (279, 12), (280, 12), (281, 12), (325, 8), (326, 8),
+        (327, 8)]
 
 
 # -- RL011 fixtures, answered by RL001 -----------------------------------------

@@ -22,4 +22,4 @@ def test_prints_one_row_per_registered_rule():
     rows = re.findall(r"^(RL\d{3}): +[\d.]+ ms +[\d.]+% of the full run$",
                       out, flags=re.MULTILINE)
     assert rows == [rule.rule_id for rule in all_rules()]
-    assert len(rows) == 12
+    assert len(rows) == 11

@@ -158,10 +158,11 @@ def test_rl001_teeth_on_real_cluster():
     assert [(v.rule_id, v.line) for v in violations] == [("RL001", line)]
 
 
-# -- RL002 (now part of RL010): generation-counter coherence -----------------
+# -- RL002 fixtures, answered by RL003's bump-first check ----------------------
 #
-# RL002 was folded into RL010; these fixtures keep their names and pin the
-# (line, col) findings RL002 gave, now reported as RL010.
+# RL002 (then RL010) required a generation bump on every path to a
+# WTPG method's exit.  The WTPG now bumps *before* it writes, and RL003
+# checks that syntactically; these fixtures keep their names.
 
 RL002_BAD = """\
     class WTPG:
@@ -186,14 +187,14 @@ RL002_GOOD = """\
             self._generation = 0
 
         def add_transaction(self, tid, weight):
-            self._source[tid] = weight
             self._generation += 1
+            self._source[tid] = weight
 
         def remove_transaction(self, tid):
             if tid not in self._source:
                 raise KeyError(tid)
-            del self._source[tid]
             self._note_edge_weight(tid)
+            del self._source[tid]
 
         def peek(self, tid):
             return self._source[tid]
@@ -202,12 +203,12 @@ RL002_GOOD = """\
 
 def test_rl002_fires_on_unbumped_mutations():
     violations = lint(RL002_BAD, "repro/core/wtpg.py")
-    assert rule_ids(violations) == ["RL010", "RL010"]
-    # One open mutation reaches the end of add_transaction; the other
-    # escapes through the bump-free else path into the return.
-    assert [(v.line, v.col) for v in violations] == [(7, 8), (13, 8)]
-    assert "add_transaction" in violations[0].message
-    assert "resolve" in violations[1].message
+    assert rule_ids(violations) == ["RL003", "RL003"]
+    # Both writes come before any bump; ``__init__`` builds, so its
+    # writes are exempt.
+    assert [(v.line, v.col) for v in violations] == [(7, 8), (10, 8)]
+    assert "WTPG.add_transaction writes self._source" in violations[0].message
+    assert "WTPG.resolve writes self._succ" in violations[1].message
 
 
 def test_rl002_silent_when_every_path_bumps_or_raises():
@@ -215,7 +216,12 @@ def test_rl002_silent_when_every_path_bumps_or_raises():
 
 
 def test_rl002_only_applies_to_the_real_wtpg_module():
-    assert lint(RL002_BAD, "repro/core/other.py") == []
+    """Outside core/wtpg.py there is no bump-first check to pass: every
+    watched write is a finding, ``__init__`` and bumps included."""
+    violations = lint(RL002_GOOD, "repro/core/other.py")
+    assert [(v.rule_id, v.line) for v in violations] == [
+        ("RL003", 3), ("RL003", 8), ("RL003", 14)]
+    assert all("outside core/wtpg.py" in v.message for v in violations)
 
 
 # -- RL003: encapsulation -----------------------------------------------------
@@ -256,6 +262,74 @@ def test_rl003_estimator_allowlist():
             return wtpg._unresolved
     """
     assert rule_ids(lint(beyond, "repro/core/estimator.py")) == ["RL003"]
+
+
+def test_rl003_estimator_allowlist_is_read_only():
+    """An allowlisted attribute may be read, never written, even in a
+    function with no yield point."""
+    source = """\
+        def poke(wtpg, a, b):
+            wtpg._succ[a].add(b)
+            wtpg._source[a] = 0.0
+            del wtpg._pairs[a]
+    """
+    violations = lint(source, "repro/core/estimator.py")
+    assert [(v.rule_id, v.line, v.col) for v in violations] == [
+        ("RL003", 2, 4), ("RL003", 3, 4), ("RL003", 4, 4)]
+    assert "write to WTPG container '_succ'" in violations[0].message
+
+
+def test_rl003_flags_writes_through_any_receiver_and_tuple_targets():
+    source = """\
+        class Helper:
+            def fill(self, plane, a, b):
+                plane.graph._neighbors[a].discard(b)
+                self._pred, other = {}, {}
+                return self._succ.get(a)
+    """
+    violations = lint(source, "repro/machine/helper.py")
+    assert [(v.line, v.col) for v in violations] == [(3, 8), (4, 8)]
+
+
+def test_rl003_teeth_on_a_real_wtpg_bump_moved_below_its_writes():
+    source = (REPO / "src/repro/core/wtpg.py").read_text(encoding="utf-8")
+    first = ("        if value != self._source[tid]:\n"
+             "            self._generation += 1\n"
+             "            self._source[tid] = value\n")
+    last = ("        if value != self._source[tid]:\n"
+            "            self._source[tid] = value\n"
+            "            self._generation += 1\n")
+    assert source.count(first) == 2, "expected bump-first weight setters"
+    broken = source.replace(first, last, 1)
+    violations = lint(broken, "repro/core/wtpg.py")
+    line = broken.splitlines().index("            self._source[tid] = value")
+    assert [(v.rule_id, v.line) for v in violations] == [("RL003", line + 1)]
+    assert "WTPG.set_source_weight writes self._source" in violations[0].message
+
+
+def test_rl003_wtpg_must_not_suspend():
+    yields = """\
+        class WTPG:
+            def drain(self):
+                yield self._generation
+    """
+    violations = lint(yields, "repro/core/wtpg.py")
+    assert [(v.rule_id, v.line) for v in violations] == [("RL003", 3)]
+    assert "suspension point" in violations[0].message
+    imports = """\
+        from repro.engine import Environment
+        from ..machine import shard
+        import repro.engine.core
+        from repro import engine
+        from repro.errors import WTPGError
+    """
+    violations = lint(imports, "repro/core/wtpg.py")
+    assert [(v.rule_id, v.line) for v in violations] == [
+        ("RL003", 1), ("RL003", 2), ("RL003", 3), ("RL003", 4)]
+    assert "import of repro.machine in core/wtpg.py" in violations[1].message
+    # Elsewhere, yields and engine imports are none of RL003's business.
+    assert lint(yields.replace("self._generation", "1"),
+                "repro/core/other.py") == []
 
 
 # -- RL004: float equality ----------------------------------------------------

@@ -2,9 +2,13 @@
 
 The simulator ships one implementation per job.  Where that
 implementation is an optimisation — the data node's pre-played quantum
-windows, the copy-free E(q) overlay, the self-compacting dependency
-log, the one-event CPU hold — the literal version it must equal lives here, outside ``src/``:
+windows, the Pareto chain DP, the copy-free E(q) overlay, the
+self-compacting dependency log, the one-event CPU hold — the literal
+version it must equal lives here, outside ``src/``:
 
+* :mod:`tests.oracles.appendix` — the paper's Lcomp/Rcomp chain optimiser
+  (:func:`appendix_shortest_critical_path`, :func:`from_chain`), held
+  equal to :func:`repro.core.chain_opt.optimise_chain`;
 * :mod:`tests.oracles.control_log` — the append-only dependency log
   (:class:`FullDependencyLog`, :func:`full_log_differential`);
 * :mod:`tests.oracles.cpu` — the request/timeout/release CPU charge

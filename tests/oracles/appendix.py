@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.chain_opt import ChainPair
-
 from repro.errors import WTPGError
 
 

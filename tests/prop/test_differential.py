@@ -11,7 +11,6 @@
 import random
 
 from repro.core import WTPG
-from repro.core.appendix import appendix_shortest_critical_path, from_chain
 from repro.core.chain import chain_components
 from repro.core.chain_opt import ChainPair
 from repro.core.estimator import estimate_contention
@@ -19,6 +18,7 @@ from repro.core.schedulers import make_scheduler
 from repro.core.transaction import Step, TransactionRuntime, TransactionSpec
 from repro.engine.rng import derive_seed
 from tests.oracles import estimate_reference
+from tests.oracles.appendix import appendix_shortest_critical_path, from_chain
 from tests.prop.gen import MASTER_SEED
 
 NUM_CHAIN_CASES = 200
