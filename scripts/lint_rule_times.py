@@ -11,8 +11,9 @@ every file it applies to, and then times one complete ``LintRunner``
 run.  Medians are printed; each rule's share is relative to the
 complete run.  The rule times include each rule's ``applies_to`` calls
 but not suppression handling, so shared + rules can exceed the full
-run.  Garbage is collected before the rule timings so one rule does
-not pay for another's allocations.
+run.  Garbage is collected before the shared phase and before the rule
+timings, so no phase pays for another's (or the previous repeat's)
+allocations.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ def main() -> None:
     full: List[float] = []
     per_rule: Dict[str, List[float]] = {rule.rule_id: [] for rule in rules}
     for _ in range(args.repeats):
+        gc.collect()
         start = time.perf_counter()
         contexts = [FileContext(display, logical, source, ast.parse(source))
                     for display, logical, source in entries]
@@ -58,6 +60,9 @@ def main() -> None:
         start = time.perf_counter()
         LintRunner().check_sources(entries)
         full.append(time.perf_counter() - start)
+        # Free this repeat's parse and project before the next shared
+        # phase starts its timer.
+        del contexts, project
     full_s = statistics.median(full)
     print(f"{len(entries)} files, {args.repeats} repeats (medians)")
     print(f"parse + project build: {statistics.median(shared):.3f} s")

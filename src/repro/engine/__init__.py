@@ -13,21 +13,19 @@ derives independent named substreams from a single integer seed.
 Public surface::
 
     from repro.engine import Environment, Event, Timeout, Process
-    from repro.engine import Resource
     from repro.engine import RandomStreams
 
     env = Environment()
 
-    def worker(env, resource):
-        yield resource.hold(5)     # take a unit for 5, then return it
-        yield env.timeout(1)
+    def worker(env):
+        yield env.timeout(5)           # relative delay
+        yield env.timeout_until(8)     # absolute instant, exactly
 
-    env.process(worker(env, Resource(env, capacity=1)))
+    env.process(worker(env))
     env.run(until=100)
 """
 
 from repro.engine.core import Environment, Event, Process, Timeout, AllOf
-from repro.engine.resources import Resource
 from repro.engine.rng import RandomStreams
 
 __all__ = [
@@ -36,6 +34,5 @@ __all__ = [
     "Event",
     "Process",
     "RandomStreams",
-    "Resource",
     "Timeout",
 ]

@@ -41,7 +41,7 @@ EXP2_ORDERINGS: Dict[int, Tuple[str, ...]] = {
     32: ("K2", "CHAIN"),
 }
 
-#: Resource congestion of C2PL at NumHots = 16/32 ≈ 70 %.
+#: C2PL's resource congestion at NumHots = 16/32 ≈ 70 %.
 EXP2_C2PL_CONGESTION: float = 0.70
 
 # -- Experiment 3 (Figure 9) -------------------------------------------------------

@@ -759,14 +759,15 @@ def _t(**transitions: Sequence[str]) -> Dict[str, FrozenSet[str]]:
 _HOLD = _t(free=("held",), held=("held",))
 _FREE = _t(free=("free",), held=("free",))
 
-#: RL006 — lock declarations and engine resource grants.  ``register``
+#: RL006 — lock declarations and counted-resource grants.  ``register``
 #: opens a declaration in the LockTable; ``unregister`` (reject/abort)
 #: or the hand-over into/out of the WTPG admission path
 #: (``builder.add_transaction``/``remove_transaction``) closes it.
-#: ``request``/``release`` is the engine Resource grant (a
-#: ``Resource.hold``, the control node's CPU charge, returns its unit
-#: itself).  Every operation is legal in every state: the protocol's
-#: only check is the exit obligation.
+#: ``request``/``release`` is the grant and return of a counted
+#: resource unit; no code in ``src/`` claims one since the control
+#: node's CPU charges became closed-form (``ControlShard.charge``).
+#: Every operation is legal in every state: the protocol's only check is
+#: the exit obligation.
 LOCK_PROTOCOL = ProtocolSpec(
     name="lock lifecycle",
     states=("free", "held"),

@@ -71,8 +71,9 @@ declared weights.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Generator, List, Optional, Set,
-                    Tuple)
+from collections import deque
+from typing import (Any, Callable, Deque, Dict, Generator, List, Optional,
+                    Set, Tuple)
 
 from repro.config import SimulationParameters
 from repro.core.history import History
@@ -81,7 +82,7 @@ from repro.core.schedulers.base import (AdmissionResponse, Decision,
                                         merge_admission_responses)
 from repro.core.transaction import (LockMode, Step, TransactionRuntime,
                                     TransactionSpec)
-from repro.engine import Environment, Event, Resource
+from repro.engine import Environment, Event
 from repro.errors import FaultError, FaultPlanError, SchedulerError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import RetryPolicy
@@ -119,7 +120,13 @@ def declustered_shares(cost: float, n: int) -> List[float]:
 
 
 class ControlShard:
-    """One control node of the plane: CPU, scheduler, optional log."""
+    """One control node of the plane: CPU, scheduler, optional log.
+
+    The CPU is a capacity-1 FIFO server.  Every charge knows its service
+    time when it is claimed, so it is granted in closed form at
+    ``max(now, free_at)`` and costs one heap entry, its end (see
+    :meth:`charge`).
+    """
 
     def __init__(self, shard_id: int, env: Environment,
                  scheduler: Scheduler, logged: bool) -> None:
@@ -127,9 +134,14 @@ class ControlShard:
         self.env = env
         self.scheduler: Optional[Scheduler] = scheduler
         self.log = DependencyLog(shard_id) if logged else None
-        self.cpu = Resource(env, capacity=1)
         self.crashed = False
         self.crashed_at = 0.0
+        # The CPU: the end instants of the charges not yet folded into
+        # the busy integral, in FIFO order (the last is the instant the
+        # CPU frees), and the instant the integral has been summed to.
+        self._ends: Deque[float] = deque()
+        self._busy = 0.0
+        self._busy_from = env.now
 
     @property
     def live(self) -> Scheduler:
@@ -138,10 +150,51 @@ class ControlShard:
             raise SchedulerError(f"CN {self.shard_id} is down")
         return self.scheduler
 
+    def charge(self, cost: float) -> Event:
+        """Occupy this shard's CPU for ``cost`` clocks, FIFO.
+
+        Returns the event that fires when the charge ends.  It starts at
+        ``max(now, free_at)``, and its end entry carries that start as its
+        sort time, the key a grant followed by ``timeout(cost)`` would
+        give it.  Ends tying on ``(when, sort_time)`` fire in claim order.
+        A zero cost still claims its place in the queue; callers that do
+        not want to wait for the queue skip it.
+        """
+        if cost < 0:
+            raise ValueError(f"negative CPU charge: {cost!r}")
+        now = self.env.now
+        ends = self._settle(now)
+        if ends:
+            start = ends[-1]
+        else:
+            start = self._busy_from = now
+        end = start + cost
+        ends.append(end)
+        return self.env.timeout_until(end, sort_time=start)
+
+    def _settle(self, now: float) -> Deque[float]:
+        """Fold every charge ended by ``now`` into the busy integral, one
+        ``end - start`` term each in FIFO order; returns the rest."""
+        ends = self._ends
+        while ends and ends[0] <= now:
+            end = ends.popleft()
+            self._busy += end - self._busy_from
+            self._busy_from = end
+        return ends
+
+    def busy_time(self) -> float:
+        """CPU busy time so far, pro-rating the charge in service."""
+        now = self.env.now
+        if self._settle(now):
+            self._busy += now - self._busy_from
+            self._busy_from = now
+        return self._busy
+
     def cpu_work(self, cost: float) -> Generator[Event, Any, None]:
-        """Occupy this shard's CPU for ``cost`` clocks (FIFO queueing)."""
+        """One participant's share of a parallel charge, run as its own
+        process (see ``ControlPlane._admit`` and ``_commit``)."""
         if cost > 0:
-            yield self.cpu.hold(cost)
+            yield self.charge(cost)
 
     def crash(self, now: float) -> None:
         """Lose the volatile scheduler state; only the log survives."""
@@ -153,7 +206,7 @@ class ControlShard:
         """Fraction of ``elapsed`` during which this CN's CPU was busy."""
         if elapsed <= 0:
             return 0.0
-        return self.cpu.busy_time() / elapsed
+        return self.busy_time() / elapsed
 
 
 class ControlPlane:
@@ -474,10 +527,14 @@ class ControlPlane:
                     # engine step that reorders same-instant events, so
                     # either way used for both changes the pinned 1-CN or
                     # multi-CN golden runs.
-                    yield from self.shards[0].cpu_work(response.cpu_cost)
+                    if response.cpu_cost > 0:
+                        yield self.shards[0].charge(response.cpu_cost)
                 else:
                     # Each shard spends its own cost on its own CPU, in
-                    # parallel.
+                    # parallel, each in a process of its own.  The charge
+                    # needs no process; the process end is an event that
+                    # orders same-instant events, and yielding the
+                    # charges directly moves multi-CN response times.
                     costed = [env.process(self.shards[sid].cpu_work(
                                   responses[sid].cpu_cost))
                               for sid in sids if responses[sid].cpu_cost > 0]
@@ -506,7 +563,8 @@ class ControlPlane:
         # on, before the startup CPU window, during which a doomed
         # predecessor's abort may already fan out to us.
         self._running.add(txn.tid)
-        yield from self.shards[home].cpu_work(self.params.startup_time)
+        if self.params.startup_time > 0:
+            yield self.shards[home].charge(self.params.startup_time)
         txn.start_time = self.env.now
         self.active_transactions += 1
         if traced:
@@ -558,7 +616,7 @@ class ControlPlane:
     def _acquire(self, txn: TransactionRuntime, sid: int,
                  sub: TransactionRuntime, planned_abort: Optional[int],
                  traced: bool) -> Generator[Event, Any, Optional[str]]:
-        """Request the current step's lock from its shard until granted.
+        """Ask the current step's shard for its lock until granted.
 
         Returns None once granted, else the abort cause.  BLOCK/DELAY
         responses, and a down shard, are retried after the retry delay.
@@ -582,7 +640,8 @@ class ControlPlane:
                                        ())
                     shard.log.append_grant(txn.tid, sub.current_step,
                                            env.now, resolved)
-                yield from shard.cpu_work(response.cpu_cost)
+                if response.cpu_cost > 0:
+                    yield shard.charge(response.cpu_cost)
                 if response.granted:  # repro-lint: disable=RL009 -- the grant decision is made atomically inside request_lock() and is binding; the CPU yield models the cost of computing it, not a revalidation window
                     return None
                 if response.decision is Decision.ABORT:
@@ -645,13 +704,15 @@ class ControlPlane:
                 yield env.timeout(self.params.retry_delay)
                 continue
             if len(sids) > 1:
+                # One process per participant, as in _admit and for the
+                # same reason: its end orders same-instant events.
                 for _ in range(2):  # prepare, then commit
                     yield env.all_of([
                         env.process(self.shards[sid].cpu_work(commit_time))
                         for sid in sids])
                     self.metrics.record_2pc_round()
-            else:
-                yield from self.shards[sids[0]].cpu_work(commit_time)
+            elif commit_time > 0:
+                yield self.shards[sids[0]].charge(commit_time)
             if any(self.shards[sid].crashed for sid in sids):
                 continue  # a participant died mid-commit: block
             # Apply + log the commit atomically (no yields): a crash can

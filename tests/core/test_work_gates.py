@@ -11,7 +11,10 @@ Counts, not timings, so they hold on any host:
   rest of the active set;
 * a control-node CPU charge resumes the coordinator once (at its end),
   not also at the grant: on a light-load bulk scan a BAT makes five
-  charges, and the engine resumes about 13 generators per commit.
+  charges, and the engine resumes about 13 generators per commit;
+* a control-node CPU charge is one heap entry (its end, pushed at the
+  claim), not also a marker at the grant: the engine schedules about
+  15 entries per commit on the same run.
 """
 
 from collections import Counter
@@ -141,3 +144,19 @@ def test_cpu_charges_resume_the_coordinator_once():
     assert commits > 50
     assert resumes["calls"] / commits <= MAX_RESUMES_PER_COMMIT, (
         resumes["calls"], commits)
+
+
+#: Heap entries (schedule order draws) per commit on
+#: :func:`scan_window_run`: 14.86 with closed-form CPU charges, 19.86
+#: when each charge also pushed a marker at its grant.
+MAX_HEAP_ENTRIES_PER_COMMIT = 15.0
+
+
+def test_cpu_charges_push_one_heap_entry():
+    cluster = scan_window_run()
+    result = cluster.run()
+    commits = result.metrics.commits
+    assert commits > 50
+    entries = next(cluster.env._seq)
+    assert entries / commits <= MAX_HEAP_ENTRIES_PER_COMMIT, (
+        entries, commits)

@@ -6,7 +6,8 @@ from itertools import count
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import Environment, Resource
+from repro.engine import Environment
+from tests.oracles.cpu import Resource
 
 
 @st.composite

@@ -1,9 +1,10 @@
-"""Unit tests for the engine's FIFO Resource."""
+"""Unit tests of the FIFO Resource, the oracle of the control node's CPU."""
 
 import pytest
 
-from repro.engine import Environment, Resource
+from repro.engine import Environment
 from repro.errors import EngineStateError
+from tests.oracles.cpu import Resource
 
 
 def test_resource_grants_up_to_capacity_immediately():

@@ -4,13 +4,15 @@ A single forgotten ``__slots__`` in a subclass silently reintroduces a
 per-instance ``__dict__`` for every event in the event heaps — an
 allocation on the hottest path of a run.  The registry lives in
 :data:`repro.engine.core.HOT_CLASSES`; new hot classes must register via
-``@register_hot_class``.
+``@register_hot_class``.  The FIFO ``Resource`` of the control node's
+CPU oracle (:mod:`tests.oracles.cpu`) registers too: its holds sit in
+the same heaps during oracle runs.
 """
 
 import pytest
 
-import repro.engine.resources  # noqa: F401  (registers its classes)
-import repro.machine.data_node  # noqa: F401
+import repro.machine.data_node  # noqa: F401  (registers its classes)
+import tests.oracles.cpu  # noqa: F401
 from repro.engine.core import HOT_CLASSES, Environment, Event
 
 

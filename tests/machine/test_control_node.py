@@ -1,7 +1,8 @@
 """Focused tests of the control node: CPU costing and queueing.
 
 The paper's centralized control node is the one-shard control plane;
-its one CPU is ``plane.shards[0].cpu``.
+its one CPU is the FIFO server of ``plane.shards[0]`` (``charge`` /
+``busy_time``).
 """
 
 import pytest
@@ -92,8 +93,7 @@ class TestCpuQueueing:
         t = txn(1, [Step.read(0, 1)])
         env.process(cn.transaction_process(t))
         env.run()
-        cpu = cn.shards[0].cpu
-        busy = cpu.busy_time()
+        busy = cn.shards[0].busy_time()
         assert busy == pytest.approx(50 + 100 + 25 + 200)
         assert cn.utilizations(env.now) == [pytest.approx(busy / env.now)]
 
@@ -103,7 +103,7 @@ class TestCpuQueueing:
         t = txn(1, [Step.read(0, 1)])
         env.process(cn.transaction_process(t))
         env.run()
-        assert cn.shards[0].cpu.busy_time() == 0.0
+        assert cn.shards[0].busy_time() == 0.0
         assert env.now == 1000  # pure data-node time
 
 

@@ -7,6 +7,9 @@ metric encoding of single-CN runs shows up here as a changed sha256.
 The rows keyed by the number of control nodes pin multi-CN runs (2PC,
 projected sub-declarations) and the logged CN-crash path on 1, 2 and 3
 CNs; they were captured before the coordinator was split into phases.
+The multi-CN rows except 2PL's were re-pinned when control-node CPU
+charges became closed-form: two CPU ends of different CNs that tie on
+``(when, sort_time)`` now fire in claim order instead of grant order.
 """
 
 import hashlib
@@ -100,53 +103,53 @@ PLANE_DIGESTS = {
         "11f57166a198b12563a275441502e6f4bb0239c1e4f6d112b6bb60b5e5146545",
         "f347fa2d60b5a5b78047d4cf74c99bc39447d1da3dfe63b87cdbca53c3c10205"),
     (2, "ASL", "abort-cascade"): (
-        "bee4777e07942cb666d67774d7b383dec1965864c440f227a29a4c128f3c2b25",
-        "bcee0fd184655db4770a824f146dcbfe3702f7dade7b1ab60c569f259c3d24e0"),
+        "573bf5b6df6936d0baf25f0f8211051e420cc03ba9a480a1584fa7c02129baa6",
+        "f7aba2f3a19a10427e3c10d17032aeb519c8efa4da095f9bc8a49c29a42db01e"),
     (2, "ASL", "dn-crash"): (
-        "f61d81c7424782605117eb6d3748fc7975aeeae16fdd52b975ee2e6da73c7567",
-        "84c9b4018f86a0f516845ecb2fb5fbad0f6af4fc26d9ae300c8559ea955da3cd"),
+        "cd6e1a28e3b92cf27fa0ab0b5fffeb497671af219c826f2479701407fee6f460",
+        "f98360bfdfca13a56c8d1eee31dbb6b33a80fec97ba362f684c8c78249f6819a"),
     (2, "ASL", "none"): (
         "e239803aba58d467be1783c28f0e763726c639350c6686eb6cbcf0ff9a86d4e7",
-        "78745f7d9204bfa8a690b50d8f213267552ccccabc1760d2971ae6b87c9e3654"),
+        "cb87d2cb8a917ad46083d666f12b10bb8af05fee638d11bf7e37ccfd48b76b0c"),
     (2, "C2PL", "abort-cascade"): (
-        "255c017c8dd79e607835b957f66f17d2791992d4be9baf7a2b49991dd54a68e2",
-        "1d067b3b781d128c2481467a7cb7282bf80fba2b4e1d01c18951f914d0a35aba"),
+        "f0e499b7bada8c1d0ff77ff33734255b1503a1e7bc6e24eb4dbea56308732f2e",
+        "d6dea404b830e5c251914c05137a9f41c9be2954d6364a32d429ee34abfdf8be"),
     (2, "C2PL", "dn-crash"): (
         "a3792b1683a5e612ce8d54cd9777f4ee7f915df9aff321d8c43d163ea17e300e",
-        "6ff89df40dbed981ad64dabeb71190d8fae0bbda693d1897ca09073efe3ccb02"),
+        "3c01bdbd93621434962e4839445b072196b3f9a2d2111194fc64e2487c719635"),
     (2, "C2PL", "none"): (
         "84431ae79e23c296e23c97040157eebc3b358d31866a3e847fc0d8d33ca875ad",
-        "86c0519217cc4bf6a56068d10d74356f127fe90052a54ed8790456ee6363eaab"),
+        "9d31a33185d9732d9c4f5ce2fff34ee5236b098bfbb749af72adab815df32ca8"),
     (2, "CHAIN", "abort-cascade"): (
         "1ec07fdea0cfff53f4f232b9cd86d4d5db647c706fa9d007f533c7675b5cf415",
-        "6f4aff766a7d8e5660d47105b889c9b74eae93e5ee182919e9aa13e4317d7a5b"),
+        "9a8b74bbe1d50906f2965ce8ec5d162b9000b18c183fe0a83a0a66d186d2a360"),
     (2, "CHAIN", "cn-crash"): (
         "7347168ae5f5661b0574f6251402f9dfef13dc5b557115f7b567dacb435ec368",
-        "1a02227dc1033c7e74cb622d5efc7e9b027526bde9ae3aea0f01ad9102c8f681"),
+        "3f5957d182076f3668f44e4ad58ac21c1e3fca965afb2d3062837ea20b81b4c7"),
     (2, "CHAIN", "dn-crash"): (
         "42819d1765f2f7fd35b2caf6254a5d127c3be93f216aea54d37e80087603bb12",
-        "03a7d615dc67d0748d25fa090b9552994fc27ad47e7a2382b5c1559163859a5b"),
+        "a4f6a52b299281986b4fb88d42990dfb7ad885d4fd152b2d2bcdb75e49fe5dca"),
     (2, "CHAIN", "none"): (
         "a2158e37edf38ea9079e1bcf58f21532524be0d33c7f8ff385e68a162203921a",
-        "c6ac7d7fefbbfc1d3544c0470caac68a7f53e6199bf721be578d069dfac98a16"),
+        "6bacb89b6cfbe7fa881ef9f9617fde9e8649e510f81169d1d393056de0e53add"),
     (2, "K2", "abort-cascade"): (
-        "19a17d140c3a05a713368c90bd6083d68154ca401c8ff833c5b1375859403442",
-        "133ccc220c80d2135de60c3bb6ecc25d96c6484574dd6a2a680f8c4c50638d7f"),
+        "4571801f7f670401a79f3f24335ea7834b2c1338c48f7eb49c613c896f09628b",
+        "cc765c0f1a217cf81551094dbf00d4f42a61bad66cd2fcfa94ae4bc311f871c4"),
     (2, "K2", "cn-crash"): (
-        "e1fb2874bb8ecae2e9a79e8f93bd6a037ede77c126a737a5856d74a729238b5a",
-        "7141b037a4b03fa4e71320526cf0ac51ff6121fcea4fa07d71442a19b843367d"),
+        "f60c5b57960ba961b16b93ce6df56a7016ff9201a9404e942a809a13d7c9feea",
+        "290fe1b84c3004b7d98fe399ffded18bef282f107733cfef19ec3b64ac376361"),
     (2, "K2", "dn-crash"): (
-        "a892eaa5ea9f3ce2fb33288833f29c1e494f55cfc8e6e8cb44b4f0ae76db0ac5",
-        "83d84b6d0b8ae7678f6c30172750ffe8620121a1ba7753edf01b5f930bf48d67"),
+        "645036d2e0504e3f96b77b5716321465e6e23ba90c230b6e624a0a61374d2c6c",
+        "f1e9c8179df033e74d91b4f91a821d1156bd550b81e1aa7de77ee8d4240c3ef7"),
     (2, "K2", "none"): (
-        "bd38c8bfdb9f917045677b923d4e82b24b61d06759a6fa0f2d5a313a0d831b19",
-        "23b1e57ddda1e04c5649f96e6a9cfe27994f05cdbc711fe9f9aeb340a115208a"),
+        "47ed0774538e70cb738a05b7e78bd1588b95c3e6f0ae819100cf9ee5846c9247",
+        "8a0772eafa252e3fa8001c5d1029ac4930f8ac830b15bc740723f4d407614b38"),
     (3, "CHAIN", "cn-crash"): (
-        "658a0567115ea7443bac207ea7b2b26c7922be1c64b6f8645e1164c6d4ce62f3",
-        "ffa77b74e630af2ddc20f3f250fe068a35259271369a4ea5f9294fa8f8cdf2b9"),
+        "5baea43fc0325c09efe2ee103eff4bf6104504ae75e44bab9772d685f9bad3db",
+        "002fa49d1a84e01c5eb53a660b6e2ebff28f08114e260c3bb0e3b63aec64126c"),
     (3, "K2", "cn-crash"): (
-        "f675e893e0605972f1ff823913c7849ad59ab1305cbb07bceda23974f77dd81a",
-        "6c1486ef9e5bec21dceb3b03c8ec2c3011f45bd41fd0708351b5a392d5ae66bc"),
+        "3d709ef5286744e95b7325cd4d02b977d4bd6f64acbd567ac9edd9f9c97d5308",
+        "57db07c036e4270699ac48f80e9d0f961cd2264b911a11fdf3a625513657db08"),
 }
 
 

@@ -3,7 +3,7 @@
 The simulator ships one implementation per job.  Where that
 implementation is an optimisation — the data node's pre-played quantum
 windows, the Pareto chain DP, the copy-free E(q) overlay, the
-self-compacting dependency log, the one-event CPU hold — the literal
+self-compacting dependency log, the closed-form CPU server — the literal
 version it must equal lives here, outside ``src/``:
 
 * :mod:`tests.oracles.appendix` — the paper's Lcomp/Rcomp chain optimiser
@@ -11,8 +11,8 @@ version it must equal lives here, outside ``src/``:
   equal to :func:`repro.core.chain_opt.optimise_chain`;
 * :mod:`tests.oracles.control_log` — the append-only dependency log
   (:class:`FullDependencyLog`, :func:`full_log_differential`);
-* :mod:`tests.oracles.cpu` — the request/timeout/release CPU charge
-  (:func:`reference_cpu_work`, :func:`reference_cpu`);
+* :mod:`tests.oracles.cpu` — the control node's CPU as a generic FIFO
+  resource (:class:`Resource`, :func:`reference_cpu`);
 * :mod:`tests.oracles.data_node` — the one-timeout-per-quantum node loop
   (:class:`ReferenceDataNode`, :func:`reference_data_nodes`);
 * :mod:`tests.oracles.estimator` — E(q) on a deep copy of the WTPG
@@ -28,7 +28,7 @@ equivalence test compares two runs of the same public entry points
 
 from tests.oracles.control_log import (FullDependencyLog,
                                        full_log_differential)
-from tests.oracles.cpu import reference_cpu, reference_cpu_work
+from tests.oracles.cpu import Resource, reference_cpu
 from tests.oracles.data_node import ReferenceDataNode, reference_data_nodes
 from tests.oracles.estimator import (ReferenceBatch, estimate_reference,
                                      reference_estimator)
@@ -38,11 +38,11 @@ __all__ = [
     "FullDependencyLog",
     "ReferenceBatch",
     "ReferenceDataNode",
+    "Resource",
     "estimate_reference",
     "find_violations_all_pairs",
     "full_log_differential",
     "reference_cpu",
-    "reference_cpu_work",
     "reference_data_nodes",
     "reference_estimator",
 ]
