@@ -18,9 +18,9 @@ event)`` tuples, so ``heapq`` orders them with C tuple comparisons and the
 unique ``order`` guarantees no comparison ever reaches an :class:`Event`.
 Ordinary events go into ``_queue``; *inert* events (see
 :meth:`Environment.timeout_until`) go into ``_inert`` and, keyed by their
-``affect`` bound, into ``_affect``.  The loop pops whichever heap has the
-smaller head, so each event is pushed exactly once and the merged order
-is the single total order of the keys.
+published ``affect`` bound, into ``_affect``.  The loop pops whichever
+heap has the smaller head, so each event is pushed exactly once and the
+merged order is the single total order of the keys.
 
 Every class on this hot path is ``__slots__``-ed and registered in
 :data:`HOT_CLASSES`; ``tests/engine/test_slots.py`` guards the registry so a
@@ -29,7 +29,7 @@ future field addition cannot silently reintroduce per-instance dicts.
 
 from __future__ import annotations
 
-from heapq import heappush, heappop
+from heapq import heappop, heappush, heapreplace
 from itertools import count
 from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
                     Tuple, TypeVar, Union)
@@ -277,9 +277,30 @@ class AllOf(Event):
             self.succeed(self._collect())
 
 
+@register_hot_class
+class _InertTimeout(Event):
+    """A :meth:`Environment.timeout_until` event declared inert.
+
+    ``when`` is its firing instant and ``affect`` the callable that
+    refines its bound.  ``_live`` is the order number of its one valid
+    ``_affect`` entry: :meth:`Environment.republish` draws a new one, so
+    the entries it supersedes are recognised and dropped.
+    """
+
+    __slots__ = ("when", "affect", "_live")
+
+    when: float
+    affect: Callable[[float], float]
+    _live: int
+
+
 #: A heap entry: ``(when, sort_time, rank, order, event)``.  ``order`` is
 #: unique, so tuple comparison settles before it reaches the event.
 _Entry = Tuple[float, float, int, int, Event]
+
+#: An ``_affect`` entry: ``(bound, order, event, fresh)``.  A fresh
+#: entry's bound is the event's own time, not yet refined.
+_AffectEntry = Tuple[float, int, _InertTimeout, bool]
 
 
 @register_hot_class
@@ -293,10 +314,10 @@ class Environment:
         self._now = initial_time
         # ``_queue`` holds non-inert events; inert ones (see
         # timeout_until) sit in ``_inert`` under the same key and in
-        # ``_affect`` as (affect, order, event) for affecting_horizon.
+        # ``_affect`` under their published bound for affecting_horizon.
         self._queue: List[_Entry] = []
         self._inert: List[_Entry] = []
-        self._affect: List[Tuple[float, int, Event]] = []
+        self._affect: List[_AffectEntry] = []
         self._seq = count()
         self._run_until = float("inf")
 
@@ -316,7 +337,7 @@ class Environment:
         return Timeout(self, delay, value)
 
     def timeout_until(self, when: float, value: Any = None,
-                      affect: Optional[float] = None,
+                      affect: Optional[Callable[[float], float]] = None,
                       sort_time: Optional[float] = None,
                       sort_rank: Optional[int] = None) -> Event:
         """An event that fires at the *absolute* time ``when``.
@@ -329,11 +350,15 @@ class Environment:
         literal per-quantum loop would have reached additively.
 
         ``affect`` declares the event *inert*: its own firing cannot
-        influence any other actor before the absolute time ``affect`` —
-        the earliest instant the yielding actor could produce an
-        externally visible effect (for a data node, complete a step).
-        Inert events are counted in :meth:`affecting_horizon` at their
-        ``affect`` bound, which must therefore be >= ``when``.
+        influence any other actor before the instant ``affect(when)``
+        returns -- the earliest instant the yielding actor could produce
+        an externally visible effect (for a data node, complete a step).
+        The bound is refined lazily.  The event first counts in
+        :meth:`affecting_horizon` at its own time ``when``, which is
+        always sound, and ``affect`` is called only when a horizon walk
+        needs a later value; it must return a value >= ``when``.  An
+        actor whose conditions change while the event is pending calls
+        :meth:`republish`, which takes the refined bound back.
 
         ``sort_time`` and ``sort_rank`` set the event's virtual draw
         instant and actor rank, the second and third fields of its heap
@@ -358,22 +383,45 @@ class Environment:
                 f"time {when!r}")
         if sort_rank is not None and sort_rank <= 0:
             raise ValueError(f"sort_rank must be positive: {sort_rank!r}")
-        if affect is not None and affect < when:
-            raise ValueError(
-                f"affect bound {affect!r} precedes the event's own "
-                f"time {when!r}")
-        event = Event(self)
+        order = next(self._seq)
+        if affect is None:
+            event = Event(self)
+        else:
+            event = inert = _InertTimeout(self)
+            inert.when = when
+            inert.affect = affect
+            inert._live = order
         event._ok = True
         event._value = value  # repro-lint: disable=RL014 -- heap fast path: the timeout is born triggered (like Timeout.__init__) on a fresh, unshared event, so the succeed()/fail() single-trigger guard is not bypassable by anyone else
-        order = next(self._seq)
         entry = (when, self._now if sort_time is None else sort_time,
                  0 if sort_rank is None else sort_rank, order, event)
         if affect is None:
             heappush(self._queue, entry)
+            return event
+        heappush(self._inert, entry)
+        published = self._affect
+        # Take the place of a fired head: without horizon walks nothing
+        # else would drop it.
+        if published and published[0][2]._processed:
+            heapreplace(published, (when, order, inert, True))
         else:
-            heappush(self._inert, entry)
-            heappush(self._affect, (affect, order, event))
+            heappush(published, (when, order, inert, True))
         return event
+
+    def republish(self, event: Event) -> None:
+        """Count the pending inert ``event`` at its own time again.
+
+        Called when the conditions behind its ``affect`` bound changed,
+        so a bound refined before the change is not trusted after it; the
+        next horizon walk that needs a later value refines it anew.  A
+        no-op once the event has fired.
+        """
+        if not isinstance(event, _InertTimeout):
+            raise TypeError(f"{event!r} is not an inert timeout")
+        if event._processed:
+            return
+        event._live = order = next(self._seq)
+        heappush(self._affect, (event.when, order, event, True))
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start ``generator`` as a process; returns its process event."""
@@ -404,32 +452,56 @@ class Environment:
     def affecting_horizon(self) -> float:
         """Earliest instant any *other* actor could affect the caller.
 
-        The minimum of the next non-inert event's time, the smallest
-        ``affect`` bound of a pending inert event (non-completing
-        data-node quanta yielded through ``timeout_until(...,
-        affect=...)``), and the active ``run(until=<time>)`` cutoff.  An
-        actor pre-playing work up to this bound can therefore ignore
-        other nodes' internal quantum boundaries: everything that could
-        actually reach it (a process resumption, a completion, a fault,
-        the run cutoff) is accounted at or before the returned instant.
-        The cutoff matters: it is enforced by the run loop, not by a heap
-        entry, so without it a batching process could pre-account work
-        completing *after* the instant the run stops and state is read.
+        The minimum of the next non-inert event's time, the published
+        bound of every pending inert event (non-completing data-node
+        quanta yielded through ``timeout_until(..., affect=...)``), and
+        the active ``run(until=<time>)`` cutoff.  An actor pre-playing
+        work up to this bound can therefore ignore other nodes' internal
+        quantum boundaries: everything that could actually reach it (a
+        process resumption, a completion, a fault, the run cutoff) is
+        accounted at or before the returned instant.  The cutoff
+        matters: it is enforced by the run loop, not by a heap entry, so
+        without it a batching process could pre-account work completing
+        *after* the instant the run stops and state is read.
+
+        The walk refines lazily: an inert event counts at its own time
+        until it would set the minimum, and only then is its ``affect``
+        callable asked for its bound, earliest first, so most inert
+        events are never refined.
         """
         best = self._run_until
         queue = self._queue
         if queue and queue[0][0] < best:
             best = queue[0][0]
-        affect = self._affect
-        while affect:
-            bound, _, event = affect[0]
-            if event._processed:
-                heappop(affect)
-                continue
-            if bound < best:
-                best = bound
-            break
+        published = self._affect
+        while published:
+            bound, order, event, fresh = published[0]
+            if event._processed or order != event._live:
+                heappop(published)
+            elif bound >= best:
+                break
+            elif fresh:
+                refined = event.affect(bound)
+                if refined < bound:
+                    raise ValueError(
+                        f"affect bound {refined!r} precedes the event's "
+                        f"own time {bound!r}")
+                heapreplace(published, (refined, order, event, False))
+            else:
+                return bound
         return best
+
+    def active_horizon(self) -> float:
+        """The next non-inert event's time or the run cutoff, if sooner.
+
+        An upper bound on :meth:`affecting_horizon` that walks nothing:
+        a caller for whom even this leaves no room to batch skips the
+        walk.
+        """
+        queue = self._queue
+        if queue and queue[0][0] < self._run_until:
+            return queue[0][0]
+        return self._run_until
 
     def step(self) -> None:
         """Process exactly one event, advancing the clock to its time."""

@@ -66,6 +66,12 @@ _INF = float("inf")
 # binade arithmetic costs about as much as eight plain additions.
 _LITERAL_RUN = 8
 
+# A node whose next non-inert event (or the run cutoff) lies at most this
+# many one-object service times ahead yields its next quantum without a
+# horizon walk or pre-play: a window that short saves less host time
+# than the walk costs.  Chosen by measurement (see docs/engine.md).
+_LITERAL_STEPS = 4
+
 ObjectCallback = Callable[[TransactionRuntime, float], None]
 BatchCallback = Callable[[TransactionRuntime, int], None]
 
@@ -119,7 +125,12 @@ class DataNode:
         self._current: Optional[_WorkItem] = None
         self._wakeup: Optional[Event] = None
         self._recovered: Optional[Event] = None
+        # The last inert quantum yielded; its affect bound is republished
+        # whenever this node's conditions change while it is pending.
+        self._pending: Optional[Event] = None
         self._slow_factors: List[SlowdownToken] = []
+        # One whole object's service time under the active slowdowns.
+        self._svc = self._service_time(1.0)
         self._process = env.process(self._run())
 
     @property
@@ -142,7 +153,9 @@ class DataNode:
             done.succeed()
             return done
         self._queue.append(_WorkItem(txn, objects, done))
-        if self._wakeup is not None and not self._wakeup.triggered:
+        if self._current is not None:
+            self._republish()
+        elif self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed()
         return done
 
@@ -203,6 +216,8 @@ class DataNode:
                 and not current.cancelled):
             current.cancelled = True
             victims.append(current)
+        if victims:
+            self._republish()
         killed = 0
         for item in victims:
             if not item.done.triggered:
@@ -221,6 +236,7 @@ class DataNode:
             raise ValueError(f"slowdown factor must be positive: {factor}")
         token = SlowdownToken(factor)
         self._slow_factors.append(token)
+        self._svc = self._service_time(1.0)
         return token
 
     def clear_slowdown(self, token: SlowdownToken) -> None:
@@ -229,6 +245,8 @@ class DataNode:
             raise ValueError("slowdown token is not active on this node")
         token._active = False
         self._slow_factors.remove(token)
+        self._svc = self._service_time(1.0)
+        self._republish()
 
     def _service_time(self, quantum: float) -> float:
         service = quantum * self.obj_time
@@ -236,14 +254,19 @@ class DataNode:
             service *= token.factor
         return service
 
+    def _republish(self) -> None:
+        """Take back the affect bound of the pending inert quantum, if any."""
+        if self._pending is not None:
+            self.env.republish(self._pending)
+
     # -- the server loop ------------------------------------------------------
     #
     # Equivalence argument (each decision point at time t0, with
     # horizon = env.affecting_horizon(): the earliest pending
-    # *non-inert* event, the smallest ``affect`` bound of a pending
-    # inert event, or the active run(until=) cutoff, whichever comes
-    # first — the cutoff is an observation instant too, since the run
-    # stops there and counters are read):
+    # *non-inert* event, the smallest published bound of a pending inert
+    # event, or the active run(until=) cutoff, whichever comes first —
+    # the cutoff is an observation instant too, since the run stops
+    # there and counters are read):
     #
     # * Quanta whose end falls *strictly before* the horizon and that do
     #   not complete their item are pre-played: nothing that could reach
@@ -258,18 +281,48 @@ class DataNode:
     #   control node; horizon-crossing quanta must be yielded because a
     #   foreign event may cancel/crash mid-quantum, which the resume
     #   handles exactly as the literal loop does.
-    # * A yielded *non-completing* quantum is declared inert, carrying
-    #   an ``affect`` bound from :meth:`_completion_bound`: the instant
-    #   of this node's first step completion under the conditions
-    #   holding at yield time, computed in closed form from the floats
-    #   the real loop will produce.  Soundness: the bound is valid
-    #   as long as conditions hold, and everything that changes them —
-    #   a submission, a cancel, a crash, a slowdown edge — originates
-    #   from a *non-inert* event, which caps every other actor's horizon
-    #   by itself.  So another node pre-playing up to min(affect bounds,
-    #   non-inert horizon) can never run past a completion this node
-    #   actually produces.  Two things reorder the per-object
-    #   weight-adjustment callbacks: firing inert events interleave
+    # * Pre-play is optional: yielding the next quantum without it is
+    #   the literal loop's own step.  The loop takes that *literal step*,
+    #   with no horizon walk, when the head resident completes on its
+    #   next quantum (no window can precede a completion) or when the
+    #   next non-inert event or the run cutoff (env.active_horizon(), an
+    #   upper bound of the horizon that costs no walk) lies at most
+    #   _LITERAL_STEPS one-object service times ahead.  Such a window
+    #   would hold a few quanta at best, and a walk, a pre-play and the
+    #   batched callbacks cost more host time than the literal quanta
+    #   they replace.  _LITERAL_STEPS is a module constant chosen by
+    #   measurement (docs/engine.md has the figures), not a setting.
+    # * A yielded *non-completing* quantum is declared inert, with
+    #   :meth:`_completion_bound` as its ``affect`` callable: the
+    #   instant of this node's first step completion under the current
+    #   conditions, computed in closed form from the floats the real
+    #   loop will produce.  The engine refines the bound lazily: the
+    #   quantum first counts at its own end, always a sound bound, and
+    #   the bound is computed only when a foreign horizon walk needs a
+    #   later value, so most inert quanta never compute one.  Literal
+    #   steps' quanta are inert in the same way.
+    # * Soundness of a published bound.  A refined bound holds as long
+    #   as the conditions it read hold.  Whatever changes them
+    #   originates from a non-inert event, which caps every other
+    #   actor's horizon by itself — but only until it fires: after it,
+    #   a bound refined before the change must not be trusted.  So
+    #   every change that can bring a completion *earlier* republishes
+    #   the pending quantum's bound (env.republish: it counts at its own
+    #   end again until a walk refines it anew): a submission to a node
+    #   mid-quantum (a short newcomer may finish first), a cancel that
+    #   removes a resident, the in-flight one included (the others move
+    #   up), and clear_slowdown (quanta get shorter).  crash and
+    #   apply_slowdown need no republication: they only make
+    #   completions later (a crash removes every resident), so a bound
+    #   refined before them is still a lower bound.  Lazy refinement
+    #   alone makes a stale bound rare — a walk refines only quanta
+    #   ending before the horizon it returns — but republication keeps
+    #   every published bound true without that argument.  Hence
+    #   another node pre-playing up to min(published bounds, non-inert
+    #   horizon) can never run past a completion this node actually
+    #   produces.
+    # * Two things reorder the per-object weight-adjustment
+    #   callbacks: firing inert events interleave
     #   them between nodes inside a foreign pre-play window, and a
     #   window's pre-played round-robin reports each resident's quanta
     #   in one on_objects_batch call rather than rotation by rotation.
@@ -308,6 +361,8 @@ class DataNode:
 
     def _run(self) -> Generator[Event, Any, None]:
         env = self.env
+        rank = self.node_id + 1
+        bound = self._completion_bound
         while True:
             if self.crashed:
                 self._recovered = env.event()
@@ -322,24 +377,31 @@ class DataNode:
             item = self._queue.popleft()
             self._current = item
             t = env.now
-            horizon = env.affecting_horizon()
-            if horizon > t:
-                item, t = self._preplay(item, t, horizon)
+            svc = self._svc
+            remaining = item.remaining
+            if (remaining - 1.0 > _EPSILON
+                    and env.active_horizon() - t > _LITERAL_STEPS * svc):
+                horizon = env.affecting_horizon()
+                if horizon > t:
+                    item, t = self._preplay(item, t, horizon, svc)
+                    remaining = item.remaining
             # The yielded quantum: bit-identical to one literal
             # iteration (same service value, same absolute end instant,
             # same cancellation check at resume).  Non-completing quanta
-            # are inert: their resumption is invisible to every other
-            # actor until this node's earliest possible completion.
-            quantum = min(1.0, item.remaining)
-            service = self._service_time(quantum)
-            end = t + service
-            if item.remaining - quantum > _EPSILON:
-                yield env.timeout_until(
-                    end, affect=self._completion_bound(end, item, quantum),
-                    sort_time=t, sort_rank=self.node_id + 1)
+            # (more than one object left) are whole and inert: their
+            # resumption is invisible to every other actor until this
+            # node's earliest possible completion.
+            if remaining - 1.0 > _EPSILON:
+                quantum, service = 1.0, svc
+                self._pending = pending = env.timeout_until(
+                    t + svc, affect=bound, sort_time=t, sort_rank=rank)
+                yield pending
             else:
-                yield env.timeout_until(end, sort_time=t,
-                                        sort_rank=self.node_id + 1)
+                quantum = min(1.0, remaining)
+                service = svc if quantum == 1.0 else self._service_time(
+                    quantum)
+                yield env.timeout_until(t + service, sort_time=t,
+                                        sort_rank=rank)
             self._current = None
             self.busy_time += service
             if item.cancelled:  # repro-lint: disable=RL009 -- _WorkItem is node-private (only this loop and the pre-play helpers mutate its fields) and this read IS the post-yield cancellation re-check; cancel() only sets the flag tested here
@@ -353,44 +415,47 @@ class DataNode:
             else:
                 item.done.succeed()
 
-    def _completion_bound(self, end: float, item: _WorkItem,
-                          quantum: float) -> float:
+    def _completion_bound(self, end: float) -> float:
         """This node's first step completion after ``end``, bit-exact.
 
-        What a mirror replay of the round-robin from ``end`` would reach
-        under the conditions holding at yield time (the queued
-        remainders in order, the yielded item's post-quantum remainder
-        at the back), in closed form: the whole quanta before the first
-        completing one (:func:`_first_completion`) share one service
-        time, so their boundaries are one :func:`_advance` chain, and
-        the completing quantum adds its own service.  Exact at any
-        depth; every condition change originates at a non-inert event
-        that caps foreign horizons independently (see the equivalence
-        argument above).
+        The affect bound of the pending inert quantum, which ends at
+        ``end``: what a mirror replay of the round-robin from ``end``
+        would reach under the current conditions (the queued remainders
+        in order, the in-flight item's post-quantum remainder at the
+        back unless it was cancelled), in closed form: the whole quanta
+        before the first completing one (:func:`_first_completion`)
+        share one service time, so their boundaries are one
+        :func:`_advance` chain, and the completing quantum adds its own
+        service.  Exact at any depth; with no resident left the node
+        completes nothing until a submission, which republishes.
         """
         rems = [it.remaining for it in self._queue]
-        rems.append(item.remaining - quantum)
+        current = self._current
+        if current is not None and not current.cancelled:
+            rems.append(current.remaining - 1.0)
         m = len(rems)
+        if not m:
+            return _INF
         first = _first_completion(rems, m)
         rem = rems[first % m] - first // m
-        t, _ = _advance(end, self._service_time(1.0), first, _INF)
-        return t + self._service_time(min(1.0, rem))
+        svc = self._svc
+        t, _ = _advance(end, svc, first, _INF)
+        return t + (svc if rem >= 1.0 else self._service_time(rem))
 
-    def _preplay(self, item: _WorkItem, t: float,
-                 horizon: float) -> Tuple[_WorkItem, float]:
+    def _preplay(self, item: _WorkItem, t: float, horizon: float,
+                 svc: float) -> Tuple[_WorkItem, float]:
         """Pre-play the whole, non-completing quanta ending before ``horizon``.
 
         The residents in service order are ``item``, then the queue.
         Every quantum before the first completing one
-        (:func:`_first_completion`) is whole and costs the same service
-        time, so the boundary chain runs to the earlier of that quantum
-        and the horizon in one :func:`_advance` call.  The ``k`` quanta
+        (:func:`_first_completion`) is whole and costs ``svc``, so the
+        boundary chain runs to the earlier of that quantum and the
+        horizon in one :func:`_advance` call.  The ``k`` quanta
         taken are accounted per resident (``k // m`` each, one more for
         the first ``k % m``) and the rotation advances by ``k mod m``.
         Returns the quantum for the caller to yield.
         """
         queue = self._queue
-        svc = self._service_time(1.0)
         if t + svc >= horizon:
             return item, t
         residents = [item, *queue]

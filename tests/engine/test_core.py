@@ -414,16 +414,17 @@ def test_timeout_until_non_positive_sort_rank_rejected(rank):
 
 
 def test_timeout_until_affect_before_when_rejected():
+    """The bound is checked when a horizon walk refines it."""
     env = Environment()
+    env.timeout_until(5, affect=lambda when: 4)
+    assert env.peek() == 5
     with pytest.raises(ValueError, match="affect bound"):
-        env.timeout_until(5, affect=4)
-    # A rejected call schedules nothing.
-    assert env.peek() == float("inf")
+        env.affecting_horizon()
 
 
 def test_inert_event_counts_at_its_affect_bound_on_a_bare_environment():
     env = Environment()
-    inert = env.timeout_until(5, affect=12)
+    inert = env.timeout_until(5, affect=lambda when: 12)
     assert env.peek() == 5
     assert env.affecting_horizon() == 12
     env.timeout(20)
@@ -433,3 +434,65 @@ def test_inert_event_counts_at_its_affect_bound_on_a_bare_environment():
     env.run(until=6)
     assert inert.processed
     assert env.affecting_horizon() == 8
+
+
+class Refiner:
+    """An ``affect`` callable that counts its calls."""
+
+    def __init__(self, bound):
+        self.bound = bound
+        self.calls = []
+
+    def __call__(self, when):
+        self.calls.append(when)
+        return self.bound
+
+
+def test_inert_bound_is_refined_only_when_a_walk_needs_it():
+    env = Environment()
+    refine = Refiner(12)
+    env.timeout_until(5, affect=refine)
+    env.timeout(3)
+    # The event's own time 5 already lies past the next event at 3.
+    assert env.affecting_horizon() == 3
+    assert refine.calls == []
+    env.run(until=4)
+    assert env.affecting_horizon() == 12
+    assert env.affecting_horizon() == 12
+    assert refine.calls == [5]  # refined once, then published
+
+
+def test_republish_takes_a_refined_bound_back():
+    env = Environment()
+    refine = Refiner(12)
+    inert = env.timeout_until(5, affect=refine)
+    assert env.affecting_horizon() == 12
+    refine.bound = 7
+    assert env.affecting_horizon() == 12  # still the published bound
+    env.republish(inert)
+    assert env.affecting_horizon() == 7
+    assert refine.calls == [5, 5]
+    env.republish(inert)
+    env.republish(inert)  # superseded entries are dropped, not refined
+    assert env.affecting_horizon() == 7
+    assert refine.calls == [5, 5, 5]
+    env.run(until=6)
+    env.republish(inert)  # fired: nothing to take back
+    assert env.affecting_horizon() == float("inf")
+
+
+def test_republish_refuses_an_ordinary_event():
+    env = Environment()
+    with pytest.raises(TypeError, match="not an inert timeout"):
+        env.republish(env.timeout_until(5))
+
+
+def test_active_horizon_ignores_inert_events():
+    env = Environment()
+    env.timeout_until(2, affect=lambda when: when)
+    assert env.active_horizon() == float("inf")
+    env.timeout(9)
+    assert env.active_horizon() == 9
+    assert env.affecting_horizon() == 2
+    env.run(until=1)
+    assert env.active_horizon() == 9

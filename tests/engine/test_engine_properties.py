@@ -169,7 +169,8 @@ def test_hold_fires_like_request_timeout_release(plans, capacity, cutoff):
 # Processes mix every way of scheduling an event: ``timeout``,
 # ``timeout_until`` (optionally inert via ``affect``, with ``sort_time``
 # and ``sort_rank``), ``Event.succeed``, and stray (never yielded)
-# ``timeout_until`` events.  The harness records every scheduling with the key the engine promises to
+# ``timeout_until`` events; they also move the bound of a pending inert
+# event and ``republish`` it.  The harness records every scheduling with the key the engine promises to
 # order by, ``(when, sort_time or scheduling instant, rank or 0,
 # schedule index)``, and checks the engine against a reference priority
 # queue replayed from that log.  The Initialize event that starts each
@@ -188,6 +189,7 @@ _ACTIONS = st.one_of(
     st.tuples(st.just("until"), *_OPTIONS),
     st.tuples(st.just("succeed")),
     st.tuples(st.just("stray"), *_OPTIONS),
+    st.tuples(st.just("republish"), st.integers(0, 8)),  # new affect - when
 )
 
 
@@ -202,6 +204,7 @@ class _OrderHarness:
         self.pending = set()
         self.cutoff = _INF     # the active run(until=) instant
         self.horizons = []     # (affecting_horizon(), brute-force minimum)
+        self.inert = {}        # ident -> (event, when) of inert events
         self._counter = count()
         for plan in plans:
             init = self._scheduled(self.env.now, None, None, None)
@@ -241,8 +244,23 @@ class _OrderHarness:
         affect = None if affect_off is None else when + affect_off
         sort_time = None if back is None else when - back
         ident = self._scheduled(when, sort_time, rank, affect)
-        return ident, self._watch(ident, env.timeout_until(
-            when, affect=affect, sort_time=sort_time, sort_rank=rank))
+        # The callable reads the bound the harness holds now, so a moved
+        # bound reaches the engine only through republish().
+        refine = (None if affect is None
+                  else lambda _when: self.bound[ident])
+        event = env.timeout_until(when, affect=refine, sort_time=sort_time,
+                                  sort_rank=rank)
+        if affect is not None:
+            self.inert[ident] = (event, when)
+        return ident, self._watch(ident, event)
+
+    def _republish(self, offset):
+        """Move the newest pending inert event's bound and republish it."""
+        live = [ident for ident in self.inert if ident in self.pending]
+        if live:
+            event, when = self.inert[live[-1]]
+            self.bound[live[-1]] = when + offset
+            self.env.republish(event)
 
     def _body(self, init, plan):
         env = self.env
@@ -260,6 +278,8 @@ class _OrderHarness:
                 event = env.event()
                 ident = self._scheduled(env.now, None, None, None)
                 yield self._watch(ident, event.succeed())
+            elif kind == "republish":
+                self._republish(action[1])
             else:   # a stray: scheduled, never yielded by anyone
                 self._until(*action[1:])
         self.check_horizon()
