@@ -155,7 +155,12 @@ def build() -> str:
         "nodes, MPL = ∞, exponential arrivals, seed 1.  Regenerate with",
         "`python scripts/run_paper_experiments.py` followed by",
         "`python scripts/build_experiments_md.py` (≈1 h single-process;",
-        "use `repro.experiments.runner` for multi-core).",
+        "`--jobs N`, N ≥ 1, fans each experiment grid over N worker processes",
+        "through `run_points` with bit-identical results — see",
+        "docs/parallel.md.  Wall-clock can scale at best with `min(N, cores)`;",
+        "no pooled speedup is committed, because the only one ever measured",
+        "came from a single-core machine).  The script ends each report with",
+        "a `code fingerprint:` line naming the simulator source that wrote it.",
         "",
         "Absolute numbers are not expected to match a 1990 simulator whose",
         "Table 1 control costs are partially illegible (see DESIGN.md); the",

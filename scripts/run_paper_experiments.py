@@ -2,7 +2,10 @@
 """Run all four experiments at the paper's full 2,000,000-clock horizon.
 
 Writes one text report per experiment to results/ (used to fill
-EXPERIMENTS.md).  Takes tens of minutes; progress goes to stderr.
+EXPERIMENTS.md), each ending in a ``code fingerprint: <sha256>`` line
+that names the simulator source it came from
+(repro.experiments.runner.code_fingerprint).  Takes tens of minutes;
+progress goes to stderr.
 
 Run:  python scripts/run_paper_experiments.py [--clocks N] [--jobs J]
 
@@ -15,12 +18,14 @@ import sys
 import time
 from pathlib import Path
 
+from repro.cli import positive_int
 from repro.experiments import (ExperimentConfig, run_experiment1,
                                run_experiment2, run_experiment3,
                                run_experiment4)
 from repro.experiments.experiment4 import DEFAULT_SCHEDULERS as EXP4_SCHEDULERS
 from repro.experiments.report import (report_experiment1, report_experiment2,
                                       report_experiment3, report_experiment4)
+from repro.experiments.runner import code_fingerprint
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -36,7 +41,7 @@ def progress(message: str) -> None:
 def save(name: str, text: str) -> None:
     RESULTS.mkdir(exist_ok=True)
     path = RESULTS / f"{name}.txt"
-    path.write_text(text + "\n")
+    path.write_text(f"{text}\ncode fingerprint: {code_fingerprint()}\n")
     print(f"wrote {path}", file=sys.stderr, flush=True)
 
 
@@ -44,7 +49,7 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--clocks", type=float, default=2_000_000)
     parser.add_argument("--only", type=str, default="1,2,3,4")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=positive_int, default=1,
                         help="worker processes per experiment grid "
                              "(results identical for every value)")
     args = parser.parse_args()

@@ -42,6 +42,14 @@ def _names(text: str) -> List[str]:
     return [token.strip().upper() for token in text.split(",") if token.strip()]
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _experiment_config(args: argparse.Namespace,
                        default_schedulers: Sequence[str]) -> ExperimentConfig:
     return ExperimentConfig(
@@ -68,7 +76,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated scheduler names")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-point progress lines")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=positive_int, default=1,
                         help="worker processes for the point grid "
                              "(results identical for every value)")
 
@@ -124,45 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "exp4":
             exp.add_argument("--sigmas", type=str, default="0,0.25,0.5,0.75,1")
 
-    sweep = sub.add_parser(
-        "sweep", help="checkpointed parallel sweeps (run/resume/status)")
-    sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
-
-    sweep_run = sweep_sub.add_parser(
-        "run", help="run a replicated grid, checkpointing as it goes")
-    sweep_run.add_argument("--workload", default="pattern1",
-                           choices=("pattern1", "pattern2", "pattern3"))
-    sweep_run.add_argument("--schedulers", type=str, default="CHAIN,K2")
-    sweep_run.add_argument("--rates", type=str, default="0.3,0.6,0.9")
-    sweep_run.add_argument("--clocks", type=float, default=2_000_000)
-    sweep_run.add_argument("--num-hots", type=int, default=8)
-    sweep_run.add_argument("--sigma", type=float, default=0.0)
-    sweep_run.add_argument("--faults", type=str, default=None,
-                           metavar="PLAN.json",
-                           help="fault plan applied to every point")
-    sweep_run.add_argument("--replications", type=int, default=1)
-    sweep_run.add_argument("--root-seed", type=int, default=1,
-                           help="root of the per-task derived seeds")
-    sweep_run.add_argument("--jobs", type=int, default=1)
-    sweep_run.add_argument("--checkpoint", type=str, default=None,
-                           metavar="GRID.jsonl")
-    sweep_run.add_argument("--task-budget", type=int, default=None,
-                           help="stop after N tasks (checkpoint stays "
-                                "resumable; exit code 3)")
-    sweep_run.add_argument("--quiet", action="store_true")
-
-    sweep_resume = sweep_sub.add_parser(
-        "resume", help="finish an interrupted checkpointed sweep")
-    sweep_resume.add_argument("--checkpoint", type=str, required=True,
-                              metavar="GRID.jsonl")
-    sweep_resume.add_argument("--jobs", type=int, default=1)
-    sweep_resume.add_argument("--task-budget", type=int, default=None)
-    sweep_resume.add_argument("--quiet", action="store_true")
-
-    sweep_status = sweep_sub.add_parser(
-        "status", help="progress and freshness of a checkpoint")
-    sweep_status.add_argument("--checkpoint", type=str, required=True,
-                              metavar="GRID.jsonl")
     return parser
 
 
@@ -225,84 +194,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_sweep_result(result: "object") -> None:
-    from repro.experiments.parallel import SweepResult
-    assert isinstance(result, SweepResult)
-    rows = []
-    for row in result.grid():
-        rows.append((
-            f"{row['workload']}/{row['scheduler']}",
-            f"{row['arrival_rate_tps']:g}",
-            f"{int(row['replications'])}",
-            f"{row['throughput_tps']:.3f} ± {row['throughput_tps_ci']:.3f}",
-            f"{row['mean_response_time'] / 1000:.1f} "
-            f"± {row['mean_response_time_ci'] / 1000:.1f}",
-        ))
-    print(format_table(
-        ["point", "λ (TPS)", "reps", "throughput (TPS)", "mean RT (s)"],
-        rows))
-    print(f"tasks: {result.executed} executed, {result.reused} resumed "
-          f"from checkpoint"
-          + (f" ({result.checkpoint})" if result.checkpoint else ""))
-
-
-def _sweep_progress(quiet: bool):
-    if quiet:
-        return None
-    return lambda message: print(f"  [{message}]", file=sys.stderr)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.errors import SweepInterrupted
-    from repro.experiments.parallel import (SweepSpec, run_sweep,
-                                            sweep_status)
-    from repro.experiments.runner import sweep_specs
-
-    if args.sweep_command == "status":
-        status = sweep_status(args.checkpoint)
-        print(format_table(["field", "value"],
-                           [(key, str(value))
-                            for key, value in status.items()]))
-        return 0
-
-    if args.sweep_command == "run":
-        fault_json = None
-        if args.faults is not None:
-            from repro.faults import FaultPlan
-            fault_json = FaultPlan.from_file(args.faults).to_json()
-        points = tuple(sweep_specs(
-            args.workload, _names(args.schedulers), _floats(args.rates),
-            sim_clocks=args.clocks, num_hots=args.num_hots,
-            error_sigma=args.sigma, fault_plan_json=fault_json))
-        sweep = SweepSpec(points=points, root_seed=args.root_seed,
-                          replications=args.replications)
-    else:  # resume: the checkpoint header carries the sweep definition
-        from repro.experiments.parallel import SweepSpec as _SweepSpec
-        from repro.experiments.parallel import read_checkpoint
-        header, _ = read_checkpoint(args.checkpoint)
-        sweep = _SweepSpec.from_dict(header["sweep"])
-
-    checkpoint = args.checkpoint
-    try:
-        result = run_sweep(sweep, max_workers=args.jobs,
-                           checkpoint=checkpoint,
-                           progress=_sweep_progress(args.quiet),
-                           task_budget=args.task_budget)
-    except SweepInterrupted as exc:
-        print(f"interrupted: {exc}", file=sys.stderr)
-        return 3
-    _print_sweep_result(result)
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "table1":
         return _cmd_table1()
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
     if args.command == "verify":
         from repro.experiments.verify import (report_verification,
                                               verify_paper_claims)

@@ -81,23 +81,3 @@ class WorkloadError(ReproError):
 
 class ExperimentError(ReproError):
     """An experiment run could not be completed or analysed."""
-
-
-class CheckpointError(ExperimentError):
-    """A sweep checkpoint file is corrupt, stale or inconsistent.
-
-    Raised when a checkpoint's fingerprint does not match the sweep or
-    code that is trying to resume it, or when a non-final line fails to
-    parse.  A stale checkpoint is never silently ignored: delete the
-    file (or change ``checkpoint`` paths) to start the sweep afresh.
-    """
-
-
-class SweepInterrupted(ExperimentError):
-    """A sweep stopped before completing every task.
-
-    Every finished task was already appended to the checkpoint, so
-    re-running the same sweep against the same checkpoint path resumes
-    exactly where this run stopped.  Raised by the task-budget hook
-    (used by tests and the CI resume smoke to simulate a kill).
-    """

@@ -30,8 +30,6 @@ from repro.experiments.mixed import (MixedExperimentResult,
                                      run_mixed_experiment)
 from repro.experiments.placement import (PlacementExperimentResult,
                                          run_placement_experiment)
-from repro.experiments.parallel import (SweepResult, SweepSpec, run_sweep,
-                                        run_tasks, sweep_status, task_seed)
 from repro.experiments.runner import PointSpec, run_points, sweep_specs
 from repro.experiments.verify import verify_paper_claims
 
@@ -45,8 +43,6 @@ __all__ = [
     "PlacementExperimentResult",
     "PointSpec",
     "SchedulerCurve",
-    "SweepResult",
-    "SweepSpec",
     "export_experiment1",
     "export_experiment2",
     "export_experiment3",
@@ -59,10 +55,6 @@ __all__ = [
     "run_mixed_experiment",
     "run_points",
     "run_scheduler_grid",
-    "run_sweep",
-    "run_tasks",
     "sweep_specs",
-    "sweep_status",
-    "task_seed",
     "verify_paper_claims",
 ]

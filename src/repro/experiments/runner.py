@@ -4,17 +4,23 @@ A full-fidelity experiment is dozens of independent 2,000,000-clock
 simulations; they parallelise perfectly.  Because worker processes need
 picklable work items, a point is described *declaratively* by
 :class:`PointSpec` (workload/catalog/fault-plan factories are resolved
-inside the worker from the spec).  :func:`run_points` fans specs across
-cores via the deterministic executor in
-:mod:`repro.experiments.parallel` — one runner, one code path, for the
-experiments, the benchmarks, the CLI sweeps and the property harness
-alike.
+inside the worker from the spec).  :func:`run_points` is the one
+executor: it fans specs across a process pool and hands results back in
+input order, so the experiments, the benchmarks and the CLI see
+bit-identical results for every worker count (docs/parallel.md).
+:func:`code_fingerprint` names the simulator source a result came from.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
+from concurrent.futures import Executor, as_completed
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.config import SimulationParameters
 from repro.errors import ExperimentError
@@ -35,9 +41,8 @@ class PointSpec:
 
     ``fault_plan_json`` carries an optional serialized
     :class:`~repro.faults.FaultPlan` (``plan.to_json()``): plans are
-    kept in their JSON form so the spec stays hashable, picklable and
-    checkpoint-serialisable; the plan object is rebuilt inside the
-    worker.
+    kept in their JSON form so the spec stays hashable and picklable;
+    the plan object is rebuilt inside the worker.
     """
 
     workload: str                 # one of WORKLOADS
@@ -93,6 +98,45 @@ def run_point(spec: PointSpec) -> RunMetrics:
                           fault_plan=spec.fault_plan()).metrics
 
 
+def resolve_workers(max_workers: Optional[int], tasks: int) -> int:
+    """Effective worker count: clamp to the task count, None = all cores."""
+    if max_workers is None:
+        max_workers = os.cpu_count() or 1
+    if max_workers < 1:
+        raise ExperimentError(f"max_workers must be >= 1, got {max_workers}")
+    return min(max_workers, tasks) if tasks else 1
+
+
+def _completions(specs: List[PointSpec],
+                 workers: int) -> Iterator[Tuple[int, RunMetrics]]:
+    """``(input index, metrics)`` for each point as it finishes.
+
+    Only starting the pool and submitting to it fall back to in-process
+    execution (restricted platforms); an exception raised by a point
+    propagates at once, and the points not yet started are cancelled.
+    """
+    if workers > 1:
+        pool: Optional[Executor] = None
+        try:
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(max_workers=workers)
+            futures = {pool.submit(run_point, spec): index
+                       for index, spec in enumerate(specs)}
+        except (OSError, ValueError, ImportError):
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            pool = None
+        if pool is not None:
+            try:
+                for future in as_completed(futures):
+                    yield futures[future], future.result()
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return
+    for index, spec in enumerate(specs):
+        yield index, run_point(spec)
+
+
 def run_points(specs: Sequence[PointSpec],
                processes: Optional[int] = None,
                progress: Optional[Callable[[PointSpec, RunMetrics],
@@ -102,32 +146,21 @@ def run_points(specs: Sequence[PointSpec],
 
     Results come back in input order regardless of completion order.
     ``processes=None`` uses ``os.cpu_count()``; ``processes=1`` runs
-    in-process.  Either way the results are bit-identical: each point is
-    an isolated simulation seeded by its own spec.  Execution delegates
-    to :func:`repro.experiments.parallel.run_tasks` — the same executor
-    the checkpointed sweep runner uses.  ``progress`` fires once per
+    in-process; values below 1 raise :class:`ExperimentError`.  Either
+    way the results are bit-identical: each point is an isolated
+    simulation seeded by its own spec.  ``progress`` fires once per
     finished point (in completion order under a pool).
     """
-    from repro.experiments.parallel import SweepTask, run_tasks
-
     specs = list(specs)
-    if not specs:
-        return []
-    # Explicit-seed mode: each spec keeps its own seed and the key is
-    # simply its input position (run_sweep derives seeds instead).
-    tasks = [SweepTask(spec=spec, replication=0, key=str(index),
-                       seed=spec.seed)
-             for index, spec in enumerate(specs)]
-    on_result: Optional[Callable[[SweepTask, RunMetrics], None]] = None
-    if progress is not None:
-        callback = progress
-
-        def _notify(task: SweepTask, metrics: RunMetrics) -> None:
-            callback(task.spec, metrics)
-
-        on_result = _notify
-    results = run_tasks(tasks, max_workers=processes, on_result=on_result)
-    return [results[str(index)] for index in range(len(specs))]
+    workers = resolve_workers(processes, len(specs))
+    done: Dict[int, RunMetrics] = {}
+    # closing(): a raising progress callback still shuts the pool down.
+    with closing(_completions(specs, workers)) as finished:
+        for index, metrics in finished:
+            done[index] = metrics
+            if progress is not None:
+                progress(specs[index], metrics)
+    return [done[index] for index in range(len(specs))]
 
 
 def sweep_specs(workload: str, schedulers: Sequence[str],
@@ -149,3 +182,36 @@ def group_by_scheduler(specs: Sequence[PointSpec],
     for spec, metric in zip(specs, metrics):
         grouped.setdefault(spec.scheduler, []).append(metric)
     return grouped
+
+
+#: Sub-packages of repro whose source participates in the code
+#: fingerprint — exactly the layers that determine simulation results.
+#: Tooling (lint/), reporting (analysis/) and the CLI are excluded so a
+#: docs or linter change does not change the fingerprint.
+_FINGERPRINTED = ("config.py", "errors.py", "core", "engine", "machine",
+                  "faults", "workloads", "metrics", "experiments")
+
+_code_fingerprint_memo: Dict[str, str] = {}
+
+
+def code_fingerprint() -> str:
+    """SHA-256 over the simulator's own source files (sorted walk).
+
+    Any change to result-bearing code yields a new fingerprint, so a
+    report stamped with it names the simulator that produced it.
+    """
+    if "value" in _code_fingerprint_memo:
+        return _code_fingerprint_memo["value"]
+    package_root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for entry in _FINGERPRINTED:
+        path = package_root / entry
+        files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+        for source in files:
+            digest.update(str(source.relative_to(package_root)).encode())
+            digest.update(b"\x00")
+            digest.update(source.read_bytes())
+            digest.update(b"\x00")
+    value = digest.hexdigest()
+    _code_fingerprint_memo["value"] = value
+    return value

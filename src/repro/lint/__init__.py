@@ -18,7 +18,7 @@ additionally consult a whole-program call graph
 (:mod:`repro.lint.callgraph`) and may-yield function summaries
 (:mod:`repro.lint.summaries`), so a yield point hidden behind a helper
 call is still seen; the
-*lifecycle* contracts (RL006, RL013, RL014, RL016) are four committed
+*lifecycle* contracts (RL006, RL013, RL014) are three committed
 protocols run by one typestate evaluator (:mod:`repro.lint.typestate`).
 
 Usage::
@@ -61,8 +61,6 @@ RL013     BAT lifecycle (typestate): no commit after doom/abort, no
           double abort, grants only to waiting transactions
 RL014     engine Event lifecycle (typestate): trigger once via
           ``succeed()``/``fail()``, never write ``_value``
-RL016     checkpoint lifecycle (typestate): results merge once, only
-          after fingerprint validation
 RL000     lint hygiene: unparseable files and suppression comments
           without a justification
 ========  ==============================================================

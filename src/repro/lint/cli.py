@@ -21,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Project-specific static analysis for the WTPG core "
-                    "(11 rules numbered RL001-RL016; docs/lint.md lists "
+                    "(10 rules numbered RL001-RL014; docs/lint.md lists "
                     "them and the retired numbers).")
     parser.add_argument(
         "paths", nargs="*", default=["src"], metavar="PATH",
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--explain", metavar="RULE", default=None,
         help="print one rule's catalogue entry — and, for the typestate "
-             "rules RL013, RL014 and RL016, the protocol's state-machine "
+             "rules RL006, RL013 and RL014, the protocol's state-machine "
              "table — then exit")
     return parser
 

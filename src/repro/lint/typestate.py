@@ -1,4 +1,4 @@
-"""Typestate verification: protocols as data (RL006, RL013, RL014, RL016).
+"""Typestate verification: protocols as data (RL006, RL013, RL014).
 
 The fourth analysis layer.  The first three answer progressively wider
 questions — syntactic shape (RL001–RL005), intraprocedural order
@@ -7,9 +7,7 @@ them states the thing the paper's correctness argument is actually made
 of: *object lifecycles*.  A lock declaration is registered at admission
 and released or handed to the WTPG on every path; a BAT is admitted,
 started, granted locks, committed or aborted, and restarted only from
-aborted; an engine event is triggered exactly once; a checkpoint's
-results may be merged into a sweep only once, and only after
-fingerprint validation.
+aborted; an engine event is triggered exactly once.
 
 Here a protocol is a committed :class:`ProtocolSpec` value — states,
 operation→transition rules, an error state, creators, escape semantics
@@ -18,17 +16,16 @@ any spec over the existing machinery:
 
 * **object discovery** — a local name becomes *tracked* when it is a
   parameter annotated with one of the spec's ``tracked_types``, when it
-  is bound from one of the spec's ``creators`` (including a named index
-  of a tuple-unpacked result), when it appears at the tracked position
-  of an *introducing* operation, or when it is aliased from an already
-  tracked name.  All tracked names of a function are seeded at function
-  entry in the spec's *start states* — every non-error state, minus the
-  exit obligation's states (nothing is known about the caller, and the
-  caller's ownership is not this function's obligation); creator-bound
-  names are narrowed at their binding site.  Seeding everything at
-  entry keeps the transfer function monotone — tracking never begins
-  mid-flight, so the fixpoint cannot oscillate.  A function with no
-  tracked name has no facts and is skipped.
+  is bound from one of the spec's ``creators``, when it appears at the
+  tracked position of an *introducing* operation, or when it is aliased
+  from an already tracked name.  All tracked names of a function are
+  seeded at function entry in the spec's *start states* — every
+  non-error state, minus the exit obligation's states (nothing is known
+  about the caller, and the caller's ownership is not this function's
+  obligation); creator-bound names are narrowed at their binding site.
+  Seeding everything at entry keeps the transfer function monotone —
+  tracking never begins mid-flight, so the fixpoint cannot oscillate.
+  A function with no tracked name has no facts and is skipped.
 
 * **operations** — three syntactic kinds, matched receiver-blind (the
   call graph cannot resolve ``self.scheduler.admit``; a method *name*
@@ -85,7 +82,7 @@ any spec over the existing machinery:
   shipped specs) or resets to the start states (``on_escape="reset"``:
   the conservative choice when unknown code may advance the object).
 
-The four shipped rules and their scopes:
+The three shipped rules and their scopes:
 
 * **RL006** — lock lifecycle (``core/schedulers/``, ``core/locks.py``,
   ``machine/``): a declaration ``register``-ed, or a resource grant
@@ -99,10 +96,6 @@ The four shipped rules and their scopes:
   triggers at most once and only through ``succeed()``/``fail()``
   (direct ``_value`` writes bypass the ``EngineStateError`` guard),
   and only a triggered (failed) event is defused.
-* **RL016** — checkpoint/sweep-task lifecycle
-  (``experiments/parallel.py``): a loaded checkpoint's results are
-  merged once, and only after ``_validate_checkpoint`` accepted the
-  fingerprint.
 
 Like every prior layer, the rules ran against the real modules before
 landing: each finding was fixed or justified-and-suppressed inline, and
@@ -171,12 +164,11 @@ class Operation:
 
 @dataclass(frozen=True)
 class Creator:
-    """A callable whose result (or one tuple element of it) is a fresh
-    protocol object in a known state."""
+    """A callable whose result is a fresh protocol object in a known
+    state."""
 
     name: str                       # bare or attribute callable name
     state: str
-    result_index: Optional[int] = None  # None: whole result; int: elts[i]
 
 
 @dataclass(frozen=True)
@@ -324,22 +316,15 @@ class _FunctionAnalysis:
                 value = node.value
                 creator = self._creator_of(value)
                 for target in targets:
-                    bound: Optional[str] = None
-                    if isinstance(target, ast.Name):
-                        if creator is not None and creator.result_index is None:
-                            bound = target.id
-                        elif isinstance(value, ast.Name):
-                            alias_edges.append((target.id, value.id))
-                    elif isinstance(target, ast.Tuple) and creator is not None:
-                        index = creator.result_index
-                        if (index is not None and index < len(target.elts)
-                                and isinstance(target.elts[index], ast.Name)):
-                            bound = target.elts[index].id  # type: ignore[union-attr]
-                    if bound is not None and creator is not None:
-                        names.add(bound)
-                        self._note(bound, value, creator.name,
+                    if not isinstance(target, ast.Name):
+                        continue
+                    if creator is not None:
+                        names.add(target.id)
+                        self._note(target.id, value, creator.name,
                                    dict.fromkeys(self.start,
                                                  frozenset({creator.state})))
+                    elif isinstance(value, ast.Name):
+                        alias_edges.append((target.id, value.id))
             elif isinstance(node, ast.Call):
                 name = _called_name(node)
                 op = self.call_ops.get(name)
@@ -494,7 +479,7 @@ class _FunctionAnalysis:
         if isinstance(target, ast.Name):
             if target.id not in self.relevant:
                 return facts
-            if creator is not None and creator.result_index is None:
+            if creator is not None:
                 return self._set(facts, target.id,
                                  frozenset({creator.state}))
             if isinstance(value, ast.Name):
@@ -504,15 +489,9 @@ class _FunctionAnalysis:
             # Opaque rebinding: back to the start states.
             return self._set(facts, target.id, self.start)
         if isinstance(target, ast.Tuple):
-            for index, elt in enumerate(target.elts):
-                if not isinstance(elt, ast.Name):
-                    continue
-                if elt.id not in self.relevant:
-                    continue
-                if creator is not None and creator.result_index == index:
-                    facts = self._set(facts, elt.id,
-                                      frozenset({creator.state}))
-                else:
+            # Every element is an opaque rebinding.
+            for elt in target.elts:
+                if isinstance(elt, ast.Name) and elt.id in self.relevant:
                     facts = self._set(facts, elt.id, self.start)
         return facts
 
@@ -720,9 +699,7 @@ def render_table(spec: ProtocolSpec) -> str:
                  f"(+ {spec.error_state})")
     if spec.creators:
         for creator in spec.creators:
-            where = ("" if creator.result_index is None
-                     else f" [result {creator.result_index}]")
-            lines.append(f"creator: {creator.name}(...){where} -> "
+            lines.append(f"creator: {creator.name}(...) -> "
                          f"{creator.state}")
     if spec.tracked_types:
         lines.append("tracked annotations: "
@@ -853,26 +830,6 @@ EVENT_PROTOCOL = ProtocolSpec(
                 "sub-events of conditions must be defused",
 )
 
-#: RL016 — checkpoint results: loaded, validated, merged exactly once.
-CHECKPOINT_PROTOCOL = ProtocolSpec(
-    name="checkpoint lifecycle",
-    states=("loaded", "validated", "merged"),
-    error_state="invalid",
-    creators=(Creator("read_checkpoint", "loaded", result_index=1),),
-    operations=(
-        Operation(ARG, "_validate_checkpoint", _t(loaded=("validated",)),
-                  arg_index=1,
-                  description="fingerprint and task-key validation "
-                              "must see freshly loaded results"),
-        Operation(ARG, "update", _t(validated=("merged",)),
-                  description="a task result set merges into the sweep "
-                              "exactly once, after validation"),
-    ),
-    on_escape="ignore",
-    description="read_checkpoint -> _validate_checkpoint -> merged "
-                "into the done map exactly once",
-)
-
 
 # ---------------------------------------------------------------------------
 # The rules
@@ -926,14 +883,3 @@ class EventLifecycleRule(TypestateRule):
 
     def applies_to(self, ctx: FileContext) -> bool:
         return ctx.in_dir("engine")
-
-
-@register_rule
-class CheckpointLifecycleRule(TypestateRule):
-    rule_id = "RL016"
-    summary = ("checkpoint/sweep-task lifecycle (typestate): results "
-               "merge once, only after fingerprint validation")
-    spec = CHECKPOINT_PROTOCOL
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.is_module("repro/experiments/parallel.py")

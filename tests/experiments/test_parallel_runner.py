@@ -1,21 +1,17 @@
-"""Cross-process determinism proofs for the parallel sweep runner.
+"""Cross-process determinism proofs for the point runner.
 
-The guarantee under test: a sweep's results are a pure function of the
-sweep definition and its root seed — worker count, worker scheduling and
-submission order cannot perturb a single bit.  Every test compares full
+The guarantee under test: a grid's results are a pure function of its
+point specs — worker count, worker scheduling and input order cannot
+perturb a single bit.  Every test compares full
 ``RunMetrics.as_dict()`` payloads, not summary statistics, so even a
 one-ulp drift in a histogram would fail.
 """
 
-import random
-
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.parallel import (SweepSpec, SweepTask, point_key,
-                                        resolve_workers, run_sweep,
-                                        run_tasks, task_seed)
-from repro.experiments.runner import PointSpec, run_points, sweep_specs
+from repro.experiments.runner import (PointSpec, resolve_workers, run_point,
+                                      run_points, sweep_specs)
 from repro.faults import FaultPlan
 
 # Structural determinism needs contention, not statistical power: short
@@ -26,98 +22,62 @@ SCHEDULERS = ("CHAIN", "K2", "C2PL", "2PL")
 
 def _points(fault_plan=None):
     plan_json = None if fault_plan is None else fault_plan.to_json()
-    return tuple(PointSpec("pattern1", scheduler, 0.5, sim_clocks=CLOCKS,
-                           fault_plan_json=plan_json)
-                 for scheduler in SCHEDULERS)
+    return [PointSpec("pattern1", scheduler, 0.5, sim_clocks=CLOCKS,
+                      fault_plan_json=plan_json)
+            for scheduler in SCHEDULERS]
 
 
-def _dicts(result):
-    return {key: metrics.as_dict() for key, metrics in result.results.items()}
+def _dicts(metrics):
+    return [m.as_dict() for m in metrics]
+
+
+class _BrokenPoint(PointSpec):
+    """A point whose construction fails inside the worker."""
+
+    def build(self):
+        raise ValueError("broken point")
 
 
 class TestSweepDeterminism:
     def test_serial_equals_parallel_all_schedulers(self):
-        """workers=1, 2 and 4 produce bit-identical per-task metrics."""
-        sweep = SweepSpec(points=_points(), root_seed=7, replications=2)
-        baseline = _dicts(run_sweep(sweep, max_workers=1))
+        """workers=1, 2 and 4 produce bit-identical per-point metrics."""
+        baseline = _dicts(run_points(_points(), processes=1))
         for workers in (2, 4):
-            assert _dicts(run_sweep(sweep, max_workers=workers)) == baseline
+            assert _dicts(run_points(_points(), processes=workers)) \
+                == baseline
 
     def test_fault_plan_grid_deterministic(self):
         """Fault injection rides the same derived streams: still identical."""
-        plan = FaultPlan(abort_rate=0.3)
-        sweep = SweepSpec(points=_points(plan), root_seed=3)
-        serial = _dicts(run_sweep(sweep, max_workers=1))
-        assert _dicts(run_sweep(sweep, max_workers=2)) == serial
-        assert any(d["fault_aborts"] > 0 for d in serial.values())
+        specs = _points(FaultPlan(abort_rate=0.3))
+        serial = _dicts(run_points(specs, processes=1))
+        assert _dicts(run_points(specs, processes=2)) == serial
+        assert any(d["fault_aborts"] > 0 for d in serial)
 
     def test_point_order_does_not_change_results(self):
-        """Shuffling the grid definition shuffles nothing but row order."""
-        forward = SweepSpec(points=_points(), root_seed=7)
-        backward = SweepSpec(points=tuple(reversed(_points())), root_seed=7)
-        assert _dicts(run_sweep(forward, max_workers=2)) \
-            == _dicts(run_sweep(backward, max_workers=2))
+        """Reversing the input reverses the results and changes nothing
+        else; progress fires once per point."""
+        forward = _dicts(run_points(_points(), processes=2))
+        seen = []
+        backward = run_points(list(reversed(_points())), processes=2,
+                              progress=lambda spec, m: seen.append(spec))
+        assert _dicts(backward) == list(reversed(forward))
+        assert sorted(seen, key=_points().index) == _points()
 
     def test_grid_rows_follow_definition_order(self):
-        sweep = SweepSpec(points=_points(), root_seed=7)
-        rows = run_sweep(sweep, max_workers=2).grid()
-        assert [row["scheduler"] for row in rows] == list(SCHEDULERS)
-        assert all(row["commits"] > 0 for row in rows)
-
-    def test_replication_summary_has_intervals(self):
-        sweep = SweepSpec(points=_points()[:1], root_seed=7, replications=3)
-        result = run_sweep(sweep, max_workers=2)
-        summary = result.point_summary(sweep.points[0])
-        assert summary["replications"] == 3.0
-        assert summary["throughput_tps_ci"] >= 0.0
-        # Replications use distinct derived seeds, so they differ.
-        runs = result.point_runs(sweep.points[0])
-        assert len({run.commits for run in runs}) > 1 or len(runs) == 1
-
-
-class TestSeedDerivation:
-    def test_task_seed_is_pure(self):
-        assert task_seed(7, "k") == task_seed(7, "k")
-        assert task_seed(7, "k") != task_seed(8, "k")
-        assert task_seed(7, "k") != task_seed(7, "l")
-
-    def test_spec_seed_field_does_not_identify_a_point(self):
-        """point_key ignores seed: the runner owns seed derivation."""
-        a = PointSpec("pattern1", "K2", 0.5, seed=1)
-        b = PointSpec("pattern1", "K2", 0.5, seed=99)
-        assert point_key(a) == point_key(b)
-        with pytest.raises(ExperimentError, match="duplicate"):
-            SweepSpec(points=(a, b))
-
-    def test_task_seeds_survive_definition_shuffle(self):
-        """Per-key seeds are identical however the grid is ordered."""
-        points = list(_points())
-        random.Random(0).shuffle(points)
-        shuffled = SweepSpec(points=tuple(points), root_seed=7)
-        original = SweepSpec(points=_points(), root_seed=7)
-        assert {t.key: t.seed for t in shuffled.tasks()} \
-            == {t.key: t.seed for t in original.tasks()}
-
-    def test_replications_get_distinct_seeds(self):
-        sweep = SweepSpec(points=_points()[:1], root_seed=7, replications=4)
-        seeds = [t.seed for t in sweep.tasks()]
-        assert len(set(seeds)) == len(seeds)
-
-    def test_sweep_validation(self):
-        with pytest.raises(ExperimentError, match="at least one point"):
-            SweepSpec(points=())
-        with pytest.raises(ExperimentError, match="replications"):
-            SweepSpec(points=_points()[:1], replications=0)
+        """Row i is the in-process run of point i, whatever finished first."""
+        rows = run_points(_points(), processes=2)
+        assert _dicts(rows) == [run_point(spec).as_dict()
+                                for spec in _points()]
+        assert all(row.commits > 0 for row in rows)
 
 
 class TestExecutor:
     def test_run_points_identical_for_any_worker_count(self):
         specs = sweep_specs("pattern1", ["CHAIN", "2PL"], [0.4, 0.6],
                             sim_clocks=CLOCKS, seed=5)
-        baseline = [m.as_dict() for m in run_points(specs, processes=1)]
+        baseline = _dicts(run_points(specs, processes=1))
         for workers in (2, 4):
-            assert [m.as_dict()
-                    for m in run_points(specs, processes=workers)] == baseline
+            assert _dicts(run_points(specs, processes=workers)) == baseline
 
     def test_resolve_workers(self):
         assert resolve_workers(4, 2) == 2
@@ -128,15 +88,31 @@ class TestExecutor:
             resolve_workers(0, 3)
 
     def test_run_tasks_returns_task_order(self):
+        """Results come back in input order; progress fires once per
+        point, in whatever order the pool finishes them."""
         specs = _points()[:2]
-        tasks = [SweepTask(spec=spec, replication=0, key=f"t{i}",
-                           seed=task_seed(1, f"t{i}"))
-                 for i, spec in enumerate(specs)]
         seen = []
-        results = run_tasks(tasks, max_workers=2,
-                            on_result=lambda t, m: seen.append(t.key))
-        assert list(results) == ["t0", "t1"]   # definition order, always
-        assert sorted(seen) == ["t0", "t1"]    # completion order may vary
+        results = run_points(specs, processes=2,
+                             progress=lambda spec, m: seen.append(spec))
+        assert _dicts(results) == [run_point(spec).as_dict()
+                                   for spec in specs]
+        assert sorted(seen, key=specs.index) == specs
 
     def test_run_tasks_empty(self):
-        assert run_tasks([], max_workers=4) == {}
+        assert run_points([], processes=4) == []
+
+    def test_failing_point_propagates_without_a_rerun(self):
+        """A point's own ValueError is not mistaken for a missing pool:
+        it surfaces from the worker, and no finished point is run (or
+        reported) a second time in-process."""
+        specs = _points()[:2] + [_BrokenPoint("pattern1", "NODC", 0.5,
+                                              sim_clocks=CLOCKS)]
+        seen = []
+        with pytest.raises(ValueError, match="broken point") as raised:
+            run_points(specs, processes=2,
+                       progress=lambda spec, m: seen.append(spec.scheduler))
+        # The pool attaches the worker's traceback as the cause; an
+        # in-process re-run would raise without one.
+        assert raised.value.__cause__ is not None
+        assert "NODC" not in seen
+        assert len(seen) == len(set(seen))

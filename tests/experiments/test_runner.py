@@ -1,8 +1,7 @@
-"""Tests for the point runner (execution now lives in experiments.parallel).
+"""Tests for the point runner: the PointSpec surface and run_points.
 
-Determinism and checkpointing of the underlying executor are covered by
-``test_parallel_runner.py`` / ``test_sweep_checkpoint.py``; this module
-tests the PointSpec surface itself.
+Cross-process determinism across schedulers, fault plans and worker
+counts is covered by ``test_parallel_runner.py``.
 """
 
 import pickle

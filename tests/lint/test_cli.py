@@ -45,4 +45,4 @@ def test_explain_plain_rule_prints_only_the_catalogue_entry(capsys):
 def test_explain_rejects_unknown_rules(capsys):
     assert main(["--explain", "RL999"]) == 2
     err = capsys.readouterr().err
-    assert "unknown rule" in err and "RL016" in err
+    assert "unknown rule" in err and "RL014" in err

@@ -40,8 +40,8 @@ def test_driver_carries_the_full_rule_catalogue(tmp_path):
     assert driver["name"] == TOOL_NAME
     assert driver["version"] == TOOL_VERSION
     ids = [rule["id"] for rule in driver["rules"]]
-    assert ids == [f"RL{i:03d}" for i in range(1, 17)
-                   if i not in (2, 8, 10, 11, 15)]
+    assert ids == [f"RL{i:03d}" for i in range(1, 15)
+                   if i not in (2, 8, 10, 11)]
     for rule in driver["rules"]:
         assert rule["shortDescription"]["text"]
 

@@ -1,4 +1,5 @@
-"""Tests for the EXPERIMENTS.md report parsers (scripts/)."""
+"""Tests for the EXPERIMENTS.md report parsers and the report writer
+(scripts/)."""
 
 import importlib.util
 import sys
@@ -6,17 +7,27 @@ from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
-    "build_experiments_md.py"
+from repro.experiments.runner import code_fingerprint
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name,
+                                                  SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def mod():
-    spec = importlib.util.spec_from_file_location("build_experiments_md",
-                                                  SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("build_experiments_md")
+
+
+@pytest.fixture(scope="module")
+def writer():
+    return _load("run_paper_experiments")
 
 
 EXP1_SAMPLE = """Readings at mean RT = 70 s:
@@ -85,3 +96,32 @@ class TestEndToEnd:
         text = mod.build()
         assert "| Exp |" in text
         assert "Experiment 1 (Figures 6 and 7)" in text
+
+
+class TestStampedReports:
+    def test_build_parses_stamped_reports(self, mod, writer, monkeypatch,
+                                          tmp_path):
+        # save() ends each report with the simulator's code fingerprint;
+        # the document built from stamped reports differs from the one
+        # built from the plain reports only by those stamp lines.
+        if not (mod.RESULTS / "exp4.txt").exists():
+            pytest.skip("full results not generated yet")
+        plain = mod.build()
+        monkeypatch.setattr(writer, "RESULTS", tmp_path)
+        for name in ("exp1", "exp2", "exp3", "exp4"):
+            writer.save(name, mod.read(name).rstrip("\n"))
+        monkeypatch.setattr(mod, "RESULTS", tmp_path)
+        stamp = f"code fingerprint: {code_fingerprint()}"
+        assert (tmp_path / "exp1.txt").read_text().endswith(stamp + "\n")
+        stamped = mod.build()
+        assert stamped.count(stamp) == 4
+        assert [line for line in stamped.splitlines()
+                if stamp not in line] == plain.splitlines()
+
+    def test_jobs_must_be_a_positive_int(self, writer, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv",
+                            ["run_paper_experiments.py", "--jobs", "0"])
+        with pytest.raises(SystemExit) as exit_info:
+            writer.main()
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err

@@ -25,6 +25,15 @@ class TestParser:
         args = build_parser().parse_args(["exp4", "--sigmas", "0,1"])
         assert args.sigmas == "0,1"
 
+    @pytest.mark.parametrize("command", ["exp1", "exp2", "exp3", "exp4"])
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_jobs_must_be_a_positive_int(self, command, jobs, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--jobs", jobs, "--quiet"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--jobs" in err
+
 
 class TestCommands:
     def test_table1(self, capsys):
@@ -75,42 +84,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "declustered" in out
 
+    def test_jobs_flag_changes_nothing(self, capsys):
+        command = ["exp1", "--clocks", "15000", "--rates", "0.5",
+                   "--schedulers", "CHAIN,K2", "--quiet"]
+        assert main(command) == 0
+        serial = capsys.readouterr().out
+        assert main(command + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
     def test_progress_goes_to_stderr(self, capsys):
         main(["exp1", "--clocks", "40000", "--rates", "0.3",
               "--schedulers", "NODC"])
         captured = capsys.readouterr()
         assert "NODC" in captured.err  # progress line
-
-
-class TestSweepCommand:
-    RUN = ["sweep", "run", "--schedulers", "CHAIN,K2", "--rates", "0.5",
-           "--clocks", "15000", "--replications", "2", "--quiet"]
-
-    def test_run_prints_merged_grid(self, capsys):
-        assert main(self.RUN) == 0
-        out = capsys.readouterr().out
-        assert "pattern1/CHAIN" in out and "pattern1/K2" in out
-        assert "±" in out                      # CI half-widths rendered
-        assert "4 executed" in out
-
-    def test_interrupt_status_resume_flow(self, tmp_path, capsys):
-        ckpt = str(tmp_path / "grid.jsonl")
-        budgeted = self.RUN + ["--checkpoint", ckpt, "--task-budget", "3"]
-        assert main(budgeted) == 3             # interrupted, resumable
-        assert "interrupted" in capsys.readouterr().err
-
-        assert main(["sweep", "status", "--checkpoint", ckpt]) == 0
-        out = capsys.readouterr().out
-        assert "done_tasks" in out and "3" in out
-        assert "stale" in out and "False" in out
-
-        assert main(["sweep", "resume", "--checkpoint", ckpt,
-                     "--quiet"]) == 0
-        out = capsys.readouterr().out
-        assert "1 executed, 3 resumed" in out
-
-    def test_jobs_flag_changes_nothing(self, tmp_path, capsys):
-        assert main(self.RUN) == 0
-        serial = capsys.readouterr().out
-        assert main(self.RUN + ["--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
