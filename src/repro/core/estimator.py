@@ -93,6 +93,19 @@ class ContentionBatch:
             self._base_dist = wtpg._cp_dist or {}
         self._generation = wtpg.generation
 
+    @property
+    def floor(self) -> float:
+        """The base graph's critical path: no :meth:`estimate` is lower.
+
+        An overlay only adds precedence edges, whose weights are
+        non-negative, so every candidate's critical path is at least the
+        base one; :meth:`estimate` returns the base value or a larger
+        peak (or infinity).
+        """
+        if self.wtpg.generation != self._generation:
+            self._prime()
+        return self._base_cp
+
     def estimate(self, tid: int,
                  implied_resolutions: Sequence[Resolution]) -> float:
         """``E(q)`` for one candidate; see :func:`estimate_contention`."""

@@ -100,7 +100,7 @@ class SchedulerStats:
     aborts: int = 0               # mid-flight deadlock victims (2PL only)
     commits: int = 0
     optimizations: int = 0        # W recomputations (CHAIN)
-    estimator_calls: int = 0      # E(q) evaluations (K-WTPG)
+    estimator_calls: int = 0      # E(q) evaluations charged to the CN
     deadlock_predictions: int = 0
     control_cpu: float = 0.0      # total CPU cost reported
 

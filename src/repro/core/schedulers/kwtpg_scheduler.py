@@ -28,11 +28,15 @@ precedence edge).
 
 A grant decision with rivals builds one
 :class:`~repro.core.estimator.ContentionBatch` — a copy-free delta view
-over the live WTPG — and evaluates the request and every rival through
-it.  A request whose ``C(q)`` is empty has nothing to be compared with:
-it is granted unless the live graph already has a precedence cycle,
-which is exactly when its ``E(q)`` would be infinite, and no batch is
-built (:meth:`KWTPGScheduler._grant_uncontested`).
+over the live WTPG — and evaluates the request through it.  The rivals
+are evaluated through it too, unless ``E(q)`` is at the batch's
+critical-path floor, below which no rival's fresh ``E`` can lie
+(:meth:`KWTPGScheduler._dominates_rivals`).  A request whose ``C(q)`` is
+empty has nothing to be compared with: it is granted unless the live
+graph already has a precedence cycle, which is exactly when its
+``E(q)`` would be infinite, and no batch is built
+(:meth:`KWTPGScheduler._grant_uncontested`).  Both shortcuts charge
+what the full rule charges.
 """
 
 from __future__ import annotations
@@ -129,7 +133,16 @@ class KWTPGScheduler(WTPGScheduler):
         if e_q == INFINITE_CONTENTION:
             return self._predicted_deadlock(cost)
 
-        for decl in self._earliest_per_rival(rivals):
+        earliest = self._earliest_per_rival(rivals)
+        if self._dominates_rivals(e_q, implied, earliest, now, batch):
+            for _ in earliest:
+                # What the full rule charges for each rival's fresh E.
+                cost += self.kwtpgtime
+                self.stats.estimator_calls += 1
+            self._deferred_to.pop(txn.tid, None)
+            return LockResponse(Decision.GRANT, cpu_cost=cost)
+
+        for decl in earliest:
             e_rival, extra = self._estimate_declaration(decl, now, batch)
             cost += extra
             if e_rival < e_q:
@@ -142,6 +155,36 @@ class KWTPGScheduler(WTPGScheduler):
                            f"declaration has E={e_rival:g}")
         self._deferred_to.pop(txn.tid, None)
         return LockResponse(Decision.GRANT, cpu_cost=cost)
+
+    def _dominates_rivals(self, e_q: float,
+                          implied: Sequence[Tuple[int, int]],
+                          earliest: Sequence[Declaration], now: float,
+                          batch: ContentionBatch) -> bool:
+        """True if the full rule would grant without a rival mattering.
+
+        No E the batch computes is below its :attr:`~ContentionBatch.floor`,
+        so when ``E(q)`` is at most the floor and every rival's E would be
+        computed fresh (no E is cached for its step), no rival can have a
+        smaller E and the verdict is GRANT.  The full rule would also
+        cache each rival's E; skipping those writes is unobservable when
+        the grant resolves a new pair, because :meth:`_apply_grant` then
+        invalidates the cache.  A rival outside the WTPG falls through
+        to the full rule, which raises.
+        """
+        if e_q > batch.floor:
+            return False
+        if not any(pair is not None and not pair.resolved
+                   for pair in (self.wtpg.pair(predecessor, successor)
+                                for predecessor, successor in implied)):
+            return False
+        if not all(decl.tid in self.wtpg for decl in earliest):
+            return False
+        if self._saver.stale(now):
+            return True  # every rival's lookup would miss
+        # Conservative: an entry counts whatever implied set it is keyed on.
+        cached_steps = {(tid, step) for tid, step, _ in self._e_cache}
+        return not any((decl.tid, decl.step_index) in cached_steps
+                       for decl in earliest)
 
     def _grant_uncontested(self, txn: TransactionRuntime,
                            now: float) -> LockResponse:

@@ -365,6 +365,127 @@ class TestUncontestedGrant:
             assert fast.reason == full.reason
 
 
+class TestDominatedRivals:
+    """A contested request whose E(q) is at the batch's critical-path
+    floor is granted without evaluating its rivals, when each rival's E
+    would be a fresh miss and the grant resolves a new pair.  Otherwise
+    the full rule runs.  Either way the verdict, cost, stats and the
+    state left behind equal the full rule's."""
+
+    def scenario(self, rivals=2, heavy=True, kwtpgtime=10.0):
+        """T1 and ``rivals`` others each write P0 once.  A heavy
+        transaction T99 on P7 sets the critical path, so E(T1) is at the
+        floor; without it the order on P0 lengthens the critical path."""
+        sched = KWTPGScheduler(k=rivals, kwtpgtime=kwtpgtime,
+                               keeptime=5000)
+        txns = [rt(tid, [Step.write(0, 1)]) for tid in range(1, rivals + 2)]
+        if heavy:
+            txns.append(rt(99, [Step.read(7, 100)]))
+        for txn in txns:
+            assert sched.admit(txn, now=0).admitted
+        evaluated = []
+        estimate_declaration = sched._estimate_declaration
+
+        def counted(decl, now, batch):
+            evaluated.append(decl.tid)
+            return estimate_declaration(decl, now, batch)
+
+        sched._estimate_declaration = counted
+        return sched, txns[0], evaluated
+
+    def full_rule(self, **kwargs):
+        sched, txn, evaluated = self.scenario(**kwargs)
+        sched._dominates_rivals = lambda *args: False
+        return sched, txn, evaluated
+
+    def assert_same_as_full_rule(self, fast, full):
+        (sched, response), (full_sched, full_response) = fast, full
+        assert response.decision is full_response.decision
+        assert response.cpu_cost == full_response.cpu_cost
+        assert response.reason == full_response.reason
+        assert sched.stats.as_dict() == full_sched.stats.as_dict()
+        assert sched._e_cache == full_sched._e_cache
+        assert sched._deferred_to == full_sched._deferred_to
+
+    def decide(self, prepare=lambda sched: None, **kwargs):
+        """The shortcut's and the full rule's decision on T1's request,
+        after ``prepare`` ran on each scheduler; and the rivals the
+        shortcut's scheduler evaluated."""
+        outcomes = []
+        for build in (self.scenario, self.full_rule):
+            sched, txn, evaluated = build(**kwargs)
+            prepare(sched)
+            outcomes.append((sched, sched.request_lock(txn, now=1),
+                             evaluated))
+        (sched, response, evaluated), (full, full_response, _) = outcomes
+        self.assert_same_as_full_rule((sched, response),
+                                      (full, full_response))
+        return response, evaluated
+
+    def test_at_the_floor_no_rival_is_evaluated(self):
+        response, evaluated = self.decide()
+        assert response.granted
+        assert evaluated == []
+        # E(q) plus one fresh E per rival, as the full rule charges.
+        assert response.cpu_cost == 30.0
+
+    def test_cached_rival_key_takes_the_full_rule(self):
+        from repro.core import builder
+
+        def cache_t2(sched):
+            decl = sched.table.declarations_of(2)[0]
+            implied = builder.implied_resolutions(
+                sched.table, sched.wtpg, 2, decl.partition, decl.mode)
+            sched._estimate(2, decl.step_index, implied, 1,
+                            ContentionBatch(sched.wtpg))
+
+        response, evaluated = self.decide(prepare=cache_t2)
+        assert response.granted
+        assert evaluated == [2, 3]
+        assert response.cpu_cost == 20.0  # T2's E was a cache hit
+
+    def test_grant_resolving_no_new_pair_takes_the_full_rule(self):
+        def preresolve(sched):
+            sched.wtpg.resolve(1, 2)
+            sched.wtpg.resolve(1, 3)
+
+        response, evaluated = self.decide(prepare=preresolve)
+        assert response.granted
+        assert evaluated == [2, 3]
+        # Nothing invalidates the cache: the rivals' E values stay
+        # readable, so skipping them would change a later decision.
+        sched, txn, _ = self.scenario()
+        preresolve(sched)
+        sched.request_lock(txn, now=1)
+        assert {key[0] for key in sched._e_cache} == {1, 2, 3}
+
+    def test_e_above_the_floor_takes_the_full_rule(self):
+        sched, txn, _ = self.scenario(heavy=False)
+        batch = ContentionBatch(sched.wtpg)
+        assert batch.estimate(1, ((1, 2), (1, 3))) > batch.floor
+        response, evaluated = self.decide(heavy=False)
+        assert response.granted
+        assert evaluated == [2, 3]
+
+    @pytest.mark.parametrize("rivals", [2, 5])
+    def test_cost_is_bit_identical_to_the_full_rule(self, rivals):
+        response, evaluated = self.decide(rivals=rivals, kwtpgtime=0.1)
+        assert evaluated == []
+        if rivals == 5:
+            # Summed once per rival, not multiplied: 0.1 * 6 rounds
+            # differently from six additions of 0.1.
+            assert response.cpu_cost != 0.1 * (rivals + 1)
+
+    def test_rival_outside_the_wtpg_raises_like_the_full_rule(self):
+        from repro.errors import WTPGError
+
+        sched, txn, evaluated = self.scenario()
+        sched.wtpg.remove_transaction(3)
+        with pytest.raises(WTPGError, match="T3 is not in the WTPG"):
+            sched.request_lock(txn, now=1)
+        assert evaluated == [2, 3]
+
+
 class TestWeightsDriveDecisions:
     def test_progress_flips_the_preference(self):
         """As the heavy transaction nears completion its dues shrink;

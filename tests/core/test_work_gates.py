@@ -6,6 +6,9 @@ Counts, not timings, so they hold on any host:
 * a request whose ``C(q)`` is empty builds no
   :class:`~repro.core.estimator.ContentionBatch` -- on a light-load bulk
   scan that is nearly every decision;
+* a contested request whose ``E(q)`` is at the critical-path floor is
+  granted without evaluating its rivals: on the hot set a contested
+  decision evaluates about one E, not one per candidate;
 * admission asks :meth:`LockTable.conflicting_transactions` once per
   transaction sharing one of the newcomer's partitions, and never of the
   rest of the active set;
@@ -86,6 +89,34 @@ def test_uncontested_decisions_build_no_batch():
     hot, batches = count_decisions(hotset_run())
     assert batches == hot["contested"], (hot, batches)
     assert hot["contested"] > 0 and hot["uncontested"] > 0, hot
+
+
+#: ``ContentionBatch.estimate`` calls per contested decision on
+#: :func:`hotset_run`: 1.05 when a request at the critical-path floor
+#: skips its rivals, 2.38 when every rival was evaluated.
+MAX_ESTIMATES_PER_CONTESTED_DECISION = 1.3
+
+
+def test_contested_decisions_skip_dominated_rivals():
+    counts = Counter()
+    estimate = ContentionBatch.estimate
+    grant_if_minimal = KWTPGScheduler._grant_if_minimal
+
+    def counted_estimate(self, tid, implied):
+        counts["estimates"] += 1
+        return estimate(self, tid, implied)
+
+    def counted_decision(self, txn, implied, rivals, now):
+        counts["decisions"] += 1
+        return grant_if_minimal(self, txn, implied, rivals, now)
+
+    with mock.patch.object(ContentionBatch, "estimate", counted_estimate), \
+            mock.patch.object(KWTPGScheduler, "_grant_if_minimal",
+                              counted_decision):
+        hotset_run().run()
+    assert counts["decisions"] > 20, dict(counts)
+    assert (counts["estimates"] / counts["decisions"]
+            <= MAX_ESTIMATES_PER_CONTESTED_DECISION), dict(counts)
 
 
 def test_admission_asks_only_partition_sharers():

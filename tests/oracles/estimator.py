@@ -82,17 +82,26 @@ def _grant_by_full_rule(self: KWTPGScheduler, txn: TransactionRuntime,
     return self._grant_if_minimal(txn, (), (), now)
 
 
+def _never_dominates(self: KWTPGScheduler, *args: object) -> bool:
+    """The paper's rule for a contested request: evaluate every rival."""
+    return False
+
+
 @contextmanager
 def reference_estimator() -> Iterator[None]:
     """Make every K-WTPG grant decision use :class:`ReferenceBatch`
     while the block runs.
 
-    Uncontested requests go through the full rule too, so the oracle
-    answers every E(q) the paper evaluates, and a run under it proves
-    the scheduler's cycle-check shortcut for those requests exact.
+    Uncontested requests go through the full rule too, and contested
+    ones evaluate every rival's E, so the oracle answers every E(q) the
+    paper evaluates, and a run under it proves both of the scheduler's
+    shortcuts exact: the cycle check for an empty ``C(q)`` and the
+    dominated-rivals grant.
     """
     with mock.patch.object(kwtpg_scheduler, "ContentionBatch",
                            ReferenceBatch), \
             mock.patch.object(KWTPGScheduler, "_grant_uncontested",
-                              _grant_by_full_rule):
+                              _grant_by_full_rule), \
+            mock.patch.object(KWTPGScheduler, "_dominates_rivals",
+                              _never_dominates):
         yield

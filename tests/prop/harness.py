@@ -234,19 +234,28 @@ def check_cases(pairs: Sequence[Tuple[str, str]],
     ``jobs=None`` reads ``REPRO_PROP_JOBS`` (default 1 = serial).
     Verdicts come back in input order; they are identical for every
     jobs value because each case is a pure function of the master seed
-    and its name.  If a pool cannot be created the harness silently
-    runs in-process instead.
+    and its name.  If a pool cannot be started the harness runs
+    in-process instead; an exception raised by a case propagates once,
+    with the worker's traceback as its cause.
     """
     pairs = list(pairs)
     jobs = prop_jobs() if jobs is None else max(1, jobs)
     if jobs > 1 and len(pairs) > 1:
+        pool = None
         try:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) \
-                    as pool:
-                return list(pool.map(_check_case_pair, pairs))
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(pairs)))
+            verdicts = pool.map(_check_case_pair, pairs)
         except (OSError, ValueError, ImportError):
-            pass  # restricted platform: degrade to in-process
+            # Restricted platform: degrade to in-process.
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            pool = None
+        if pool is not None:
+            try:
+                return list(verdicts)
+            finally:
+                pool.shutdown(cancel_futures=True)
     return [_check_case_pair(pair) for pair in pairs]
 
 

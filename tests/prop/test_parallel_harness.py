@@ -61,6 +61,26 @@ def test_failing_case_becomes_verdict(monkeypatch):
     assert verdicts[0].case_seed > 0
 
 
+def test_raising_case_propagates_without_a_rerun(monkeypatch):
+    """A case's own ValueError is not mistaken for a missing pool: it
+    surfaces from the worker, and no case is run again in-process."""
+    in_process = []
+    check_case = harness.check_case
+
+    def recorded(scheduler, name):
+        in_process.append(name)
+        return check_case(scheduler, name)
+
+    monkeypatch.setattr(harness, "check_case", recorded)
+    pairs = [("CHAIN", "CHAIN-case-0"), ("NOPE", "NOPE-case-0")]
+    with pytest.raises(ValueError, match="unknown scheduler") as raised:
+        harness.check_cases(pairs, jobs=2)
+    # The pool attaches the worker's traceback as the cause; an
+    # in-process re-run would raise without one.
+    assert raised.value.__cause__ is not None
+    assert in_process == []
+
+
 def test_single_case_stays_serial(monkeypatch):
     """A 1-element batch never pays pool startup, whatever jobs says."""
     def no_pool(*args, **kwargs):
