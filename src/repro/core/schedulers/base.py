@@ -71,21 +71,17 @@ def merge_admission_responses(
     on every participant shard — each consults only its own slice of the
     lock table and WTPG (its local ``E(q)``/``W`` state) — so the global
     verdict is the conjunction: the BAT starts only if *every* shard
-    admits.  CPU costs add up (each shard genuinely spent its cost on
-    its own CPU) and the first rejecting shard's reason wins, which is
+    admits.  The first rejecting shard's reason wins, which is
     deterministic because shards are consulted in ascending shard id.
+    The merged response carries no CPU cost: each shard's own response
+    is charged on that shard's CPU.
     """
     if not responses:
         raise SchedulerError("cannot merge zero admission responses")
-    admitted = True
-    cost = 0.0
-    reason = ""
     for response in responses:
-        cost += response.cpu_cost
-        if admitted and not response.admitted:
-            admitted = False
-            reason = response.reason
-    return AdmissionResponse(admitted, cpu_cost=cost, reason=reason)
+        if not response.admitted:
+            return AdmissionResponse(False, reason=response.reason)
+    return AdmissionResponse(True)
 
 
 @dataclass

@@ -37,12 +37,13 @@ ends the attempt returns its abort cause:
   BAT commits like the paper's centralized machine: one ``committime``
   on its home CN, no 2PC rounds.
 
-A one-shard plane *is* the paper's centralized CN.  The one branch on
-plane size is where admission cost is spent: inline on the one CPU of a
-one-shard plane, on each participant's own CPU in parallel otherwise.
-Each CN's CPU is a single FIFO server, so heavy control traffic queues
-— the paper deliberately overstates control cost relative to
-``ObjTime`` to show the schedulers survive it.
+A one-shard plane *is* the paper's centralized CN.  Every control cost
+takes one path (:meth:`ControlPlane._charge`): a charge is claimed on
+its CN's CPU at the instant its decision is taken, and the coordinator
+waits for its end, or for every participant's end when several CNs pay
+in parallel.  Each CN's CPU is a single FIFO server, so heavy control
+traffic queues — the paper deliberately overstates control cost
+relative to ``ObjTime`` to show the schedulers survive it.
 
 Aborts — deadlock victims (2PL/WAIT-DIE) and injected faults
 (:mod:`repro.faults`) — funnel into one restart path: the schedulers
@@ -190,12 +191,6 @@ class ControlShard:
             self._busy_from = now
         return self._busy
 
-    def cpu_work(self, cost: float) -> Generator[Event, Any, None]:
-        """One participant's share of a parallel charge, run as its own
-        process (see ``ControlPlane._admit`` and ``_commit``)."""
-        if cost > 0:
-            yield self.charge(cost)
-
     def crash(self, now: float) -> None:
         """Lose the volatile scheduler state; only the log survives."""
         self.crashed = True
@@ -275,6 +270,25 @@ class ControlPlane:
     def utilizations(self, elapsed: float) -> List[float]:
         """Per-CN CPU utilization over ``elapsed`` clocks."""
         return [shard.utilization(elapsed) for shard in self.shards]
+
+    def _charge(self, charges: List[Tuple[ControlShard, float]],
+                ) -> Optional[Event]:
+        """Claim every positive ``(shard, cost)`` charge now, on its CN's
+        CPU, at the instant its decision is taken.
+
+        Returns the event to wait on: the one charge's end, or, when
+        several CNs pay in parallel, the ``all_of`` of their ends; None
+        when nothing costs.
+        """
+        if len(charges) == 1:
+            # Every charge of a one-CN plane takes this branch; building
+            # a list of ends for it cost 2-3% of a one-CN run's host time.
+            shard, cost = charges[0]
+            return shard.charge(cost) if cost > 0 else None
+        ends = [shard.charge(cost) for shard, cost in charges if cost > 0]
+        if not ends:
+            return None
+        return ends[0] if len(ends) == 1 else self.env.all_of(ends)
 
     def _project(self, spec: TransactionSpec,
                  ) -> Tuple[List[int], Dict[int, TransactionSpec]]:
@@ -513,33 +527,18 @@ class ControlPlane:
                 # The per-shard decisions are taken atomically (no yields
                 # between them).
                 responses = {}
+                charges = []  # each shard spends its cost on its own CPU
                 for sid in sids:
                     shard = self.shards[sid]
                     responses[sid] = shard.live.admit(subs[sid], env.now)
+                    charges.append((shard, responses[sid].cpu_cost))
                     if responses[sid].admitted and shard.log is not None:
                         shard.log.append_admit(subs[sid].spec, env.now)
                 response = merge_admission_responses(
                     [responses[sid] for sid in sids])
-                if self.num_shards == 1:
-                    # The one branch on plane size, kept on purpose: the
-                    # centralized CN charges admission inline on its one
-                    # CPU.  A cost process per participant (below) adds an
-                    # engine step that reorders same-instant events, so
-                    # either way used for both changes the pinned 1-CN or
-                    # multi-CN golden runs.
-                    if response.cpu_cost > 0:
-                        yield self.shards[0].charge(response.cpu_cost)
-                else:
-                    # Each shard spends its own cost on its own CPU, in
-                    # parallel, each in a process of its own.  The charge
-                    # needs no process; the process end is an event that
-                    # orders same-instant events, and yielding the
-                    # charges directly moves multi-CN response times.
-                    costed = [env.process(self.shards[sid].cpu_work(
-                                  responses[sid].cpu_cost))
-                              for sid in sids if responses[sid].cpu_cost > 0]
-                    if costed:
-                        yield env.all_of(costed)
+                end = self._charge(charges)
+                if end is not None:
+                    yield end
                 if not response.admitted:
                     # Roll back the shards that did admit.
                     for sid in sids:
@@ -563,8 +562,9 @@ class ControlPlane:
         # on, before the startup CPU window, during which a doomed
         # predecessor's abort may already fan out to us.
         self._running.add(txn.tid)
-        if self.params.startup_time > 0:
-            yield self.shards[home].charge(self.params.startup_time)
+        end = self._charge([(self.shards[home], self.params.startup_time)])
+        if end is not None:
+            yield end
         txn.start_time = self.env.now
         self.active_transactions += 1
         if traced:
@@ -640,8 +640,9 @@ class ControlPlane:
                                        ())
                     shard.log.append_grant(txn.tid, sub.current_step,
                                            env.now, resolved)
-                if response.cpu_cost > 0:
-                    yield shard.charge(response.cpu_cost)
+                end = self._charge([(shard, response.cpu_cost)])
+                if end is not None:
+                    yield end
                 if response.granted:  # repro-lint: disable=RL009 -- the grant decision is made atomically inside request_lock() and is binding; the CPU yield models the cost of computing it, not a revalidation window
                     return None
                 if response.decision is Decision.ABORT:
@@ -695,7 +696,9 @@ class ControlPlane:
         wins.
         """
         env = self.env
-        commit_time = self.params.commit_time
+        participants = [(self.shards[sid], self.params.commit_time)
+                        for sid in sids]
+        cross = len(sids) > 1
         while True:
             cause = self._doomed.get(txn.tid)
             if cause is not None:
@@ -703,16 +706,12 @@ class ControlPlane:
             if any(self.shards[sid].crashed for sid in sids):
                 yield env.timeout(self.params.retry_delay)
                 continue
-            if len(sids) > 1:
-                # One process per participant, as in _admit and for the
-                # same reason: its end orders same-instant events.
-                for _ in range(2):  # prepare, then commit
-                    yield env.all_of([
-                        env.process(self.shards[sid].cpu_work(commit_time))
-                        for sid in sids])
+            for _ in range(2 if cross else 1):  # 2PC: prepare, commit
+                end = self._charge(participants)
+                if end is not None:
+                    yield end
+                if cross:
                     self.metrics.record_2pc_round()
-            elif commit_time > 0:
-                yield self.shards[sids[0]].charge(commit_time)
             if any(self.shards[sid].crashed for sid in sids):
                 continue  # a participant died mid-commit: block
             # Apply + log the commit atomically (no yields): a crash can

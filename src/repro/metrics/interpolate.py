@@ -43,7 +43,9 @@ def interpolate_crossing(xs: Sequence[float], ys: Sequence[float],
                 # conservative and report the last finite point
             if y == y0:
                 return x
-            return x0 + (target - y0) * (x - x0) / (y - y0)
+            # y0 < target <= y, so the crossing is in (x0, x]; min()
+            # keeps float rounding from overshooting x.
+            return min(x0 + (target - y0) * (x - x0) / (y - y0), x)
         previous = (x, y)
     return None
 

@@ -15,6 +15,9 @@ Counts, not timings, so they hold on any host:
 * a control-node CPU charge resumes the coordinator once (at its end),
   not also at the grant: on a light-load bulk scan a BAT makes five
   charges, and the engine resumes about 13 generators per commit;
+* a charge spread over several control nodes (multi-CN admission, the
+  2PC rounds) starts no process per participant: on two CNs a BAT is
+  about one process, its coordinator;
 * a control-node CPU charge is one heap entry (its end, pushed at the
   claim), not also a marker at the grant: the engine schedules about
   15 entries per commit on the same run.
@@ -31,7 +34,8 @@ from repro.core.schedulers.kwtpg_scheduler import KWTPGScheduler
 from repro.core.transaction import Step, TransactionSpec
 from repro.engine.core import Process
 from repro.machine.cluster import Cluster
-from repro.workloads import bulk_scan_catalog, pattern2, pattern2_catalog
+from repro.workloads import (bulk_scan_catalog, pattern1, pattern1_catalog,
+                             pattern2, pattern2_catalog)
 
 SCAN_NODES = 64
 
@@ -62,6 +66,15 @@ def hotset_run():
         num_partitions=16)
     return Cluster(params, pattern2(num_hots=8),
                    catalog=pattern2_catalog(num_hots=8))
+
+
+def plane_run():
+    """CHAIN on two control nodes: most BATs span both, so admission and
+    commit (2PC) charge both CPUs."""
+    params = SimulationParameters(
+        scheduler="CHAIN", arrival_rate_tps=0.2, sim_clocks=150_000.0,
+        seed=5, num_partitions=16, num_control_nodes=2)
+    return Cluster(params, pattern1(16), catalog=pattern1_catalog())
 
 
 def count_decisions(cluster):
@@ -175,6 +188,38 @@ def test_cpu_charges_resume_the_coordinator_once():
     assert commits > 50
     assert resumes["calls"] / commits <= MAX_RESUMES_PER_COMMIT, (
         resumes["calls"], commits)
+
+
+#: Processes started and generator resumes per commit on
+#: :func:`plane_run`: 1.14 and 28.36 when every charge is claimed at its
+#: decision and waited on directly, 5.57 and 37.21 when each
+#: participant's charge ran in a process of its own.
+MAX_PLANE_PROCESSES_PER_COMMIT = 1.3
+MAX_PLANE_RESUMES_PER_COMMIT = 30.0
+
+
+def test_multi_cn_charges_start_no_process():
+    cluster = plane_run()
+    counts = Counter()
+    start, resume = Process.__init__, Process._resume
+
+    def counted_start(self, env, generator):
+        counts["processes"] += 1
+        start(self, env, generator)
+
+    def counted_resume(self, event):
+        counts["resumes"] += 1
+        return resume(self, event)
+
+    with mock.patch.object(Process, "__init__", counted_start), \
+            mock.patch.object(Process, "_resume", counted_resume):
+        result = cluster.run()
+    commits = result.metrics.commits
+    assert commits > 20 and result.metrics.twopc_rounds > 0
+    assert counts["processes"] / commits <= MAX_PLANE_PROCESSES_PER_COMMIT, (
+        dict(counts), commits)
+    assert counts["resumes"] / commits <= MAX_PLANE_RESUMES_PER_COMMIT, (
+        dict(counts), commits)
 
 
 #: Heap entries (schedule order draws) per commit on

@@ -5,6 +5,8 @@ its one CPU is the FIFO server of ``plane.shards[0]`` (``charge`` /
 ``busy_time``).
 """
 
+from unittest import mock
+
 import pytest
 
 from repro import SimulationParameters
@@ -14,6 +16,7 @@ from repro.core.schedulers import make_scheduler
 from repro.engine import Environment
 from repro.errors import SchedulerError
 from repro.machine import Catalog, ControlPlane, DataNode
+from repro.machine.shard import ControlShard
 from repro.metrics import MetricsCollector
 
 
@@ -29,7 +32,7 @@ def build(scheduler_name="C2PL", **param_overrides):
                       lambda: make_scheduler(scheduler_name,
                                              **params.scheduler_kwargs()),
                       catalog, nodes, metrics, history=History())
-    assert cn.num_shards == 1
+    assert cn.num_shards == params.num_control_nodes
     return env, cn, metrics
 
 
@@ -105,6 +108,55 @@ class TestCpuQueueing:
         env.run()
         assert cn.shards[0].busy_time() == 0.0
         assert env.now == 1000  # pure data-node time
+
+
+class TestClaimRule:
+    def test_first_decision_claims_the_shared_cpu_first(self):
+        """Two coordinators decide at the same instant on CN 0 of a 2-CN
+        plane: A admits across both CNs, then B asks CN 0 for a lock.
+        A decided first, so A's admission charge starts first on CN 0,
+        although its cost is spent on two CPUs in parallel."""
+        env, cn, _ = build(num_control_nodes=2, admission_time=7,
+                           startup_time=4, dd_time=3, commit_time=0)
+        # B (one shard) admits on CN 0 over [0, 7) and starts over
+        # [7, 11); the startup end resumes B, which asks for its lock at
+        # 11.  A's arrival timeout was drawn at 0, so A decides first.
+        a = txn(1, [Step.read(0, 1), Step.read(1, 1)])
+        b = txn(2, [Step.read(2, 1)])
+        decided, ends = [], []
+        for shard in cn.shards:
+            scheduler = shard.live
+            for name in ("admit", "request_lock"):
+                def logged(sub, now, call=getattr(scheduler, name),
+                           name=name):
+                    decided.append((now, name, sub.tid))
+                    return call(sub, now)
+                setattr(scheduler, name, logged)
+        charge = ControlShard.charge
+
+        def timed(shard, cost):
+            end = charge(shard, cost)
+            end.callbacks.append(
+                lambda _: ends.append((shard.shard_id, env.now - cost,
+                                       cost)))
+            return end
+
+        def arrive(at, t):
+            yield env.timeout(at)
+            yield from cn.transaction_process(t)
+
+        with mock.patch.object(ControlShard, "charge", timed):
+            env.process(arrive(11, a))
+            env.process(cn.transaction_process(b))
+            env.run()
+        at_11 = [d for d in decided if d[0] == 11]
+        assert at_11[:3] == [(11, "admit", 1), (11, "admit", 1),
+                             (11, "request_lock", 2)]
+        cn0 = sorted((start, cost) for sid, start, cost in ends
+                     if sid == 0 and start >= 11)
+        # A's admission (7) starts at 11, B's lock test (3) queues.
+        assert cn0[:2] == [(11, 7), (18, 3)]
+        assert a.commit_time is not None and b.commit_time is not None
 
 
 class TestRetrySemantics:

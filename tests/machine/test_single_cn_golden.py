@@ -10,6 +10,12 @@ CNs; they were captured before the coordinator was split into phases.
 The multi-CN rows except 2PL's were re-pinned when control-node CPU
 charges became closed-form: two CPU ends of different CNs that tie on
 ``(when, sort_time)`` now fire in claim order instead of grant order.
+Fourteen multi-CN rows (all but 2PL's and C2PL's ``none`` and
+``dn-crash``) were re-pinned again when multi-CN admission and 2PC
+charges stopped running in a process per participant: a charge is now
+claimed at the instant its decision is taken, not one engine step
+later, and the coordinator resumes on the charges' ends rather than on
+the processes' ends.
 """
 
 import hashlib
@@ -103,17 +109,17 @@ PLANE_DIGESTS = {
         "11f57166a198b12563a275441502e6f4bb0239c1e4f6d112b6bb60b5e5146545",
         "f347fa2d60b5a5b78047d4cf74c99bc39447d1da3dfe63b87cdbca53c3c10205"),
     (2, "ASL", "abort-cascade"): (
-        "573bf5b6df6936d0baf25f0f8211051e420cc03ba9a480a1584fa7c02129baa6",
-        "f7aba2f3a19a10427e3c10d17032aeb519c8efa4da095f9bc8a49c29a42db01e"),
+        "6ca84ac51c86a5cbfbb54e4c6a0809ac6390c9a464790e242968d4fe63b8c061",
+        "91638dace45b07b7eda8ac04248d7c7cc2d28b69f7bb03cc2cba9439c323b02d"),
     (2, "ASL", "dn-crash"): (
-        "cd6e1a28e3b92cf27fa0ab0b5fffeb497671af219c826f2479701407fee6f460",
-        "f98360bfdfca13a56c8d1eee31dbb6b33a80fec97ba362f684c8c78249f6819a"),
+        "28ce48bf2fd28a13945296e44adc50478a5872292d0bceb85db24b733c601457",
+        "e07b84b13f3c253013002e66c612e95a6f92222bbfb4a7924b0413ea6102f460"),
     (2, "ASL", "none"): (
-        "e239803aba58d467be1783c28f0e763726c639350c6686eb6cbcf0ff9a86d4e7",
-        "cb87d2cb8a917ad46083d666f12b10bb8af05fee638d11bf7e37ccfd48b76b0c"),
+        "9ad7b7482eedbe49705a3c7b93ce1fedc44275e950d8a6117f9528365f3feee8",
+        "1a78c05d554783dccf913bf46ca907e6d247e99dcfe62a152dde5cdbc22a11d5"),
     (2, "C2PL", "abort-cascade"): (
-        "f0e499b7bada8c1d0ff77ff33734255b1503a1e7bc6e24eb4dbea56308732f2e",
-        "d6dea404b830e5c251914c05137a9f41c9be2954d6364a32d429ee34abfdf8be"),
+        "6689723841617c42feb2b9df8cd30a802c019edb23e1f76ed1cccd230c5435e0",
+        "8c8189daf51c8ae09f39b835bbea5b500bbd94643ddf2a8f1483c5ff92d4589c"),
     (2, "C2PL", "dn-crash"): (
         "a3792b1683a5e612ce8d54cd9777f4ee7f915df9aff321d8c43d163ea17e300e",
         "3c01bdbd93621434962e4839445b072196b3f9a2d2111194fc64e2487c719635"),
@@ -121,35 +127,35 @@ PLANE_DIGESTS = {
         "84431ae79e23c296e23c97040157eebc3b358d31866a3e847fc0d8d33ca875ad",
         "9d31a33185d9732d9c4f5ce2fff34ee5236b098bfbb749af72adab815df32ca8"),
     (2, "CHAIN", "abort-cascade"): (
-        "1ec07fdea0cfff53f4f232b9cd86d4d5db647c706fa9d007f533c7675b5cf415",
-        "9a8b74bbe1d50906f2965ce8ec5d162b9000b18c183fe0a83a0a66d186d2a360"),
+        "1b6c2e3f8a9c62e379f647b92398ec18f585f4e672aad1a41f4b162c7526bac0",
+        "37380194f1d66f104d8d7b061d954b7bdd7be6ebf4705012ace513c12c33f9b6"),
     (2, "CHAIN", "cn-crash"): (
-        "7347168ae5f5661b0574f6251402f9dfef13dc5b557115f7b567dacb435ec368",
-        "3f5957d182076f3668f44e4ad58ac21c1e3fca965afb2d3062837ea20b81b4c7"),
+        "25b28683f103670c678d25f6191119f01ac35e3f6a46b037e3e0b6a2e26ed0b3",
+        "de3bb49ed2d75d66a10270c9c55a936411a29d18241e949076882fb40e29de5e"),
     (2, "CHAIN", "dn-crash"): (
-        "42819d1765f2f7fd35b2caf6254a5d127c3be93f216aea54d37e80087603bb12",
-        "a4f6a52b299281986b4fb88d42990dfb7ad885d4fd152b2d2bcdb75e49fe5dca"),
+        "02da634e2cc6d5faf62ede86be5cc20b9363af85ae23e07d4da467656c8adf33",
+        "9e613b01b06ffef0b16cf19278a76e5c21f841ef582f68b24f53f861ff21e798"),
     (2, "CHAIN", "none"): (
-        "a2158e37edf38ea9079e1bcf58f21532524be0d33c7f8ff385e68a162203921a",
-        "6bacb89b6cfbe7fa881ef9f9617fde9e8649e510f81169d1d393056de0e53add"),
+        "9696d8bb953822adee38c8601baa00ec96fcf7406ff3b763df48e0b3ec2ef6c9",
+        "494be109d56e736a8fef0b1264f3001229c23370a69487914dd6ff17bbc878fa"),
     (2, "K2", "abort-cascade"): (
-        "4571801f7f670401a79f3f24335ea7834b2c1338c48f7eb49c613c896f09628b",
-        "cc765c0f1a217cf81551094dbf00d4f42a61bad66cd2fcfa94ae4bc311f871c4"),
+        "5271098b89ef0c2757c644db7c69733ce1992da58a7ea5af7003fb23777a555f",
+        "2d287df24d51343d6fea917bb154cd4370ef288acf37d39b8d55f1400bf616f7"),
     (2, "K2", "cn-crash"): (
-        "f60c5b57960ba961b16b93ce6df56a7016ff9201a9404e942a809a13d7c9feea",
-        "290fe1b84c3004b7d98fe399ffded18bef282f107733cfef19ec3b64ac376361"),
+        "042a50bd6debf38dbbc5ade44998d16dccb25d0289b7271782aa018dae1bdbcc",
+        "ed7fd6423942750520bb92f793b069a9028358c398ee0408f116d5885a4d7a3c"),
     (2, "K2", "dn-crash"): (
-        "645036d2e0504e3f96b77b5716321465e6e23ba90c230b6e624a0a61374d2c6c",
-        "f1e9c8179df033e74d91b4f91a821d1156bd550b81e1aa7de77ee8d4240c3ef7"),
+        "a56fe97a41609a43e66ae7203d2ceb51b0f61aee185eabf6838fa2b434b41533",
+        "31594df4ee6d70c5f9d7972b5215122413e62287da93f35884b7da3412ad4bbf"),
     (2, "K2", "none"): (
-        "47ed0774538e70cb738a05b7e78bd1588b95c3e6f0ae819100cf9ee5846c9247",
-        "8a0772eafa252e3fa8001c5d1029ac4930f8ac830b15bc740723f4d407614b38"),
+        "345266ff752daa3899a38de381a874d76a2c747ea7a9350f3de00e34a68e6621",
+        "c44b6c1842eba093ee90fea742d15e602e55fa9d13e7be28c8fee12097e6517f"),
     (3, "CHAIN", "cn-crash"): (
-        "5baea43fc0325c09efe2ee103eff4bf6104504ae75e44bab9772d685f9bad3db",
-        "002fa49d1a84e01c5eb53a660b6e2ebff28f08114e260c3bb0e3b63aec64126c"),
+        "9f6b57e8344ca4b6e7a1295195b27ecea3cfe3cee4b9a5012dead90238d8d042",
+        "90471d744ee9dfe466cffeec73bd27191dfbeb4f94343969fa1e341a075a0676"),
     (3, "K2", "cn-crash"): (
-        "3d709ef5286744e95b7325cd4d02b977d4bd6f64acbd567ac9edd9f9c97d5308",
-        "57db07c036e4270699ac48f80e9d0f961cd2264b911a11fdf3a625513657db08"),
+        "debd345a7927612656e9146f1aad0b171ff6a26b31362e69277b8b6c00362b64",
+        "44299245ac9a79f874a3a257ae8caf4c480b0f8483f4a34c964130e4927d92a1"),
 }
 
 

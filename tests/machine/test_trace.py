@@ -131,14 +131,13 @@ class TestTracedRuns:
 
     def test_dispatch_node_matches_placement(self):
         tracer, _ = traced_run()
-        for event in tracer.of_kind(EventType.STEP_DISPATCHED):
-            assert event.detail["node"] == event.detail.get("node")
-        granted = tracer.of_kind(EventType.LOCK_GRANTED)
-        dispatched = tracer.of_kind(EventType.STEP_DISPATCHED)
-        # Each dispatch follows a grant for the same txn/step; partition
-        # placement is pid mod 8.
+        catalog = pattern1_catalog()
+        # Each dispatch follows a grant for the same txn/step, and goes to
+        # the node the catalog places that step's partition on.
         by_key = {(e.tid, e.detail["step"]): e.detail["partition"]
-                  for e in granted}
+                  for e in tracer.of_kind(EventType.LOCK_GRANTED)}
+        dispatched = tracer.of_kind(EventType.STEP_DISPATCHED)
+        assert dispatched
         for event in dispatched:
             partition = by_key[(event.tid, event.detail["step"])]
-            assert event.detail["node"] == partition % 8
+            assert event.detail["node"] == catalog.partition(partition).node
