@@ -393,6 +393,22 @@ class ControlPlane:
             return "injected"
         return None
 
+    def _retry(self, txn: TransactionRuntime) -> Event:
+        """The next poll of a refused request, ``retry_delay`` from now.
+
+        Its heap key is built from arithmetic quantities only: the poll
+        instant, the instant of the poll before it and a rank of its own
+        per BAT, above every data node's, so exact-time ties with other
+        events never fall back to schedule order.
+        """
+        now = self.env.now
+        return self.env.timeout_until(now + self.params.retry_delay,
+                                      sort_time=now,
+                                      sort_rank=self._poll_rank(txn.tid))
+
+    def _poll_rank(self, tid: int) -> int:
+        return len(self.data_nodes) + 1 + tid
+
     def _retry_delay(self, txn: TransactionRuntime) -> float:
         return self.retry_policy.delay_for(txn.attempts,
                                            self.params.retry_delay)
@@ -550,7 +566,7 @@ class ControlPlane:
                 self._trace(EventType.ADMISSION_REJECTED, txn,
                             reason=response.reason)
             txn.reset_for_retry()
-            yield env.timeout(self.params.retry_delay)
+            yield self._retry(txn)
 
     def _start(self, txn: TransactionRuntime, home: int, traced: bool,
                ) -> Generator[Event, Any, Optional[int]]:
@@ -654,7 +670,7 @@ class ControlPlane:
                     self._trace(kind, txn, step=txn.current_step,
                                 reason=response.reason)
             self.metrics.record_lock_retry()
-            yield env.timeout(self.params.retry_delay)
+            yield self._retry(txn)
             cause = self._doom_cause(txn, planned_abort)
             if cause is not None:
                 return cause
@@ -704,7 +720,7 @@ class ControlPlane:
             if cause is not None:
                 return cause
             if any(self.shards[sid].crashed for sid in sids):
-                yield env.timeout(self.params.retry_delay)
+                yield self._retry(txn)
                 continue
             for _ in range(2 if cross else 1):  # 2PC: prepare, commit
                 end = self._charge(participants)

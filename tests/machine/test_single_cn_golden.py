@@ -15,7 +15,11 @@ Fourteen multi-CN rows (all but 2PL's and C2PL's ``none`` and
 charges stopped running in a process per participant: a charge is now
 claimed at the instant its decision is taken, not one engine step
 later, and the coordinator resumes on the charges' ends rather than on
-the processes' ends.
+the processes' ends.  Twenty-seven rows (all but the single-CN 2PL and
+ASL rows and the (2, 2PL, *) rows) were re-pinned when a refused
+request's next poll got an arithmetic heap key, ``(poll instant,
+previous poll instant, per-BAT rank)``: two polls of one instant
+scheduled at one instant now fire in tid order, not schedule order.
 """
 
 import hashlib
@@ -45,31 +49,31 @@ PLANS = {
 DIGESTS = {
     ("CHAIN", "none"): (
         "d9d5f6c135e1c84c7cbed2610dcc26b832dc1747349bdeaed5008d2be9786183",
-        "bc48126a4aa6594749411719742402b4b1b24e3dc4691b7269e681814ff492f8"),
+        "857047ccf5fd84b8e029dc3ce707aa14268efb97a08cf096d7e820d8ee295c30"),
     ("CHAIN", "abort-cascade"): (
-        "2e6ec9d57eaac19b400e3514a9e64991f58229661268ba5bfac8eebda10b2d9d",
-        "2b575f13ae417526981f6159774a4054ffc7d03bba5b58e1770beeb9625366ae"),
+        "25544625702e23d41bed566cb27fd1e16fc75deedefcbdf5d06bf8764c82a5a9",
+        "7ecbe34d440722c2b7535d7a0ab107a7de8548621babb9a9c39b66a2f6e29f2e"),
     ("CHAIN", "dn-crash"): (
-        "9a217c02288729024c86cc889e1bd0c44dcb88af40e7d2c7e2acdf72580a2585",
-        "036635e11551eac398334c7392fe25fdfd9411f9d60fe00107a6372c1fffc097"),
+        "421c0818afd0eebf0e09ec1e68f3ee9ad7d22a711abbacea2adccf9667280853",
+        "8d2c0f0f52ea425e9f369cce00bbad6db96da95af9e2cf2d2a664bbef16cbf89"),
     ("K2", "none"): (
-        "a9ccb93ae25d8c840cd0da8ca557907f0bc3991c1015ff95435848531c1a0f30",
-        "cf33811b06a8f747b1840342f193da166e06d7d3d1913b5634c273e88be2041b"),
+        "d11953c65a00055059771169c145403e0fad04007bd3f46df483b77475b12981",
+        "8a9f2e9cc3b15922d04d750edbfd81287b2c492d5e8cc482bb74cc8a35225bd4"),
     ("K2", "abort-cascade"): (
-        "7eda79434bc5685f2676187389283e564a8177280c16654281dd48cc1f9be7e4",
-        "64dbb61fcc442eeb08d7ccdf06f29e26d1719d091ebd55e4b934a7faad18d50c"),
+        "599fe8154a6073ef163da9b312e2c6fe5373cc7f1257b2dbd0a36a5a3d0d0c02",
+        "48d9680e33864b42a71378eed201ce6b65b827098fc802cd384183d958bd20ed"),
     ("K2", "dn-crash"): (
-        "26449f8d919fd9a504dc42c21a09e2fa0c9a1e73e7cab8e8aac827e105848a78",
-        "78b2468ebb02d27b7f0c22803087def730264c73cf17e30c2bb4d4f0af6969a6"),
+        "7c082825b142d01b54c4e7a87fe22160428cc482da752038d8bad959d02a5969",
+        "063b48be6f1b78ae74c61a65bafca4bb5ecf0beb6a2c14d6b6cfb8c7e61374c2"),
     ("C2PL", "none"): (
-        "5e5c4151810eda50d79a31fcddd43a574ddf147da5f107827ded1331011a2605",
-        "47e3c1cbb951b57b5755f2f58d3315e3a944517ccbbbca8e4851b2c63cc3fb55"),
+        "3210161ef54c7c56eefda9b8af79bc679f2fc3317b224954197c8229face6884",
+        "79320c5cb6eb9edb82ab897b620f97097434175e16acb5bf725634714b61fb62"),
     ("C2PL", "abort-cascade"): (
-        "319428d9da0f73b11e6ef9690acdfb21edd8b00f6a9896a6e62ccf6ce80822f0",
-        "0e3ad00b7c92e2d8bb54501a14cd7fa5f0cc850bcb6bc0b0fd288804a9b40c5b"),
+        "095aa18dc24a5e40399c616aa08809e45cd31cc7c0beccba6b4b585fd7a3a8b2",
+        "fa16ba92f4b00f801aafa55d384ea1a74d4aa18ff6509ae1b107988e58c6cea2"),
     ("C2PL", "dn-crash"): (
-        "f27c340ac891a23870eb7d2157bfc72a40b72627e2714166b77a684b5366c36f",
-        "73b014731945ddd600ac57e91dd64733177edc750939f067b0f549c767d77ae5"),
+        "1a6e4020bae3eeb5d6893a50dd83b2de09046126affd78c508fa15d27e1344ca",
+        "d8bcab463c57dd15478257c908ec9fb697abaee2f6dda8e70c8d1a06d2e80017"),
     ("2PL", "none"): (
         "f1332f26164cb4ee604baf040f46637f5717259891233246bdf59c24befdb6d8",
         "8bca13f9c46b708522c5f04719819415fd56241d0a6359895734ca1b3c9c38f6"),
@@ -94,11 +98,11 @@ DIGESTS = {
 # (control nodes, scheduler, plan) -> (metrics sha256, trace sha256)
 PLANE_DIGESTS = {
     (1, "CHAIN", "cn-crash"): (
-        "0a25442686d2573b54c1b5d03abfa9a9611332a8087d448b52eb635c0c353587",
-        "5767d59f331a3c9f2e5cfbfaede05db17736dd463130d8789b764d1fabae62a0"),
+        "a6c5b1bd61532f31765717591c283a39f073522e16119f602bb1cf261235b2f0",
+        "53891234ab86b5209dceda5425d8fb0ab70b1c78acf9560e0dc522e1a8c939b6"),
     (1, "K2", "cn-crash"): (
-        "3984fb6254f2f6e4b4cddc27099f493d0139e8aef895ba2a601c64ff3a1b65df",
-        "0f8797adbf2f25059bde5667d3b887e3714a86a0662291aa9d047b32933c19d6"),
+        "7d01693304f5084e307a92edc5c5a447ffef8c9764ab65cabf9e95cdfdcb9dd4",
+        "cc15e31ab4ec1984e29e36b48e295e24c885bd88578cee0b80118560aefc43bb"),
     (2, "2PL", "abort-cascade"): (
         "838f9e485ade8fd8313578271b1f793cfb71f0a8e7e139a9fe4e81466ccc1fd0",
         "a6d5894f4c32ab8385ff54115019b47bab65bcfb3e81fa4aeadabf70a462800a"),
@@ -109,53 +113,53 @@ PLANE_DIGESTS = {
         "11f57166a198b12563a275441502e6f4bb0239c1e4f6d112b6bb60b5e5146545",
         "f347fa2d60b5a5b78047d4cf74c99bc39447d1da3dfe63b87cdbca53c3c10205"),
     (2, "ASL", "abort-cascade"): (
-        "6ca84ac51c86a5cbfbb54e4c6a0809ac6390c9a464790e242968d4fe63b8c061",
-        "91638dace45b07b7eda8ac04248d7c7cc2d28b69f7bb03cc2cba9439c323b02d"),
+        "274435493077c9517c1645e46df980b24c23ce99c0108154e804c79989c7acad",
+        "c84c6b3b7c6ba9cad5126fa6c8c1c72c94a19c41cfd33aca9b21ae2bcf5a3715"),
     (2, "ASL", "dn-crash"): (
         "28ce48bf2fd28a13945296e44adc50478a5872292d0bceb85db24b733c601457",
-        "e07b84b13f3c253013002e66c612e95a6f92222bbfb4a7924b0413ea6102f460"),
+        "bc2e9786896d8e35896a0f7594a8bbdd51e29c44d2c15944f69375154c55ef5f"),
     (2, "ASL", "none"): (
-        "9ad7b7482eedbe49705a3c7b93ce1fedc44275e950d8a6117f9528365f3feee8",
-        "1a78c05d554783dccf913bf46ca907e6d247e99dcfe62a152dde5cdbc22a11d5"),
+        "e0eb39349f5d23a8ed35e8cda9b1b631c5f98dd0367f06c4498739e6831ff208",
+        "835b8a7715551a404394bdbece5cad31dc2502de623ef7bf945ff194db3574a0"),
     (2, "C2PL", "abort-cascade"): (
-        "6689723841617c42feb2b9df8cd30a802c019edb23e1f76ed1cccd230c5435e0",
-        "8c8189daf51c8ae09f39b835bbea5b500bbd94643ddf2a8f1483c5ff92d4589c"),
+        "d5a817e8fe53f0e9c5da077fa1cbef35fa80c195366c6304a0ce29a321e20543",
+        "22c6675b3e95a9e6e4e4fd41aa88711186578fb933d1f972f9b0d60b4fb4af6f"),
     (2, "C2PL", "dn-crash"): (
         "a3792b1683a5e612ce8d54cd9777f4ee7f915df9aff321d8c43d163ea17e300e",
-        "3c01bdbd93621434962e4839445b072196b3f9a2d2111194fc64e2487c719635"),
+        "37ba7ada943f5c04611c44684b505589f590a68f395c85e0f965f2b9af980556"),
     (2, "C2PL", "none"): (
         "84431ae79e23c296e23c97040157eebc3b358d31866a3e847fc0d8d33ca875ad",
-        "9d31a33185d9732d9c4f5ce2fff34ee5236b098bfbb749af72adab815df32ca8"),
+        "b10aa02e8d08361bd1e45120d2f8a9f2a143ab3f2a90f2e0aa0b73e926703349"),
     (2, "CHAIN", "abort-cascade"): (
-        "1b6c2e3f8a9c62e379f647b92398ec18f585f4e672aad1a41f4b162c7526bac0",
-        "37380194f1d66f104d8d7b061d954b7bdd7be6ebf4705012ace513c12c33f9b6"),
+        "48f4796958575bf4029ae2079a1675d22b1d23a46dffe911a10ccbfdb89eda56",
+        "f011df039478a9732392204ac61006d8c27d5fea0c32cf6358b5944f018be5fd"),
     (2, "CHAIN", "cn-crash"): (
-        "25b28683f103670c678d25f6191119f01ac35e3f6a46b037e3e0b6a2e26ed0b3",
-        "de3bb49ed2d75d66a10270c9c55a936411a29d18241e949076882fb40e29de5e"),
+        "51d1537bffa7fecee3aca27fae6dc3e16b2aace4a701d4a64dd47aa2914b7c76",
+        "ac754907d002de9b037329c9392be9862a892cf2e4bdc7cb57c55f91fed87606"),
     (2, "CHAIN", "dn-crash"): (
-        "02da634e2cc6d5faf62ede86be5cc20b9363af85ae23e07d4da467656c8adf33",
-        "9e613b01b06ffef0b16cf19278a76e5c21f841ef582f68b24f53f861ff21e798"),
+        "c9b162036e993d088eb0b78e91ab0c9dbeb38704ca38711a8fa7fe4df29bef25",
+        "30b88799cbc8d889ae4b2d2d7fb4d056fd15396037069884d4bbed504a167cc4"),
     (2, "CHAIN", "none"): (
-        "9696d8bb953822adee38c8601baa00ec96fcf7406ff3b763df48e0b3ec2ef6c9",
-        "494be109d56e736a8fef0b1264f3001229c23370a69487914dd6ff17bbc878fa"),
+        "a78287410f3e378f491a859d124e1ba9ffc1fc8d8baf6f3e8ac0568cd6ab4fed",
+        "b73e99c91aec9aaf4fe91c747a813aa4af368d5ede0a7df2cc5d0784bc311fa9"),
     (2, "K2", "abort-cascade"): (
-        "5271098b89ef0c2757c644db7c69733ce1992da58a7ea5af7003fb23777a555f",
-        "2d287df24d51343d6fea917bb154cd4370ef288acf37d39b8d55f1400bf616f7"),
+        "08e3404f19a7d795c775e10dd134f7399b29279f3b892c3ead8d2ae36e37f5da",
+        "1bec734917a349a2e691116e03ed663d836bd644525f23d192e9b96504d46630"),
     (2, "K2", "cn-crash"): (
-        "042a50bd6debf38dbbc5ade44998d16dccb25d0289b7271782aa018dae1bdbcc",
-        "ed7fd6423942750520bb92f793b069a9028358c398ee0408f116d5885a4d7a3c"),
+        "08bec5e44c5d1909f8c2218dd3186d2709b4e5ce0c7923af55c2da7371e84f8e",
+        "be03d96673e54b8c9d6749c99ce1c08692d3d3096ebfa19db3c8c55e120a9dbb"),
     (2, "K2", "dn-crash"): (
-        "a56fe97a41609a43e66ae7203d2ceb51b0f61aee185eabf6838fa2b434b41533",
-        "31594df4ee6d70c5f9d7972b5215122413e62287da93f35884b7da3412ad4bbf"),
+        "4f63dc4c9623bbd1be259f3e63354da368cabaa88328d6b3e05152c0359b7d59",
+        "2423809fd4fb012ba2ccf546546b99d10fd78713ce638ccb0126285d0bb42343"),
     (2, "K2", "none"): (
-        "345266ff752daa3899a38de381a874d76a2c747ea7a9350f3de00e34a68e6621",
-        "c44b6c1842eba093ee90fea742d15e602e55fa9d13e7be28c8fee12097e6517f"),
+        "6b6067eae6db408e9d557502a9809f7829dbea65159fc4e98ab7a5c46137b43e",
+        "866aed6929a6936c9d3f318223450ca83ea07083ffa8a3fcd984b80b1daffae4"),
     (3, "CHAIN", "cn-crash"): (
-        "9f6b57e8344ca4b6e7a1295195b27ecea3cfe3cee4b9a5012dead90238d8d042",
-        "90471d744ee9dfe466cffeec73bd27191dfbeb4f94343969fa1e341a075a0676"),
+        "b33783cb125fbf6c23268bff517dfca13228dd6ff9873fa38d34e81de6eec102",
+        "4f718e1d2f7d3bbcf0ee4cd561a140f5bd8b7ff6aea8cd249fa1a862b17bd3ef"),
     (3, "K2", "cn-crash"): (
-        "debd345a7927612656e9146f1aad0b171ff6a26b31362e69277b8b6c00362b64",
-        "44299245ac9a79f874a3a257ae8caf4c480b0f8483f4a34c964130e4927d92a1"),
+        "50c38143bc9419f5a91c1834b9517fa15d8090f9e86035311fbbc2ef02e8107f",
+        "b8cc3aee6eaa1411a2c0dc2095077d7358e83db8fb3bb4b062472186c28f3c0d"),
 }
 
 
