@@ -13,7 +13,9 @@ Lifecycle, as driven by the control plane (:mod:`repro.machine.shard`):
    which case the transaction is re-submitted after a fixed delay.
 2. per step: ``request_lock(txn, now)`` — returns GRANT, BLOCK (conflicts
    with a current holder) or DELAY (policy decision); BLOCK/DELAY are
-   retried after a fixed delay.
+   retried after a fixed delay.  ``certify(txn, response)`` tells the
+   retrying coordinator what a zero-cost BLOCK/DELAY read, so it can
+   sleep until that changes instead of asking again at every retry.
 3. per processed object: ``object_processed(txn)`` — the weight-adjustment
    message that decrements ``w(T0 -> Ti)``.
 4. ``commit(txn, now)`` — release all locks, drop the WTPG node.
@@ -22,8 +24,10 @@ Lifecycle, as driven by the control plane (:mod:`repro.machine.shard`):
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.core import builder
 from repro.core.locks import Declaration, LockTable
@@ -84,6 +88,31 @@ def merge_admission_responses(
     return AdmissionResponse(True)
 
 
+class Certificate:
+    """What a zero-cost refusal read, stamped when it was given.
+
+    ``read()`` returns a stamp of every input the verdict read; while it
+    returns the stamp taken at the refusal (:meth:`holds`) and
+    ``expired(t)`` is false, asking again at ``t`` gives the same verdict
+    at no cost.  ``expired`` is None when time alone never changes the
+    verdict.  ``credit(polls)`` adds to the scheduler's counters what
+    ``polls`` such repeated requests would have added.
+    """
+
+    __slots__ = ("_read", "_stamp", "expired", "credit")
+
+    def __init__(self, read: Callable[[], Hashable],
+                 credit: Callable[[int], None],
+                 expired: Optional[Callable[[float], bool]] = None) -> None:
+        self._read = read
+        self._stamp = read()
+        self.credit = credit
+        self.expired = expired
+
+    def holds(self) -> bool:
+        return self._read() == self._stamp
+
+
 @dataclass
 class SchedulerStats:
     """Counters for reporting and debugging; purely observational."""
@@ -135,6 +164,16 @@ class Scheduler:
         else:
             self.stats.delays += 1
         return response
+
+    def certify(self, txn: TransactionRuntime,
+                response: LockResponse) -> Optional[Certificate]:
+        """The :class:`Certificate` of a BLOCK or DELAY that cost nothing.
+
+        Asked right after :meth:`request_lock` refused ``txn`` at zero
+        cost.  None, the default, means the verdict cannot be certified
+        and the coordinator asks again at every retry.
+        """
+        return None
 
     def abort_transaction(self, txn: TransactionRuntime,
                           now: float = 0.0) -> Tuple[int, ...]:
@@ -270,6 +309,19 @@ class WTPGScheduler(Scheduler):
             self._apply_grant(txn, implied, now)
         return response
 
+    def certify(self, txn: TransactionRuntime,
+                response: LockResponse) -> Optional[Certificate]:
+        """A holder BLOCK read the partition's holds and nothing else:
+        the requester's own holds change only through its own requests."""
+        if response.decision is not Decision.BLOCK:
+            return None
+        table, partition = self.table, txn.step().partition
+        return Certificate(partial(table.held_version, partition),
+                           self._credit_blocks)
+
+    def _credit_blocks(self, polls: int) -> None:
+        self.stats.blocks += polls
+
     def _consume_if_pending(self, tid: int, step_index: int) -> None:
         from repro.errors import LockTableError
         try:
@@ -374,6 +426,8 @@ class ControlSaver:
     until (1) ``keeptime`` elapses since the last computation, or (2) a
     transaction commits or starts.  Callers mark events via
     :meth:`invalidate` and ask :meth:`stale` before reusing a cache.
+    ``epoch`` counts both marks, so a stamp of it tells whether the
+    cache was recomputed or invalidated since.
     """
 
     def __init__(self, keeptime: float) -> None:
@@ -382,6 +436,7 @@ class ControlSaver:
         self.keeptime = keeptime
         self._computed_at: Optional[float] = None
         self._dirty = True
+        self.epoch = 0
 
     def stale(self, now: float) -> bool:
         if self._dirty or self._computed_at is None:
@@ -391,6 +446,13 @@ class ControlSaver:
     def mark_computed(self, now: float) -> None:
         self._computed_at = now
         self._dirty = False
+        self.epoch += 1
 
     def invalidate(self) -> None:
         self._dirty = True
+        self.epoch += 1
+
+    def expiry(self) -> Optional[Callable[[float], bool]]:
+        """:meth:`stale` as a test of time alone, for a certificate taken
+        while the cache is fresh; None if time never ages it."""
+        return self.stale if math.isfinite(self.keeptime) else None

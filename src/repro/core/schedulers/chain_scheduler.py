@@ -14,16 +14,19 @@ otherwise the most recent ``W`` is reused.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.builder import PartnerConflicts
 from repro.core.chain import chain_components, would_remain_chain_form
 from repro.core.chain_opt import DOWN, UP, ChainPair, optimise_chain
 from repro.core.locks import Declaration
-from repro.core.schedulers.base import (ControlSaver, Decision, LockResponse,
-                                        WTPGScheduler)
+from repro.core.schedulers.base import (Certificate, ControlSaver, Decision,
+                                        LockResponse, WTPGScheduler)
 from repro.core.transaction import TransactionRuntime
 from repro.errors import SchedulerError
+
+_FIXED_ORDER = "contradicts fixed serialization order"
 
 
 class ChainScheduler(WTPGScheduler):
@@ -122,9 +125,8 @@ class ChainScheduler(WTPGScheduler):
             if pair.resolved:
                 if pair.resolved_to != successor:
                     self.stats.deadlock_predictions += 1
-                    return LockResponse(
-                        Decision.DELAY, cpu_cost=cost,
-                        reason="contradicts fixed serialization order")
+                    return LockResponse(Decision.DELAY, cpu_cost=cost,
+                                        reason=_FIXED_ORDER)
                 continue
             ordained = self._w_order.get(frozenset((predecessor, successor)))
             if ordained is None:
@@ -139,3 +141,34 @@ class ChainScheduler(WTPGScheduler):
                     reason=f"inconsistent with W: T{successor} should "
                            f"precede T{predecessor}")
         return LockResponse(Decision.GRANT, cpu_cost=cost)
+
+    def certify(self, txn: TransactionRuntime,
+                response: LockResponse) -> Optional[Certificate]:
+        """A DELAY that cost nothing was judged against a fresh W.
+
+        It read the partition's holds and, through the implied
+        resolutions, the pending declarations there of transactions in
+        the WTPG; the pairs with those rivals; and W.  A pending
+        declaration leaves only by its grant (a hold changes) or its
+        owner's removal from the WTPG, and a rival enters the WTPG only
+        by admission, so the holds' stamp, the WTPG's structure
+        generation and the control saver's epoch cover every input but
+        time, which ages W at ``keeptime``.
+        """
+        if response.decision is not Decision.DELAY:
+            return super().certify(txn, response)
+        table, wtpg, saver = self.table, self.wtpg, self._saver
+        partition = txn.step().partition
+
+        def read() -> Tuple[int, int, int]:
+            return (table.held_version(partition), wtpg.structure_generation,
+                    saver.epoch)
+
+        return Certificate(read, partial(self._credit_delays,
+                                         response.reason == _FIXED_ORDER),
+                           expired=saver.expiry())
+
+    def _credit_delays(self, predicted: bool, polls: int) -> None:
+        self.stats.delays += polls
+        if predicted:
+            self.stats.deadlock_predictions += polls

@@ -171,6 +171,12 @@ class WTPG:
         """
         return self._generation
 
+    @property
+    def structure_generation(self) -> int:
+        """Bumped only when the precedence relation changes: a node is
+        added or removed, or a pair edge is resolved."""
+        return self._structure_gen
+
     def _note_edge_weight(self, successor: int) -> None:
         """A pair edge's directed weight was raised (PairEdge callback)."""
         self._generation += 1

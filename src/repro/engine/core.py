@@ -298,6 +298,12 @@ class _InertTimeout(Event):
 #: unique, so tuple comparison settles before it reaches the event.
 _Entry = Tuple[float, float, int, int, Event]
 
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
+
+#: Stands in for the event of a sentinel ``_popped`` entry.
+_NO_EVENT = Event.__new__(Event)
+
 #: An ``_affect`` entry: ``(bound, order, event, fresh)``.  A fresh
 #: entry's bound is the event's own time, not yet refined.
 _AffectEntry = Tuple[float, int, _InertTimeout, bool]
@@ -308,10 +314,14 @@ class Environment:
     """The simulation clock and event loop."""
 
     __slots__ = ("_now", "_queue", "_inert", "_affect", "_seq",
-                 "_run_until")
+                 "_run_until", "_popped")
 
     def __init__(self, initial_time: float = 0) -> None:
         self._now = initial_time
+        # The entry of the event being processed (the last one popped),
+        # or a sentinel keyed before or after every entry at ``now``
+        # (see follows_current).
+        self._popped: _Entry = (initial_time, _NEG_INF, 0, -1, _NO_EVENT)
         # ``_queue`` holds non-inert events; inert ones (see
         # timeout_until) sit in ``_inert`` under the same key and in
         # ``_affect`` under their published bound for affecting_horizon.
@@ -407,6 +417,34 @@ class Environment:
         else:
             heappush(published, (when, order, inert, True))
         return event
+
+    def follows_current(self, when: float, sort_time: float,
+                        sort_rank: int) -> bool:
+        """True if an entry keyed ``(when, sort_time, sort_rank)`` comes
+        after the event being processed now.
+
+        Outside the run loop, "now" is the state the loop left: before
+        its first event every entry at ``now`` comes after; after a run
+        that drained its heap or stopped at its cutoff, none does.  The
+        key must differ from the current event's in these three fields:
+        schedule order, which would decide a full tie, is not compared.
+        """
+        popped = self._popped
+        if when != popped[0]:
+            return when > popped[0]
+        return (sort_time, sort_rank) > (popped[1], popped[2])
+
+    def transfer_waiters(self, source: Event, target: Event) -> None:
+        """Make everything waiting on ``source`` wait on ``target`` instead.
+
+        ``source`` fires, when it does, with no one waiting: a process
+        parked on an event can so be woken at a heap key chosen after it
+        parked.
+        """
+        if source._processed or target._processed:
+            raise EngineStateError("waiters move only between pending events")
+        target.callbacks.extend(source.callbacks)
+        source.callbacks = []
 
     def republish(self, event: Event) -> None:
         """Count the pending inert ``event`` at its own time again.
@@ -508,7 +546,8 @@ class Environment:
         heap = self._next_heap()
         if heap is None:
             raise EngineStateError("no more events to process")
-        when, _, _, _, event = heappop(heap)
+        entry = self._popped = heappop(heap)
+        when, _, _, _, event = entry
         self._now = when
         callbacks = event.callbacks
         event.callbacks = []
@@ -563,8 +602,10 @@ class Environment:
                 if when > stop_time:
                     heappush(heap, entry)
                     self._now = stop_time
+                    self._popped = (stop_time, _POS_INF, 0, -1, _NO_EVENT)
                     return None
                 self._now = when
+                self._popped = entry
                 callbacks = event.callbacks
                 event.callbacks = []
                 event._processed = True
@@ -585,4 +626,6 @@ class Environment:
                 "event queue drained before the awaited event triggered")
         if stop_time != float("inf"):
             self._now = stop_time
+        # Drained: every entry at ``now`` has been processed.
+        self._popped = (self._now, _POS_INF, 0, -1, _NO_EVENT)
         return None

@@ -74,12 +74,12 @@ from __future__ import annotations
 
 from collections import deque
 from typing import (Any, Callable, Deque, Dict, Generator, List, Optional,
-                    Set, Tuple)
+                    Sequence, Set, Tuple)
 
 from repro.config import SimulationParameters
 from repro.core.history import History
-from repro.core.schedulers.base import (AdmissionResponse, Decision,
-                                        Scheduler,
+from repro.core.schedulers.base import (AdmissionResponse, Certificate,
+                                        Decision, Scheduler,
                                         merge_admission_responses)
 from repro.core.transaction import (LockMode, Step, TransactionRuntime,
                                     TransactionSpec)
@@ -89,6 +89,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import RetryPolicy
 from repro.machine.control_log import DependencyLog
 from repro.machine.data_node import DataNode
+from repro.machine.parking import STALLED, ParkingLot, no_credit
 from repro.machine.partition import Catalog
 from repro.machine.trace import EventType, Tracer
 from repro.metrics.collector import MetricsCollector
@@ -256,6 +257,8 @@ class ControlPlane:
         self._cascade = plan.cascade if plan is not None else False
         retry = plan.retry if plan is not None else None
         self.retry_policy = retry if retry is not None else RetryPolicy()
+        self._parking = ParkingLot(env, params.retry_delay,
+                                   len(self.shards))
 
     # -- shard map ------------------------------------------------------------
 
@@ -338,6 +341,7 @@ class ControlPlane:
         self._doomed[tid] = cause
         for node in self.data_nodes:
             node.cancel(tid, kind=cause)
+        self._parking.doomed(tid)
 
     def crash_shard(self, sid: int) -> List[int]:
         """Kill CN ``sid``; returns the tids doomed by the crash.
@@ -361,6 +365,7 @@ class ControlPlane:
                 self._doom(tid, "cn_crash")
                 doomed.append(tid)
         shard.crash(self.env.now)
+        self._parking.shard_changed(sid)
         return doomed
 
     def recover_shard(self, sid: int) -> int:
@@ -382,6 +387,7 @@ class ControlPlane:
         shard.crashed = False
         self.metrics.record_recovery(replayed,
                                      self.env.now - shard.crashed_at)
+        self._parking.shard_changed(sid)
         return replayed
 
     def _doom_cause(self, txn: TransactionRuntime,
@@ -393,21 +399,39 @@ class ControlPlane:
             return "injected"
         return None
 
-    def _retry(self, txn: TransactionRuntime) -> Event:
-        """The next poll of a refused request, ``retry_delay`` from now.
+    def _retry(self, txn: TransactionRuntime, cert: Optional[Certificate],
+               watch: Sequence[int], credit: Callable[[int], None],
+               ) -> Generator[Event, Any, None]:
+        """Wait for the next poll of a request just refused.
 
-        Its heap key is built from arithmetic quantities only: the poll
-        instant, the instant of the poll before it and a rank of its own
-        per BAT, above every data node's, so exact-time ties with other
-        events never fall back to schedule order.
+        Literally, the refused BAT asks again every ``retry_delay``, and
+        each poll's heap key is built from arithmetic quantities only: the
+        poll instant, the instant of the poll before it and a rank of
+        its own per BAT, above every data node's.  With ``cert`` None (a
+        traced BAT, a charged refusal or one its scheduler cannot
+        certify) that literal poll is what it waits for.  Otherwise the
+        BAT parks (:mod:`repro.machine.parking`) until its certificate
+        fails after a scheduler call on a ``watch`` shard, one of them
+        crashes or recovers, or it is doomed, and polls next at the grid
+        point the literal loop would have polled at first after that;
+        ``credit`` counts, in the coordinator's terms, the polls skipped.
         """
-        now = self.env.now
-        return self.env.timeout_until(now + self.params.retry_delay,
-                                      sort_time=now,
-                                      sort_rank=self._poll_rank(txn.tid))
+        rank = self._poll_rank(txn.tid)
+        if cert is None:
+            now = self.env.now
+            yield self.env.timeout_until(now + self.params.retry_delay,
+                                         sort_time=now, sort_rank=rank)
+            return
+        yield self._parking.park(txn.tid, rank, cert, watch, credit)
+        self._parking.leave(txn.tid)
 
     def _poll_rank(self, tid: int) -> int:
         return len(self.data_nodes) + 1 + tid
+
+    def settle_parked_polls(self) -> None:
+        """Count the polls parked BATs would have made by now (read a
+        run's counters only after this)."""
+        self._parking.settle()
 
     def _retry_delay(self, txn: TransactionRuntime) -> float:
         return self.retry_policy.delay_for(txn.attempts,
@@ -472,7 +496,7 @@ class ControlPlane:
             cause = yield from self._execute(txn, route, subs, planned_abort,
                                              traced)
             if cause is None:
-                cause = yield from self._commit(txn, sids, subs)
+                cause = yield from self._commit(txn, sids, subs, traced)
             if cause is None:
                 break
             # Excise from every participant shard, then restart.
@@ -526,20 +550,29 @@ class ControlPlane:
         runtime's.  Each attempt costs only the admission test; log
         records are appended at decision time, before any CPU yield, so
         a shard crashing mid-window has already made its admission
-        durable.
+        durable.  While a participant is down the shards are not asked,
+        and the BAT sleeps until one recovers.
         """
         env = self.env
+
+        def count_attempts(polls: int) -> None:
+            # What each skipped attempt's reset_for_retry() would have
+            # added; the rest of it leaves a rejected BAT unchanged.
+            txn.attempts += polls
+
         while True:
-            subs = {sid: TransactionRuntime(sub_specs[sid],
-                                            arrival_time=txn.arrival_time)
-                    for sid in sids}
             down = [sid for sid in sids if self.shards[sid].crashed]
             if down:
                 # Can't even consult the dead shard: reject without
                 # touching (or charging) anybody, retry later.
                 response = AdmissionResponse(False,
                                              reason=f"CN {down[0]} down")
+                cert = None if traced else STALLED
             else:
+                cert = None  # the shards' own refusals poll literally
+                subs = {sid: TransactionRuntime(sub_specs[sid],
+                                                arrival_time=txn.arrival_time)
+                        for sid in sids}
                 # The per-shard decisions are taken atomically (no yields
                 # between them).
                 responses = {}
@@ -550,6 +583,7 @@ class ControlPlane:
                     charges.append((shard, responses[sid].cpu_cost))
                     if responses[sid].admitted and shard.log is not None:
                         shard.log.append_admit(subs[sid].spec, env.now)
+                    self._parking.touched(sid)
                 response = merge_admission_responses(
                     [responses[sid] for sid in sids])
                 end = self._charge(charges)
@@ -566,7 +600,7 @@ class ControlPlane:
                 self._trace(EventType.ADMISSION_REJECTED, txn,
                             reason=response.reason)
             txn.reset_for_retry()
-            yield self._retry(txn)
+            yield from self._retry(txn, cert, sids, count_attempts)
 
     def _start(self, txn: TransactionRuntime, home: int, traced: bool,
                ) -> Generator[Event, Any, Optional[int]]:
@@ -635,28 +669,41 @@ class ControlPlane:
         """Ask the current step's shard for its lock until granted.
 
         Returns None once granted, else the abort cause.  BLOCK/DELAY
-        responses, and a down shard, are retried after the retry delay.
+        responses, and a down shard, are retried after the retry delay;
+        a refusal that cost nothing sleeps until its certificate (or the
+        shard's recovery) says the answer may differ.
         """
         env = self.env
         shard = self.shards[sid]
+        record_retries = self.metrics.record_lock_retry
         while True:
-            if shard.scheduler is None:
+            scheduler = shard.scheduler
+            if scheduler is None:
                 # The owning CN is down: stall until it replays its log
                 # (blocking, like the 2PC commit).
                 if traced:
                     self._trace(EventType.LOCK_DELAYED, txn,
                                 step=txn.current_step,
                                 reason=f"CN {sid} down")
+                cert = None if traced else STALLED
             else:
-                response = shard.scheduler.request_lock(sub, env.now)
+                response = scheduler.request_lock(sub, env.now)
                 if shard.log is not None and response.granted:
                     # Log the grant (and the precedence edges it
                     # resolved) at decision time, before the CPU yield.
-                    resolved = getattr(shard.scheduler, "last_resolved",
-                                       ())
+                    resolved = getattr(scheduler, "last_resolved", ())
                     shard.log.append_grant(txn.tid, sub.current_step,
                                            env.now, resolved)
-                end = self._charge([(shard, response.cpu_cost)])
+                self._parking.touched(sid)
+                cost = response.cpu_cost
+                decision = response.decision
+                # A refusal that cost nothing is certified at its
+                # decision instant, before any yield could age it.
+                cert = (scheduler.certify(sub, response)
+                        if cost == 0 and not traced
+                        and decision is not Decision.GRANT
+                        and decision is not Decision.ABORT else None)
+                end = self._charge([(shard, cost)])
                 if end is not None:
                     yield end
                 if response.granted:  # repro-lint: disable=RL009 -- the grant decision is made atomically inside request_lock() and is binding; the CPU yield models the cost of computing it, not a revalidation window
@@ -669,8 +716,8 @@ class ControlPlane:
                             else EventType.LOCK_DELAYED)
                     self._trace(kind, txn, step=txn.current_step,
                                 reason=response.reason)
-            self.metrics.record_lock_retry()
-            yield self._retry(txn)
+            record_retries()
+            yield from self._retry(txn, cert, (sid,), record_retries)
             cause = self._doom_cause(txn, planned_abort)
             if cause is not None:
                 return cause
@@ -699,7 +746,7 @@ class ControlPlane:
             yield node.submit(txn, step.cost)
 
     def _commit(self, txn: TransactionRuntime, sids: List[int],
-                subs: Dict[int, TransactionRuntime],
+                subs: Dict[int, TransactionRuntime], traced: bool,
                 ) -> Generator[Event, Any, Optional[str]]:
         """Commit on every participant; returns a doom cause or None.
 
@@ -707,9 +754,9 @@ class ControlPlane:
         CNs (a prepare round and a commit round, each costing
         ``committime`` on every participant's CPU in parallel); a
         single-shard BAT commits like the centralized machine.  2PC
-        blocks on a dead participant: the coordinator waits for recovery
-        and retries the rounds, unless the crash doomed this BAT, which
-        wins.
+        blocks on a dead participant: the coordinator sleeps until a
+        participant recovers and retries the rounds, unless the crash
+        doomed this BAT, which wins.
         """
         env = self.env
         participants = [(self.shards[sid], self.params.commit_time)
@@ -720,7 +767,8 @@ class ControlPlane:
             if cause is not None:
                 return cause
             if any(self.shards[sid].crashed for sid in sids):
-                yield self._retry(txn)
+                yield from self._retry(txn, None if traced else STALLED,
+                                       sids, no_credit)
                 continue
             for _ in range(2 if cross else 1):  # 2PC: prepare, commit
                 end = self._charge(participants)
@@ -737,6 +785,7 @@ class ControlPlane:
                 shard.live.commit(subs[sid], env.now)
                 if shard.log is not None:
                     shard.log.append_commit(txn.tid, env.now)
+                self._parking.touched(sid)
             return None
 
     def _excise(self, tid: int, sid: int,
@@ -751,6 +800,7 @@ class ControlPlane:
         successors: Tuple[int, ...] = ()
         if shard.scheduler is not None:
             successors = shard.scheduler.abort_transaction(sub, self.env.now)
+            self._parking.touched(sid)
         if shard.log is not None:
             shard.log.append_abort(tid, self.env.now)
         return successors

@@ -85,8 +85,8 @@ class MetricsCollector:
         if now >= self.warmup_clocks:
             self.arrivals += 1
 
-    def record_lock_retry(self) -> None:
-        self.lock_retries += 1
+    def record_lock_retry(self, retries: int = 1) -> None:
+        self.lock_retries += retries
 
     def record_abort(self, txn: TransactionRuntime,
                      cause: str = "deadlock", now: float = 0.0) -> None:
