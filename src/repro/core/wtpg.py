@@ -171,12 +171,6 @@ class WTPG:
         """
         return self._generation
 
-    @property
-    def structure_generation(self) -> int:
-        """Bumped only when the precedence relation changes: a node is
-        added or removed, or a pair edge is resolved."""
-        return self._structure_gen
-
     def _note_edge_weight(self, successor: int) -> None:
         """A pair edge's directed weight was raised (PairEdge callback)."""
         self._generation += 1
@@ -676,6 +670,12 @@ class WTPG:
             if fresh != self._cp_dist:
                 problems.append("stale critical-path dist cache")
         return problems
+
+    @property
+    def structure_generation(self) -> int:
+        """Bumped only when the precedence relation changes: a node is
+        added or removed, or a pair edge is resolved."""
+        return self._structure_gen
 
     def __repr__(self) -> str:
         pairs: List[str] = []

@@ -677,8 +677,7 @@ class ControlPlane:
         shard = self.shards[sid]
         record_retries = self.metrics.record_lock_retry
         while True:
-            scheduler = shard.scheduler
-            if scheduler is None:
+            if shard.scheduler is None:
                 # The owning CN is down: stall until it replays its log
                 # (blocking, like the 2PC commit).
                 if traced:
@@ -687,23 +686,16 @@ class ControlPlane:
                                 reason=f"CN {sid} down")
                 cert = None if traced else STALLED
             else:
-                response = scheduler.request_lock(sub, env.now)
+                response = shard.scheduler.request_lock(sub, env.now)
                 if shard.log is not None and response.granted:
                     # Log the grant (and the precedence edges it
                     # resolved) at decision time, before the CPU yield.
-                    resolved = getattr(scheduler, "last_resolved", ())
+                    resolved = getattr(shard.scheduler, "last_resolved",
+                                       ())
                     shard.log.append_grant(txn.tid, sub.current_step,
                                            env.now, resolved)
                 self._parking.touched(sid)
-                cost = response.cpu_cost
-                decision = response.decision
-                # A refusal that cost nothing is certified at its
-                # decision instant, before any yield could age it.
-                cert = (scheduler.certify(sub, response)
-                        if cost == 0 and not traced
-                        and decision is not Decision.GRANT
-                        and decision is not Decision.ABORT else None)
-                end = self._charge([(shard, cost)])
+                end = self._charge([(shard, response.cpu_cost)])
                 if end is not None:
                     yield end
                 if response.granted:  # repro-lint: disable=RL009 -- the grant decision is made atomically inside request_lock() and is binding; the CPU yield models the cost of computing it, not a revalidation window
@@ -716,6 +708,10 @@ class ControlPlane:
                             else EventType.LOCK_DELAYED)
                     self._trace(kind, txn, step=txn.current_step,
                                 reason=response.reason)
+                # A refusal that cost nothing took no yield since its
+                # decision, so it is certified as of that instant.
+                cert = (None if traced or end is not None
+                        else shard.scheduler.certify(sub, response))
             record_retries()
             yield from self._retry(txn, cert, (sid,), record_retries)
             cause = self._doom_cause(txn, planned_abort)

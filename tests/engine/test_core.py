@@ -496,3 +496,62 @@ def test_active_horizon_ignores_inert_events():
     assert env.affecting_horizon() == 2
     env.run(until=1)
     assert env.active_horizon() == 9
+
+
+def test_follows_current_compares_with_the_event_being_processed():
+    env = Environment()
+    seen = []
+
+    def probe(event):
+        seen.append([env.follows_current(10, s, r)
+                     for s, r in ((4, 7), (5, 2), (5, 3), (5, 4), (6, 1))])
+
+    # The event being processed is keyed (10, 5, 3).
+    env.timeout_until(10, sort_time=5, sort_rank=3).callbacks.append(probe)
+    env.run()
+    assert seen == [[False, False, False, True, True]]
+
+
+def test_follows_current_outside_the_run_loop():
+    env = Environment()
+    # Before the first event every entry at now comes after it...
+    assert env.follows_current(0, -1.0, 1)
+    env.timeout(5)
+    env.run()
+    # ...and after a run that drained the heap, none at now does.
+    assert env.now == 5
+    assert not env.follows_current(5, 4.0, 9)
+    assert env.follows_current(6, 0.0, 1)
+    env.run(until=8)
+    assert not env.follows_current(8, 7.0, 9)
+
+
+def test_transfer_waiters_wakes_a_parked_process_at_a_later_key():
+    env = Environment()
+    log = []
+    parked = env.event()
+
+    def sleeper():
+        yield parked
+        log.append(("sleeper", env.now))
+
+    timers = []
+
+    def waker():
+        yield env.timeout(3)
+        log.append(("waker", env.now))
+        # Wake the sleeper at 7, keyed after an ordinary event there.
+        timers.append(env.timeout_until(7, sort_time=3, sort_rank=1))
+        env.transfer_waiters(parked, timers[0])
+
+    def bystander():
+        yield env.timeout_until(7, sort_time=3)
+        log.append(("bystander", env.now))
+
+    env.process(sleeper())
+    env.process(waker())
+    env.process(bystander())
+    env.run()
+    assert log == [("waker", 3), ("bystander", 7), ("sleeper", 7)]
+    with pytest.raises(EngineStateError):
+        env.transfer_waiters(timers[0], env.event())

@@ -125,6 +125,32 @@ class TestTracedRuns:
                    + tracer.count(EventType.LOCK_DELAYED))
         assert retries == result.metrics.lock_retries
 
+    def test_retry_events_match_retries_under_cn_crashes(self):
+        """On two CNs under CHAIN with CN crashes, every counted retry
+        is one traced BLOCK or DELAY: holder blocks, CHAIN delays and
+        stalls on a down CN alike.  The same run untraced parks its
+        zero-cost refusals and must count the same retries."""
+        from repro.faults import ControlCrash, FaultPlan
+        plan = FaultPlan(
+            control_crashes=(ControlCrash(0, 40_000.0, recover_at=60_000.0),
+                             ControlCrash(1, 100_000.0,
+                                          recover_at=110_000.0)),
+            abort_rate=0.1, cascade=True)
+        params = SimulationParameters(
+            scheduler="CHAIN", arrival_rate_tps=0.7, sim_clocks=150_000,
+            seed=5, num_partitions=16, num_control_nodes=2)
+        tracer = Tracer()
+        traced = Cluster(params, pattern1(), catalog=pattern1_catalog(),
+                         tracer=tracer, fault_plan=plan).run()
+        retries = (tracer.count(EventType.LOCK_BLOCKED)
+                   + tracer.count(EventType.LOCK_DELAYED))
+        assert traced.metrics.cn_crashes == 2
+        assert retries > 0
+        assert retries == traced.metrics.lock_retries
+        untraced = Cluster(params, pattern1(), catalog=pattern1_catalog(),
+                           fault_plan=plan).run()
+        assert untraced.metrics.lock_retries == retries
+
     def test_asl_rejections_traced(self):
         tracer, _ = traced_run(scheduler="ASL", rate=0.8)
         assert tracer.count(EventType.ADMISSION_REJECTED) > 0
