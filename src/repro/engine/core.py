@@ -378,6 +378,10 @@ class Environment:
         created the event plus a stable per-actor rank, making
         exact-time tie order a function of arithmetic quantities only —
         never of which loop variant happened to create its event first.
+        The coordinator's retry polls are keyed the same way: the poll
+        instant, the previous poll's instant and a per-BAT rank above
+        every data node's, so a parked BAT can be woken at the key its
+        literal poll would have had.
         ``sort_time`` must not exceed ``when``; defaults to ``now``, which
         leaves ordinary ordering untouched (schedule order is already
         monotone in the scheduling instant).  ``sort_rank`` must be

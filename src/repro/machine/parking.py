@@ -87,7 +87,11 @@ class ParkingLot:
 
     def park(self, tid: int, rank: int, cert: Certificate,
              watch: Sequence[int], credit: Callable[[int], None]) -> Event:
-        """Park ``tid``, just refused now; returns the event to wait on."""
+        """Park ``tid``, just refused now; returns the event to wait on.
+
+        Whichever timer that event's waiters end up on, the BAT leaves
+        the lot, its skipped polls counted, before they resume.
+        """
         env = self.env
         now = env.now
         delay = self.delay
@@ -105,10 +109,11 @@ class ParkingLot:
         self._sleepers[tid] = sleeper
         for sid in watch:
             self._watching[sid][tid] = sleeper
+        wait.callbacks.append(lambda _: self._leave(tid))
         return wait
 
-    def leave(self, tid: int) -> None:
-        """``tid`` woke for its due poll: count the polls it skipped."""
+    def _leave(self, tid: int) -> None:
+        """``tid`` is due to poll: count the polls it skipped."""
         sleeper = self._sleepers.pop(tid)
         for sid in sleeper.watch:
             self._watching[sid].pop(tid, None)

@@ -401,8 +401,8 @@ class ControlPlane:
 
     def _retry(self, txn: TransactionRuntime, cert: Optional[Certificate],
                watch: Sequence[int], credit: Callable[[int], None],
-               ) -> Generator[Event, Any, None]:
-        """Wait for the next poll of a request just refused.
+               ) -> Event:
+        """The event that fires at the next poll of a request just refused.
 
         Literally, the refused BAT asks again every ``retry_delay``, and
         each poll's heap key is built from arithmetic quantities only: the
@@ -414,16 +414,15 @@ class ControlPlane:
         fails after a scheduler call on a ``watch`` shard, one of them
         crashes or recovers, or it is doomed, and polls next at the grid
         point the literal loop would have polled at first after that;
-        ``credit`` counts, in the coordinator's terms, the polls skipped.
+        ``credit`` counts, in the coordinator's terms, the polls skipped,
+        before the BAT resumes.
         """
         rank = self._poll_rank(txn.tid)
         if cert is None:
             now = self.env.now
-            yield self.env.timeout_until(now + self.params.retry_delay,
-                                         sort_time=now, sort_rank=rank)
-            return
-        yield self._parking.park(txn.tid, rank, cert, watch, credit)
-        self._parking.leave(txn.tid)
+            return self.env.timeout_until(now + self.params.retry_delay,
+                                          sort_time=now, sort_rank=rank)
+        return self._parking.park(txn.tid, rank, cert, watch, credit)
 
     def _poll_rank(self, tid: int) -> int:
         return len(self.data_nodes) + 1 + tid
@@ -600,7 +599,7 @@ class ControlPlane:
                 self._trace(EventType.ADMISSION_REJECTED, txn,
                             reason=response.reason)
             txn.reset_for_retry()
-            yield from self._retry(txn, cert, sids, count_attempts)
+            yield self._retry(txn, cert, sids, count_attempts)
 
     def _start(self, txn: TransactionRuntime, home: int, traced: bool,
                ) -> Generator[Event, Any, Optional[int]]:
@@ -713,7 +712,7 @@ class ControlPlane:
                 cert = (None if traced or end is not None
                         else shard.scheduler.certify(sub, response))
             record_retries()
-            yield from self._retry(txn, cert, (sid,), record_retries)
+            yield self._retry(txn, cert, (sid,), record_retries)
             cause = self._doom_cause(txn, planned_abort)
             if cause is not None:
                 return cause
@@ -763,7 +762,7 @@ class ControlPlane:
             if cause is not None:
                 return cause
             if any(self.shards[sid].crashed for sid in sids):
-                yield from self._retry(txn, None if traced else STALLED,
+                yield self._retry(txn, None if traced else STALLED,
                                        sids, no_credit)
                 continue
             for _ in range(2 if cross else 1):  # 2PC: prepare, commit

@@ -10,7 +10,7 @@ demand equal metrics and histories of untraced runs.
 """
 
 from contextlib import contextmanager
-from typing import Any, Callable, Generator, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 from unittest import mock
 
 from repro.core.schedulers.base import Certificate
@@ -21,12 +21,11 @@ from repro.machine.shard import ControlPlane
 
 def _literal_retry(self: ControlPlane, txn: TransactionRuntime,
                    cert: Certificate, watch: Sequence[int],
-                   credit: Callable[[int], None],
-                   ) -> Generator[Event, Any, None]:
+                   credit: Callable[[int], None]) -> Event:
     now = self.env.now
-    yield self.env.timeout_until(now + self.params.retry_delay,
-                                 sort_time=now,
-                                 sort_rank=self._poll_rank(txn.tid))
+    return self.env.timeout_until(now + self.params.retry_delay,
+                                  sort_time=now,
+                                  sort_rank=self._poll_rank(txn.tid))
 
 
 @contextmanager
