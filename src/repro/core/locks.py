@@ -49,9 +49,6 @@ class LockTable:
         # at the first conflicting_transactions() query against tid (a
         # declaration set never changes while registered).
         self._by_txn_partition: Dict[int, Dict[int, List[Declaration]]] = {}
-        # partition -> count of changes to its holds (grants and
-        # releases), absent while zero; see held_version.
-        self._held_versions: Dict[int, int] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -74,14 +71,10 @@ class LockTable:
         if decls is None:
             raise LockTableError(f"T{tid} is not registered")
         self._by_txn_partition.pop(tid, None)
-        versions = self._held_versions
         for decl in decls:
             key = (decl.tid, decl.step_index)
             self._pending.get(decl.partition, {}).pop(key, None)
-            held = self._granted.get(decl.partition, {})
-            if held.pop(key, None) is not None:
-                versions[decl.partition] = versions.get(decl.partition,
-                                                        0) + 1
+            self._granted.get(decl.partition, {}).pop(key, None)
 
     def is_registered(self, tid: int) -> bool:
         return tid in self._by_txn
@@ -102,8 +95,6 @@ class LockTable:
                 f"lock for T{tid} step {step_index} was already granted")
         del pending[key]
         self._granted.setdefault(decl.partition, {})[key] = decl
-        versions = self._held_versions
-        versions[decl.partition] = versions.get(decl.partition, 0) + 1
         return decl
 
     def _find_declaration(self, tid: int, step_index: int) -> Declaration:
@@ -114,10 +105,10 @@ class LockTable:
 
     # -- queries -----------------------------------------------------------
 
-    def held_version(self, partition: int) -> int:
-        """A stamp of ``partition``'s holds: it changes whenever a lock
-        there is granted or released, and at no other time."""
-        return self._held_versions.get(partition, 0)
+    def holds_on(self, partition: int) -> Tuple[Tuple[int, int], ...]:
+        """Every hold on ``partition`` as ``(tid, step_index)``, in grant
+        order: equal results mean equal holds there."""
+        return tuple(self._granted.get(partition, ()))
 
     def held_mode(self, tid: int, partition: int) -> Optional[LockMode]:
         """Strongest mode ``tid`` currently holds on ``partition``."""

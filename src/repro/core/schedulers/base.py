@@ -24,7 +24,6 @@ Lifecycle, as driven by the control plane (:mod:`repro.machine.shard`):
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
@@ -316,7 +315,7 @@ class WTPGScheduler(Scheduler):
         if response.decision is not Decision.BLOCK:
             return None
         table, partition = self.table, txn.step().partition
-        return Certificate(partial(table.held_version, partition),
+        return Certificate(partial(table.holds_on, partition),
                            self._credit_blocks)
 
     def _credit_blocks(self, polls: int) -> None:
@@ -451,8 +450,3 @@ class ControlSaver:
     def invalidate(self) -> None:
         self._dirty = True
         self.epoch += 1
-
-    def expiry(self) -> Optional[Callable[[float], bool]]:
-        """:meth:`stale` as a test of time alone, for a certificate taken
-        while the cache is fresh; None if time never ages it."""
-        return self.stale if math.isfinite(self.keeptime) else None

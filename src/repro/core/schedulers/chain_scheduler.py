@@ -14,8 +14,10 @@ otherwise the most recent ``W`` is reused.
 
 from __future__ import annotations
 
+import math
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Hashable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.builder import PartnerConflicts
 from repro.core.chain import chain_components, would_remain_chain_form
@@ -151,22 +153,24 @@ class ChainScheduler(WTPGScheduler):
         the WTPG; the pairs with those rivals; and W.  A pending
         declaration leaves only by its grant (a hold changes) or its
         owner's removal from the WTPG, and a rival enters the WTPG only
-        by admission, so the holds' stamp, the WTPG's structure
-        generation and the control saver's epoch cover every input but
-        time, which ages W at ``keeptime``.
+        by admission, so the holds, the WTPG's structure generation and
+        the control saver's epoch cover every input but time, which ages
+        W at ``keeptime``.
         """
         if response.decision is not Decision.DELAY:
             return super().certify(txn, response)
         table, wtpg, saver = self.table, self.wtpg, self._saver
         partition = txn.step().partition
 
-        def read() -> Tuple[int, int, int]:
-            return (table.held_version(partition), wtpg.structure_generation,
+        def read() -> Hashable:
+            return (table.holds_on(partition), wtpg.structure_generation,
                     saver.epoch)
 
+        # With W fresh, only ``stale``'s keeptime test can age it.
+        expired = saver.stale if math.isfinite(saver.keeptime) else None
         return Certificate(read, partial(self._credit_delays,
                                          response.reason == _FIXED_ORDER),
-                           expired=saver.expiry())
+                           expired=expired)
 
     def _credit_delays(self, predicted: bool, polls: int) -> None:
         self.stats.delays += polls

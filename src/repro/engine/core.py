@@ -301,9 +301,6 @@ _Entry = Tuple[float, float, int, int, Event]
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
-#: Stands in for the event of a sentinel ``_popped`` entry.
-_NO_EVENT = Event.__new__(Event)
-
 #: An ``_affect`` entry: ``(bound, order, event, fresh)``.  A fresh
 #: entry's bound is the event's own time, not yet refined.
 _AffectEntry = Tuple[float, int, _InertTimeout, bool]
@@ -321,7 +318,8 @@ class Environment:
         # The entry of the event being processed (the last one popped),
         # or a sentinel keyed before or after every entry at ``now``
         # (see follows_current).
-        self._popped: _Entry = (initial_time, _NEG_INF, 0, -1, _NO_EVENT)
+        self._popped: Tuple[float, float, int, int, Optional[Event]] = (
+            initial_time, _NEG_INF, 0, -1, None)
         # ``_queue`` holds non-inert events; inert ones (see
         # timeout_until) sit in ``_inert`` under the same key and in
         # ``_affect`` under their published bound for affecting_horizon.
@@ -606,7 +604,7 @@ class Environment:
                 if when > stop_time:
                     heappush(heap, entry)
                     self._now = stop_time
-                    self._popped = (stop_time, _POS_INF, 0, -1, _NO_EVENT)
+                    self._popped = (stop_time, _POS_INF, 0, -1, None)
                     return None
                 self._now = when
                 self._popped = entry
@@ -631,5 +629,5 @@ class Environment:
         if stop_time != float("inf"):
             self._now = stop_time
         # Drained: every entry at ``now`` has been processed.
-        self._popped = (self._now, _POS_INF, 0, -1, _NO_EVENT)
+        self._popped = (self._now, _POS_INF, 0, -1, None)
         return None

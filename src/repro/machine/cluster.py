@@ -161,7 +161,7 @@ class Cluster:
             self.injector.install_control(self.env, self.control_plane)
         self.env.process(self._arrival_process())
         self.env.run(until=self.params.sim_clocks)
-        self.control_plane.settle_parked_polls()
+        self.control_plane.parking.settle()
         elapsed = self.params.sim_clocks
         dn_utilization = (sum(dn.utilization(elapsed)
                               for dn in self.data_nodes)

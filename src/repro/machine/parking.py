@@ -74,16 +74,19 @@ class Sleeper:
 
 
 class ParkingLot:
-    """The parked BATs of one control plane of ``num_shards`` CNs."""
+    """The parked BATs of one control plane.
+
+    ``watching[sid]`` holds, by tid, the sleepers a change on CN ``sid``
+    may still wake; the plane lends one dict per shard, so a caller can
+    skip :meth:`touched` while its shard's dict is empty.
+    """
 
     def __init__(self, env: Environment, delay: float,
-                 num_shards: int) -> None:
+                 watching: List[Dict[int, Sleeper]]) -> None:
         self.env = env
         self.delay = delay
         self._sleepers: Dict[int, Sleeper] = {}
-        # Per shard, the sleepers a change there may still wake.
-        self._watching: List[Dict[int, Sleeper]] = [
-            {} for _ in range(num_shards)]
+        self._watching = watching
 
     def park(self, tid: int, rank: int, cert: Certificate,
              watch: Sequence[int], credit: Callable[[int], None]) -> Event:
@@ -133,11 +136,9 @@ class ParkingLot:
     def touched(self, sid: int) -> None:
         """A scheduler call on CN ``sid`` may have changed its state: wake
         the sleepers whose certificates no longer hold."""
-        watching = self._watching[sid]
-        if watching:
-            for sleeper in list(watching.values()):
-                if not sleeper.cert.holds():
-                    self._wake(sleeper)
+        for sleeper in list(self._watching[sid].values()):
+            if not sleeper.cert.holds():
+                self._wake(sleeper)
 
     def settle(self) -> None:
         """Count the polls the parked BATs would have made by now.

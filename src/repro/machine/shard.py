@@ -28,9 +28,10 @@ ends the attempt returns its abort cause:
 * **lock requests** route to the shard owning the step's partition and
   are costed on that shard's CPU (``ddtime`` / ``chaintime`` /
   ``kwtpgtime``); BLOCK/DELAY responses are re-submitted after the
-  retry delay; a granted step ships the BAT to the data node holding
-  the partition, whose per-object weight-adjustment messages go to the
-  same shard;
+  retry delay (one that cost nothing parks the BAT until what the
+  verdict read changes: :meth:`ControlPlane._retry`); a granted step
+  ships the BAT to the data node holding the partition, whose
+  per-object weight-adjustment messages go to the same shard;
 * **commitment** of a cross-shard BAT is a two-phase commit among its
   participant CNs: a prepare round and a commit round, each costing
   ``committime`` on every participant's CPU in parallel.  A single-shard
@@ -73,6 +74,7 @@ declared weights.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import (Any, Callable, Deque, Dict, Generator, List, Optional,
                     Sequence, Set, Tuple)
 
@@ -89,7 +91,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import RetryPolicy
 from repro.machine.control_log import DependencyLog
 from repro.machine.data_node import DataNode
-from repro.machine.parking import STALLED, ParkingLot, no_credit
+from repro.machine.parking import STALLED, ParkingLot, Sleeper, no_credit
 from repro.machine.partition import Catalog
 from repro.machine.trace import EventType, Tracer
 from repro.metrics.collector import MetricsCollector
@@ -98,6 +100,12 @@ from repro.metrics.collector import MetricsCollector
 # shape for it (no explicit cause key) so fault-free runs stay
 # bit-identical with historical traces.
 _LEGACY_CAUSE = "deadlock"
+
+
+def _add_attempts(txn: TransactionRuntime, polls: int) -> None:
+    """What ``polls`` skipped admission attempts' ``reset_for_retry()``
+    would have added; the rest of it leaves a rejected BAT unchanged."""
+    txn.attempts += polls
 
 
 def declustered_shares(cost: float, n: int) -> List[float]:
@@ -144,6 +152,9 @@ class ControlShard:
         self._ends: Deque[float] = deque()
         self._busy = 0.0
         self._busy_from = env.now
+        # The parked BATs a change on this CN may wake, by tid
+        # (maintained by the plane's ParkingLot).
+        self.sleepers: Dict[int, Sleeper] = {}
 
     @property
     def live(self) -> Scheduler:
@@ -257,8 +268,10 @@ class ControlPlane:
         self._cascade = plan.cascade if plan is not None else False
         retry = plan.retry if plan is not None else None
         self.retry_policy = retry if retry is not None else RetryPolicy()
-        self._parking = ParkingLot(env, params.retry_delay,
-                                   len(self.shards))
+        # BATs parked after a zero-cost refusal (see _retry); a run's
+        # counters are read after parking.settle().
+        self.parking = ParkingLot(env, params.retry_delay,
+                                  [shard.sleepers for shard in self.shards])
 
     # -- shard map ------------------------------------------------------------
 
@@ -341,7 +354,7 @@ class ControlPlane:
         self._doomed[tid] = cause
         for node in self.data_nodes:
             node.cancel(tid, kind=cause)
-        self._parking.doomed(tid)
+        self.parking.doomed(tid)
 
     def crash_shard(self, sid: int) -> List[int]:
         """Kill CN ``sid``; returns the tids doomed by the crash.
@@ -365,7 +378,7 @@ class ControlPlane:
                 self._doom(tid, "cn_crash")
                 doomed.append(tid)
         shard.crash(self.env.now)
-        self._parking.shard_changed(sid)
+        self.parking.shard_changed(sid)
         return doomed
 
     def recover_shard(self, sid: int) -> int:
@@ -387,7 +400,7 @@ class ControlPlane:
         shard.crashed = False
         self.metrics.record_recovery(replayed,
                                      self.env.now - shard.crashed_at)
-        self._parking.shard_changed(sid)
+        self.parking.shard_changed(sid)
         return replayed
 
     def _doom_cause(self, txn: TransactionRuntime,
@@ -422,15 +435,10 @@ class ControlPlane:
             now = self.env.now
             return self.env.timeout_until(now + self.params.retry_delay,
                                           sort_time=now, sort_rank=rank)
-        return self._parking.park(txn.tid, rank, cert, watch, credit)
+        return self.parking.park(txn.tid, rank, cert, watch, credit)
 
     def _poll_rank(self, tid: int) -> int:
         return len(self.data_nodes) + 1 + tid
-
-    def settle_parked_polls(self) -> None:
-        """Count the polls parked BATs would have made by now (read a
-        run's counters only after this)."""
-        self._parking.settle()
 
     def _retry_delay(self, txn: TransactionRuntime) -> float:
         return self.retry_policy.delay_for(txn.attempts,
@@ -553,12 +561,6 @@ class ControlPlane:
         and the BAT sleeps until one recovers.
         """
         env = self.env
-
-        def count_attempts(polls: int) -> None:
-            # What each skipped attempt's reset_for_retry() would have
-            # added; the rest of it leaves a rejected BAT unchanged.
-            txn.attempts += polls
-
         while True:
             down = [sid for sid in sids if self.shards[sid].crashed]
             if down:
@@ -582,7 +584,8 @@ class ControlPlane:
                     charges.append((shard, responses[sid].cpu_cost))
                     if responses[sid].admitted and shard.log is not None:
                         shard.log.append_admit(subs[sid].spec, env.now)
-                    self._parking.touched(sid)
+                    if shard.sleepers:
+                        self.parking.touched(sid)
                 response = merge_admission_responses(
                     [responses[sid] for sid in sids])
                 end = self._charge(charges)
@@ -599,7 +602,7 @@ class ControlPlane:
                 self._trace(EventType.ADMISSION_REJECTED, txn,
                             reason=response.reason)
             txn.reset_for_retry()
-            yield self._retry(txn, cert, sids, count_attempts)
+            yield self._retry(txn, cert, sids, partial(_add_attempts, txn))
 
     def _start(self, txn: TransactionRuntime, home: int, traced: bool,
                ) -> Generator[Event, Any, Optional[int]]:
@@ -674,7 +677,6 @@ class ControlPlane:
         """
         env = self.env
         shard = self.shards[sid]
-        record_retries = self.metrics.record_lock_retry
         while True:
             if shard.scheduler is None:
                 # The owning CN is down: stall until it replays its log
@@ -693,7 +695,8 @@ class ControlPlane:
                                        ())
                     shard.log.append_grant(txn.tid, sub.current_step,
                                            env.now, resolved)
-                self._parking.touched(sid)
+                if shard.sleepers:
+                    self.parking.touched(sid)
                 end = self._charge([(shard, response.cpu_cost)])
                 if end is not None:
                     yield end
@@ -711,6 +714,7 @@ class ControlPlane:
                 # decision, so it is certified as of that instant.
                 cert = (None if traced or end is not None
                         else shard.scheduler.certify(sub, response))
+            record_retries = self.metrics.record_lock_retry
             record_retries()
             yield self._retry(txn, cert, (sid,), record_retries)
             cause = self._doom_cause(txn, planned_abort)
@@ -762,8 +766,8 @@ class ControlPlane:
             if cause is not None:
                 return cause
             if any(self.shards[sid].crashed for sid in sids):
-                yield self._retry(txn, None if traced else STALLED,
-                                       sids, no_credit)
+                yield self._retry(txn, None if traced else STALLED, sids,
+                                  no_credit)
                 continue
             for _ in range(2 if cross else 1):  # 2PC: prepare, commit
                 end = self._charge(participants)
@@ -780,7 +784,8 @@ class ControlPlane:
                 shard.live.commit(subs[sid], env.now)
                 if shard.log is not None:
                     shard.log.append_commit(txn.tid, env.now)
-                self._parking.touched(sid)
+                if shard.sleepers:
+                    self.parking.touched(sid)
             return None
 
     def _excise(self, tid: int, sid: int,
@@ -795,7 +800,8 @@ class ControlPlane:
         successors: Tuple[int, ...] = ()
         if shard.scheduler is not None:
             successors = shard.scheduler.abort_transaction(sub, self.env.now)
-            self._parking.touched(sid)
+            if shard.sleepers:
+                self.parking.touched(sid)
         if shard.log is not None:
             shard.log.append_abort(tid, self.env.now)
         return successors

@@ -186,7 +186,7 @@ def test_a_run_read_at_its_cutoff_counts_the_polls_due_by_then(until):
         with (literal_polling() if literal else nullcontext()):
             env, plane, metrics = blocked_pair()
             env.run(until=until)
-        plane.settle_parked_polls()
+        plane.parking.settle()
         counts.append((metrics.lock_retries,
                        plane.shards[0].live.stats.as_dict()))
     assert counts[0] == counts[1]
