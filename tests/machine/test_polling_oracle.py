@@ -25,8 +25,13 @@ import pytest
 
 from perfbench.workloads import WORKLOADS
 from repro.config import SimulationParameters
+from repro.core import Step, TransactionRuntime, TransactionSpec
+from repro.core.schedulers import make_scheduler
+from repro.engine import Environment
 from repro.faults import ControlCrash, FaultPlan
+from repro.machine import Catalog, ControlPlane, DataNode
 from repro.machine.cluster import Cluster
+from repro.metrics import MetricsCollector
 from repro.workloads import pattern1, pattern1_catalog
 from tests.machine.test_single_cn_golden import DIGESTS, PLANE_DIGESTS, PLANS
 from tests.oracles.polling import literal_polling
@@ -153,19 +158,12 @@ def test_generated_control_crash_cases(scheduler):
     assert differ == []
 
 
-def blocked_pair(**overrides):
+def blocked_pair():
     """T1 writes P0 for 2000 clocks; T2, blocked behind it at t=0 at no
     cost, has a poll grid of 500, 1000, 1500, ..."""
-    from repro.core import Step, TransactionRuntime, TransactionSpec
-    from repro.core.schedulers import make_scheduler
-    from repro.engine import Environment
-    from repro.machine import Catalog, ControlPlane, DataNode
-    from repro.metrics import MetricsCollector
-
     params = SimulationParameters(
         scheduler="C2PL", num_partitions=8, retry_delay=500,
-        admission_time=0, startup_time=0, commit_time=0, dd_time=0,
-        **overrides)
+        admission_time=0, startup_time=0, commit_time=0, dd_time=0)
     env = Environment()
     nodes = [DataNode(env, i, params.obj_time)
              for i in range(params.num_nodes)]
