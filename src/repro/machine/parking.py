@@ -34,7 +34,7 @@ parked (:meth:`ParkingLot.settle`).
 from __future__ import annotations
 
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.schedulers.base import Certificate
 from repro.engine import Environment, Event
@@ -45,10 +45,47 @@ def no_credit(polls: int) -> None:
     """A repeated poll that counts nothing."""
 
 
+#: Grid points tried one by one before :func:`_first_grid_point` bisects.
+_WALK = 32
+_INF = float("inf")
+
 #: The certificate of a stall on a down CN: nothing but the CN's
 #: recovery (or a doom) changes it, and a repeat counts nothing on the
 #: scheduler's side.
 STALLED = Certificate(lambda: None, no_credit)
+
+
+def _first_grid_point(origin: float, delay: float,
+                      reached: Callable[[float], bool],
+                      ) -> Tuple[int, float, float]:
+    """``(k, t_{k-1}, t_k)`` for the first grid point ``t_k``, ``k >= 1``,
+    of ``origin + delay + delay + ...`` at which the monotone ``reached``
+    holds.
+
+    The first :data:`_WALK` points are tried one addition at a time;
+    beyond them the index is found by doubling and bisection over exact
+    grid points (:func:`~repro.machine.data_node._advance`), so a far
+    deadline costs a few dozen chains, not one test per point.
+    """
+    k, prev, t = 1, origin, origin + delay
+    while not reached(t):
+        if k == _WALK:
+            break
+        k, prev, t = k + 1, t, t + delay
+    else:
+        return k, prev, t
+    lo, lo_t, hi, hi_t = k, t, 2 * k, _advance(t, delay, k, _INF)[0]
+    while not reached(hi_t):
+        lo, lo_t = hi, hi_t
+        hi, hi_t = 2 * hi, _advance(hi_t, delay, hi, _INF)[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mid_t = _advance(lo_t, delay, mid - lo, _INF)[0]
+        if reached(mid_t):
+            hi, hi_t = mid, mid_t
+        else:
+            lo, lo_t = mid, mid_t
+    return hi, _advance(lo_t, delay, hi - 1 - lo, _INF)[0], hi_t
 
 
 class Sleeper:
@@ -104,9 +141,7 @@ class ParkingLot:
             wait = env.event()
         else:
             # The first grid point at which time alone ages the verdict.
-            due, prev, t = 1, now, now + delay
-            while not expired(t):
-                due, prev, t = due + 1, t, t + delay
+            due, prev, t = _first_grid_point(now, delay, expired)
             wait = env.timeout_until(t, sort_time=prev, sort_rank=rank)
         sleeper = Sleeper(tid, rank, now, cert, credit, watch, wait, due)
         self._sleepers[tid] = sleeper

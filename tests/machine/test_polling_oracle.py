@@ -27,10 +27,12 @@ from perfbench.workloads import WORKLOADS
 from repro.config import SimulationParameters
 from repro.core import Step, TransactionRuntime, TransactionSpec
 from repro.core.schedulers import make_scheduler
+from repro.core.schedulers.base import ControlSaver
 from repro.engine import Environment
 from repro.faults import ControlCrash, FaultPlan
 from repro.machine import Catalog, ControlPlane, DataNode
 from repro.machine.cluster import Cluster
+from repro.machine.parking import _first_grid_point
 from repro.metrics import MetricsCollector
 from repro.workloads import pattern1, pattern1_catalog
 from tests.machine.test_single_cn_golden import DIGESTS, PLANE_DIGESTS, PLANS
@@ -204,3 +206,19 @@ def test_a_parked_bat_holds_no_heap_entry():
     # Parked, T2 sleeps from 0 to T1's release with no entry; literally
     # its four vain polls after 0 are an entry each.
     assert entries[1] - entries[0] >= 4
+
+
+@pytest.mark.parametrize("origin,delay,keeptime", [
+    (0.0, 500.0, 5000.0), (1234.5678, 500.0, 5000.0),
+    (99_999.123, 500.0, 60_000.0), (7.0, 0.1, 1000.0),
+    (3.3, 1 / 3, 40_000.0), (250_000.7, 500.0, 1e8)])
+def test_the_keeptime_deadline_is_the_literal_grid_point(origin, delay,
+                                                         keeptime):
+    """A CHAIN DELAY's deadline is the first grid point at which the
+    literal loop would find W stale; far deadlines are bisected."""
+    saver = ControlSaver(keeptime)
+    saver.mark_computed(origin - 17.25)
+    k, prev, t = 1, origin, origin + delay
+    while not saver.stale(t):
+        k, prev, t = k + 1, t, t + delay
+    assert _first_grid_point(origin, delay, saver.stale) == (k, prev, t)
