@@ -11,8 +11,9 @@ polls literally, so the golden digests and the property harness, which
 trace every BAT, never reach the parked path; these cases do.
 
 The cases: every configuration of ``test_single_cn_golden.py``, pinned
-perfbench replications of ``hotset_k2`` and ``shard_recovery``, and the
-CN-crash cases of ``tests/prop/test_control_crashes.py``.  With
+perfbench replications of ``hotset_k2`` and ``shard_recovery``, the
+CN-crash cases of ``tests/prop/test_control_crashes.py``, and generated
+CHAIN cases that only the WTPG's structure generation wakes correctly.  With
 ``REPRO_POLLING_ORACLE_SECONDS=S`` the perfbench test checks every
 replication of an ``S``-second seed-11 run instead; CI does so at 12
 seconds (67 + 63 replications).
@@ -38,6 +39,8 @@ from repro.workloads import pattern1, pattern1_catalog
 from tests.machine.test_single_cn_golden import DIGESTS, PLANE_DIGESTS, PLANS
 from tests.oracles.polling import literal_polling
 from tests.prop import gen
+from tests.prop.test_control_crashes import CASES_PER_SCHEDULER
+from tests.prop.test_control_crashes import SCHEDULERS as CRASH_SCHEDULERS
 
 SEED = 11
 
@@ -118,7 +121,7 @@ def control_case(scheduler, name, num_control_nodes, crashes):
 
 
 @pytest.mark.parametrize("num_control_nodes", [1, 2, 3])
-@pytest.mark.parametrize("scheduler", ["CHAIN", "K2", "C2PL"])
+@pytest.mark.parametrize("scheduler", CRASH_SCHEDULERS)
 def test_control_crash_cases(scheduler, num_control_nodes):
     for case in range(4):
         name = f"compaction-{scheduler}-{num_control_nodes}-{case}"
@@ -142,12 +145,11 @@ def test_control_crash_cases(scheduler, num_control_nodes):
             assert parked == literal, name
 
 
-@pytest.mark.parametrize("scheduler", ["CHAIN", "K2", "C2PL"])
+@pytest.mark.parametrize("scheduler", CRASH_SCHEDULERS)
 def test_generated_control_crash_cases(scheduler):
-    """The property suite's generated CN-crash cases, the first 100 per
-    scheduler."""
+    """Every generated CN-crash case of the property suite."""
     differ = []
-    for i in range(100):
+    for i in range(CASES_PER_SCHEDULER):
         name = f"{scheduler}-cn-case-{i}"
         rng = gen.case_rng(name)
         workload = gen.make_workload(rng)
@@ -158,6 +160,26 @@ def test_generated_control_crash_cases(scheduler):
         if parked != literal:
             differ.append(name)
     assert differ == []
+
+
+#: Generated CHAIN cases (named for their ``gen.case_rng`` seed) in which
+#: a grant on another partition resolves the pair behind a parked DELAY,
+#: so only the WTPG's structure generation wakes it: a certificate
+#: without it differs from literal polling on each of them.
+CHAIN_RESOLVED_ELSEWHERE = ["search-76", "search-149", "search-193"]
+
+
+@pytest.mark.parametrize("name", CHAIN_RESOLVED_ELSEWHERE)
+def test_chain_delays_wake_when_a_pair_is_resolved_elsewhere(name):
+    rng = gen.case_rng(name)
+    workload = gen.make_workload(rng)
+    params = gen.make_params(rng, "CHAIN").with_overrides(
+        arrival_rate_tps=rng.choice([4.0, 8.0, 16.0]),
+        keep_time=rng.choice([5000.0, 1e6, 500.0]),
+        num_control_nodes=rng.choice([1, 1, 2]))
+    parked, literal = outcome(lambda: Cluster(
+        params, workload, record_history=True))
+    assert parked == literal
 
 
 def blocked_pair():
