@@ -4,7 +4,9 @@ The paper's conclusion 4: high data contention limits inter-transaction
 parallelism of BATs, so >90 % useful utilization needs intra-transaction
 parallelism — i.e. distributing files over all nodes — at the cost of
 the message overhead that hurts short-transaction processing.  This
-benchmark quantifies the BAT side of that trade on Pattern1.
+benchmark quantifies the BAT side of that trade on Pattern1, including
+each scheduler's useful utilization: its TPS over NODC's TPS under the
+same placement.
 """
 
 import pytest
@@ -48,3 +50,10 @@ def test_placement_comparison(benchmark, scheduler):
             "placement", ["range-partitioned", "declustered"],
             {name: [pair[0].dn_utilization, pair[1].dn_utilization]
              for name, pair in _results.items()})
+        bound = _results["NODC"]
+        print_series(
+            "Placement ablation: useful utilization (TPS / NODC TPS)",
+            "placement", ["range-partitioned", "declustered"],
+            {name: [pair[0].throughput_tps / bound[0].throughput_tps,
+                    pair[1].throughput_tps / bound[1].throughput_tps]
+             for name, pair in _results.items() if name != "NODC"})

@@ -108,18 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=1)
     verify.add_argument("--quiet", action="store_true")
 
-    mixed = sub.add_parser(
-        "mixed", help="extension: BATs mixed with short transactions")
-    mixed.add_argument("--clocks", type=float, default=400_000)
-    mixed.add_argument("--seed", type=int, default=1)
-    mixed.add_argument("--rate", type=float, default=2.0)
-
-    placement = sub.add_parser(
-        "placement", help="extension: range partitioning vs declustering")
-    placement.add_argument("--clocks", type=float, default=400_000)
-    placement.add_argument("--seed", type=int, default=1)
-    placement.add_argument("--rate", type=float, default=0.9)
-
     for name, help_text in (
             ("exp1", "Figures 6-7: arrival rate sweep, Pattern1"),
             ("exp2", "Figure 8: hot-set sizes, Pattern2"),
@@ -209,22 +197,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                      progress=progress)
         print(report_verification(checks))
         return 0 if all(c.passed for c in checks) else 1
-    if args.command == "mixed":
-        from repro.experiments.mixed import (report_mixed,
-                                             run_mixed_experiment)
-        result = run_mixed_experiment(arrival_rate_tps=args.rate,
-                                      sim_clocks=args.clocks,
-                                      seed=args.seed)
-        print(report_mixed(result))
-        return 0
-    if args.command == "placement":
-        from repro.experiments.placement import (report_placement,
-                                                 run_placement_experiment)
-        result = run_placement_experiment(arrival_rate_tps=args.rate,
-                                          sim_clocks=args.clocks,
-                                          seed=args.seed)
-        print(report_placement(result))
-        return 0
     if args.command == "exp1":
         config = _experiment_config(args, ("ASL", "C2PL", "CHAIN", "K2",
                                            "NODC"))

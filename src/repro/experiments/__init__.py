@@ -26,10 +26,6 @@ from repro.experiments.export import (export_experiment1,
                                       export_experiment2,
                                       export_experiment3,
                                       export_experiment4)
-from repro.experiments.mixed import (MixedExperimentResult,
-                                     run_mixed_experiment)
-from repro.experiments.placement import (PlacementExperimentResult,
-                                         run_placement_experiment)
 from repro.experiments.runner import PointSpec, run_points, sweep_specs
 from repro.experiments.verify import verify_paper_claims
 
@@ -39,20 +35,16 @@ __all__ = [
     "Experiment3Result",
     "Experiment4Result",
     "ExperimentConfig",
-    "MixedExperimentResult",
-    "PlacementExperimentResult",
     "PointSpec",
     "SchedulerCurve",
     "export_experiment1",
     "export_experiment2",
     "export_experiment3",
     "export_experiment4",
-    "run_placement_experiment",
     "run_experiment1",
     "run_experiment2",
     "run_experiment3",
     "run_experiment4",
-    "run_mixed_experiment",
     "run_points",
     "run_scheduler_grid",
     "sweep_specs",

@@ -148,14 +148,17 @@ class TestThroughputAndUtilization:
         ranged = run(False, scheduler="K2", rate=0.9).metrics
         spread = run(True, scheduler="K2", rate=0.9).metrics
         assert spread.dn_utilization > ranged.dn_utilization
-        assert spread.throughput_tps > ranged.throughput_tps
+        assert spread.throughput_tps > 1.2 * ranged.throughput_tps
 
     def test_paper_conclusion_4_high_useful_utilization(self):
         """With declustering, useful utilization can exceed 90 % of the
         NODC bound — unreachable under range partitioning (paper: ~64 %)."""
-        nodc = run(True, scheduler="NODC", rate=0.9).metrics
-        k2 = run(True, scheduler="K2", rate=0.9).metrics
-        assert k2.throughput_tps / nodc.throughput_tps > 0.9
+        def useful_utilization(declustered):
+            nodc = run(declustered, scheduler="NODC", rate=0.9).metrics
+            k2 = run(declustered, scheduler="K2", rate=0.9).metrics
+            return k2.throughput_tps / nodc.throughput_tps
+
+        assert useful_utilization(False) < 0.9 < useful_utilization(True)
 
     def test_serializability_preserved_when_declustered(self):
         catalog = Catalog.uniform(16, 5.0, 8, declustered=True)

@@ -74,16 +74,6 @@ class TestCommands:
         assert code == 0
         assert "Figure 10" in capsys.readouterr().out
 
-    def test_mixed_tiny(self, capsys):
-        assert main(["mixed", "--clocks", "60000", "--rate", "2.0"]) == 0
-        out = capsys.readouterr().out
-        assert "BAT share" in out
-
-    def test_placement_tiny(self, capsys):
-        assert main(["placement", "--clocks", "60000"]) == 0
-        out = capsys.readouterr().out
-        assert "declustered" in out
-
     def test_jobs_flag_changes_nothing(self, capsys):
         command = ["exp1", "--clocks", "15000", "--rates", "0.5",
                    "--schedulers", "CHAIN,K2", "--quiet"]

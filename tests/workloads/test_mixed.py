@@ -75,9 +75,9 @@ class TestMixedWorkload:
 
 
 class TestMixedSimulation:
-    def run_mixed(self, scheduler):
+    def run_mixed(self, scheduler, bat_fraction=0.15):
         mixed = MixedWorkload(pattern1(16), short_transactions(16),
-                              bat_fraction=0.15)
+                              bat_fraction=bat_fraction)
         params = SimulationParameters(scheduler=scheduler,
                                       arrival_rate_tps=2.0,
                                       sim_clocks=200_000, seed=8,
@@ -102,3 +102,15 @@ class TestMixedSimulation:
     def test_wtpg_schedulers_handle_mixture(self, scheduler):
         result = self.run_mixed(scheduler)
         assert result.metrics.commits > 50
+
+    @pytest.mark.parametrize("scheduler", ["C2PL", "CHAIN", "K2"])
+    def test_bats_inflate_short_rt_over_bat_free_baseline(self, scheduler):
+        """Partition-granule BAT locks poison the on-line class under every
+        scheduler: the same short stream without BATs is much faster."""
+        baseline = self.run_mixed(scheduler, bat_fraction=0.0)
+        loaded = self.run_mixed(scheduler)
+        assert BAT_LABEL not in baseline.metrics.response_time_by_label
+        alone = baseline.metrics.response_time_by_label[SHORT_LABEL]
+        behind = loaded.metrics.response_time_by_label[SHORT_LABEL]
+        assert behind > 1.5 * alone
+        assert loaded.metrics.response_time_by_label[BAT_LABEL] > behind
