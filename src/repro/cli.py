@@ -20,12 +20,14 @@ from typing import List, Optional, Sequence
 
 from repro.analysis import format_table
 from repro.config import SimulationParameters
+from repro.errors import ConfigurationError
 from repro.experiments import (ExperimentConfig, run_experiment1,
                                run_experiment2, run_experiment3,
                                run_experiment4)
 from repro.experiments.experiment4 import DEFAULT_SCHEDULERS as EXP4_SCHEDULERS
 from repro.experiments.report import (report_experiment1, report_experiment2,
                                       report_experiment3, report_experiment4)
+from repro.faults import FaultPlan
 from repro.machine import run_simulation
 from repro.workloads import pattern1, pattern1_catalog
 
@@ -131,17 +133,22 @@ def _cmd_table1() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    params = SimulationParameters(scheduler=args.scheduler,
-                                  arrival_rate_tps=args.rate,
-                                  sim_clocks=args.clocks, seed=args.seed,
-                                  num_partitions=16,
-                                  num_control_nodes=args.control_nodes)
-    fault_plan = None
-    if args.faults is not None:
-        from repro.faults import FaultPlan
-        fault_plan = FaultPlan.from_file(args.faults)
-    result = run_simulation(params, pattern1(), catalog=pattern1_catalog(),
-                            fault_plan=fault_plan)
+    try:
+        params = SimulationParameters(scheduler=args.scheduler,
+                                      arrival_rate_tps=args.rate,
+                                      sim_clocks=args.clocks, seed=args.seed,
+                                      num_partitions=16,
+                                      num_control_nodes=args.control_nodes)
+        fault_plan = (None if args.faults is None
+                      else FaultPlan.from_file(args.faults))
+        result = run_simulation(params, pattern1(),
+                                catalog=pattern1_catalog(),
+                                fault_plan=fault_plan)
+    except (ConfigurationError, OSError) as exc:
+        # Bad flags or an unreadable/malformed plan: one line, exit 2
+        # (argparse's usage-error code), no traceback.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     m = result.metrics
     rows = [
         ("scheduler", m.scheduler),

@@ -21,13 +21,34 @@ benchmarks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict
+from typing import Any, Dict, Tuple, Type
 
 from repro.errors import ConfigurationError
 
 
-#: Field annotation -> Python type, for type-checking parameter JSON.
-_JSON_TYPES: Dict[str, type] = {"int": int, "float": float, "str": str}
+#: Field annotation -> accepted Python types, for type-checking JSON.
+_JSON_TYPES: Dict[str, Tuple[type, ...]] = {
+    "bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
+
+
+def json_value(what: str, declared: str, value: Any,
+               error: Type[ConfigurationError] = ConfigurationError) -> Any:
+    """``value`` read from JSON, checked against its declared type.
+
+    ``declared`` is the field's annotation text; ``what`` names the field
+    in the error.  bool is an int subclass; JSON true/false is never a
+    number here.  An int is accepted (and stored as a float) where the
+    field is a float, and ``Optional[...]`` also accepts null.
+    """
+    if declared.startswith("Optional["):
+        if value is None:
+            return None
+        declared = declared[len("Optional["):-1]
+    if (isinstance(value, bool) != (declared == "bool")
+            or not isinstance(value, _JSON_TYPES[declared])):
+        raise error(f"{what} must be {declared}, got "
+                    f"{type(value).__name__} {value!r}")
+    return float(value) if declared == "float" else value
 
 
 @dataclass(frozen=True)
@@ -82,9 +103,6 @@ class SimulationParameters:
     sim_clocks: float = 2_000_000.0
     """Run length (paper: 2,000,000 clocks)."""
 
-    warmup_clocks: float = 0.0
-    """Clocks to discard from statistics (paper uses none)."""
-
     seed: int = 1
     """Master seed for all random streams."""
 
@@ -108,9 +126,6 @@ class SimulationParameters:
             raise ConfigurationError("arrival_rate_tps must be positive")
         if self.sim_clocks <= 0:
             raise ConfigurationError("sim_clocks must be positive")
-        if not 0 <= self.warmup_clocks < self.sim_clocks:
-            raise ConfigurationError(
-                "warmup_clocks must lie inside the simulation horizon")
         for name in ("startup_time", "commit_time", "dd_time", "chain_time",
                      "kwtpg_time", "keep_time", "admission_time"):
             if getattr(self, name) < 0:
@@ -156,18 +171,9 @@ class SimulationParameters:
         if unknown:
             raise ConfigurationError(
                 f"unknown parameter fields: {sorted(unknown)}")
-        values: Dict[str, Any] = {}
-        for name, value in raw.items():
-            kind = _JSON_TYPES[str(declared[name])]
-            # bool is an int subclass; JSON true/false is never a number
-            # here.  An int is accepted where the field is a float.
-            accepted = (int, float) if kind is float else kind
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ConfigurationError(
-                    f"parameter {name!r} must be {kind.__name__}, got "
-                    f"{type(value).__name__} {value!r}")
-            values[name] = kind(value)
-        return cls(**values)
+        return cls(**{name: json_value(f"parameter {name!r}",
+                                       str(declared[name]), value)
+                      for name, value in raw.items()})
 
     def scheduler_kwargs(self) -> Dict[str, object]:
         """Constructor kwargs for the configured scheduler."""

@@ -12,8 +12,7 @@ Each module regenerates the corresponding figures:
   ratio vs throughput at RT = 70 s, Pattern1, incl. the CHAIN-C2PL and
   K2-C2PL lower bounds).
 
-:mod:`repro.experiments.paper` holds the anchor values the paper reports,
-used by EXPERIMENTS.md and the shape-checking tests.
+:mod:`repro.experiments.paper` records the values the paper reports.
 """
 
 from repro.experiments.base import (ExperimentConfig, SchedulerCurve,
@@ -22,10 +21,6 @@ from repro.experiments.experiment1 import Experiment1Result, run_experiment1
 from repro.experiments.experiment2 import Experiment2Result, run_experiment2
 from repro.experiments.experiment3 import Experiment3Result, run_experiment3
 from repro.experiments.experiment4 import Experiment4Result, run_experiment4
-from repro.experiments.export import (export_experiment1,
-                                      export_experiment2,
-                                      export_experiment3,
-                                      export_experiment4)
 from repro.experiments.runner import PointSpec, run_points, sweep_specs
 from repro.experiments.verify import verify_paper_claims
 
@@ -37,10 +32,6 @@ __all__ = [
     "ExperimentConfig",
     "PointSpec",
     "SchedulerCurve",
-    "export_experiment1",
-    "export_experiment2",
-    "export_experiment3",
-    "export_experiment4",
     "run_experiment1",
     "run_experiment2",
     "run_experiment3",

@@ -1,4 +1,4 @@
-"""Anchor values reported in the paper, for shape comparison.
+"""Values reported in the paper, for shape comparison.
 
 These are the quantitative claims extractable from the paper's text (the
 figures themselves are only available as low-resolution scans).  Our
@@ -10,8 +10,7 @@ is unavailable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 # -- Experiment 1 (Figures 6 and 7) -------------------------------------------
 
@@ -67,32 +66,3 @@ EXP4_K2_C2PL_TPS: float = 0.36
 #: Abstract: both WTPG schedulers achieve 1.2-1.8x the throughput of ASL
 #: and C2PL (across the hot-set experiments).
 HEADLINE_SPEEDUP: Tuple[float, float] = (1.2, 1.8)
-
-
-@dataclass(frozen=True)
-class Anchor:
-    """One paper claim with a tolerance band for EXPERIMENTS.md tables."""
-
-    experiment: str
-    description: str
-    paper_value: float
-    unit: str = ""
-
-    def compare(self, measured: Optional[float]) -> str:
-        if measured is None:
-            return "n/a"
-        return f"{measured:.3g}{self.unit} (paper: {self.paper_value:g}{self.unit})"
-
-
-ANCHORS = [
-    Anchor("exp1", "ASL/CHAIN/K2 throughput advantage over C2PL", 1.95, "x"),
-    Anchor("exp1", "NODC saturation arrival rate", 1.08, " TPS"),
-    Anchor("exp1", "useful utilization of good schedulers", 0.64),
-    Anchor("exp2", "C2PL TPS at RT=70s, NumHots=8", 0.7, " TPS"),
-    Anchor("exp3", "C2PL TPS at RT=70s", 0.5, " TPS"),
-    Anchor("exp3", "CHAIN/K2 advantage over ASL/C2PL (low end)", 1.2, "x"),
-    Anchor("exp4", "CHAIN throughput loss at sigma=1", 0.046),
-    Anchor("exp4", "K2 throughput loss at sigma=1", 0.138),
-    Anchor("exp4", "CHAIN-C2PL TPS at RT=70s", 0.58, " TPS"),
-    Anchor("exp4", "K2-C2PL TPS at RT=70s", 0.36, " TPS"),
-]

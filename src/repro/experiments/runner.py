@@ -84,12 +84,6 @@ class PointSpec:
             return None
         return FaultPlan.from_json(self.fault_plan_json)
 
-    def with_fault_plan(self, plan: Optional[FaultPlan]) -> "PointSpec":
-        """A copy of this spec carrying ``plan`` (None clears it)."""
-        from dataclasses import replace
-        return replace(self, fault_plan_json=None if plan is None
-                       else plan.to_json())
-
 
 def run_point(spec: PointSpec) -> RunMetrics:
     """Execute one point (top-level so it pickles for pool workers)."""
@@ -170,18 +164,6 @@ def sweep_specs(workload: str, schedulers: Sequence[str],
     return [PointSpec(workload=workload, scheduler=scheduler,
                       arrival_rate_tps=rate, **kwargs)
             for scheduler in schedulers for rate in arrival_rates]
-
-
-def group_by_scheduler(specs: Sequence[PointSpec],
-                       metrics: Sequence[RunMetrics],
-                       ) -> Dict[str, List[RunMetrics]]:
-    """Re-assemble pool results into per-scheduler curves (input order)."""
-    if len(specs) != len(metrics):
-        raise ExperimentError("specs and metrics must align")
-    grouped: Dict[str, List[RunMetrics]] = {}
-    for spec, metric in zip(specs, metrics):
-        grouped.setdefault(spec.scheduler, []).append(metric)
-    return grouped
 
 
 #: Sub-packages of repro whose source participates in the code

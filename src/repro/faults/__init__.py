@@ -3,12 +3,10 @@
 The subsystem has two halves:
 
 * :mod:`repro.faults.plan` — the declarative injection-plan DSL
-  (:class:`FaultPlan`): node crashes/recoveries at fixed times, forced
-  BAT aborts at a given step, a stochastic abort rate, declared-cost
-  distortion (the Experiment 4 error model plus a systematic factor),
-  partition I/O slowdown windows, cascade-abort semantics and the
-  retry/backoff policy used for restarts.  Plans round-trip through JSON
-  (``repro-bat run --faults plan.json``).
+  (:class:`FaultPlan`): data- and control-node crashes/recoveries at
+  fixed times, forced BAT aborts at a given step, a stochastic abort
+  rate, partition I/O slowdown windows and cascade-abort semantics.
+  Plans round-trip through JSON (``repro run --faults plan.json``).
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, which executes
   a plan inside one simulation: it draws every stochastic decision from
   named :class:`~repro.engine.rng.RandomStreams` substreams, so a fault
@@ -21,7 +19,7 @@ bit-identical to runs of the code before this subsystem existed.
 """
 
 from repro.faults.plan import (ControlCrash, FaultPlan, NodeCrash,
-                               PartitionSlowdown, RetryPolicy, StepAbort)
+                               PartitionSlowdown, StepAbort)
 from repro.faults.injector import FaultInjector
 
 __all__ = [
@@ -30,6 +28,5 @@ __all__ = [
     "FaultPlan",
     "NodeCrash",
     "PartitionSlowdown",
-    "RetryPolicy",
     "StepAbort",
 ]

@@ -3,9 +3,6 @@
 The injector owns every stochastic fault decision and every timed fault
 process:
 
-* workload distortion (:meth:`FaultInjector.distort`) applies the
-  declared-cost factor and the Experiment 4 relative normal error on the
-  ``"faults-declared-error"`` stream;
 * per-admission assassination (:meth:`FaultInjector.plan_abort`) draws
   on the ``"faults-aborts"`` stream, and explicit
   :class:`~repro.faults.plan.StepAbort` entries fire deterministically
@@ -24,8 +21,7 @@ from __future__ import annotations
 from typing import (Any, Dict, Generator, List, Optional, Tuple,
                     TYPE_CHECKING)
 
-from repro.core.transaction import (Step, TransactionRuntime,
-                                    TransactionSpec)
+from repro.core.transaction import TransactionRuntime
 from repro.engine import Environment, Event, RandomStreams
 from repro.faults.plan import (ControlCrash, FaultPlan, NodeCrash,
                                PartitionSlowdown)
@@ -38,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only, no runtime import
     from repro.machine.trace import Tracer
 
 STREAM_ABORTS = "faults-aborts"
-STREAM_DECLARED = "faults-declared-error"
 
 
 class FaultInjector:
@@ -53,39 +48,6 @@ class FaultInjector:
             for abort in plan.step_aborts}
         self._metrics: Optional["MetricsCollector"] = None
         self._tracer: Optional["Tracer"] = None
-
-    # -- workload distortion --------------------------------------------------
-
-    def distort(self, spec: TransactionSpec) -> TransactionSpec:
-        """The spec the *scheduler* sees: declared costs distorted.
-
-        Actual costs are untouched — only the pre-declared ``costof``
-        the WTPG weights are built from is wrong, exactly like the
-        paper's Experiment 4.
-        """
-        if not self.plan.distorts_declarations():
-            return spec
-        steps = list(spec.steps)
-        if self.plan.declared_cost_sigma > 0.0:
-            # Imported here: workloads pulls in the machine layer, which
-            # imports this module — a top-level import would be circular.
-            from repro.workloads.errors import declare_with_error
-            steps = declare_with_error(steps, self.streams,
-                                       self.plan.declared_cost_sigma,
-                                       stream_name=STREAM_DECLARED)
-        factor = self.plan.declared_cost_factor
-        if factor != 1.0:
-            # Applied after the noise: declare_with_error rebuilds the
-            # declaration from the true cost, so scaling first would be
-            # silently discarded.  Multiplication commutes, the order of
-            # operations does not.
-            steps = [Step(step.partition, step.mode, step.cost,
-                          declared_cost=(
-                              step.declared_cost
-                              if step.declared_cost is not None
-                              else step.cost) * factor)
-                     for step in steps]
-        return TransactionSpec(spec.tid, steps, label=spec.label)
 
     # -- per-admission assassination ------------------------------------------
 

@@ -1,11 +1,11 @@
 """The fault-injection plan DSL.
 
 A :class:`FaultPlan` is a frozen, declarative description of every fault
-a run should suffer.  It carries no randomness of its own: stochastic
-elements (the abort rate, declared-cost error) only fix *distributions*;
-the draws happen inside :class:`~repro.faults.injector.FaultInjector`
-on named :class:`~repro.engine.rng.RandomStreams` substreams, so the
-realised fault schedule is a pure function of (plan, master seed).
+a run should suffer.  It carries no randomness of its own: the abort
+rate only fixes a *distribution*; the draws happen inside
+:class:`~repro.faults.injector.FaultInjector` on a named
+:class:`~repro.engine.rng.RandomStreams` substream, so the realised
+fault schedule is a pure function of (plan, master seed).
 
 Plans serialise to JSON (:meth:`FaultPlan.to_json`) and back
 (:meth:`FaultPlan.from_json` / :meth:`FaultPlan.from_file`), which is
@@ -15,12 +15,11 @@ the format the CLI's ``--faults plan.json`` option reads.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.config import json_value
 from repro.errors import FaultPlanError
-
-RETRY_KINDS = ("fixed", "immediate", "exponential")
 
 
 @dataclass(frozen=True)
@@ -124,61 +123,15 @@ class PartitionSlowdown:
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """How long an aborted transaction waits before re-admission.
-
-    * ``fixed`` — always ``delay`` (``None`` means the machine's
-      configured ``retry_delay``);
-    * ``immediate`` — re-submit in the same instant;
-    * ``exponential`` — ``delay * 2**(attempt-1)``, clamped at ``cap``
-      (``cap = None`` means unbounded).
-    """
-
-    kind: str = "fixed"
-    delay: Optional[float] = None
-    cap: Optional[float] = None
-
-    def validate(self) -> None:
-        if self.kind not in RETRY_KINDS:
-            raise FaultPlanError(
-                f"retry kind must be one of {RETRY_KINDS}, got {self.kind!r}")
-        if self.delay is not None and self.delay < 0:
-            raise FaultPlanError(
-                f"retry delay must be >= 0, got {self.delay}")
-        if self.cap is not None and self.cap <= 0:
-            raise FaultPlanError(f"retry cap must be positive, got {self.cap}")
-
-    def delay_for(self, attempt: int, default_delay: float) -> float:
-        """The wait before re-admission attempt number ``attempt`` + 1.
-
-        ``attempt`` counts completed attempts (>= 1 after the first
-        abort); ``default_delay`` is the machine's ``retry_delay``.
-        """
-        if self.kind == "immediate":
-            return 0.0
-        base = self.delay if self.delay is not None else default_delay
-        if self.kind == "fixed":
-            return base
-        backoff = base * (2.0 ** max(0, attempt - 1))
-        if self.cap is not None and backoff > self.cap:
-            return self.cap
-        return backoff
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """Everything that will go wrong during one run.
 
     ``abort_rate`` is the per-admission probability that the admitted
     attempt is assassinated at a uniformly random point of its life;
-    ``declared_cost_factor`` scales every declared ``costof`` (values
-    below 1 model systematic under-declaration) and
-    ``declared_cost_sigma`` adds the Experiment 4 relative normal error
-    on top.  ``cascade`` extends every abort to the victim's direct
-    precedence successors in the WTPG.  ``retry = None`` restarts after
-    the machine's ``retry_delay`` (a default ``RetryPolicy()``).  A node
-    (data or control) cannot crash again until its previous crash has
-    recovered.
+    ``cascade`` extends every abort to the victim's direct precedence
+    successors in the WTPG.  An aborted attempt restarts after the
+    machine's ``retry_delay``.  A node (data or control) cannot crash
+    again until its previous crash has recovered.
     """
 
     crashes: Tuple[NodeCrash, ...] = ()
@@ -186,10 +139,7 @@ class FaultPlan:
     step_aborts: Tuple[StepAbort, ...] = ()
     slowdowns: Tuple[PartitionSlowdown, ...] = ()
     abort_rate: float = 0.0
-    declared_cost_sigma: float = 0.0
-    declared_cost_factor: float = 1.0
     cascade: bool = False
-    retry: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "crashes", tuple(self.crashes))
@@ -200,19 +150,9 @@ class FaultPlan:
         if not 0.0 <= self.abort_rate <= 1.0:
             raise FaultPlanError(
                 f"abort_rate must lie in [0, 1], got {self.abort_rate}")
-        if self.declared_cost_sigma < 0:
-            raise FaultPlanError(
-                "declared_cost_sigma must be >= 0, got "
-                f"{self.declared_cost_sigma}")
-        if self.declared_cost_factor <= 0:
-            raise FaultPlanError(
-                "declared_cost_factor must be positive, got "
-                f"{self.declared_cost_factor}")
         for item in (*self.crashes, *self.control_crashes,
                      *self.step_aborts, *self.slowdowns):
             item.validate()
-        if self.retry is not None:
-            self.retry.validate()
         seen = set()
         for abort in self.step_aborts:
             key = (abort.tid, abort.attempt)
@@ -239,17 +179,11 @@ class FaultPlan:
                         f"{at} {until}")
 
     def empty(self) -> bool:
-        """True when the plan injects nothing and overrides nothing."""
+        """True when the plan injects nothing."""
         return (not self.crashes and not self.control_crashes
                 and not self.step_aborts
                 and not self.slowdowns and self.abort_rate == 0.0
-                and self.declared_cost_sigma == 0.0
-                and self.declared_cost_factor == 1.0
-                and not self.cascade and self.retry is None)
-
-    def distorts_declarations(self) -> bool:
-        return (self.declared_cost_sigma > 0.0
-                or self.declared_cost_factor != 1.0)
+                and not self.cascade)
 
     # -- JSON round-trip ------------------------------------------------------
 
@@ -259,7 +193,6 @@ class FaultPlan:
         raw["control_crashes"] = [asdict(c) for c in self.control_crashes]
         raw["step_aborts"] = [asdict(a) for a in self.step_aborts]
         raw["slowdowns"] = [asdict(s) for s in self.slowdowns]
-        raw["retry"] = None if self.retry is None else asdict(self.retry)
         return raw
 
     def to_json(self) -> str:
@@ -269,30 +202,25 @@ class FaultPlan:
     def from_dict(cls, raw: Dict[str, Any]) -> "FaultPlan":
         if not isinstance(raw, dict):
             raise FaultPlanError("fault plan JSON must be an object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        declared = {f.name: str(f.type) for f in fields(cls)}
+        unknown = set(raw) - set(declared)
         if unknown:
             raise FaultPlanError(
                 f"unknown fault plan fields: {sorted(unknown)}")
-        data = dict(raw)
-        try:
-            data["crashes"] = tuple(
-                NodeCrash(**c) for c in data.get("crashes", ()))
-            data["control_crashes"] = tuple(
-                ControlCrash(**c) for c in data.get("control_crashes", ()))
-            data["step_aborts"] = tuple(
-                StepAbort(**a) for a in data.get("step_aborts", ()))
-            data["slowdowns"] = tuple(
-                PartitionSlowdown(**s) for s in data.get("slowdowns", ()))
-        except TypeError as exc:
-            raise FaultPlanError(f"malformed fault entry: {exc}") from exc
-        retry = data.get("retry")
-        if retry is not None:
-            try:
-                data["retry"] = RetryPolicy(**retry)
-            except TypeError as exc:
+        data: Dict[str, Any] = {}
+        for name, value in raw.items():
+            entry = _ENTRY_TYPES.get(name)
+            if entry is None:
+                data[name] = json_value(f"fault plan field {name!r}",
+                                        declared[name], value,
+                                        FaultPlanError)
+            elif isinstance(value, list):
+                data[name] = tuple(_entry(entry, f"{name}[{index}]", item)
+                                   for index, item in enumerate(value))
+            else:
                 raise FaultPlanError(
-                    f"malformed retry policy: {exc}") from exc
+                    f"fault plan field {name!r} must be a list, got "
+                    f"{type(value).__name__} {value!r}")
         return cls(**data)
 
     @classmethod
@@ -307,3 +235,31 @@ class FaultPlan:
     def from_file(cls, path: str) -> "FaultPlan":
         with open(path) as handle:
             return cls.from_json(handle.read())
+
+
+#: Entry type of each list field of a plan.
+_ENTRY_TYPES: Dict[str, Any] = {
+    "crashes": NodeCrash, "control_crashes": ControlCrash,
+    "step_aborts": StepAbort, "slowdowns": PartitionSlowdown}
+
+
+def _entry(cls: Any, where: str, raw: Any) -> Any:
+    """One list entry of a plan (``where`` names it, e.g. crashes[0])."""
+    if not isinstance(raw, dict):
+        raise FaultPlanError(
+            f"malformed fault entry {where}: expected an object, got "
+            f"{raw!r}")
+    declared = {f.name: f for f in fields(cls)}
+    unknown = set(raw) - set(declared)
+    missing = {name for name, f in declared.items()
+               if f.default is MISSING} - set(raw)
+    problems = [f"{kind} fields {sorted(names)}"
+                for kind, names in (("unknown", unknown),
+                                    ("missing", missing)) if names]
+    if problems:
+        raise FaultPlanError(
+            f"malformed fault entry {where}: {'; '.join(problems)}")
+    return cls(**{name: json_value(f"fault plan field '{where}.{name}'",
+                                   str(declared[name].type), value,
+                                   FaultPlanError)
+                  for name, value in raw.items()})

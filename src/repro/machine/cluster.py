@@ -100,7 +100,7 @@ class Cluster:
             scheduler_factory = lambda: make_scheduler(  # noqa: E731
                 params.scheduler, **params.scheduler_kwargs())
         self.scheduler_factory = scheduler_factory
-        self.metrics = MetricsCollector(warmup_clocks=params.warmup_clocks)
+        self.metrics = MetricsCollector()
         self.history = History() if record_history else None
         self.data_nodes = [DataNode(self.env, node_id, params.obj_time)
                            for node_id in range(params.num_nodes)]
@@ -133,10 +133,8 @@ class Cluster:
             yield env.timeout(self.streams.exponential("arrivals", mean))
             self._spawned += 1
             spec = self.workload(self._spawned, self.streams)
-            if self.injector is not None:
-                spec = self.injector.distort(spec)
             txn = TransactionRuntime(spec, arrival_time=env.now)
-            self.metrics.record_arrival(env.now)
+            self.metrics.record_arrival()
             env.process(coordinator(txn))
 
     def _scheduler_stats(self) -> Dict[str, float]:

@@ -49,9 +49,9 @@ relative to ``ObjTime`` to show the schedulers survive it.
 Aborts — deadlock victims (2PL/WAIT-DIE) and injected faults
 (:mod:`repro.faults`) — funnel into one restart path: the schedulers
 release the victim's locks and WTPG node, the metrics record the abort
-by cause, and the BAT is re-submitted from admission under the
-configured retry policy.  When the fault plan enables cascades, the
-victim's direct precedence successors are doomed too
+by cause, and the BAT is re-submitted from admission after the fixed
+``retry_delay``.  When the fault plan enables cascades, the victim's
+direct precedence successors are doomed too
 (:meth:`ControlPlane.request_abort`), each of which repeats the same
 path when its process next runs.
 
@@ -88,7 +88,6 @@ from repro.core.transaction import (LockMode, Step, TransactionRuntime,
 from repro.engine import Environment, Event
 from repro.errors import FaultError, FaultPlanError, SchedulerError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import RetryPolicy
 from repro.machine.control_log import DependencyLog
 from repro.machine.data_node import DataNode
 from repro.machine.parking import STALLED, ParkingLot, Sleeper, no_credit
@@ -266,8 +265,6 @@ class ControlPlane:
         self._doomed: Dict[int, str] = {}
         self._home: Dict[int, int] = {}
         self._cascade = plan.cascade if plan is not None else False
-        retry = plan.retry if plan is not None else None
-        self.retry_policy = retry if retry is not None else RetryPolicy()
         # BATs parked after a zero-cost refusal (see _retry); a run's
         # counters are read after parking.settle().
         self.parking = ParkingLot(env, params.retry_delay,
@@ -440,10 +437,6 @@ class ControlPlane:
     def _poll_rank(self, tid: int) -> int:
         return len(self.data_nodes) + 1 + tid
 
-    def _retry_delay(self, txn: TransactionRuntime) -> float:
-        return self.retry_policy.delay_for(txn.attempts,
-                                           self.params.retry_delay)
-
     # -- weight-adjustment routing ---------------------------------------------
 
     def note_objects(self, txn: TransactionRuntime, objects: float) -> None:
@@ -528,7 +521,7 @@ class ControlPlane:
                 for successor in sorted(successors):
                     self.request_abort(successor, "cascade")
             restarting = True
-            yield env.timeout(self._retry_delay(txn))
+            yield env.timeout(self.params.retry_delay)
 
         txn.commit_time = env.now
         self.active_transactions -= 1

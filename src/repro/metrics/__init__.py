@@ -1,4 +1,4 @@
-"""Performance metrics: collection, summary statistics, curve utilities.
+"""Performance metrics: collection and curve utilities.
 
 The paper's two metrics are mean response time RT (creation to completion)
 and throughput TPS (committed transactions per second); Experiments 2 and
@@ -10,13 +10,10 @@ the arrival rate and interpolating both curves at the RT crossing (see
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.metrics.interpolate import (interpolate_crossing,
                                        throughput_at_response_time)
-from repro.metrics.stats import batch_means, mean_confidence_interval
 
 __all__ = [
     "MetricsCollector",
     "RunMetrics",
-    "batch_means",
     "interpolate_crossing",
-    "mean_confidence_interval",
     "throughput_at_response_time",
 ]

@@ -6,12 +6,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.transaction import TransactionRuntime
-from repro.errors import ExperimentError
 
 
 @dataclass
 class RunMetrics:
-    """Summary of one simulation run (after warmup filtering)."""
+    """Summary of one simulation run."""
 
     scheduler: str
     arrival_rate_tps: float
@@ -55,8 +54,7 @@ class RunMetrics:
 class MetricsCollector:
     """Accumulates events during a run; produces a :class:`RunMetrics`."""
 
-    def __init__(self, warmup_clocks: float = 0.0) -> None:
-        self.warmup_clocks = warmup_clocks
+    def __init__(self) -> None:
         self.arrivals = 0
         self.lock_retries = 0
         self.aborts = 0
@@ -73,17 +71,16 @@ class MetricsCollector:
         self.recovery_records = 0
         self.recovery_clocks = 0.0
         self.fault_timeline: List[Dict[str, object]] = []
-        # Running aggregates over committed post-warmup transactions, so
-        # a run's memory does not grow with its commits.
+        # Running aggregates over committed transactions, so a run's
+        # memory does not grow with its commits.
         self._commits = 0
         self._rt_sum = 0.0
         self._rt_max = float("-inf")
         self._attempts_sum = 0
         self._by_label: Dict[str, List[float]] = {}  # label -> [sum, count]
 
-    def record_arrival(self, now: float) -> None:
-        if now >= self.warmup_clocks:
-            self.arrivals += 1
+    def record_arrival(self) -> None:
+        self.arrivals += 1
 
     def record_lock_retry(self, retries: int = 1) -> None:
         self.lock_retries += retries
@@ -140,8 +137,6 @@ class MetricsCollector:
         self.fault_timeline.append(entry)
 
     def record_commit(self, txn: TransactionRuntime, now: float) -> None:
-        if txn.arrival_time < self.warmup_clocks:
-            return  # transaction straddles the warmup boundary: discard
         response_time = now - txn.arrival_time
         self._commits += 1
         self._rt_sum += response_time
@@ -169,9 +164,6 @@ class MetricsCollector:
                   scheduler_stats: Optional[Dict[str, float]] = None,
                   cn_utilizations: Optional[List[float]] = None,
                   ) -> RunMetrics:
-        if sim_clocks <= self.warmup_clocks:
-            raise ExperimentError("run shorter than its warmup")
-        measured = sim_clocks - self.warmup_clocks
         commits = self._commits
         mean_rt = self._rt_sum / commits if commits else float("inf")
         max_rt = self._rt_max if commits else float("inf")
@@ -184,7 +176,7 @@ class MetricsCollector:
             commits=self._commits,
             mean_response_time=mean_rt,
             max_response_time=max_rt,
-            throughput_tps=self._commits / (measured / 1000.0),
+            throughput_tps=self._commits / (sim_clocks / 1000.0),
             mean_attempts=mean_attempts,
             dn_utilization=dn_utilization,
             cn_utilization=cn_utilization,

@@ -16,8 +16,7 @@ from repro.engine.rng import RandomStreams
 
 
 def declare_with_error(steps: Sequence[Step], streams: RandomStreams,
-                       sigma: float, stream_name: str = "declared-error",
-                       ) -> List[Step]:
+                       sigma: float) -> List[Step]:
     """Steps with declared costs distorted by the paper's error model."""
     if sigma < 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
@@ -25,7 +24,7 @@ def declare_with_error(steps: Sequence[Step], streams: RandomStreams,
         return list(steps)
     out: List[Step] = []
     for step in steps:
-        x = streams.normal(stream_name, 0.0, sigma)
+        x = streams.normal("declared-error", 0.0, sigma)
         declared = step.cost * (1.0 + x) if x > -1.0 else 0.0
         out.append(Step(step.partition, step.mode, step.cost,
                         declared_cost=declared))

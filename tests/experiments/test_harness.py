@@ -134,17 +134,3 @@ class TestExperiment4:
 
     def test_report_renders(self, result):
         assert "Figure 10" in report_experiment4(result)
-
-
-class TestPaperAnchors:
-    def test_anchor_table_well_formed(self):
-        from repro.experiments.paper import ANCHORS
-        assert len(ANCHORS) >= 8
-        experiments = {anchor.experiment for anchor in ANCHORS}
-        assert experiments == {"exp1", "exp2", "exp3", "exp4"}
-
-    def test_anchor_compare_formats(self):
-        from repro.experiments.paper import Anchor
-        anchor = Anchor("exp1", "test", 1.95, "x")
-        assert "paper: 1.95x" in anchor.compare(2.1)
-        assert anchor.compare(None) == "n/a"

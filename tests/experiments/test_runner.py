@@ -9,8 +9,8 @@ import pickle
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.runner import (PointSpec, group_by_scheduler,
-                                      run_point, run_points, sweep_specs)
+from repro.experiments.runner import (PointSpec, run_point, run_points,
+                                      sweep_specs)
 from repro.faults import FaultPlan, StepAbort
 
 TINY = dict(sim_clocks=50_000.0, seed=4)
@@ -48,23 +48,23 @@ class TestFaultPlanField:
     def test_round_trip(self):
         plan = FaultPlan(abort_rate=0.25,
                          step_aborts=(StepAbort(3, 1, attempt=1),))
-        spec = PointSpec("pattern1", "K2", 0.4, **TINY).with_fault_plan(plan)
+        spec = PointSpec("pattern1", "K2", 0.4,
+                         fault_plan_json=plan.to_json(), **TINY)
         assert spec.fault_plan() == plan
-        assert spec.with_fault_plan(None).fault_plan() is None
 
     def test_default_is_no_plan(self):
         assert PointSpec("pattern1", "K2", 0.4, **TINY).fault_plan() is None
 
     def test_spec_with_plan_stays_picklable_and_hashable(self):
         """The JSON form keeps specs shippable to pool workers."""
-        spec = PointSpec("pattern1", "K2", 0.4, **TINY).with_fault_plan(
-            FaultPlan(abort_rate=0.1))
+        spec = PointSpec("pattern1", "K2", 0.4, **TINY, fault_plan_json=(
+            FaultPlan(abort_rate=0.1).to_json()))
         assert pickle.loads(pickle.dumps(spec)) == spec
         assert hash(spec) == hash(spec)
 
     def test_plan_applies_during_run(self):
-        spec = PointSpec("pattern1", "CHAIN", 0.5, **TINY).with_fault_plan(
-            FaultPlan(abort_rate=0.4))
+        spec = PointSpec("pattern1", "CHAIN", 0.5, **TINY, fault_plan_json=(
+            FaultPlan(abort_rate=0.4).to_json()))
         metrics = run_point(spec)
         assert metrics.fault_aborts > 0
 
@@ -92,17 +92,3 @@ class TestRunPoints:
 
     def test_empty(self):
         assert run_points([]) == []
-
-
-class TestGrouping:
-    def test_group_by_scheduler(self):
-        specs = sweep_specs("pattern1", ["NODC", "ASL"], [0.2, 0.3], **TINY)
-        metrics = run_points(specs, processes=1)
-        grouped = group_by_scheduler(specs, metrics)
-        assert set(grouped) == {"NODC", "ASL"}
-        assert [m.arrival_rate_tps for m in grouped["NODC"]] == [0.2, 0.3]
-
-    def test_misaligned_rejected(self):
-        specs = sweep_specs("pattern1", ["NODC"], [0.2], **TINY)
-        with pytest.raises(ExperimentError):
-            group_by_scheduler(specs, [])

@@ -1,4 +1,4 @@
-"""The abort/restart path: scheduler excision, cascade, retry."""
+"""The abort/restart path: scheduler excision, cascade, fixed restart delay."""
 
 import pytest
 
@@ -6,8 +6,10 @@ from repro.config import SimulationParameters
 from repro.core import Step, TransactionRuntime, TransactionSpec
 from repro.core.invariants import check_consistency
 from repro.core.schedulers import make_scheduler
-from repro.faults import FaultPlan, NodeCrash, RetryPolicy, StepAbort
+from repro.faults import FaultPlan, NodeCrash, StepAbort
 from repro.machine import run_simulation
+from repro.machine.cluster import Cluster
+from repro.machine.trace import EventType, Tracer
 from repro.workloads import pattern1, pattern1_catalog
 
 WTPG_SCHEDULERS = ["C2PL", "CHAIN", "K2", "KWTPG", "CHAIN-C2PL", "K2-C2PL"]
@@ -139,28 +141,24 @@ class TestMachineAbortPath:
             assert entry["kind"] in ("abort", "node_crash", "node_recovery",
                                      "slowdown_start", "slowdown_end")
 
-    def test_retry_policy_exponential_backoff_slows_restarts(self):
-        aggressive = FaultPlan(abort_rate=0.5,
-                               retry=RetryPolicy(kind="immediate"))
-        patient = FaultPlan(abort_rate=0.5,
-                            retry=RetryPolicy(kind="exponential",
-                                              delay=8_000.0))
-        fast = self.run(aggressive).metrics
-        slow = self.run(patient).metrics
-        # Identical fault draws; only the backoff differs, so the
-        # patient run must spend strictly more time waiting.
-        assert fast.restarts >= slow.restarts
-        assert fast.commits >= slow.commits
-
-    def test_machine_retry_policy_used_when_plan_has_none(self):
-        # A plan with no retry restarts after exactly params.retry_delay:
-        # the run equals one whose plan spells that fixed delay out, and
-        # any other delay changes it.
-        def run(retry):
-            return self.run(FaultPlan(abort_rate=0.4, retry=retry),
-                            retry_delay=1_234.0).metrics.as_dict()
-
-        implicit = run(None)
-        assert implicit["restarts"] > 0
-        assert implicit == run(RetryPolicy("fixed", delay=1_234.0))
-        assert implicit != run(RetryPolicy("fixed", delay=2_468.0))
+    @pytest.mark.parametrize("scheduler", ["C2PL", "CHAIN", "K2"])
+    def test_restart_waits_exactly_the_retry_delay(self, scheduler):
+        # With free admission and startup, a restart's next admission
+        # attempt is traced (ADMITTED or ADMISSION_REJECTED) at the
+        # instant it is made: retry_delay after the ABORTED record.
+        params = self.params(scheduler=scheduler, retry_delay=1_234.0,
+                             admission_time=0.0, startup_time=0.0)
+        result = Cluster(params, pattern1(), catalog=pattern1_catalog(),
+                         tracer=Tracer(),
+                         fault_plan=FaultPlan(abort_rate=0.4)).run()
+        restarts = []
+        for tid in result.tracer.transactions():
+            events = result.tracer.timeline(tid)
+            restarts += [(abort, attempt)
+                         for abort, attempt in zip(events, events[1:])
+                         if abort.kind is EventType.ABORTED]
+        assert restarts
+        for abort, attempt in restarts:
+            assert attempt.kind in (EventType.ADMITTED,
+                                    EventType.ADMISSION_REJECTED)
+            assert attempt.time == abort.time + 1_234.0

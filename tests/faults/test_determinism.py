@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.config import SimulationParameters
-from repro.faults import FaultPlan, NodeCrash, PartitionSlowdown, RetryPolicy
+from repro.faults import FaultPlan, NodeCrash, PartitionSlowdown
 from repro.machine.cluster import Cluster
 from repro.machine.trace import Tracer
 from repro.workloads import pattern1, pattern1_catalog
@@ -15,16 +15,17 @@ SCHEDULERS = ["CHAIN", "K2", "C2PL", "2PL"]
 FAULT_PLAN = FaultPlan(
     crashes=(NodeCrash(2, 15_000.0, recover_at=25_000.0),),
     slowdowns=(PartitionSlowdown(3, 2.0, 5_000.0, 40_000.0),),
-    abort_rate=0.25, declared_cost_sigma=0.5, cascade=True,
-    retry=RetryPolicy(kind="exponential", delay=200.0, cap=5_000.0))
+    abort_rate=0.25, cascade=True)
 
 
 def run_once(scheduler, fault_plan):
     params = SimulationParameters(scheduler=scheduler, arrival_rate_tps=0.6,
                                   sim_clocks=60_000, seed=11,
                                   num_partitions=16)
-    cluster = Cluster(params, pattern1(), catalog=pattern1_catalog(),
-                      tracer=Tracer(), fault_plan=fault_plan)
+    # Experiment 4's declared-cost error rides along on the workload.
+    cluster = Cluster(params, pattern1(error_sigma=0.5),
+                      catalog=pattern1_catalog(), tracer=Tracer(),
+                      fault_plan=fault_plan)
     result = cluster.run()
     trace_bytes = "\n".join(e.to_json() for e in result.tracer.events)
     metrics_bytes = json.dumps(result.metrics.as_dict(), sort_keys=True)

@@ -1,4 +1,4 @@
-"""FaultInjector unit behaviour: distortion, assassination, determinism."""
+"""FaultInjector unit behaviour: assassination and its determinism."""
 
 from repro.core.transaction import Step, TransactionRuntime, TransactionSpec
 from repro.engine import RandomStreams
@@ -8,43 +8,6 @@ from repro.faults import FaultInjector, FaultPlan, StepAbort
 def spec(tid=1, n_steps=4):
     return TransactionSpec(tid, [Step.write(p, 5.0) for p in range(n_steps)],
                            label="bat")
-
-
-class TestDistort:
-    def test_no_distortion_returns_same_object(self):
-        injector = FaultInjector(FaultPlan(abort_rate=0.5), RandomStreams(1))
-        s = spec()
-        assert injector.distort(s) is s
-
-    def test_factor_scales_declared_cost_only(self):
-        plan = FaultPlan(declared_cost_factor=0.5)
-        injector = FaultInjector(plan, RandomStreams(1))
-        distorted = injector.distort(spec())
-        for original, new in zip(spec().steps, distorted.steps):
-            assert new.cost == original.cost           # actual untouched
-            assert new.declared_cost == original.cost * 0.5
-
-    def test_factor_composes_with_existing_declaration(self):
-        s = TransactionSpec(1, [Step(0, "W", 10.0, declared_cost=4.0)])
-        plan = FaultPlan(declared_cost_factor=2.0)
-        injector = FaultInjector(plan, RandomStreams(1))
-        assert injector.distort(s).steps[0].declared_cost == 8.0
-
-    def test_sigma_is_seed_deterministic(self):
-        plan = FaultPlan(declared_cost_sigma=0.75)
-        a = FaultInjector(plan, RandomStreams(42)).distort(spec())
-        b = FaultInjector(plan, RandomStreams(42)).distort(spec())
-        c = FaultInjector(plan, RandomStreams(43)).distort(spec())
-        assert [s.declared_cost for s in a.steps] == \
-               [s.declared_cost for s in b.steps]
-        assert [s.declared_cost for s in a.steps] != \
-               [s.declared_cost for s in c.steps]
-
-    def test_distortion_preserves_tid_and_label(self):
-        plan = FaultPlan(declared_cost_factor=0.5)
-        distorted = FaultInjector(plan, RandomStreams(1)).distort(spec())
-        assert distorted.tid == 1
-        assert distorted.label == "bat"
 
 
 class TestPlanAbort:

@@ -1,17 +1,18 @@
 """The fault-plan DSL: validation, JSON round-trip, emptiness."""
 
+import re
+
 import pytest
 
 from repro.errors import ConfigurationError, FaultPlanError
 from repro.faults import (ControlCrash, FaultPlan, NodeCrash,
-                          PartitionSlowdown, RetryPolicy, StepAbort)
+                          PartitionSlowdown, StepAbort)
 
 
 class TestValidation:
     def test_empty_plan_is_valid_and_empty(self):
         plan = FaultPlan()
         assert plan.empty()
-        assert not plan.distorts_declarations()
 
     def test_any_fault_makes_plan_non_empty(self):
         assert not FaultPlan(abort_rate=0.1).empty()
@@ -19,10 +20,9 @@ class TestValidation:
         assert not FaultPlan(step_aborts=(StepAbort(1, 0),)).empty()
         assert not FaultPlan(
             slowdowns=(PartitionSlowdown(0, 2.0, 0.0, 10.0),)).empty()
-        assert not FaultPlan(declared_cost_sigma=0.5).empty()
-        assert not FaultPlan(declared_cost_factor=0.5).empty()
+        assert not FaultPlan(
+            control_crashes=(ControlCrash(0, 10.0),)).empty()
         assert not FaultPlan(cascade=True).empty()
-        assert not FaultPlan(retry=RetryPolicy()).empty()
 
     def test_abort_rate_range(self):
         with pytest.raises(FaultPlanError):
@@ -96,56 +96,9 @@ class TestValidation:
         with pytest.raises(FaultPlanError):
             FaultPlan(slowdowns=(PartitionSlowdown(-1, 2.0, 0.0, 10.0),))
 
-    def test_declared_cost_validation(self):
-        with pytest.raises(FaultPlanError):
-            FaultPlan(declared_cost_sigma=-0.1)
-        with pytest.raises(FaultPlanError):
-            FaultPlan(declared_cost_factor=0.0)
-
-    def test_retry_validation(self):
-        with pytest.raises(FaultPlanError):
-            FaultPlan(retry=RetryPolicy(kind="bogus"))
-        with pytest.raises(FaultPlanError):
-            FaultPlan(retry=RetryPolicy(delay=-1.0))
-        with pytest.raises(FaultPlanError):
-            FaultPlan(retry=RetryPolicy(kind="exponential", cap=0.0))
-
     def test_plan_error_is_a_configuration_error(self):
         # CLI callers that already catch ConfigurationError keep working.
         assert issubclass(FaultPlanError, ConfigurationError)
-
-
-class TestRetryPolicy:
-    def test_immediate_is_zero(self):
-        policy = RetryPolicy(kind="immediate")
-        assert policy.delay_for(1, 500.0) == 0.0
-        assert policy.delay_for(9, 500.0) == 0.0
-
-    def test_fixed_defaults_to_machine_delay(self):
-        # The default policy must hand back the machine's retry_delay
-        # bit-exactly: this is what keeps fault-free runs byte-identical.
-        assert RetryPolicy().delay_for(1, 500.0) == 500.0
-        assert RetryPolicy().delay_for(7, 500.0) == 500.0
-
-    def test_fixed_with_explicit_delay(self):
-        assert RetryPolicy(delay=123.0).delay_for(3, 500.0) == 123.0
-
-    def test_exponential_doubles_per_attempt(self):
-        policy = RetryPolicy(kind="exponential", delay=100.0)
-        assert policy.delay_for(1, 500.0) == 100.0
-        assert policy.delay_for(2, 500.0) == 200.0
-        assert policy.delay_for(3, 500.0) == 400.0
-
-    def test_exponential_clamped_at_cap(self):
-        policy = RetryPolicy(kind="exponential", delay=100.0, cap=250.0)
-        assert policy.delay_for(1, 500.0) == 100.0
-        assert policy.delay_for(2, 500.0) == 200.0
-        assert policy.delay_for(3, 500.0) == 250.0
-        assert policy.delay_for(10, 500.0) == 250.0
-
-    def test_exponential_without_delay_uses_machine_delay(self):
-        policy = RetryPolicy(kind="exponential")
-        assert policy.delay_for(2, 500.0) == 1000.0
 
 
 class TestJsonRoundTrip:
@@ -154,10 +107,9 @@ class TestJsonRoundTrip:
             crashes=(NodeCrash(2, 10_000.0, recover_at=20_000.0),
                      NodeCrash(5, 50_000.0)),
             step_aborts=(StepAbort(7, 3), StepAbort(7, 1, attempt=2)),
+            control_crashes=(ControlCrash(1, 8_000.0, recover_at=9_000.0),),
             slowdowns=(PartitionSlowdown(3, 2.5, 5_000.0, 30_000.0),),
-            abort_rate=0.25, declared_cost_sigma=0.5,
-            declared_cost_factor=0.8, cascade=True,
-            retry=RetryPolicy(kind="exponential", delay=100.0, cap=5_000.0))
+            abort_rate=0.25, cascade=True)
 
     def test_round_trip_preserves_everything(self):
         plan = self.full_plan()
@@ -195,4 +147,56 @@ class TestJsonRoundTrip:
         plan = FaultPlan.from_json('{"abort_rate": 0.1}')
         assert plan.abort_rate == 0.1
         assert plan.crashes == ()
-        assert plan.retry is None
+        assert plan.cascade is False
+
+
+class TestJsonTypes:
+    """Plan files are outside input: each field is checked against its
+    declared type, as ``SimulationParameters.from_json`` does."""
+
+    @pytest.mark.parametrize("text,field", [
+        ('{"abort_rate": true}', "abort_rate"),
+        ('{"abort_rate": "0.1"}', "abort_rate"),
+        ('{"cascade": "no"}', "cascade"),
+        ('{"control_crashes": [{"cn": 0.5, "at": 10}]}',
+         "control_crashes[0].cn"),
+        ('{"step_aborts": [{"tid": "1", "step": 0}]}', "step_aborts[0].tid"),
+        ('{"crashes": [{"node": 0, "at": "5"}]}', "crashes[0].at"),
+    ])
+    def test_wrongly_typed_field_names_the_field(self, text, field):
+        with pytest.raises(FaultPlanError, match=re.escape(repr(field))):
+            FaultPlan.from_json(text)
+
+    def test_int_accepted_where_the_field_is_a_float(self):
+        plan = FaultPlan.from_json(
+            '{"abort_rate": 1, "crashes": [{"node": 0, "at": 5}]}')
+        assert plan.crashes == (NodeCrash(0, 5.0),)
+        assert isinstance(plan.crashes[0].at, float)
+        assert isinstance(plan.abort_rate, float)
+
+    def test_null_accepted_only_where_optional(self):
+        plan = FaultPlan.from_json(
+            '{"crashes": [{"node": 0, "at": 5, "recover_at": null}]}')
+        assert plan.crashes[0].recover_at is None
+        with pytest.raises(FaultPlanError, match="'crashes\\[0\\].at'"):
+            FaultPlan.from_json('{"crashes": [{"node": 0, "at": null}]}')
+
+    def test_list_field_must_be_a_list(self):
+        with pytest.raises(FaultPlanError, match="'crashes' must be a list"):
+            FaultPlan.from_json('{"crashes": {"node": 0, "at": 5}}')
+
+    def test_entry_must_be_a_complete_object(self):
+        with pytest.raises(FaultPlanError, match=r"missing fields \['at'\]"):
+            FaultPlan.from_json('{"crashes": [{"node": 0}]}')
+        with pytest.raises(FaultPlanError, match="expected an object"):
+            FaultPlan.from_json('{"slowdowns": [3]}')
+
+    @pytest.mark.parametrize("retired", ["retry", "declared_cost_sigma",
+                                         "declared_cost_factor"])
+    def test_retired_fields_are_unknown(self, retired):
+        """Restarts wait the machine's ``retry_delay`` and declared-cost
+        error belongs to the workload (``pattern1(error_sigma=)``): plans
+        that still set either are refused, not ignored."""
+        with pytest.raises(FaultPlanError,
+                           match=rf"unknown fault plan fields: \['{retired}'\]"):
+            FaultPlan.from_json(f'{{"{retired}": null}}')

@@ -133,15 +133,6 @@ class TestAccounting:
         result = run_simulation(params, pattern1(), catalog=pattern1_catalog())
         assert 0 < result.metrics.cn_utilization <= 1.0
 
-    def test_warmup_discards_early_transactions(self):
-        params = SimulationParameters(scheduler="NODC", sim_clocks=200_000,
-                                      arrival_rate_tps=0.5, seed=2,
-                                      warmup_clocks=100_000)
-        warm = run_simulation(params, pattern1(), catalog=pattern1_catalog())
-        cold = run_simulation(params.with_overrides(warmup_clocks=0.0),
-                              pattern1(), catalog=pattern1_catalog())
-        assert warm.metrics.commits < cold.metrics.commits
-
 
 class TestDependencyLogging:
     @pytest.mark.parametrize("control_nodes,cn_crash,logged", [

@@ -83,14 +83,6 @@ class TestDirectionalLaws:
                               catalog=pattern1_catalog(num_partitions=64))
         assert many.metrics.mean_response_time < few.mean_response_time
 
-    def test_warmup_reduces_sample_but_not_wildly_the_mean(self):
-        cold = run(rate=0.3).metrics
-        warm = run(rate=0.3, warmup_clocks=50_000).metrics
-        assert warm.commits < cold.commits
-        # Underloaded steady state: means should be in the same ballpark.
-        assert warm.mean_response_time == pytest.approx(
-            cold.mean_response_time, rel=0.5)
-
 
 class TestSchedulerOrderingLaw:
     def test_nodc_upper_bounds_real_schedulers(self):

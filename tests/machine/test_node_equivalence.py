@@ -18,7 +18,7 @@ from repro.config import SimulationParameters
 from repro.core import Step, TransactionRuntime, TransactionSpec
 from repro.engine import Environment
 from repro.errors import ConfigurationError
-from repro.faults import FaultPlan, NodeCrash, PartitionSlowdown, RetryPolicy
+from repro.faults import FaultPlan, NodeCrash, PartitionSlowdown
 from repro.machine import DataNode
 from repro.machine.cluster import Cluster
 from repro.machine.trace import Tracer
@@ -30,8 +30,7 @@ SCHEDULERS = ["CHAIN", "K2", "C2PL", "2PL"]
 FAULT_PLAN = FaultPlan(
     crashes=(NodeCrash(2, 15_000.0, recover_at=25_000.0),),
     slowdowns=(PartitionSlowdown(3, 2.0, 5_000.0, 40_000.0),),
-    abort_rate=0.25, declared_cost_sigma=0.5, cascade=True,
-    retry=RetryPolicy(kind="exponential", delay=200.0, cap=5_000.0))
+    abort_rate=0.25, cascade=True)
 
 
 def run_fingerprint(scheduler, loop, fault_plan=None):

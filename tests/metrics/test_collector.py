@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import Step, TransactionRuntime, TransactionSpec
-from repro.errors import ExperimentError
 from repro.metrics import MetricsCollector
 
 
@@ -23,26 +22,14 @@ def committed_txn(tid, arrival, commit, label=""):
 class TestCollection:
     def test_counts_and_response_times(self):
         collector = MetricsCollector()
-        collector.record_arrival(10)
-        collector.record_arrival(20)
+        collector.record_arrival()
+        collector.record_arrival()
         collector.record_commit(committed_txn(1, 10, 110), now=110)
         assert collector.arrivals == 2
         assert collector.commits == 1
         metrics = summary(collector)
         assert metrics.mean_response_time == 100
         assert metrics.max_response_time == 100
-
-    def test_warmup_filters_arrivals_and_commits(self):
-        collector = MetricsCollector(warmup_clocks=100)
-        collector.record_arrival(50)       # during warmup: dropped
-        collector.record_arrival(150)
-        collector.record_commit(committed_txn(1, 50, 200), now=200)   # arrived in warmup
-        collector.record_commit(committed_txn(2, 150, 300), now=300)
-        assert collector.arrivals == 1
-        assert collector.commits == 1
-        metrics = summary(collector)
-        assert metrics.mean_response_time == 150
-        assert metrics.max_response_time == 150
 
     def test_abort_accounting(self):
         collector = MetricsCollector()
@@ -72,7 +59,7 @@ class TestCollection:
 class TestSummarise:
     def make_summary(self, **kwargs):
         collector = MetricsCollector()
-        collector.record_arrival(0)
+        collector.record_arrival()
         collector.record_commit(committed_txn(1, 0, 5000), now=5000)
         defaults = dict(scheduler="X", arrival_rate_tps=0.5,
                         sim_clocks=100_000, dn_utilization=0.4,
@@ -95,13 +82,6 @@ class TestSummarise:
             dn_utilization=0, cn_utilization=0, weight_messages=0)
         assert metrics.mean_response_time == float("inf")
         assert metrics.throughput_tps == 0
-
-    def test_run_shorter_than_warmup_rejected(self):
-        collector = MetricsCollector(warmup_clocks=5000)
-        with pytest.raises(ExperimentError):
-            collector.summarise(scheduler="X", arrival_rate_tps=0.5,
-                                sim_clocks=1000, dn_utilization=0,
-                                cn_utilization=0, weight_messages=0)
 
     def test_as_dict_round_trip(self):
         metrics = self.make_summary()

@@ -15,7 +15,8 @@ from repro.config import SimulationParameters
 from repro.core.transaction import Step, TransactionSpec
 from repro.engine.rng import RandomStreams, derive_seed
 from repro.faults import (ControlCrash, FaultPlan, NodeCrash,
-                          PartitionSlowdown, RetryPolicy, StepAbort)
+                          PartitionSlowdown, StepAbort)
+from repro.workloads.errors import declare_with_error
 
 MASTER_SEED = int(os.environ.get("REPRO_PROP_SEED", "20260806"))
 
@@ -54,6 +55,32 @@ def make_workload(rng: random.Random) -> Callable[[int, RandomStreams],
     return workload
 
 
+def with_declared_error(rng: random.Random,
+                        workload: Callable[[int, RandomStreams],
+                                           TransactionSpec],
+                        ) -> Callable[[int, RandomStreams], TransactionSpec]:
+    """``workload`` with a per-case declared-cost error.
+
+    Experiment 4's relative normal error (sigma) and a systematic factor
+    (below 1 under-declares) are drawn per case; actual costs stay the
+    truth, so the schedulers run on wrong weights.
+    """
+    sigma = rng.uniform(0.0, 1.0) if rng.random() < 0.3 else 0.0
+    factor = rng.uniform(0.5, 2.0) if rng.random() < 0.2 else 1.0
+    if sigma == 0.0 and factor == 1.0:
+        return workload
+
+    def declared(tid: int, streams: RandomStreams) -> TransactionSpec:
+        steps = declare_with_error(workload(tid, streams).steps, streams,
+                                   sigma)
+        return TransactionSpec(tid, [
+            Step(step.partition, step.mode, step.cost,
+                 declared_cost=step.declared_cost * factor)
+            for step in steps])
+
+    return declared
+
+
 def make_fault_plan(rng: random.Random) -> Optional[FaultPlan]:
     """A random fault plan; None ~30% of the time (fault-free control)."""
     if rng.random() < 0.3:
@@ -76,21 +103,11 @@ def make_fault_plan(rng: random.Random) -> Optional[FaultPlan]:
         slowdowns.append(PartitionSlowdown(
             rng.randrange(NUM_PARTITIONS), rng.uniform(1.5, 4.0),
             at, at + rng.uniform(100.0, SIM_CLOCKS * 0.4)))
-    retry = None
-    if rng.random() < 0.5:
-        kind = rng.choice(("fixed", "immediate", "exponential"))
-        retry = RetryPolicy(
-            kind=kind, delay=rng.uniform(1.0, 50.0),
-            cap=rng.uniform(100.0, 500.0) if kind == "exponential" else None)
     return FaultPlan(
         crashes=tuple(crashes), step_aborts=tuple(step_aborts),
         slowdowns=tuple(slowdowns),
         abort_rate=rng.uniform(0.0, 0.4) if rng.random() < 0.6 else 0.0,
-        declared_cost_sigma=rng.uniform(0.0, 1.0) if rng.random() < 0.3
-        else 0.0,
-        declared_cost_factor=rng.uniform(0.5, 2.0) if rng.random() < 0.2
-        else 1.0,
-        cascade=rng.random() < 0.3, retry=retry)
+        cascade=rng.random() < 0.3)
 
 
 def is_control_case(name: str) -> bool:
@@ -114,8 +131,8 @@ def make_control_fault_plan(rng: random.Random,
     process per plan entry, and a recovery racing a second crash of the
     same shard is not a machine state the model defines.  ~80% of
     crashes recover, so most runs also exercise dependency-log replay;
-    workload-level faults (step aborts, abort rate, cascades, retry
-    policies) ride along at make_fault_plan's rates.
+    workload-level faults (step aborts, abort rate, cascades) ride along
+    at make_fault_plan's rates.
     """
     cns = rng.sample(range(num_control_nodes),
                      rng.randint(1, min(2, num_control_nodes)))
@@ -130,16 +147,10 @@ def make_control_fault_plan(rng: random.Random,
         for tid in rng.sample(range(1, 8), rng.randint(1, 2)):
             step_aborts.append(StepAbort(tid, rng.randint(0, 4),
                                          attempt=rng.randint(1, 2)))
-    retry = None
-    if rng.random() < 0.5:
-        kind = rng.choice(("fixed", "immediate", "exponential"))
-        retry = RetryPolicy(
-            kind=kind, delay=rng.uniform(1.0, 50.0),
-            cap=rng.uniform(100.0, 500.0) if kind == "exponential" else None)
     return FaultPlan(
         control_crashes=tuple(crashes), step_aborts=tuple(step_aborts),
         abort_rate=rng.uniform(0.0, 0.3) if rng.random() < 0.5 else 0.0,
-        cascade=rng.random() < 0.3, retry=retry)
+        cascade=rng.random() < 0.3)
 
 
 def make_params(rng: random.Random, scheduler: str) -> SimulationParameters:

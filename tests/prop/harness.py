@@ -186,6 +186,7 @@ def check_case(scheduler: str, name: str) -> CaseVerdict:
     else:
         plan = gen.make_fault_plan(rng)
         params = gen.make_params(rng, scheduler)
+        workload = gen.with_declared_error(rng, workload)
     try:
         # Every log compaction and recovery is checked against the
         # append-only log (inert in cases that keep no log).

@@ -16,7 +16,8 @@ from contextlib import nullcontext
 import pytest
 
 from repro.machine.trace import Tracer
-from tests.prop.gen import case_rng, make_fault_plan, make_params, make_workload
+from tests.prop.gen import (case_rng, make_fault_plan, make_params,
+                            make_workload, with_declared_error)
 from tests.oracles import reference_data_nodes
 from tests.prop.harness import assert_invariants, run_case
 
@@ -45,6 +46,7 @@ def test_generated_runs_are_mode_identical(scheduler, index):
     params = make_params(rng, scheduler)
     workload = make_workload(rng)
     fault_plan = make_fault_plan(rng)
+    workload = with_declared_error(rng, workload)
 
     batched = fingerprint("batched", params, workload, fault_plan)
     reference = fingerprint("reference", params, workload, fault_plan)

@@ -35,6 +35,33 @@ class TestParser:
         assert err.startswith("usage:") and "--jobs" in err
 
 
+class TestRunErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["--control-nodes", "0"], "num_control_nodes must be >= 1"),
+        (["--faults", "{missing}"], "No such file or directory"),
+        (["--faults", "{plan}"], "fault plan field 'abort_rate' must be"),
+        (["--faults", "{broken}"], "fault plan is not valid JSON"),
+    ], ids=["no-control-node", "missing-plan", "wrongly-typed-plan",
+            "broken-plan"])
+    def test_bad_run_input_is_one_error_line(self, argv, message, tmp_path,
+                                             capsys):
+        """A configuration error or an unreadable plan is reported as
+        one ``repro: error:`` line with exit code 2, not a traceback."""
+        (tmp_path / "plan.json").write_text('{"abort_rate": true}')
+        (tmp_path / "broken.json").write_text('{"abort_rate": ')
+        paths = {"missing": tmp_path / "absent.json",
+                 "plan": tmp_path / "plan.json",
+                 "broken": tmp_path / "broken.json"}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(["run", "--clocks", "1000", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ")
+        assert message in lines[0]
+
+
 class TestCommands:
     def test_table1(self, capsys):
         assert main(["table1"]) == 0

@@ -33,8 +33,8 @@ class TestValidation:
         {"obj_time": 0},
         {"arrival_rate_tps": 0},
         {"sim_clocks": 0},
-        {"warmup_clocks": -1},
-        {"warmup_clocks": 2_000_000},
+        {"num_control_nodes": 0},
+        {"keep_time": -1},
         {"startup_time": -1},
         {"retry_delay": -0.5},
         {"k_conflicts": -1},

@@ -62,12 +62,13 @@ def test_int_accepted_where_the_field_is_a_float():
 
 @pytest.mark.parametrize("retired", ["node_mode", "estimator_mode",
                                      "retry_policy", "retry_backoff_cap",
-                                     "trace_sample_rate"])
+                                     "trace_sample_rate", "warmup_clocks"])
 def test_retired_mode_fields_are_unknown(retired):
     """Parameter files that still select a data-node or estimator mode,
-    a restart backoff or a trace sampling rate predate the single owner
-    of each behaviour (the one runtime path, ``FaultPlan.retry`` and
-    ``Tracer(sample_rate=)``) and are refused, not ignored."""
+    a restart backoff, a trace sampling rate or a warm-up period predate
+    the single owner of each behaviour (the one runtime path, the fixed
+    ``retry_delay``, ``Tracer(sample_rate=)`` and the whole run) and are
+    refused, not ignored."""
     text = SimulationParameters().to_json()[:-1] + f', "{retired}": "x"}}'
     with pytest.raises(ConfigurationError,
                        match=rf"unknown parameter fields: \['{retired}'\]"):
