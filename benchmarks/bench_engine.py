@@ -6,7 +6,8 @@ where the data node's pre-played windows coalesce whole scans into
 single timeouts.  ``"batched"`` is :class:`repro.machine.DataNode`;
 ``"reference"`` is the literal per-quantum loop of the test oracle
 :class:`tests.oracles.ReferenceDataNode`.  Two claims are checked, per
-scheduler, plus a cheap K2 smoke (one run per loop, a 1.5x floor):
+scheduler, plus a cheap K2 smoke (each loop's best of a few runs, a 1.5x
+floor):
 
 * **equivalence** — both loops must produce the *identical* metrics
   dict (the batched loop is an optimisation, not an approximation);
@@ -45,8 +46,10 @@ FLOOR_TXNS = 500
 FLOOR_REPEATS = 3
 HEADLINE_SPEEDUP = 5.0
 
-#: The cheap K2 smoke: one run per loop, a loose floor.
+#: The cheap K2 smoke: each loop's fastest of a few runs, a loose floor.
+#: One run per loop read 0.6x now and then on a shared 2-core host.
 SMOKE_TXNS = 200
+SMOKE_REPEATS = 3
 SMOKE_SPEEDUP = 1.5
 
 
@@ -76,7 +79,10 @@ _smoke = {}
 @pytest.mark.parametrize("mode", ("batched", "reference"))
 def test_smoke_modes_are_equivalent_and_batched_wins(benchmark, mode):
     def one():
-        return run_scale_point("K2", SMOKE_TXNS, mode)
+        runs = [run_scale_point("K2", SMOKE_TXNS, mode)
+                for _ in range(SMOKE_REPEATS)]
+        assert all(m.as_dict() == runs[0][1].as_dict() for _, m in runs)
+        return min(runs, key=lambda run: run[0])
 
     wall, metrics = benchmark.pedantic(one, rounds=1, iterations=1)
     assert metrics.commits > 0
@@ -88,8 +94,8 @@ def test_smoke_modes_are_equivalent_and_batched_wins(benchmark, mode):
         assert b_metrics.as_dict() == r_metrics.as_dict()
         speedup = r_wall / b_wall
         print(f"\nsmoke speedup (K2, {SMOKE_TXNS} txns): {speedup:.1f}x")
-        # Loose floor for one run per loop; the floor tests below
-        # compare repeated runs against HEADLINE_SPEEDUP.
+        # Loose floor on each loop's fastest run; the floor tests below
+        # compare more and longer runs against HEADLINE_SPEEDUP.
         assert speedup > SMOKE_SPEEDUP
 
 

@@ -28,11 +28,11 @@ on (scalar, best-achievable-max) keeps frontiers small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import WTPGError
+from repro.records import record
 
 DOWN = "down"
 UP = "up"
@@ -40,7 +40,7 @@ UP = "up"
 Orientation = Optional[str]  # DOWN, UP, or None for an absent edge
 
 
-@dataclass(frozen=True)
+@record
 class ChainPair:
     """The conflicting edge between consecutive chain nodes k and k+1.
 

@@ -12,14 +12,14 @@ recovery) and are released together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.transaction import LockMode, TransactionSpec
 from repro.errors import LockTableError
+from repro.records import record
 
 
-@dataclass(frozen=True)
+@record
 class Declaration:
     """One declared (future or granted) lock of one step.
 

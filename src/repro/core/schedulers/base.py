@@ -33,6 +33,7 @@ from repro.core.locks import Declaration, LockTable
 from repro.core.transaction import TransactionRuntime
 from repro.core.wtpg import WTPG
 from repro.errors import SchedulerError
+from repro.records import record
 
 
 class Decision(enum.Enum):
@@ -44,7 +45,7 @@ class Decision(enum.Enum):
     ABORT = "abort"   # deadlock victim (only schedulers that restart: 2PL)
 
 
-@dataclass(frozen=True)
+@record
 class LockResponse:
     """Decision plus the control-node CPU time the decision cost."""
 
@@ -57,13 +58,17 @@ class LockResponse:
         return self.decision is Decision.GRANT
 
 
-@dataclass(frozen=True)
+@record
 class AdmissionResponse:
     """Outcome of the admission (start) test of a new transaction."""
 
     admitted: bool
     cpu_cost: float = 0.0
     reason: str = ""
+
+
+#: The one merged verdict of a BAT every shard admits.
+ADMITTED = AdmissionResponse(True)
 
 
 def merge_admission_responses(
@@ -84,7 +89,7 @@ def merge_admission_responses(
     for response in responses:
         if not response.admitted:
             return AdmissionResponse(False, reason=response.reason)
-    return AdmissionResponse(True)
+    return ADMITTED
 
 
 class Certificate:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
+from repro.records import record
 
 
 class LockMode(enum.Enum):
@@ -38,7 +39,7 @@ class LockMode(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@record
 class Step:
     """One read/write access of a BAT to a single partition.
 
@@ -176,13 +177,12 @@ class TransactionRuntime:
     commit_time: Optional[float] = None
     objects_done: float = 0.0      # bulk work of the current attempt
     wasted_objects: float = 0.0    # work thrown away by aborts (2PL)
+    # The spec's tid, copied once: the hot path reads it many times per BAT.
+    tid: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.remaining_declared = self.spec.declared_total
-
-    @property
-    def tid(self) -> int:
-        return self.spec.tid
+        self.tid = self.spec.tid
 
     @property
     def committed(self) -> bool:

@@ -63,10 +63,6 @@ class _FailureCarrier:
         self._defused = True
 
 
-def _failure(exception: BaseException) -> "_FailureCarrier":
-    return _FailureCarrier(exception)
-
-
 @register_hot_class
 class Event:
     """A one-shot occurrence inside an :class:`Environment`.
@@ -203,7 +199,10 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                self.env._schedule(self)
+                if self.callbacks:
+                    self.env._schedule(self)
+                else:  # no waiter: processed in place, no heap entry
+                    self._processed = True
                 break
             except BaseException as exc:
                 self._ok = False
@@ -213,11 +212,11 @@ class Process(Event):
                 break
 
             if not isinstance(next_event, Event):
-                current = _failure(TypeError(
+                current = _FailureCarrier(TypeError(
                     f"process yielded a non-event: {next_event!r}"))
                 continue
             if next_event.env is not self.env:
-                current = _failure(EngineStateError(
+                current = _FailureCarrier(EngineStateError(
                     "process yielded an event from a different environment"))
                 continue
 

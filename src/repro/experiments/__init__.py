@@ -11,8 +11,6 @@ Each module regenerates the corresponding figures:
 * :mod:`repro.experiments.experiment4` — Figure 10 (declared-cost error
   ratio vs throughput at RT = 70 s, Pattern1, incl. the CHAIN-C2PL and
   K2-C2PL lower bounds).
-
-:mod:`repro.experiments.paper` records the values the paper reports.
 """
 
 from repro.experiments.base import (ExperimentConfig, SchedulerCurve,

@@ -42,7 +42,6 @@ loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.core import builder
@@ -52,6 +51,7 @@ from repro.core.schedulers.base import Scheduler
 from repro.core.transaction import LockMode, Step, TransactionSpec
 from repro.core.wtpg import WTPG
 from repro.errors import LockTableError, SchedulerError, WTPGError
+from repro.records import record
 
 # Retained record kinds, in the only order they can legally appear per
 # (tid, attempt): ADMIT, then GRANT/EDGE interleaved.
@@ -60,7 +60,7 @@ GRANT = "grant"
 EDGE = "edge"
 
 
-@dataclass(frozen=True)
+@record
 class LogRecord:
     """One dependency-log entry.
 

@@ -56,9 +56,9 @@ from repro.errors import FaultError
 # Tolerance when deciding a step's remaining object count is exhausted.
 _EPSILON = 1e-9
 
-# Largest step the closed-form countdown (_whole_quanta) serves exactly;
-# past 2**53 the literal ``rem -= 1.0`` itself rounds.
-_MAX_OBJECTS = 2.0 ** 53
+# Whole numbers up to 2**53 are exact doubles: past it the literal
+# ``rem -= 1.0`` of _whole_quanta and the sums of _advance round.
+_MAX_WHOLE = 2.0 ** 53
 
 _INF = float("inf")
 
@@ -140,7 +140,7 @@ class DataNode:
 
     def submit(self, txn: TransactionRuntime, objects: float) -> Event:
         """Enqueue a step of ``objects`` bulk work; event fires when done."""
-        if objects > _MAX_OBJECTS:
+        if objects > _MAX_WHOLE:
             raise ValueError(f"a step of {objects} objects exceeds 2**53")
         done = self.env.event()
         if self.crashed:
@@ -511,7 +511,16 @@ def _advance(t: float, svc: float, n: int,
     slowdown product) it fails for the rest of the chain, which then
     runs the literal additions.  So does a step from ``t <= 0``, and so
     do the steps of a chain with at most ``_LITERAL_RUN`` of them left.
+    Whole ``t >= 0`` and ``svc`` need no binades while ``t + n*svc`` is
+    below 2**53: every sum is a whole number there, hence exact.
     """
+    if t >= 0.0 and not (t % 1.0 or svc % 1.0) and t + n * svc < _MAX_WHOLE:
+        j = n if t + n * svc < horizon else max(0, int((horizon - t) / svc))
+        while j and t + j * svc >= horizon:
+            j -= 1
+        while j < n and t + (j + 1) * svc < horizon:
+            j += 1
+        return (t + j * svc, j) if j else (t, 0)
     k = 0
     while k < n:
         if t > 0.0 and n - k > _LITERAL_RUN:

@@ -114,6 +114,3 @@ class Catalog:
     def partitions_on_node(self, node: int) -> List[Partition]:
         return sorted((p for p in self._partitions.values() if p.node == node),
                       key=lambda p: p.pid)
-
-    def max_node(self) -> int:
-        return max(p.node for p in self._partitions.values())

@@ -175,7 +175,9 @@ class ControlShard:
         if cost < 0:
             raise ValueError(f"negative CPU charge: {cost!r}")
         now = self.env.now
-        ends = self._settle(now)
+        ends = self._ends
+        if ends and ends[0] < now:  # a head ending now may fold later
+            self._settle(now)
         if ends:
             start = ends[-1]
         else:

@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event kernel (events, processes, clock)."""
 
+import heapq
+
 import pytest
 
-from repro.engine import Environment, Event
+from repro.engine import Environment, Event, core
 from repro.errors import EngineStateError
 
 
@@ -97,6 +99,8 @@ def test_run_until_past_time_rejected():
 
 
 def test_run_until_event_returns_value():
+    """The awaited process has no waiter, so its end is processed in
+    place, and the run still stops there with its value."""
     env = Environment()
 
     def proc(env):
@@ -555,3 +559,62 @@ def test_transfer_waiters_wakes_a_parked_process_at_a_later_key():
     assert log == [("waker", 3), ("bystander", 7), ("sleeper", 7)]
     with pytest.raises(EngineStateError):
         env.transfer_waiters(timers[0], env.event())
+
+
+# -- a process nobody waits on ------------------------------------------------
+
+
+def test_unawaited_process_end_takes_no_heap_entry(monkeypatch):
+    env = Environment()
+    pushes = []
+    monkeypatch.setattr(core, "heappush",
+                        lambda heap, entry: pushes.append(entry) or
+                        heapq.heappush(heap, entry))
+
+    def proc(env):
+        yield env.timeout(3)
+        return "done"
+
+    p = env.process(proc(env))
+    env.step()  # start: yields the timeout
+    env.step()  # the timeout fires and the process returns
+    assert len(pushes) == 2  # its start and its timeout, not its end
+    assert p.processed and p.value == "done"
+    assert env.peek() == float("inf")
+
+
+def test_late_waiter_resumes_at_once_with_the_return_value():
+    env = Environment()
+    log = []
+
+    def child(env):
+        yield env.timeout(2)
+        return 99
+
+    def parent(env, kid):
+        yield env.timeout(5)
+        value = yield kid
+        log.append((env.now, value))
+
+    kid = env.process(child(env))
+    env.process(parent(env, kid))
+    env.run(until=4)
+    assert kid.processed and env.peek() == 5
+    env.step()  # the parent's timeout: it joins the finished child in place
+    assert log == [(5, 99)]
+    assert env.peek() == float("inf")
+
+
+def test_unawaited_failure_is_still_scheduled_and_raises():
+    env = Environment()
+
+    def proc(env):
+        yield env.timeout(1)
+        raise ValueError("exploded")
+
+    p = env.process(proc(env))
+    env.step()
+    env.step()  # the process raises: its end is scheduled, not processed
+    assert not p.processed and env.peek() == 1
+    with pytest.raises(ValueError, match="exploded"):
+        env.run()

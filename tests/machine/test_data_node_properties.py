@@ -1,5 +1,7 @@
 """Property tests of the data node's round-robin fairness."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,6 +124,44 @@ def test_advance_is_the_literal_addition_chain(t, svc, n, horizon):
         horizon, _ = literal_advance(t, svc, horizon, float("inf"))
     assert _advance(t, svc, n, horizon) == literal_advance(t, svc, n,
                                                            horizon)
+
+
+def bits(result):
+    """``_advance``'s result with its boundary as type and IEEE bits, so
+    that ``0`` and ``0.0`` or ``0.0`` and ``-0.0`` differ."""
+    t, k = result
+    return type(t), struct.pack("<d", t), k
+
+
+WHOLE_TOTALS = st.one_of(
+    st.sampled_from([0, 0.0, 1.0, 2.0 ** 52, 2.0 ** 53 - 1.0, 2.0 ** 53]),
+    st.integers(min_value=0, max_value=10 ** 7).map(float),
+    st.integers(min_value=1, max_value=10 ** 5).map(lambda d: 2.0 ** 53 - d))
+WHOLE_STEPS = st.one_of(st.sampled_from([1.0, 2.0, 20.0, 1000.0]),
+                        st.integers(min_value=1, max_value=10 ** 4).map(float))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(WHOLE_TOTALS,
+                 # a 0.2-object Pattern1 tail makes a total fractional
+                 WHOLE_TOTALS.map(lambda t: t + 0.2)),
+       st.one_of(WHOLE_STEPS,
+                 # a 1.1 slowdown factor makes a step fractional
+                 WHOLE_STEPS.map(lambda svc: svc * 1.1)),
+       st.integers(min_value=0, max_value=3000),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=3000),
+                 st.floats(min_value=0.0, max_value=2.0 ** 54)))
+def test_advance_whole_chains_are_the_literal_chain_bit_for_bit(
+        t, svc, n, horizon):
+    """Whole totals and steps take _advance's closed form, fractional
+    ones its binade path, near 2**53 either; all equal the literal
+    chain in type and bits."""
+    if horizon is None:
+        horizon = float("inf")
+    elif isinstance(horizon, int):
+        horizon, _ = literal_advance(t, svc, horizon, float("inf"))
+    assert bits(_advance(t, svc, n, horizon)) == bits(
+        literal_advance(t, svc, n, horizon))
 
 
 def test_advance_crosses_many_binades_exactly():
