@@ -30,18 +30,23 @@ from repro.errors import WTPGError
 PartnerConflicts = Dict[int, List[Tuple[Declaration, Declaration]]]
 
 
-def partner_conflicts(table: LockTable,
-                      spec: TransactionSpec) -> PartnerConflicts:
+def partner_conflicts(table: LockTable, spec: TransactionSpec,
+                      own: Optional[Sequence[Declaration]] = None,
+                      ) -> PartnerConflicts:
     """Every registered transaction whose declarations conflict with spec's.
 
-    Must be called *after* ``table.register(spec)``.  Only transactions
-    declaring one of spec's partitions can conflict with it, so this asks
+    ``own`` is ``table.declare(spec)`` when spec is not registered (an
+    admission deciding before it registers); without it, spec must be
+    registered and its entered declarations are used.  The map is the
+    same either way.  Only transactions declaring one of spec's
+    partitions can conflict with it, so this asks
     :meth:`LockTable.conflicting_transactions` once per partition sharer
     (:meth:`LockTable.partition_sharers`, ascending), never of the rest.
     """
-    own = table.declarations_of(spec.tid)
+    if own is None:
+        own = table.declarations_of(spec.tid)
     partners: PartnerConflicts = {}
-    for other_tid in table.partition_sharers(spec.tid):
+    for other_tid in table.partition_sharers(spec.tid, own):
         conflicts = table.conflicting_transactions(own, other_tid)
         if conflicts:
             partners[other_tid] = conflicts

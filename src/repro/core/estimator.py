@@ -34,17 +34,17 @@ and the live graph's memoized closures are reused across candidates.
 
 This module is the sanctioned *friend* of :class:`~repro.core.wtpg.WTPG`:
 the overlay reads (never writes) a fixed set of private structures —
-``_cp_dist``, ``_succ``, ``_pred``, ``_source``, ``_sink``, ``_pairs``
-and the ``_pair`` key helper.  That set is enforced by the RL003
-encapsulation lint rule (``repro.lint``); extending it requires updating
-the allowlist there and the rationale in ``docs/lint.md``.
+``_cp_dist``, ``_succ``, ``_pred``, ``_source``, ``_sink``, ``_neighbors``
+and ``_unresolved``.  That set is enforced by the RL003 encapsulation
+lint rule (``repro.lint``); extending it requires updating the allowlist
+there and the rationale in ``docs/lint.md``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.core.wtpg import WTPG, Pair, _pair
+from repro.core.wtpg import WTPG, PairEdge
 from repro.errors import WTPGError
 
 INFINITE_CONTENTION = float("inf")
@@ -120,7 +120,8 @@ class ContentionBatch:
         # predicted deadlock.
         extra_succ: _Adj = {}
         extra_pred: _Adj = {}
-        overlaid: Dict[Pair, int] = {}
+        # Pair edge -> the successor the overlay resolves it to.
+        overlaid: Dict[PairEdge, int] = {}
         new_edges: List[Resolution] = []
         for predecessor, successor in implied_resolutions:
             pair = wtpg.pair(predecessor, successor)
@@ -132,13 +133,12 @@ class ContentionBatch:
                 if pair.resolved_to != successor:
                     return INFINITE_CONTENTION  # would flip a fixed order
                 continue
-            key = _pair(predecessor, successor)
-            prior = overlaid.get(key)
+            prior = overlaid.get(pair)
             if prior is not None:
                 if prior != successor:
                     return INFINITE_CONTENTION  # contradictory implications
                 continue
-            overlaid[key] = successor
+            overlaid[pair] = successor
             extra_succ.setdefault(predecessor, set()).add(successor)
             extra_pred.setdefault(successor, set()).add(predecessor)
             new_edges.append((predecessor, successor))
@@ -160,9 +160,9 @@ class ContentionBatch:
         if before & after:
             return INFINITE_CONTENTION  # cycle through T
         crossing: List[Resolution] = []
-        for edge in wtpg.unresolved_pairs():
-            key = _pair(edge.a, edge.b)
-            if key in overlaid:
+        # The live index, walked in place: nothing here writes the graph.
+        for edge in wtpg._unresolved:
+            if edge in overlaid:
                 continue
             if edge.a in before and edge.b in after:
                 a, b = edge.a, edge.b
@@ -170,7 +170,7 @@ class ContentionBatch:
                 a, b = edge.b, edge.a
             else:
                 continue
-            overlaid[key] = b
+            overlaid[edge] = b
             extra_succ.setdefault(a, set()).add(b)
             extra_pred.setdefault(b, set()).add(a)
             crossing.append((a, b))
@@ -202,7 +202,7 @@ class ContentionBatch:
                     affected.add(nxt)
                     stack.append(nxt)
         source = wtpg._source
-        pairs = wtpg._pairs
+        neighbors = wtpg._neighbors
         base_dist = self._base_dist
         dist: Dict[int, float] = {}
         empty: Set[int] = set()
@@ -225,9 +225,9 @@ class ContentionBatch:
                             work.append((pred, False))
                 else:
                     best = source[node]
+                    edges = neighbors[node]
                     for pred in preds:
-                        cand = (dist[pred]
-                                + pairs[_pair(node, pred)].weight_to(node))
+                        cand = dist[pred] + edges[pred].weight_to(node)
                         if cand > best:
                             best = cand
                     dist[node] = best

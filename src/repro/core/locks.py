@@ -12,7 +12,8 @@ recovery) and are released together.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.core.transaction import LockMode, TransactionSpec
 from repro.errors import LockTableError
@@ -52,18 +53,35 @@ class LockTable:
 
     # -- registration ------------------------------------------------------
 
-    def register(self, spec: TransactionSpec) -> None:
-        """Enter every lock-declaration of ``spec`` into the table."""
-        if spec.tid in self._by_txn:
-            raise LockTableError(f"T{spec.tid} is already registered")
-        decls: List[Declaration] = []
-        for index, step in enumerate(spec.steps):
-            decl = Declaration(spec.tid, index, step.partition, step.mode,
-                               spec.due(index))
-            decls.append(decl)
-            self._pending.setdefault(step.partition, {})[
-                (spec.tid, index)] = decl
-        self._by_txn[spec.tid] = decls
+    @staticmethod
+    def declare(spec: TransactionSpec) -> List[Declaration]:
+        """The lock-declarations of ``spec``, one per step in step order,
+        built without entering them: admission judges a newcomer by
+        these and hands them to :meth:`register` only if it admits."""
+        tid, dues = spec.tid, spec.due
+        return [Declaration(tid, index, step.partition, step.mode,
+                            dues(index))
+                for index, step in enumerate(spec.steps)]
+
+    def register(self, spec: TransactionSpec,
+                 declarations: Optional[List[Declaration]] = None) -> None:
+        """Enter every lock-declaration of ``spec`` into the table.
+
+        ``declarations`` is :meth:`declare` of ``spec`` when the caller
+        already built it.
+        """
+        tid = spec.tid
+        if tid in self._by_txn:
+            raise LockTableError(f"T{tid} is already registered")
+        if declarations is None:
+            declarations = self.declare(spec)
+        pending = self._pending
+        for decl in declarations:
+            entries = pending.get(decl.partition)
+            if entries is None:
+                entries = pending[decl.partition] = {}
+            entries[(tid, decl.step_index)] = decl
+        self._by_txn[tid] = declarations
 
     def unregister(self, tid: int) -> None:
         """Remove every entry of ``tid`` (commit or admission abort)."""
@@ -195,7 +213,9 @@ class LockTable:
 
     def k_conflict_violated(self, k: int,
                             partitions: Optional[Iterable[int]] = None,
-                            count: str = "declarations") -> bool:
+                            count: str = "declarations",
+                            newcomer: Optional[TransactionSpec] = None,
+                            ) -> bool:
         """True if any pending declaration conflicts with more than ``k``.
 
         ``partitions`` restricts the scan (only partitions touched by a
@@ -203,10 +223,35 @@ class LockTable:
         is judged from one tally of its pending declarations by owner and
         mode, so the scan is linear in the partition's backlog; the
         verdict equals asking :meth:`conflict_count` of every declaration.
+
+        ``newcomer`` is an unregistered transaction judged as if it were
+        registered: its steps join each tally of its own partitions, and
+        the scan covers only those (``partitions`` must then be None).
+        The verdict equals registering it and scanning its partitions.
         """
         if count not in ("declarations", "transactions"):
             raise LockTableError(f"unknown conflict count mode {count!r}")
         pending = self._pending
+        if newcomer is not None:
+            if partitions is not None:
+                raise LockTableError(
+                    "a newcomer's scan covers its own partitions")
+            # The newcomer's modes on each partition others declare; a
+            # partition only it declares has no conflict to count.
+            mine: Dict[int, List[LockMode]] = {}
+            for step in newcomer.steps:
+                if pending.get(step.partition):
+                    modes = mine.get(step.partition)
+                    if modes is None:
+                        mine[step.partition] = [step.mode]
+                    else:
+                        modes.append(step.mode)
+            tid = newcomer.tid
+            for partition, modes in mine.items():
+                if _partition_conflict_peak(pending[partition], count,
+                                            tid, modes) > k:
+                    return True
+            return False
         for partition in pending if partitions is None else partitions:
             entries = pending.get(partition)
             if entries and _partition_conflict_peak(entries, count) > k:
@@ -231,17 +276,23 @@ class LockTable:
                     pairs.append((decl_a, decl_b))
         return pairs
 
-    def partition_sharers(self, tid: int) -> List[int]:
+    def partition_sharers(
+            self, tid: int,
+            declarations: Optional[Iterable[Declaration]] = None,
+    ) -> List[int]:
         """Other transactions declaring any partition ``tid`` declares.
 
         Pending and granted declarations alike, in ascending tid order:
         every transaction :meth:`conflicting_transactions` can pair with
         ``tid`` is among them, so callers scan these instead of every
-        active transaction.
+        active transaction.  ``declarations`` are ``tid``'s own when it
+        is not registered (:meth:`declare`).
         """
         pending, granted = self._pending, self._granted
+        if declarations is None:
+            declarations = self._by_txn.get(tid, ())
         owners: Set[int] = set()
-        for decl in self._by_txn.get(tid, ()):
+        for decl in declarations:
             for owner, _ in pending.get(decl.partition, ()):
                 owners.add(owner)
             for owner, _ in granted.get(decl.partition, ()):
@@ -269,7 +320,8 @@ class LockTable:
 
 
 def _partition_conflict_peak(entries: Dict[Tuple[int, int], Declaration],
-                             count: str) -> int:
+                             count: str, newcomer: int = -1,
+                             modes: Sequence[LockMode] = ()) -> int:
     """The largest :meth:`LockTable.conflict_count` among one partition's
     pending declarations, in one pass over them.
 
@@ -279,26 +331,40 @@ def _partition_conflict_peak(entries: Dict[Tuple[int, int], Declaration],
     owner (``transactions``) or declaration (``declarations``), which is
     at least what any shared declaration counts, and an owner with only
     shared ones counts the writers or the exclusive declarations.
+
+    ``modes`` are the declarations here of the unregistered transaction
+    ``newcomer``, tallied as if they were among ``entries``.
     """
+    exclusive_mine = 0
+    for mode in modes:
+        if mode is LockMode.EXCLUSIVE:
+            exclusive_mine += 1
     if count == "transactions":
         owners: Set[int] = set()
-        writer = False
+        writer = exclusive_mine > 0
         for (owner, _), decl in entries.items():
             owners.add(owner)
             if decl.mode is LockMode.EXCLUSIVE:
                 writer = True
+        if modes:
+            owners.add(newcomer)
         # Every owner but the writer itself; a shared-only owner counts
         # the writers, who are never more than that.
         return len(owners) - 1 if writer else 0
     sizes: Dict[int, int] = {}
     writers: Set[int] = set()
-    exclusive = 0
+    exclusive = exclusive_mine
     for (owner, _), decl in entries.items():
         sizes[owner] = sizes.get(owner, 0) + 1
         if decl.mode is LockMode.EXCLUSIVE:
             exclusive += 1
             writers.add(owner)
+    if modes:
+        sizes[newcomer] = len(modes)
+        if exclusive_mine:
+            writers.add(newcomer)
+    total = len(entries) + len(modes)
     peak = exclusive if len(writers) < len(sizes) else 0
     for owner in writers:
-        peak = max(peak, len(entries) - sizes[owner])
+        peak = max(peak, total - sizes[owner])
     return peak

@@ -29,8 +29,9 @@ from functools import partial
 from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.core import builder
+from repro.core.chain import would_remain_chain_form
 from repro.core.locks import Declaration, LockTable
-from repro.core.transaction import TransactionRuntime
+from repro.core.transaction import TransactionRuntime, TransactionSpec
 from repro.core.wtpg import WTPG
 from repro.errors import SchedulerError
 from repro.records import record
@@ -90,6 +91,32 @@ def merge_admission_responses(
         if not response.admitted:
             return AdmissionResponse(False, reason=response.reason)
     return ADMITTED
+
+
+def k_conflict_rejection(table: LockTable, spec: TransactionSpec, k: int,
+                         count: str) -> Optional[str]:
+    """The K-conflict constraint (Section 3.3) on an unregistered BAT.
+
+    Rejects ``spec`` if, with its declarations entered, any pending
+    declaration would conflict with more than ``k`` others; ``count``
+    is the :meth:`LockTable.conflict_count` mode.  K-WTPG and K2-C2PL
+    both admit by it.
+    """
+    if table.k_conflict_violated(k, count=count, newcomer=spec):
+        return f"K-conflict constraint (K={k}) violated"
+    return None
+
+
+def chain_form_rejection(wtpg: WTPG, tid: int,
+                         partners: builder.PartnerConflicts) -> Optional[str]:
+    """The chain-form constraint (Step 0 of CC1) on an unregistered BAT.
+
+    Rejects ``tid`` if pair edges to its conflict partners would leave
+    the WTPG not chain-form.  CHAIN and CHAIN-C2PL both admit by it.
+    """
+    if not would_remain_chain_form(wtpg, tid, partners):
+        return "WTPG would not be chain-form"
+    return None
 
 
 class Certificate:
@@ -260,25 +287,40 @@ class WTPGScheduler(Scheduler):
     # -- admission --------------------------------------------------------------
 
     def _admit(self, txn: TransactionRuntime, now: float) -> AdmissionResponse:
-        spec = txn.spec
-        self.table.register(spec)
-        # One pass over the newcomer's partition sharers serves both the
-        # constraint and the WTPG insertion.
-        partners = builder.partner_conflicts(self.table, spec)
-        reason = self._admission_constraint(txn, partners, now)
-        if reason is not None:
-            self.table.unregister(spec.tid)
-            return AdmissionResponse(False, cpu_cost=self._admission_cost(),
-                                     reason=reason)
-        builder.add_transaction(self.wtpg, self.table, spec, partners)
-        self._after_admit(txn, now)
-        return AdmissionResponse(True, cpu_cost=self._admission_cost())
+        """Decide first, register only an admitted BAT.
+
+        The lock-table constraint reads the table alone; the newcomer's
+        declarations and its partner map are built only if it passes,
+        and one pass over its partition sharers serves both the
+        partner-map constraint and the WTPG insertion.  A rejected BAT
+        leaves the table and the WTPG untouched.
+        """
+        spec, table = txn.spec, self.table
+        reason = self._table_constraint(spec)
+        if reason is None:
+            own = table.declare(spec)
+            partners = builder.partner_conflicts(table, spec, own)
+            reason = self._admission_constraint(txn, partners, now)
+            if reason is None:
+                table.register(spec, own)
+                builder.add_transaction(self.wtpg, table, spec, partners)
+                self._after_admit(txn, now)
+                return AdmissionResponse(True,
+                                         cpu_cost=self._admission_cost())
+        return AdmissionResponse(False, cpu_cost=self._admission_cost(),
+                                 reason=reason)
+
+    def _table_constraint(self, spec: TransactionSpec) -> Optional[str]:
+        """Rejection reason, or None, read from the lock table alone with
+        ``spec`` not registered; decided before the partner map."""
+        return None
 
     def _admission_constraint(self, txn: TransactionRuntime,
                               partners: builder.PartnerConflicts,
                               now: float) -> Optional[str]:
         """Rejection reason, or None; ``partners`` maps each conflict
-        partner to its conflicting declaration pairs."""
+        partner to its conflicting declaration pairs (the newcomer is not
+        registered yet)."""
         return None
 
     def _admission_cost(self) -> float:

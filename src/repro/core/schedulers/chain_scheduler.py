@@ -20,11 +20,12 @@ from typing import (Dict, FrozenSet, Hashable, List, Optional, Sequence,
                     Tuple)
 
 from repro.core.builder import PartnerConflicts
-from repro.core.chain import chain_components, would_remain_chain_form
+from repro.core.chain import chain_components
 from repro.core.chain_opt import DOWN, UP, ChainPair, optimise_chain
 from repro.core.locks import Declaration
 from repro.core.schedulers.base import (Certificate, ControlSaver, Decision,
-                                        LockResponse, WTPGScheduler)
+                                        LockResponse, WTPGScheduler,
+                                        chain_form_rejection)
 from repro.core.transaction import TransactionRuntime
 from repro.errors import SchedulerError
 
@@ -53,9 +54,7 @@ class ChainScheduler(WTPGScheduler):
     def _admission_constraint(self, txn: TransactionRuntime,
                               partners: PartnerConflicts,
                               now: float) -> Optional[str]:
-        if not would_remain_chain_form(self.wtpg, txn.tid, partners):
-            return "WTPG would not be chain-form"
-        return None
+        return chain_form_rejection(self.wtpg, txn.tid, partners)
 
     def _after_admit(self, txn: TransactionRuntime, now: float) -> None:
         self._saver.invalidate()

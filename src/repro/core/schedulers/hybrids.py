@@ -15,9 +15,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.builder import PartnerConflicts
-from repro.core.chain import would_remain_chain_form
+from repro.core.schedulers.base import (chain_form_rejection,
+                                        k_conflict_rejection)
 from repro.core.schedulers.c2pl import CautiousTwoPhaseLock
-from repro.core.transaction import TransactionRuntime
+from repro.core.transaction import TransactionRuntime, TransactionSpec
 
 
 class ChainC2PL(CautiousTwoPhaseLock):
@@ -31,9 +32,7 @@ class ChainC2PL(CautiousTwoPhaseLock):
     def _admission_constraint(self, txn: TransactionRuntime,
                               partners: PartnerConflicts,
                               now: float) -> Optional[str]:
-        if not would_remain_chain_form(self.wtpg, txn.tid, partners):
-            return "WTPG would not be chain-form"
-        return None
+        return chain_form_rejection(self.wtpg, txn.tid, partners)
 
 
 class KConflictC2PL(CautiousTwoPhaseLock):
@@ -50,11 +49,6 @@ class KConflictC2PL(CautiousTwoPhaseLock):
         self.k = k
         self.k_count_mode = k_count_mode
 
-    def _admission_constraint(self, txn: TransactionRuntime,
-                              partners: PartnerConflicts,
-                              now: float) -> Optional[str]:
-        touched = set(txn.spec.partitions)
-        if self.table.k_conflict_violated(self.k, partitions=touched,
-                                          count=self.k_count_mode):
-            return f"K-conflict constraint (K={self.k}) violated"
-        return None
+    def _table_constraint(self, spec: TransactionSpec) -> Optional[str]:
+        return k_conflict_rejection(self.table, spec, self.k,
+                                    self.k_count_mode)

@@ -47,8 +47,8 @@ from repro.core import builder
 from repro.core.estimator import INFINITE_CONTENTION, ContentionBatch
 from repro.core.locks import Declaration
 from repro.core.schedulers.base import (ControlSaver, Decision, LockResponse,
-                                        WTPGScheduler)
-from repro.core.transaction import TransactionRuntime
+                                        WTPGScheduler, k_conflict_rejection)
+from repro.core.transaction import TransactionRuntime, TransactionSpec
 
 _EKey = Tuple[int, int, Tuple[Tuple[int, int], ...]]
 
@@ -70,8 +70,10 @@ class KWTPGScheduler(WTPGScheduler):
         self.admission_time = admission_time
         self.k_count_mode = k_count_mode
         self._saver = ControlSaver(keeptime)
-        # Cache of E values keyed by (tid, step_index, implied resolutions).
+        # Cache of E values keyed by (tid, step_index, implied resolutions),
+        # and the (tid, step_index) of its keys; both are cleared together.
         self._e_cache: Dict[_EKey, float] = {}
+        self._e_steps: Set[Tuple[int, int]] = set()
         # Deferral graph: tid -> rivals its last delay deferred to.
         self._deferred_to: Dict[int, Set[int]] = {}
 
@@ -80,14 +82,9 @@ class KWTPGScheduler(WTPGScheduler):
 
     # -- admission: the K-conflict constraint --------------------------------
 
-    def _admission_constraint(self, txn: TransactionRuntime,
-                              partners: builder.PartnerConflicts,
-                              now: float) -> Optional[str]:
-        touched = set(txn.spec.partitions)
-        if self.table.k_conflict_violated(self.k, partitions=touched,
-                                          count=self.k_count_mode):
-            return f"K-conflict constraint (K={self.k}) violated"
-        return None
+    def _table_constraint(self, spec: TransactionSpec) -> Optional[str]:
+        return k_conflict_rejection(self.table, spec, self.k,
+                                    self.k_count_mode)
 
     def _after_admit(self, txn: TransactionRuntime, now: float) -> None:
         self._invalidate()
@@ -106,6 +103,7 @@ class KWTPGScheduler(WTPGScheduler):
     def _invalidate(self) -> None:
         self._saver.invalidate()
         self._e_cache.clear()
+        self._e_steps.clear()
         self._deferred_to.clear()
 
     # -- the E-minimality grant rule -------------------------------------------
@@ -173,18 +171,24 @@ class KWTPGScheduler(WTPGScheduler):
         """
         if e_q > batch.floor:
             return False
-        if not any(pair is not None and not pair.resolved
-                   for pair in (self.wtpg.pair(predecessor, successor)
-                                for predecessor, successor in implied)):
+        wtpg = self.wtpg
+        for predecessor, successor in implied:
+            pair = wtpg.pair(predecessor, successor)
+            if pair is not None and not pair.resolved:
+                break
+        else:
             return False
-        if not all(decl.tid in self.wtpg for decl in earliest):
-            return False
+        for decl in earliest:
+            if decl.tid not in wtpg:
+                return False
         if self._saver.stale(now):
             return True  # every rival's lookup would miss
         # Conservative: an entry counts whatever implied set it is keyed on.
-        cached_steps = {(tid, step) for tid, step, _ in self._e_cache}
-        return not any((decl.tid, decl.step_index) in cached_steps
-                       for decl in earliest)
+        cached_steps = self._e_steps
+        for decl in earliest:
+            if (decl.tid, decl.step_index) in cached_steps:
+                return False
+        return True
 
     def _grant_uncontested(self, txn: TransactionRuntime,
                            now: float) -> LockResponse:
@@ -213,6 +217,7 @@ class KWTPGScheduler(WTPGScheduler):
             deadlocked = self.wtpg.has_precedence_cycle()
             if deadlocked:
                 self._e_cache[key] = INFINITE_CONTENTION
+                self._e_steps.add((txn.tid, txn.current_step))
         if deadlocked:
             return self._predicted_deadlock(cost)
         self._deferred_to.pop(txn.tid, None)
@@ -279,6 +284,7 @@ class KWTPGScheduler(WTPGScheduler):
         if not self._saver.stale(now):
             return self._e_cache.get(key)
         self._e_cache.clear()
+        self._e_steps.clear()
         self._saver.mark_computed(now)
         return None
 
@@ -292,6 +298,7 @@ class KWTPGScheduler(WTPGScheduler):
             return value, 0.0
         value = batch.estimate(tid, implied)
         self._e_cache[key] = value
+        self._e_steps.add((tid, step_index))
         self.stats.estimator_calls += 1
         return value, self.kwtpgtime
 

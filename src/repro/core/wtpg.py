@@ -40,28 +40,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
-                    Tuple)
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import WTPGError
 
-Pair = FrozenSet[int]
+
+def _self_pair(tid: int) -> WTPGError:
+    return WTPGError(f"a transaction cannot conflict with itself: T{tid}")
 
 
-def _pair(a: int, b: int) -> Pair:
-    if a == b:
-        raise WTPGError(f"a transaction cannot conflict with itself: T{a}")
-    return frozenset((a, b))
-
-
-@dataclass
+@dataclass(eq=False)
 class PairEdge:
     """The conflicting/precedence edge between one pair of transactions.
 
     ``weight_to(b)`` is ``w(a -> b)``: the objects ``b`` must still access
     after ``a`` commits before ``b`` itself can commit.  ``resolved_to`` is
     ``None`` while the pair is a conflicting-edge, otherwise the tid that
-    *follows* in the serialization order.
+    *follows* in the serialization order.  An edge is equal and hashes
+    only to itself, so a graph keys its edge indexes by the edge.
     """
 
     a: int
@@ -124,15 +120,18 @@ class WTPG:
     def __init__(self) -> None:
         self._source: Dict[int, float] = {}   # w(T0 -> Ti)
         self._sink: Dict[int, float] = {}     # w(Ti -> Tf), 0 in the paper
-        self._pairs: Dict[Pair, PairEdge] = {}
-        self._neighbors: Dict[int, Set[int]] = {}
+        # Every pair edge, in creation order (dict-as-ordered-set).
+        self._pairs: Dict[PairEdge, None] = {}
+        # tid -> neighbour -> the pair edge they share: a pair lookup is
+        # two dict reads, with no key to build.
+        self._neighbors: Dict[int, Dict[int, PairEdge]] = {}
         # Incrementally maintained precedence adjacency (resolved pairs
         # only) so successor/ancestor queries do not scan all pair edges.
         self._succ: Dict[int, Set[int]] = {}
         self._pred: Dict[int, Set[int]] = {}
-        # Ordered index of unresolved pairs (dict-as-ordered-set) so
-        # iteration stays deterministic, like scanning _pairs used to be.
-        self._unresolved: Dict[Pair, None] = {}
+        # The unresolved edges, in creation order, so iteration stays
+        # deterministic, like scanning _pairs used to be.
+        self._unresolved: Dict[PairEdge, None] = {}
         # Generation counters: ``_generation`` bumps on every observable
         # change (structure or weights) and is exposed for external cache
         # keys; ``_structure_gen`` bumps only when the precedence relation
@@ -200,7 +199,7 @@ class WTPG:
         self._structure_gen += 1
         self._source[tid] = source_weight
         self._sink[tid] = sink_weight
-        self._neighbors[tid] = set()
+        self._neighbors[tid] = {}
         self._succ[tid] = set()
         self._pred[tid] = set()
         # An isolated new node extends any valid topological order.
@@ -216,13 +215,12 @@ class WTPG:
         self._structure_gen += 1
         del self._source[tid]
         del self._sink[tid]
-        for other in self._neighbors.pop(tid):
-            self._neighbors[other].discard(tid)
+        for other, edge in self._neighbors.pop(tid).items():
+            del self._neighbors[other][tid]
             self._succ[other].discard(tid)
             self._pred[other].discard(tid)
-            key = _pair(tid, other)
-            self._unresolved.pop(key, None)
-            del self._pairs[key]
+            self._unresolved.pop(edge, None)
+            del self._pairs[edge]
         del self._succ[tid]
         del self._pred[tid]
         if self._known_cyclic is True:
@@ -268,27 +266,33 @@ class WTPG:
         """The pair edge for (a, b), created unresolved if absent."""
         self._require(a)
         self._require(b)
-        key = _pair(a, b)
-        edge = self._pairs.get(key)
+        edge = self._neighbors[a].get(b)
         if edge is None:
+            if a == b:
+                raise _self_pair(a)
             self._generation += 1
             lo, hi = min(a, b), max(a, b)
             edge = PairEdge(lo, hi)
             edge._on_weight_change = self._note_edge_weight
-            self._pairs[key] = edge
-            self._unresolved[key] = None
-            self._neighbors[a].add(b)
-            self._neighbors[b].add(a)
+            self._pairs[edge] = None
+            self._unresolved[edge] = None
+            self._neighbors[a][b] = edge
+            self._neighbors[b][a] = edge
         return edge
 
     def pair(self, a: int, b: int) -> Optional[PairEdge]:
-        return self._pairs.get(_pair(a, b))
+        """The pair edge of ``a`` and ``b``, or None; a self-pair raises."""
+        edges = self._neighbors.get(a)
+        edge = None if edges is None else edges.get(b)
+        if edge is None and a == b:
+            raise _self_pair(a)
+        return edge
 
     def pairs(self) -> Tuple[PairEdge, ...]:
-        return tuple(self._pairs.values())
+        return tuple(self._pairs)
 
     def unresolved_pairs(self) -> Tuple[PairEdge, ...]:
-        return tuple(self._pairs[key] for key in self._unresolved)
+        return tuple(self._unresolved)
 
     def conflict_neighbors(self, tid: int) -> Set[int]:
         """All transactions sharing a pair edge with ``tid`` (any state)."""
@@ -297,7 +301,7 @@ class WTPG:
 
     def orientation(self, a: int, b: int) -> Optional[Tuple[int, int]]:
         """``(pred, succ)`` if the pair is resolved, else None."""
-        edge = self._pairs.get(_pair(a, b))
+        edge = self.pair(a, b)
         if edge is None or not edge.resolved:
             return None
         return (edge.predecessor(), edge.resolved_to)  # type: ignore[arg-type]
@@ -309,8 +313,7 @@ class WTPG:
         flip an already resolved pair (callers must detect that case as a
         deadlock/inconsistency *before* resolving).
         """
-        key = _pair(predecessor, successor)
-        edge = self._pairs.get(key)
+        edge = self.pair(predecessor, successor)
         if edge is None:
             raise WTPGError(
                 f"no conflicting-edge between T{predecessor} and T{successor}")
@@ -324,7 +327,7 @@ class WTPG:
         edge.resolved_to = successor
         self._succ[predecessor].add(successor)
         self._pred[successor].add(predecessor)
-        self._unresolved.pop(key, None)
+        del self._unresolved[edge]
         if self._known_cyclic is False:
             self._pk_insert(predecessor, successor)
 
@@ -488,7 +491,7 @@ class WTPG:
     def _topological_order(self) -> Optional[List[int]]:
         """Full deterministic Kahn order (smallest-tid-first tie-break)."""
         indegree = {tid: 0 for tid in self._source}
-        for edge in self._pairs.values():
+        for edge in self._pairs:
             if edge.resolved:
                 indegree[edge.resolved_to] += 1  # type: ignore[index]
         heap = [tid for tid, deg in indegree.items() if deg == 0]
@@ -557,8 +560,9 @@ class WTPG:
 
     def _dist_of(self, tid: int, dist: Dict[int, float]) -> float:
         best = self._source[tid]
+        edges = self._neighbors[tid]
         for pred in self._pred[tid]:
-            cand = dist[pred] + self._pairs[_pair(tid, pred)].weight_to(tid)
+            cand = dist[pred] + edges[pred].weight_to(tid)
             if cand > best:
                 best = cand
         return best
@@ -580,7 +584,7 @@ class WTPG:
         for tid in order:
             best, best_pred = self._source[tid], None
             for pred in self.predecessors(tid):
-                edge = self._pairs[_pair(tid, pred)]
+                edge = self._neighbors[tid][pred]
                 candidate = dist[pred] + edge.weight_to(tid)
                 if candidate > best:
                     best, best_pred = candidate, pred
@@ -602,15 +606,18 @@ class WTPG:
         clone = WTPG()
         clone._source = dict(self._source)
         clone._sink = dict(self._sink)
-        clone._neighbors = {tid: set(nbrs) for tid, nbrs in self._neighbors.items()}
         clone._succ = {tid: set(s) for tid, s in self._succ.items()}
         clone._pred = {tid: set(p) for tid, p in self._pred.items()}
-        clone._pairs = {}
-        for key, e in self._pairs.items():
+        # The clone's indexes hold its own edges, never the original's.
+        clone._neighbors = {tid: {} for tid in self._neighbors}
+        for e in self._pairs:
             edge = PairEdge(e.a, e.b, e.weight_ab, e.weight_ba, e.resolved_to)
             edge._on_weight_change = clone._note_edge_weight
-            clone._pairs[key] = edge
-        clone._unresolved = dict(self._unresolved)
+            clone._pairs[edge] = None
+            clone._neighbors[e.a][e.b] = edge
+            clone._neighbors[e.b][e.a] = edge
+            if e.resolved_to is None:
+                clone._unresolved[edge] = None
         return clone
 
     # -- cache validation (paranoia mode) -----------------------------------------
@@ -642,17 +649,14 @@ class WTPG:
                 if pos != {tid: i for i, tid in enumerate(order)}:
                     problems.append("cached topo positions out of sync")
                 else:
-                    for edge in self._pairs.values():
+                    for edge in self._pairs:
                         if edge.resolved:
                             succ = edge.resolved_to
                             pred = edge.predecessor()
                             if pos[pred] >= pos[succ]:
                                 problems.append(
                                     f"cached order violates T{pred}->T{succ}")
-        expected_unresolved = {key for key, e in self._pairs.items()
-                               if not e.resolved}
-        if set(self._unresolved) != expected_unresolved:
-            problems.append("unresolved-pair index out of sync")
+        problems.extend(self._index_violations())
         if self._closure_gen == self._structure_gen:
             for tid, cached in self._anc_cache.items():
                 if tid in self._source and cached != self._closure(
@@ -671,6 +675,33 @@ class WTPG:
                 problems.append("stale critical-path dist cache")
         return problems
 
+    def _index_violations(self) -> List[str]:
+        """The pair-edge indexes against ``_pairs``: ``_neighbors`` is
+        symmetric over the node set and holds exactly the edges of
+        ``_pairs``, each under its own two ends; ``_unresolved`` holds
+        exactly the unresolved ones."""
+        problems: List[str] = []
+        neighbors = self._neighbors
+        if set(neighbors) != set(self._source):
+            problems.append("neighbour index does not cover the node set")
+        indexed: Set[PairEdge] = set()
+        for tid, edges in neighbors.items():
+            for other, edge in edges.items():
+                indexed.add(edge)
+                if neighbors.get(other, {}).get(tid) is not edge:
+                    problems.append(
+                        f"neighbour index not symmetric for T{tid},T{other}")
+                if {edge.a, edge.b} != {tid, other}:
+                    problems.append(
+                        f"neighbour index files ({edge.a},{edge.b}) under "
+                        f"T{tid},T{other}")
+        if indexed != set(self._pairs):
+            problems.append("neighbour index holds other edges than _pairs")
+        if set(self._unresolved) != {edge for edge in self._pairs
+                                     if not edge.resolved}:
+            problems.append("unresolved-pair index out of sync")
+        return problems
+
     @property
     def structure_generation(self) -> int:
         """Bumped only when the precedence relation changes: a node is
@@ -679,7 +710,7 @@ class WTPG:
 
     def __repr__(self) -> str:
         pairs: List[str] = []
-        for edge in self._pairs.values():
+        for edge in self._pairs:
             if edge.resolved:
                 pred = edge.predecessor()
                 succ = edge.resolved_to

@@ -79,7 +79,7 @@ RL007_FAMILIES: Dict[str, Tuple[CacheFamily, ...]] = {
     ),
     "repro/core/schedulers/kwtpg_scheduler.py": (
         CacheFamily("e-cache",
-                    fields=frozenset({"_e_cache"}),
+                    fields=frozenset({"_e_cache", "_e_steps"}),
                     guard_fields=frozenset(),
                     guard_calls=frozenset({"stale", "_invalidate"})),
     ),

@@ -224,14 +224,13 @@ RL003_ATTR_ALLOWLIST: Dict[str, FrozenSet[str]] = {
         "_pred",
         "_source",    # node weights for the affected-suffix dist DP
         "_sink",
-        "_pairs",     # edge weights for the dist DP
+        "_neighbors",  # per-node pair edges: edge weights for the dist DP
+        "_unresolved",  # the unresolved edges, walked in place in Step 2
     }),
 }
 
 #: Private names importable from repro.core.wtpg, per friend module.
-RL003_IMPORT_ALLOWLIST: Dict[str, FrozenSet[str]] = {
-    "repro/core/estimator.py": frozenset({"_pair"}),
-}
+RL003_IMPORT_ALLOWLIST: Dict[str, FrozenSet[str]] = {}
 
 #: The graph-defining containers of WTPG.  Anything else (``_cp_dist``,
 #: ``_topo_order``, the closure caches…) is *derived* state guarded by

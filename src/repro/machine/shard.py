@@ -176,8 +176,12 @@ class ControlShard:
             raise ValueError(f"negative CPU charge: {cost!r}")
         now = self.env.now
         ends = self._ends
-        if ends and ends[0] < now:  # a head ending now may fold later
-            self._settle(now)
+        # _settle's fold, inlined: the CPU's earlier charges have
+        # usually ended by the next one.
+        while ends and ends[0] <= now:
+            end = ends.popleft()
+            self._busy += end - self._busy_from
+            self._busy_from = end
         if ends:
             start = ends[-1]
         else:

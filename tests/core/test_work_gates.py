@@ -9,9 +9,10 @@ Counts, not timings, so they hold on any host:
 * a contested request whose ``E(q)`` is at the critical-path floor is
   granted without evaluating its rivals: on the hot set a contested
   decision evaluates about one E, not one per candidate;
-* admission asks :meth:`LockTable.conflicting_transactions` once per
-  transaction sharing one of the newcomer's partitions, and never of the
-  rest of the active set;
+* an admitted BAT asks :meth:`LockTable.conflicting_transactions` once
+  per transaction sharing one of its partitions, and never of the rest
+  of the active set; a rejected one asks nothing and registers nothing,
+  because admission decides before it registers;
 * a control-node CPU charge resumes the coordinator once (at its end),
   not also at the grant: on a light-load bulk scan a BAT makes five
   charges, and the engine resumes about 13 generators per commit;
@@ -163,21 +164,48 @@ def test_admission_asks_only_partition_sharers():
                    if decl.partition in partitions}
         before = asked["calls"]
         response = admit(self, txn, now)
-        assert asked["calls"] - before == len(sharers), (
-            f"T{txn.tid}: {asked['calls'] - before} conflict queries for "
+        # A rejected BAT is judged before any partner query.
+        expected = len(sharers) if response.admitted else 0
+        assert asked["calls"] - before == expected, (
+            f"T{txn.tid} (admitted: {response.admitted}): "
+            f"{asked['calls'] - before} conflict queries for "
             f"{len(sharers)} partition sharers")
         asked["sharers"] += len(sharers)
         asked["active"] += active
         asked["admissions"] += 1
+        asked["rejections"] += not response.admitted
         return response
 
     with mock.patch.object(LockTable, "conflicting_transactions",
                            counted_conflicts), \
             mock.patch.object(KWTPGScheduler, "admit", counted_admit):
         cluster.run()
-    assert asked["admissions"] > 100
+    assert asked["admissions"] > 100 and asked["rejections"] > 20, dict(asked)
     # The index bites: fewer queries than active transactions seen.
     assert asked["sharers"] < asked["active"], dict(asked)
+
+
+#: ``LockTable.register`` calls per commit on :func:`hotset_run`: 1.34
+#: when admission decides before it registers (39 registrations, 29
+#: commits, the rest still running at the cutoff), 4.00 when every
+#: admission test registered the BAT and unregistered a rejected one.
+MAX_REGISTERS_PER_COMMIT = 1.5
+
+
+def test_rejected_admissions_register_nothing():
+    counts = Counter()
+    register = LockTable.register
+
+    def counted(self, *args):
+        counts["register"] += 1
+        return register(self, *args)
+
+    with mock.patch.object(LockTable, "register", counted):
+        result = hotset_run().run()
+    commits = result.metrics.commits
+    assert commits > 20 and result.scheduler.stats.admission_rejects > commits
+    assert counts["register"] / commits <= MAX_REGISTERS_PER_COMMIT, (
+        dict(counts), commits)
 
 
 #: Generator resumes per commit on :func:`scan_window_run`: 13.16 with

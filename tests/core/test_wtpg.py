@@ -98,6 +98,10 @@ class TestPairEdges:
         g.add_transaction(1, 1)
         with pytest.raises(WTPGError):
             g.ensure_pair(1, 1)
+        # Every pair lookup refuses a self-pair, not only creation.
+        for lookup in (g.pair, g.orientation, g.resolve):
+            with pytest.raises(WTPGError, match="cannot conflict with itself"):
+                lookup(1, 1)
 
     def test_weights_take_max(self):
         g = figure2_wtpg()
@@ -273,8 +277,61 @@ class TestCopy:
         assert clone.pair(1, 2).weight_to(2) == 1
         assert clone.critical_path_length() == g.critical_path_length()
 
+    def test_resolving_in_a_copy_leaves_the_original_unresolved(self):
+        g = figure2_wtpg()
+        unresolved = [(e.a, e.b) for e in g.unresolved_pairs()]
+        clone = g.copy()
+        clone.resolve(1, 2)
+        clone.resolve(3, 2)
+        assert [(e.a, e.b) for e in g.unresolved_pairs()] == unresolved
+        assert clone.unresolved_pairs() == ()
+        # The clone indexes its own edges, none of the original's.
+        assert not set(clone.pairs()) & set(g.pairs())
+        assert g.cache_violations() == [] and clone.cache_violations() == []
+
     def test_repr_smoke(self):
         g = figure2_wtpg()
         g.resolve(1, 2)
         text = repr(g)
         assert "T1->T2" in text and "(T2,T3)" in text
+
+
+class TestIndexIntegrity:
+    """``cache_violations`` checks the pair-edge indexes against
+    ``_pairs``, the graph's list of its edges."""
+
+    def test_healthy_graph_reports_nothing(self):
+        g = figure2_wtpg()
+        g.resolve(1, 2)
+        assert g.cache_violations() == []
+
+    def test_one_sided_neighbour_entry(self):
+        g = figure2_wtpg()
+        del g._neighbors[3][2]
+        assert "neighbour index not symmetric for T2,T3" in (
+            g.cache_violations())
+
+    def test_neighbour_entry_holding_a_foreign_edge(self):
+        g = figure2_wtpg()
+        stranger = figure2_wtpg().pair(1, 2)
+        g._neighbors[1][2] = g._neighbors[2][1] = stranger
+        assert "neighbour index holds other edges than _pairs" in (
+            g.cache_violations())
+
+    def test_edge_filed_under_the_wrong_ends(self):
+        g = figure2_wtpg()
+        g._neighbors[1][2] = g._neighbors[2][1] = g.pair(2, 3)
+        assert "neighbour index files (2,3) under T1,T2" in (
+            g.cache_violations())
+
+    def test_unresolved_index_missing_an_edge(self):
+        g = figure2_wtpg()
+        del g._unresolved[g.pair(2, 3)]
+        assert "unresolved-pair index out of sync" in g.cache_violations()
+
+    def test_unresolved_index_keeping_a_resolved_edge(self):
+        g = figure2_wtpg()
+        edge = g.pair(1, 2)
+        g.resolve(1, 2)
+        g._unresolved[edge] = None
+        assert "unresolved-pair index out of sync" in g.cache_violations()

@@ -347,7 +347,7 @@ def test_rl010_real_wtpg_is_clean_and_copy_stays_silent():
               if isinstance(node, ast.FunctionDef) and node.name == "copy"]
     writes = [write for stmt in ast.walk(copy) if isinstance(stmt, ast.stmt)
               for write in watched_mutations(stmt)]
-    assert len(writes) == 8
+    assert len(writes) == 9
     assert not any(write.on_self for write in writes)
 
 
@@ -362,20 +362,21 @@ def test_rl010_real_wtpg_with_generation_bumps_stripped_matches_rl002():
                       WTPG_SOURCE, flags=re.MULTILINE)
     assert stripped != WTPG_SOURCE
     assert wtpg_findings(stripped) == [
-        (253, 12), (262, 12), (278, 12), (279, 12), (280, 12), (281, 12)]
+        (251, 12), (260, 12), (277, 12), (278, 12), (279, 12), (280, 12)]
 
 
 def test_rl010_real_wtpg_with_all_bumps_stripped():
-    """Every write site of the mutators, including the ``for other in
-    self._neighbors.pop(tid)`` header of ``remove_transaction`` (219, 21)."""
+    """Every write site of the mutators, including the ``for other, edge
+    in self._neighbors.pop(tid).items()`` header of
+    ``remove_transaction`` (218, 27)."""
     stripped = WTPG_SOURCE.replace("self._generation += 1", "pass").replace(
         "self._structure_gen += 1", "pass")
     assert wtpg_findings(stripped) == [
-        (201, 8), (202, 8), (203, 8), (204, 8), (205, 8),
-        (217, 8), (218, 8), (219, 21), (220, 12), (221, 12), (222, 12),
-        (224, 12), (225, 12), (226, 8), (227, 8), (253, 12), (262, 12),
-        (278, 12), (279, 12), (280, 12), (281, 12), (325, 8), (326, 8),
-        (327, 8)]
+        (200, 8), (201, 8), (202, 8), (203, 8), (204, 8),
+        (216, 8), (217, 8), (218, 27), (219, 12), (220, 12), (221, 12),
+        (222, 12), (223, 12), (224, 8), (225, 8), (251, 12), (260, 12),
+        (277, 12), (278, 12), (279, 12), (280, 12), (328, 8), (329, 8),
+        (330, 8)]
 
 
 # -- RL011 fixtures, answered by RL001 -----------------------------------------

@@ -250,18 +250,23 @@ def test_rl003_silent_on_public_api():
 
 def test_rl003_estimator_allowlist():
     allowed = """\
-        from repro.core.wtpg import WTPG, _pair
+        from repro.core.wtpg import WTPG, PairEdge
 
         def read(wtpg):
-            return wtpg._cp_dist, wtpg._succ, wtpg._pred
+            return (wtpg._cp_dist, wtpg._succ, wtpg._pred, wtpg._neighbors,
+                    wtpg._unresolved)
     """
     assert lint(allowed, "repro/core/estimator.py") == []
-    # The allowlist is attribute-exact: anything beyond it still fires.
+    # The allowlist is attribute-exact: anything beyond it still fires,
+    # and no private name may be imported.
     beyond = """\
+        from repro.core.wtpg import _pair
+
         def read(wtpg):
-            return wtpg._unresolved
+            return wtpg._pairs
     """
-    assert rule_ids(lint(beyond, "repro/core/estimator.py")) == ["RL003"]
+    assert rule_ids(lint(beyond, "repro/core/estimator.py")) == [
+        "RL003", "RL003"]
 
 
 def test_rl003_estimator_allowlist_is_read_only():
@@ -271,7 +276,7 @@ def test_rl003_estimator_allowlist_is_read_only():
         def poke(wtpg, a, b):
             wtpg._succ[a].add(b)
             wtpg._source[a] = 0.0
-            del wtpg._pairs[a]
+            del wtpg._neighbors[a]
     """
     violations = lint(source, "repro/core/estimator.py")
     assert [(v.rule_id, v.line, v.col) for v in violations] == [

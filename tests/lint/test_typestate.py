@@ -439,11 +439,17 @@ def _without_suppressions(path):
 
 
 def test_rl006_teeth_on_real_scheduler_admit():
+    """Admission registers only an admitted BAT.  Moved above the
+    partner-map constraint, the registration is held on that
+    constraint's reject path, which has nothing to unregister."""
     path = REPO / "src/repro/core/schedulers/base.py"
     source = path.read_text(encoding="utf-8")
-    broken = re.sub(r"\n\s*self\.table\.unregister\(spec\.tid\)", "",
-                    source, count=1)
-    assert broken != source, "Scheduler._admit's reject path changed shape"
+    register = re.compile(r"\n( *)table\.register\(spec, own\)")
+    declare = "own = table.declare(spec)"
+    assert len(register.findall(source)) == 1 and declare in source, (
+        "WTPGScheduler._admit changed shape")
+    broken = register.sub("", source).replace(
+        declare, declare + "\n            table.register(spec, own)")
     violations = LintRunner().check_source(
         broken, display="<broken scheduler base>",
         logical="repro/core/schedulers/base.py")
@@ -451,11 +457,15 @@ def test_rl006_teeth_on_real_scheduler_admit():
     # The reject path now returns with the declaration still registered;
     # the accept path hands it to the WTPG, so the name is judged.
     register_line = next(
-        number for number, line in enumerate(source.splitlines(), 1)
-        if "self.table.register(spec)" in line)
+        number for number, line in enumerate(broken.splitlines(), 1)
+        if "table.register(spec, own)" in line)
     assert [v.line for v in rl006] == [register_line]
     assert "register()" in rl006[0].message
     assert "_admit" in rl006[0].message
+    # As committed, nothing is registered before the verdict.
+    assert of_rule(LintRunner().check_source(
+        source, display=str(path),
+        logical="repro/core/schedulers/base.py"), "RL006") == []
 
 
 def test_rl013_teeth_on_real_control_plane():
