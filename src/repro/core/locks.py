@@ -181,14 +181,16 @@ class LockTable:
             decl for decl in self._by_txn.get(tid, ())
             if (tid, decl.step_index) in self._granted.get(decl.partition, {}))
 
-    def conflict_count(self, decl: Declaration,
-                       count: str = "declarations") -> int:
-        """Number of conflicts with other pending declarations.
+    def k_conflict_violated(self, k: int, newcomer: TransactionSpec,
+                            count: str = "declarations") -> bool:
+        """The K-conflict constraint (Section 3.3) on an unregistered BAT.
 
-        This is ``|C(q)|`` for the declaration viewed as a future request —
-        the quantity bounded by K in the K-conflict constraint
-        (Section 3.3: "each lock-declaration may conflict with K
-        lock-declarations at most").
+        True if, with ``newcomer``'s declarations entered, some pending
+        declaration would conflict with more than ``k`` others ("each
+        lock-declaration may conflict with K lock-declarations at
+        most").  Only the newcomer's partitions can change a count, so
+        only those are judged, each from one tally of its pending
+        declarations by owner and mode.
 
         ``count="declarations"`` (the paper's literal wording) counts
         conflicting declarations individually; ``count="transactions"``
@@ -198,63 +200,23 @@ class LockTable:
         one).  EXPERIMENTS.md discusses how the choice affects the
         Experiment 4 hybrid lower bounds.
         """
-        if count == "declarations":
-            return sum(
-                1 for (owner, _), other
-                in self._pending.get(decl.partition, {}).items()
-                if owner != decl.tid and other.mode.conflicts_with(decl.mode))
-        if count == "transactions":
-            owners: Set[int] = {
-                owner for (owner, _), other
-                in self._pending.get(decl.partition, {}).items()
-                if owner != decl.tid and other.mode.conflicts_with(decl.mode)}
-            return len(owners)
-        raise LockTableError(f"unknown conflict count mode {count!r}")
-
-    def k_conflict_violated(self, k: int,
-                            partitions: Optional[Iterable[int]] = None,
-                            count: str = "declarations",
-                            newcomer: Optional[TransactionSpec] = None,
-                            ) -> bool:
-        """True if any pending declaration conflicts with more than ``k``.
-
-        ``partitions`` restricts the scan (only partitions touched by a
-        newly registered transaction can change counts).  Each partition
-        is judged from one tally of its pending declarations by owner and
-        mode, so the scan is linear in the partition's backlog; the
-        verdict equals asking :meth:`conflict_count` of every declaration.
-
-        ``newcomer`` is an unregistered transaction judged as if it were
-        registered: its steps join each tally of its own partitions, and
-        the scan covers only those (``partitions`` must then be None).
-        The verdict equals registering it and scanning its partitions.
-        """
         if count not in ("declarations", "transactions"):
             raise LockTableError(f"unknown conflict count mode {count!r}")
         pending = self._pending
-        if newcomer is not None:
-            if partitions is not None:
-                raise LockTableError(
-                    "a newcomer's scan covers its own partitions")
-            # The newcomer's modes on each partition others declare; a
-            # partition only it declares has no conflict to count.
-            mine: Dict[int, List[LockMode]] = {}
-            for step in newcomer.steps:
-                if pending.get(step.partition):
-                    modes = mine.get(step.partition)
-                    if modes is None:
-                        mine[step.partition] = [step.mode]
-                    else:
-                        modes.append(step.mode)
-            tid = newcomer.tid
-            for partition, modes in mine.items():
-                if _partition_conflict_peak(pending[partition], count,
-                                            tid, modes) > k:
-                    return True
-            return False
-        for partition in pending if partitions is None else partitions:
-            entries = pending.get(partition)
-            if entries and _partition_conflict_peak(entries, count) > k:
+        # The newcomer's modes on each partition others declare; a
+        # partition only it declares has no conflict to count.
+        mine: Dict[int, List[LockMode]] = {}
+        for step in newcomer.steps:
+            if pending.get(step.partition):
+                modes = mine.get(step.partition)
+                if modes is None:
+                    mine[step.partition] = [step.mode]
+                else:
+                    modes.append(step.mode)
+        tid = newcomer.tid
+        for partition, modes in mine.items():
+            if _partition_conflict_peak(pending[partition], count,
+                                        tid, modes) > k:
                 return True
         return False
 
@@ -320,10 +282,10 @@ class LockTable:
 
 
 def _partition_conflict_peak(entries: Dict[Tuple[int, int], Declaration],
-                             count: str, newcomer: int = -1,
-                             modes: Sequence[LockMode] = ()) -> int:
-    """The largest :meth:`LockTable.conflict_count` among one partition's
-    pending declarations, in one pass over them.
+                             count: str, newcomer: int,
+                             modes: Sequence[LockMode]) -> int:
+    """The largest conflict count among one partition's pending
+    declarations and the newcomer's, in one pass over them.
 
     An exclusive declaration conflicts with every other owner's
     declaration, a shared one only with the other owners' exclusive
@@ -346,8 +308,7 @@ def _partition_conflict_peak(entries: Dict[Tuple[int, int], Declaration],
             owners.add(owner)
             if decl.mode is LockMode.EXCLUSIVE:
                 writer = True
-        if modes:
-            owners.add(newcomer)
+        owners.add(newcomer)
         # Every owner but the writer itself; a shared-only owner counts
         # the writers, who are never more than that.
         return len(owners) - 1 if writer else 0
@@ -359,10 +320,9 @@ def _partition_conflict_peak(entries: Dict[Tuple[int, int], Declaration],
         if decl.mode is LockMode.EXCLUSIVE:
             exclusive += 1
             writers.add(owner)
-    if modes:
-        sizes[newcomer] = len(modes)
-        if exclusive_mine:
-            writers.add(newcomer)
+    sizes[newcomer] = len(modes)
+    if exclusive_mine:
+        writers.add(newcomer)
     total = len(entries) + len(modes)
     peak = exclusive if len(writers) < len(sizes) else 0
     for owner in writers:

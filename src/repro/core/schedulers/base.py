@@ -19,6 +19,11 @@ Lifecycle, as driven by the control plane (:mod:`repro.machine.shard`):
 3. per processed object: ``object_processed(txn)`` — the weight-adjustment
    message that decrements ``w(T0 -> Ti)``.
 4. ``commit(txn, now)`` — release all locks, drop the WTPG node.
+
+``admit``, ``request_lock`` and ``commit`` check the runtime's
+:class:`~repro.core.transaction.Phase` and move it, so a coordinator
+that breaks the lifecycle raises :class:`~repro.errors.LifecycleError`
+whichever scheduler it drives.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 from repro.core import builder
 from repro.core.chain import would_remain_chain_form
 from repro.core.locks import Declaration, LockTable
-from repro.core.transaction import TransactionRuntime, TransactionSpec
+from repro.core.transaction import (ACTIVE, COMMITTED, PENDING, REJECTED,
+                                    TransactionRuntime, TransactionSpec,
+                                    illegal_move)
 from repro.core.wtpg import WTPG
 from repro.errors import SchedulerError
 from repro.records import record
@@ -99,8 +106,8 @@ def k_conflict_rejection(table: LockTable, spec: TransactionSpec, k: int,
 
     Rejects ``spec`` if, with its declarations entered, any pending
     declaration would conflict with more than ``k`` others; ``count``
-    is the :meth:`LockTable.conflict_count` mode.  K-WTPG and K2-C2PL
-    both admit by it.
+    is the :meth:`LockTable.k_conflict_violated` counting mode.  K-WTPG
+    and K2-C2PL both admit by it.
     """
     if table.k_conflict_violated(k, count=count, newcomer=spec):
         return f"K-conflict constraint (K={k}) violated"
@@ -175,7 +182,10 @@ class Scheduler:
     # -- lifecycle (public API) --------------------------------------------
 
     def admit(self, txn: TransactionRuntime, now: float = 0.0) -> AdmissionResponse:
+        if txn.phase is not PENDING:
+            raise illegal_move(txn, "admit")
         response = self._admit(txn, now)
+        txn.phase = ACTIVE if response.admitted else REJECTED
         self.stats.admissions += 1
         self.stats.control_cpu += response.cpu_cost
         if not response.admitted:
@@ -184,6 +194,8 @@ class Scheduler:
 
     def request_lock(self, txn: TransactionRuntime,
                      now: float = 0.0) -> LockResponse:
+        if txn.phase is not ACTIVE:
+            raise illegal_move(txn, "lock request")
         response = self._request_lock(txn, now)
         self.stats.control_cpu += response.cpu_cost
         if response.decision is Decision.GRANT:
@@ -216,7 +228,9 @@ class Scheduler:
         aborted under them.  Returns the tids of the victim's direct
         precedence successors (transactions already ordered *after* it),
         which the machine uses for cascade-abort accounting; schedulers
-        without a precedence graph return ``()``.
+        without a precedence graph return ``()``.  Five schedulers override
+        this method, so its one caller, the control plane, ends the
+        runtime's phase (``txn.mark_aborted()``) before calling it.
 
         Does not touch :attr:`stats` — abort accounting lives in the
         metrics layer, keyed by cause.
@@ -248,7 +262,10 @@ class Scheduler:
             self.object_processed(txn, 1.0)
 
     def commit(self, txn: TransactionRuntime, now: float = 0.0) -> None:
+        if txn.phase is not ACTIVE:
+            raise illegal_move(txn, "commit")
         self._commit(txn, now)
+        txn.phase = COMMITTED
         self.stats.commits += 1
 
     # -- hooks ----------------------------------------------------------------

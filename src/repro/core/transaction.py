@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import WorkloadError
+from repro.errors import LifecycleError, WorkloadError
 from repro.records import record
 
 
@@ -158,6 +158,39 @@ class TransactionSpec:
         return f"T{self.tid}: {body}"
 
 
+class Phase(enum.Enum):
+    """Where a :class:`TransactionRuntime` is in the §3 lifecycle.
+
+    ``Scheduler.admit`` takes PENDING to ACTIVE or REJECTED;
+    ``request_lock`` and ``commit`` need ACTIVE, and ``commit`` leaves
+    COMMITTED; :meth:`TransactionRuntime.mark_aborted`, which the control
+    plane calls before a scheduler's ``abort_transaction``, takes ACTIVE
+    to ABORTED; ``reset_for_retry`` takes any phase but ACTIVE and
+    COMMITTED back to PENDING.  Any other move raises
+    :class:`LifecycleError`.
+    """
+
+    PENDING = "pending"
+    REJECTED = "rejected"
+    ACTIVE = "active"
+    COMMITTED = "committed"
+    ABORTED = "aborted"
+
+
+# Module aliases: the checks run per lock request, and a global name is
+# much cheaper to read than an enum class attribute.
+PENDING = Phase.PENDING
+REJECTED = Phase.REJECTED
+ACTIVE = Phase.ACTIVE
+COMMITTED = Phase.COMMITTED
+ABORTED = Phase.ABORTED
+
+
+def illegal_move(txn: "TransactionRuntime", move: str) -> LifecycleError:
+    """The error for ``move`` attempted on ``txn`` in its current phase."""
+    return LifecycleError(f"T{txn.tid}: {move} while {txn.phase.value}")
+
+
 @dataclass
 class TransactionRuntime:
     """Mutable execution state of a transaction instance.
@@ -165,7 +198,8 @@ class TransactionRuntime:
     ``remaining_declared`` starts at ``due(s_0)`` and is decremented by one
     per processed object (clamped at zero — an erroneous under-declaration
     must not push a WTPG weight negative).  This mirrors the paper's
-    per-object adjustment messages to the control node.
+    per-object adjustment messages to the control node.  ``phase`` is
+    its place in the lifecycle (:class:`Phase`).
     """
 
     spec: TransactionSpec
@@ -177,6 +211,7 @@ class TransactionRuntime:
     commit_time: Optional[float] = None
     objects_done: float = 0.0      # bulk work of the current attempt
     wasted_objects: float = 0.0    # work thrown away by aborts (2PL)
+    phase: Phase = field(default=PENDING, init=False, compare=False)
     # The spec's tid, copied once: the hot path reads it many times per BAT.
     tid: int = field(init=False, compare=False, repr=False)
 
@@ -235,8 +270,21 @@ class TransactionRuntime:
             raise WorkloadError(f"T{self.tid} has no further steps to advance")
         self.current_step += 1
 
+    def mark_aborted(self) -> None:
+        """End an active attempt as aborted; a second abort raises."""
+        if self.phase is not ACTIVE:
+            raise illegal_move(self, "abort")
+        self.phase = ABORTED
+
     def reset_for_retry(self) -> None:
-        """Reset progress after an admission abort or deadlock restart."""
+        """Reset progress after an admission abort or deadlock restart.
+
+        Legal unless the attempt is still active or has committed; a
+        rejected admission may reset the coordinator's own runtime, which
+        no scheduler admitted (a never-started attempt)."""
+        if self.phase is ACTIVE or self.phase is COMMITTED:
+            raise illegal_move(self, "restart")
+        self.phase = PENDING
         self.current_step = 0
         self.remaining_declared = self.spec.declared_total
         self.wasted_objects += self.objects_done

@@ -403,7 +403,7 @@ class Environment:
             inert.affect = affect
             inert._live = order
         event._ok = True
-        event._value = value  # repro-lint: disable=RL014 -- heap fast path: the timeout is born triggered (like Timeout.__init__) on a fresh, unshared event, so the succeed()/fail() single-trigger guard is not bypassable by anyone else
+        event._value = value
         entry = (when, self._now if sort_time is None else sort_time,
                  0 if sort_rank is None else sort_rank, order, event)
         if affect is None:

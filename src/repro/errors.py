@@ -38,6 +38,16 @@ class WTPGError(SchedulerError):
     """The weighted transaction precedence graph is inconsistent."""
 
 
+class LifecycleError(SchedulerError):
+    """A BAT runtime was driven through a move its phase does not allow.
+
+    The §3 lifecycle: admit only a pending runtime; request locks for and
+    commit only an active one; abort an active one once; restart one
+    that was rejected, aborted or never started.  See
+    :class:`repro.core.transaction.Phase`.
+    """
+
+
 class NotChainFormError(WTPGError):
     """A WTPG expected to be chain-form (Definition 2 of the paper) is not."""
 

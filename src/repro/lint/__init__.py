@@ -5,21 +5,24 @@ linter cannot know: all randomness flows through
 :mod:`repro.engine.rng`, every mutation of the WTPG's derived-state
 containers bumps a generation counter (runtime invariant 7 of
 :mod:`repro.core.invariants`), the estimator is the *only* friend module
-allowed inside :class:`~repro.core.wtpg.WTPG`'s private state, and
-critical-path floats are never compared with ``==`` in scheduler code.
+allowed inside :class:`~repro.core.wtpg.WTPG`'s private state, only
+:mod:`repro.engine.core` triggers an engine event, and critical-path
+floats are never compared with ``==`` in scheduler code.
 This package turns those conventions into machine-checked rules so a
 regression is caught at lint time instead of as a silently wrong
 schedule.  Single-pass AST matchers handle the per-node contracts,
-including the WTPG's bump-before-write barrier (RL003); the *path*
+including the WTPG's bump-before-write barrier and the engine Event
+write barrier (RL003); the *path*
 contract RL007 runs on an intraprocedural CFG (:mod:`repro.lint.cfg`)
 with a worklist fixpoint solver (:mod:`repro.lint.dataflow`); the
 *interprocedural* contracts (RL009 and RL012: yield-point atomicity)
 additionally consult a whole-program call graph
 (:mod:`repro.lint.callgraph`) and may-yield function summaries
 (:mod:`repro.lint.summaries`), so a yield point hidden behind a helper
-call is still seen; the
-*lifecycle* contracts (RL006, RL013, RL014) are three committed
-protocols run by one typestate evaluator (:mod:`repro.lint.typestate`).
+call is still seen.  Lifecycles are checked at run time instead: a
+BAT's by its :class:`~repro.core.transaction.Phase`, the lock table's
+against the WTPG by invariant 1 of :mod:`repro.core.invariants`, and an
+engine event's by the single-trigger guard of ``succeed()``/``fail()``.
 
 Usage::
 
@@ -28,7 +31,7 @@ Usage::
     repro-lint --sarif report.sarif src/              # SARIF 2.1.0
     repro-lint --select RL009,RL012 src/              # or --ignore RLxxx
     repro-lint --list-rules                           # rule catalogue
-    repro-lint --explain RL013                        # rule + state machine
+    repro-lint --explain RL009                        # one catalogue entry
 
 Rules (see ``docs/lint.md`` for the full catalogue and rationale):
 
@@ -42,14 +45,12 @@ RL003     encapsulation and cache coherence (static invariant 7): no
           ``wtpg._*`` access outside core/wtpg.py (read-only allowlist
           for the estimator overlay) and no write to a watched WTPG
           container there; in core/wtpg.py every such write follows a
-          generation bump, and nothing yields or imports engine/machine
+          generation bump, and nothing yields or imports engine/machine;
+          no ``._value``/``._defused`` write outside engine/core.py
 RL004     float equality: no ``==``/``!=`` on critical-path/weight floats
           in core/schedulers/ (the infinity sentinel is exempt)
 RL005     exception hygiene: no blind ``except Exception: pass`` swallows
           (other bare excepts are ruff ``E722``)
-RL006     lock lifecycle (typestate): a declaration (register) or grant
-          (request) released on some paths must be released on every
-          path to a function exit
 RL007     guarded caches: memoized fields are read only behind their
           generation-guard check (the static face of invariant 7's reads)
 RL009     stale snapshot: a machine/ local holding shared simulation
@@ -57,10 +58,6 @@ RL009     stale snapshot: a machine/ local holding shared simulation
           may-yield callee) without re-reading or a generation guard
 RL012     synchronous schedulers: nothing in core/schedulers/ yields or
           (transitively) calls a function that may yield
-RL013     BAT lifecycle (typestate): no commit after doom/abort, no
-          double abort, grants only to waiting transactions
-RL014     engine Event lifecycle (typestate): trigger once via
-          ``succeed()``/``fail()``, never write ``_value``
 RL000     lint hygiene: unparseable files and suppression comments
           without a justification
 ========  ==============================================================

@@ -37,9 +37,8 @@ Supported control flow and the modelling decisions behind it:
 
 ``with``
     The ``With`` header is an ordinary statement node; ``__exit__`` is
-    *not* modelled as an implicit ``finally`` (no scheduler code relies
-    on context managers for protocol cleanup — RL006 tracks explicit
-    acquire/release calls).
+    *not* modelled as an implicit ``finally`` (no rule relies on
+    context managers for cleanup).
 
 ``return`` / ``raise`` / ``break`` / ``continue``
     Abrupt statements terminate their path; pending ``finally`` bodies

@@ -14,14 +14,13 @@ from typing import List, Optional, Sequence
 from repro.lint.engine import lint_paths, render_json, render_text
 from repro.lint.model import all_rules
 from repro.lint.sarif import render_sarif
-from repro.lint.typestate import render_table
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Project-specific static analysis for the WTPG core "
-                    "(10 rules numbered RL001-RL014; docs/lint.md lists "
+                    "(7 rules numbered RL001-RL012; docs/lint.md lists "
                     "them and the retired numbers).")
     parser.add_argument(
         "paths", nargs="*", default=["src"], metavar="PATH",
@@ -45,9 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalogue and exit")
     parser.add_argument(
         "--explain", metavar="RULE", default=None,
-        help="print one rule's catalogue entry — and, for the typestate "
-             "rules RL006, RL013 and RL014, the protocol's state-machine "
-             "table — then exit")
+        help="print one rule's catalogue entry, then exit")
     return parser
 
 
@@ -82,10 +79,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for rule in rules:
             if rule.rule_id == wanted:
                 print(f"{rule.rule_id}  {rule.summary}")
-                spec = getattr(rule, "spec", None)
-                if spec is not None:
-                    print()
-                    print(render_table(spec))
                 return 0
         print(f"repro-lint: --explain names an unknown rule: {wanted} "
               f"(known: {', '.join(r.rule_id for r in rules)})",

@@ -3,9 +3,7 @@
 The solver is deliberately tiny: a forward dataflow problem is a
 transfer function mapping ``(node, in_facts) -> out_facts`` and an
 entry value.  Facts are ``frozenset`` s joined by union, so every
-analysis is a may-analysis (a fact holds if it holds on *some* path);
-the lifecycle rules describe theirs as typestate protocols
-(:mod:`repro.lint.typestate`).
+analysis is a may-analysis (a fact holds if it holds on *some* path).
 
 Termination: the solver requires a monotone transfer function over a
 finite fact space (true here: facts are drawn from the finitely
@@ -19,9 +17,9 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, Optional
+from typing import Callable, Dict, FrozenSet, Optional
 
-from repro.lint.cfg import CFG, CFGNode, header_exprs
+from repro.lint.cfg import CFG, CFGNode
 
 
 class FixpointError(RuntimeError):
@@ -92,21 +90,8 @@ def solve_forward(cfg: CFG, transfer: Transfer, entry_value: Facts,
 
 
 # ---------------------------------------------------------------------------
-# Call helpers shared by the rules
+# Call helper shared by the rules
 # ---------------------------------------------------------------------------
-
-def calls_of(stmt: ast.AST) -> Iterator[ast.Call]:
-    """Every call this statement's own CFG node evaluates.
-
-    Restricted to :func:`~repro.lint.cfg.header_exprs`: a compound
-    statement's node contributes only its header calls — the nested body
-    is covered by the body statements' own nodes.
-    """
-    for root in header_exprs(stmt):
-        for node in ast.walk(root):
-            if isinstance(node, ast.Call):
-                yield node
-
 
 def method_name_of(call: ast.Call) -> Optional[str]:
     """``name`` for an ``<expr>.name(...)`` call, else None."""

@@ -1,11 +1,9 @@
 """File collection, rule dispatch and reporting for repro-lint.
 
-Since the whole-program rules arrived (the interprocedural layer
-RL009, RL012, then the typestate layer RL006, RL013, RL014), a
-lint run has two phases: every file of the invocation is parsed first
-and assembled into one :class:`repro.lint.project.Project` (call graph + function
-summaries + the per-run analysis cache the typestate transition
-relations memoise into), then the rules run file by file — plain
+Since the interprocedural rules (RL009, RL012) arrived, a lint run has
+two phases: every file of the invocation is parsed first and assembled
+into one :class:`repro.lint.project.Project` (call graph + function
+summaries), then the rules run file by file — plain
 :class:`Rule` subclasses see only their :class:`FileContext`, while
 :class:`ProjectRule` subclasses also receive the project.  Single-file
 entry points (``check_source``) build a one-file project, so fixture
@@ -21,7 +19,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import repro.lint.flow_rules  # noqa: F401  (imported for rule registration)
 import repro.lint.rules  # noqa: F401  (imported for rule registration)
-import repro.lint.typestate  # noqa: F401  (imported for rule registration)
 from repro.lint.model import (FileContext, ProjectRule, Rule, Violation,
                               all_rules)
 from repro.lint.project import Project

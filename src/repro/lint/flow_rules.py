@@ -7,9 +7,7 @@ function in scope and reports on what survives to an exit.  They are
 :class:`~repro.lint.model.ProjectRule` subclasses: the CFGs are the ones
 :class:`~repro.lint.summaries.SummaryTable` built once per function, and
 RL007 uses nothing else of the project, while RL009 and RL012 also
-consume the whole-program call graph and may-yield summaries.  The
-lock lifecycle (RL006) is a protocol of the typestate layer
-(:mod:`repro.lint.typestate`).
+consume the whole-program call graph and may-yield summaries.
 ``docs/lint.md`` has the full catalogue entry, threat model and known
 over/under-approximations of each rule.
 """

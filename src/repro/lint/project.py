@@ -11,7 +11,7 @@ interprocedural rules without a tree on disk — and hands it to every
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.lint.callgraph import (CallGraph, FunctionDecl, FunctionId,
                                   build_call_graph)
@@ -29,12 +29,6 @@ class Project:
         self.callgraph: CallGraph = build_call_graph(
             [(ctx.logical, ctx.tree) for ctx in contexts])
         self.summaries: SummaryTable = compute_summaries(self.callgraph)
-        #: Scratch memo shared by whole-program analyses that are too
-        #: rule-specific for :class:`SummaryTable` (the typestate layer
-        #: caches per-``(spec, function, param)`` transition relations
-        #: here).  Keyed by arbitrary hashable tuples; lives exactly as
-        #: long as the project.
-        self.analysis_cache: Dict[Hashable, object] = {}
 
     def functions_of(self, logical: str) -> List[FunctionDecl]:
         """Declarations of one module, in source order."""

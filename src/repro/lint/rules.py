@@ -242,6 +242,11 @@ WATCHED_ATTRS = frozenset({
     "_unresolved",
 })
 
+#: An engine event's trigger state.  Only ``engine/core.py`` writes it:
+#: ``succeed()``/``fail()`` raise ``EngineStateError`` on a second
+#: trigger, and a direct write would bypass that guard.
+EVENT_ATTRS = frozenset({"_value", "_defused"})
+
 #: A bump statement assigns one of these counters or calls the helper
 #: that bumps ``_generation`` for a raised pair-edge weight.
 BUMP_ATTRS = frozenset({"_generation", "_structure_gen"})
@@ -268,11 +273,12 @@ class WatchedWrite(NamedTuple):
     on_self: bool
 
 
-def _watched_target(node: ast.AST) -> Optional[Tuple[str, bool]]:
+def _watched_target(node: ast.AST,
+                    attrs: FrozenSet[str]) -> Optional[Tuple[str, bool]]:
     """(watched attr, rooted at ``self``?) of a target chain, any receiver."""
     while isinstance(node, ast.Subscript):
         node = node.value
-    if isinstance(node, ast.Attribute) and node.attr in WATCHED_ATTRS:
+    if isinstance(node, ast.Attribute) and node.attr in attrs:
         on_self = (isinstance(node.value, ast.Name)
                    and node.value.id == "self")
         return node.attr, on_self
@@ -284,9 +290,11 @@ _WRITE_NODES: FrozenSet[type] = frozenset({
     ast.Assign, ast.Delete, ast.AugAssign, ast.AnnAssign, ast.Call})
 
 
-def _writes_at(node: ast.AST) -> List[WatchedWrite]:
-    """The watched writes one AST node performs itself (not its children):
-    assignment and ``del`` targets, and in-place mutator calls."""
+def _writes_at(node: ast.AST,
+               attrs: FrozenSet[str] = WATCHED_ATTRS) -> List[WatchedWrite]:
+    """The writes to ``attrs`` one AST node performs itself (not its
+    children): assignment and ``del`` targets, and in-place mutator
+    calls."""
     if isinstance(node, ast.Call):
         func = node.func
         if not (isinstance(func, ast.Attribute)
@@ -304,7 +312,7 @@ def _writes_at(node: ast.AST) -> List[WatchedWrite]:
         elements = (target.elts if isinstance(target, (ast.Tuple, ast.List))
                     else [target])
         for element in elements:
-            watched = _watched_target(element)
+            watched = _watched_target(element, attrs)
             if watched is not None:
                 what, on_self = watched
                 writes.append(WatchedWrite(node.lineno, node.col_offset,
@@ -395,7 +403,8 @@ def _is_wtpg_expr(node: ast.AST) -> bool:
 
 @register_rule
 class EncapsulationRule(Rule):
-    """RL003: WTPG state stays inside core/wtpg.py, which bumps first.
+    """RL003: WTPG state stays inside core/wtpg.py, which bumps first;
+    an engine event's trigger state stays inside engine/core.py.
 
     The WTPG's caches (incremental topological order, closure memos,
     critical-path dist) trust their generation guards only while every
@@ -411,28 +420,34 @@ class EncapsulationRule(Rule):
       in its own block or an enclosing one;
     * ``core/wtpg.py`` contains no ``yield``/``await`` and imports
       nothing from ``repro.engine`` or ``repro.machine``, so no other
-      coroutine can run between a bump and the writes it covers.
+      coroutine can run between a bump and the writes it covers;
+    * outside ``engine/core.py``, no write to an event's
+      :data:`EVENT_ATTRS` through any receiver.
     """
 
     rule_id = "RL003"
     summary = ("WTPG state stays in core/wtpg.py (read-only estimator "
                "allowlist), whose methods bump the generation before "
-               "they write and never suspend")
+               "they write and never suspend; Event ._value/._defused "
+               "are written only in engine/core.py")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if ctx.is_module("repro/core/wtpg.py"):
             yield from self._check_wtpg(ctx)
             return
+        event_barrier = not ctx.is_module("repro/engine/core.py")
         allowed_attrs = RL003_ATTR_ALLOWLIST.get(ctx.logical, frozenset())
         allowed_imports = RL003_IMPORT_ALLOWLIST.get(ctx.logical, frozenset())
         for node in ast.walk(ctx.tree):
-            for write in (_writes_at(node) if type(node) in _WRITE_NODES
-                          else ()):
-                yield Violation(
-                    self.rule_id, ctx.display, write.line, write.col,
-                    f"write to WTPG container {write.what!r} outside "
-                    "core/wtpg.py: the graph changes only through WTPG "
-                    "methods, which bump the generation first")
+            if type(node) in _WRITE_NODES:
+                for write in _writes_at(node):
+                    yield Violation(
+                        self.rule_id, ctx.display, write.line, write.col,
+                        f"write to WTPG container {write.what!r} outside "
+                        "core/wtpg.py: the graph changes only through "
+                        "WTPG methods, which bump the generation first")
+                if event_barrier:
+                    yield from self._event_writes(ctx, node)
             if isinstance(node, ast.Attribute):
                 if (node.attr.startswith("_")
                         and not node.attr.startswith("__")
@@ -454,8 +469,21 @@ class EncapsulationRule(Rule):
                                 "repro.core.wtpg: use the public API or "
                                 "extend the RL003 allowlist")
 
+    def _event_writes(self, ctx: FileContext,
+                      node: ast.AST) -> Iterator[Violation]:
+        """The engine Event write barrier at one node of a module other
+        than ``engine/core.py``."""
+        for write in _writes_at(node, EVENT_ATTRS):
+            yield Violation(
+                self.rule_id, ctx.display, write.line, write.col,
+                f"write to engine Event field {write.what!r} outside "
+                "engine/core.py: trigger through succeed()/fail(), whose "
+                "single-trigger guard a direct write bypasses")
+
     def _check_wtpg(self, ctx: FileContext) -> Iterator[Violation]:
         for node in ast.walk(ctx.tree):
+            if type(node) in _WRITE_NODES:
+                yield from self._event_writes(ctx, node)
             if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
                 yield self.violation(
                     ctx, node,

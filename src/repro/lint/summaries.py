@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.lint.callgraph import (CallGraph, CallSite, FunctionDecl,
-                                  FunctionId)
+from repro.lint.callgraph import CallGraph, CallSite, FunctionId
 from repro.lint.cfg import CFG, build_cfg, header_exprs
 
 
@@ -34,14 +33,6 @@ class FunctionSummary:
     """The interprocedural facts of one function (see module docstring)."""
 
     may_yield: bool = False
-
-
-def _param_names(fn: ast.AST) -> List[str]:
-    args = getattr(fn, "args", None)
-    if args is None:
-        return []
-    return [arg.arg for arg in (list(args.posonlyargs) + list(args.args)
-                                + list(args.kwonlyargs))]
 
 
 def stmt_has_yield(stmt: ast.AST) -> bool:
@@ -119,31 +110,6 @@ class SummaryTable:
                 if isinstance(node, ast.Call) and id(node) in by_id:
                     out.append(by_id[id(node)])
         return out
-
-
-def bind_args(decl: FunctionDecl,
-               call: ast.Call) -> List[Tuple[str, ast.AST]]:
-    """Match call arguments to callee parameter names (best effort).
-
-    Positional arguments map in order (skipping ``self``/``cls`` for
-    methods), keywords by name; ``*args``/``**kwargs`` and starred
-    arguments are ignored — the summaries only need the plain calls the
-    codebase actually uses.
-    """
-    params = _param_names(decl.node)
-    if decl.class_name is not None and params and params[0] in ("self",
-                                                                "cls"):
-        params = params[1:]
-    out: List[Tuple[str, ast.AST]] = []
-    for index, arg in enumerate(call.args):
-        if isinstance(arg, ast.Starred):
-            break
-        if index < len(params):
-            out.append((params[index], arg))
-    for keyword in call.keywords:
-        if keyword.arg is not None:
-            out.append((keyword.arg, keyword.value))
-    return out
 
 
 def compute_summaries(graph: CallGraph) -> SummaryTable:

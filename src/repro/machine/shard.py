@@ -83,8 +83,8 @@ from repro.core.history import History
 from repro.core.schedulers.base import (AdmissionResponse, Certificate,
                                         Decision, Scheduler,
                                         merge_admission_responses)
-from repro.core.transaction import (LockMode, Step, TransactionRuntime,
-                                    TransactionSpec)
+from repro.core.transaction import (ACTIVE, COMMITTED, LockMode, Step,
+                                    TransactionRuntime, TransactionSpec)
 from repro.engine import Environment, Event
 from repro.errors import FaultError, FaultPlanError, SchedulerError
 from repro.faults.injector import FaultInjector
@@ -509,6 +509,7 @@ class ControlPlane:
             successors: Set[int] = set()
             for sid in sids:
                 successors.update(self._excise(tid, sid, subs[sid]))
+            txn.mark_aborted()
             self._running.discard(tid)
             self._doomed.pop(tid, None)
             for node in self.data_nodes:
@@ -522,7 +523,7 @@ class ControlPlane:
             self.active_transactions -= 1
             if self.history is not None:
                 self._grants.pop(tid, None)
-            txn.reset_for_retry()  # repro-lint: disable=RL013 -- schedulers only ever admit, lock, commit and abort the per-shard sub-runtimes, and _excise above aborted every one of them; the global runtime is re-armed exactly once per aborted attempt
+            txn.reset_for_retry()
             if self._cascade and successors:
                 for successor in sorted(successors):
                     self.request_abort(successor, "cascade")
@@ -530,6 +531,7 @@ class ControlPlane:
             yield env.timeout(self.params.retry_delay)
 
         txn.commit_time = env.now
+        txn.phase = COMMITTED
         self.active_transactions -= 1
         self._running.discard(tid)
         # A doom that lands during the commit CPU window loses the race
@@ -617,6 +619,7 @@ class ControlPlane:
         if end is not None:
             yield end
         txn.start_time = self.env.now
+        txn.phase = ACTIVE
         self.active_transactions += 1
         if traced:
             self._trace(EventType.ADMITTED, txn, attempts=txn.attempts + 1)
@@ -793,8 +796,11 @@ class ControlPlane:
 
         A dead shard can't be consulted, but its durable log still takes
         the ABORT record, so replay excises the victim there too
-        (modelling simplification, see the module doc).
+        (modelling simplification, see the module doc).  The one caller
+        of every scheduler's ``abort_transaction``, so the one place that
+        ends ``sub``'s attempt as aborted.
         """
+        sub.mark_aborted()
         shard = self.shards[sid]
         successors: Tuple[int, ...] = ()
         if shard.scheduler is not None:

@@ -25,6 +25,7 @@ from repro.core.schedulers.base import (chain_form_rejection,
 from repro.core.transaction import (Step, TransactionRuntime,
                                     TransactionSpec)
 from repro.core.wtpg import WTPG
+from tests.oracles import k_conflict as oracle
 
 PARTITIONS = 4
 COUNT_MODES = ("declarations", "transactions")
@@ -70,8 +71,8 @@ def registered_then_decided(table, wtpg, spec, k, count):
         partners = builder.partner_conflicts(table, spec)
         touched = set(spec.partitions)
         k_reason = (f"K-conflict constraint (K={k}) violated"
-                    if table.k_conflict_violated(k, partitions=touched,
-                                                 count=count) else None)
+                    if oracle.k_conflict_violated(table, k, partitions=touched,
+                                                  count=count) else None)
         chain_reason = chain_form_rejection(wtpg, spec.tid, partners)
     finally:
         table.unregister(spec.tid)

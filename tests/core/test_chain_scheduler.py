@@ -142,6 +142,7 @@ class TestChainAdmission:
             assert sched.request_lock(t2, now=2).granted
             t2.advance_step()
         sched.commit(t2, now=2)
+        t4.reset_for_retry()
         assert sched.admit(t4).admitted
 
 

@@ -136,6 +136,8 @@ def test_live_schedulers_stay_consistent_mid_workload(name, specs):
                 if scheduler.admit(txn, now).admitted:
                     admitted.add(txn.tid)
                     progressed = True
+                else:
+                    txn.reset_for_retry()
                 check_consistency(scheduler.table, scheduler.wtpg)
                 continue
             if txn.finished_all_steps:
@@ -165,6 +167,8 @@ def drive(scheduler, specs, passes):
             if txn.tid not in admitted:
                 if scheduler.admit(txn, now).admitted:
                     admitted.add(txn.tid)
+                else:
+                    txn.reset_for_retry()
             elif txn.finished_all_steps:
                 scheduler.commit(txn, now)
                 txn.commit_time = now

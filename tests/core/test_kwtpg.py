@@ -211,9 +211,10 @@ class TestKCountModes:
 
         table = LockTable()
         table.register(TransactionSpec(1, [Step.write(0, 1)]))
-        decl = table.declarations_of(1)[0]
         with pytest.raises(LockTableError):
-            table.conflict_count(decl, count="granules")
+            table.k_conflict_violated(
+                0, newcomer=TransactionSpec(2, [Step.write(0, 1)]),
+                count="granules")
 
 
 class TestDeadlockPrediction:

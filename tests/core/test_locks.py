@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import LockMode, LockTable, Step, TransactionSpec
 from repro.errors import LockTableError
+from tests.oracles import k_conflict as oracle
 
 
 def spec_rw(tid, partition=0):
@@ -155,7 +156,7 @@ class TestKConflict:
         table.register(spec_write(2, partition=0))
         table.register(spec_write(3, partition=0))
         decl = table.declarations_of(1)[0]
-        assert table.conflict_count(decl) == 2
+        assert oracle.conflict_count(table, decl) == 2
 
     def test_conflict_count_ignores_granted(self):
         table = LockTable()
@@ -163,29 +164,33 @@ class TestKConflict:
         table.register(spec_write(2, partition=0))
         table.grant(2, 0)
         decl = table.declarations_of(1)[0]
-        assert table.conflict_count(decl) == 0
+        assert oracle.conflict_count(table, decl) == 0
+        # A granted declaration does not count for the newcomer either.
+        assert not table.k_conflict_violated(1, newcomer=spec_write(3, 0))
 
     def test_k_conflict_violated_boundary(self):
         table = LockTable()
-        for tid in (1, 2, 3):
+        for tid in (1, 2):
             table.register(spec_write(tid, partition=0))
-        assert not table.k_conflict_violated(2)
-        table.register(spec_write(4, partition=0))
-        assert table.k_conflict_violated(2)
-        assert not table.k_conflict_violated(3)
+        assert not table.k_conflict_violated(2, newcomer=spec_write(3, 0))
+        table.register(spec_write(3, partition=0))
+        assert table.k_conflict_violated(2, newcomer=spec_write(4, 0))
+        assert not table.k_conflict_violated(3, newcomer=spec_write(4, 0))
 
     def test_k_conflict_partition_filter(self):
+        """Only the newcomer's partitions are judged: an over-full
+        partition it does not declare does not reject it."""
         table = LockTable()
         for tid in (1, 2, 3, 4):
             table.register(spec_write(tid, partition=0))
-        assert not table.k_conflict_violated(2, partitions=[1])
-        assert table.k_conflict_violated(2, partitions=[0])
+        assert not table.k_conflict_violated(2, newcomer=spec_write(5, 1))
+        assert table.k_conflict_violated(2, newcomer=spec_write(5, 0))
 
     def test_shared_declarations_do_not_count(self):
         table = LockTable()
-        for tid in (1, 2, 3, 4, 5):
+        for tid in (1, 2, 3, 4):
             table.register(spec_read(tid, partition=0))
-        assert not table.k_conflict_violated(0)
+        assert not table.k_conflict_violated(0, newcomer=spec_read(5, 0))
 
     def test_reader_counts_each_repeated_write(self):
         """A reader behind one writer's three write declarations counts
@@ -193,13 +198,17 @@ class TestKConflict:
         own declarations count only the reader."""
         table = LockTable()
         table.register(TransactionSpec(1, [Step.write(0, 1)] * 3))
-        table.register(spec_read(2, partition=0))
-        assert table.k_conflict_violated(2, count="declarations")
-        assert not table.k_conflict_violated(3, count="declarations")
-        assert not table.k_conflict_violated(0, partitions=[1],
+        reader = spec_read(2, partition=0)
+        assert table.k_conflict_violated(2, newcomer=reader,
+                                         count="declarations")
+        assert not table.k_conflict_violated(3, newcomer=reader,
                                              count="declarations")
-        assert not table.k_conflict_violated(1, count="transactions")
-        assert table.k_conflict_violated(0, count="transactions")
+        assert not table.k_conflict_violated(0, newcomer=spec_read(2, 1),
+                                             count="declarations")
+        assert not table.k_conflict_violated(1, newcomer=reader,
+                                             count="transactions")
+        assert table.k_conflict_violated(0, newcomer=reader,
+                                         count="transactions")
 
 
 class TestSnapshot:

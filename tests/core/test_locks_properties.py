@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import LockMode, LockTable, Step, TransactionSpec
 from repro.errors import LockTableError
+from tests.oracles import k_conflict as oracle
 
 
 @st.composite
@@ -113,19 +114,35 @@ def test_k_violation_matches_bruteforce_count(script, k):
             and other.partition == decl.partition
             and other.mode.conflicts_with(decl.mode)) > k
         for decl in pending)
-    assert table.k_conflict_violated(k) == expected
+    assert oracle.k_conflict_violated(table, k) == expected
+
+
+@st.composite
+def newcomers(draw):
+    """An unregistered BAT of 1-3 steps on partitions 0-4 (partition 4
+    is one no script declares)."""
+    steps = [Step.write(partition, 1) if write else Step.read(partition, 1)
+             for partition, write in draw(st.lists(
+                 st.tuples(st.integers(min_value=0, max_value=4),
+                           st.booleans()), min_size=1, max_size=3))]
+    return TransactionSpec(99, steps)
 
 
 @settings(max_examples=150, deadline=None)
-@given(table_scripts(), st.integers(min_value=0, max_value=4),
-       st.sets(st.integers(min_value=0, max_value=4)))
-def test_k_violation_matches_bruteforce_in_both_modes(script, k, touched):
-    """The per-partition tally behind ``k_conflict_violated`` gives the
-    brute-force verdict in the transactions mode K2 runs, in the
-    declarations mode, and under the ``partitions=`` restriction
-    admission uses (a partition no declaration names included)."""
+@given(table_scripts(), st.integers(min_value=0, max_value=4), newcomers())
+def test_k_violation_matches_bruteforce_in_both_modes(script, k, newcomer):
+    """The per-partition tally ``k_conflict_violated`` judges an
+    unregistered newcomer by gives the brute-force verdict on the table
+    with it registered, over its own partitions, in the transactions
+    mode K2 runs and in the declarations mode; so does the oracle."""
     table, alive = apply_script(script)
-    pending = [d for tid in alive for d in table.pending_of(tid)]
+    verdicts = {count: table.k_conflict_violated(k, newcomer=newcomer,
+                                                 count=count)
+                for count in ("declarations", "transactions")}
+    table.register(newcomer)
+    touched = set(newcomer.partitions)
+    pending = [d for tid in table.active_transactions
+               for d in table.pending_of(tid)]
 
     def rivals(decl):
         return [other for other in pending
@@ -138,11 +155,10 @@ def test_k_violation_matches_bruteforce_in_both_modes(script, k, touched):
         "transactions": lambda decl: len({o.tid for o in rivals(decl)}),
     }
     for count, measure in counts.items():
-        assert table.k_conflict_violated(k, count=count) == any(
-            measure(decl) > k for decl in pending)
-        assert table.k_conflict_violated(
-            k, partitions=touched, count=count) == any(
-            measure(decl) > k for decl in pending
-            if decl.partition in touched)
+        expected = any(measure(decl) > k for decl in pending
+                       if decl.partition in touched)
+        assert verdicts[count] == expected
+        assert oracle.k_conflict_violated(
+            table, k, partitions=touched, count=count) == expected
         for decl in pending:
-            assert table.conflict_count(decl, count=count) == measure(decl)
+            assert oracle.conflict_count(table, decl, count) == measure(decl)

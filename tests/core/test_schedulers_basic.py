@@ -127,6 +127,7 @@ class TestAtomicStaticLock:
         sched.admit(t1)
         assert not sched.admit(t2).admitted
         sched.commit(t1)
+        t2.reset_for_retry()
         assert sched.admit(t2).admitted
 
     def test_invariant_violation_raises(self):

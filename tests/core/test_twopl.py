@@ -76,6 +76,7 @@ class TestDeadlockHandling:
         sched, t1, t2 = self.make_cross()
         sched.request_lock(t1)
         sched.request_lock(t2)
+        t2.mark_aborted()
         sched.abort_transaction(t2)
         t2.reset_for_retry()
         # T1's blocked request can now go through.
@@ -85,6 +86,7 @@ class TestDeadlockHandling:
         sched, t1, t2 = self.make_cross()
         sched.request_lock(t1)
         sched.request_lock(t2)
+        t2.mark_aborted()
         sched.abort_transaction(t2)
         t2.reset_for_retry()
         assert sched.request_lock(t1).granted

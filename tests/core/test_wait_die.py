@@ -43,6 +43,7 @@ class TestWaitDieRules:
         sched, t1, t2 = self.setup_pair()
         sched.request_lock(t1, now=3)
         assert sched.request_lock(t2, now=4).decision is Decision.ABORT
+        t2.mark_aborted()
         sched.abort_transaction(t2, now=4)
         t2.reset_for_retry()
         # T2 re-admits much later; its timestamp is still 2.  A brand-new

@@ -10,9 +10,14 @@ import textwrap
 
 import pytest
 
-from repro.lint.cfg import build_cfg, functions_of
-from repro.lint.dataflow import (FixpointError, calls_of, method_name_of,
-                                 solve_forward)
+from repro.lint.cfg import build_cfg, functions_of, header_exprs
+from repro.lint.dataflow import FixpointError, method_name_of, solve_forward
+
+
+def calls_of(stmt):
+    """Every call one CFG node evaluates: its header expressions only."""
+    return [node for root in header_exprs(stmt) for node in ast.walk(root)
+            if isinstance(node, ast.Call)]
 
 
 def lock_transfer(node, value):

@@ -20,17 +20,18 @@ BAD_SOURCE = (
 )
 
 
-def test_registry_holds_the_ten_documented_rules():
+def test_registry_holds_the_seven_documented_rules():
     # RL002 and RL010 (WTPG generation bumps) were retired once the WTPG
     # bumped before it writes: RL003 checks that syntactically.  RL008
     # and RL011 (stream escape) were retired once RandomStreams stopped
     # handing out generators (RL001 bans reaching for one), RL015
     # (WTPG node lifecycle) for its runtime twin, WTPGError, and the
     # checkpoint-lifecycle rule with the checkpointed sweeps it checked.
+    # The typestate rules went for runtime twins: RL006 (lock lifecycle)
+    # for invariant 1, RL013 (BAT lifecycle) for LifecycleError, and
+    # RL014 (Event lifecycle) for RL003's Event write barrier.
     assert [rule.rule_id for rule in all_rules()] == [
-        "RL001", "RL003", "RL004", "RL005", "RL006",
-        "RL007", "RL009", "RL012",
-        "RL013", "RL014"]
+        "RL001", "RL003", "RL004", "RL005", "RL007", "RL009", "RL012"]
     assert all(rule.summary for rule in all_rules())
 
 
@@ -55,8 +56,7 @@ def test_json_report_schema():
     assert payload["version"] == 1
     assert payload["files_checked"] == 1
     assert payload["rules"] == ["RL001", "RL003", "RL004",
-                                "RL005", "RL006", "RL007", "RL009",
-                                "RL012", "RL013", "RL014"]
+                                "RL005", "RL007", "RL009", "RL012"]
     assert len(payload["violations"]) == 1
     entry = payload["violations"][0]
     assert set(entry) == {"rule", "file", "line", "col", "message"}
@@ -112,16 +112,13 @@ def test_cli_exit_two_on_missing_path(capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("RL001", "RL003", "RL004", "RL005", "RL006",
-                    "RL007", "RL009", "RL012",
-                    "RL013", "RL014"):
+    for rule_id in ("RL001", "RL003", "RL004", "RL005",
+                    "RL007", "RL009", "RL012"):
         assert rule_id in out
-    assert "RL008" not in out
-    assert "RL011" not in out
-    assert "RL002" not in out
-    assert "RL010" not in out
-    assert "RL015" not in out
-    assert len(out.splitlines()) == 10
+    for retired in ("RL002", "RL006", "RL008", "RL010", "RL011",
+                    "RL013", "RL014", "RL015"):
+        assert retired not in out
+    assert len(out.splitlines()) == 7
 
 
 def test_cli_skips_pycache_directories(tmp_path, capsys):

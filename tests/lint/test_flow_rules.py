@@ -1,4 +1,4 @@
-"""Fixture tests for the flow-sensitive rules RL006 and RL007, and the
+"""Fixture tests for the flow-sensitive rule RL007, and the
 stream-escape fixtures RL001 now answers.
 
 Same pattern as test_rules.py: in-memory sources impersonate production
@@ -19,86 +19,6 @@ def lint(source, logical):
 
 def rule_ids(violations):
     return [v.rule_id for v in violations]
-
-
-# -- RL006: lock lifecycle -----------------------------------------------------
-
-RL006_BAD = """\
-    class Scheduler:
-        def admit(self, txn, now):
-            self.table.register(txn)
-            if self.conflict(txn):
-                return False
-            self.table.unregister(txn)
-            return True
-"""
-
-RL006_GOOD = """\
-    class Scheduler:
-        def admit(self, txn, now):
-            self.table.register(txn)
-            if self.conflict(txn):
-                self.table.unregister(txn)
-                return False
-            self.table.unregister(txn)
-            return True
-"""
-
-
-def test_rl006_fires_when_a_release_misses_one_path():
-    violations = lint(RL006_BAD, "repro/core/schedulers/example.py")
-    assert rule_ids(violations) == ["RL006"]
-    [v] = violations
-    assert v.line == 3  # reported at the acquire site
-    assert "register()" in v.message and "admit" in v.message
-
-
-def test_rl006_silent_when_every_path_releases():
-    assert lint(RL006_GOOD, "repro/core/schedulers/example.py") == []
-
-
-def test_rl006_acquire_only_functions_persist_by_design():
-    """2PL-style registrations that live past the function are exempt:
-    a function that never releases intraprocedurally is not judged."""
-    source = """\
-        class Scheduler:
-            def admit(self, txn, now):
-                self.table.register(txn)
-                return True
-    """
-    assert lint(source, "repro/core/schedulers/example.py") == []
-
-
-def test_rl006_finally_release_is_clean():
-    source = """\
-        class Node:
-            def run(self, txn):
-                grant = self.cpu.request()
-                try:
-                    self.work(txn)
-                finally:
-                    self.cpu.release(grant)
-    """
-    assert lint(source, "repro/machine/example.py") == []
-
-
-def test_rl006_catches_a_leak_through_an_explicit_raise():
-    source = """\
-        class Node:
-            def run(self, txn):
-                grant = self.cpu.request()
-                if txn.bad():
-                    raise ValueError(txn)
-                self.cpu.release(grant)
-    """
-    violations = lint(source, "repro/machine/example.py")
-    assert rule_ids(violations) == ["RL006"]
-    assert violations[0].line == 3
-
-
-def test_rl006_scoped_to_schedulers_locks_and_machine():
-    assert lint(RL006_BAD, "repro/core/estimator.py") == []
-    assert lint(RL006_BAD, "repro/workloads/example.py") == []
 
 
 # -- RL007: unguarded cache reads ----------------------------------------------

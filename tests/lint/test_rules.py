@@ -337,6 +337,35 @@ def test_rl003_wtpg_must_not_suspend():
                 "repro/core/other.py") == []
 
 
+def test_rl003_event_fields_are_written_only_in_engine_core():
+    """The Event write barrier (the retired RL014's teeth): a module
+    other than engine/core.py that stores an event's trigger state
+    bypasses the single-trigger guard of succeed()/fail()."""
+    source = """\
+        def force(ev, waiter):
+            ev._value = 42
+            waiter.event._defused = True
+            ev._ok, ev._value = True, None
+            return ev._value
+    """
+    for logical in ("repro/machine/helper.py", "repro/engine/rng.py",
+                    "repro/core/wtpg.py"):
+        violations = lint(source, logical)
+        assert [(v.rule_id, v.line) for v in violations] == [
+            ("RL003", 2), ("RL003", 3), ("RL003", 4)], logical
+        assert "engine Event field '_value'" in violations[0].message
+        assert "'_defused'" in violations[1].message
+    assert lint(source, "repro/engine/core.py") == []
+
+
+def test_rl003_engine_core_is_clean_without_a_suppression():
+    path = REPO / "src/repro/engine/core.py"
+    source = path.read_text(encoding="utf-8")
+    assert "repro-lint" not in source
+    assert "event._value = value" in source  # the born-triggered fast path
+    assert lint(source, "repro/engine/core.py") == []
+
+
 # -- RL004: float equality ----------------------------------------------------
 
 RL004_BAD = """\

@@ -17,7 +17,7 @@ def sample_violations(tmp_path):
     source = tmp_path / "mod.py"
     source.write_text("t.register()\nt.request()\n", encoding="utf-8")
     return [
-        Violation("RL006", str(source), 1, 0, "leak one"),
+        Violation("RL009", str(source), 1, 0, "leak one"),
         Violation("RL007", str(source), 2, 4, "stale read"),
     ]
 
@@ -40,8 +40,8 @@ def test_driver_carries_the_full_rule_catalogue(tmp_path):
     assert driver["name"] == TOOL_NAME
     assert driver["version"] == TOOL_VERSION
     ids = [rule["id"] for rule in driver["rules"]]
-    assert ids == [f"RL{i:03d}" for i in range(1, 15)
-                   if i not in (2, 8, 10, 11)]
+    assert ids == [f"RL{i:03d}" for i in range(1, 13)
+                   if i not in (2, 6, 8, 10, 11)]
     for rule in driver["rules"]:
         assert rule["shortDescription"]["text"]
 
@@ -77,7 +77,7 @@ def test_results_carry_baseline_fingerprints(tmp_path):
     assert len(set(prints)) == 2
 
 
-def violation_in(path, line, rule_id="RL006", message="leak"):
+def violation_in(path, line, rule_id="RL009", message="leak"):
     return Violation(rule_id, str(path), line, 4, message)
 
 
@@ -88,11 +88,11 @@ def write_source(tmp_path, name, lines):
 
 
 def test_fingerprint_is_stable_and_input_sensitive():
-    base = fingerprint("RL006", "src/a.py", "x.register()", 0)
-    assert base == fingerprint("RL006", "src/a.py", "x.register()", 0)
+    base = fingerprint("RL009", "src/a.py", "x.register()", 0)
+    assert base == fingerprint("RL009", "src/a.py", "x.register()", 0)
     assert base != fingerprint("RL007", "src/a.py", "x.register()", 0)
-    assert base != fingerprint("RL006", "src/b.py", "x.register()", 0)
-    assert base != fingerprint("RL006", "src/a.py", "x.register()", 1)
+    assert base != fingerprint("RL009", "src/b.py", "x.register()", 0)
+    assert base != fingerprint("RL009", "src/a.py", "x.register()", 1)
 
 
 def test_fingerprints_survive_line_drift(tmp_path):
